@@ -13,16 +13,24 @@ import and before numpy is first imported, because the BLAS libraries read
 their thread count once, when they load.  So the variable must be in the
 environment before the interpreter starts, and it only takes effect when
 hodgeheat is imported before numpy (as it is by ``python -m hodgeheat.cli``
-and the ``hodgeheat`` script).  A per-library variable that is set
-explicitly (OPENBLAS_NUM_THREADS and the others) takes precedence.
+and the ``hodgeheat`` script); otherwise the import emits a RuntimeWarning.
+A per-library variable that is set explicitly (OPENBLAS_NUM_THREADS and
+the others) takes precedence.
 """
 
 import os as _os
+import sys as _sys
+import warnings as _warnings
 
 _BLAS_THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS",
                      "MKL_NUM_THREADS", "NUMEXPR_NUM_THREADS")
 _threads = _os.environ.get("HODGEHEAT_NUM_THREADS")
 if _threads:
+    if "numpy" in _sys.modules:
+        _warnings.warn(
+            "HODGEHEAT_NUM_THREADS was not applied: numpy was imported before "
+            "hodgeheat and its BLAS thread pools are already sized",
+            RuntimeWarning, stacklevel=2)
     for _var in _BLAS_THREAD_VARS:
         _os.environ.setdefault(_var, _threads)
 

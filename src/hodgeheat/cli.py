@@ -363,20 +363,20 @@ def verify(input_path, degree, error_target, seed, input_format):
 def report(input_path, degree, p_list, epsilon, error_target, t_grid, seed,
            cache_dir, input_format, output_path, output_format):
     """Aggregate report: spectrum, interval, decomposition, and all checks."""
-    config = RunConfig(
-        input_path=input_path,
-        input_format=input_format,
-        degree=degree,
-        p_list=tuple(p_list),
-        epsilon=epsilon,
-        error_target=error_target,
-        t_grid=tuple(float(tok) for tok in t_grid.split(",")),
-        seed=seed,
-        cache_dir=cache_dir,
-        output_path=output_path,
-        output_format=output_format,
-    )
     try:
+        config = RunConfig(
+            input_path=input_path,
+            input_format=input_format,
+            degree=degree,
+            p_list=tuple(p_list),
+            epsilon=epsilon,
+            error_target=error_target,
+            t_grid=tuple(float(tok) for tok in t_grid.split(",")),
+            seed=seed,
+            cache_dir=cache_dir,
+            output_path=output_path,
+            output_format=output_format,
+        )
         payload, code = run_pipeline(config)
     except (ValueError, OSError) as exc:
         _fail_input(exc)

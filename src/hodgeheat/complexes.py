@@ -87,9 +87,10 @@ class SimplicialComplex:
         for ell, (level, w) in enumerate(zip(self.simplices, self.weights)):
             if len(level) != len(w):
                 raise ValueError(f"degree {ell}: {len(level)} simplices, {len(w)} weights")
-            if np.any(w <= 0):
-                bad = level[int(np.argmin(w))]
-                raise ValueError(f"non-positive weight on simplex {bad}")
+            bad = np.flatnonzero(~(np.isfinite(w) & (w > 0)))
+            if bad.size:
+                raise ValueError(f"weight {w[bad[0]]} on simplex {level[bad[0]]} "
+                                 "is not a positive finite number")
             for s in level:
                 if len(s) != ell + 1 or list(s) != sorted(set(s)):
                     raise ValueError(f"invalid degree-{ell} simplex {s}")
@@ -130,6 +131,10 @@ class SimplicialComplex:
                 f"cochain of degree {omega.degree} must have {n} values, "
                 f"got {omega.values.shape}"
             )
+        bad = np.flatnonzero(~np.isfinite(omega.values))
+        if bad.size:
+            raise ValueError(f"non-finite cochain value {omega.values[bad[0]]} on simplex "
+                             f"{self.simplices[omega.degree][bad[0]]}")
 
     def zero_cochain(self, ell: int) -> Cochain:
         return Cochain(ell, np.zeros(self.n_simplices(ell)))
@@ -208,10 +213,6 @@ def build_complex(spec) -> SimplicialComplex:
         order = sorted(table)
         simplices.append(order)
         weights.append([table[s] for s in order])
-    for ell, (level, w) in enumerate(zip(simplices, weights)):
-        for s, wt in zip(level, w):
-            if wt <= 0:
-                raise ValueError(f"non-positive weight {wt} on simplex {s}")
     return SimplicialComplex(simplices, weights)
 
 

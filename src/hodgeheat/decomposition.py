@@ -1,11 +1,12 @@
 """Green operators, fractional powers, and the exact/coexact/harmonic splitting.
 
 The Green operator inverts the Laplacian on the complement of its kernel.
-It is computed two ways: in closed spectral form, and as a truncated time
-integral of the heat semigroup with a certified exponential tail bound.
-The inverse square root comes from the same integral with weight t^(-1/2)
-(normalized by Gamma(1/2)), with the substitution t = u^2 removing the
-integrable singularity at t = 0.
+It is computed two ways: in closed spectral form, and as the time integral
+of the heat semigroup up to t_max, evaluated in one augmented exponential
+action, with a certified exponential tail bound.  The inverse square root
+comes from the time integral with weight t^(-1/2) (normalized by
+Gamma(1/2)), by Gauss-Legendre quadrature of the spectral heat sum after
+the substitution t = u^2 removes the integrable singularity at t = 0.
 """
 
 import math
@@ -13,8 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
-from scipy.linalg import expm
-from scipy.sparse.linalg import expm_multiply
+from scipy import sparse
 
 from .complexes import (
     Cochain,
@@ -26,14 +26,18 @@ from .complexes import (
     inner_product,
     lp_norm,
 )
-from .spectral import SpectralData, harmonic_part, laplacian_spectrum
-
-_SCHEMES = ("truncated-exponential", "gauss-laguerre-like composite")
+from .spectral import (
+    SpectralData,
+    _heat_action,
+    harmonic_part,
+    heat_apply,
+    laplacian_spectrum,
+)
 
 
 @dataclass
 class QuadratureGrid:
-    """Composite Gauss-Legendre rule on geometric panels over [0, t_max].
+    """Truncation time t_max, and a composite Gauss-Legendre rule on [0, t_max].
 
     Panel widths double away from 0, so the first panel resolves the
     fastest spectral mode while the count stays logarithmic in
@@ -45,7 +49,6 @@ class QuadratureGrid:
     nodes: int = 24
     levels: int = 12
     error_target: float = 1e-8
-    scheme: str = "truncated-exponential"
 
     def __post_init__(self):
         if self.t_max <= 0:
@@ -54,8 +57,6 @@ class QuadratureGrid:
             raise ValueError("grid needs at least 2 nodes and 1 level")
         if not 0 < self.error_target < 1:
             raise ValueError("error_target must lie in (0, 1)")
-        if self.scheme not in _SCHEMES:
-            raise ValueError(f"unknown scheme {self.scheme!r}")
 
     @classmethod
     def for_spectrum(cls, gap: float, lam_max: float, error_target: float = 1e-8,
@@ -76,7 +77,11 @@ class QuadratureGrid:
 
 @dataclass
 class QuadratureResult:
-    """Integrated cochain plus the certificate of the truncated tail."""
+    """Integrated cochain plus the certificate of the truncated tail.
+
+    ``nodes_evaluated`` counts heat evaluations: Gauss nodes for the
+    subordinated integral, one exponential action for the Green term.
+    """
 
     cochain: Cochain
     tail_bound: float
@@ -91,52 +96,6 @@ class QuadratureResult:
             "nodes_evaluated": self.nodes_evaluated,
             "error_target": self.error_target,
         }
-
-
-def _expm_action(A: np.ndarray, norm1: float, t: float, v: np.ndarray) -> np.ndarray:
-    """exp(-t A) v without eigendecomposition.
-
-    The truncated-Taylor action costs O(n^2) per call but grows linearly
-    in t |A|; past a stiffness cutoff the dense scaling-and-squaring
-    exponential wins with its log(t |A|) matrix products.
-    """
-    if t * norm1 <= 256.0:
-        return expm_multiply(-t * A, v)
-    return expm(-t * A) @ v
-
-
-def _heat_applier(s: SpectralData, backend: str, delta=None):
-    if backend == "spectral":
-        return lambda t, v: s.apply_function(lambda lam: np.exp(-t * lam), v)
-    if backend == "squaring":
-        if delta is None:
-            A = s.laplacian_matrix()
-        elif isinstance(delta, OperatorMatrix):
-            A = delta.entries
-        else:
-            A = np.asarray(delta, dtype=float)
-        norm1 = float(np.linalg.norm(A, 1))
-        return lambda t, v: _expm_action(A, norm1, t, v)
-    raise ValueError(f"unknown heat backend {backend!r}")
-
-
-def _integrate_semigroup(apply_heat, grid: QuadratureGrid, v0: np.ndarray,
-                         subordinated: bool = False):
-    """Integrate P_t v0 dt (or t^(-1/2) P_t v0 dt via t = u^2) over [0, t_max]."""
-    xs, ws = leggauss(grid.nodes)
-    total = np.zeros_like(v0)
-    count = 0
-    upper = math.sqrt(grid.t_max) if subordinated else grid.t_max
-    for a, b in grid.panels(upper):
-        mid, half = (a + b) / 2.0, (b - a) / 2.0
-        for x, w in zip(xs, ws):
-            u = mid + half * x
-            if subordinated:
-                total += (w * half * 2.0) * apply_heat(u * u, v0)
-            else:
-                total += (w * half) * apply_heat(u, v0)
-            count += 1
-    return total, count
 
 
 def _inv_on_support(lam: np.ndarray) -> np.ndarray:
@@ -174,43 +133,57 @@ def _quadrature_setup(s: SpectralData, omega: Cochain, grid, omega0):
     return v0, grid
 
 
-def green_quadrature(s: SpectralData, omega: Cochain, grid: QuadratureGrid | None = None,
-                     backend: str = "spectral", delta=None,
+def green_quadrature(s: SpectralData, omega: Cochain, laplacian: OperatorMatrix,
+                     grid: QuadratureGrid | None = None,
                      omega0=None) -> QuadratureResult:
     """Green operator as the time integral of the heat semigroup.
 
-    Integrates P_t (1-H) omega over [0, t_max] and certifies the dropped
-    tail by exp(-gap * t_max) / gap times the norm of the non-harmonic
-    part.  Refuses grids whose t_max is too small for their error target.
+    Integrates P_t (1-H) omega over [0, t_max] in one exponential action
+    of the assembled Laplacian L, augmented by the normalized non-harmonic
+    part u = v0 / |v0|_W: the top block of exp(t_max [[-L, u], [0, 0]])
+    e_(n+1) is that integral of P_t u (Van Loan, IEEE TAC 1978).  The
+    dropped tail is certified by exp(-gap * t_max) / gap times |v0|_W.
+    Refuses grids whose t_max is too small for their error target.
     """
     v0, sized = _quadrature_setup(s, omega, grid, omega0)
     if sized is None:
         return QuadratureResult(Cochain(s.degree, np.zeros_like(v0)), 0.0,
                                 0.0, 0, grid.error_target if grid else 0.0)
-    apply_heat = _heat_applier(s, backend, delta)
-    vals, count = _integrate_semigroup(apply_heat, sized, v0)
-    tail = math.exp(-s.gap * sized.t_max) / s.gap * s.norm2(v0)
-    return QuadratureResult(Cochain(s.degree, vals), tail, sized.t_max, count,
+    n = v0.size
+    norm = s.norm2(v0)
+    augmented = sparse.bmat([[laplacian.entries, -v0[:, None] / norm],
+                             [None, np.zeros((1, 1))]])
+    e_last = np.zeros(n + 1)
+    e_last[-1] = 1.0
+    vals = norm * _heat_action(augmented, sized.t_max, e_last)[:n]
+    tail = math.exp(-s.gap * sized.t_max) / s.gap * norm
+    return QuadratureResult(Cochain(s.degree, vals), tail, sized.t_max, 1,
                             sized.error_target)
 
 
 def inv_sqrt_subordinated(s: SpectralData, omega: Cochain,
-                          grid: QuadratureGrid | None = None,
-                          backend: str = "spectral", delta=None,
-                          omega0=None) -> QuadratureResult:
+                          grid: QuadratureGrid | None = None) -> QuadratureResult:
     """Inverse square root via the subordinated heat integral.
 
     Evaluates (1/Gamma(1/2)) * integral of t^(-1/2) P_t (1-H) omega dt with
-    the substitution t = u^2, which makes the integrand analytic at 0.  The
-    Gamma(1/2) = sqrt(pi) normalization makes the identity with the
-    spectral lambda^(-1/2) exact.
+    the substitution t = u^2, which makes the integrand analytic at 0, on
+    the grid's Gauss-Legendre panels with the spectral heat sum at each
+    node.  The Gamma(1/2) = sqrt(pi) normalization makes the identity with
+    the spectral lambda^(-1/2) exact.
     """
-    v0, sized = _quadrature_setup(s, omega, grid, omega0)
+    v0, sized = _quadrature_setup(s, omega, grid, None)
     if sized is None:
         return QuadratureResult(Cochain(s.degree, np.zeros_like(v0)), 0.0,
                                 0.0, 0, grid.error_target if grid else 0.0)
-    apply_heat = _heat_applier(s, backend, delta)
-    vals, count = _integrate_semigroup(apply_heat, sized, v0, subordinated=True)
+    xs, ws = leggauss(sized.nodes)
+    vals = np.zeros_like(v0)
+    count = 0
+    for a, b in sized.panels(math.sqrt(sized.t_max)):
+        mid, half = (a + b) / 2.0, (b - a) / 2.0
+        for x, w in zip(xs, ws):
+            t = (mid + half * x) ** 2
+            vals += (w * half * 2.0) * s.apply_function(lambda lam: np.exp(-t * lam), v0)
+            count += 1
     vals /= math.sqrt(math.pi)
     tail = (math.exp(-s.gap * sized.t_max) / (s.gap * math.sqrt(sized.t_max))
             / math.sqrt(math.pi) * s.norm2(v0))
@@ -422,9 +395,10 @@ def verify_uniqueness(K: SimplicialComplex, ell: int, omega: Cochain,
     """Decompose through two independent paths and compare the components.
 
     Route A uses the closed spectral form of the Green operator.  Route B
-    never touches the eigenbasis: the harmonic part comes from the
-    long-time heat limit and the Green term from the quadrature, both
-    driven by the action of the matrix exponential.  Additionally,
+    never touches the eigenbasis: it reads the assembled Laplacian and,
+    from the spectrum, only the gap, the largest eigenvalue and the
+    weights.  Its harmonic part is the heat semigroup at a certified time
+    and its Green term one augmented exponential action.  Additionally,
     perturbing the harmonic component along any kernel direction is shown
     to leave a detectable harmonic residue in the remaining parts.
     """
@@ -433,18 +407,12 @@ def verify_uniqueness(K: SimplicialComplex, ell: int, omega: Cochain,
     a = decompose(K, ell, omega, spectral=s)
 
     v = omega.values
-    delta_mat = hodge_laplacian(K, ell)
     quad_cert = {}
     if math.isinf(s.gap):
         h_b = v.copy()
         g_b = np.zeros_like(v)
     else:
-        h_b = _heat_limit_expm(delta_mat.entries, s, v, error_target)
-        grid = QuadratureGrid.for_spectrum(
-            s.gap, float(s.eigenvalues[-1]), error_target=error_target
-        )
-        res = green_quadrature(s, omega, grid=grid, backend="squaring",
-                               delta=delta_mat, omega0=v - h_b)
+        h_b, res = _route_b(hodge_laplacian(K, ell), s, omega, error_target)
         g_b = res.cochain.values
         quad_cert = res.to_json_dict()
 
@@ -489,22 +457,21 @@ def verify_uniqueness(K: SimplicialComplex, ell: int, omega: Cochain,
     )
 
 
-def _heat_limit_expm(A: np.ndarray, s: SpectralData, v: np.ndarray,
-                     tol: float, max_doublings: int = 200) -> np.ndarray:
-    """Heat limit driven by the matrix exponential only (route B helper)."""
-    norm = s.norm2(v)
-    if norm == 0.0 or math.isinf(s.gap):
-        return v.copy()
-    norm1 = float(np.linalg.norm(A, 1))
-    t = 1.0 / s.gap
-    prev = _expm_action(A, norm1, t, v)
-    for _ in range(max_doublings):
-        cur = _expm_action(A, norm1, 2 * t, v)
-        if s.norm2(cur - prev) <= tol * norm:
-            return cur
-        t *= 2.0
-        prev = cur
-    raise RuntimeError("heat limit did not converge")
+def _route_b(laplacian: OperatorMatrix, s: SpectralData, omega: Cochain,
+             error_target: float):
+    """Route B's harmonic part and Green term, for a finite gap.
+
+    Reads the assembled Laplacian and, of the spectrum, only the gap, the
+    largest eigenvalue and the weights.  At the time t_h below,
+    exp(-gap t_h) = error_target * min(1, gap), so both |h_b - H omega|_W
+    and |G (h_b - H omega)|_W are at most error_target * |omega|_W.
+    """
+    t_h = (math.log(1.0 / error_target) + max(0.0, math.log(1.0 / s.gap))) / s.gap
+    h_b = heat_apply(laplacian, t_h, omega).values
+    grid = QuadratureGrid.for_spectrum(s.gap, float(s.eigenvalues[-1]),
+                                       error_target=error_target)
+    return h_b, green_quadrature(s, omega, laplacian, grid=grid,
+                                 omega0=omega.values - h_b)
 
 
 @dataclass

@@ -89,6 +89,7 @@ def parse_json_complex(text: str) -> ParsedInput:
         for value, simplex in zip(values, order):
             arranged[K.index_of(ell, simplex)] = value
         cochain = Cochain(ell, arranged)
+        K.check_cochain(cochain)
     return ParsedInput(K, cochain, [])
 
 

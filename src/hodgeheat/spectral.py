@@ -1,8 +1,8 @@
 """Spectral calculus on Hodge Laplacians.
 
 Eigendecomposition in the weighted inner product, the heat semigroup
-P_t = exp(-t * Laplacian) with two independent backends (spectral sum and
-scaling-and-squaring matrix exponential), spectral-gap classification, and
+P_t = exp(-t * Laplacian) computed two independent ways (spectral sum, and
+one eigenbasis-free exponential action), spectral-gap classification, and
 the harmonic projector both as a spectral projection and as the long-time
 heat limit.
 """
@@ -14,7 +14,8 @@ import os
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import expm
+from scipy import sparse
+from scipy.sparse.linalg import expm_multiply
 
 from .complexes import (
     RANK_TOL,
@@ -179,34 +180,48 @@ def heat_operator(s: SpectralData, t: float) -> OperatorMatrix:
     return OperatorMatrix(M, s.degree, s.degree, symmetric=True)
 
 
-def heat_apply(source, t: float, omega: Cochain, backend: str = "spectral",
-               weights=None) -> Cochain:
+def _heat_action(A, t: float, x: np.ndarray) -> np.ndarray:
+    """exp(-t A) x without an eigenbasis.
+
+    The truncated-Taylor action of Al-Mohy & Higham (SIAM J. Sci. Comput.
+    2011) on a CSR copy of A: a number of sparse matvecs that grows
+    linearly in t |A|_1, and no dense matrix exponential.
+
+    For stiff t |A|_1 scipy picks its Taylor degree and step count from
+    norm estimates whose probe vectors come from numpy's global random
+    state, and a different choice moves the result in its last digits.
+    The state is pinned for the call, so equal inputs give equal bytes,
+    and the caller's state is restored afterwards.
+    """
+    caller_state = np.random.get_state()
+    np.random.seed(0)
+    try:
+        return expm_multiply(-t * sparse.csr_matrix(A), x)
+    finally:
+        np.random.set_state(caller_state)
+
+
+def heat_apply(source, t: float, omega: Cochain) -> Cochain:
     """Apply the heat semigroup P_t to a cochain.
 
-    ``source`` is SpectralData or a Laplacian (OperatorMatrix / array).
-    The spectral backend sums exp(-t lambda_i) <omega, v_i> v_i; the
-    squaring backend evaluates the scaling-and-squaring matrix exponential
-    of -t * Laplacian.  The two agree to 1e-8 relative.
+    For SpectralData ``source`` this is the spectral sum
+    exp(-t lambda_i) <omega, v_i> v_i; for a Laplacian (OperatorMatrix or
+    array) it is the eigenbasis-free exponential action.  The two agree
+    to 1e-8 relative.
     """
     if t < 0:
         raise ValueError("heat semigroup requires t >= 0")
-    if backend == "spectral":
-        s = source if isinstance(source, SpectralData) else eigendecompose(source, weights)
-        if omega.degree != s.degree:
+    if isinstance(source, SpectralData):
+        if omega.degree != source.degree:
             raise ValueError("cochain degree does not match spectral data")
-        return Cochain(s.degree, s.apply_function(lambda lam: np.exp(-t * lam), omega.values))
-    if backend == "squaring":
-        if isinstance(source, SpectralData):
-            A = source.laplacian_matrix()
-            degree = source.degree
-        elif isinstance(source, OperatorMatrix):
-            A = source.entries
-            degree = source.domain_degree
-        else:
-            A = np.asarray(source, dtype=float)
-            degree = omega.degree
-        return Cochain(degree, expm(-t * A) @ omega.values)
-    raise ValueError(f"unknown heat backend {backend!r}")
+        return Cochain(source.degree,
+                       source.apply_function(lambda lam: np.exp(-t * lam), omega.values))
+    A = source
+    if isinstance(source, OperatorMatrix):
+        if omega.degree != source.domain_degree:
+            raise ValueError("cochain degree does not match the Laplacian")
+        A = source.entries
+    return Cochain(omega.degree, _heat_action(A, t, omega.values))
 
 
 def heat_derivative(s: SpectralData, t: float, omega: Cochain) -> Cochain:

@@ -1,5 +1,6 @@
 """Green operators, fractional powers, and the three-part splitting."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -26,6 +27,7 @@ from hodgeheat import (
     verify_uniqueness,
 )
 from hodgeheat import library as lib
+from hodgeheat.decomposition import _route_b
 from hodgeheat.spectral import harmonic_part
 
 
@@ -70,7 +72,7 @@ class TestGreenQuadrature:
     def test_harmonic_gives_zero(self):
         K = lib.cycle_complex(3)
         s = laplacian_spectrum(K, 0)
-        res = green_quadrature(s, Cochain(0, np.ones(3)))
+        res = green_quadrature(s, Cochain(0, np.ones(3)), hodge_laplacian(K, 0))
         assert np.allclose(res.cochain.values, 0.0, atol=1e-12)
         assert res.tail_bound <= 1e-12
 
@@ -80,7 +82,7 @@ class TestGreenQuadrature:
         s = laplacian_spectrum(K, 0)
         v = s.eigencochains[:, 2]
         grid = QuadratureGrid.for_spectrum(s.gap, 3.0, error_target=1e-6)
-        res = green_quadrature(s, Cochain(0, v), grid=grid)
+        res = green_quadrature(s, Cochain(0, v), hodge_laplacian(K, 0), grid=grid)
         assert np.linalg.norm(res.cochain.values - v / 3.0) <= 1e-6
 
     def test_tetra_matches_spectral_route(self):
@@ -90,16 +92,15 @@ class TestGreenQuadrature:
         exact = green_spectral(s).apply(omega).values
         grid = QuadratureGrid.for_spectrum(s.gap, float(s.eigenvalues[-1]),
                                            error_target=1e-6)
-        res = green_quadrature(s, omega, grid=grid)
+        res = green_quadrature(s, omega, hodge_laplacian(K, 1), grid=grid)
         assert np.linalg.norm(res.cochain.values - exact) <= 1e-6
 
-    def test_squaring_backend_matches(self):
+    def test_default_grid_matches_spectral(self):
         K = lib.cycle_complex(12)
         s = laplacian_spectrum(K, 1)
         omega = lib.random_cochain(K, 1, 14)
         exact = green_spectral(s).apply(omega).values
-        res = green_quadrature(s, omega, backend="squaring",
-                               delta=hodge_laplacian(K, 1))
+        res = green_quadrature(s, omega, hodge_laplacian(K, 1))
         assert np.linalg.norm(res.cochain.values - exact) <= 1e-7
 
     def test_refusal_names_required_t_max(self):
@@ -108,7 +109,7 @@ class TestGreenQuadrature:
         omega = lib.random_cochain(K, 0, 1)
         bad = QuadratureGrid(t_max=0.5, error_target=1e-8)
         with pytest.raises(ValueError, match="need t_max"):
-            green_quadrature(s, omega, grid=bad)
+            green_quadrature(s, omega, hodge_laplacian(K, 0), grid=bad)
 
     def test_defining_identity_through_quadrature_route(self):
         # Laplacian applied to the quadrature Green term recovers (1-H)omega
@@ -118,9 +119,9 @@ class TestGreenQuadrature:
         omega = lib.random_cochain(K, 1, 15)
         grid = QuadratureGrid.for_spectrum(s.gap, float(s.eigenvalues[-1]),
                                            error_target=1e-12)
-        res = green_quadrature(s, omega, grid=grid)
-        lap = hodge_laplacian(K, 1).entries
-        recovered = lap @ res.cochain.values
+        lap = hodge_laplacian(K, 1)
+        res = green_quadrature(s, omega, lap, grid=grid)
+        recovered = lap.entries @ res.cochain.values
         expected = omega.values - harmonic_part(s, omega.values)
         assert np.linalg.norm(recovered - expected) <= 1e-10
 
@@ -131,7 +132,7 @@ class TestGreenQuadrature:
         exact = green_spectral(s).apply(omega).values
         grid = QuadratureGrid.for_spectrum(s.gap, float(s.eigenvalues[-1]),
                                            error_target=1e-6)
-        res = green_quadrature(s, omega, grid=grid)
+        res = green_quadrature(s, omega, hodge_laplacian(K, 1), grid=grid)
         err = s.norm2(res.cochain.values - exact)
         assert err <= res.tail_bound + grid.error_target * max(s.norm2(exact), 1.0)
 
@@ -332,6 +333,45 @@ class TestVerifyUniqueness:
         rep = verify_uniqueness(K, 1, omega)
         assert rep.kernel_perturbations  # b1 = 1
         assert rep.perturbation_detected
+
+    @pytest.mark.parametrize("name,K", NAMED, ids=NAMED_IDS)
+    def test_route_b_meets_its_certificates(self, name, K):
+        # Eigencochains replaced by NaN: route B must not read them.
+        error_target = 1e-8
+        for ell in all_degrees(K):
+            s = spectrum_of(name, K, ell)
+            if math.isinf(s.gap):
+                continue
+            omega = lib.random_cochain(K, ell, 67)
+            blind = dataclasses.replace(s, eigencochains=np.full_like(s.eigencochains, np.nan))
+            h_b, quad = _route_b(hodge_laplacian(K, ell), blind, omega, error_target)
+            norm = s.norm2(omega.values)
+            # exp(-gap t_h) = error_target * min(1, gap) at route B's heat time
+            h_bound = error_target * min(1.0, s.gap) * norm * (1 + 1e-6)
+            assert s.norm2(h_b - harmonic_part(s, omega.values)) <= h_bound
+            g_err = s.norm2(quad.cochain.values - green_spectral(s).apply(omega).values)
+            assert g_err <= quad.tail_bound + error_target * norm
+            assert quad.nodes_evaluated == 1
+
+    def test_stiff_strip_torus_passes(self):
+        K = lib.flat_torus(24, 3)  # lambda_max / gap about 400
+        omega = lib.random_cochain(K, 1, 71)
+        rep = verify_uniqueness(K, 1, omega)
+        assert rep.passed
+        assert rep.quadrature["tail_bound"] <= rep.quadrature["error_target"] * np.linalg.norm(
+            omega.values)
+
+    def test_route_b_ignores_and_keeps_global_random_state(self):
+        K = lib.flat_torus(6, 6)
+        s = spectrum_of("torus_6x6", K, 2)
+        omega = lib.random_cochain(K, 2, 42)
+        runs = []
+        for seed in range(20):
+            np.random.seed(seed)
+            rep = verify_uniqueness(K, 2, omega, spectral=s)
+            runs.append((rep.max_rel_diff, rep.quadrature["tail_bound"]))
+            assert np.random.randint(2**31) == np.random.RandomState(seed).randint(2**31)
+        assert len(set(runs)) == 1
 
 
 class TestRieszTransforms:

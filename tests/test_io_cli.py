@@ -276,6 +276,26 @@ class TestCli:
         assert result.exit_code == 2
         assert "input error" in result.output or "input error" in (result.stderr or "")
 
+    @pytest.mark.parametrize("fname, text, simplex", [
+        ("nan_weight.json",
+         '{"simplices": {"1": [[0, 1], [1, 2]]}, "weights": {"1": [1.0, NaN]}}', "(1, 2)"),
+        ("nan_weight.txt", "0 1 nan\n1 2\n", "(0, 1)"),
+        ("inf_cochain.json",
+         '{"simplices": {"1": [[0, 1], [1, 2]]},'
+         ' "cochain": {"degree": 1, "values": [1.0, Infinity]}}', "(1, 2)"),
+    ], ids=["json_nan_weight", "edgelist_nan_weight", "json_inf_cochain"])
+    def test_report_rejects_nonfinite_input(self, tmp_path, fname, text, simplex):
+        path = tmp_path / fname
+        path.write_text(text)
+        result = CliRunner().invoke(main, ["report", str(path), "--degree", "1"])
+        assert result.exit_code == 2, result.output
+        assert "input error" in result.output and simplex in result.output
+
+    def test_report_bad_t_grid_exits_2(self, tmp_path):
+        result = CliRunner().invoke(main, ["report", _c3_json(tmp_path), "--t-grid", "abc"])
+        assert result.exit_code == 2, result.output
+        assert "input error" in result.output
+
     def test_missing_file_exits_2(self):
         runner = CliRunner()
         result = runner.invoke(main, ["build", "/nonexistent/path.json"])
@@ -326,3 +346,14 @@ def test_thread_cap_reaches_openblas(extra, expected):
                           env=env, capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert int(proc.stdout) == expected
+
+
+@pytest.mark.parametrize("imports, warns", [
+    ("import numpy; import hodgeheat", True),
+    ("import hodgeheat; import numpy", False),
+], ids=["numpy_first_warns", "hodgeheat_first_silent"])
+def test_thread_cap_warns_when_it_cannot_apply(imports, warns):
+    proc = subprocess.run([sys.executable, "-W", "error::RuntimeWarning", "-c", imports],
+                          env=child_env("1"), capture_output=True, text=True)
+    assert (proc.returncode != 0) == warns, proc.stderr
+    assert ("HODGEHEAT_NUM_THREADS was not applied" in proc.stderr) == warns

@@ -129,7 +129,7 @@ class TestHeatSemigroup:
             omega = Cochain(ell, rng.uniform(-1, 1, K.n_simplices(ell)))
             s = spectrum_of(name, K, ell)
             a = heat_apply(s, t, omega).values
-            b = heat_apply(delta[ell], t, omega, backend="squaring").values
+            b = heat_apply(delta[ell], t, omega).values
             assert np.linalg.norm(a - b) <= 1e-8 * max(np.linalg.norm(a), 1.0)
 
     def test_backend_agreement_torus_degree1(self):
@@ -141,7 +141,7 @@ class TestHeatSemigroup:
             t = float(rng.uniform(0.0, 10.0))
             omega = Cochain(1, rng.uniform(-1, 1, K.n_simplices(1)))
             a = heat_apply(s, t, omega).values
-            b = heat_apply(delta, t, omega, backend="squaring").values
+            b = heat_apply(delta, t, omega).values
             assert np.linalg.norm(a - b) <= 1e-8 * max(np.linalg.norm(a), 1.0)
 
     @pytest.mark.parametrize("name,K", NAMED[:6], ids=NAMED_IDS[:6])
