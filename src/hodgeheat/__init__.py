@@ -89,7 +89,6 @@ from .spectral import (
     harmonic_projector,
     heat_apply,
     heat_derivative,
-    heat_limit_projector,
     heat_operator,
     laplacian_spectrum,
 )

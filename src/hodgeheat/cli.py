@@ -76,6 +76,23 @@ def _spectrum_for(K, ell, cache_dir):
     return laplacian_spectrum(K, ell)
 
 
+def _cochain_for(parsed, degree, seed):
+    """The file's cochain when it has ``degree``, else a seeded random one.
+
+    Returns (cochain, warning).  A file cochain of another degree is
+    ignored; the warning says so and is appended to ``parsed.warnings``.
+    """
+    cochain = parsed.cochain
+    if cochain is not None and cochain.degree == degree:
+        return cochain, None
+    warning = None
+    if cochain is not None:
+        warning = (f"input cochain has degree {cochain.degree}, not {degree}; "
+                   f"decomposing a random degree-{degree} cochain (seed {seed}) instead")
+        parsed.warnings.append(warning)
+    return random_cochain(parsed.complex, degree, seed), warning
+
+
 def run_pipeline(config: RunConfig):
     """Full pipeline; returns (report dict, exit code 0/1)."""
     config.validate()
@@ -101,10 +118,7 @@ def run_pipeline(config: RunConfig):
                        "passed": interval.levelset_condition < 1.0,
                        "value": interval.levelset_condition, "threshold": 1.0})
 
-    if parsed.cochain is not None and parsed.cochain.degree == ell:
-        omega = parsed.cochain
-    else:
-        omega = random_cochain(K, ell, config.seed)
+    omega, _ = _cochain_for(parsed, ell, config.seed)
 
     admissible = [p for p in config.p_list
                   if interval.p1 < p < interval.p2 or p == 2.0]
@@ -263,13 +277,12 @@ def decompose_cmd(input_path, degree, p_list, seed, input_format, output_path, o
     try:
         parsed = parse_input(input_path, input_format)
         K = parsed.complex
-        if parsed.cochain is not None and parsed.cochain.degree == degree:
-            omega = parsed.cochain
-        else:
-            omega = random_cochain(K, degree, seed)
+        omega, warning = _cochain_for(parsed, degree, seed)
         dec = decompose(K, degree, omega, p_list=p_list)
     except (ValueError, OSError) as exc:
         _fail_input(exc)
+    if warning:
+        click.echo(f"warning: {warning}", err=True)
     payload = dec.to_json_dict()
     _emit(payload, output_path, output_format)
     if dec.residual > 1e-8 or dec.harmonic_defect > 1e-8:
@@ -321,13 +334,13 @@ def verify(input_path, degree, error_target, seed, input_format):
     try:
         parsed = parse_input(input_path, input_format)
         K = parsed.complex
-        omega = (parsed.cochain if parsed.cochain is not None
-                 and parsed.cochain.degree == degree
-                 else random_cochain(K, degree, seed))
+        omega, warning = _cochain_for(parsed, degree, seed)
         uniq = verify_uniqueness(K, degree, omega, error_target=error_target)
         rows = dimension_consistency(K)
     except (ValueError, OSError) as exc:
         _fail_input(exc)
+    if warning:
+        click.echo(f"warning: {warning}", err=True)
     failures = []
     if not uniq.passed:
         failures.append("uniqueness_dual_route")

@@ -11,10 +11,11 @@ semigroup on the complement of the harmonic space.
 """
 
 import math
-from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
+from scipy import sparse
+from scipy.sparse import csgraph
 
 from .complexes import (
     Cochain,
@@ -281,41 +282,22 @@ def projector_norm_profile(K: SimplicialComplex, ell: int, p_grid,
     return rows
 
 
-def _vertex_components_and_distances(K: SimplicialComplex):
-    """BFS over the 1-skeleton: component id and pairwise hop distances."""
-    ids = [v for (v,) in K.simplices[0]]
-    pos = {v: i for i, v in enumerate(ids)}
-    adj = K.vertex_adjacency()
-    n = len(ids)
-    dist = np.full((n, n), np.inf)
-    component = {}
-    comp_id = 0
-    for start in ids:
-        if start in component:
-            continue
-        queue = deque([start])
-        component[start] = comp_id
-        dist[pos[start], pos[start]] = 0
-        while queue:
-            u = queue.popleft()
-            for nb in adj[u]:
-                if nb not in component:
-                    component[nb] = comp_id
-                    queue.append(nb)
-        comp_id += 1
-    for start in ids:
-        i = pos[start]
-        dist[i, i] = 0
-        queue = deque([start])
-        seen = {start}
-        while queue:
-            u = queue.popleft()
-            for nb in adj[u]:
-                if nb not in seen:
-                    seen.add(nb)
-                    dist[i, pos[nb]] = dist[i, pos[u]] + 1
-                    queue.append(nb)
-    return ids, pos, component, dist
+def _hop_distances(K: SimplicialComplex):
+    """Vertex ids, component labels and 1-skeleton hop distances.
+
+    Rows follow the sorted vertex ids of ``K.simplices[0]``.  Vertices in different components are
+    at distance ``K.vertex_count``, one more than any path can have.
+    """
+    ids = np.array([v for (v,) in K.simplices[0]])
+    n = ids.size
+    edges = np.searchsorted(ids, np.array(K.simplices[1] if K.max_degree >= 1 else (),
+                                          dtype=int).reshape(-1, 2))
+    graph = sparse.csr_matrix((np.ones(len(edges)), (edges[:, 0], edges[:, 1])),
+                              shape=(n, n))
+    _, labels = csgraph.connected_components(graph, directed=False)
+    hops = csgraph.shortest_path(graph, directed=False, unweighted=True)
+    hops[np.isinf(hops)] = n
+    return ids, labels, hops.astype(np.int32)
 
 
 @dataclass
@@ -342,30 +324,27 @@ def kernel_decay_fit(K: SimplicialComplex, ell: int, t0: float,
     if t0 <= 0:
         raise ValueError("t0 must be positive")
     s = spectral if spectral is not None else laplacian_spectrum(K, ell)
-    M = s.function_matrix(lambda lam: lam * np.exp(-lam * t0 / 4.0))
+    mag = np.abs(s.function_matrix(lambda lam: lam * np.exp(-lam * t0 / 4.0)))
 
-    _, pos, component, vdist = _vertex_components_and_distances(K)
-    simplices = K.simplices[ell]
-    n = len(simplices)
-    comp_of = [component[sigma[0]] for sigma in simplices]
-    sdist = np.zeros((n, n))
-    for i, si in enumerate(simplices):
-        for j, sj in enumerate(simplices):
-            if comp_of[i] != comp_of[j]:
-                sdist[i, j] = np.inf
-                continue
-            sdist[i, j] = min(vdist[pos[u], pos[v]] for u in si for v in sj)
+    ids, labels, hops = _hop_distances(K)
+    nv = ids.size
+    n = K.n_simplices(ell)
+    verts = np.searchsorted(ids, np.array(K.simplices[ell], dtype=int).reshape(n, ell + 1))
+    # Simplex distance: the smallest hop distance between the vertex sets,
+    # nv across components.  Offsetting each row by its component turns it
+    # into a (component, distance) key, so one reduction bins every block.
+    key = np.full((n, n), nv, dtype=np.intp)
+    for a in range(ell + 1):
+        for b in range(ell + 1):
+            np.minimum(key, hops[np.ix_(verts[:, a], verts[:, b])], out=key)
+    key += (nv + 1) * labels[verts[:, 0], None].astype(np.intp)
+    table = np.full((labels.max() + 1, nv + 1), -1.0)  # -1: the distance does not occur
+    np.maximum.at(table.reshape(-1), key.ravel(), mag.ravel())
+    table = table[:, :nv]
 
     fits = []
-    for cid in sorted(set(comp_of)):
-        members = [i for i, c in enumerate(comp_of) if c == cid]
-        bins: dict[int, float] = {}
-        for i in members:
-            for j in members:
-                d = int(sdist[i, j])
-                mag = abs(M[i, j])
-                bins[d] = max(bins.get(d, 0.0), mag)
-        usable = sorted((d, m) for d, m in bins.items() if m > 1e-250)
+    for cid in np.flatnonzero((table >= 0).any(axis=1)):
+        usable = [(d, m) for d, m in enumerate(table[cid]) if m > 1e-250]
         if len(usable) < 2:
             continue
         ds = np.array([d for d, _ in usable], dtype=float)
@@ -373,19 +352,14 @@ def kernel_decay_fit(K: SimplicialComplex, ell: int, t0: float,
         slope, intercept = np.polyfit(ds, logs, 1)
         residual = float(np.sqrt(np.mean((logs - (slope * ds + intercept)) ** 2)))
         fits.append({
-            "component": cid,
+            "component": int(cid),
             "rho": float(-slope * t0 / 2.0),
             "residual": residual,
             "bins": [(int(d), float(m)) for d, m in usable],
         })
 
-    all_bins: dict[int, float] = {}
-    for i in range(n):
-        for j in range(n):
-            if np.isfinite(sdist[i, j]):
-                d = int(sdist[i, j])
-                all_bins[d] = max(all_bins.get(d, 0.0), abs(M[i, j]))
-    bins_sorted = sorted(all_bins.items())
+    top = table.max(axis=0)
+    bins_sorted = [(int(d), float(top[d])) for d in np.flatnonzero(top >= 0)]
 
     if not fits:
         return KernelDecayFit(None, None, t0, True, [], bins_sorted)
@@ -403,24 +377,23 @@ class VolumeGrowthFit:
 
 
 def volume_growth_fit(K: SimplicialComplex) -> VolumeGrowthFit:
-    """Exponential envelope of vertex-ball volumes by breadth-first search.
+    """Exponential envelope of vertex-ball volumes in the 1-skeleton.
 
-    Ball volume is the sum of vertex weights within hop distance r.  The
+    Ball volume is the sum of vertex weights within 1-skeleton hop
+    distance r, the hop distances coming from one shortest-path pass.  The
     constant c is pinned to the largest r = 0 ball, and gamma_vol is the
     smallest rate whose envelope dominates every center and radius.
     """
-    ids, pos, _, vdist = _vertex_components_and_distances(K)
+    _, labels, hops = _hop_distances(K)
     w0 = K.weight_vector(0)
     c = float(np.max(w0))
     gamma = 0.0
     max_radius = 0
-    for v in ids:
-        i = pos[v]
-        finite = vdist[i][np.isfinite(vdist[i])]
-        radius = int(finite.max())
+    for i, row in enumerate(hops):
+        radius = int(row[labels == labels[i]].max())
         max_radius = max(max_radius, radius)
         for r in range(1, radius + 1):
-            vol = float(np.sum(w0[vdist[i] <= r]))
+            vol = float(np.sum(w0[row <= r]))
             gamma = max(gamma, math.log(vol / c) / r)
     return VolumeGrowthFit(gamma, c, max_radius)
 

@@ -3,8 +3,7 @@
 Eigendecomposition in the weighted inner product, the heat semigroup
 P_t = exp(-t * Laplacian) computed two independent ways (spectral sum, and
 one eigenbasis-free exponential action), spectral-gap classification, and
-the harmonic projector both as a spectral projection and as the long-time
-heat limit.
+the harmonic projector as a spectral projection.
 """
 
 import hashlib
@@ -79,21 +78,6 @@ class ZeroSpectrumReport:
     zero_in_spectrum: bool
     isolated: bool
     gap: float
-
-
-@dataclass
-class HeatLimitResult:
-    """Long-time heat limit with its convergence certificate.
-
-    ``steps`` holds one (t, measured difference, exp(-gap*t) envelope)
-    triple per doubling; the measured difference never exceeds the
-    envelope times the norm of the non-harmonic part.
-    """
-
-    cochain: Cochain
-    t_final: float
-    steps: list
-    converged: bool
 
 
 def eigendecompose(delta, weights=None, degree: int | None = None,
@@ -242,38 +226,6 @@ def harmonic_projector(s: SpectralData) -> OperatorMatrix:
 
 def harmonic_part(s: SpectralData, values: np.ndarray) -> np.ndarray:
     return s.apply_function(lambda lam: (lam == 0.0).astype(float), values)
-
-
-def heat_limit_projector(s: SpectralData, omega: Cochain, tol: float = 1e-10,
-                         max_doublings: int = 200) -> HeatLimitResult:
-    """Harmonic projection as the long-time limit of the heat semigroup.
-
-    Doubles t starting from 1/gap until consecutive iterates differ by at
-    most tol * |omega|_2; each step records the measured difference next
-    to its exp(-gap*t) decay envelope.
-    """
-    if tol <= 0:
-        raise ValueError("tolerance must be positive")
-    if omega.degree != s.degree:
-        raise ValueError("cochain degree does not match spectral data")
-    v = omega.values
-    norm = s.norm2(v)
-    if norm == 0.0 or math.isinf(s.gap):
-        return HeatLimitResult(Cochain(s.degree, v.copy()), 0.0, [], True)
-
-    nonharmonic = s.norm2(v - harmonic_part(s, v))
-    t = 1.0 / s.gap
-    prev = s.apply_function(lambda lam: np.exp(-t * lam), v)
-    steps = []
-    for _ in range(max_doublings):
-        cur = s.apply_function(lambda lam: np.exp(-2 * t * lam), v)
-        diff = s.norm2(cur - prev)
-        steps.append((t, diff, math.exp(-s.gap * t) * nonharmonic))
-        if diff <= tol * norm:
-            return HeatLimitResult(Cochain(s.degree, cur), 2 * t, steps, True)
-        t *= 2.0
-        prev = cur
-    raise RuntimeError("heat limit did not converge (impossible with a positive gap)")
 
 
 # ---------------------------------------------------------------------------

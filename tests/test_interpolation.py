@@ -1,6 +1,7 @@
 """Operator p-norms, rate measurement, and the exponent calculus."""
 
 import math
+from collections import deque
 from fractions import Fraction
 
 import numpy as np
@@ -315,7 +316,77 @@ class TestProjectorProfile:
             assert row["lower"] <= row["upper"] + 1e-8
 
 
+def _hop_oracle(K):
+    """Hop distances {u: {v: hops}} by breadth-first search from every vertex."""
+    adj = K.vertex_adjacency()
+    dist = {}
+    for start in adj:
+        seen = {start: 0}
+        queue = deque([start])
+        while queue:
+            u = queue.popleft()
+            for nb in adj[u]:
+                if nb not in seen:
+                    seen[nb] = seen[u] + 1
+                    queue.append(nb)
+        dist[start] = seen
+    return dist
+
+
+def _kernel_decay_oracle(K, ell, t0):
+    """(bins, component_fits, rho) from a per-pair loop over simplex distances."""
+    M = laplacian_spectrum(K, ell).function_matrix(lambda lam: lam * np.exp(-lam * t0 / 4.0))
+    dist = _hop_oracle(K)
+    roots = sorted({min(reach) for reach in dist.values()})
+    component = {v: cid for cid, root in enumerate(roots) for v in dist[root]}
+    simplices = K.simplices[ell]
+    per_component, all_bins = {}, {}
+    for i, si in enumerate(simplices):
+        for j, sj in enumerate(simplices):
+            if component[si[0]] != component[sj[0]]:
+                continue
+            d = min(dist[u][v] for u in si for v in sj)
+            bins = per_component.setdefault(component[si[0]], {})
+            bins[d] = max(bins.get(d, 0.0), abs(M[i, j]))
+            all_bins[d] = max(all_bins.get(d, 0.0), abs(M[i, j]))
+    fits = []
+    for cid, bins in sorted(per_component.items()):
+        usable = sorted((d, m) for d, m in bins.items() if m > 1e-250)
+        if len(usable) < 2:
+            continue
+        ds = np.array([d for d, _ in usable], dtype=float)
+        logs = np.log([m for _, m in usable])
+        slope, intercept = np.polyfit(ds, logs, 1)
+        residual = float(np.sqrt(np.mean((logs - (slope * ds + intercept)) ** 2)))
+        fits.append({"component": cid, "rho": float(-slope * t0 / 2.0),
+                     "residual": residual, "bins": usable})
+    rho = min(f["rho"] for f in fits) if fits else None
+    return sorted(all_bins.items()), fits, rho
+
+
+# Two triangles sharing an edge, a dangling edge, a separate triangle, a
+# separate edge and two isolated vertices, on non-contiguous vertex ids.
+_DISCONNECTED = build_complex({
+    "triangles": [(0, 1, 2), (1, 2, 3), (20, 21, 22)],
+    "edges": [(3, 7), (40, 41)],
+    "vertices": [99, 5],
+})
+_ORACLE_CASES = [(name, K, ell) for name, K in NAMED for ell in all_degrees(K)]
+_ORACLE_CASES += [("disconnected", _DISCONNECTED, ell) for ell in all_degrees(_DISCONNECTED)]
+_ORACLE_CASES += [("vertices_only", build_complex({"vertices": [3, 7, 9]}), 0)]
+
+
 class TestKernelDecayFit:
+    @pytest.mark.parametrize("t0", [0.5, 1.0])
+    @pytest.mark.parametrize("name,K,ell", _ORACLE_CASES,
+                             ids=[f"{name}-{ell}" for name, _, ell in _ORACLE_CASES])
+    def test_matches_per_pair_oracle(self, name, K, ell, t0):
+        fit = kernel_decay_fit(K, ell, t0=t0)
+        bins, fits, rho = _kernel_decay_oracle(K, ell, t0)
+        assert fit.bins == bins
+        assert fit.component_fits == fits
+        assert fit.rho == rho and fit.degenerate == (rho is None)
+
     def test_path_graph_has_positive_rho(self):
         K = lib.path_complex(8)
         fit = kernel_decay_fit(K, 0, t0=0.5)
@@ -364,24 +435,16 @@ class TestVolumeGrowth:
         assert fit.gamma_vol == pytest.approx(math.log(4.0), abs=1e-12)
 
     def test_envelope_dominates_all_balls(self):
-        K = lib.random_two_complex(105)
-        fit = volume_growth_fit(K)
         # brute-force oracle over vertices and radii
-        from collections import deque
-        adj = K.vertex_adjacency()
-        w0 = {v: float(K.weight_vector(0)[i]) for i, (v,) in enumerate(K.simplices[0])}
-        for (start,) in K.simplices[0]:
-            dist = {start: 0}
-            queue = deque([start])
-            while queue:
-                u = queue.popleft()
-                for nb in adj[u]:
-                    if nb not in dist:
-                        dist[nb] = dist[u] + 1
-                        queue.append(nb)
-            for r in range(0, max(dist.values()) + 1):
-                vol = sum(w0[v] for v, d in dist.items() if d <= r)
-                assert vol <= fit.c * math.exp(fit.gamma_vol * r) * (1 + 1e-12)
+        for K in (lib.random_two_complex(105), _DISCONNECTED):
+            fit = volume_growth_fit(K)
+            w0 = {v: float(K.weight_vector(0)[i]) for i, (v,) in enumerate(K.simplices[0])}
+            dist = _hop_oracle(K)
+            assert fit.max_radius == max(max(reach.values()) for reach in dist.values())
+            for reach in dist.values():
+                for r in range(0, max(reach.values()) + 1):
+                    vol = sum(w0[v] for v, d in reach.items() if d <= r)
+                    assert vol <= fit.c * math.exp(fit.gamma_vol * r) * (1 + 1e-12)
 
 
 class TestSelectT0:

@@ -310,6 +310,57 @@ class TestCli:
         assert json.loads(result.output)["counts"] == [4, 6, 4]
 
 
+def _c3_with_cochain(tmp_path):
+    doc = complex_to_json_dict(lib.cycle_complex(3))
+    doc["cochain"] = {"degree": 1, "values": [0.5, -1.0, 2.0]}
+    path = tmp_path / "c3_cochain.json"
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
+_IGNORED = "input cochain has degree 1, not 0; decomposing a random degree-0 cochain (seed 42)"
+
+
+class TestFileCochainOfOtherDegree:
+    def test_report_warns_and_matches_seeded_report(self, tmp_path):
+        result = CliRunner().invoke(main, ["report", _c3_with_cochain(tmp_path), "--degree", "0"])
+        assert result.exit_code == 0 and result.stderr == ""
+        payload = json.loads(result.stdout)
+        jsonschema.validate(payload, report_schema())
+        warnings = payload["complex"].pop("warnings")
+        assert len(warnings) == 1 and warnings[0].startswith(_IGNORED)
+        plain = json.loads(CliRunner().invoke(
+            main, ["report", _c3_json(tmp_path), "--degree", "0"]).stdout)
+        assert plain["complex"].pop("warnings") == []
+        for doc in (payload, plain):
+            del doc["config"]["input_path"]
+        assert payload == plain
+
+    @pytest.mark.parametrize("command", ["decompose", "verify"])
+    def test_subcommand_warns_on_stderr(self, tmp_path, command):
+        result = CliRunner().invoke(main, [command, _c3_with_cochain(tmp_path), "--degree", "0"])
+        assert result.exit_code == 0
+        assert result.stderr.startswith("warning: " + _IGNORED)
+        json.loads(result.stdout)
+
+    @pytest.mark.parametrize("command", ["report", "decompose", "verify"])
+    @pytest.mark.parametrize("degree", ["0", "1"])
+    def test_no_warning_when_cochain_matches_or_is_absent(self, tmp_path, command, degree):
+        path = _c3_with_cochain(tmp_path) if degree == "1" else _c3_json(tmp_path)
+        result = CliRunner().invoke(main, [command, path, "--degree", degree])
+        assert result.exit_code == 0 and result.stderr == ""
+        if command == "report":
+            assert json.loads(result.stdout)["complex"]["warnings"] == []
+
+    def test_matching_cochain_is_decomposed(self, tmp_path):
+        result = CliRunner().invoke(main, ["decompose", _c3_with_cochain(tmp_path),
+                                           "--degree", "1", "--p", "2"])
+        assert result.exit_code == 0
+        parts = json.loads(result.stdout)
+        total = np.add.reduce([parts[k] for k in ("exact_part", "coexact_part", "omega3")])
+        assert np.allclose(total, [0.5, -1.0, 2.0], atol=1e-12)
+
+
 def _openblas_thread_query():
     """(library path, symbol) reporting numpy's bundled OpenBLAS pool size, or None."""
     libs = Path(np.__file__).resolve().parent.parent / "numpy.libs"

@@ -1,4 +1,4 @@
-"""Eigendecomposition, heat semigroup, projectors, and the long-time limit."""
+"""Eigendecomposition, heat semigroup, projectors, and the spectral cache."""
 
 import math
 
@@ -16,7 +16,6 @@ from hodgeheat import (
     harmonic_projector,
     heat_apply,
     heat_derivative,
-    heat_limit_projector,
     heat_operator,
     hodge_laplacian,
     laplacian_spectrum,
@@ -241,47 +240,6 @@ class TestHarmonicProjector:
         for ell in all_degrees(K):
             H = harmonic_projector(spectrum_of(name, K, ell)).entries
             assert round(float(np.trace(H))) == betti[ell]
-
-
-class TestHeatLimit:
-    def test_harmonic_returns_at_first_step(self):
-        K = lib.cycle_complex(3)
-        s = laplacian_spectrum(K, 0)
-        omega = Cochain(0, 2.5 * np.ones(3))
-        res = heat_limit_projector(s, omega, tol=1e-10)
-        assert res.converged and len(res.steps) == 1
-        assert np.allclose(res.cochain.values, omega.values, atol=1e-12)
-
-    def test_exact_form_limits_to_zero(self):
-        K = lib.cycle_complex(3)
-        s = laplacian_spectrum(K, 1)
-        f = lib.random_cochain(K, 0, 9)
-        from hodgeheat import coboundary
-        omega = coboundary(K, 0).apply(f)
-        res = heat_limit_projector(s, omega, tol=1e-9)
-        norm = s.norm2(omega.values)
-        assert s.norm2(res.cochain.values) <= 2e-9 * norm
-
-    def test_random_limit_matches_projector(self):
-        K = lib.cycle_complex(3)
-        s = laplacian_spectrum(K, 0)
-        omega = lib.random_cochain(K, 0, 33)
-        res = heat_limit_projector(s, omega, tol=1e-9)
-        expected = harmonic_projector(s).apply(omega).values
-        assert s.norm2(res.cochain.values - expected) <= 1e-9 * s.norm2(omega.values)
-
-    def test_certificate_envelopes_dominate(self):
-        K = lib.simplex_boundary(3)
-        s = laplacian_spectrum(K, 1)
-        omega = lib.random_cochain(K, 1, 4)
-        res = heat_limit_projector(s, omega, tol=1e-11)
-        for _, diff, envelope in res.steps:
-            assert diff <= envelope * (1 + 1e-9)
-
-    def test_invalid_tolerance(self):
-        s = laplacian_spectrum(lib.interval(), 0)
-        with pytest.raises(ValueError):
-            heat_limit_projector(s, Cochain(0, [1.0, 0.0]), tol=0.0)
 
 
 class TestSpectralCache:
