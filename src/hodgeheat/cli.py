@@ -11,7 +11,7 @@ precedence.
 
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import click
 
@@ -21,7 +21,6 @@ from .decomposition import decompose, verify_uniqueness
 from .interpolation import dimension_consistency, interpolation_report
 from .io import (
     complex_to_json_dict,
-    emit_report,
     parse_input,
     report_to_csv,
     report_to_json,
@@ -44,30 +43,22 @@ class RunConfig:
     t_grid: tuple = (0.25, 0.5, 1.0, 2.0, 4.0)
     seed: int = 42
     cache_dir: str | None = None
-    output_path: str | None = None
-    output_format: str = "json"
 
     def validate(self):
         for p in self.p_list:
             if not (p == math.inf or p >= 1):
                 raise ValueError(f"p = {p} outside [1, inf]")
-        if not 0 < self.error_target <= 1e-2:
-            raise ValueError("error_target must lie in (0, 1e-2]")
-        if self.output_format not in ("json", "csv"):
-            raise ValueError(f"unknown output format {self.output_format!r}")
+        _check_error_target(self.error_target)
 
     def to_json_dict(self):
-        return {
-            "input_path": self.input_path,
-            "input_format": self.input_format,
-            "degree": self.degree,
-            "p_list": list(self.p_list),
-            "epsilon": self.epsilon,
-            "error_target": self.error_target,
-            "t_grid": list(self.t_grid),
-            "seed": self.seed,
-            "cache_dir": self.cache_dir,
-        }
+        """Every field; the report's ``config`` section."""
+        return {**asdict(self), "p_list": list(self.p_list), "t_grid": list(self.t_grid)}
+
+
+def _check_error_target(error_target):
+    """The route B error targets that ``report`` and ``verify`` accept."""
+    if not 0 < error_target <= 1e-2:
+        raise ValueError("error_target must lie in (0, 1e-2]")
 
 
 def _spectrum_for(K, ell, cache_dir):
@@ -93,6 +84,19 @@ def _cochain_for(parsed, degree, seed):
     return random_cochain(parsed.complex, degree, seed), warning
 
 
+def _spectrum_section(s):
+    """The ``spectrum`` subcommand's payload and the report's section."""
+    zero = classify_zero(s)
+    return {
+        "degree": s.degree,
+        "eigenvalues": list(s.eigenvalues),
+        "kernel_dim": s.kernel_dim,
+        "gap": s.gap,
+        "zero_in_spectrum": zero.zero_in_spectrum,
+        "isolated": zero.isolated,
+    }
+
+
 def run_pipeline(config: RunConfig):
     """Full pipeline; returns (report dict, exit code 0/1)."""
     config.validate()
@@ -103,16 +107,11 @@ def run_pipeline(config: RunConfig):
         raise ValueError(f"degree {ell} out of range [0, {K.max_degree}]")
 
     s = _spectrum_for(K, ell, config.cache_dir)
-    zero = classify_zero(s)
-    betti = betti_numbers(K)
     interval = interpolation_report(K, ell, epsilon=config.epsilon,
                                     t_grid=config.t_grid, spectral=s,
                                     seed=config.seed)
 
-    checks = [
-        {"name": "kernel_dim_equals_betti", "passed": s.kernel_dim == betti[ell],
-         "value": s.kernel_dim, "threshold": betti[ell]},
-    ]
+    checks = []
     if interval.levelset_condition is not None:
         checks.append({"name": "levelset_condition_below_one",
                        "passed": interval.levelset_condition < 1.0,
@@ -152,7 +151,14 @@ def run_pipeline(config: RunConfig):
                        "passed": uniq.perturbation_detected,
                        "value": None, "threshold": None})
 
-    dim_rows = dimension_consistency(K, p_list=admissible)
+    # The other degrees' spectra are built only now, after the degree-ell
+    # work has released its temporaries.
+    spectra = [s if d == ell else _spectrum_for(K, d, config.cache_dir)
+               for d in range(K.max_degree + 1)]
+    dim_rows = dimension_consistency(K, spectra, p_list=admissible)
+    betti = [row["betti"] for row in dim_rows]
+    checks.insert(0, {"name": "kernel_dim_equals_betti", "passed": s.kernel_dim == betti[ell],
+                      "value": s.kernel_dim, "threshold": betti[ell]})
     checks.append({"name": "dimension_consistency",
                    "passed": all(r["ok"] for r in dim_rows),
                    "value": None, "threshold": None})
@@ -169,14 +175,7 @@ def run_pipeline(config: RunConfig):
         },
         "betti": betti,
         "degree": ell,
-        "spectrum": {
-            "degree": ell,
-            "eigenvalues": list(s.eigenvalues),
-            "kernel_dim": s.kernel_dim,
-            "gap": s.gap,
-            "zero_in_spectrum": zero.zero_in_spectrum,
-            "isolated": zero.isolated,
-        },
+        "spectrum": _spectrum_section(s),
         "interval": interval.to_json_dict(),
         "decomposition": dec_section,
         "uniqueness": uniq_section,
@@ -187,13 +186,18 @@ def run_pipeline(config: RunConfig):
     return report, (0 if ok else 1)
 
 
-def _emit(payload: dict, output: str | None, fmt: str):
+def _write(text: str, output: str | None):
     if output:
-        emit_report(payload, output, fmt)
+        with open(output, "w", encoding="utf-8", newline="") as fh:
+            fh.write(text)
         click.echo(f"wrote {output}")
     else:
-        text = report_to_json(payload) if fmt == "json" else report_to_csv(sanitize(payload))
         click.echo(text, nl=False)
+
+
+def _emit(payload: dict, output: str | None, fmt: str):
+    text = report_to_json(payload) if fmt == "json" else report_to_csv(sanitize(payload))
+    _write(text, output)
 
 
 def _fail_input(exc: Exception):
@@ -253,16 +257,7 @@ def spectrum(input_path, degree, cache_dir, input_format, output_path, output_fo
         s = _spectrum_for(parsed.complex, degree, cache_dir)
     except (ValueError, OSError) as exc:
         _fail_input(exc)
-    zero = classify_zero(s)
-    payload = {
-        "degree": degree,
-        "eigenvalues": list(s.eigenvalues),
-        "kernel_dim": s.kernel_dim,
-        "gap": s.gap,
-        "zero_in_spectrum": zero.zero_in_spectrum,
-        "isolated": zero.isolated,
-    }
-    _emit(payload, output_path, output_format)
+    _emit(_spectrum_section(s), output_path, output_format)
 
 
 @main.command("decompose")
@@ -308,18 +303,11 @@ def interp(input_path, degree, epsilon, t_grid, seed, input_format, output_path,
                                    t_grid=times, seed=seed)
     except (ValueError, OSError) as exc:
         _fail_input(exc)
-    payload = rep.to_json_dict()
     if output_format == "csv":
-        rows = rep.to_csv_rows()
-        text = "\n".join(",".join(str(x) for x in row) for row in rows) + "\n"
-        if output_path:
-            with open(output_path, "w", encoding="utf-8", newline="") as fh:
-                fh.write(text)
-            click.echo(f"wrote {output_path}")
-        else:
-            click.echo(text, nl=False)
+        _write("".join(",".join(map(str, row)) + "\n" for row in rep.to_csv_rows()),
+               output_path)
     else:
-        _emit(payload, output_path, "json")
+        _emit(rep.to_json_dict(), output_path, "json")
 
 
 @main.command()
@@ -327,16 +315,20 @@ def interp(input_path, degree, epsilon, t_grid, seed, input_format, output_path,
 @click.option("--degree", type=int, default=1, show_default=True)
 @click.option("--error-target", type=float, default=1e-8, show_default=True)
 @click.option("--seed", type=int, default=42, show_default=True)
-@click.option("--format", "input_format", type=click.Choice(["json", "off", "edgelist"]),
-              default=None)
+@_common[0]
 def verify(input_path, degree, error_target, seed, input_format):
     """Dual-route uniqueness and dimension-consistency checks; exit 1 on failure."""
     try:
+        _check_error_target(error_target)
         parsed = parse_input(input_path, input_format)
         K = parsed.complex
+        if not 0 <= degree <= K.max_degree:
+            raise ValueError(f"degree {degree} out of range [0, {K.max_degree}]")
         omega, warning = _cochain_for(parsed, degree, seed)
-        uniq = verify_uniqueness(K, degree, omega, error_target=error_target)
-        rows = dimension_consistency(K)
+        spectra = [laplacian_spectrum(K, d) for d in range(K.max_degree + 1)]
+        uniq = verify_uniqueness(K, degree, omega, error_target=error_target,
+                                 spectral=spectra[degree])
+        rows = dimension_consistency(K, spectra)
     except (ValueError, OSError) as exc:
         _fail_input(exc)
     if warning:
@@ -387,8 +379,6 @@ def report(input_path, degree, p_list, epsilon, error_target, t_grid, seed,
             t_grid=tuple(float(tok) for tok in t_grid.split(",")),
             seed=seed,
             cache_dir=cache_dir,
-            output_path=output_path,
-            output_format=output_format,
         )
         payload, code = run_pipeline(config)
     except (ValueError, OSError) as exc:

@@ -26,6 +26,7 @@ from .complexes import (
     inner_product,
     lp_norm,
 )
+from .interpolation import _brackets
 from .spectral import (
     SpectralData,
     _heat_action,
@@ -402,6 +403,8 @@ def verify_uniqueness(K: SimplicialComplex, ell: int, omega: Cochain,
     perturbing the harmonic component along any kernel direction is shown
     to leave a detectable harmonic residue in the remaining parts.
     """
+    if not 0 < error_target < 1:
+        raise ValueError(f"error_target must lie in (0, 1), got {error_target}")
     K.check_cochain(omega)
     s = spectral if spectral is not None else laplacian_spectrum(K, ell)
     a = decompose(K, ell, omega, spectral=s)
@@ -492,28 +495,23 @@ def riesz_transform_norms(K: SimplicialComplex, ell: int, p_list,
     that d delta G + delta d G resolves the identity minus the harmonic
     projector.
     """
-    from .interpolation import opnorm_bracket  # local import; interpolation sits above
-
     s = spectral if spectral is not None else laplacian_spectrum(K, ell)
     inv_sqrt = inv_sqrt_spectral(s).entries
     green = green_spectral(s).entries
     one_minus_h = s.function_matrix(lambda lam: (lam > 0).astype(float))
 
     w_ell = K.weight_vector(ell)
-    rows = []
-    d_mat = coboundary(K, ell).entries if ell < K.max_degree else None
-    delta_mat = codifferential(K, ell).entries if ell >= 1 else None
-    for p in p_list:
-        if d_mat is not None:
-            lo, hi = opnorm_bracket(d_mat @ inv_sqrt, p, w_dom=w_ell,
-                                    w_cod=K.weight_vector(ell + 1),
-                                    iters=iters, seed=seed)
-            rows.append({"operator": "d", "p": float(p), "lower": lo, "upper": hi})
-        if delta_mat is not None:
-            lo, hi = opnorm_bracket(delta_mat @ inv_sqrt, p, w_dom=w_ell,
-                                    w_cod=K.weight_vector(ell - 1),
-                                    iters=iters, seed=seed)
-            rows.append({"operator": "delta", "p": float(p), "lower": lo, "upper": hi})
+    operators = []  # (name, matrix, codomain weights)
+    if ell < K.max_degree:
+        operators.append(("d", coboundary(K, ell).entries @ inv_sqrt, K.weight_vector(ell + 1)))
+    if ell >= 1:
+        operators.append(("delta", codifferential(K, ell).entries @ inv_sqrt,
+                          K.weight_vector(ell - 1)))
+    ps = [float(p) for p in p_list]
+    brackets = {name: _brackets(T, ps, w_ell, w_cod, iters, seed)
+                for name, T, w_cod in operators}
+    rows = [{"operator": name, "p": p, "lower": b[i][0], "upper": b[i][1]}
+            for i, p in enumerate(ps) for name, b in brackets.items()]
 
     lap = s.laplacian_matrix()
     if ell >= 1:

@@ -21,11 +21,12 @@ from .complexes import (
     Cochain,
     OperatorMatrix,
     SimplicialComplex,
+    betti_numbers,
     coboundary,
     codifferential,
     lp_norm,
 )
-from .spectral import SpectralData, harmonic_projector, laplacian_spectrum
+from .spectral import SpectralData, harmonic_part, harmonic_projector, laplacian_spectrum
 
 
 def conjugate_exponent(p):
@@ -147,26 +148,41 @@ def opnorm_bracket(T, p, w_dom=None, w_cod=None, iters: int = 64,
     lower bound and interpolation from the exact endpoints {1, 2} or
     {2, inf} the upper bound.
     """
+    return _brackets(T, (p,), w_dom, w_cod, iters, seed)[0]
+
+
+def _brackets(T, p_grid, w_dom, w_cod, iters: int, seed: int) -> list[tuple[float, float]]:
+    """``opnorm_bracket`` of one matrix at every p of the grid.
+
+    Each exact endpoint (1, 2, inf) is computed at most once, and the SVD
+    behind the 2-norm only when some p needs it.
+    """
     A = _entries(T)
     w_dom, w_cod = _weight_pair(A, w_dom, w_cod)
-    p = float(p)
-    if p == 1.0 or math.isinf(p):
-        exact = opnorm_exact_extremes(A, p, w_dom, w_cod)
-        return exact, exact
-    if p == 2.0:
-        exact = _opnorm2(A, w_dom, w_cod)
-        return exact, exact
-    lower = opnorm_power_method(A, p, w_dom, w_cod, iters=iters, seed=seed)
-    m2 = _opnorm2(A, w_dom, w_cod)
-    if p < 2.0:
-        m1 = opnorm_exact_extremes(A, 1, w_dom, w_cod)
-        theta = 2.0 - 2.0 / p  # solves 1/p = (1-theta)/1 + theta/2
-        upper = 0.0 if m1 == 0.0 or m2 == 0.0 else m1 ** (1 - theta) * m2 ** theta
-    else:
-        mi = opnorm_exact_extremes(A, math.inf, w_dom, w_cod)
-        theta = 1.0 - 2.0 / p  # solves 1/p = (1-theta)/2
-        upper = 0.0 if mi == 0.0 or m2 == 0.0 else m2 ** (1 - theta) * mi ** theta
-    return lower, upper
+    exact = {}
+
+    def endpoint(q):
+        if q not in exact:
+            exact[q] = (_opnorm2(A, w_dom, w_cod) if q == 2.0
+                        else opnorm_exact_extremes(A, q, w_dom, w_cod))
+        return exact[q]
+
+    out = []
+    for p in map(float, p_grid):
+        if p in (1.0, 2.0) or math.isinf(p):
+            out.append((endpoint(p), endpoint(p)))
+            continue
+        lower = opnorm_power_method(A, p, w_dom, w_cod, iters=iters, seed=seed)
+        # Riesz-Thorin between the two exact endpoints around p.
+        if p < 2.0:
+            m0, m1 = endpoint(1.0), endpoint(2.0)
+            theta = 2.0 - 2.0 / p  # solves 1/p = (1-theta)/1 + theta/2
+        else:
+            m0, m1 = endpoint(2.0), endpoint(math.inf)
+            theta = 1.0 - 2.0 / p  # solves 1/p = (1-theta)/2
+        upper = 0.0 if m0 == 0.0 or m1 == 0.0 else m0 ** (1 - theta) * m1 ** theta
+        out.append((lower, upper))
+    return out
 
 
 def _opnorm2(A: np.ndarray, w_dom: np.ndarray, w_cod: np.ndarray) -> float:
@@ -273,13 +289,9 @@ def projector_norm_profile(K: SimplicialComplex, ell: int, p_grid,
                            iters: int = 64, seed: int = 0) -> list[dict]:
     """Brackets on the p->p norms of the harmonic projector."""
     s = spectral if spectral is not None else laplacian_spectrum(K, ell)
-    H = harmonic_projector(s).entries
-    w = s.weights
-    rows = []
-    for p in p_grid:
-        lower, upper = opnorm_bracket(H, p, w, w, iters=iters, seed=seed)
-        rows.append({"p": float(p), "lower": lower, "upper": upper})
-    return rows
+    ps = [float(p) for p in p_grid]
+    brackets = _brackets(harmonic_projector(s).entries, ps, s.weights, s.weights, iters, seed)
+    return [{"p": p, "lower": lo, "upper": hi} for p, (lo, hi) in zip(ps, brackets)]
 
 
 def _hop_distances(K: SimplicialComplex):
@@ -449,29 +461,27 @@ def gaffney_constant(K: SimplicialComplex, ell: int, gamma_shift: float,
     return GaffneyReport(max_ratio, bound, float(p), gamma_shift, n_samples)
 
 
-def dimension_consistency(K: SimplicialComplex, p_list=()) -> list[dict]:
+def dimension_consistency(K: SimplicialComplex, spectra, p_list=()) -> list[dict]:
     """Spectral kernel dimension vs. rank-oracle Betti number, per degree.
 
-    Also checks that every kernel basis cochain has a finite norm in each
-    requested p and that the decomposition returns it unchanged as its
-    harmonic part.
+    ``spectra`` holds the Laplacian spectrum of every degree of K, in
+    degree order; nothing is recomputed here.  Also checks that every
+    kernel basis cochain has a finite norm in each requested p and that
+    the harmonic projection returns it unchanged.
     """
-    from .complexes import betti_numbers
-    from .decomposition import decompose  # deferred: decomposition imports this module
-
+    if [s.degree for s in spectra] != list(range(K.max_degree + 1)):
+        raise ValueError(f"need one spectrum per degree 0..{K.max_degree}, in order")
     betti = betti_numbers(K)
     rows = []
-    for ell in range(K.max_degree + 1):
-        s = laplacian_spectrum(K, ell)
+    for ell, s in enumerate(spectra):
         kernel = s.kernel_basis()
         finite = True
         projector_residual = 0.0
         for i in range(s.kernel_dim):
-            v = Cochain(ell, kernel[:, i])
+            v = kernel[:, i]
             for p in p_list:
-                finite = finite and math.isfinite(lp_norm(K, v, p))
-            dec = decompose(K, ell, v, spectral=s)
-            defect = s.norm2(dec.omega3.values - v.values) / max(s.norm2(v.values), 1e-300)
+                finite = finite and math.isfinite(lp_norm(K, Cochain(ell, v), p))
+            defect = s.norm2(harmonic_part(s, v) - v) / max(s.norm2(v), 1e-300)
             projector_residual = max(projector_residual, defect)
         equal = s.kernel_dim == betti[ell]
         rows.append({

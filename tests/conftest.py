@@ -46,6 +46,20 @@ def all_degrees(K):
     return range(K.max_degree + 1)
 
 
+def count_calls(monkeypatch, name, *modules):
+    """Wrap ``name`` in each module by one counter; returns its list of calls."""
+    calls = []
+    original = getattr(modules[0], name)
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    for module in modules:
+        monkeypatch.setattr(module, name, counting)
+    return calls
+
+
 @pytest.fixture(scope="session")
 def corpus():
     return CORPUS

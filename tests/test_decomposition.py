@@ -315,6 +315,13 @@ class TestVerifyUniqueness:
         assert rep.passed
         assert rep.max_rel_diff <= 1e-6
 
+    @pytest.mark.parametrize("target", [0.0, 1.0, math.nan, -1.0, math.inf])
+    def test_error_target_outside_unit_interval_rejected(self, target):
+        # A cochain of the wrong length: the target is checked before anything else.
+        K = lib.cycle_complex(3)
+        with pytest.raises(ValueError, match="error_target"):
+            verify_uniqueness(K, 1, Cochain(1, np.ones(2)), error_target=target)
+
     def test_zero_cochain_both_routes_zero(self):
         K = lib.cycle_complex(3)
         rep = verify_uniqueness(K, 1, K.zero_cochain(1))

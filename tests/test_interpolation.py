@@ -10,15 +10,20 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import expm
 
-from conftest import NAMED, NAMED_IDS, all_degrees, spectrum_of
+import hodgeheat
+from conftest import NAMED, NAMED_IDS, all_degrees, count_calls, spectrum_of
 from hodgeheat import (
     admissible_interval,
     build_complex,
+    coboundary,
+    codifferential,
     conjugate_exponent,
     decay_rate,
     dimension_consistency,
     gaffney_constant,
+    harmonic_projector,
     hodge_laplacian,
+    inv_sqrt_spectral,
     interpolation_report,
     kernel_decay_fit,
     laplacian_spectrum,
@@ -29,6 +34,7 @@ from hodgeheat import (
     opnorm_power_method,
     projector_norm_profile,
     riesz_thorin_bound,
+    riesz_transform_norms,
     select_t0,
     volume_growth_fit,
 )
@@ -491,18 +497,100 @@ class TestGaffney:
             gaffney_constant(lib.interval(), 0, 0.0)
 
 
+def _spectra(K):
+    return [laplacian_spectrum(K, ell) for ell in all_degrees(K)]
+
+
 class TestDimensionConsistency:
     @pytest.mark.parametrize("K", [lib.cycle_complex(3), lib.simplex_boundary(3),
                                    lib.filled_triangle()],
                              ids=["C3", "tetra", "filled"])
     def test_all_rows_ok(self, K):
-        rows = dimension_consistency(K, p_list=(1.0, 2.0, math.inf))
+        rows = dimension_consistency(K, _spectra(K), p_list=(1.0, 2.0, math.inf))
         assert all(r["ok"] for r in rows)
         assert all(r["spectral_dim"] == r["betti"] for r in rows)
 
     def test_c3_degree1_counts(self):
-        rows = dimension_consistency(lib.cycle_complex(3))
+        K = lib.cycle_complex(3)
+        rows = dimension_consistency(K, _spectra(K))
         assert rows[1]["spectral_dim"] == 1 and rows[1]["betti"] == 1
+
+    @pytest.mark.parametrize("pick", [lambda sp: sp[:-1], lambda sp: sp[::-1],
+                                      lambda sp: sp + sp[:1], lambda sp: []],
+                             ids=["short", "reversed", "long", "empty"])
+    def test_rejects_spectra_of_wrong_length_or_order(self, pick):
+        K = lib.simplex_boundary(3)
+        with pytest.raises(ValueError, match="one spectrum per degree"):
+            dimension_consistency(K, pick(_spectra(K)))
+
+    def test_computes_no_spectrum_and_no_decomposition(self, monkeypatch):
+        K = lib.flat_torus(6, 6)
+        spectra = _spectra(K)
+        monkeypatch.setattr(np.linalg, "eigh", _forbidden)
+        monkeypatch.setattr(hodgeheat.decomposition, "decompose", _forbidden)
+        assert all(r["ok"] for r in dimension_consistency(K, spectra, p_list=(1.5, 3.0)))
+
+
+def _forbidden(*args, **kwargs):
+    raise AssertionError("called")
+
+
+class TestBracketsShareEndpoints:
+    GRID = (1.0, 1.25, 1.5, 2.0, 3.0, 4.0, math.inf)
+
+    def test_profile_runs_one_svd(self, monkeypatch):
+        K = lib.flat_torus(6, 6)
+        s = spectrum_of("torus_6x6", K, 1)
+        calls = count_calls(monkeypatch, "_opnorm2", hodgeheat.interpolation)
+        projector_norm_profile(K, 1, (1.25, 1.5, 2.0, 3.0, 4.0), spectral=s)
+        assert len(calls) == 1
+
+    def test_riesz_runs_one_svd_per_operator(self, monkeypatch):
+        K = lib.flat_torus(6, 6)
+        s = spectrum_of("torus_6x6", K, 1)
+        calls = count_calls(monkeypatch, "_opnorm2", hodgeheat.interpolation)
+        rep = riesz_transform_norms(K, 1, p_list=(1.5, 2.0, 3.0), spectral=s)
+        assert len(calls) == 2
+        assert [(r["p"], r["operator"]) for r in rep.rows] == \
+            [(p, op) for p in (1.5, 2.0, 3.0) for op in ("d", "delta")]
+
+    def test_no_svd_when_no_p_needs_it(self, monkeypatch):
+        K = lib.flat_torus(6, 6)
+        s = spectrum_of("torus_6x6", K, 1)
+        calls = count_calls(monkeypatch, "_opnorm2", hodgeheat.interpolation)
+        projector_norm_profile(K, 1, (1.0, math.inf), spectral=s)
+        assert calls == []
+
+    @pytest.mark.parametrize("name, K", NAMED, ids=NAMED_IDS)
+    def test_profile_rows_equal_per_p_brackets(self, name, K):
+        # Oracle: one opnorm_bracket call per p on the same projector.
+        for ell in all_degrees(K):
+            s = spectrum_of(name, K, ell)
+            H = harmonic_projector(s).entries
+            expected = []
+            for p in self.GRID:
+                lo, hi = opnorm_bracket(H, p, s.weights, s.weights)
+                expected.append({"p": p, "lower": lo, "upper": hi})
+            assert projector_norm_profile(K, ell, self.GRID, spectral=s) == expected
+
+    @pytest.mark.parametrize("name, K", NAMED, ids=NAMED_IDS)
+    def test_riesz_rows_equal_per_p_brackets(self, name, K):
+        # Oracle: one opnorm_bracket call per (p, operator) on the same matrices.
+        for ell in all_degrees(K):
+            s = spectrum_of(name, K, ell)
+            inv_sqrt = inv_sqrt_spectral(s).entries
+            ops = []
+            if ell < K.max_degree:
+                ops.append(("d", coboundary(K, ell).entries @ inv_sqrt, ell + 1))
+            if ell >= 1:
+                ops.append(("delta", codifferential(K, ell).entries @ inv_sqrt, ell - 1))
+            expected = []
+            for p in self.GRID:
+                for op, T, cod in ops:
+                    lo, hi = opnorm_bracket(T, p, K.weight_vector(ell), K.weight_vector(cod),
+                                            iters=48, seed=0)
+                    expected.append({"operator": op, "p": p, "lower": lo, "upper": hi})
+            assert riesz_transform_norms(K, ell, self.GRID, spectral=s).rows == expected
 
 
 class TestInterpolationReport:

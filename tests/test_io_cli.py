@@ -12,7 +12,8 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from conftest import child_env
+import hodgeheat
+from conftest import child_env, count_calls
 from hodgeheat import betti_numbers
 from hodgeheat import library as lib
 from hodgeheat.cli import RunConfig, main, run_pipeline
@@ -202,6 +203,17 @@ class TestPipelineAndReports:
         with pytest.raises(ValueError, match="error_target"):
             run_pipeline(config)
 
+    def test_one_spectrum_per_degree_and_one_betti_pass(self, tmp_path, monkeypatch):
+        path = tmp_path / "torus.json"
+        path.write_text(json.dumps(complex_to_json_dict(lib.flat_torus(6, 6))))
+        eigh_calls = count_calls(monkeypatch, "eigh", np.linalg)
+        betti_calls = count_calls(monkeypatch, "betti_numbers",
+                                  hodgeheat.cli, hodgeheat.interpolation)
+        report, code = run_pipeline(RunConfig(input_path=str(path), degree=1))
+        assert code == 0 and report["betti"] == [1, 2, 1]
+        assert report["checks"][0]["name"] == "kernel_dim_equals_betti"
+        assert (len(eigh_calls), len(betti_calls)) == (3, 1)
+
     def test_sanitize_handles_infinities(self):
         assert sanitize({"x": math.inf, "y": [-math.inf, np.float64(2.0)]}) == \
             {"x": "inf", "y": ["-inf", 2.0]}
@@ -236,6 +248,36 @@ class TestCli:
         again = runner.invoke(main, args)
         assert again.exit_code == 0
         assert json.loads(again.output) == json.loads(result.output)
+
+    def test_report_cache_covers_every_degree(self, tmp_path):
+        path = tmp_path / "torus.json"
+        path.write_text(json.dumps(complex_to_json_dict(lib.flat_torus(6, 6))))
+        cache = tmp_path / "cache"
+        args = ["report", str(path), "--degree", "1", "--p", "2"]
+        runner = CliRunner()
+        first = runner.invoke(main, args + ["--cache-dir", str(cache)])
+        assert first.exit_code == 0
+        assert len(list(cache.glob("*.npz"))) == 3
+        again = runner.invoke(main, args + ["--cache-dir", str(cache)])
+        assert again.exit_code == 0 and again.stdout == first.stdout
+        uncached = runner.invoke(main, args)
+        assert uncached.exit_code == 0
+        assert first.stdout.replace(json.dumps(str(cache)), "null") == uncached.stdout
+
+    @pytest.mark.parametrize("command", ["report", "verify"])
+    @pytest.mark.parametrize("value", ["0", "0.5", "nan", "-1"])
+    def test_bad_error_target_is_input_error(self, tmp_path, command, value):
+        result = CliRunner().invoke(main, [command, _c3_json(tmp_path), "--error-target", value])
+        assert result.exit_code == 2, result.output
+        assert isinstance(result.exception, SystemExit)
+        assert "input error: error_target" in result.output
+        assert "Traceback" not in result.output
+
+    @pytest.mark.parametrize("degree", ["-1", "2"])
+    def test_verify_degree_out_of_range_exits_2(self, tmp_path, degree):
+        result = CliRunner().invoke(main, ["verify", _c3_json(tmp_path), "--degree", degree])
+        assert result.exit_code == 2
+        assert f"input error: degree {degree} out of range" in result.output
 
     def test_decompose_output(self, tmp_path):
         runner = CliRunner()
