@@ -2,19 +2,19 @@
 
 The Green operator inverts the Laplacian on the complement of its kernel.
 It is computed two ways: in closed spectral form, and as the time integral
-of the heat semigroup up to t_max, evaluated in one augmented exponential
-action, with a certified exponential tail bound.  The inverse square root
+of the heat semigroup up to t_max, summed by the heat action's Chebyshev
+recurrence with integrated coefficients, with a certified exponential
+tail bound and a certified truncation bound.  The inverse square root
 comes from the time integral with weight t^(-1/2) (normalized by
 Gamma(1/2)), by Gauss-Legendre quadrature of the spectral heat sum after
 the substitution t = u^2 removes the integrable singularity at t = 0.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
-from scipy import sparse
 
 from .complexes import (
     Cochain,
@@ -29,9 +29,10 @@ from .complexes import (
 from .interpolation import _brackets
 from .spectral import (
     SpectralData,
-    _heat_action,
+    _chebyshev_action,
+    _green_series,
+    _heat_series,
     harmonic_part,
-    heat_apply,
     laplacian_spectrum,
 )
 
@@ -52,8 +53,8 @@ class QuadratureGrid:
     error_target: float = 1e-8
 
     def __post_init__(self):
-        if self.t_max <= 0:
-            raise ValueError("t_max must be positive")
+        if not 0 < self.t_max < math.inf:
+            raise ValueError(f"t_max must be positive and finite, got {self.t_max}")
         if self.nodes < 2 or self.levels < 1:
             raise ValueError("grid needs at least 2 nodes and 1 level")
         if not 0 < self.error_target < 1:
@@ -78,10 +79,14 @@ class QuadratureGrid:
 
 @dataclass
 class QuadratureResult:
-    """Integrated cochain plus the certificate of the truncated tail.
+    """Integrated cochain plus the certificates of what was left out.
 
-    ``nodes_evaluated`` counts heat evaluations: Gauss nodes for the
-    subordinated integral, one exponential action for the Green term.
+    ``tail_bound`` bounds the W-norm of the integral beyond t_max.
+    ``truncation_bound`` bounds the W-norm error of cutting Chebyshev
+    series: the dropped-coefficient sum times |v|_W (0 for the spectral
+    Gauss sum).  ``nodes_evaluated`` counts the work: Gauss nodes for the
+    subordinated integral, sparse matvecs for the Green term (route B
+    adds those of its heat limit).
     """
 
     cochain: Cochain
@@ -89,6 +94,7 @@ class QuadratureResult:
     t_max: float
     nodes_evaluated: int
     error_target: float
+    truncation_bound: float = 0.0
 
     def to_json_dict(self):
         return {
@@ -96,6 +102,7 @@ class QuadratureResult:
             "t_max": self.t_max,
             "nodes_evaluated": self.nodes_evaluated,
             "error_target": self.error_target,
+            "truncation_bound": self.truncation_bound,
         }
 
 
@@ -139,27 +146,23 @@ def green_quadrature(s: SpectralData, omega: Cochain, laplacian: OperatorMatrix,
                      omega0=None) -> QuadratureResult:
     """Green operator as the time integral of the heat semigroup.
 
-    Integrates P_t (1-H) omega over [0, t_max] in one exponential action
-    of the assembled Laplacian L, augmented by the normalized non-harmonic
-    part u = v0 / |v0|_W: the top block of exp(t_max [[-L, u], [0, 0]])
-    e_(n+1) is that integral of P_t u (Van Loan, IEEE TAC 1978).  The
-    dropped tail is certified by exp(-gap * t_max) / gap times |v0|_W.
-    Refuses grids whose t_max is too small for their error target.
+    Integrates P_t (1-H) omega over [0, t_max] on the assembled Laplacian
+    L without its eigenbasis: int_0^t_max exp(-t lam) dt has Chebyshev
+    coefficients (4/b) (-1)^k J_k in closed form, and the heat action's
+    recurrence sums them.  The dropped tail is certified by
+    exp(-gap * t_max) / gap times |v0|_W, the cut series by its
+    dropped-coefficient sum times |v0|_W.  Refuses grids whose t_max is
+    too small for their error target.
     """
     v0, sized = _quadrature_setup(s, omega, grid, omega0)
     if sized is None:
         return QuadratureResult(Cochain(s.degree, np.zeros_like(v0)), 0.0,
                                 0.0, 0, grid.error_target if grid else 0.0)
-    n = v0.size
     norm = s.norm2(v0)
-    augmented = sparse.bmat([[laplacian.entries, -v0[:, None] / norm],
-                             [None, np.zeros((1, 1))]])
-    e_last = np.zeros(n + 1)
-    e_last[-1] = 1.0
-    vals = norm * _heat_action(augmented, sized.t_max, e_last)[:n]
+    green = _chebyshev_action(laplacian.entries, v0, _green_series, sized.t_max)
     tail = math.exp(-s.gap * sized.t_max) / s.gap * norm
-    return QuadratureResult(Cochain(s.degree, vals), tail, sized.t_max, 1,
-                            sized.error_target)
+    return QuadratureResult(Cochain(s.degree, green.values), tail, sized.t_max,
+                            green.matvecs, sized.error_target, green.dropped * norm)
 
 
 def inv_sqrt_subordinated(s: SpectralData, omega: Cochain,
@@ -399,7 +402,9 @@ def verify_uniqueness(K: SimplicialComplex, ell: int, omega: Cochain,
     never touches the eigenbasis: it reads the assembled Laplacian and,
     from the spectrum, only the gap, the largest eigenvalue and the
     weights.  Its harmonic part is the heat semigroup at a certified time
-    and its Green term one augmented exponential action.  Additionally,
+    and its Green term the semigroup integral, both as Chebyshev actions
+    of the Laplacian; ``quadrature`` reports their summed truncation
+    bound and matvec count next to the tail bound.  Additionally,
     perturbing the harmonic component along any kernel direction is shown
     to leave a detectable harmonic residue in the remaining parts.
     """
@@ -465,16 +470,22 @@ def _route_b(laplacian: OperatorMatrix, s: SpectralData, omega: Cochain,
     """Route B's harmonic part and Green term, for a finite gap.
 
     Reads the assembled Laplacian and, of the spectrum, only the gap, the
-    largest eigenvalue and the weights.  At the time t_h below,
-    exp(-gap t_h) = error_target * min(1, gap), so both |h_b - H omega|_W
-    and |G (h_b - H omega)|_W are at most error_target * |omega|_W.
+    largest eigenvalue (for t_max) and the weights.  At the time t_h
+    below, exp(-gap t_h) = error_target * min(1, gap), so both
+    |h_b - H omega|_W and |G (h_b - H omega)|_W are at most
+    error_target * |omega|_W, up to the truncation bounds of the two
+    Chebyshev actions, which the returned result sums with their matvecs.
     """
     t_h = (math.log(1.0 / error_target) + max(0.0, math.log(1.0 / s.gap))) / s.gap
-    h_b = heat_apply(laplacian, t_h, omega).values
+    heat = _chebyshev_action(laplacian.entries, omega.values, _heat_series, t_h)
     grid = QuadratureGrid.for_spectrum(s.gap, float(s.eigenvalues[-1]),
                                        error_target=error_target)
-    return h_b, green_quadrature(s, omega, laplacian, grid=grid,
-                                 omega0=omega.values - h_b)
+    green = green_quadrature(s, omega, laplacian, grid=grid,
+                             omega0=omega.values - heat.values)
+    return heat.values, replace(
+        green,
+        truncation_bound=green.truncation_bound + heat.dropped * s.norm2(omega.values),
+        nodes_evaluated=green.nodes_evaluated + heat.matvecs)
 
 
 @dataclass

@@ -2,8 +2,15 @@
 
 Eigendecomposition in the weighted inner product, the heat semigroup
 P_t = exp(-t * Laplacian) computed two independent ways (spectral sum, and
-one eigenbasis-free exponential action), spectral-gap classification, and
+one eigenbasis-free Chebyshev action), spectral-gap classification, and
 the harmonic projector as a spectral projection.
+
+The Chebyshev action expands a function of the Laplacian L in T_k(Y),
+Y = (2/b) L - I, where b >= lambda_max is read off the matrix.  The
+coefficients are closed form in the scaled modified Bessel values
+e^(-z) I_k(z), computed here by Miller's backward recurrence.  Since L
+is W-self-adjoint with spectrum in [0, b], |T_k(Y)|_W <= 1, so the sum
+of the dropped |coefficients| bounds the truncation error in the W-norm.
 """
 
 import hashlib
@@ -11,10 +18,10 @@ import json
 import math
 import os
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 from scipy import sparse
-from scipy.sparse.linalg import expm_multiply
 
 from .complexes import (
     RANK_TOL,
@@ -158,43 +165,146 @@ def classify_zero(s: SpectralData) -> ZeroSpectrumReport:
 
 def heat_operator(s: SpectralData, t: float) -> OperatorMatrix:
     """Dense matrix of P_t = exp(-t * Laplacian)."""
-    if t < 0:
-        raise ValueError("heat semigroup requires t >= 0")
+    if not 0 <= t < math.inf:
+        raise ValueError(f"heat semigroup requires a finite t >= 0, got t = {t}")
     M = s.function_matrix(lambda lam: np.exp(-t * lam))
     return OperatorMatrix(M, s.degree, s.degree, symmetric=True)
 
 
-def _heat_action(A, t: float, x: np.ndarray) -> np.ndarray:
-    """exp(-t A) x without an eigenbasis.
+# Miller's recurrence starts where e^(-z) I_k(z) has fallen below
+# e^(-_MILLER_DEPTH), far below what a double-precision sum can hold.
+_MILLER_DEPTH = 90.0
+_UNIT_ROUNDOFF = 2.0 ** -53
 
-    The truncated-Taylor action of Al-Mohy & Higham (SIAM J. Sci. Comput.
-    2011) on a CSR copy of A: a number of sparse matvecs that grows
-    linearly in t |A|_1, and no dense matrix exponential.
 
-    For stiff t |A|_1 scipy picks its Taylor degree and step count from
-    norm estimates whose probe vectors come from numpy's global random
-    state, and a different choice moves the result in its last digits.
-    The state is pinned for the call, so equal inputs give equal bytes,
-    and the caller's state is restored afterwards.
+def _scaled_bessel_i(z: float) -> np.ndarray:
+    """e^(-z) I_k(z) for k = 0, 1, ..., N, with N about sqrt(2 z D) + D, D = 90.
+
+    Miller's backward recurrence I_(k-1) = (2k/z) I_k + I_(k+1), started
+    from I_(N+1) = 0, is run on the ratios I_k / I_(k-1) so that nothing
+    overflows, and normalized by I_0 + 2 sum_k I_k = e^z.  z = 0 gives
+    exactly (1, 0, 0, ...).
     """
-    caller_state = np.random.get_state()
-    np.random.seed(0)
-    try:
-        return expm_multiply(-t * sparse.csr_matrix(A), x)
-    finally:
-        np.random.set_state(caller_state)
+    top = int(math.ceil(math.sqrt(2.0 * z * _MILLER_DEPTH) + _MILLER_DEPTH))
+    ratios = np.empty(top + 1)
+    ratios[0] = 1.0
+    rho = 0.0
+    for k in range(top, 0, -1):
+        rho = z / (2.0 * k + z * rho)
+        ratios[k] = rho
+    values = np.cumprod(ratios)
+    return values / (values[0] + 2.0 * values[1:].sum())
+
+
+def _heat_series(t: float, b: float) -> np.ndarray:
+    """Chebyshev coefficients of exp(-t lam) on [0, b], c_0 halved.
+
+    c_k = 2 (-1)^k e^(-z) I_k(z) with z = t b / 2, from the generating
+    function exp(z cos theta) = I_0(z) + 2 sum_k I_k(z) cos(k theta).
+    """
+    f = _scaled_bessel_i(t * b / 2.0)
+    c = 2.0 * f
+    c[0] = f[0]
+    c[1::2] *= -1.0
+    return c
+
+
+def _green_series(t: float, b: float) -> np.ndarray:
+    """Chebyshev coefficients of int_0^t exp(-s lam) ds on [0, b], a_0 halved.
+
+    a_k = (4/b) (-1)^k J_k with J_k = int_0^Z e^(-z) I_k(z) dz, Z = t b / 2.
+    In closed form J_0 = Z e^(-Z) (I_0(Z) + I_1(Z)) and, for k >= 1,
+    J_k = 2 sum_(j>k) (j-k) e^(-Z) I_j(Z), which is summed as two tail
+    sums of positive terms.  A zero Laplacian (b = 0) integrates to t.
+    """
+    if b == 0.0:
+        return np.array([t])
+    z = t * b / 2.0
+    f = _scaled_bessel_i(z)
+    tails = np.cumsum(f[::-1])[::-1]  # tails[i] = sum_(j>=i) f_j
+    J = np.zeros_like(f)
+    J[:-1] = 2.0 * np.cumsum(tails[::-1])[::-1][1:]
+    J[0] = z * (f[0] + f[1])
+    a = (4.0 / b) * J
+    a[0] /= 2.0
+    a[1::2] *= -1.0
+    return a
+
+
+class _ChebyshevAction(NamedTuple):
+    """Result of one Chebyshev action: values, truncation and work.
+
+    ``dropped`` is the sum of the |coefficients| past the degree used, so
+    the truncation error is at most ``dropped`` times |x|_W; ``matvecs``
+    is that degree, the number of sparse matrix-vector products.
+    """
+
+    values: np.ndarray
+    dropped: float
+    matvecs: int
+
+
+def _chebyshev_sum(A, b: float, coeffs: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """sum_k coeffs_k T_k(Y) x with Y = (2/b) A - I, by the three-term recurrence.
+
+    T_(k+1)(Y) x = 2 Y T_k(Y) x - T_(k-1)(Y) x, with Y applied as
+    (2/b) (A @ v) - v, so Y is never formed.  Uses len(coeffs) - 1 matvecs.
+    """
+    out = coeffs[0] * x
+    if coeffs.size == 1:
+        return out
+    scale = 2.0 / b
+    prev, cur = x, scale * (A @ x) - x
+    out += coeffs[1] * cur
+    for c in coeffs[2:]:
+        prev, cur = cur, 2.0 * (scale * (A @ cur) - cur) - prev
+        out += c * cur
+    return out
+
+
+def _spectral_bound(A) -> float:
+    """b >= lambda_max from the matrix alone: the smaller of its row-sum and
+    column-sum norms, each of which bounds the spectral radius."""
+    magnitudes = abs(A)
+    b = min(float(np.asarray(magnitudes.sum(axis=axis)).max(initial=0.0))
+            for axis in (0, 1))
+    if not math.isfinite(b):
+        raise ValueError("Laplacian has non-finite entries")
+    return b
+
+
+def _chebyshev_action(A, x: np.ndarray, series, t: float) -> _ChebyshevAction:
+    """f(A) x for the function whose Chebyshev coefficients are series(t, b).
+
+    A must be a Laplacian: W-self-adjoint with spectrum in [0, b], where b
+    comes from ``_spectral_bound``, so the spectrum of Y lies in [-1, 1].
+    The series is cut at the lowest degree whose dropped |coefficients| sum
+    to at most the unit roundoff times the sum of all of them.
+    """
+    A = sparse.csr_matrix(A)
+    b = _spectral_bound(A)
+    coeffs = series(t, b)
+    tails = np.append(np.cumsum(np.abs(coeffs[::-1]))[::-1], 0.0)
+    degree = max(int(np.argmax(tails <= _UNIT_ROUNDOFF * tails[0])) - 1, 0)
+    return _ChebyshevAction(_chebyshev_sum(A, b, coeffs[: degree + 1], x),
+                           float(tails[degree + 1]), degree)
 
 
 def heat_apply(source, t: float, omega: Cochain) -> Cochain:
     """Apply the heat semigroup P_t to a cochain.
 
     For SpectralData ``source`` this is the spectral sum
-    exp(-t lambda_i) <omega, v_i> v_i; for a Laplacian (OperatorMatrix or
-    array) it is the eigenbasis-free exponential action.  The two agree
-    to 1e-8 relative.
+    exp(-t lambda_i) <omega, v_i> v_i.  For a Laplacian (OperatorMatrix or
+    array) it is the eigenbasis-free Chebyshev action in Y = (2/b) L - I:
+    about sqrt(t b log(1/eps)) sparse matvecs, cut where the dropped
+    coefficients sum to the unit roundoff.  The two agree to 1e-12
+    relative.  The matrix must be self-adjoint in a weighted inner product
+    with spectrum in [0, lambda_max], as every Hodge Laplacian is; for
+    other matrices the truncated series is not exp(-t A) x.  ``t``
+    must be finite and >= 0.
     """
-    if t < 0:
-        raise ValueError("heat semigroup requires t >= 0")
+    if not 0 <= t < math.inf:
+        raise ValueError(f"heat semigroup requires a finite t >= 0, got t = {t}")
     if isinstance(source, SpectralData):
         if omega.degree != source.degree:
             raise ValueError("cochain degree does not match spectral data")
@@ -205,13 +315,13 @@ def heat_apply(source, t: float, omega: Cochain) -> Cochain:
         if omega.degree != source.domain_degree:
             raise ValueError("cochain degree does not match the Laplacian")
         A = source.entries
-    return Cochain(omega.degree, _heat_action(A, t, omega.values))
+    return Cochain(omega.degree, _chebyshev_action(A, omega.values, _heat_series, t).values)
 
 
 def heat_derivative(s: SpectralData, t: float, omega: Cochain) -> Cochain:
     """d/dt P_t omega = -Laplacian P_t omega, as a spectral sum."""
-    if t <= 0:
-        raise ValueError("heat derivative requires t > 0")
+    if not 0 < t < math.inf:
+        raise ValueError(f"heat derivative requires a finite t > 0, got t = {t}")
     if omega.degree != s.degree:
         raise ValueError("cochain degree does not match spectral data")
     vals = s.apply_function(lambda lam: -lam * np.exp(-t * lam), omega.values)

@@ -2,9 +2,12 @@
 
 import dataclasses
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
+from scipy import sparse
 
 from conftest import NAMED, NAMED_IDS, all_degrees, spectrum_of
 from hodgeheat import (
@@ -110,6 +113,11 @@ class TestGreenQuadrature:
         bad = QuadratureGrid(t_max=0.5, error_target=1e-8)
         with pytest.raises(ValueError, match="need t_max"):
             green_quadrature(s, omega, hodge_laplacian(K, 0), grid=bad)
+
+    @pytest.mark.parametrize("t_max", [0.0, -1.0, math.nan, math.inf])
+    def test_grid_rejects_t_max_not_positive_and_finite(self, t_max):
+        with pytest.raises(ValueError, match="t_max"):
+            QuadratureGrid(t_max=t_max)
 
     def test_defining_identity_through_quadrature_route(self):
         # Laplacian applied to the quadrature Green term recovers (1-H)omega
@@ -342,8 +350,16 @@ class TestVerifyUniqueness:
         assert rep.perturbation_detected
 
     @pytest.mark.parametrize("name,K", NAMED, ids=NAMED_IDS)
-    def test_route_b_meets_its_certificates(self, name, K):
+    def test_route_b_meets_its_certificates(self, name, K, monkeypatch):
         # Eigencochains replaced by NaN: route B must not read them.
+        matvecs = []
+
+        class CountingCSR(sparse.csr_matrix):
+            def __matmul__(self, other):
+                matvecs.append(1)
+                return super().__matmul__(other)
+
+        monkeypatch.setattr(sparse, "csr_matrix", CountingCSR)
         error_target = 1e-8
         for ell in all_degrees(K):
             s = spectrum_of(name, K, ell)
@@ -351,6 +367,7 @@ class TestVerifyUniqueness:
                 continue
             omega = lib.random_cochain(K, ell, 67)
             blind = dataclasses.replace(s, eigencochains=np.full_like(s.eigencochains, np.nan))
+            matvecs.clear()
             h_b, quad = _route_b(hodge_laplacian(K, ell), blind, omega, error_target)
             norm = s.norm2(omega.values)
             # exp(-gap t_h) = error_target * min(1, gap) at route B's heat time
@@ -358,7 +375,8 @@ class TestVerifyUniqueness:
             assert s.norm2(h_b - harmonic_part(s, omega.values)) <= h_bound
             g_err = s.norm2(quad.cochain.values - green_spectral(s).apply(omega).values)
             assert g_err <= quad.tail_bound + error_target * norm
-            assert quad.nodes_evaluated == 1
+            assert quad.nodes_evaluated == len(matvecs) > 0
+            assert 0.0 <= quad.truncation_bound <= 1e-3 * error_target * norm
 
     def test_stiff_strip_torus_passes(self):
         K = lib.flat_torus(24, 3)  # lambda_max / gap about 400
@@ -379,6 +397,47 @@ class TestVerifyUniqueness:
             runs.append((rep.max_rel_diff, rep.quadrature["tail_bound"]))
             assert np.random.randint(2**31) == np.random.RandomState(seed).randint(2**31)
         assert len(set(runs)) == 1
+
+    def test_route_b_threads_beside_global_reseeding(self):
+        # Two threads run route B while a third keeps reseeding numpy's global
+        # random state; route B reads no random state, so nothing moves.
+        K = lib.flat_torus(6, 6)
+        s = spectrum_of("torus_6x6", K, 2)
+        omega = lib.random_cochain(K, 2, 42)
+
+        def key(rep):
+            return rep.max_rel_diff, rep.component_diffs, rep.quadrature
+
+        expected = key(verify_uniqueness(K, 2, omega, spectral=s))
+        results, stop = [], threading.Event()
+
+        def reseed():
+            seed = 0
+            while not stop.is_set():
+                np.random.seed(seed % 2**32)
+                np.random.random()
+                seed += 1
+
+        def work():
+            for _ in range(3):
+                results.append(key(verify_uniqueness(K, 2, omega, spectral=s)))
+
+        switch = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        seeder = threading.Thread(target=reseed)
+        workers = [threading.Thread(target=work) for _ in range(2)]
+        try:
+            seeder.start()
+            for w in workers:
+                w.start()
+            for w in workers:
+                w.join(timeout=120)
+        finally:
+            stop.set()
+            seeder.join(timeout=10)
+            sys.setswitchinterval(switch)
+        assert not seeder.is_alive() and not any(w.is_alive() for w in workers)
+        assert results == [expected] * 6
 
 
 class TestRieszTransforms:

@@ -450,3 +450,13 @@ def test_thread_cap_warns_when_it_cannot_apply(imports, warns):
                           env=child_env("1"), capture_output=True, text=True)
     assert (proc.returncode != 0) == warns, proc.stderr
     assert ("HODGEHEAT_NUM_THREADS was not applied" in proc.stderr) == warns
+
+
+def test_package_import_leaves_scipy_special_unloaded():
+    # scipy.special adds about 25 modules and 0.2 s to every start-up; the
+    # Chebyshev heat action computes its Bessel values without it.
+    code = "import sys, hodgeheat, hodgeheat.cli; print('scipy.special' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], env=child_env("1"),
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"

@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy import special
 from scipy.integrate import quad
 
 from conftest import NAMED, NAMED_IDS, all_degrees, spectrum_of
@@ -22,6 +23,13 @@ from hodgeheat import (
 )
 from hodgeheat import library as lib
 from hodgeheat.spectral import (
+    _UNIT_ROUNDOFF,
+    _chebyshev_action,
+    _chebyshev_sum,
+    _green_series,
+    _heat_series,
+    _scaled_bessel_i,
+    _spectral_bound,
     cached_laplacian_spectrum,
     complex_content_hash,
     load_spectral_data,
@@ -206,6 +214,133 @@ class TestHeatDerivative:
         s = laplacian_spectrum(lib.interval(), 0)
         with pytest.raises(ValueError):
             heat_derivative(s, 0.0, Cochain(0, [1.0, 0.0]))
+
+    @pytest.mark.parametrize("t", [math.nan, math.inf, -math.inf])
+    def test_nonfinite_time_rejected(self, t):
+        K = lib.cycle_complex(3)
+        s = laplacian_spectrum(K, 0)
+        omega = lib.random_cochain(K, 0, 5)
+        for source in (s, hodge_laplacian(K, 0)):
+            with pytest.raises(ValueError, match=f"t = {t}"):
+                heat_apply(source, t, omega)
+        with pytest.raises(ValueError, match=f"t = {t}"):
+            heat_operator(s, t)
+        with pytest.raises(ValueError, match=f"t = {t}"):
+            heat_derivative(s, t, omega)
+
+
+# Two triangles sharing an edge, a dangling edge, a separate triangle, a
+# separate edge and two isolated vertices.
+_DISCONNECTED = build_complex({
+    "triangles": [(0, 1, 2), (1, 2, 3), (20, 21, 22)],
+    "edges": [(3, 7), (40, 41)],
+    "vertices": [99, 5],
+})
+_ACTION_COMPLEXES = NAMED + [
+    ("disconnected", _DISCONNECTED),
+    ("random_107", lib.random_two_complex(107)),
+    ("strip_24x3", lib.flat_torus(24, 3)),
+]
+_ACTION_IDS = [name for name, _ in _ACTION_COMPLEXES]
+
+
+def _green_function(t):
+    """int_0^t exp(-s lam) ds, equal to t at lam = 0."""
+    return lambda lam: np.where(
+        lam > 0, -np.expm1(-t * lam) / np.where(lam > 0, lam, 1.0), t)
+
+
+class TestChebyshevAction:
+    @pytest.mark.parametrize("z", [0.0, 1e-12, 0.5, 3.0, 40.0, 441.0, 2e4])
+    def test_bessel_values_match_scipy(self, z):
+        # Every value lies in [0, 1]; one machine epsilon is about an ulp of the largest.
+        f = _scaled_bessel_i(z)
+        assert np.max(np.abs(f - special.ive(np.arange(f.size), z))) <= np.finfo(float).eps
+        if z == 0.0:
+            assert f[0] == 1.0 and not f[1:].any()
+
+    @pytest.mark.parametrize("z", [0.5, 3.0, 40.0, 441.0])
+    def test_green_coefficients_match_quadrature(self, z):
+        # With b = 2 the coefficients are 2 (-1)^k J_k (a_0 halved) and Z = t.
+        a = _green_series(z, 2.0)
+        J = np.abs(a) / 2.0
+        J[0] *= 2.0
+        relevant = np.nonzero(J > 1e-25 * J[0])[0]
+        for k in sorted({0, 1, 2, 5, *np.linspace(6, relevant[-1], 8).astype(int)}):
+            ref, _ = quad(lambda x: special.ive(k, x), 0.0, z, epsabs=0.0, epsrel=1e-13,
+                          limit=500)
+            assert abs(J[k] - ref) <= 1e-12 * ref
+
+    @pytest.mark.parametrize("name,K", _ACTION_COMPLEXES, ids=_ACTION_IDS)
+    def test_spectral_bound_dominates_lambda_max(self, name, K):
+        # b may equal lambda_max (torus degree 2: both 6), which eigh returns
+        # with its backward error of a few ulps.
+        for ell in all_degrees(K):
+            s = laplacian_spectrum(K, ell)
+            b = _spectral_bound(hodge_laplacian(K, ell).entries)
+            assert b >= s.eigenvalues[-1] - 1e-13 * b
+
+    def test_t_zero_returns_x_exactly(self):
+        K = lib.flat_torus(6, 6)
+        omega = lib.random_cochain(K, 1, 3)
+        out = heat_apply(hodge_laplacian(K, 1), 0.0, omega)
+        assert np.array_equal(out.values, omega.values)
+
+    def test_zero_laplacian_and_empty_cochain(self):
+        K = build_complex({"vertices": [0, 1, 2]})
+        L = hodge_laplacian(K, 0)
+        x = np.array([0.3, -1.7, 2.2])
+        assert not L.entries.any()
+        assert np.array_equal(heat_apply(L, 5.0, Cochain(0, x)).values, x)
+        green = _chebyshev_action(L.entries, x, _green_series, 2.5)
+        assert np.array_equal(green.values, 2.5 * x) and green.matvecs == 0
+        empty = heat_apply(np.zeros((0, 0)), 1.0, Cochain(0, np.zeros(0)))
+        assert empty.values.shape == (0,)
+
+    @pytest.mark.parametrize("name,K", _ACTION_COMPLEXES, ids=_ACTION_IDS)
+    def test_agrees_with_spectral_sum(self, name, K):
+        for ell in all_degrees(K):
+            s = laplacian_spectrum(K, ell)
+            L = hodge_laplacian(K, ell)
+            omega = lib.random_cochain(K, ell, 19)
+            norm = s.norm2(omega.values)
+            for t in (0.01, 1.0, 30.0):
+                heat = heat_apply(L, t, omega).values
+                assert s.norm2(heat - heat_apply(s, t, omega).values) <= 1e-12 * norm
+                green = _chebyshev_action(L.entries, omega.values, _green_series, t).values
+                exact = s.apply_function(_green_function(t), omega.values)
+                assert s.norm2(green - exact) <= 1e-12 * s.norm2(exact)
+
+    @pytest.mark.parametrize("name,K", _ACTION_COMPLEXES, ids=_ACTION_IDS)
+    def test_truncation_bound_dominates_truncation_error(self, name, K):
+        # Cut each series at every degree whose dropped sum is still far above
+        # rounding; the error against the spectral function must stay below
+        # the dropped |coefficients| times |x|_W.  1e-14 |x|_W allows for the
+        # rounding of the two evaluations.
+        for ell in all_degrees(K):
+            s = laplacian_spectrum(K, ell)
+            A = hodge_laplacian(K, ell).entries
+            b = _spectral_bound(A)
+            if b == 0.0:
+                continue
+            x = lib.random_cochain(K, ell, 23).values
+            norm = s.norm2(x)
+            for t in (0.3, 12.0):
+                for series, func in ((_heat_series, lambda lam: np.exp(-t * lam)),
+                                     (_green_series, _green_function(t))):
+                    coeffs = series(t, b)
+                    exact = s.apply_function(func, x)
+                    tails = np.cumsum(np.abs(coeffs[::-1]))[::-1]
+                    for m in range(0, coeffs.size - 1, 3):
+                        dropped = tails[m + 1]
+                        if dropped < 1e-9 * tails[0]:
+                            break
+                        err = s.norm2(_chebyshev_sum(A, b, coeffs[: m + 1], x) - exact)
+                        assert err <= dropped * norm + 1e-14 * norm, (m, dropped)
+                    action = _chebyshev_action(A, x, series, t)
+                    assert action.dropped == pytest.approx(tails[action.matvecs + 1], rel=1e-9)
+                    assert action.dropped <= _UNIT_ROUNDOFF * tails[0]
+                    assert s.norm2(action.values - exact) <= 1e-12 * tails[0] * norm
 
 
 class TestHarmonicProjector:
