@@ -21,6 +21,7 @@ from .decomposition import decompose, verify_uniqueness
 from .interpolation import dimension_consistency, interpolation_report
 from .io import (
     complex_to_json_dict,
+    emit_report,
     parse_input,
     report_to_csv,
     report_to_json,
@@ -48,17 +49,12 @@ class RunConfig:
         for p in self.p_list:
             if not (p == math.inf or p >= 1):
                 raise ValueError(f"p = {p} outside [1, inf]")
-        _check_error_target(self.error_target)
+        if not 0 < self.error_target <= 1e-2:
+            raise ValueError("error_target must lie in (0, 1e-2]")
 
     def to_json_dict(self):
         """Every field; the report's ``config`` section."""
         return {**asdict(self), "p_list": list(self.p_list), "t_grid": list(self.t_grid)}
-
-
-def _check_error_target(error_target):
-    """The route B error targets that ``report`` and ``verify`` accept."""
-    if not 0 < error_target <= 1e-2:
-        raise ValueError("error_target must lie in (0, 1e-2]")
 
 
 def _spectrum_for(K, ell, cache_dir):
@@ -67,25 +63,33 @@ def _spectrum_for(K, ell, cache_dir):
     return laplacian_spectrum(K, ell)
 
 
+def _front_end(config: RunConfig):
+    """Validate, parse, check the degree, and build its spectrum: (parsed, s)."""
+    config.validate()
+    parsed = parse_input(config.input_path, config.input_format)
+    K = parsed.complex
+    if not 0 <= config.degree <= K.max_degree:
+        raise ValueError(f"degree {config.degree} out of range [0, {K.max_degree}]")
+    return parsed, _spectrum_for(K, config.degree, config.cache_dir)
+
+
 def _cochain_for(parsed, degree, seed):
     """The file's cochain when it has ``degree``, else a seeded random one.
 
-    Returns (cochain, warning).  A file cochain of another degree is
-    ignored; the warning says so and is appended to ``parsed.warnings``.
+    A file cochain of another degree is ignored; a warning that says so is
+    appended to ``parsed.warnings``.
     """
     cochain = parsed.cochain
     if cochain is not None and cochain.degree == degree:
-        return cochain, None
-    warning = None
+        return cochain
     if cochain is not None:
-        warning = (f"input cochain has degree {cochain.degree}, not {degree}; "
-                   f"decomposing a random degree-{degree} cochain (seed {seed}) instead")
-        parsed.warnings.append(warning)
-    return random_cochain(parsed.complex, degree, seed), warning
+        parsed.warnings.append(
+            f"input cochain has degree {cochain.degree}, not {degree}; "
+            f"decomposing a random degree-{degree} cochain (seed {seed}) instead")
+    return random_cochain(parsed.complex, degree, seed)
 
 
 def _spectrum_section(s):
-    """The ``spectrum`` subcommand's payload and the report's section."""
     zero = classify_zero(s)
     return {
         "degree": s.degree,
@@ -97,72 +101,84 @@ def _spectrum_section(s):
     }
 
 
-def run_pipeline(config: RunConfig):
-    """Full pipeline; returns (report dict, exit code 0/1)."""
-    config.validate()
-    parsed = parse_input(config.input_path, config.input_format)
-    K = parsed.complex
-    ell = config.degree
-    if not 0 <= ell <= K.max_degree:
-        raise ValueError(f"degree {ell} out of range [0, {K.max_degree}]")
+def _interval_section(K, s, config):
+    return interpolation_report(K, s.degree, epsilon=config.epsilon,
+                                t_grid=config.t_grid, spectral=s,
+                                seed=config.seed).to_json_dict()
 
-    s = _spectrum_for(K, ell, config.cache_dir)
-    interval = interpolation_report(K, ell, epsilon=config.epsilon,
-                                    t_grid=config.t_grid, spectral=s,
-                                    seed=config.seed)
 
-    checks = []
-    if interval.levelset_condition is not None:
-        checks.append({"name": "levelset_condition_below_one",
-                       "passed": interval.levelset_condition < 1.0,
-                       "value": interval.levelset_condition, "threshold": 1.0})
+# Each stage below returns its report section and its checks.
 
-    omega, _ = _cochain_for(parsed, ell, config.seed)
+def _decomposition_stage(K, s, omega, p_list):
+    dec = decompose(K, s.degree, omega, p_list=p_list, spectral=s)
+    orthogonality = max(dec.orthogonality.values())
+    return dec.to_json_dict(), [
+        {"name": "decomposition_residual", "passed": dec.residual <= 1e-8,
+         "value": dec.residual, "threshold": 1e-8},
+        {"name": "harmonic_component_defect", "passed": dec.harmonic_defect <= 1e-8,
+         "value": dec.harmonic_defect, "threshold": 1e-8},
+        {"name": "component_orthogonality", "passed": orthogonality <= 1e-8,
+         "value": orthogonality, "threshold": 1e-8},
+    ]
 
-    admissible = [p for p in config.p_list
-                  if interval.p1 < p < interval.p2 or p == 2.0]
-    dec_section = None
-    uniq_section = None
-    if config.p_list:
-        dec = decompose(K, ell, omega, p_list=admissible, spectral=s)
-        dec_section = dec.to_json_dict()
-        checks.extend([
-            {"name": "decomposition_residual", "passed": dec.residual <= 1e-8,
-             "value": dec.residual, "threshold": 1e-8},
-            {"name": "harmonic_component_defect", "passed": dec.harmonic_defect <= 1e-8,
-             "value": dec.harmonic_defect, "threshold": 1e-8},
-            {"name": "component_orthogonality",
-             "passed": max(dec.orthogonality.values()) <= 1e-8,
-             "value": max(dec.orthogonality.values()), "threshold": 1e-8},
-        ])
-        uniq = verify_uniqueness(K, ell, omega, error_target=config.error_target,
-                                 spectral=s)
-        uniq_section = {
-            "component_diffs": uniq.component_diffs,
-            "max_rel_diff": uniq.max_rel_diff,
-            "tol": uniq.tol,
-            "passed": uniq.passed,
-            "perturbation_detected": uniq.perturbation_detected,
-            "quadrature": uniq.quadrature,
-        }
-        checks.append({"name": "uniqueness_dual_route", "passed": uniq.passed,
-                       "value": uniq.max_rel_diff, "threshold": uniq.tol})
-        checks.append({"name": "uniqueness_kernel_perturbation",
-                       "passed": uniq.perturbation_detected,
-                       "value": None, "threshold": None})
 
+def _uniqueness_stage(K, s, omega, error_target):
+    uniq = verify_uniqueness(K, s.degree, omega, error_target=error_target, spectral=s)
+    section = {
+        "component_diffs": uniq.component_diffs,
+        "max_rel_diff": uniq.max_rel_diff,
+        "tol": uniq.tol,
+        "passed": uniq.passed,
+        "perturbation_detected": uniq.perturbation_detected,
+        "quadrature": uniq.quadrature,
+    }
+    return section, [
+        {"name": "uniqueness_dual_route", "passed": uniq.passed,
+         "value": uniq.max_rel_diff, "threshold": uniq.tol},
+        {"name": "uniqueness_kernel_perturbation", "passed": uniq.perturbation_detected,
+         "value": None, "threshold": None},
+    ]
+
+
+def _dimension_stage(K, s, cache_dir, p_list):
+    """Dimension rows of every degree; checks (kernel_dim_equals_betti, dimension_consistency)."""
     # The other degrees' spectra are built only now, after the degree-ell
     # work has released its temporaries.
-    spectra = [s if d == ell else _spectrum_for(K, d, config.cache_dir)
+    spectra = [s if d == s.degree else _spectrum_for(K, d, cache_dir)
                for d in range(K.max_degree + 1)]
-    dim_rows = dimension_consistency(K, spectra, p_list=admissible)
-    betti = [row["betti"] for row in dim_rows]
-    checks.insert(0, {"name": "kernel_dim_equals_betti", "passed": s.kernel_dim == betti[ell],
-                      "value": s.kernel_dim, "threshold": betti[ell]})
-    checks.append({"name": "dimension_consistency",
-                   "passed": all(r["ok"] for r in dim_rows),
-                   "value": None, "threshold": None})
+    rows = dimension_consistency(K, spectra, p_list=p_list)
+    betti = rows[s.degree]["betti"]
+    return rows, [
+        {"name": "kernel_dim_equals_betti", "passed": s.kernel_dim == betti,
+         "value": s.kernel_dim, "threshold": betti},
+        {"name": "dimension_consistency", "passed": all(r["ok"] for r in rows),
+         "value": None, "threshold": None},
+    ]
 
+
+def run_pipeline(config: RunConfig):
+    """Full pipeline; returns (report dict, exit code 0/1)."""
+    parsed, s = _front_end(config)
+    K, ell = parsed.complex, config.degree
+    interval = _interval_section(K, s, config)
+
+    checks = []
+    if interval["levelset_condition"] is not None:
+        checks.append({"name": "levelset_condition_below_one",
+                       "passed": interval["levelset_condition"] < 1.0,
+                       "value": interval["levelset_condition"], "threshold": 1.0})
+
+    omega = _cochain_for(parsed, ell, config.seed)
+    admissible = [p for p in config.p_list
+                  if interval["p1"] < p < interval["p2"] or p == 2.0]
+    dec_section = uniq_section = None
+    if config.p_list:
+        dec_section, dec_checks = _decomposition_stage(K, s, omega, admissible)
+        uniq_section, uniq_checks = _uniqueness_stage(K, s, omega, config.error_target)
+        checks += dec_checks + uniq_checks
+
+    dim_rows, (kernel_check, dim_check) = _dimension_stage(K, s, config.cache_dir, admissible)
+    checks = [kernel_check, *checks, dim_check]
     ok = all(c["passed"] for c in checks)
     report = {
         "tool": {"name": "hodgeheat", "version": __version__},
@@ -173,10 +189,10 @@ def run_pipeline(config: RunConfig):
             "vertex_count": K.vertex_count,
             "warnings": list(parsed.warnings),
         },
-        "betti": betti,
+        "betti": [row["betti"] for row in dim_rows],
         "degree": ell,
         "spectrum": _spectrum_section(s),
-        "interval": interval.to_json_dict(),
+        "interval": interval,
         "decomposition": dec_section,
         "uniqueness": uniq_section,
         "dimension_consistency": dim_rows,
@@ -186,37 +202,109 @@ def run_pipeline(config: RunConfig):
     return report, (0 if ok else 1)
 
 
-def _write(text: str, output: str | None):
-    if output:
-        with open(output, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
-        click.echo(f"wrote {output}")
-    else:
-        click.echo(text, nl=False)
+# What each subcommand prints: (payload, warnings for stderr).  Payloads
+# are slices of the report, under the report's keys.
+
+def _build_payload(config):
+    parsed = parse_input(config.input_path, config.input_format)
+    K = parsed.complex
+    return {
+        "counts": [len(level) for level in K.simplices],
+        "vertex_count": K.vertex_count,
+        "betti": betti_numbers(K),
+        "warnings": list(parsed.warnings),
+        "complex": complex_to_json_dict(K),
+    }, []
 
 
-def _emit(payload: dict, output: str | None, fmt: str):
-    text = report_to_json(payload) if fmt == "json" else report_to_csv(sanitize(payload))
-    _write(text, output)
+def _spectrum_payload(config):
+    parsed, s = _front_end(config)
+    return {"spectrum": _spectrum_section(s)}, parsed.warnings
 
 
-def _fail_input(exc: Exception):
-    click.echo(f"input error: {exc}", err=True)
-    sys.exit(2)
+def _decompose_payload(config):
+    parsed, s = _front_end(config)
+    omega = _cochain_for(parsed, config.degree, config.seed)
+    section, checks = _decomposition_stage(parsed.complex, s, omega, config.p_list)
+    return {"decomposition": section, "checks": checks}, parsed.warnings
 
 
-_common = [
-    click.option("--format", "input_format", type=click.Choice(["json", "off", "edgelist"]),
-                 default=None, help="Input format (default: by extension)."),
-    click.option("--output", "-o", "output_path", type=click.Path(), default=None),
-    click.option("--output-format", type=click.Choice(["json", "csv"]), default="json"),
-]
+def _interp_payload(config):
+    parsed, s = _front_end(config)
+    return {"interval": _interval_section(parsed.complex, s, config)}, parsed.warnings
 
 
-def _with_common(fn):
-    for opt in reversed(_common):
-        fn = opt(fn)
-    return fn
+def _verify_payload(config):
+    parsed, s = _front_end(config)
+    K = parsed.complex
+    omega = _cochain_for(parsed, config.degree, config.seed)
+    section, uniq_checks = _uniqueness_stage(K, s, omega, config.error_target)
+    rows, (kernel_check, dim_check) = _dimension_stage(K, s, config.cache_dir, ())
+    return {"uniqueness": section, "dimension_consistency": rows,
+            "checks": [kernel_check, *uniq_checks, dim_check]}, parsed.warnings
+
+
+def _report_payload(config):
+    return run_pipeline(config)[0], []
+
+
+def _run(payload_of, output_path=None, output_format="json", t_grid=None, **fields):
+    """Run one subcommand and exit: 2 on an input error, 1 on a failed check.
+
+    ``payload_of`` maps the RunConfig of the command's options to
+    (payload, warnings).  The payload is written even when a check fails;
+    the failed checks are then named on stderr.
+    """
+    try:
+        if t_grid is not None:
+            fields["t_grid"] = tuple(float(tok) for tok in t_grid.split(","))
+        payload, warnings = payload_of(RunConfig(**fields))
+        for warning in warnings:
+            click.echo(f"warning: {warning}", err=True)
+        if output_path:
+            emit_report(payload, output_path, output_format)
+            click.echo(f"wrote {output_path}")
+        else:
+            click.echo(report_to_json(payload) if output_format == "json"
+                       else report_to_csv(sanitize(payload)), nl=False)
+    except (ValueError, OSError) as exc:
+        click.echo(f"input error: {exc}", err=True)
+        sys.exit(2)
+    failed = [c["name"] for c in payload.get("checks", []) if not c["passed"]]
+    if failed:
+        click.echo("invariant violated: " + ", ".join(failed), err=True)
+        sys.exit(1)
+
+
+_OPTIONS = {
+    "degree": click.option("--degree", type=int, default=1, show_default=True),
+    "p": click.option("--p", "p_list", type=float, multiple=True, default=(1.5, 2.0, 3.0),
+                      show_default=True, help="Norm exponents for the component table."),
+    "epsilon": click.option("--epsilon", type=float, default=None,
+                            help="Interval margin (default: tau/20)."),
+    "error_target": click.option("--error-target", type=float, default=1e-8,
+                                 show_default=True),
+    "t_grid": click.option("--t-grid", default="0.25,0.5,1,2,4", show_default=True,
+                           help="Comma-separated times for the growth-rate fit."),
+    "seed": click.option("--seed", type=int, default=42, show_default=True),
+    "cache_dir": click.option("--cache-dir", type=click.Path(), default=None),
+    "format": click.option("--format", "input_format",
+                           type=click.Choice(["json", "off", "edgelist"]), default=None,
+                           help="Input format (default: by extension)."),
+    "output": click.option("--output", "-o", "output_path", type=click.Path(), default=None),
+    "output_format": click.option("--output-format", type=click.Choice(["json", "csv"]),
+                                  default="json"),
+}
+_OUTPUT = ("format", "output", "output_format")
+
+
+def _options(*names):
+    """The input argument, then the named options."""
+    def apply(fn):
+        for name in reversed(names):
+            fn = _OPTIONS[name](fn)
+        return click.argument("input_path", type=click.Path(exists=True))(fn)
+    return apply
 
 
 @click.group()
@@ -226,168 +314,45 @@ def main():
 
 
 @main.command()
-@click.argument("input_path", type=click.Path(exists=True))
-@_with_common
-def build(input_path, input_format, output_path, output_format):
-    """Parse and validate a complex; report counts and cohomology dimensions."""
-    try:
-        parsed = parse_input(input_path, input_format)
-        K = parsed.complex
-        payload = {
-            "counts": [len(level) for level in K.simplices],
-            "vertex_count": K.vertex_count,
-            "betti": betti_numbers(K),
-            "warnings": list(parsed.warnings),
-            "complex": complex_to_json_dict(K),
-        }
-    except (ValueError, OSError) as exc:
-        _fail_input(exc)
-    _emit(payload, output_path, output_format)
+@_options("format", "output")
+def build(**options):
+    """Parse and validate a complex; report counts and cohomology dimensions (JSON)."""
+    _run(_build_payload, **options)
 
 
 @main.command()
-@click.argument("input_path", type=click.Path(exists=True))
-@click.option("--degree", type=int, default=1, show_default=True)
-@click.option("--cache-dir", type=click.Path(), default=None)
-@_with_common
-def spectrum(input_path, degree, cache_dir, input_format, output_path, output_format):
+@_options("degree", "cache_dir", *_OUTPUT)
+def spectrum(**options):
     """Eigenvalues, kernel dimension, and spectral gap of one Laplacian."""
-    try:
-        parsed = parse_input(input_path, input_format)
-        s = _spectrum_for(parsed.complex, degree, cache_dir)
-    except (ValueError, OSError) as exc:
-        _fail_input(exc)
-    _emit(_spectrum_section(s), output_path, output_format)
+    _run(_spectrum_payload, **options)
 
 
 @main.command("decompose")
-@click.argument("input_path", type=click.Path(exists=True))
-@click.option("--degree", type=int, default=1, show_default=True)
-@click.option("--p", "p_list", type=float, multiple=True, default=(1.5, 2.0, 3.0),
-              show_default=True, help="Norm exponents for the component table.")
-@click.option("--seed", type=int, default=42, show_default=True)
-@_with_common
-def decompose_cmd(input_path, degree, p_list, seed, input_format, output_path, output_format):
+@_options("degree", "p", "seed", *_OUTPUT)
+def decompose_cmd(**options):
     """Split a cochain (from the file, or seeded) into its three parts."""
-    try:
-        parsed = parse_input(input_path, input_format)
-        K = parsed.complex
-        omega, warning = _cochain_for(parsed, degree, seed)
-        dec = decompose(K, degree, omega, p_list=p_list)
-    except (ValueError, OSError) as exc:
-        _fail_input(exc)
-    if warning:
-        click.echo(f"warning: {warning}", err=True)
-    payload = dec.to_json_dict()
-    _emit(payload, output_path, output_format)
-    if dec.residual > 1e-8 or dec.harmonic_defect > 1e-8:
-        click.echo("invariant violated: decomposition_residual", err=True)
-        sys.exit(1)
+    _run(_decompose_payload, **options)
 
 
 @main.command()
-@click.argument("input_path", type=click.Path(exists=True))
-@click.option("--degree", type=int, default=1, show_default=True)
-@click.option("--epsilon", type=float, default=None,
-              help="Interval margin (default: tau/20).")
-@click.option("--t-grid", default="0.25,0.5,1,2,4", show_default=True,
-              help="Comma-separated times for the growth-rate fit.")
-@click.option("--seed", type=int, default=42, show_default=True)
-@_with_common
-def interp(input_path, degree, epsilon, t_grid, seed, input_format, output_path, output_format):
+@_options("degree", "epsilon", "t_grid", "seed", *_OUTPUT)
+def interp(**options):
     """Measured rates and the admissible exponent interval for one degree."""
-    try:
-        times = tuple(float(tok) for tok in t_grid.split(","))
-        parsed = parse_input(input_path, input_format)
-        rep = interpolation_report(parsed.complex, degree, epsilon=epsilon,
-                                   t_grid=times, seed=seed)
-    except (ValueError, OSError) as exc:
-        _fail_input(exc)
-    if output_format == "csv":
-        _write("".join(",".join(map(str, row)) + "\n" for row in rep.to_csv_rows()),
-               output_path)
-    else:
-        _emit(rep.to_json_dict(), output_path, "json")
+    _run(_interp_payload, **options)
 
 
 @main.command()
-@click.argument("input_path", type=click.Path(exists=True))
-@click.option("--degree", type=int, default=1, show_default=True)
-@click.option("--error-target", type=float, default=1e-8, show_default=True)
-@click.option("--seed", type=int, default=42, show_default=True)
-@_common[0]
-def verify(input_path, degree, error_target, seed, input_format):
+@_options("degree", "error_target", "seed", "format")
+def verify(**options):
     """Dual-route uniqueness and dimension-consistency checks; exit 1 on failure."""
-    try:
-        _check_error_target(error_target)
-        parsed = parse_input(input_path, input_format)
-        K = parsed.complex
-        if not 0 <= degree <= K.max_degree:
-            raise ValueError(f"degree {degree} out of range [0, {K.max_degree}]")
-        omega, warning = _cochain_for(parsed, degree, seed)
-        spectra = [laplacian_spectrum(K, d) for d in range(K.max_degree + 1)]
-        uniq = verify_uniqueness(K, degree, omega, error_target=error_target,
-                                 spectral=spectra[degree])
-        rows = dimension_consistency(K, spectra)
-    except (ValueError, OSError) as exc:
-        _fail_input(exc)
-    if warning:
-        click.echo(f"warning: {warning}", err=True)
-    failures = []
-    if not uniq.passed:
-        failures.append("uniqueness_dual_route")
-    if not uniq.perturbation_detected:
-        failures.append("uniqueness_kernel_perturbation")
-    failures.extend(f"dimension_consistency_degree_{r['degree']}"
-                    for r in rows if not r["ok"])
-    click.echo(report_to_json(sanitize({
-        "uniqueness": {
-            "max_rel_diff": uniq.max_rel_diff,
-            "passed": uniq.passed,
-            "component_diffs": uniq.component_diffs,
-        },
-        "dimension_consistency": rows,
-        "failures": failures,
-    })), nl=False)
-    if failures:
-        click.echo("invariant violated: " + ", ".join(failures), err=True)
-        sys.exit(1)
+    _run(_verify_payload, **options)
 
 
 @main.command()
-@click.argument("input_path", type=click.Path(exists=True))
-@click.option("--degree", type=int, default=1, show_default=True)
-@click.option("--p", "p_list", type=float, multiple=True, default=(1.5, 2.0, 3.0),
-              show_default=True)
-@click.option("--epsilon", type=float, default=None)
-@click.option("--error-target", type=float, default=1e-8, show_default=True)
-@click.option("--t-grid", default="0.25,0.5,1,2,4", show_default=True)
-@click.option("--seed", type=int, default=42, show_default=True)
-@click.option("--cache-dir", type=click.Path(), default=None)
-@_with_common
-def report(input_path, degree, p_list, epsilon, error_target, t_grid, seed,
-           cache_dir, input_format, output_path, output_format):
+@_options("degree", "p", "epsilon", "error_target", "t_grid", "seed", "cache_dir", *_OUTPUT)
+def report(**options):
     """Aggregate report: spectrum, interval, decomposition, and all checks."""
-    try:
-        config = RunConfig(
-            input_path=input_path,
-            input_format=input_format,
-            degree=degree,
-            p_list=tuple(p_list),
-            epsilon=epsilon,
-            error_target=error_target,
-            t_grid=tuple(float(tok) for tok in t_grid.split(",")),
-            seed=seed,
-            cache_dir=cache_dir,
-        )
-        payload, code = run_pipeline(config)
-    except (ValueError, OSError) as exc:
-        _fail_input(exc)
-    _emit(payload, output_path, output_format)
-    if code != 0:
-        failed = [c["name"] for c in payload["checks"] if not c["passed"]]
-        click.echo("invariant violated: " + ", ".join(failed), err=True)
-        sys.exit(code)
+    _run(_report_payload, **options)
 
 
 if __name__ == "__main__":

@@ -296,7 +296,7 @@ def lp_norm(K: SimplicialComplex, omega: Cochain, p) -> float:
     p = float(p)
     if math.isinf(p):
         return float(np.max(np.abs(omega.values))) if omega.values.size else 0.0
-    if p < 1:
+    if not p >= 1:
         raise ValueError(f"p must satisfy p >= 1, got {p}")
     w = K.weight_vector(omega.degree)
     return float(np.sum(w * np.abs(omega.values) ** p) ** (1.0 / p))

@@ -10,6 +10,7 @@ Gamma(1/2)), by Gauss-Legendre quadrature of the spectral heat sum after
 the substitution t = u^2 removes the integrable singularity at t = 0.
 """
 
+import itertools
 import math
 from dataclasses import dataclass, replace
 
@@ -287,15 +288,14 @@ def decompose(K: SimplicialComplex, ell: int, omega: Cochain, p_list=(),
         omega2 = Cochain(ell + 1, coboundary(K, ell).entries @ g)
         coexact = codifferential(K, ell + 1).entries @ omega2.values
 
-    norm = _w2norm(K, ell, v)
-    scale = max(norm, 1e-300)
-    residual = _w2norm(K, ell, v - exact - coexact - h) / scale
+    scale = max(s.norm2(v), 1e-300)
+    residual = s.norm2(v - exact - coexact - h) / scale
 
-    h_norm = _w2norm(K, ell, h)
+    h_norm = s.norm2(h)
     if h_norm == 0.0:
         harmonic_defect = 0.0
     else:
-        harmonic_defect = _w2norm(K, ell, s.apply_function(lambda lam: lam, h)) / h_norm
+        harmonic_defect = s.norm2(s.apply_function(lambda lam: lam, h)) / h_norm
 
     parts = {
         "exact": Cochain(ell, exact),
@@ -303,8 +303,8 @@ def decompose(K: SimplicialComplex, ell: int, omega: Cochain, p_list=(),
         "harmonic": Cochain(ell, h),
     }
     ortho = {}
-    for (na, a), (nb, b) in _component_pairs(parts):
-        denom = max(_w2norm(K, ell, a.values) * _w2norm(K, ell, b.values), 1e-300)
+    for (na, a), (nb, b) in itertools.combinations(parts.items(), 2):
+        denom = max(s.norm2(a.values) * s.norm2(b.values), 1e-300)
         ortho[f"{na}|{nb}"] = abs(inner_product(K, a, b)) / denom
 
     component_norms = {}
@@ -340,13 +340,6 @@ def decompose(K: SimplicialComplex, ell: int, omega: Cochain, p_list=(),
     )
 
 
-def _component_pairs(parts: dict):
-    names = list(parts)
-    for i, na in enumerate(names):
-        for nb in names[i + 1:]:
-            yield (na, parts[na]), (nb, parts[nb])
-
-
 @dataclass
 class HarmonicRepresentative:
     cochain: Cochain
@@ -364,19 +357,18 @@ def harmonic_representative(K: SimplicialComplex, ell: int, omega: Cochain,
     cohomology-class argument, reproduced numerically).
     """
     K.check_cochain(omega)
-    norm = _w2norm(K, ell, omega.values)
+    s = spectral if spectral is not None else laplacian_spectrum(K, ell)
+    norm = s.norm2(omega.values)
     if ell < K.max_degree and norm > 0:
-        d_norm = _w2norm(K, ell + 1, coboundary(K, ell).entries @ omega.values)
+        d_norm = lp_norm(K, Cochain(ell + 1, coboundary(K, ell).entries @ omega.values), 2)
         if d_norm > tol * norm:
             raise ValueError(
                 f"input is not closed: |d omega| = {d_norm:g} exceeds {tol:g} * |omega|"
             )
-    dec = decompose(K, ell, omega, spectral=spectral)
+    dec = decompose(K, ell, omega, spectral=s)
     scale = max(norm, 1e-300)
-    coexact_rel = _w2norm(K, ell, dec.coexact_part.values) / scale
-    exactness = _w2norm(
-        K, ell, omega.values - dec.omega3.values - dec.exact_part.values
-    ) / scale
+    coexact_rel = s.norm2(dec.coexact_part.values) / scale
+    exactness = s.norm2(omega.values - dec.omega3.values - dec.exact_part.values) / scale
     return HarmonicRepresentative(dec.omega3, exactness, coexact_rel)
 
 
@@ -424,20 +416,18 @@ def verify_uniqueness(K: SimplicialComplex, ell: int, omega: Cochain,
         g_b = res.cochain.values
         quad_cert = res.to_json_dict()
 
-    scale = max(_w2norm(K, ell, v), 1e-300)
-    diffs = {"harmonic": _w2norm(K, ell, a.omega3.values - h_b) / scale}
+    scale = max(s.norm2(v), 1e-300)
+    diffs = {"harmonic": s.norm2(a.omega3.values - h_b) / scale}
     if ell >= 1:
         o1_b = codifferential(K, ell).entries @ g_b
-        diffs["omega1"] = _w2norm(K, ell - 1, a.omega1.values - o1_b) / scale
-        diffs["exact"] = _w2norm(
-            K, ell, a.exact_part.values - coboundary(K, ell - 1).entries @ o1_b
-        ) / scale
+        diffs["omega1"] = lp_norm(K, Cochain(ell - 1, a.omega1.values - o1_b), 2) / scale
+        diffs["exact"] = s.norm2(
+            a.exact_part.values - coboundary(K, ell - 1).entries @ o1_b) / scale
     if ell < K.max_degree:
         o2_b = coboundary(K, ell).entries @ g_b
-        diffs["omega2"] = _w2norm(K, ell + 1, a.omega2.values - o2_b) / scale
-        diffs["coexact"] = _w2norm(
-            K, ell, a.coexact_part.values - codifferential(K, ell + 1).entries @ o2_b
-        ) / scale
+        diffs["omega2"] = lp_norm(K, Cochain(ell + 1, a.omega2.values - o2_b), 2) / scale
+        diffs["coexact"] = s.norm2(
+            a.coexact_part.values - codifferential(K, ell + 1).entries @ o2_b) / scale
 
     max_diff = max(diffs.values())
 
@@ -524,7 +514,7 @@ def riesz_transform_norms(K: SimplicialComplex, ell: int, p_list,
     rows = [{"operator": name, "p": p, "lower": b[i][0], "upper": b[i][1]}
             for i, p in enumerate(ps) for name, b in brackets.items()]
 
-    lap = s.laplacian_matrix()
+    lap = hodge_laplacian(K, ell).entries
     if ell >= 1:
         d_delta = coboundary(K, ell - 1).entries @ codifferential(K, ell).entries
     else:
@@ -541,7 +531,3 @@ def riesz_transform_norms(K: SimplicialComplex, ell: int, p_list,
         np.linalg.norm(d_delta @ green + delta_d @ green - one_minus_h, 2)
     )
     return RieszTransformReport(rows, commutation, factorization, resolution)
-
-
-def _w2norm(K: SimplicialComplex, ell: int, values: np.ndarray) -> float:
-    return float(np.sqrt(np.sum(K.weight_vector(ell) * values * values)))

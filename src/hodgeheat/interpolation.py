@@ -218,8 +218,9 @@ def measure_alpha(K: SimplicialComplex, ell: int, t_grid,
     ``complement`` is set) on the grid and fits log-norm against t.
     """
     t = np.asarray(t_grid, dtype=float)
-    if t.size < 3 or np.any(t <= 0) or np.any(np.diff(t) <= 0):
-        raise ValueError("degenerate grid: need >= 3 positive increasing times")
+    if t.size < 3 or not np.all(np.isfinite(t) & (t > 0)) or np.any(np.diff(t) <= 0):
+        raise ValueError(f"degenerate t_grid {tuple(map(float, t))}: "
+                         "need >= 3 finite, positive, increasing times")
     s = spectral if spectral is not None else laplacian_spectrum(K, ell)
     w = s.weights
     norms = []
@@ -536,13 +537,6 @@ class InterpolationReport:
             "t0": self.t0,
             "levelset_condition": self.levelset_condition,
         }
-
-    def to_csv_rows(self):
-        gamma = dict(self.gamma_of_p)
-        rows = [("p", "lower", "upper", "gamma")]
-        for row in self.profile:
-            rows.append((row["p"], row["lower"], row["upper"], gamma.get(row["p"], "")))
-        return rows
 
 
 _DEFAULT_T_GRID = (0.25, 0.5, 1.0, 2.0, 4.0)

@@ -58,26 +58,31 @@ def parse_json_complex(text: str) -> ParsedInput:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ValueError(f"invalid JSON: {exc}") from None
-    if not isinstance(doc, dict) or "simplices" not in doc:
+    if not isinstance(doc, dict) or not isinstance(doc.get("simplices"), dict):
         raise ValueError("JSON complex needs a 'simplices' mapping")
 
     spec = {}
     listing: dict[int, list[tuple[int, ...]]] = {}
     for key, simplices in doc["simplices"].items():
         ell = int(key)
+        for i, simplex in enumerate(_json_list(simplices, list, f"simplices[{key!r}]")):
+            _json_list(simplex, int, f"simplices[{key!r}][{i}]")
         spec[ell] = [tuple(s) for s in simplices]
         listing[ell] = [tuple(sorted(s)) for s in simplices]
     if "weights" in doc:
+        for key, weights in _json_value(doc["weights"], dict, "'weights'").items():
+            _json_list(weights, (int, float), f"weights[{key!r}]")
         spec["weights"] = doc["weights"]
     if "weights_default" in doc:
-        spec["weights_default"] = doc["weights_default"]
+        spec["weights_default"] = _json_value(doc["weights_default"], (int, float),
+                                              "'weights_default'")
     K = build_complex(spec)
 
     cochain = None
     if "cochain" in doc:
-        c = doc["cochain"]
-        ell = int(c["degree"])
-        values = [float(x) for x in c["values"]]
+        c = _json_value(doc["cochain"], dict, "'cochain'")
+        ell = _json_value(c.get("degree"), int, "cochain degree")
+        values = [float(x) for x in _json_list(c.get("values"), (int, float), "cochain values")]
         order = listing.get(ell, [])
         if len(values) != len(order) or K.n_simplices(ell) != len(order):
             raise ValueError(
@@ -91,6 +96,22 @@ def parse_json_complex(text: str) -> ParsedInput:
         cochain = Cochain(ell, arranged)
         K.check_cochain(cochain)
     return ParsedInput(K, cochain, [])
+
+
+_KINDS = {dict: "a mapping", list: "a list", int: "an integer", (int, float): "a number"}
+
+
+def _json_value(x, kind, where: str):
+    """``x`` if it is of ``kind`` (a bool is no number), else a ValueError naming ``where``."""
+    if isinstance(x, bool) or not isinstance(x, kind):
+        raise ValueError(f"{where} must be {_KINDS[kind]}, got {x!r:.40}")
+    return x
+
+
+def _json_list(value, kind, where: str) -> list:
+    """``value`` if it is a list of ``kind`` entries; the error names the first bad one."""
+    return [_json_value(x, kind, f"{where}[{i}]")
+            for i, x in enumerate(_json_value(value, list, where))]
 
 
 def parse_off(text: str) -> ParsedInput:

@@ -73,9 +73,6 @@ class SpectralData:
         V = self.eigencochains
         return (V * func(self.eigenvalues)[None, :]) @ (V.T * self.weights[None, :])
 
-    def laplacian_matrix(self) -> np.ndarray:
-        return self.function_matrix(lambda lam: lam)
-
     def norm2(self, values: np.ndarray) -> float:
         return float(np.sqrt(np.sum(self.weights * values * values)))
 

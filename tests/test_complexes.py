@@ -204,8 +204,9 @@ class TestLpNorm:
         assert lp_norm(K, Cochain(0, [1.0, 1.0]), 1) == pytest.approx(3.0, abs=1e-14)
 
     def test_p_below_one_rejected(self):
-        with pytest.raises(ValueError):
-            lp_norm(lib.interval(), Cochain(0, [1.0, 2.0]), 0.5)
+        for p in (0.5, math.nan):
+            with pytest.raises(ValueError, match="p >= 1"):
+                lp_norm(lib.interval(), Cochain(0, [1.0, 2.0]), p)
 
     @given(
         st.lists(st.floats(-10, 10), min_size=4, max_size=4),

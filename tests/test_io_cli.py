@@ -228,6 +228,20 @@ class TestPipelineAndReports:
         assert "eigenvalue" in cpath.read_text()
 
 
+# name -> (document, the part of it that the error message names)
+_MALFORMED_JSON = {
+    "simplices_not_a_mapping": ('{"simplices": [[0]]}', "'simplices' mapping"),
+    "simplex_not_a_list": ('{"simplices": {"0": [0]}}', "simplices['0'][0]"),
+    "cochain_without_degree":
+        ('{"simplices": {"1": [[0, 1]]}, "cochain": {"values": [1.0]}}', "cochain degree"),
+    "cochain_value_not_a_number":
+        ('{"simplices": {"1": [[0, 1]]}, "cochain": {"degree": 1, "values": [{"a": 1}]}}',
+         "cochain values[0]"),
+    "weights_not_a_mapping": ('{"simplices": {"1": [[0, 1]]}, "weights": [1]}', "'weights'"),
+    "vertex_id_not_an_integer": ('{"simplices": {"1": [[0, 1.5]]}}', "simplices['1'][0][1]"),
+}
+
+
 class TestCli:
     def test_build_summary(self, tmp_path):
         runner = CliRunner()
@@ -286,15 +300,19 @@ class TestCli:
         ])
         assert result.exit_code == 0
         payload = json.loads(result.output)
-        assert payload["residual"] <= 1e-8
+        assert payload["decomposition"]["residual"] <= 1e-8
+        assert [c["name"] for c in payload["checks"] if c["passed"]] == [
+            "decomposition_residual", "harmonic_component_defect", "component_orthogonality"]
 
     def test_interp_csv(self, tmp_path):
         runner = CliRunner()
-        result = runner.invoke(main, [
-            "interp", _c3_json(tmp_path), "--degree", "0", "--output-format", "csv",
-        ])
+        args = ["interp", _c3_json(tmp_path), "--degree", "0"]
+        result = runner.invoke(main, args + ["--output-format", "csv"])
         assert result.exit_code == 0
-        assert result.output.startswith("p,lower,upper,gamma")
+        profile = json.loads(runner.invoke(main, args).output)["interval"]["profile"]
+        assert _csv_tables(result.output)["gamma"] == [
+            ["p", "lower", "upper", "gamma"],
+            *([str(row[k]) for k in ("p", "lower", "upper", "gamma")] for row in profile)]
 
     def test_verify_passes(self, tmp_path):
         runner = CliRunner()
@@ -351,6 +369,105 @@ class TestCli:
         assert result.exit_code == 0
         assert json.loads(result.output)["counts"] == [4, 6, 4]
 
+    @pytest.mark.parametrize("name", list(_MALFORMED_JSON))
+    def test_build_rejects_malformed_json(self, tmp_path, name):
+        path = tmp_path / f"{name}.json"
+        text, part = _MALFORMED_JSON[name]
+        path.write_text(text)
+        result = CliRunner().invoke(main, ["build", str(path)])
+        assert result.exit_code == 2, result.output
+        assert isinstance(result.exception, SystemExit)
+        assert result.stderr.startswith("input error: ") and part in result.stderr
+        assert "Traceback" not in result.output
+
+    @pytest.mark.parametrize("command, grid", [("report", "nan,1,2"), ("interp", "1,2,inf")])
+    def test_nonfinite_t_grid_is_input_error(self, tmp_path, command, grid):
+        # A subprocess, so that LAPACK's own stderr lines would be seen too.
+        proc = subprocess.run(
+            [sys.executable, "-m", "hodgeheat.cli", command, _c3_json(tmp_path),
+             "--t-grid", grid], env=child_env("1"), capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 2, proc.stderr
+        assert proc.stderr.startswith("input error: degenerate t_grid")
+        assert "DLASCL" not in proc.stderr
+
+    @pytest.mark.parametrize("command", ["decompose", "report"])
+    def test_nan_p_is_input_error(self, tmp_path, command):
+        result = CliRunner().invoke(main, [command, _c3_json(tmp_path), "--p", "nan"])
+        assert result.exit_code == 2, result.output
+        assert result.stderr == "input error: p = nan outside [1, inf]\n"
+
+
+def _csv_tables(text):
+    """CSV text split into its ``# name`` tables: name -> rows, header first."""
+    tables = {}
+    for line in text.splitlines():
+        if line.startswith("# "):
+            rows = tables.setdefault(line[2:], [])
+        else:
+            rows.append(line.split(","))
+    return tables
+
+
+class TestSubcommandsAreReportSlices:
+    """Every subcommand prints sections of the report, under the report's keys."""
+
+    @pytest.fixture
+    def complex_path(self, tmp_path):
+        path = tmp_path / "random101.json"
+        path.write_text(json.dumps(complex_to_json_dict(lib.random_two_complex(101))))
+        return str(path)
+
+    def test_each_subcommand_equals_its_report_sections(self, complex_path):
+        def run(*args):
+            result = CliRunner().invoke(main, [*args, complex_path, "--degree", "1"])
+            assert result.exit_code == 0, result.output
+            return json.loads(result.stdout)
+
+        report = run("report", "--p", "2", "--seed", "7")
+        checks = {c["name"]: c for c in report["checks"]}
+        slices = [run("spectrum"), run("decompose", "--p", "2", "--seed", "7"),
+                  run("interp", "--seed", "7"), run("verify", "--seed", "7")]
+        assert [sorted(payload) for payload in slices] == [
+            ["spectrum"], ["checks", "decomposition"], ["interval"],
+            ["checks", "dimension_consistency", "uniqueness"]]
+        for payload in slices:
+            for key, section in payload.items():
+                if key == "checks":
+                    assert section == [checks[c["name"]] for c in section]
+                else:
+                    assert section == report[key], key
+        assert [c["name"] for c in slices[3]["checks"]] == [
+            "kernel_dim_equals_betti", "uniqueness_dual_route",
+            "uniqueness_kernel_perturbation", "dimension_consistency"]
+
+    @pytest.mark.parametrize("command, table", [
+        ("spectrum", "spectrum"), ("decompose", "norms"), ("interp", "gamma")])
+    def test_csv_holds_data_rows(self, complex_path, command, table):
+        result = CliRunner().invoke(main, [command, complex_path, "--output-format", "csv"])
+        assert result.exit_code == 0, result.output
+        assert len(_csv_tables(result.stdout)[table]) > 1
+
+    @pytest.mark.parametrize("command, stage, check", [
+        ("decompose", "_decomposition_stage", "decomposition_residual"),
+        ("verify", "_uniqueness_stage", "uniqueness_dual_route"),
+        ("report", "_dimension_stage", "kernel_dim_equals_betti"),
+    ])
+    def test_failed_check_exits_1_after_the_payload(self, complex_path, monkeypatch,
+                                                     command, stage, check):
+        original = getattr(hodgeheat.cli, stage)
+
+        def failing(*args):
+            section, checks = original(*args)
+            return section, [dict(c, passed=c["passed"] and c["name"] != check)
+                             for c in checks]
+
+        monkeypatch.setattr(hodgeheat.cli, stage, failing)
+        result = CliRunner().invoke(main, [command, complex_path])
+        assert result.exit_code == 1, result.output
+        assert result.stderr == f"invariant violated: {check}\n"
+        payload = json.loads(result.stdout)
+        assert [c["name"] for c in payload["checks"] if not c["passed"]] == [check]
+
 
 def _c3_with_cochain(tmp_path):
     doc = complex_to_json_dict(lib.cycle_complex(3))
@@ -398,7 +515,7 @@ class TestFileCochainOfOtherDegree:
         result = CliRunner().invoke(main, ["decompose", _c3_with_cochain(tmp_path),
                                            "--degree", "1", "--p", "2"])
         assert result.exit_code == 0
-        parts = json.loads(result.stdout)
+        parts = json.loads(result.stdout)["decomposition"]
         total = np.add.reduce([parts[k] for k in ("exact_part", "coexact_part", "omega3")])
         assert np.allclose(total, [0.5, -1.0, 2.0], atol=1e-12)
 
