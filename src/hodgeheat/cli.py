@@ -51,6 +51,8 @@ class RunConfig:
                 raise ValueError(f"p = {p} outside [1, inf]")
         if not 0 < self.error_target <= 1e-2:
             raise ValueError("error_target must lie in (0, 1e-2]")
+        if self.epsilon is not None and not 0 <= self.epsilon < math.inf:
+            raise ValueError(f"epsilon = {self.epsilon} is not a finite number >= 0")
 
     def to_json_dict(self):
         """Every field; the report's ``config`` section."""

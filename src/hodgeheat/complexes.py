@@ -15,6 +15,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy import sparse
 
 # Relative threshold separating exact-zero homology from double-precision
 # noise.  Single source of truth for "harmonic" across the package.
@@ -234,15 +235,55 @@ def coboundary(K: SimplicialComplex, ell: int) -> OperatorMatrix:
     The entry for an (ell+1)-simplex and its i-th face (the sorted simplex
     with the i-th vertex removed) is (-1)^i; all other entries vanish.
     """
+    rows, cols, signs = _incidence(K, ell)
+    D = np.zeros((K.n_simplices(ell + 1), K.n_simplices(ell)))
+    D[rows, cols] = signs
+    return OperatorMatrix(D, domain_degree=ell, codomain_degree=ell + 1)
+
+
+def _incidence(K: SimplicialComplex, ell: int):
+    """Nonzeros (rows, cols, signs) of d_ell, face by face.
+
+    Each simplex is encoded as the base-``vertex_count`` integer of its
+    vertex ranks; lexicographic order of the simplices is numeric order of
+    the keys, so one ``np.searchsorted`` per face position finds the face
+    columns.
+    """
     if not 0 <= ell < K.max_degree:
         raise ValueError(f"coboundary degree {ell} out of range [0, {K.max_degree - 1}]")
-    lo, hi = K.simplices[ell], K.simplices[ell + 1]
-    D = np.zeros((len(hi), len(lo)))
-    for row, s in enumerate(hi):
-        for i in range(len(s)):
-            face = s[:i] + s[i + 1:]
-            D[row, K.index_of(ell, face)] = -1.0 if i % 2 else 1.0
-    return OperatorMatrix(D, domain_degree=ell, codomain_degree=ell + 1)
+    nv = K.vertex_count
+    if nv ** (ell + 2) > np.iinfo(np.int64).max:
+        raise ValueError(f"{nv} vertices overflow the int64 keys of degree-{ell + 1} simplices")
+    ids = np.array(K.simplices[0], dtype=np.int64).ravel()
+
+    def ranks(k):
+        raw = np.array(K.simplices[k], dtype=np.int64).reshape(-1, k + 1)
+        out = np.minimum(np.searchsorted(ids, raw), nv - 1)
+        if not np.array_equal(ids[out], raw):
+            raise ValueError(f"a degree-{k} simplex has a vertex missing from degree 0")
+        return out
+
+    lo, hi = ranks(ell), ranks(ell + 1)
+    place = nv ** np.arange(ell, -1, -1, dtype=np.int64)
+    lo_keys = lo @ place
+    rows = np.tile(np.arange(len(hi)), ell + 2)
+    face_keys = np.concatenate([np.delete(hi, i, axis=1) @ place for i in range(ell + 2)])
+    cols = np.searchsorted(lo_keys, face_keys)
+    # Keys are >= 0, so a face past the last key meets the -1 and fails.
+    if not np.array_equal(np.append(lo_keys, -1)[cols], face_keys):
+        raise ValueError(f"a degree-{ell + 1} simplex has a face missing from degree {ell}")
+    signs = np.repeat((-1.0) ** np.arange(ell + 2), len(hi))
+    return rows, cols, signs
+
+
+def _sparse_coboundary_pair(K: SimplicialComplex, ell: int):
+    """d_ell and its weighted adjoint delta_(ell+1), as CSR matrices."""
+    rows, cols, signs = _incidence(K, ell)
+    shape = (K.n_simplices(ell + 1), K.n_simplices(ell))
+    d = sparse.csr_array((signs, (rows, cols)), shape=shape)
+    # The entries of weighted_adjoint, in the same floating-point operations.
+    adjoint = signs * K.weight_vector(ell + 1)[rows] / K.weight_vector(ell)[cols]
+    return d, sparse.csr_array((adjoint, (cols, rows)), shape=shape[::-1])
 
 
 def codifferential(K: SimplicialComplex, ell: int) -> OperatorMatrix:
@@ -258,14 +299,21 @@ def codifferential(K: SimplicialComplex, ell: int) -> OperatorMatrix:
 
 
 def hodge_laplacian(K: SimplicialComplex, ell: int) -> OperatorMatrix:
-    """Hodge Laplacian d delta + delta d on degree ell (boundary terms dropped)."""
+    """Hodge Laplacian d delta + delta d on degree ell (boundary terms dropped).
+
+    Both products are taken between sparse incidence matrices; the sum is
+    made dense once.
+    """
     K._check_degree(ell)
     n = K.n_simplices(ell)
-    A = np.zeros((n, n))
+    A = sparse.csr_array((n, n))
     if ell >= 1:
-        A += coboundary(K, ell - 1).entries @ codifferential(K, ell).entries
+        d, delta = _sparse_coboundary_pair(K, ell - 1)
+        A = A + d @ delta
     if ell < K.max_degree:
-        A += codifferential(K, ell + 1).entries @ coboundary(K, ell).entries
+        d, delta = _sparse_coboundary_pair(K, ell)
+        A = A + delta @ d
+    A = A.toarray()
     w = K.weight_vector(ell)
     if not is_weighted_self_adjoint(A, w):
         raise AssertionError("assembled Laplacian is not W-self-adjoint")

@@ -151,15 +151,17 @@ def opnorm_bracket(T, p, w_dom=None, w_cod=None, iters: int = 64,
     return _brackets(T, (p,), w_dom, w_cod, iters, seed)[0]
 
 
-def _brackets(T, p_grid, w_dom, w_cod, iters: int, seed: int) -> list[tuple[float, float]]:
+def _brackets(T, p_grid, w_dom, w_cod, iters: int, seed: int,
+              norm2: float | None = None) -> list[tuple[float, float]]:
     """``opnorm_bracket`` of one matrix at every p of the grid.
 
-    Each exact endpoint (1, 2, inf) is computed at most once, and the SVD
-    behind the 2-norm only when some p needs it.
+    Each exact endpoint (1, 2, inf) is computed at most once.  A caller
+    that knows the 2-norm in closed form passes it as ``norm2``; otherwise
+    the SVD behind it runs only when some p needs it.
     """
     A = _entries(T)
     w_dom, w_cod = _weight_pair(A, w_dom, w_cod)
-    exact = {}
+    exact = {} if norm2 is None else {2.0: norm2}
 
     def endpoint(q):
         if q not in exact:
@@ -288,10 +290,15 @@ def decay_rate(alpha, tau, p):
 def projector_norm_profile(K: SimplicialComplex, ell: int, p_grid,
                            spectral: SpectralData | None = None,
                            iters: int = 64, seed: int = 0) -> list[dict]:
-    """Brackets on the p->p norms of the harmonic projector."""
+    """Brackets on the p->p norms of the harmonic projector.
+
+    H is a W-orthogonal projector, so its 2->2 norm is exactly 1 when the
+    kernel is nonzero and 0 otherwise; no SVD is needed for it.
+    """
     s = spectral if spectral is not None else laplacian_spectrum(K, ell)
     ps = [float(p) for p in p_grid]
-    brackets = _brackets(harmonic_projector(s).entries, ps, s.weights, s.weights, iters, seed)
+    brackets = _brackets(harmonic_projector(s).entries, ps, s.weights, s.weights, iters, seed,
+                         norm2=1.0 if s.kernel_dim else 0.0)
     return [{"p": p, "lower": lo, "upper": hi} for p, (lo, hi) in zip(ps, brackets)]
 
 
@@ -325,32 +332,45 @@ class KernelDecayFit:
     bins: list  # (distance, max |entry|) over the whole complex
 
 
+def _simplex_distances(K: SimplicialComplex, ell: int):
+    """(labels, hops, key) shared by the kernel-decay and volume fits.
+
+    ``labels`` and ``hops`` are the vertex components and hop distances of
+    ``_hop_distances``.  ``key[i, j]`` is the distance between ell-simplices
+    i and j, the smallest hop distance between their vertex sets (the
+    vertex count nv across components), offset by (nv + 1) times the
+    component of i, so one reduction bins every block.
+    """
+    ids, labels, hops = _hop_distances(K)
+    nv = ids.size
+    n = K.n_simplices(ell)
+    verts = np.searchsorted(ids, np.array(K.simplices[ell], dtype=int).reshape(n, ell + 1))
+    key = np.full((n, n), nv, dtype=np.intp)
+    for a in range(ell + 1):
+        for b in range(ell + 1):
+            np.minimum(key, hops[np.ix_(verts[:, a], verts[:, b])], out=key)
+    key += (nv + 1) * labels[verts[:, 0], None].astype(np.intp)
+    return labels, hops, key
+
+
 def kernel_decay_fit(K: SimplicialComplex, ell: int, t0: float,
-                     spectral: SpectralData | None = None) -> KernelDecayFit:
+                     spectral: SpectralData | None = None, *,
+                     distances=None) -> KernelDecayFit:
     """Fit exp(-2 rho / t0 * distance) to the entries of Laplacian P_(t0/4).
 
     Distance between two ell-simplices is the smallest 1-skeleton hop
     distance between their vertex sets.  Disconnected complexes are fitted
     per component (entries across components vanish identically); the
-    reported rho is the most conservative component value.
+    reported rho is the most conservative component value.  ``distances``
+    is ``_simplex_distances(K, ell)``, computed here when omitted.
     """
     if t0 <= 0:
         raise ValueError("t0 must be positive")
     s = spectral if spectral is not None else laplacian_spectrum(K, ell)
     mag = np.abs(s.function_matrix(lambda lam: lam * np.exp(-lam * t0 / 4.0)))
 
-    ids, labels, hops = _hop_distances(K)
-    nv = ids.size
-    n = K.n_simplices(ell)
-    verts = np.searchsorted(ids, np.array(K.simplices[ell], dtype=int).reshape(n, ell + 1))
-    # Simplex distance: the smallest hop distance between the vertex sets,
-    # nv across components.  Offsetting each row by its component turns it
-    # into a (component, distance) key, so one reduction bins every block.
-    key = np.full((n, n), nv, dtype=np.intp)
-    for a in range(ell + 1):
-        for b in range(ell + 1):
-            np.minimum(key, hops[np.ix_(verts[:, a], verts[:, b])], out=key)
-    key += (nv + 1) * labels[verts[:, 0], None].astype(np.intp)
+    labels, hops, key = distances if distances is not None else _simplex_distances(K, ell)
+    nv = hops.shape[0]
     table = np.full((labels.max() + 1, nv + 1), -1.0)  # -1: the distance does not occur
     np.maximum.at(table.reshape(-1), key.ravel(), mag.ravel())
     table = table[:, :nv]
@@ -389,15 +409,16 @@ class VolumeGrowthFit:
     max_radius: int
 
 
-def volume_growth_fit(K: SimplicialComplex) -> VolumeGrowthFit:
+def volume_growth_fit(K: SimplicialComplex, *, distances=None) -> VolumeGrowthFit:
     """Exponential envelope of vertex-ball volumes in the 1-skeleton.
 
     Ball volume is the sum of vertex weights within 1-skeleton hop
-    distance r, the hop distances coming from one shortest-path pass.  The
+    distance r, the hop distances coming from one shortest-path pass (or
+    from ``distances``, a ``_simplex_distances`` result of K).  The
     constant c is pinned to the largest r = 0 ball, and gamma_vol is the
     smallest rate whose envelope dominates every center and radius.
     """
-    _, labels, hops = _hop_distances(K)
+    labels, hops = distances[:2] if distances is not None else _hop_distances(K)[1:]
     w0 = K.weight_vector(0)
     c = float(np.max(w0))
     gamma = 0.0
@@ -552,6 +573,8 @@ def interpolation_report(K: SimplicialComplex, ell: int, epsilon: float | None =
     epsilon defaults to tau/20.  When the whole degree is harmonic (gap
     +inf) the interval degenerates to (1, inf) and gamma(p) to +inf.
     """
+    if epsilon is not None and not 0 <= epsilon < math.inf:
+        raise ValueError(f"epsilon = {epsilon} is not a finite number >= 0")
     s = spectral if spectral is not None else laplacian_spectrum(K, ell)
     fit = measure_alpha(K, ell, t_grid, spectral=s)
 
@@ -575,12 +598,13 @@ def interpolation_report(K: SimplicialComplex, ell: int, epsilon: float | None =
     for row, (_, g) in zip(profile, gammas):
         row["gamma"] = g
 
-    vol = volume_growth_fit(K)
-    provisional = kernel_decay_fit(K, ell, 1.0, spectral=s)
+    distances = _simplex_distances(K, ell)
+    vol = volume_growth_fit(K, distances=distances)
+    provisional = kernel_decay_fit(K, ell, 1.0, spectral=s, distances=distances)
     rho = t0 = condition = None
     if not provisional.degenerate and provisional.rho > 0:
         t0_sel = select_t0(provisional.rho, vol.gamma_vol)
-        refit = kernel_decay_fit(K, ell, t0_sel, spectral=s)
+        refit = kernel_decay_fit(K, ell, t0_sel, spectral=s, distances=distances)
         if not refit.degenerate and refit.rho > 0:
             rho = refit.rho
             t0 = select_t0(rho, vol.gamma_vol)

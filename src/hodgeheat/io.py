@@ -64,7 +64,11 @@ def parse_json_complex(text: str) -> ParsedInput:
     spec = {}
     listing: dict[int, list[tuple[int, ...]]] = {}
     for key, simplices in doc["simplices"].items():
+        if not key.isdecimal():
+            raise ValueError(f"simplices[{key!r}]: degree keys are non-negative integers")
         ell = int(key)
+        if ell in spec:
+            raise ValueError(f"simplices[{key!r}]: degree {ell} is listed twice")
         for i, simplex in enumerate(_json_list(simplices, list, f"simplices[{key!r}]")):
             _json_list(simplex, int, f"simplices[{key!r}][{i}]")
         spec[ell] = [tuple(s) for s in simplices]

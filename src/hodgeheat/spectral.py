@@ -326,9 +326,9 @@ def heat_derivative(s: SpectralData, t: float, omega: Cochain) -> Cochain:
 
 
 def harmonic_projector(s: SpectralData) -> OperatorMatrix:
-    """W-orthogonal projector onto the kernel of the Laplacian."""
-    M = s.function_matrix(lambda lam: (lam == 0.0).astype(float))
-    return OperatorMatrix(M, s.degree, s.degree, symmetric=True)
+    """W-orthogonal projector V_k V_k^T W onto the kernel of the Laplacian."""
+    Vk = s.kernel_basis()
+    return OperatorMatrix(Vk @ (Vk.T * s.weights), s.degree, s.degree, symmetric=True)
 
 
 def harmonic_part(s: SpectralData, values: np.ndarray) -> np.ndarray:

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from conftest import CORPUS, CORPUS_IDS, NAMED, NAMED_IDS, all_degrees, spectrum_of
 from hodgeheat import (
     Cochain,
+    SimplicialComplex,
     betti_numbers,
     build_complex,
     coboundary,
@@ -110,6 +111,77 @@ class TestCoboundary:
     def test_degree_out_of_range(self):
         with pytest.raises(ValueError):
             coboundary(lib.interval(), 1)
+
+
+def _loop_coboundary(K, ell):
+    """Oracle: d_ell filled one simplex and one face at a time."""
+    lo, hi = K.simplices[ell], K.simplices[ell + 1]
+    D = np.zeros((len(hi), len(lo)))
+    for row, s in enumerate(hi):
+        for i in range(len(s)):
+            D[row, K.index_of(ell, s[:i] + s[i + 1:])] = -1.0 if i % 2 else 1.0
+    return D
+
+
+def _dense_laplacian(K, ell):
+    """Oracle: d delta + delta d as dense products of the loop coboundaries."""
+    def delta(k):
+        return weighted_adjoint(_loop_coboundary(K, k - 1), K.weight_vector(k - 1),
+                                K.weight_vector(k))
+    A = np.zeros((K.n_simplices(ell), K.n_simplices(ell)))
+    if ell >= 1:
+        A += _loop_coboundary(K, ell - 1) @ delta(ell)
+    if ell < K.max_degree:
+        A += delta(ell + 1) @ _loop_coboundary(K, ell)
+    return A
+
+
+def _log_uniform_weights(K, seed):
+    rng = np.random.default_rng(seed)
+    return SimplicialComplex(K.simplices,
+                             [np.exp(rng.uniform(-3.0, 3.0, len(level))) for level in K.simplices])
+
+
+class TestOperatorsAgainstLoopOracles:
+    @pytest.mark.parametrize("weighted", [False, True], ids=["plain", "weighted"])
+    @pytest.mark.parametrize("name,K", CORPUS, ids=CORPUS_IDS)
+    def test_coboundary_and_laplacian_equal_oracles(self, name, K, weighted):
+        if weighted:
+            K = _log_uniform_weights(K, 3)
+        for ell in all_degrees(K):
+            if ell < K.max_degree:
+                assert np.array_equal(coboundary(K, ell).entries, _loop_coboundary(K, ell))
+            assert np.array_equal(hodge_laplacian(K, ell).entries, _dense_laplacian(K, ell))
+
+    def test_non_contiguous_vertex_ids(self):
+        K = _log_uniform_weights(build_complex(
+            {"triangles": [(5, 17, 40), (5, 17, 1000), (5, 40, 1000), (17, 40, 1000)]}), 5)
+        for ell in range(K.max_degree):
+            d = coboundary(K, ell).entries
+            assert np.array_equal(d, _loop_coboundary(K, ell))
+            if ell + 1 < K.max_degree:
+                d_hi = coboundary(K, ell + 1).entries
+                assert np.array_equal(d_hi @ d, np.zeros((d_hi.shape[0], d.shape[1])))
+        for ell in all_degrees(K):
+            assert np.array_equal(hodge_laplacian(K, ell).entries, _dense_laplacian(K, ell))
+
+    def test_int64_key_overflow_rejected(self):
+        # 1000 vertices: 1000^6 keys still fit in int64, 1000^7 do not.
+        K = build_complex({"vertices": list(range(1000)), 6: [tuple(range(7))]})
+        assert np.array_equal(coboundary(K, 4).entries, _loop_coboundary(K, 4))
+        with pytest.raises(ValueError, match="int64"):
+            coboundary(K, 5)
+
+    def test_missing_face_rejected(self):
+        # Built without the face closure: vertex 3 and the edge (1, 2) are absent.
+        K = SimplicialComplex([[(0,), (1,), (2,), (5,)], [(0, 1), (0, 2), (0, 3)]],
+                              [[1.0] * 4, [1.0] * 3])
+        with pytest.raises(ValueError, match="vertex missing from degree 0"):
+            coboundary(K, 0)
+        K = SimplicialComplex([[(0,), (1,), (2,)], [(0, 1), (0, 2)], [(0, 1, 2)]],
+                              [[1.0] * 3, [1.0] * 2, [1.0]])
+        with pytest.raises(ValueError, match="face missing from degree 1"):
+            coboundary(K, 1)
 
 
 class TestCodifferential:

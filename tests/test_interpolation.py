@@ -1,5 +1,6 @@
 """Operator p-norms, rate measurement, and the exponent calculus."""
 
+import json
 import math
 from collections import deque
 from fractions import Fraction
@@ -39,7 +40,10 @@ from hodgeheat import (
     volume_growth_fit,
 )
 from hodgeheat import library as lib
+from hodgeheat.cli import RunConfig, run_pipeline
 from hodgeheat.complexes import weighted_adjoint
+from hodgeheat.interpolation import _opnorm2
+from hodgeheat.io import complex_to_json_dict
 
 
 class TestExactExtremes:
@@ -539,12 +543,14 @@ def _forbidden(*args, **kwargs):
 class TestBracketsShareEndpoints:
     GRID = (1.0, 1.25, 1.5, 2.0, 3.0, 4.0, math.inf)
 
-    def test_profile_runs_one_svd(self, monkeypatch):
+    def test_profile_runs_no_svd(self, monkeypatch):
+        # The projector's 2-norm is closed form: no _opnorm2, no SVD at all.
         K = lib.flat_torus(6, 6)
         s = spectrum_of("torus_6x6", K, 1)
         calls = count_calls(monkeypatch, "_opnorm2", hodgeheat.interpolation)
+        svds = count_calls(monkeypatch, "svd", np.linalg)
         projector_norm_profile(K, 1, (1.25, 1.5, 2.0, 3.0, 4.0), spectral=s)
-        assert len(calls) == 1
+        assert calls == [] and svds == []
 
     def test_riesz_runs_one_svd_per_operator(self, monkeypatch):
         K = lib.flat_torus(6, 6)
@@ -564,15 +570,37 @@ class TestBracketsShareEndpoints:
 
     @pytest.mark.parametrize("name, K", NAMED, ids=NAMED_IDS)
     def test_profile_rows_equal_per_p_brackets(self, name, K):
-        # Oracle: one opnorm_bracket call per p on the same projector.
+        # Oracle: one opnorm_bracket call per p on the same projector, with
+        # the closed-form 2-norm as the p = 2 row and interpolation endpoint.
         for ell in all_degrees(K):
             s = spectrum_of(name, K, ell)
-            H = harmonic_projector(s).entries
+            H, w = harmonic_projector(s).entries, s.weights
+            norm2 = 1.0 if s.kernel_dim else 0.0
             expected = []
             for p in self.GRID:
-                lo, hi = opnorm_bracket(H, p, s.weights, s.weights)
+                lo, hi = opnorm_bracket(H, p, w, w)
+                if p == 2.0:
+                    lo = hi = norm2
+                elif 1.0 < p < math.inf:
+                    if p < 2:
+                        ends = (opnorm_exact_extremes(H, 1, w, w), 1, norm2, 2, 2 - 2 / p)
+                    else:
+                        ends = (norm2, 2, opnorm_exact_extremes(H, math.inf, w, w), math.inf,
+                                1 - 2 / p)
+                    hi = riesz_thorin_bound(*ends)[1] if ends[0] and ends[2] else 0.0
                 expected.append({"p": p, "lower": lo, "upper": hi})
             assert projector_norm_profile(K, ell, self.GRID, spectral=s) == expected
+
+    @pytest.mark.parametrize("name, K", NAMED, ids=NAMED_IDS)
+    def test_projector_norm2_closed_form_matches_svd(self, name, K):
+        # H is a W-orthogonal projector: its 2-norm is 1 (0 on a trivial kernel).
+        for ell in all_degrees(K):
+            s = spectrum_of(name, K, ell)
+            closed = 1.0 if s.kernel_dim else 0.0
+            svd = _opnorm2(harmonic_projector(s).entries, s.weights, s.weights)
+            assert abs(svd - closed) <= 1e-12
+            row = projector_norm_profile(K, ell, (2.0,), spectral=s)[0]
+            assert row["lower"] == row["upper"] == closed
 
     @pytest.mark.parametrize("name, K", NAMED, ids=NAMED_IDS)
     def test_riesz_rows_equal_per_p_brackets(self, name, K):
@@ -615,6 +643,24 @@ class TestInterpolationReport:
         rep = interpolation_report(K, 0)
         assert math.isinf(rep.tau)
         assert rep.p1 == 1.0 and math.isinf(rep.p2)
+
+    @pytest.mark.parametrize("epsilon", [math.nan, -5.0, math.inf])
+    def test_bad_epsilon_rejected_on_all_harmonic_degree(self, epsilon):
+        K = build_complex({"vertices": [0, 1]})
+        with pytest.raises(ValueError, match="epsilon"):
+            interpolation_report(K, 0, epsilon=epsilon)
+
+    def test_pipeline_work_counts(self, tmp_path, monkeypatch):
+        # Every operator once: the only SVDs are the two Betti ranks, one
+        # eigh per degree, and one hop-distance pass for the whole report.
+        path = tmp_path / "torus.json"
+        path.write_text(json.dumps(complex_to_json_dict(lib.flat_torus(6, 6))))
+        svds = count_calls(monkeypatch, "svd", np.linalg)
+        eighs = count_calls(monkeypatch, "eigh", np.linalg)
+        hops = count_calls(monkeypatch, "_hop_distances", hodgeheat.interpolation)
+        report, code = run_pipeline(RunConfig(input_path=str(path), p_list=()))
+        assert code == 0 and report["ok"]
+        assert (len(svds), len(eighs), len(hops)) == (2, 3, 1)
 
 
 class TestConjugateExponent:

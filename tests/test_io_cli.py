@@ -239,6 +239,11 @@ _MALFORMED_JSON = {
          "cochain values[0]"),
     "weights_not_a_mapping": ('{"simplices": {"1": [[0, 1]]}, "weights": [1]}', "'weights'"),
     "vertex_id_not_an_integer": ('{"simplices": {"1": [[0, 1.5]]}}', "simplices['1'][0][1]"),
+    "degree_key_not_an_integer":
+        ('{"simplices": {"x": [[0]]}}', "simplices['x']: degree keys are non-negative integers"),
+    "degree_key_listed_twice":
+        ('{"simplices": {"1": [[0, 1]], "01": [[1, 2]]}}',
+         "simplices['01']: degree 1 is listed twice"),
 }
 
 
@@ -395,6 +400,19 @@ class TestCli:
         result = CliRunner().invoke(main, [command, _c3_json(tmp_path), "--p", "nan"])
         assert result.exit_code == 2, result.output
         assert result.stderr == "input error: p = nan outside [1, inf]\n"
+
+    @pytest.mark.parametrize("command", ["interp", "report"])
+    @pytest.mark.parametrize("epsilon", ["nan", "-5", "inf"])
+    def test_bad_epsilon_on_all_harmonic_degree_is_input_error(self, tmp_path, command,
+                                                               epsilon):
+        # Degree 0 of two isolated vertices has gap +inf, so no interval
+        # computation would see epsilon; the config check must.
+        path = tmp_path / "two.json"
+        path.write_text('{"simplices": {"0": [[0], [1]]}}')
+        result = CliRunner().invoke(main, [command, str(path), "--degree", "0",
+                                           "--epsilon", epsilon])
+        assert result.exit_code == 2, result.output
+        assert result.stderr.startswith(f"input error: epsilon = {float(epsilon)} ")
 
 
 def _csv_tables(text):
