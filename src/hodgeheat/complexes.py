@@ -254,16 +254,7 @@ def _incidence(K: SimplicialComplex, ell: int):
     nv = K.vertex_count
     if nv ** (ell + 2) > np.iinfo(np.int64).max:
         raise ValueError(f"{nv} vertices overflow the int64 keys of degree-{ell + 1} simplices")
-    ids = np.array(K.simplices[0], dtype=np.int64).ravel()
-
-    def ranks(k):
-        raw = np.array(K.simplices[k], dtype=np.int64).reshape(-1, k + 1)
-        out = np.minimum(np.searchsorted(ids, raw), nv - 1)
-        if not np.array_equal(ids[out], raw):
-            raise ValueError(f"a degree-{k} simplex has a vertex missing from degree 0")
-        return out
-
-    lo, hi = ranks(ell), ranks(ell + 1)
+    lo, hi = _vertex_ranks(K, ell), _vertex_ranks(K, ell + 1)
     place = nv ** np.arange(ell, -1, -1, dtype=np.int64)
     lo_keys = lo @ place
     rows = np.tile(np.arange(len(hi)), ell + 2)
@@ -274,6 +265,19 @@ def _incidence(K: SimplicialComplex, ell: int):
         raise ValueError(f"a degree-{ell + 1} simplex has a face missing from degree {ell}")
     signs = np.repeat((-1.0) ** np.arange(ell + 2), len(hi))
     return rows, cols, signs
+
+
+def _vertex_ranks(K: SimplicialComplex, k: int) -> np.ndarray:
+    """Rows of the vertices of every degree-k simplex among the sorted vertex ids.
+
+    Shape (n_k, k + 1).  A vertex missing from degree 0 raises ValueError.
+    """
+    ids = np.array(K.simplices[0], dtype=np.int64).ravel()
+    raw = np.array(K.simplices[k], dtype=np.int64).reshape(-1, k + 1)
+    out = np.minimum(np.searchsorted(ids, raw), ids.size - 1)
+    if not np.array_equal(ids[out], raw):
+        raise ValueError(f"a degree-{k} simplex has a vertex missing from degree 0")
+    return out
 
 
 def _sparse_coboundary_pair(K: SimplicialComplex, ell: int):
@@ -371,9 +375,16 @@ def betti_numbers(K: SimplicialComplex) -> list[int]:
 
 
 def _rank(A: np.ndarray) -> int:
+    """Number of singular values of A above RANK_TOL times the largest.
+
+    The singular values are taken from the square R factor (side
+    min(A.shape)) of a QR of A or A^T, whichever has more rows; they are
+    A's up to backward error, and the SVD of R costs less than A's own.
+    """
     if min(A.shape) == 0:
         return 0
-    sv = np.linalg.svd(A, compute_uv=False)
-    if sv.size == 0 or sv[0] == 0:
+    tall = A if A.shape[0] >= A.shape[1] else A.T
+    sv = np.linalg.svd(np.linalg.qr(tall, mode="r"), compute_uv=False)
+    if sv[0] == 0:
         return 0
     return int(np.count_nonzero(sv > RANK_TOL * sv[0]))

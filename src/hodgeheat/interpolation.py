@@ -21,12 +21,19 @@ from .complexes import (
     Cochain,
     OperatorMatrix,
     SimplicialComplex,
+    _vertex_ranks,
     betti_numbers,
     coboundary,
     codifferential,
     lp_norm,
 )
-from .spectral import SpectralData, harmonic_part, harmonic_projector, laplacian_spectrum
+from .spectral import (
+    _UNIT_ROUNDOFF,
+    SpectralData,
+    harmonic_part,
+    harmonic_projector,
+    laplacian_spectrum,
+)
 
 
 def conjugate_exponent(p):
@@ -306,12 +313,12 @@ def _hop_distances(K: SimplicialComplex):
     """Vertex ids, component labels and 1-skeleton hop distances.
 
     Rows follow the sorted vertex ids of ``K.simplices[0]``.  Vertices in different components are
-    at distance ``K.vertex_count``, one more than any path can have.
+    at distance ``K.vertex_count``, one more than any path can have.  An edge
+    with an endpoint that is not a vertex raises ValueError.
     """
     ids = np.array([v for (v,) in K.simplices[0]])
     n = ids.size
-    edges = np.searchsorted(ids, np.array(K.simplices[1] if K.max_degree >= 1 else (),
-                                          dtype=int).reshape(-1, 2))
+    edges = _vertex_ranks(K, 1) if K.max_degree >= 1 else np.empty((0, 2), dtype=int)
     graph = sparse.csr_matrix((np.ones(len(edges)), (edges[:, 0], edges[:, 1])),
                               shape=(n, n))
     _, labels = csgraph.connected_components(graph, directed=False)
@@ -344,7 +351,7 @@ def _simplex_distances(K: SimplicialComplex, ell: int):
     ids, labels, hops = _hop_distances(K)
     nv = ids.size
     n = K.n_simplices(ell)
-    verts = np.searchsorted(ids, np.array(K.simplices[ell], dtype=int).reshape(n, ell + 1))
+    verts = _vertex_ranks(K, ell)
     key = np.full((n, n), nv, dtype=np.intp)
     for a in range(ell + 1):
         for b in range(ell + 1):
@@ -361,8 +368,11 @@ def kernel_decay_fit(K: SimplicialComplex, ell: int, t0: float,
     Distance between two ell-simplices is the smallest 1-skeleton hop
     distance between their vertex sets.  Disconnected complexes are fitted
     per component (entries across components vanish identically); the
-    reported rho is the most conservative component value.  ``distances``
-    is ``_simplex_distances(K, ell)``, computed here when omitted.
+    reported rho is the most conservative component value.  A bin whose
+    largest entry is at or below n * u * max|entry| (n simplices, u the
+    unit roundoff), the rounding floor of the matrix's dot products, is
+    not fitted.  ``distances`` is ``_simplex_distances(K, ell)``, computed
+    here when omitted.
     """
     if t0 <= 0:
         raise ValueError("t0 must be positive")
@@ -375,9 +385,10 @@ def kernel_decay_fit(K: SimplicialComplex, ell: int, t0: float,
     np.maximum.at(table.reshape(-1), key.ravel(), mag.ravel())
     table = table[:, :nv]
 
+    floor = max(mag.shape[0] * _UNIT_ROUNDOFF * mag.max(initial=0.0), 1e-250)
     fits = []
     for cid in np.flatnonzero((table >= 0).any(axis=1)):
-        usable = [(d, m) for d, m in enumerate(table[cid]) if m > 1e-250]
+        usable = [(d, m) for d, m in enumerate(table[cid]) if m > floor]
         if len(usable) < 2:
             continue
         ds = np.array([d for d, _ in usable], dtype=float)
@@ -416,20 +427,25 @@ def volume_growth_fit(K: SimplicialComplex, *, distances=None) -> VolumeGrowthFi
     distance r, the hop distances coming from one shortest-path pass (or
     from ``distances``, a ``_simplex_distances`` result of K).  The
     constant c is pinned to the largest r = 0 ball, and gamma_vol is the
-    smallest rate whose envelope dominates every center and radius.
+    smallest rate whose envelope dominates every center and every radius
+    up to the center's eccentricity in its own component.  One
+    ``np.bincount`` over (center, distance) pairs gives the weight at each
+    exact distance; a cumulative sum along the distance axis gives every
+    ball volume at once.
     """
-    labels, hops = distances[:2] if distances is not None else _hop_distances(K)[1:]
+    hops = distances[1] if distances is not None else _hop_distances(K)[2]
     w0 = K.weight_vector(0)
     c = float(np.max(w0))
-    gamma = 0.0
-    max_radius = 0
-    for i, row in enumerate(hops):
-        radius = int(row[labels == labels[i]].max())
-        max_radius = max(max_radius, radius)
-        for r in range(1, radius + 1):
-            vol = float(np.sum(w0[row <= r]))
-            gamma = max(gamma, math.log(vol / c) / r)
-    return VolumeGrowthFit(gamma, c, max_radius)
+    nv = hops.shape[0]
+    # Other components sit at distance nv, past every radius counted below.
+    radius = np.where(hops < nv, hops, 0).max(axis=1)
+    pairs = np.arange(nv)[:, None] * (nv + 1) + hops
+    shells = np.bincount(pairs.ravel(), np.tile(w0, nv), minlength=nv * (nv + 1))
+    volumes = np.cumsum(shells.reshape(nv, nv + 1), axis=1)[:, 1:nv]
+    r = np.arange(1, nv)
+    rates = np.log(volumes / c) / r
+    gamma = float(np.max(rates, where=r <= radius[:, None], initial=0.0))
+    return VolumeGrowthFit(gamma, c, int(radius.max()))
 
 
 def select_t0(rho: float, gamma_vol: float) -> float:

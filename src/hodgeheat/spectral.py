@@ -69,9 +69,22 @@ class SpectralData:
         return self.synthesize(func(self.eigenvalues) * self.coefficients(values))
 
     def function_matrix(self, func) -> np.ndarray:
-        """Dense matrix of f(Laplacian) = V diag(f(lambda)) V^T W."""
-        V = self.eigencochains
-        return (V * func(self.eigenvalues)[None, :]) @ (V.T * self.weights[None, :])
+        """Dense matrix of f(Laplacian) = V diag(f(lambda)) V^T W, for f >= 0.
+
+        f must be >= 0 on the spectrum (a ValueError otherwise).  With
+        G = V[:, f > 0] sqrt(f[f > 0]) the matrix is (G G^T) W; numpy hands
+        the symmetric product G G^T to BLAS syrk, half the flops of a
+        general product.
+        """
+        f = np.asarray(func(self.eigenvalues), dtype=float)
+        if not np.all(f >= 0.0):
+            raise ValueError("function_matrix needs a function >= 0 on the spectrum")
+        support = f > 0.0
+        G = np.compress(support, self.eigencochains, axis=1)
+        G *= np.sqrt(f[support])
+        M = G @ G.T
+        M *= self.weights[None, :]
+        return M
 
     def norm2(self, values: np.ndarray) -> float:
         return float(np.sqrt(np.sum(self.weights * values * values)))

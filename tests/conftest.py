@@ -6,8 +6,11 @@ from pathlib import Path
 import pytest
 
 import hodgeheat
-from hodgeheat import laplacian_spectrum
+from hodgeheat import SimplicialComplex, laplacian_spectrum
 from hodgeheat import library as lib
+
+# After hodgeheat, whose import applies HODGEHEAT_NUM_THREADS before numpy loads.
+import numpy as np  # noqa: E402,I001
 
 RANDOM_SEEDS = tuple(range(101, 121))  # 20 seeded random 2-complexes
 
@@ -46,13 +49,29 @@ def all_degrees(K):
     return range(K.max_degree + 1)
 
 
+def log_uniform_weights(K, seed):
+    """K with seeded weights exp(U(-3, 3)) on every simplex."""
+    rng = np.random.default_rng(seed)
+    return SimplicialComplex(K.simplices,
+                             [np.exp(rng.uniform(-3.0, 3.0, len(level))) for level in K.simplices])
+
+
+def general_product(s, func):
+    """f(Laplacian) = V diag(f) V^T W as one general product, for any f."""
+    V = s.eigencochains
+    return (V * func(s.eigenvalues)[None, :]) @ (V.T * s.weights[None, :])
+
+
 def count_calls(monkeypatch, name, *modules):
-    """Wrap ``name`` in each module by one counter; returns its list of calls."""
+    """Wrap ``name`` in each module by one counter.
+
+    Returns its list of calls, each the tuple of positional arguments.
+    """
     calls = []
     original = getattr(modules[0], name)
 
     def counting(*args, **kwargs):
-        calls.append(1)
+        calls.append(args)
         return original(*args, **kwargs)
 
     for module in modules:

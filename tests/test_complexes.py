@@ -8,7 +8,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import CORPUS, CORPUS_IDS, NAMED, NAMED_IDS, all_degrees, spectrum_of
+from conftest import (
+    CORPUS,
+    CORPUS_IDS,
+    NAMED,
+    NAMED_IDS,
+    all_degrees,
+    log_uniform_weights,
+    spectrum_of,
+)
 from hodgeheat import (
     Cochain,
     SimplicialComplex,
@@ -22,6 +30,7 @@ from hodgeheat import (
     weighted_adjoint,
 )
 from hodgeheat import library as lib
+from hodgeheat.complexes import RANK_TOL, _rank
 
 
 class TestBuildComplex:
@@ -136,25 +145,19 @@ def _dense_laplacian(K, ell):
     return A
 
 
-def _log_uniform_weights(K, seed):
-    rng = np.random.default_rng(seed)
-    return SimplicialComplex(K.simplices,
-                             [np.exp(rng.uniform(-3.0, 3.0, len(level))) for level in K.simplices])
-
-
 class TestOperatorsAgainstLoopOracles:
     @pytest.mark.parametrize("weighted", [False, True], ids=["plain", "weighted"])
     @pytest.mark.parametrize("name,K", CORPUS, ids=CORPUS_IDS)
     def test_coboundary_and_laplacian_equal_oracles(self, name, K, weighted):
         if weighted:
-            K = _log_uniform_weights(K, 3)
+            K = log_uniform_weights(K, 3)
         for ell in all_degrees(K):
             if ell < K.max_degree:
                 assert np.array_equal(coboundary(K, ell).entries, _loop_coboundary(K, ell))
             assert np.array_equal(hodge_laplacian(K, ell).entries, _dense_laplacian(K, ell))
 
     def test_non_contiguous_vertex_ids(self):
-        K = _log_uniform_weights(build_complex(
+        K = log_uniform_weights(build_complex(
             {"triangles": [(5, 17, 40), (5, 17, 1000), (5, 40, 1000), (17, 40, 1000)]}), 5)
         for ell in range(K.max_degree):
             d = coboundary(K, ell).entries
@@ -258,6 +261,34 @@ class TestBetti:
         for ell in all_degrees(K):
             s = spectrum_of(name, K, ell)
             assert s.kernel_dim == betti[ell]
+
+    @pytest.mark.parametrize("name,K", CORPUS, ids=CORPUS_IDS)
+    def test_rank_equals_direct_svd_rank_on_coboundaries(self, name, K):
+        for ell in range(K.max_degree):
+            d = coboundary(K, ell).entries
+            for A in (d, d.T):
+                assert _rank(A) == _svd_rank(A)
+
+    def test_rank_of_random_rank_deficient_integer_matrices(self):
+        rng = np.random.default_rng(29)
+        for _ in range(60):
+            m, n = rng.integers(1, 30, size=2)
+            k = rng.integers(0, min(m, n))
+            A = (rng.integers(-2, 3, size=(m, k)) @ rng.integers(-2, 3, size=(k, n))).astype(float)
+            for B in (A, A.T):
+                assert _rank(B) == _svd_rank(B) <= k
+
+    def test_rank_of_empty_and_zero_matrices(self):
+        for shape in ((0, 3), (3, 0), (2, 5), (5, 2)):
+            assert _rank(np.zeros(shape)) == 0
+
+
+def _svd_rank(A):
+    """Singular values of A itself above RANK_TOL times the largest."""
+    if min(A.shape) == 0:
+        return 0
+    sv = np.linalg.svd(A, compute_uv=False)
+    return 0 if sv[0] == 0 else int(np.count_nonzero(sv > RANK_TOL * sv[0]))
 
 
 class TestLpNorm:

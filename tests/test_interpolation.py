@@ -10,10 +10,21 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import expm
+from scipy.sparse import csgraph
 
 import hodgeheat
-from conftest import NAMED, NAMED_IDS, all_degrees, count_calls, spectrum_of
+from conftest import (
+    CORPUS,
+    NAMED,
+    NAMED_IDS,
+    all_degrees,
+    count_calls,
+    general_product,
+    log_uniform_weights,
+    spectrum_of,
+)
 from hodgeheat import (
+    SimplicialComplex,
     admissible_interval,
     build_complex,
     coboundary,
@@ -21,6 +32,7 @@ from hodgeheat import (
     conjugate_exponent,
     decay_rate,
     dimension_consistency,
+    eigendecompose,
     gaffney_constant,
     harmonic_projector,
     hodge_laplacian,
@@ -42,8 +54,9 @@ from hodgeheat import (
 from hodgeheat import library as lib
 from hodgeheat.cli import RunConfig, run_pipeline
 from hodgeheat.complexes import weighted_adjoint
-from hodgeheat.interpolation import _opnorm2
+from hodgeheat.interpolation import _opnorm2, _simplex_distances
 from hodgeheat.io import complex_to_json_dict
+from hodgeheat.spectral import SpectralData
 
 
 class TestExactExtremes:
@@ -360,9 +373,10 @@ def _kernel_decay_oracle(K, ell, t0):
             bins = per_component.setdefault(component[si[0]], {})
             bins[d] = max(bins.get(d, 0.0), abs(M[i, j]))
             all_bins[d] = max(all_bins.get(d, 0.0), abs(M[i, j]))
+    floor = max(len(M) * 2.0 ** -53 * np.abs(M).max(), 1e-250)
     fits = []
     for cid, bins in sorted(per_component.items()):
-        usable = sorted((d, m) for d, m in bins.items() if m > 1e-250)
+        usable = sorted((d, m) for d, m in bins.items() if m > floor)
         if len(usable) < 2:
             continue
         ds = np.array([d for d, _ in usable], dtype=float)
@@ -385,6 +399,10 @@ _DISCONNECTED = build_complex({
 _ORACLE_CASES = [(name, K, ell) for name, K in NAMED for ell in all_degrees(K)]
 _ORACLE_CASES += [("disconnected", _DISCONNECTED, ell) for ell in all_degrees(_DISCONNECTED)]
 _ORACLE_CASES += [("vertices_only", build_complex({"vertices": [3, 7, 9]}), 0)]
+
+
+_ROUNDING_CASES = [(name, K, ell) for name, K in CORPUS for ell in all_degrees(K)]
+_ROUNDING_CASES += [(f"torus_{n}x{n}", lib.flat_torus(n, n), 1) for n in (12, 20)]
 
 
 class TestKernelDecayFit:
@@ -427,6 +445,70 @@ class TestKernelDecayFit:
         with pytest.raises(ValueError):
             kernel_decay_fit(lib.interval(), 0, t0=0.0)
 
+    @pytest.mark.parametrize("name,K,ell", _ROUNDING_CASES,
+                             ids=[f"{name}-{ell}" for name, _, ell in _ROUNDING_CASES])
+    def test_rho_does_not_depend_on_product_rounding(self, name, K, ell, monkeypatch):
+        # The same matrix from the general product V diag(f) (V^T W) must
+        # give the same rho, at the provisional t0 = 1 and at the refit t0.
+        # The absolute 1e-12 covers a true rho of 0 (the interval's two
+        # bins are equal), which rounding leaves at about +-1e-17.
+        s = laplacian_spectrum(K, ell)
+        first = kernel_decay_fit(K, ell, 1.0, spectral=s)
+        t0s = [1.0]
+        if not first.degenerate and first.rho > 0:
+            t0s.append(select_t0(first.rho, volume_growth_fit(K).gamma_vol))
+        rhos = [kernel_decay_fit(K, ell, t0, spectral=s).rho for t0 in t0s]
+        monkeypatch.setattr(SpectralData, "function_matrix", general_product)
+        for t0, rho in zip(t0s, rhos):
+            gemm_rho = kernel_decay_fit(K, ell, t0, spectral=s).rho
+            if rho is None or gemm_rho is None:
+                assert rho is gemm_rho
+            else:
+                assert gemm_rho == pytest.approx(rho, rel=1e-6, abs=1e-12)
+
+    def test_bins_of_rounding_noise_are_not_fitted(self):
+        # Every pair of triangles at distance 1 lies in another block of
+        # the degree-2 Laplacian, so those entries of L P_t are exactly 0
+        # and the ~2e-16 the product leaves there is rounding noise.
+        K = lib.random_two_complex(115)
+        blocks = csgraph.connected_components(hodge_laplacian(K, 2).entries != 0)[1]
+        _, _, key = _simplex_distances(K, 2)
+        far = key > 0
+        assert far.any() and not np.any(far & (blocks[:, None] == blocks[None, :]))
+        fit = kernel_decay_fit(K, 2, t0=1.0)
+        assert [d for d, _ in fit.bins] == [0, 1] and 0 < fit.bins[1][1] < 1e-15
+        assert fit.degenerate and fit.rho is None
+
+    def test_edge_endpoint_missing_from_vertices_rejected(self):
+        # Built without the face closure: edge (0, 1) has no vertex 1.
+        K = SimplicialComplex([[(0,), (2,)], [(0, 1)]], [[1.0, 1.0], [1.0]])
+        s = eigendecompose(np.zeros((2, 2)))
+        with pytest.raises(ValueError, match="vertex missing from degree 0"):
+            kernel_decay_fit(K, 0, 1.0, spectral=s)
+        with pytest.raises(ValueError, match="vertex missing from degree 0"):
+            volume_growth_fit(K)
+
+
+def _volume_loop(K):
+    """(gamma_vol, c, max_radius) by a loop over centers and radii."""
+    w0 = K.weight_vector(0)
+    c = float(np.max(w0))
+    gamma, max_radius = 0.0, 0
+    for reach in _hop_oracle(K).values():
+        radius = max(reach.values())
+        max_radius = max(max_radius, radius)
+        for r in range(1, radius + 1):
+            vol = float(sum(w0[K.index_of(0, (v,))] for v, d in reach.items() if d <= r))
+            gamma = max(gamma, math.log(vol / c) / r)
+    return gamma, c, max_radius
+
+
+_VOLUME_CASES = list(CORPUS) + [
+    ("disconnected", _DISCONNECTED),
+    ("disconnected_weighted", log_uniform_weights(_DISCONNECTED, 5)),
+    ("torus_6x6_weighted", log_uniform_weights(lib.flat_torus(6, 6), 6)),
+]
+
 
 class TestVolumeGrowth:
     def test_single_vertex(self):
@@ -444,6 +526,15 @@ class TestVolumeGrowth:
     def test_k4_envelope_log4(self):
         fit = volume_growth_fit(lib.complete_graph(4))
         assert fit.gamma_vol == pytest.approx(math.log(4.0), abs=1e-12)
+
+    @pytest.mark.parametrize("name,K", _VOLUME_CASES, ids=[name for name, _ in _VOLUME_CASES])
+    def test_matches_per_center_loop(self, name, K):
+        fit = volume_growth_fit(K)
+        gamma, c, max_radius = _volume_loop(K)
+        assert (fit.c, fit.max_radius) == (c, max_radius)
+        assert fit.gamma_vol == pytest.approx(gamma, rel=1e-14, abs=0.0)
+        if np.all(K.weight_vector(0) == 1.0):  # integer volumes: no rounding
+            assert fit.gamma_vol == gamma
 
     def test_envelope_dominates_all_balls(self):
         # brute-force oracle over vertices and radii
@@ -651,16 +742,22 @@ class TestInterpolationReport:
             interpolation_report(K, 0, epsilon=epsilon)
 
     def test_pipeline_work_counts(self, tmp_path, monkeypatch):
-        # Every operator once: the only SVDs are the two Betti ranks, one
-        # eigh per degree, and one hop-distance pass for the whole report.
+        # Every operator once: the only SVDs are the two Betti ranks, each
+        # of the square R factor of its coboundary; one eigh per degree;
+        # five heat matrices for alpha and two for kernel decay; one
+        # hop-distance pass for the whole report.
+        K = lib.flat_torus(6, 6)
         path = tmp_path / "torus.json"
-        path.write_text(json.dumps(complex_to_json_dict(lib.flat_torus(6, 6))))
+        path.write_text(json.dumps(complex_to_json_dict(K)))
         svds = count_calls(monkeypatch, "svd", np.linalg)
         eighs = count_calls(monkeypatch, "eigh", np.linalg)
+        matrices = count_calls(monkeypatch, "function_matrix", SpectralData)
         hops = count_calls(monkeypatch, "_hop_distances", hodgeheat.interpolation)
         report, code = run_pipeline(RunConfig(input_path=str(path), p_list=()))
         assert code == 0 and report["ok"]
-        assert (len(svds), len(eighs), len(hops)) == (2, 3, 1)
+        assert (len(svds), len(eighs), len(matrices), len(hops)) == (2, 3, 7, 1)
+        sides = [min(coboundary(K, ell).shape) for ell in range(K.max_degree)]
+        assert [np.shape(args[0]) for args in svds] == [(n, n) for n in sides]
 
 
 class TestConjugateExponent:

@@ -7,7 +7,16 @@ import pytest
 from scipy import special
 from scipy.integrate import quad
 
-from conftest import NAMED, NAMED_IDS, all_degrees, spectrum_of
+from conftest import (
+    CORPUS,
+    CORPUS_IDS,
+    NAMED,
+    NAMED_IDS,
+    all_degrees,
+    general_product,
+    log_uniform_weights,
+    spectrum_of,
+)
 from hodgeheat import (
     Cochain,
     betti_numbers,
@@ -375,6 +384,46 @@ class TestHarmonicProjector:
         for ell in all_degrees(K):
             H = harmonic_projector(spectrum_of(name, K, ell)).entries
             assert round(float(np.trace(H))) == betti[ell]
+
+
+def _on_support(g):
+    return lambda lam: np.where(lam > 0, g(np.where(lam > 0, lam, 1.0)), 0.0)
+
+
+# Every function the package hands to function_matrix, all >= 0.
+_NONNEGATIVE_FUNCTIONS = {
+    "heat": lambda lam: np.exp(-0.7 * lam),
+    "complement_heat": lambda lam: np.exp(-0.7 * lam) * (lam > 0),
+    "kernel_decay": lambda lam: lam * np.exp(-lam / 4.0),
+    "green": _on_support(lambda lam: 1.0 / lam),
+    "inv_sqrt": _on_support(lambda lam: 1.0 / np.sqrt(lam)),
+    "complement": lambda lam: (lam > 0).astype(float),
+}
+
+
+class TestFunctionMatrix:
+    @pytest.mark.parametrize("weighted", [False, True], ids=["plain", "weighted"])
+    @pytest.mark.parametrize("name,K", CORPUS, ids=CORPUS_IDS)
+    def test_matches_general_product(self, name, K, weighted):
+        if weighted:
+            K = log_uniform_weights(K, 11)
+        for ell in all_degrees(K):
+            s = laplacian_spectrum(K, ell) if weighted else spectrum_of(name, K, ell)
+            for func in _NONNEGATIVE_FUNCTIONS.values():
+                reference = general_product(s, func)
+                M = s.function_matrix(func)
+                assert np.max(np.abs(M - reference)) <= 1e-13 * np.max(np.abs(reference))
+
+    @pytest.mark.parametrize("func", [lambda lam: lam - 1.0, lambda lam: np.full_like(lam, np.nan)],
+                             ids=["negative", "nan"])
+    def test_function_negative_on_the_spectrum_rejected(self, func):
+        s = laplacian_spectrum(lib.cycle_complex(3), 1)
+        with pytest.raises(ValueError, match=">= 0 on the spectrum"):
+            s.function_matrix(func)
+
+    def test_function_zero_on_the_spectrum_gives_zero(self):
+        s = laplacian_spectrum(lib.cycle_complex(3), 1)
+        assert np.array_equal(s.function_matrix(np.zeros_like), np.zeros((3, 3)))
 
 
 class TestSpectralCache:
