@@ -66,30 +66,24 @@ from .interpolation import (
     AlphaFit,
     InterpolationReport,
     admissible_interval,
-    conjugate_exponent,
     decay_rate,
     dimension_consistency,
     gaffney_constant,
     interpolation_report,
     kernel_decay_fit,
     measure_alpha,
-    measure_tau,
     opnorm_bracket,
     opnorm_exact_extremes,
     opnorm_power_method,
     projector_norm_profile,
-    riesz_thorin_bound,
     select_t0,
     volume_growth_fit,
 )
 from .spectral import (
     SpectralData,
-    classify_zero,
     eigendecompose,
     harmonic_projector,
     heat_apply,
-    heat_derivative,
-    heat_operator,
     laplacian_spectrum,
 )
 

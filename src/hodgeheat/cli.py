@@ -28,7 +28,7 @@ from .io import (
     sanitize,
 )
 from .library import random_cochain
-from .spectral import cached_laplacian_spectrum, classify_zero, laplacian_spectrum
+from .spectral import cached_laplacian_spectrum, laplacian_spectrum
 
 
 @dataclass
@@ -92,14 +92,15 @@ def _cochain_for(parsed, degree, seed):
 
 
 def _spectrum_section(s):
-    zero = classify_zero(s)
+    # In finite dimension 0 is either absent from the spectrum or isolated;
+    # the gap says how far.
     return {
         "degree": s.degree,
         "eigenvalues": list(s.eigenvalues),
         "kernel_dim": s.kernel_dim,
         "gap": s.gap,
-        "zero_in_spectrum": zero.zero_in_spectrum,
-        "isolated": zero.isolated,
+        "zero_in_spectrum": s.kernel_dim > 0,
+        "isolated": True,
     }
 
 

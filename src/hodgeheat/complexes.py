@@ -100,6 +100,13 @@ class SimplicialComplex:
         self._index = [
             {s: i for i, s in enumerate(level)} for level in self.simplices
         ]
+        for ell in range(1, len(self.simplices)):
+            for s in self.simplices[ell]:
+                for face in itertools.combinations(s, ell):
+                    if face not in self._index[ell - 1]:
+                        raise ValueError(f"simplex {s} has a face {face} missing from "
+                                         f"degree {ell - 1}: the complex is not closed "
+                                         "under taking faces")
 
     @property
     def max_degree(self) -> int:
@@ -136,18 +143,6 @@ class SimplicialComplex:
         if bad.size:
             raise ValueError(f"non-finite cochain value {omega.values[bad[0]]} on simplex "
                              f"{self.simplices[omega.degree][bad[0]]}")
-
-    def zero_cochain(self, ell: int) -> Cochain:
-        return Cochain(ell, np.zeros(self.n_simplices(ell)))
-
-    def vertex_adjacency(self) -> dict[int, set[int]]:
-        """Adjacency of the 1-skeleton, keyed by vertex id."""
-        adj: dict[int, set[int]] = {v: set() for (v,) in self.simplices[0]}
-        if self.max_degree >= 1:
-            for (u, v) in self.simplices[1]:
-                adj[u].add(v)
-                adj[v].add(u)
-        return adj
 
     def _check_degree(self, ell: int) -> None:
         if not 0 <= ell <= self.max_degree:

@@ -36,14 +36,6 @@ from .spectral import (
 )
 
 
-def conjugate_exponent(p):
-    if p == 1:
-        return math.inf
-    if math.isinf(p):
-        return 1.0
-    return p / (p - 1)
-
-
 def _entries(T) -> np.ndarray:
     return T.entries if isinstance(T, OperatorMatrix) else np.asarray(T, dtype=float)
 
@@ -124,27 +116,6 @@ def opnorm_power_method(T, p, w_dom=None, w_cod=None, iters: int = 64,
             break
         x = _dual_vector(z, q)
     return best
-
-
-def riesz_thorin_bound(M0, p0, M1, p1, theta):
-    """Interpolated exponent and norm bound between two p->p estimates.
-
-    1/p = (1-theta)/p0 + theta/p1 and the bound is M0^(1-theta) M1^theta.
-    Exact-arithmetic inputs (fractions) keep the exponent exact.
-    """
-    if not 0 < theta < 1:
-        raise ValueError(f"theta must lie in (0, 1), got {theta}")
-    if p0 == p1:
-        raise ValueError("endpoints must differ")
-    for pe in (p0, p1):
-        if not (pe == math.inf or pe >= 1):
-            raise ValueError(f"exponent {pe} out of [1, inf]")
-    if M0 <= 0 or M1 <= 0:
-        raise ValueError("endpoint norms must be positive")
-    inv = (0 if p0 == math.inf else (1 - theta) / p0) + (0 if p1 == math.inf else theta / p1)
-    p = math.inf if inv == 0 else 1 / inv
-    bound = M0 ** (1 - theta) * M1 ** theta
-    return p, bound
 
 
 def opnorm_bracket(T, p, w_dom=None, w_cod=None, iters: int = 64,
@@ -249,17 +220,6 @@ def measure_alpha(K: SimplicialComplex, ell: int, t_grid,
     envelope = float(np.max(norms * np.exp(-alpha * t)))
     return AlphaFit(alpha, float(np.exp(intercept)), envelope, residual,
                     tuple(map(float, t)), tuple(map(float, norms)))
-
-
-def measure_tau(s: SpectralData) -> float:
-    """Exact 2->2 decay rate on the complement of the harmonic space.
-
-    Equals the spectral gap; in finite dimension the decay inequality is
-    an equality with constant 1.
-    """
-    if s.gap <= 0:
-        raise ValueError("decay rate needs a positive gap")
-    return s.gap
 
 
 def admissible_interval(alpha, tau, epsilon=0):

@@ -2,8 +2,8 @@
 
 Eigendecomposition in the weighted inner product, the heat semigroup
 P_t = exp(-t * Laplacian) computed two independent ways (spectral sum, and
-one eigenbasis-free Chebyshev action), spectral-gap classification, and
-the harmonic projector as a spectral projection.
+one eigenbasis-free Chebyshev action), and the harmonic projector as a
+spectral projection.
 
 The Chebyshev action expands a function of the Laplacian L in T_k(Y),
 Y = (2/b) L - I, where b >= lambda_max is read off the matrix.  The
@@ -17,7 +17,7 @@ import hashlib
 import json
 import math
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import NamedTuple
 
 import numpy as np
@@ -37,7 +37,7 @@ class SpectralData:
     """Eigenvalues and W-orthonormal eigencochains of a Hodge Laplacian.
 
     Eigenvalues are ascending; the ``kernel_dim`` smallest are snapped to
-    exactly 0 (they fall below ``tol`` relative to the largest eigenvalue).
+    exactly 0 (they fall below RANK_TOL relative to the largest eigenvalue).
     ``gap`` is the smallest nonzero eigenvalue, or +inf when the whole
     spectrum is {0}.
     """
@@ -48,7 +48,6 @@ class SpectralData:
     weights: np.ndarray
     kernel_dim: int
     gap: float
-    tol: float
 
     @property
     def dim(self) -> int:
@@ -90,20 +89,12 @@ class SpectralData:
         return float(np.sqrt(np.sum(self.weights * values * values)))
 
 
-@dataclass
-class ZeroSpectrumReport:
-    zero_in_spectrum: bool
-    isolated: bool
-    gap: float
-
-
-def eigendecompose(delta, weights=None, degree: int | None = None,
-                   tol: float = RANK_TOL) -> SpectralData:
+def eigendecompose(delta, weights=None, degree: int | None = None) -> SpectralData:
     """Full eigendecomposition of a W-self-adjoint PSD operator.
 
     Works on the symmetrized form W^(1/2) A W^(-1/2); rejects input whose
-    symmetrized residual exceeds 1e-8 relative.  Eigenvalues within the
-    relative tolerance of zero are clamped to exactly 0.
+    symmetrized residual exceeds 1e-8 relative.  Eigenvalues within
+    RANK_TOL of zero, relative to the largest, are clamped to exactly 0.
     """
     if isinstance(delta, OperatorMatrix):
         if delta.domain_degree != delta.codomain_degree:
@@ -129,9 +120,9 @@ def eigendecompose(delta, weights=None, degree: int | None = None,
     evals, U = np.linalg.eigh((S + S.T) / 2.0)
 
     lam_max = float(evals[-1]) if evals.size else 0.0
-    if lam_max < 0 and abs(lam_max) <= tol:
+    if lam_max < 0 and abs(lam_max) <= RANK_TOL:
         lam_max = 0.0
-    threshold = tol * max(lam_max, 0.0)
+    threshold = RANK_TOL * max(lam_max, 0.0)
     if evals.size and evals[0] < -max(threshold, 1e-8 * max(lam_max, 1.0)):
         raise ValueError(f"operator is not positive semidefinite (min eigenvalue {evals[0]})")
     evals = np.maximum(evals, 0.0)
@@ -151,34 +142,12 @@ def eigendecompose(delta, weights=None, degree: int | None = None,
         weights=w,
         kernel_dim=kernel_dim,
         gap=gap,
-        tol=tol,
     )
 
 
-def laplacian_spectrum(K: SimplicialComplex, ell: int, tol: float = RANK_TOL) -> SpectralData:
+def laplacian_spectrum(K: SimplicialComplex, ell: int) -> SpectralData:
     """Eigendecomposition of the degree-ell Hodge Laplacian of K."""
-    return eigendecompose(hodge_laplacian(K, ell), K.weight_vector(ell), tol=tol)
-
-
-def classify_zero(s: SpectralData) -> ZeroSpectrumReport:
-    """Report whether 0 lies in the spectrum and the size of the gap above it.
-
-    In finite dimension 0 is always either absent or isolated, so the
-    quantitative content is the gap magnitude.
-    """
-    return ZeroSpectrumReport(
-        zero_in_spectrum=s.kernel_dim > 0,
-        isolated=True,
-        gap=s.gap,
-    )
-
-
-def heat_operator(s: SpectralData, t: float) -> OperatorMatrix:
-    """Dense matrix of P_t = exp(-t * Laplacian)."""
-    if not 0 <= t < math.inf:
-        raise ValueError(f"heat semigroup requires a finite t >= 0, got t = {t}")
-    M = s.function_matrix(lambda lam: np.exp(-t * lam))
-    return OperatorMatrix(M, s.degree, s.degree, symmetric=True)
+    return eigendecompose(hodge_laplacian(K, ell), K.weight_vector(ell))
 
 
 # Miller's recurrence starts where e^(-z) I_k(z) has fallen below
@@ -328,16 +297,6 @@ def heat_apply(source, t: float, omega: Cochain) -> Cochain:
     return Cochain(omega.degree, _chebyshev_action(A, omega.values, _heat_series, t).values)
 
 
-def heat_derivative(s: SpectralData, t: float, omega: Cochain) -> Cochain:
-    """d/dt P_t omega = -Laplacian P_t omega, as a spectral sum."""
-    if not 0 < t < math.inf:
-        raise ValueError(f"heat derivative requires a finite t > 0, got t = {t}")
-    if omega.degree != s.degree:
-        raise ValueError("cochain degree does not match spectral data")
-    vals = s.apply_function(lambda lam: -lam * np.exp(-t * lam), omega.values)
-    return Cochain(s.degree, vals)
-
-
 def harmonic_projector(s: SpectralData) -> OperatorMatrix:
     """W-orthogonal projector V_k V_k^T W onto the kernel of the Laplacian."""
     Vk = s.kernel_basis()
@@ -349,12 +308,12 @@ def harmonic_part(s: SpectralData, values: np.ndarray) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Spectral cache keyed by a content hash of (complex, degree, weights, tol).
+# Spectral cache keyed by a content hash of (complex, degree, weights, RANK_TOL).
 
-def complex_content_hash(K: SimplicialComplex, degree: int, tol: float = RANK_TOL) -> str:
+def complex_content_hash(K: SimplicialComplex, degree: int) -> str:
     doc = {
         "degree": int(degree),
-        "tol": repr(float(tol)),
+        "tol": repr(RANK_TOL),  # once an argument; kept so cache file names stay
         "simplices": [[list(s) for s in level] for level in K.simplices],
         "weights": [w.tobytes().hex() for w in K.weights],
     }
@@ -363,38 +322,22 @@ def complex_content_hash(K: SimplicialComplex, degree: int, tol: float = RANK_TO
 
 
 def save_spectral_data(s: SpectralData, path: str) -> None:
-    np.savez(
-        path,
-        degree=s.degree,
-        eigenvalues=s.eigenvalues,
-        eigencochains=s.eigencochains,
-        weights=s.weights,
-        kernel_dim=s.kernel_dim,
-        gap=s.gap,
-        tol=s.tol,
-    )
+    np.savez(path, **{f.name: getattr(s, f.name) for f in fields(s)})
 
 
 def load_spectral_data(path: str) -> SpectralData:
+    """Inverse of ``save_spectral_data``; entries that are not fields are ignored."""
     with np.load(path) as data:
-        return SpectralData(
-            degree=int(data["degree"]),
-            eigenvalues=data["eigenvalues"],
-            eigencochains=data["eigencochains"],
-            weights=data["weights"],
-            kernel_dim=int(data["kernel_dim"]),
-            gap=float(data["gap"]),
-            tol=float(data["tol"]),
-        )
+        values = {f.name: data[f.name] for f in fields(SpectralData)}
+    return SpectralData(**{k: v if v.ndim else v.item() for k, v in values.items()})
 
 
-def cached_laplacian_spectrum(K: SimplicialComplex, ell: int, cache_dir: str,
-                              tol: float = RANK_TOL) -> SpectralData:
+def cached_laplacian_spectrum(K: SimplicialComplex, ell: int, cache_dir: str) -> SpectralData:
     """laplacian_spectrum with a content-addressed on-disk cache."""
     os.makedirs(cache_dir, exist_ok=True)
-    path = os.path.join(cache_dir, complex_content_hash(K, ell, tol) + ".npz")
+    path = os.path.join(cache_dir, complex_content_hash(K, ell) + ".npz")
     if os.path.exists(path):
         return load_spectral_data(path)
-    s = laplacian_spectrum(K, ell, tol=tol)
+    s = laplacian_spectrum(K, ell)
     save_spectral_data(s, path)
     return s

@@ -21,16 +21,14 @@ from hodgeheat import (
     Cochain,
     betti_numbers,
     build_complex,
-    classify_zero,
     eigendecompose,
     harmonic_projector,
     heat_apply,
-    heat_derivative,
-    heat_operator,
     hodge_laplacian,
     laplacian_spectrum,
 )
 from hodgeheat import library as lib
+from hodgeheat.cli import _spectrum_section
 from hodgeheat.spectral import (
     _UNIT_ROUNDOFF,
     _chebyshev_action,
@@ -90,21 +88,23 @@ class TestEigendecompose:
 
 
 class TestClassifyZero:
+    """The spectrum section's zero_in_spectrum, isolated and gap keys."""
+
     def test_c3_degree1(self):
-        rep = classify_zero(laplacian_spectrum(lib.cycle_complex(3), 1))
-        assert rep.zero_in_spectrum and rep.isolated
-        assert rep.gap == pytest.approx(3.0, abs=1e-12)
+        rep = _spectrum_section(laplacian_spectrum(lib.cycle_complex(3), 1))
+        assert rep["zero_in_spectrum"] and rep["isolated"]
+        assert rep["gap"] == pytest.approx(3.0, abs=1e-12)
 
     def test_filled_triangle_degree1(self):
-        rep = classify_zero(laplacian_spectrum(lib.filled_triangle(), 1))
-        assert not rep.zero_in_spectrum
-        assert rep.gap == pytest.approx(3.0, abs=1e-12)
+        rep = _spectrum_section(laplacian_spectrum(lib.filled_triangle(), 1))
+        assert not rep["zero_in_spectrum"] and rep["isolated"]
+        assert rep["gap"] == pytest.approx(3.0, abs=1e-12)
 
     def test_single_vertex(self):
         K = build_complex({"vertices": [0]})
-        rep = classify_zero(laplacian_spectrum(K, 0))
-        assert rep.zero_in_spectrum
-        assert math.isinf(rep.gap)
+        rep = _spectrum_section(laplacian_spectrum(K, 0))
+        assert rep["zero_in_spectrum"] and rep["isolated"]
+        assert math.isinf(rep["gap"])
 
 
 class TestHeatSemigroup:
@@ -165,9 +165,9 @@ class TestHeatSemigroup:
         for ell in all_degrees(K):
             s = spectrum_of(name, K, ell)
             for ts, tt in ((0.2, 0.5), (1.0, 3.0)):
-                Ps = heat_operator(s, ts).entries
-                Pt = heat_operator(s, tt).entries
-                Pst = heat_operator(s, ts + tt).entries
+                Ps = s.function_matrix(lambda lam: np.exp(-ts * lam))
+                Pt = s.function_matrix(lambda lam: np.exp(-tt * lam))
+                Pst = s.function_matrix(lambda lam: np.exp(-(ts + tt) * lam))
                 assert np.linalg.norm(Ps @ Pt - Pst, 2) <= 1e-9
 
     @pytest.mark.parametrize("name,K", NAMED, ids=NAMED_IDS)
@@ -185,44 +185,8 @@ class TestHeatSemigroup:
             s = spectrum_of(name, K, ell)
             H = harmonic_projector(s).entries
             for t in (0.5, 2.0):
-                P = heat_operator(s, t).entries
+                P = s.function_matrix(lambda lam: np.exp(-t * lam))
                 assert np.linalg.norm(H @ P - P @ H, 2) <= 1e-10
-
-
-class TestHeatDerivative:
-    def test_harmonic_gives_zero(self):
-        K = lib.cycle_complex(3)
-        s = laplacian_spectrum(K, 0)
-        out = heat_derivative(s, 1.0, Cochain(0, np.ones(3)))
-        assert np.allclose(out.values, 0.0, atol=1e-14)
-
-    def test_eigenvector_scalar_calculus(self):
-        K = lib.cycle_complex(3)
-        s = laplacian_spectrum(K, 0)
-        v = s.eigencochains[:, 1]
-        t = 0.4
-        out = heat_derivative(s, t, Cochain(0, v))
-        assert np.allclose(out.values, -3.0 * math.exp(-3.0 * t) * v, atol=1e-12)
-
-    def test_telescoping_against_quadrature_oracle(self):
-        # Independent oracle: adaptive quadrature of each component of
-        # d/ds P_s omega over [0, T] must telescope to P_T omega - omega.
-        K = lib.cycle_complex(3)
-        s = laplacian_spectrum(K, 0)
-        omega = lib.random_cochain(K, 0, 21)
-        T = 10.0
-        lhs = heat_apply(s, T, omega).values - omega.values
-        for i in range(3):
-            integral, _ = quad(
-                lambda u: heat_derivative(s, u, omega).values[i], 0.0, T,
-                epsabs=1e-10, epsrel=1e-10, points=[0.0], limit=200,
-            )
-            assert abs(integral - lhs[i]) <= 1e-6
-
-    def test_requires_positive_time(self):
-        s = laplacian_spectrum(lib.interval(), 0)
-        with pytest.raises(ValueError):
-            heat_derivative(s, 0.0, Cochain(0, [1.0, 0.0]))
 
     @pytest.mark.parametrize("t", [math.nan, math.inf, -math.inf])
     def test_nonfinite_time_rejected(self, t):
@@ -232,10 +196,6 @@ class TestHeatDerivative:
         for source in (s, hodge_laplacian(K, 0)):
             with pytest.raises(ValueError, match=f"t = {t}"):
                 heat_apply(source, t, omega)
-        with pytest.raises(ValueError, match=f"t = {t}"):
-            heat_operator(s, t)
-        with pytest.raises(ValueError, match=f"t = {t}"):
-            heat_derivative(s, t, omega)
 
 
 # Two triangles sharing an edge, a dangling edge, a separate triangle, a
@@ -426,6 +386,14 @@ class TestFunctionMatrix:
         assert np.array_equal(s.function_matrix(np.zeros_like), np.zeros((3, 3)))
 
 
+def _assert_same_spectrum(loaded, s):
+    for name in ("degree", "kernel_dim", "gap"):
+        assert type(getattr(loaded, name)) is type(getattr(s, name))
+        assert getattr(loaded, name) == getattr(s, name)
+    for name in ("eigenvalues", "eigencochains", "weights"):
+        assert np.array_equal(getattr(loaded, name), getattr(s, name))
+
+
 class TestSpectralCache:
     def test_roundtrip(self, tmp_path):
         K = lib.simplex_boundary(3)
@@ -433,11 +401,23 @@ class TestSpectralCache:
         path = tmp_path / "spec.npz"
         save_spectral_data(s, str(path))
         loaded = load_spectral_data(str(path))
-        assert loaded.degree == s.degree
-        assert loaded.kernel_dim == s.kernel_dim
-        assert loaded.gap == s.gap
-        assert np.array_equal(loaded.eigenvalues, s.eigenvalues)
-        assert np.array_equal(loaded.eigencochains, s.eigencochains)
+        _assert_same_spectrum(loaded, s)
+
+    def test_parent_format_with_tol_entry_loads(self, tmp_path):
+        # Cache files written before SpectralData lost its tol field carry
+        # a tol entry; they still load, field for field.
+        s = laplacian_spectrum(lib.flat_torus(4, 4), 1)
+        path = tmp_path / "old.npz"
+        np.savez(path, degree=s.degree, eigenvalues=s.eigenvalues,
+                 eigencochains=s.eigencochains, weights=s.weights,
+                 kernel_dim=s.kernel_dim, gap=s.gap, tol=1e-10)
+        _assert_same_spectrum(load_spectral_data(str(path)), s)
+
+    def test_hash_unchanged(self):
+        # Existing --cache-dir directories keep hitting: the name of a cache
+        # file is the same hash as before.
+        assert complex_content_hash(lib.flat_torus(4, 4), 1) == \
+            "edc5c402c9354c17ccd75fbc14ee4cdbca28a05baf530c8ca18e2810e91caf93"
 
     def test_cached_spectrum_hits_disk_once(self, tmp_path):
         K = lib.cycle_complex(3)
