@@ -138,6 +138,17 @@ class TestRieszThorin:
             assert upper == pytest.approx(5.0, abs=1e-12)
             assert lower == pytest.approx(5.0, abs=1e-12)
 
+    def test_theta_limits_rejected(self):
+        # theta = 0 or 1 puts p on an exact endpoint: no interpolation, the
+        # bracket closes.  theta outside [0, 1] means p < 1: rejected.
+        A = np.array([[1.0, 1.0], [0.0, 1.0]])
+        for p in (1.0, 2.0, math.inf):
+            lower, upper = opnorm_bracket(A, p)
+            assert lower == upper
+        for p in (0.0, 0.5, -0.2, math.nan):
+            with pytest.raises(ValueError):
+                opnorm_bracket(A, p)
+
     def test_power_estimates_respect_interpolation(self):
         # 200 seeded random matrices: the lower bound at the interpolated
         # exponent never beats m0^(1-theta) m1^theta from the exact
@@ -221,6 +232,13 @@ class TestSemigroupInterpolationBound:
 
 
 class TestMeasureTau:
+    def test_c3_and_interval(self):
+        # tau is the spectral gap, and the decay rate at p = 2.
+        for K, tau in ((lib.cycle_complex(3), 3.0), (lib.interval(), 2.0)):
+            gap = laplacian_spectrum(K, 0).gap
+            assert gap == pytest.approx(tau, abs=1e-12)
+            assert decay_rate(0.5, gap, 2.0) == pytest.approx(tau, abs=1e-12)
+
     def test_decay_equality_at_sampled_times(self):
         # The 2->2 decay rate on the harmonic complement is the gap.
         K = lib.cycle_complex(3)
@@ -756,3 +774,21 @@ class TestInterpolationReport:
         report, code = run_pipeline(RunConfig(input_path=str(path)))
         assert code == 0 and report["ok"] and report["uniqueness"]["passed"]
         assert (len(decomposes), len(eighs)) == (1, 3)
+
+
+class TestConjugateExponent:
+    def test_values(self):
+        # The brackets pair p with its conjugate p' = p / (p - 1): the
+        # p'->p' bracket of A is the p->p bracket of A^T, exactly at the
+        # endpoints (1 and inf, 2 and 2), up to rounding for the interpolated
+        # upper bound.
+        A = np.array([[2.0, -1.0, 0.5], [0.0, 1.0, 3.0], [1.0, 0.0, -1.0]])
+        for p, q in ((1.0, math.inf), (2.0, 2.0), (4.0 / 3.0, 4.0), (1.25, 5.0)):
+            upper = opnorm_bracket(A, q)[1]
+            assert opnorm_bracket(A.T, p)[1] == pytest.approx(upper, rel=1e-14)
+            assert opnorm_bracket(A, p)[1] == pytest.approx(opnorm_bracket(A.T, q)[1],
+                                                            rel=1e-14)
+            # The decay rate mirrors across 2 through the same pairing.
+            if 1.0 < p < math.inf:
+                assert decay_rate(0.5, 2.0, p) == pytest.approx(decay_rate(0.5, 2.0, q),
+                                                                abs=1e-14)

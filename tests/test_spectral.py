@@ -188,6 +188,62 @@ class TestHeatSemigroup:
                 P = s.function_matrix(lambda lam: np.exp(-t * lam))
                 assert np.linalg.norm(H @ P - P @ H, 2) <= 1e-10
 
+
+
+def _heat_derivative(K, s, t, omega):
+    """d/dt P_t omega = -Delta P_t omega, from heat_apply and the Laplacian."""
+    L = hodge_laplacian(K, omega.degree).entries
+    return -(L @ heat_apply(s, t, omega).values)
+
+
+class TestHeatDerivative:
+    """heat_apply solves the heat equation d/dt P_t omega = -Delta P_t omega."""
+
+    def test_harmonic_gives_zero(self):
+        K = lib.cycle_complex(3)
+        s = laplacian_spectrum(K, 0)
+        omega = Cochain(0, np.ones(3))
+        for t in (0.0, 1.0, 7.5):
+            assert np.allclose(heat_apply(s, t, omega).values, 1.0, atol=1e-14)
+            assert np.allclose(_heat_derivative(K, s, t, omega), 0.0, atol=1e-14)
+
+    def test_eigenvector_scalar_calculus(self):
+        K = lib.cycle_complex(3)
+        s = laplacian_spectrum(K, 0)
+        v = s.eigencochains[:, 1]
+        t, h = 0.4, 1e-4
+        expected = -3.0 * math.exp(-3.0 * t) * v
+        assert np.allclose(_heat_derivative(K, s, t, Cochain(0, v)), expected, atol=1e-12)
+        # Central difference of heat_apply in t: error about 27 h^2 / 6.
+        diff = (heat_apply(s, t + h, Cochain(0, v)).values
+                - heat_apply(s, t - h, Cochain(0, v)).values) / (2 * h)
+        assert np.allclose(diff, expected, atol=1e-7)
+
+    def test_telescoping_against_quadrature_oracle(self):
+        # Independent oracle: adaptive quadrature of each component of
+        # d/ds P_s omega over [0, T] must telescope to P_T omega - omega.
+        K = lib.cycle_complex(3)
+        s = laplacian_spectrum(K, 0)
+        omega = lib.random_cochain(K, 0, 21)
+        T = 10.0
+        lhs = heat_apply(s, T, omega).values - omega.values
+        for i in range(3):
+            integral, _ = quad(
+                lambda u: _heat_derivative(K, s, u, omega)[i], 0.0, T,
+                epsabs=1e-10, epsrel=1e-10, points=[0.0], limit=200,
+            )
+            assert abs(integral - lhs[i]) <= 1e-6
+
+    def test_requires_positive_time(self):
+        # The semigroup runs forward only; P_0 is the identity.
+        K = lib.interval()
+        s = laplacian_spectrum(K, 0)
+        omega = Cochain(0, [1.0, 0.0])
+        for source in (s, hodge_laplacian(K, 0)):
+            with pytest.raises(ValueError, match="t >= 0"):
+                heat_apply(source, -1e-3, omega)
+            assert np.allclose(heat_apply(source, 0.0, omega).values, omega.values, atol=1e-15)
+
     @pytest.mark.parametrize("t", [math.nan, math.inf, -math.inf])
     def test_nonfinite_time_rejected(self, t):
         K = lib.cycle_complex(3)
