@@ -15,7 +15,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import sparse
 
 # Relative threshold separating exact-zero homology from double-precision
 # noise.  Single source of truth for "harmonic" across the package.
@@ -275,16 +274,6 @@ def _vertex_ranks(K: SimplicialComplex, k: int) -> np.ndarray:
     return out
 
 
-def _sparse_coboundary_pair(K: SimplicialComplex, ell: int):
-    """d_ell and its weighted adjoint delta_(ell+1), as CSR matrices."""
-    rows, cols, signs = _incidence(K, ell)
-    shape = (K.n_simplices(ell + 1), K.n_simplices(ell))
-    d = sparse.csr_array((signs, (rows, cols)), shape=shape)
-    # The entries of weighted_adjoint, in the same floating-point operations.
-    adjoint = signs * K.weight_vector(ell + 1)[rows] / K.weight_vector(ell)[cols]
-    return d, sparse.csr_array((adjoint, (cols, rows)), shape=shape[::-1])
-
-
 def codifferential(K: SimplicialComplex, ell: int) -> OperatorMatrix:
     """Adjoint of the coboundary w.r.t. the weighted inner products.
 
@@ -300,20 +289,44 @@ def codifferential(K: SimplicialComplex, ell: int) -> OperatorMatrix:
 def hodge_laplacian(K: SimplicialComplex, ell: int) -> OperatorMatrix:
     """Hodge Laplacian d delta + delta d on degree ell (boundary terms dropped).
 
-    Both products are taken between sparse incidence matrices; the sum is
-    made dense once.
+    Assembled dense.  An off-diagonal entry has at most one product
+    through a common face (down) and one through a common coface (up);
+    one ``np.bincount`` adds the down products and then the up ones.  The
+    diagonal sums each term apart, in ascending face or coface order, and
+    then adds the two.  So every entry is summed in the order of a
+    compressed-row product of the incidence matrices.
     """
     K._check_degree(ell)
     n = K.n_simplices(ell)
-    A = sparse.csr_array((n, n))
-    if ell >= 1:
-        d, delta = _sparse_coboundary_pair(K, ell - 1)
-        A = A + d @ delta
-    if ell < K.max_degree:
-        d, delta = _sparse_coboundary_pair(K, ell)
-        A = A + delta @ d
-    A = A.toarray()
     w = K.weight_vector(ell)
+    index, values, diagonal = [], [], np.zeros(n)
+    if ell >= 1:
+        rows, cols, signs = _incidence(K, ell - 1)
+        order = np.argsort(cols, kind="stable")
+        simplex, face, sign = rows[order], cols[order], signs[order]
+        adjoint = sign * w[simplex] / K.weight_vector(ell - 1)[face]
+        # Pair each nonzero with every nonzero of its face, face by face.
+        size = np.bincount(face)[face]
+        left = np.repeat(np.arange(face.size), size)
+        first = np.searchsorted(face, face)  # where the face's nonzeros start
+        right = np.arange(left.size) + np.repeat(first - np.cumsum(size) + size, size)
+        off = left != right
+        index.append(simplex[left[off]] * n + simplex[right[off]])
+        values.append(sign[left[off]] * adjoint[right[off]])
+        diagonal += np.bincount(simplex, sign * adjoint, minlength=n)
+    if ell < K.max_degree:
+        _, cols, _ = _incidence(K, ell)
+        faces = cols.reshape(ell + 2, -1).T
+        sign = (-1.0) ** np.arange(ell + 2)
+        products = (sign * K.weight_vector(ell + 1)[:, None] / w[faces])[:, :, None] * sign
+        off = ~np.eye(ell + 2, dtype=bool)
+        index.append((faces[:, :, None] * n + faces[:, None, :])[:, off].ravel())
+        values.append(products[:, off].ravel())
+        diagonal += np.bincount(faces.ravel(), products[:, ~off].ravel(), minlength=n)
+    A = np.bincount(np.concatenate(index or [np.zeros(0, dtype=np.intp)]),
+                    np.concatenate(values or [np.zeros(0)]), minlength=n * n)
+    A = A.astype(float, copy=False).reshape(n, n)  # integer when there is no pair
+    np.fill_diagonal(A, diagonal)
     if not is_weighted_self_adjoint(A, w):
         raise AssertionError("assembled Laplacian is not W-self-adjoint")
     return OperatorMatrix(A, domain_degree=ell, codomain_degree=ell, symmetric=True)

@@ -86,8 +86,8 @@ class QuadratureResult:
     ``truncation_bound`` bounds the W-norm error of cutting Chebyshev
     series: the dropped-coefficient sum times |v|_W (0 for the spectral
     Gauss sum).  ``nodes_evaluated`` counts the work: Gauss nodes for the
-    subordinated integral, sparse matvecs for the Green term (route B
-    adds those of its heat limit).
+    subordinated integral, products with the Laplacian's nonzeros for the
+    Green term (route B adds those of its heat limit).
     """
 
     cochain: Cochain

@@ -21,7 +21,6 @@ from dataclasses import dataclass, fields
 from typing import NamedTuple
 
 import numpy as np
-from scipy import sparse
 
 from .complexes import (
     RANK_TOL,
@@ -215,12 +214,32 @@ class _ChebyshevAction(NamedTuple):
 
     ``dropped`` is the sum of the |coefficients| past the degree used, so
     the truncation error is at most ``dropped`` times |x|_W; ``matvecs``
-    is that degree, the number of sparse matrix-vector products.
+    is that degree, the number of products with the Laplacian's nonzeros.
     """
 
     values: np.ndarray
     dropped: float
     matvecs: int
+
+
+class _Nonzeros(NamedTuple):
+    """A square matrix as its nonzeros (rows, cols, vals) in row-major order.
+
+    ``M @ x`` is one ``np.bincount``: each row adds its products from 0 in
+    column order, as a compressed-row matvec does.
+    """
+
+    rows: np.ndarray
+    cols: np.ndarray
+    vals: np.ndarray
+
+    @classmethod
+    def of(cls, A: np.ndarray) -> "_Nonzeros":
+        rows, cols = np.nonzero(A)
+        return cls(rows, cols, A[rows, cols])
+
+    def __matmul__(self, x: np.ndarray) -> np.ndarray:
+        return np.bincount(self.rows, self.vals * x.take(self.cols), minlength=x.size)
 
 
 def _chebyshev_sum(A, b: float, coeffs: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -241,31 +260,40 @@ def _chebyshev_sum(A, b: float, coeffs: np.ndarray, x: np.ndarray) -> np.ndarray
     return out
 
 
-def _spectral_bound(A) -> float:
+def _spectral_bound(M: _Nonzeros) -> float:
     """b >= lambda_max from the matrix alone: the smaller of its row-sum and
-    column-sum norms, each of which bounds the spectral radius."""
-    magnitudes = abs(A)
-    b = min(float(np.asarray(magnitudes.sum(axis=axis)).max(initial=0.0))
-            for axis in (0, 1))
+    column-sum norms, each of which bounds the spectral radius.
+
+    Each row sum reduces the row's run of |values| with ``np.add.reduceat``
+    and the column sums accumulate them in row-major order: the orders of a
+    compressed-row matrix's own sums, so b does not depend on the storage.
+    """
+    magnitudes = np.abs(M.vals)
+    if not magnitudes.size:
+        return 0.0
+    runs = np.flatnonzero(np.diff(M.rows, prepend=-1))
+    b = min(float(np.add.reduceat(magnitudes, runs).max()),
+            float(np.bincount(M.cols, magnitudes).max()))
     if not math.isfinite(b):
         raise ValueError("Laplacian has non-finite entries")
     return b
 
 
-def _chebyshev_action(A, x: np.ndarray, series, t: float) -> _ChebyshevAction:
+def _chebyshev_action(A: np.ndarray, x: np.ndarray, series, t: float) -> _ChebyshevAction:
     """f(A) x for the function whose Chebyshev coefficients are series(t, b).
 
-    A must be a Laplacian: W-self-adjoint with spectrum in [0, b], where b
-    comes from ``_spectral_bound``, so the spectrum of Y lies in [-1, 1].
-    The series is cut at the lowest degree whose dropped |coefficients| sum
-    to at most the unit roundoff times the sum of all of them.
+    A must be a dense Laplacian: W-self-adjoint with spectrum in [0, b],
+    where b comes from ``_spectral_bound``, so the spectrum of Y lies in
+    [-1, 1].  The recurrence multiplies by A through its nonzeros.  The
+    series is cut at the lowest degree whose dropped |coefficients| sum to
+    at most the unit roundoff times the sum of all of them.
     """
-    A = sparse.csr_matrix(A)
-    b = _spectral_bound(A)
+    M = _Nonzeros.of(np.asarray(A, dtype=float))
+    b = _spectral_bound(M)
     coeffs = series(t, b)
     tails = np.append(np.cumsum(np.abs(coeffs[::-1]))[::-1], 0.0)
     degree = max(int(np.argmax(tails <= _UNIT_ROUNDOFF * tails[0])) - 1, 0)
-    return _ChebyshevAction(_chebyshev_sum(A, b, coeffs[: degree + 1], x),
+    return _ChebyshevAction(_chebyshev_sum(M, b, coeffs[: degree + 1], x),
                            float(tails[degree + 1]), degree)
 
 
@@ -273,14 +301,14 @@ def heat_apply(source, t: float, omega: Cochain) -> Cochain:
     """Apply the heat semigroup P_t to a cochain.
 
     For SpectralData ``source`` this is the spectral sum
-    exp(-t lambda_i) <omega, v_i> v_i.  For a Laplacian (OperatorMatrix or
-    array) it is the eigenbasis-free Chebyshev action in Y = (2/b) L - I:
-    about sqrt(t b log(1/eps)) sparse matvecs, cut where the dropped
-    coefficients sum to the unit roundoff.  The two agree to 1e-12
-    relative.  The matrix must be self-adjoint in a weighted inner product
-    with spectrum in [0, lambda_max], as every Hodge Laplacian is; for
-    other matrices the truncated series is not exp(-t A) x.  ``t``
-    must be finite and >= 0.
+    exp(-t lambda_i) <omega, v_i> v_i.  For a Laplacian, given as a dense
+    array or an OperatorMatrix, it is the eigenbasis-free Chebyshev action
+    in Y = (2/b) L - I: about sqrt(t b log(1/eps)) products with the
+    Laplacian's nonzeros, cut where the dropped coefficients sum to the
+    unit roundoff.  The two agree to 1e-12 relative.  The matrix must be
+    self-adjoint in a weighted inner product with spectrum in
+    [0, lambda_max], as every Hodge Laplacian is; for other matrices the
+    truncated series is not exp(-t A) x.  ``t`` must be finite and >= 0.
     """
     if not 0 <= t < math.inf:
         raise ValueError(f"heat semigroup requires a finite t >= 0, got t = {t}")

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import sparse
 
 from conftest import (
     CORPUS,
@@ -30,7 +31,7 @@ from hodgeheat import (
     weighted_adjoint,
 )
 from hodgeheat import library as lib
-from hodgeheat.complexes import RANK_TOL, _rank
+from hodgeheat.complexes import RANK_TOL, _incidence, _rank
 
 
 class TestBuildComplex:
@@ -145,7 +146,37 @@ def _dense_laplacian(K, ell):
     return A
 
 
+def _sparse_laplacian(K, ell):
+    """Oracle: d delta + delta d as products of compressed-row incidence matrices."""
+    def pair(k):
+        rows, cols, signs = _incidence(K, k)
+        shape = (K.n_simplices(k + 1), K.n_simplices(k))
+        adjoint = signs * K.weight_vector(k + 1)[rows] / K.weight_vector(k)[cols]
+        return (sparse.csr_array((signs, (rows, cols)), shape=shape),
+                sparse.csr_array((adjoint, (cols, rows)), shape=shape[::-1]))
+    n = K.n_simplices(ell)
+    A = sparse.csr_array((n, n))
+    if ell >= 1:
+        d, delta = pair(ell - 1)
+        A = A + d @ delta
+    if ell < K.max_degree:
+        d, delta = pair(ell)
+        A = A + delta @ d
+    return A.toarray()
+
+
 class TestOperatorsAgainstLoopOracles:
+    @pytest.mark.parametrize("seed", [None, 11, 12], ids=["plain", "weighted_11", "weighted_12"])
+    @pytest.mark.parametrize("name,K", CORPUS + [("torus_12x12", lib.flat_torus(12, 12))],
+                             ids=CORPUS_IDS + ["torus_12x12"])
+    def test_laplacian_equals_sparse_product(self, name, K, seed):
+        # Bit for bit, weights exp(U(-3, 3)) included: every entry is summed
+        # in the sparse product's order.
+        if seed is not None:
+            K = log_uniform_weights(K, seed)
+        for ell in all_degrees(K):
+            assert np.array_equal(hodge_laplacian(K, ell).entries, _sparse_laplacian(K, ell))
+
     @pytest.mark.parametrize("weighted", [False, True], ids=["plain", "weighted"])
     @pytest.mark.parametrize("name,K", CORPUS, ids=CORPUS_IDS)
     def test_coboundary_and_laplacian_equal_oracles(self, name, K, weighted):

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import sparse
 from scipy.linalg import expm
 from scipy.sparse import csgraph
 
@@ -49,8 +50,8 @@ from hodgeheat import (
 )
 from hodgeheat import library as lib
 from hodgeheat.cli import RunConfig, run_pipeline
-from hodgeheat.complexes import weighted_adjoint
-from hodgeheat.interpolation import _opnorm2, _simplex_distances
+from hodgeheat.complexes import _vertex_ranks, weighted_adjoint
+from hodgeheat.interpolation import _hop_distances, _opnorm2, _simplex_distances
 from hodgeheat.io import complex_to_json_dict
 from hodgeheat.spectral import SpectralData
 
@@ -371,8 +372,14 @@ def _hop_oracle(K):
 
 
 def _kernel_decay_oracle(K, ell, t0):
-    """(bins, component_fits, rho) from a per-pair loop over simplex distances."""
+    """(bins, component_fits, rho) from a per-pair loop over simplex distances.
+
+    An entry M_ij is fitted when it exceeds n u |G_i| |G_j| w_j, the
+    rounding bound of its dot product, with |G_i|^2 = M_ii / w_i.
+    """
     M = laplacian_spectrum(K, ell).function_matrix(lambda lam: lam * np.exp(-lam * t0 / 4.0))
+    w = K.weight_vector(ell)
+    g = np.sqrt(np.diagonal(M) / w)
     dist = _hop_oracle(K)
     roots = sorted({min(reach) for reach in dist.values()})
     component = {v: cid for cid, root in enumerate(roots) for v in dist[root]}
@@ -383,13 +390,13 @@ def _kernel_decay_oracle(K, ell, t0):
             if component[si[0]] != component[sj[0]]:
                 continue
             d = min(dist[u][v] for u in si for v in sj)
-            bins = per_component.setdefault(component[si[0]], {})
-            bins[d] = max(bins.get(d, 0.0), abs(M[i, j]))
             all_bins[d] = max(all_bins.get(d, 0.0), abs(M[i, j]))
-    floor = max(len(M) * 2.0 ** -53 * np.abs(M).max(), 1e-250)
+            if abs(M[i, j]) > max(len(M) * 2.0 ** -53 * g[i] * g[j] * w[j], 1e-250):
+                bins = per_component.setdefault(component[si[0]], {})
+                bins[d] = max(bins.get(d, 0.0), abs(M[i, j]))
     fits = []
     for cid, bins in sorted(per_component.items()):
-        usable = sorted((d, m) for d, m in bins.items() if m > floor)
+        usable = sorted(bins.items())
         if len(usable) < 2:
             continue
         ds = np.array([d for d, _ in usable], dtype=float)
@@ -412,6 +419,37 @@ _DISCONNECTED = build_complex({
 _ORACLE_CASES = [(name, K, ell) for name, K in NAMED for ell in all_degrees(K)]
 _ORACLE_CASES += [("disconnected", _DISCONNECTED, ell) for ell in all_degrees(_DISCONNECTED)]
 _ORACLE_CASES += [("vertices_only", build_complex({"vertices": [3, 7, 9]}), 0)]
+# Weights exp(U(-3, 3)) spread the per-entry floors across the matrix.
+_ORACLE_CASES += [("torus_6x6_weighted", log_uniform_weights(lib.flat_torus(6, 6), 6), 1)]
+_ORACLE_CASES += [("random_107_weighted", log_uniform_weights(lib.random_two_complex(107), 7), ell)
+                  for ell in range(3)]
+_ORACLE_CASES += [("random_115_weighted", log_uniform_weights(lib.random_two_complex(115), 2), 2)]
+
+
+_HOP_CASES = list(CORPUS) + [
+    ("disconnected", _DISCONNECTED),
+    ("isolated_vertex", build_complex({"edges": [(0, 1), (1, 2)], "vertices": [9]})),
+    ("edge_free", build_complex({"vertices": [3, 7, 9]})),
+    ("single_vertex", build_complex({"vertices": [0]})),
+    ("torus_12x12", lib.flat_torus(12, 12)),
+    ("strip_48x3", lib.flat_torus(48, 3)),
+    ("torus_20x20", lib.flat_torus(20, 20)),
+]
+
+
+@pytest.mark.parametrize("name,K", _HOP_CASES, ids=[name for name, _ in _HOP_CASES])
+def test_hop_distances_equal_csgraph(name, K):
+    # Exact equality, dtypes included, with scipy's graph search as the reference.
+    n = K.vertex_count
+    edges = _vertex_ranks(K, 1) if K.max_degree >= 1 else np.empty((0, 2), dtype=int)
+    graph = sparse.csr_matrix((np.ones(len(edges)), (edges[:, 0], edges[:, 1])), shape=(n, n))
+    _, labels = csgraph.connected_components(graph, directed=False)
+    hops = csgraph.shortest_path(graph, directed=False, unweighted=True)
+    hops[np.isinf(hops)] = n
+    ids, got_labels, got_hops = _hop_distances(K)
+    assert np.array_equal(ids, [v for (v,) in K.simplices[0]])
+    assert np.array_equal(got_labels, labels) and got_labels.dtype == labels.dtype
+    assert np.array_equal(got_hops, hops) and got_hops.dtype == np.int32
 
 
 _ROUNDING_CASES = [(name, K, ell) for name, K in CORPUS for ell in all_degrees(K)]

@@ -587,11 +587,33 @@ def test_thread_cap_warns_when_it_cannot_apply(imports, warns):
     assert ("HODGEHEAT_NUM_THREADS was not applied" in proc.stderr) == warns
 
 
-def test_package_import_leaves_scipy_special_unloaded():
-    # scipy.special adds about 25 modules and 0.2 s to every start-up; the
-    # Chebyshev heat action computes its Bessel values without it.
-    code = "import sys, hodgeheat, hodgeheat.cli; print('scipy.special' in sys.modules)"
+# Runs the `hodgeheat report` command in this process, then lists what is loaded.
+_CHILD_REPORT = """import sys
+from hodgeheat.cli import main
+try:
+    main(["report", sys.argv[1], "--output", sys.argv[2]])
+except SystemExit as stop:
+    assert not stop.code, stop.code
+print("scipy" in sys.modules)
+"""
+
+
+def test_package_import_leaves_scipy_special_unloaded(tmp_path):
+    # The runtime is numpy only: scipy would add about 0.45 s to every
+    # start-up, and an import deferred into the pipeline would only move
+    # that cost into every command.
+    code = ("import sys, hodgeheat, hodgeheat.cli; "
+            "print('scipy.special' in sys.modules, 'scipy' in sys.modules)")
     proc = subprocess.run([sys.executable, "-c", code], env=child_env("1"),
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "False"
+    assert proc.stdout.split() == ["False", "False"]
+
+    source = tmp_path / "torus.json"
+    source.write_text(json.dumps(complex_to_json_dict(lib.flat_torus(4, 4))))
+    out = tmp_path / "report.json"
+    proc = subprocess.run([sys.executable, "-c", _CHILD_REPORT, str(source), str(out)],
+                          env=child_env("1"), capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "False"
+    assert json.loads(out.read_text())["uniqueness"]["passed"]

@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from scipy import special
+from scipy import sparse, special
 from scipy.integrate import quad
 
 from conftest import (
@@ -31,6 +31,7 @@ from hodgeheat import library as lib
 from hodgeheat.cli import _spectrum_section
 from hodgeheat.spectral import (
     _UNIT_ROUNDOFF,
+    _Nonzeros,
     _chebyshev_action,
     _chebyshev_sum,
     _green_series,
@@ -302,8 +303,23 @@ class TestChebyshevAction:
         # with its backward error of a few ulps.
         for ell in all_degrees(K):
             s = laplacian_spectrum(K, ell)
-            b = _spectral_bound(hodge_laplacian(K, ell).entries)
+            b = _spectral_bound(_Nonzeros.of(hodge_laplacian(K, ell).entries))
             assert b >= s.eigenvalues[-1] - 1e-13 * b
+
+    @pytest.mark.parametrize("nx,ny,seed", [(6, 6, 1), (12, 12, 2), (24, 3, 3)])
+    def test_matvec_and_bound_equal_compressed_row_oracle(self, nx, ny, seed):
+        # Bit for bit: the products and the two norms of b sum in the
+        # same order as scipy's compressed-row matrix.
+        K = log_uniform_weights(lib.flat_torus(nx, ny), seed)
+        rng = np.random.default_rng(seed)
+        for ell in all_degrees(K):
+            A = hodge_laplacian(K, ell).entries
+            M, csr = _Nonzeros.of(A), sparse.csr_matrix(A)
+            for _ in range(20):
+                x = rng.standard_normal(A.shape[0])
+                assert np.array_equal(M @ x, csr @ x)
+            norms = [np.asarray(abs(csr).sum(axis=axis)).max() for axis in (0, 1)]
+            assert _spectral_bound(M) == min(norms)
 
     def test_t_zero_returns_x_exactly(self):
         K = lib.flat_torus(6, 6)
@@ -345,7 +361,7 @@ class TestChebyshevAction:
         for ell in all_degrees(K):
             s = laplacian_spectrum(K, ell)
             A = hodge_laplacian(K, ell).entries
-            b = _spectral_bound(A)
+            b = _spectral_bound(_Nonzeros.of(A))
             if b == 0.0:
                 continue
             x = lib.random_cochain(K, ell, 23).values
