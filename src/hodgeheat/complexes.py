@@ -286,43 +286,49 @@ def codifferential(K: SimplicialComplex, ell: int) -> OperatorMatrix:
     return OperatorMatrix(entries, domain_degree=ell, codomain_degree=ell - 1)
 
 
+def _group_pairs(group, member, left, right):
+    """(member_a, member_b, left_a * right_b) over the pairs a, b of each group.
+
+    Pairs run group by group in ascending order, and within a group in the
+    order the entries are given, first index first.
+    """
+    order = np.argsort(group, kind="stable")
+    group, member, left, right = group[order], member[order], left[order], right[order]
+    size = np.bincount(group)[group]
+    a = np.repeat(np.arange(group.size), size)
+    first = np.searchsorted(group, group)  # where each entry's group starts
+    b = np.arange(a.size) + np.repeat(first - np.cumsum(size) + size, size)
+    return member[a], member[b], left[a] * right[b]
+
+
 def hodge_laplacian(K: SimplicialComplex, ell: int) -> OperatorMatrix:
     """Hodge Laplacian d delta + delta d on degree ell (boundary terms dropped).
 
-    Assembled dense.  An off-diagonal entry has at most one product
-    through a common face (down) and one through a common coface (up);
-    one ``np.bincount`` adds the down products and then the up ones.  The
-    diagonal sums each term apart, in ascending face or coface order, and
-    then adds the two.  So every entry is summed in the order of a
-    compressed-row product of the incidence matrices.
+    Assembled dense.  The down term pairs the ell-simplices of each common
+    face, the up term the faces of each common coface.  An off-diagonal
+    entry has at most one product in each term; one ``np.bincount`` adds
+    the down products and then the up ones.  The diagonal sums each term
+    apart, in ascending face or coface order, and then adds the two.  So
+    every entry is summed in the order of a compressed-row product of the
+    incidence matrices.
     """
     K._check_degree(ell)
     n = K.n_simplices(ell)
     w = K.weight_vector(ell)
-    index, values, diagonal = [], [], np.zeros(n)
+    terms = []  # (group, member, left, right): d_(group, member) and its adjoint
     if ell >= 1:
         rows, cols, signs = _incidence(K, ell - 1)
-        order = np.argsort(cols, kind="stable")
-        simplex, face, sign = rows[order], cols[order], signs[order]
-        adjoint = sign * w[simplex] / K.weight_vector(ell - 1)[face]
-        # Pair each nonzero with every nonzero of its face, face by face.
-        size = np.bincount(face)[face]
-        left = np.repeat(np.arange(face.size), size)
-        first = np.searchsorted(face, face)  # where the face's nonzeros start
-        right = np.arange(left.size) + np.repeat(first - np.cumsum(size) + size, size)
-        off = left != right
-        index.append(simplex[left[off]] * n + simplex[right[off]])
-        values.append(sign[left[off]] * adjoint[right[off]])
-        diagonal += np.bincount(simplex, sign * adjoint, minlength=n)
+        terms.append((cols, rows, signs, signs * w[rows] / K.weight_vector(ell - 1)[cols]))
     if ell < K.max_degree:
-        _, cols, _ = _incidence(K, ell)
-        faces = cols.reshape(ell + 2, -1).T
-        sign = (-1.0) ** np.arange(ell + 2)
-        products = (sign * K.weight_vector(ell + 1)[:, None] / w[faces])[:, :, None] * sign
-        off = ~np.eye(ell + 2, dtype=bool)
-        index.append((faces[:, :, None] * n + faces[:, None, :])[:, off].ravel())
-        values.append(products[:, off].ravel())
-        diagonal += np.bincount(faces.ravel(), products[:, ~off].ravel(), minlength=n)
+        rows, cols, signs = _incidence(K, ell)
+        terms.append((rows, cols, signs * K.weight_vector(ell + 1)[rows] / w[cols], signs))
+    index, values, diagonal = [], [], np.zeros(n)
+    for term in terms:
+        i, j, products = _group_pairs(*term)
+        same = i == j
+        index.append(i[~same] * n + j[~same])
+        values.append(products[~same])
+        diagonal += np.bincount(i[same], products[same], minlength=n)
     A = np.bincount(np.concatenate(index or [np.zeros(0, dtype=np.intp)]),
                     np.concatenate(values or [np.zeros(0)]), minlength=n * n)
     A = A.astype(float, copy=False).reshape(n, n)  # integer when there is no pair

@@ -267,36 +267,54 @@ def projector_norm_profile(K: SimplicialComplex, ell: int, p_grid,
     return [{"p": p, "lower": lo, "upper": hi} for p, (lo, hi) in zip(ps, brackets)]
 
 
+_BFS_PAIRS = 1 << 18  # (source, edge end) pairs one step of _hop_distances expands
+
+
 def _hop_distances(K: SimplicialComplex):
     """Vertex ids, component labels and 1-skeleton hop distances.
 
     Rows follow the sorted vertex ids of ``K.simplices[0]``.  Vertices in
     different components are at distance ``K.vertex_count``, one more than
     any path can have; components are numbered by their smallest vertex.
-    A breadth-first search runs from every vertex at once: row v of
-    ``frontier`` holds, bit-packed, the sources whose current level has v,
-    and the next level ORs the rows of v's neighbours (padded with v).
+    A breadth-first search runs from every vertex at once over the flat
+    (source, vertex) keys of its frontier, so its work is the number of
+    (source, edge end) pairs, as for one search per source.
     """
     ids = np.array([v for (v,) in K.simplices[0]])
     n = ids.size
     edges = _vertex_ranks(K, 1) if K.max_degree >= 1 else np.empty((0, 2), dtype=int)
     ends = np.concatenate([edges, edges[:, ::-1]])
     ends = ends[np.argsort(ends[:, 0], kind="stable")]
-    degree = np.bincount(ends[:, 0], minlength=n)
-    table = np.tile(np.arange(n)[:, None], (1, max(degree.max(initial=0), 1)))
-    slot = np.arange(len(ends)) - np.repeat(np.cumsum(degree) - degree, degree)
-    table[ends[:, 0], slot] = ends[:, 1]
+    neighbour, degree = ends[:, 1], np.bincount(ends[:, 0], minlength=n)
+    first = np.cumsum(degree) - degree  # where each vertex's neighbours start
 
-    frontier = np.packbits(np.eye(n, dtype=bool), axis=1)
-    reached = frontier.copy()
-    hops = np.full((n, n), n, dtype=np.int32)
-    np.fill_diagonal(hops, 0)
-    for level in range(1, n):
-        frontier = np.bitwise_or.reduce(frontier[table], axis=1) & ~reached
-        if not frontier.any():
-            break
-        reached |= frontier
-        hops[np.unpackbits(frontier, axis=1, count=n).view(bool)] = level
+    hops = np.full(n * n, n, dtype=np.int32)
+    key = np.arange(n) * (n + 1)  # source * n + vertex
+    hops[key] = 0
+    level = 0
+    while key.size:
+        level += 1
+        found = []  # drops the last level's pieces, now in key
+        # About _BFS_PAIRS pairs at a time: a hub that every source reaches
+        # at once would otherwise expand n times its degree keys together.
+        stop = degree[key % n]
+        np.cumsum(stop, out=stop)
+        bounds = [0, *np.searchsorted(stop, np.arange(_BFS_PAIRS, stop[-1], _BFS_PAIRS)), key.size]
+        for lo, hi in zip(bounds[:-1], bounds[1:]):
+            vertex = key[lo:hi] % n
+            count = degree[vertex]
+            slot = np.repeat(first[vertex] - np.cumsum(count) + count, count)
+            slot += np.arange(slot.size)
+            new = np.repeat(key[lo:hi] - vertex, count) + neighbour[slot]
+            new = new[hops[new] == n]
+            # One write to each repeated key survives; keep the entry that made it.
+            mark = -1 - np.arange(new.size, dtype=np.int32)
+            hops[new] = mark
+            new = new[hops[new] == mark]
+            hops[new] = level
+            found.append(new)
+        key = np.concatenate(found)
+    hops = hops.reshape(n, n)
     # The first vertex at a finite distance is the smallest of the component.
     _, labels = np.unique(np.argmax(hops < n, axis=1), return_inverse=True)
     return ids, labels.astype(np.int32), hops
@@ -343,37 +361,27 @@ def kernel_decay_fit(K: SimplicialComplex, ell: int, t0: float,
     Distance between two ell-simplices is the smallest 1-skeleton hop
     distance between their vertex sets.  Disconnected complexes are fitted
     per component (entries across components vanish identically); the
-    reported rho is the most conservative component value.  The matrix is
-    M = (G G^T) W, so the dot product behind M_ij rounds by at most
-    n u |G_i| |G_j| w_j (n simplices, u the unit roundoff), with
-    |G_i|^2 = M_ii / w_i; an entry at or below that floor is not fitted,
-    and a bin with no other entry is dropped.  ``bins`` keeps every entry.
-    ``distances`` is ``_simplex_distances(K, ell)``, computed here when
-    omitted.
+    reported rho is the most conservative component value.  A bin whose
+    largest entry is at or below n * u * max|entry| (n simplices, u the
+    unit roundoff), the rounding floor of the matrix's dot products, is
+    not fitted.  ``distances`` is ``_simplex_distances(K, ell)``, computed
+    here when omitted.
     """
     if t0 <= 0:
         raise ValueError("t0 must be positive")
     s = spectral if spectral is not None else laplacian_spectrum(K, ell)
-    M = s.function_matrix(lambda lam: lam * np.exp(-lam * t0 / 4.0))
-    g = np.sqrt(np.diagonal(M) / s.weights)  # |G_i|
-    floor = np.multiply.outer(M.shape[0] * _UNIT_ROUNDOFF * g, g * s.weights)
-    mag = np.abs(M, out=M)
-    noise = mag <= np.maximum(floor, 1e-250, out=floor)
-    fitted = floor  # the floor's memory, reused
-    fitted[...] = mag
-    fitted[noise] = -1.0
+    mag = np.abs(s.function_matrix(lambda lam: lam * np.exp(-lam * t0 / 4.0)))
 
     labels, hops, key = distances if distances is not None else _simplex_distances(K, ell)
     nv = hops.shape[0]
-    # table[0] bins the fitted entries, table[1] every entry; -1: no entry.
-    table = np.full((2, labels.max() + 1, nv + 1), -1.0)
-    np.maximum.at(table[0].reshape(-1), key.ravel(), fitted.ravel())
-    np.maximum.at(table[1].reshape(-1), key.ravel(), mag.ravel())
-    table = table[..., :nv]
+    table = np.full((labels.max() + 1, nv + 1), -1.0)  # -1: the distance does not occur
+    np.maximum.at(table.reshape(-1), key.ravel(), mag.ravel())
+    table = table[:, :nv]
 
+    floor = max(mag.shape[0] * _UNIT_ROUNDOFF * mag.max(initial=0.0), 1e-250)
     fits = []
-    for cid in np.flatnonzero((table[0] >= 0).any(axis=1)):
-        usable = [(d, m) for d, m in enumerate(table[0, cid]) if m >= 0]
+    for cid in np.flatnonzero((table >= 0).any(axis=1)):
+        usable = [(d, m) for d, m in enumerate(table[cid]) if m > floor]
         if len(usable) < 2:
             continue
         ds = np.array([d for d, _ in usable], dtype=float)
@@ -387,7 +395,7 @@ def kernel_decay_fit(K: SimplicialComplex, ell: int, t0: float,
             "bins": [(int(d), float(m)) for d, m in usable],
         })
 
-    top = table[1].max(axis=0)
+    top = table.max(axis=0)
     bins_sorted = [(int(d), float(top[d])) for d in np.flatnonzero(top >= 0)]
 
     if not fits:

@@ -372,14 +372,8 @@ def _hop_oracle(K):
 
 
 def _kernel_decay_oracle(K, ell, t0):
-    """(bins, component_fits, rho) from a per-pair loop over simplex distances.
-
-    An entry M_ij is fitted when it exceeds n u |G_i| |G_j| w_j, the
-    rounding bound of its dot product, with |G_i|^2 = M_ii / w_i.
-    """
+    """(bins, component_fits, rho) from a per-pair loop over simplex distances."""
     M = laplacian_spectrum(K, ell).function_matrix(lambda lam: lam * np.exp(-lam * t0 / 4.0))
-    w = K.weight_vector(ell)
-    g = np.sqrt(np.diagonal(M) / w)
     dist = _hop_oracle(K)
     roots = sorted({min(reach) for reach in dist.values()})
     component = {v: cid for cid, root in enumerate(roots) for v in dist[root]}
@@ -390,13 +384,13 @@ def _kernel_decay_oracle(K, ell, t0):
             if component[si[0]] != component[sj[0]]:
                 continue
             d = min(dist[u][v] for u in si for v in sj)
+            bins = per_component.setdefault(component[si[0]], {})
+            bins[d] = max(bins.get(d, 0.0), abs(M[i, j]))
             all_bins[d] = max(all_bins.get(d, 0.0), abs(M[i, j]))
-            if abs(M[i, j]) > max(len(M) * 2.0 ** -53 * g[i] * g[j] * w[j], 1e-250):
-                bins = per_component.setdefault(component[si[0]], {})
-                bins[d] = max(bins.get(d, 0.0), abs(M[i, j]))
+    floor = max(len(M) * 2.0 ** -53 * np.abs(M).max(), 1e-250)
     fits = []
     for cid, bins in sorted(per_component.items()):
-        usable = sorted(bins.items())
+        usable = sorted((d, m) for d, m in bins.items() if m > floor)
         if len(usable) < 2:
             continue
         ds = np.array([d for d, _ in usable], dtype=float)
@@ -419,7 +413,7 @@ _DISCONNECTED = build_complex({
 _ORACLE_CASES = [(name, K, ell) for name, K in NAMED for ell in all_degrees(K)]
 _ORACLE_CASES += [("disconnected", _DISCONNECTED, ell) for ell in all_degrees(_DISCONNECTED)]
 _ORACLE_CASES += [("vertices_only", build_complex({"vertices": [3, 7, 9]}), 0)]
-# Weights exp(U(-3, 3)) spread the per-entry floors across the matrix.
+# Weights exp(U(-3, 3)) spread the entries over several orders of magnitude.
 _ORACLE_CASES += [("torus_6x6_weighted", log_uniform_weights(lib.flat_torus(6, 6), 6), 1)]
 _ORACLE_CASES += [("random_107_weighted", log_uniform_weights(lib.random_two_complex(107), 7), ell)
                   for ell in range(3)]
@@ -434,6 +428,9 @@ _HOP_CASES = list(CORPUS) + [
     ("torus_12x12", lib.flat_torus(12, 12)),
     ("strip_48x3", lib.flat_torus(48, 3)),
     ("torus_20x20", lib.flat_torus(20, 20)),
+    # Long diameter and one hub, at the README's few thousand simplices.
+    ("cycle_2000", lib.cycle_complex(2000)),
+    ("fan_2000", build_complex({"triangles": [(0, v, v % 2000 + 1) for v in range(1, 2001)]})),
 ]
 
 
@@ -450,6 +447,19 @@ def test_hop_distances_equal_csgraph(name, K):
     assert np.array_equal(ids, [v for (v,) in K.simplices[0]])
     assert np.array_equal(got_labels, labels) and got_labels.dtype == labels.dtype
     assert np.array_equal(got_hops, hops) and got_hops.dtype == np.int32
+
+
+@pytest.mark.parametrize("pairs", [1, 7])
+def test_hop_distances_do_not_depend_on_the_step_size(pairs, monkeypatch):
+    # Steps of one or a few pairs split every level, and a vertex of
+    # higher degree spans several steps, leaving some of them empty.
+    cases = [lib.flat_torus(6, 6), _DISCONNECTED,
+             build_complex({"triangles": [(0, v, v % 30 + 1) for v in range(1, 31)]})]
+    expected = [_hop_distances(K) for K in cases]
+    monkeypatch.setattr(hodgeheat.interpolation, "_BFS_PAIRS", pairs)
+    for K, want in zip(cases, expected):
+        got = _hop_distances(K)
+        assert all(np.array_equal(a, b) and a.dtype == b.dtype for a, b in zip(got, want))
 
 
 _ROUNDING_CASES = [(name, K, ell) for name, K in CORPUS for ell in all_degrees(K)]
@@ -527,6 +537,15 @@ class TestKernelDecayFit:
         far = key > 0
         assert far.any() and not np.any(far & (blocks[:, None] == blocks[None, :]))
         fit = kernel_decay_fit(K, 2, t0=1.0)
+        assert [d for d, _ in fit.bins] == [0, 1] and 0 < fit.bins[1][1] < 1e-15
+        assert fit.degenerate and fit.rho is None
+
+    def test_weighted_rounding_noise_is_not_fitted(self):
+        # The same exact zeros under log-uniform weights: at t0 = 2 the
+        # noise left there exceeds the rounding bound of its own dot
+        # product, so a floor of that bound alone would fit it.
+        K = log_uniform_weights(lib.random_two_complex(115), 1)
+        fit = kernel_decay_fit(K, 2, t0=2.0)
         assert [d for d, _ in fit.bins] == [0, 1] and 0 < fit.bins[1][1] < 1e-15
         assert fit.degenerate and fit.rho is None
 
