@@ -344,8 +344,13 @@ def weighted_adjoint(A: np.ndarray, w_dom: np.ndarray, w_cod: np.ndarray) -> np.
 
 
 def is_weighted_self_adjoint(A: np.ndarray, w: np.ndarray, tol: float = 1e-12) -> bool:
-    diff = np.linalg.norm(A - weighted_adjoint(A, w, w))
-    return diff <= tol * max(np.linalg.norm(A), 1e-300)
+    # A - weighted_adjoint(A, w, w), built in one n x n buffer.
+    w = np.asarray(w)
+    diff = np.empty_like(A)
+    np.multiply(A.T, w, out=diff)
+    diff /= w[:, None]
+    np.subtract(A, diff, out=diff)
+    return np.linalg.norm(diff) <= tol * max(np.linalg.norm(A), 1e-300)
 
 
 def inner_product(K: SimplicialComplex, u: Cochain, v: Cochain) -> float:

@@ -15,7 +15,6 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-from numpy.polynomial.legendre import leggauss
 
 from .complexes import (
     Cochain,
@@ -180,6 +179,8 @@ def inv_sqrt_subordinated(s: SpectralData, omega: Cochain,
     if sized is None:
         return QuadratureResult(Cochain(s.degree, np.zeros_like(v0)), 0.0,
                                 0.0, 0, grid.error_target if grid else 0.0)
+    # Imported here: numpy.polynomial would otherwise load at every start-up.
+    from numpy.polynomial.legendre import leggauss
     xs, ws = leggauss(sized.nodes)
     vals = np.zeros_like(v0)
     count = 0

@@ -70,12 +70,33 @@ def _pnorm(x: np.ndarray, p: float) -> float:
     return float(np.sum(np.abs(x) ** p) ** (1.0 / p))
 
 
-def _dual_vector(y: np.ndarray, p: float) -> np.ndarray:
-    """Unit-q-norm vector pairing to |y|_p (q the conjugate of p)."""
-    norm = _pnorm(y, p)
+def _dual_vector(y: np.ndarray, p: float, norm: float) -> np.ndarray:
+    """Unit-q-norm vector pairing to |y|_p = norm (q the conjugate of p)."""
     if norm == 0.0:
         return np.zeros_like(y)
     return np.sign(y) * (np.abs(y) / norm) ** (p - 1.0)
+
+
+class _Factored:
+    """The operator left @ right.T, applied through its two factors.
+
+    A rank-k operator on n-vectors costs O(nk) per product this way,
+    against O(n^2) for its dense matrix.
+    """
+
+    def __init__(self, left: np.ndarray, right: np.ndarray):
+        self.left, self.right = left, right
+
+    @property
+    def shape(self):
+        return self.left.shape[0], self.right.shape[0]
+
+    @property
+    def T(self):
+        return _Factored(self.right, self.left)
+
+    def __matmul__(self, x):
+        return self.left @ (self.right.T @ x)
 
 
 def opnorm_power_method(T, p, w_dom=None, w_cod=None, iters: int = 64,
@@ -86,15 +107,20 @@ def opnorm_power_method(T, p, w_dom=None, w_cod=None, iters: int = 64,
     transform W_cod^(1/p) T W_dom^(-1/p).  Every iterate evaluates
     |Bx|_p / |x|_p, so the running maximum is a valid lower bound that is
     nondecreasing in the iteration budget and deterministic for a seed.
+    T may be a ``_Factored`` operator; the weights then scale its factors.
     """
     p = float(p)
     if not 1.0 < p < math.inf:
         raise ValueError(f"power method needs 1 < p < inf, got {p}")
-    A = _entries(T)
+    A = T if isinstance(T, _Factored) else _entries(T)
     w_dom, w_cod = _weight_pair(A, w_dom, w_cod)
     if min(A.shape) == 0:
         return 0.0
-    B = (A * w_cod[:, None] ** (1.0 / p)) / (w_dom[None, :] ** (1.0 / p))
+    rows, cols = w_cod ** (1.0 / p), w_dom ** (1.0 / p)
+    if isinstance(A, _Factored):
+        B = _Factored(A.left * rows[:, None], A.right / cols[:, None])
+    else:
+        B = (A * rows[:, None]) / cols[None, :]
     q = p / (p - 1.0)
 
     rng = np.random.default_rng(seed)
@@ -106,13 +132,15 @@ def opnorm_power_method(T, p, w_dom=None, w_cod=None, iters: int = 64,
     best = 0.0
     for _ in range(iters):
         y = B @ x
-        best = max(best, _pnorm(y, p))
+        norm = _pnorm(y, p)
+        best = max(best, norm)
         if best == 0.0:
             break
-        z = B.T @ _dual_vector(y, p)
-        if _pnorm(z, q) <= float(z @ x) * (1.0 + 1e-12):
+        z = B.T @ _dual_vector(y, p, norm)
+        norm = _pnorm(z, q)
+        if norm <= float(z @ x) * (1.0 + 1e-12):
             break
-        x = _dual_vector(z, q)
+        x = _dual_vector(z, q, norm)
     return best
 
 
@@ -128,16 +156,19 @@ def opnorm_bracket(T, p, w_dom=None, w_cod=None, iters: int = 64,
 
 
 def _brackets(T, p_grid, w_dom, w_cod, iters: int, seed: int,
-              norm2: float | None = None) -> list[tuple[float, float]]:
+              norm2: float | None = None, factor=None) -> list[tuple[float, float]]:
     """``opnorm_bracket`` of one matrix at every p of the grid.
 
     Each exact endpoint (1, 2, inf) is computed at most once.  A caller
     that knows the 2-norm in closed form passes it as ``norm2``; otherwise
-    the SVD behind it runs only when some p needs it.
+    the SVD behind it runs only when some p needs it.  A caller that knows
+    a factorization T = left @ right.T passes it as ``factor = (left,
+    right)``, and the power method runs through it.
     """
     A = _entries(T)
     w_dom, w_cod = _weight_pair(A, w_dom, w_cod)
     exact = {} if norm2 is None else {2.0: norm2}
+    power = A if factor is None else _Factored(*factor)
 
     def endpoint(q):
         if q not in exact:
@@ -150,7 +181,7 @@ def _brackets(T, p_grid, w_dom, w_cod, iters: int, seed: int,
         if p in (1.0, 2.0) or math.isinf(p):
             out.append((endpoint(p), endpoint(p)))
             continue
-        lower = opnorm_power_method(A, p, w_dom, w_cod, iters=iters, seed=seed)
+        lower = opnorm_power_method(power, p, w_dom, w_cod, iters=iters, seed=seed)
         # Riesz-Thorin between the two exact endpoints around p.
         if p < 2.0:
             m0, m1 = endpoint(1.0), endpoint(2.0)
@@ -258,12 +289,16 @@ def projector_norm_profile(K: SimplicialComplex, ell: int, p_grid,
     """Brackets on the p->p norms of the harmonic projector.
 
     H is a W-orthogonal projector, so its 2->2 norm is exactly 1 when the
-    kernel is nonzero and 0 otherwise; no SVD is needed for it.
+    kernel is nonzero and 0 otherwise; no SVD is needed for it.  The exact
+    1 and inf endpoints read the dense H; the power method runs through
+    its rank-k factor H = V_k (W V_k)^T, k the kernel dimension.
     """
     s = spectral if spectral is not None else laplacian_spectrum(K, ell)
     ps = [float(p) for p in p_grid]
+    Vk = s.kernel_basis()
     brackets = _brackets(harmonic_projector(s).entries, ps, s.weights, s.weights, iters, seed,
-                         norm2=1.0 if s.kernel_dim else 0.0)
+                         norm2=1.0 if s.kernel_dim else 0.0,
+                         factor=(Vk, Vk * s.weights[:, None]))
     return [{"p": p, "lower": lo, "upper": hi} for p, (lo, hi) in zip(ps, brackets)]
 
 
@@ -343,12 +378,14 @@ def _simplex_distances(K: SimplicialComplex, ell: int):
     """
     ids, labels, hops = _hop_distances(K)
     nv = ids.size
-    n = K.n_simplices(ell)
     verts = _vertex_ranks(K, ell)
-    key = np.full((n, n), nv, dtype=np.intp)
-    for a in range(ell + 1):
-        for b in range(ell + 1):
-            np.minimum(key, hops[np.ix_(verts[:, a], verts[:, b])], out=key)
+    # near[v, j]: the hop distance from vertex v to simplex j.
+    near = hops[:, verts[:, 0]]
+    for b in range(1, ell + 1):
+        np.minimum(near, hops[:, verts[:, b]], out=near)
+    key = near[verts[:, 0]].astype(np.intp)
+    for a in range(1, ell + 1):
+        np.minimum(key, near[verts[:, a]], out=key)
     key += (nv + 1) * labels[verts[:, 0], None].astype(np.intp)
     return labels, hops, key
 

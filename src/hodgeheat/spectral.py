@@ -112,11 +112,15 @@ def eigendecompose(delta, weights=None, degree: int | None = None) -> SpectralDa
         raise ValueError("operator and weights have mismatched shapes")
 
     sqrt_w = np.sqrt(w)
-    S = (A * sqrt_w[:, None]) / sqrt_w[None, :]
+    S = A * sqrt_w[:, None]
+    S /= sqrt_w[None, :]
     scale = np.linalg.norm(S)
-    if np.linalg.norm(S - S.T) > 1e-8 * max(scale, 1e-300):
+    D = np.subtract(S, S.T)  # the one other n x n buffer, then (S + S^T) / 2
+    if np.linalg.norm(D) > 1e-8 * max(scale, 1e-300):
         raise ValueError("operator is not self-adjoint in the weighted inner product")
-    evals, U = np.linalg.eigh((S + S.T) / 2.0)
+    np.add(S, S.T, out=D)
+    D /= 2.0
+    evals, U = np.linalg.eigh(D)
 
     lam_max = float(evals[-1]) if evals.size else 0.0
     if lam_max < 0 and abs(lam_max) <= RANK_TOL:

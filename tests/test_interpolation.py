@@ -51,7 +51,7 @@ from hodgeheat import (
 from hodgeheat import library as lib
 from hodgeheat.cli import RunConfig, run_pipeline
 from hodgeheat.complexes import _vertex_ranks, weighted_adjoint
-from hodgeheat.interpolation import _hop_distances, _opnorm2, _simplex_distances
+from hodgeheat.interpolation import _Factored, _hop_distances, _opnorm2, _simplex_distances
 from hodgeheat.io import complex_to_json_dict
 from hodgeheat.spectral import SpectralData
 
@@ -462,6 +462,30 @@ def test_hop_distances_do_not_depend_on_the_step_size(pairs, monkeypatch):
         assert all(np.array_equal(a, b) and a.dtype == b.dtype for a, b in zip(got, want))
 
 
+def _all_pairs_key(K, ell):
+    """Distance keys by (ell+1)^2 gathers of the hop table, one per vertex pair."""
+    ids, labels, hops = _hop_distances(K)
+    nv, n = ids.size, K.n_simplices(ell)
+    verts = _vertex_ranks(K, ell)
+    key = np.full((n, n), nv, dtype=np.intp)
+    for a in range(ell + 1):
+        for b in range(ell + 1):
+            np.minimum(key, hops[np.ix_(verts[:, a], verts[:, b])], out=key)
+    key += (nv + 1) * labels[verts[:, 0], None].astype(np.intp)
+    return key
+
+
+@pytest.mark.parametrize("name,K,ell", _ORACLE_CASES,
+                         ids=[f"{name}-{ell}" for name, _, ell in _ORACLE_CASES])
+def test_simplex_distances_equal_all_pairs_gathers(name, K, ell):
+    # The keys go through a vertex-to-simplex table; the oracle gathers
+    # the hop table once per pair of vertex slots.  Exact, dtype included.
+    _, hops, key = _simplex_distances(K, ell)
+    want = _all_pairs_key(K, ell)
+    assert key.dtype == want.dtype == np.intp and np.array_equal(key, want)
+    assert np.array_equal(hops, _hop_distances(K)[2])
+
+
 _ROUNDING_CASES = [(name, K, ell) for name, K in CORPUS for ell in all_degrees(K)]
 _ROUNDING_CASES += [(f"torus_{n}x{n}", lib.flat_torus(n, n), 1) for n in (12, 20)]
 
@@ -725,27 +749,44 @@ class TestBracketsShareEndpoints:
         projector_norm_profile(K, 1, (1.0, math.inf), spectral=s)
         assert calls == []
 
+    def check_profile_against_dense_brackets(self, K, ell, s):
+        # Oracle: one opnorm_bracket call per p on the dense projector, with
+        # the closed-form 2-norm as the p = 2 row and interpolation endpoint.
+        # The profile's power method runs through the rank-k factor of H,
+        # so its lower bounds match the dense ones up to rounding only.
+        H, w = harmonic_projector(s).entries, s.weights
+        norm2 = 1.0 if s.kernel_dim else 0.0
+        rows = projector_norm_profile(K, ell, self.GRID, spectral=s)
+        assert [row["p"] for row in rows] == list(self.GRID)
+        for p, row in zip(self.GRID, rows):
+            lo, hi = opnorm_bracket(H, p, w, w)
+            if p == 2.0:
+                lo = hi = norm2
+            elif 1.0 < p < math.inf:
+                if p < 2:
+                    m0, m1, theta = opnorm_exact_extremes(H, 1, w, w), norm2, 2 - 2 / p
+                else:
+                    m0, m1, theta = norm2, opnorm_exact_extremes(H, math.inf, w, w), 1 - 2 / p
+                hi = m0 ** (1 - theta) * m1 ** theta if m0 and m1 else 0.0
+                assert row["upper"] == hi
+                assert row["lower"] == pytest.approx(lo, rel=1e-12, abs=0.0)
+                # Up to rounding: where the norm is 1 at every p (degree 0),
+                # the dense lower bound, too, lands a few ulps above upper.
+                assert row["lower"] <= row["upper"] * (1.0 + 1e-12)
+                continue
+            assert row == {"p": p, "lower": lo, "upper": hi}
+
     @pytest.mark.parametrize("name, K", NAMED, ids=NAMED_IDS)
     def test_profile_rows_equal_per_p_brackets(self, name, K):
-        # Oracle: one opnorm_bracket call per p on the same projector, with
-        # the closed-form 2-norm as the p = 2 row and interpolation endpoint.
         for ell in all_degrees(K):
-            s = spectrum_of(name, K, ell)
-            H, w = harmonic_projector(s).entries, s.weights
-            norm2 = 1.0 if s.kernel_dim else 0.0
-            expected = []
-            for p in self.GRID:
-                lo, hi = opnorm_bracket(H, p, w, w)
-                if p == 2.0:
-                    lo = hi = norm2
-                elif 1.0 < p < math.inf:
-                    if p < 2:
-                        m0, m1, theta = opnorm_exact_extremes(H, 1, w, w), norm2, 2 - 2 / p
-                    else:
-                        m0, m1, theta = norm2, opnorm_exact_extremes(H, math.inf, w, w), 1 - 2 / p
-                    hi = m0 ** (1 - theta) * m1 ** theta if m0 and m1 else 0.0
-                expected.append({"p": p, "lower": lo, "upper": hi})
-            assert projector_norm_profile(K, ell, self.GRID, spectral=s) == expected
+            self.check_profile_against_dense_brackets(K, ell, spectrum_of(name, K, ell))
+
+    @pytest.mark.parametrize("seed", [3, 4])
+    @pytest.mark.parametrize("name, K", NAMED, ids=NAMED_IDS)
+    def test_weighted_profile_rows_equal_per_p_brackets(self, name, K, seed):
+        K = log_uniform_weights(K, seed)
+        for ell in all_degrees(K):
+            self.check_profile_against_dense_brackets(K, ell, laplacian_spectrum(K, ell))
 
     @pytest.mark.parametrize("name, K", NAMED, ids=NAMED_IDS)
     def test_projector_norm2_closed_form_matches_svd(self, name, K):
@@ -818,11 +859,17 @@ class TestInterpolationReport:
         eighs = count_calls(monkeypatch, "eigh", np.linalg)
         matrices = count_calls(monkeypatch, "function_matrix", SpectralData)
         hops = count_calls(monkeypatch, "_hop_distances", hodgeheat.interpolation)
+        powers = count_calls(monkeypatch, "opnorm_power_method", hodgeheat.interpolation)
         report, code = run_pipeline(RunConfig(input_path=str(path), p_list=()))
         assert code == 0 and report["ok"]
         assert (len(svds), len(eighs), len(matrices), len(hops)) == (2, 3, 7, 1)
         sides = [min(coboundary(K, ell).shape) for ell in range(K.max_degree)]
         assert [np.shape(args[0]) for args in svds] == [(n, n) for n in sides]
+        # The projector brackets iterate through the rank-b1 factor of H:
+        # no n x n matrix reaches the power method.
+        n, b1 = K.n_simplices(1), report["betti"][1]
+        assert powers and all(isinstance(args[0], _Factored) for args in powers)
+        assert {(args[0].left.shape, args[0].right.shape) for args in powers} == {((n, b1),) * 2}
         # The full report decomposes the cochain once: verify_uniqueness
         # splits both routes' potentials itself.
         decomposes = count_calls(monkeypatch, "decompose",
