@@ -57,7 +57,9 @@ def opnorm_exact_extremes(T, p, w_dom=None, w_cod=None) -> float:
         return 0.0
     p = float(p)
     if p == 1.0:
-        B = (np.abs(A) * w_cod[:, None]) / w_dom[None, :]
+        B = np.abs(A)
+        B *= w_cod[:, None]
+        B /= w_dom[None, :]
         return float(B.sum(axis=0).max())
     if math.isinf(p):
         return float(np.abs(A).sum(axis=1).max())
@@ -239,6 +241,7 @@ def measure_alpha(K: SimplicialComplex, ell: int, t_grid,
         else:
             M = s.function_matrix(lambda lam: np.exp(-ti * lam))
         norms.append(opnorm_exact_extremes(M, 1, w, w))
+        del M  # freed before the next heat matrix is built
     norms = np.asarray(norms)
     logs = np.log(np.maximum(norms, 1e-300))
     slope, intercept = np.polyfit(t, logs, 1)
@@ -407,7 +410,8 @@ def kernel_decay_fit(K: SimplicialComplex, ell: int, t0: float,
     if t0 <= 0:
         raise ValueError("t0 must be positive")
     s = spectral if spectral is not None else laplacian_spectrum(K, ell)
-    mag = np.abs(s.function_matrix(lambda lam: lam * np.exp(-lam * t0 / 4.0)))
+    mag = s.function_matrix(lambda lam: lam * np.exp(-lam * t0 / 4.0))
+    np.abs(mag, out=mag)
 
     labels, hops, key = distances if distances is not None else _simplex_distances(K, ell)
     nv = hops.shape[0]

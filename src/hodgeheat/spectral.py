@@ -94,33 +94,56 @@ def eigendecompose(delta, weights=None, degree: int | None = None) -> SpectralDa
     Works on the symmetrized form W^(1/2) A W^(-1/2); rejects input whose
     symmetrized residual exceeds 1e-8 relative.  Eigenvalues within
     RANK_TOL of zero, relative to the largest, are clamped to exactly 0.
+    ``delta`` is copied, never written.
     """
     if isinstance(delta, OperatorMatrix):
         if delta.domain_degree != delta.codomain_degree:
             raise ValueError("eigendecomposition needs equal domain/codomain degrees")
         if degree is None:
             degree = delta.domain_degree
-        A = delta.entries
-    else:
-        A = np.asarray(delta, dtype=float)
-        if degree is None:
-            degree = 0
+        delta = delta.entries
+    A = np.array(delta, dtype=float)
     if weights is None:
         weights = np.ones(A.shape[0])
     w = np.asarray(weights, dtype=float)
     if A.shape[0] != A.shape[1] or A.shape[0] != w.size:
         raise ValueError("operator and weights have mismatched shapes")
+    return _eigendecompose_in_place(A, w, 0 if degree is None else degree)
 
+
+# Rows per block of the symmetrization, so that its temporaries are
+# _BLOCK_ROWS x n and never n x n.
+_BLOCK_ROWS = 64
+
+
+def _row_blocks(n: int):
+    return ((r0, min(r0 + _BLOCK_ROWS, n)) for r0 in range(0, n, _BLOCK_ROWS))
+
+
+def _eigendecompose_in_place(A: np.ndarray, w: np.ndarray, degree: int) -> SpectralData:
+    """The eigendecomposition behind both entry points; overwrites A.
+
+    A becomes S = W^(1/2) A W^(-1/2).  |S - S^T| is summed in row blocks;
+    then the lower triangle of S is averaged to (S + S^T) / 2 in row
+    blocks, the only triangle ``np.linalg.eigh`` reads.  The eigenvectors
+    are divided by sqrt(w) in place.
+    """
     sqrt_w = np.sqrt(w)
-    S = A * sqrt_w[:, None]
-    S /= sqrt_w[None, :]
-    scale = np.linalg.norm(S)
-    D = np.subtract(S, S.T)  # the one other n x n buffer, then (S + S^T) / 2
-    if np.linalg.norm(D) > 1e-8 * max(scale, 1e-300):
+    A *= sqrt_w[:, None]
+    A /= sqrt_w[None, :]
+    asymmetry = 0.0
+    for r0, r1 in _row_blocks(w.size):
+        diff = A[r0:r1] - A[:, r0:r1].T
+        asymmetry += float(np.vdot(diff, diff))
+    if math.sqrt(asymmetry) > 1e-8 * max(float(np.linalg.norm(A)), 1e-300):
         raise ValueError("operator is not self-adjoint in the weighted inner product")
-    np.add(S, S.T, out=D)
-    D /= 2.0
-    evals, U = np.linalg.eigh(D)
+    for r0, r1 in _row_blocks(w.size):
+        # Writes rows r0:r1 left of column r1; reads columns r0:r1 above
+        # them, which no earlier block wrote.
+        block = A[r0:r1, :r1] + A[:r1, r0:r1].T
+        block /= 2.0
+        A[r0:r1, :r1] = block
+    evals, V = np.linalg.eigh(A)
 
     lam_max = float(evals[-1]) if evals.size else 0.0
     if lam_max < 0 and abs(lam_max) <= RANK_TOL:
@@ -137,7 +160,7 @@ def eigendecompose(delta, weights=None, degree: int | None = None) -> SpectralDa
     evals[:kernel_dim] = 0.0
     gap = float(evals[kernel_dim]) if kernel_dim < evals.size else math.inf
 
-    V = U / sqrt_w[:, None]
+    V /= sqrt_w[:, None]
     return SpectralData(
         degree=int(degree),
         eigenvalues=evals,
@@ -149,8 +172,11 @@ def eigendecompose(delta, weights=None, degree: int | None = None) -> SpectralDa
 
 
 def laplacian_spectrum(K: SimplicialComplex, ell: int) -> SpectralData:
-    """Eigendecomposition of the degree-ell Hodge Laplacian of K."""
-    return eigendecompose(hodge_laplacian(K, ell), K.weight_vector(ell))
+    """Eigendecomposition of the degree-ell Hodge Laplacian of K.
+
+    The Laplacian is assembled here and decomposed in its own buffer.
+    """
+    return _eigendecompose_in_place(hodge_laplacian(K, ell).entries, K.weight_vector(ell), ell)
 
 
 # Miller's recurrence starts where e^(-z) I_k(z) has fallen below

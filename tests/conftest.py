@@ -1,6 +1,7 @@
 """Shared corpus of test complexes and a session-wide spectral cache."""
 
 import os
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -77,6 +78,26 @@ def count_calls(monkeypatch, name, *modules):
     for module in modules:
         monkeypatch.setattr(module, name, counting)
     return calls
+
+
+def traced_peak(fn, *args, **kwargs):
+    """(fn(*args, **kwargs), the tracemalloc peak in bytes above the start).
+
+    numpy's array buffers are traced; memory that LAPACK takes for itself,
+    such as the workspace and input copy of ``np.linalg.eigh``, is not.
+    """
+    outer = tracemalloc.is_tracing()
+    if not outer:
+        tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        start = tracemalloc.get_traced_memory()[0]
+        result = fn(*args, **kwargs)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        if not outer:
+            tracemalloc.stop()
+    return result, peak - start
 
 
 @pytest.fixture(scope="session")

@@ -23,6 +23,7 @@ from conftest import (
     general_product,
     log_uniform_weights,
     spectrum_of,
+    traced_peak,
 )
 from hodgeheat import (
     SimplicialComplex,
@@ -200,6 +201,33 @@ class TestMeasureAlpha:
                      (math.nan, 1.0, 2.0), (1.0, 2.0, math.inf)):
             with pytest.raises(ValueError, match="grid"):
                 measure_alpha(K, 0, grid)
+
+
+class TestFootprint:
+    """Peak traced memory above the start, on the 12x12 torus at degree 1.
+
+    Each heat matrix is freed before the next one is built, so no stage
+    holds more than two n x n buffers at once.
+    """
+
+    K = lib.flat_torus(12, 12)
+
+    @pytest.fixture(scope="class")
+    def spectrum(self):
+        return laplacian_spectrum(self.K, 1)
+
+    def test_measure_alpha(self, spectrum):
+        n = spectrum.dim
+        _, peak = traced_peak(measure_alpha, self.K, 1, (0.25, 0.5, 1.0, 2.0, 4.0),
+                              spectral=spectrum)
+        assert peak <= 2.5 * n * n * 8
+
+    def test_kernel_decay_fit(self, spectrum):
+        n = spectrum.dim
+        distances = _simplex_distances(self.K, 1)
+        _, peak = traced_peak(kernel_decay_fit, self.K, 1, 1.0, spectral=spectrum,
+                              distances=distances)
+        assert peak <= 2.5 * n * n * 8
 
 
 class TestSemigroupInterpolationBound:

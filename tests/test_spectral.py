@@ -16,6 +16,7 @@ from conftest import (
     general_product,
     log_uniform_weights,
     spectrum_of,
+    traced_peak,
 )
 from hodgeheat import (
     Cochain,
@@ -30,6 +31,7 @@ from hodgeheat import (
 from hodgeheat import library as lib
 from hodgeheat.cli import _spectrum_section
 from hodgeheat.spectral import (
+    _BLOCK_ROWS,
     _UNIT_ROUNDOFF,
     _Nonzeros,
     _chebyshev_action,
@@ -86,6 +88,78 @@ class TestEigendecompose:
             resid = A @ V - V * s.eigenvalues[None, :]
             scale = max(float(s.eigenvalues[-1]), 1.0)
             assert np.max(np.abs(resid)) <= 1e-8 * scale
+
+
+_SAME_SPECTRUM_CASES = [(name, K, ell) for name, K in NAMED for ell in all_degrees(K)]
+_SAME_SPECTRUM_CASES += [("torus_6x6_weighted", log_uniform_weights(lib.flat_torus(6, 6), 6), ell)
+                         for ell in range(3)]
+
+
+@pytest.mark.parametrize("name,K,ell", _SAME_SPECTRUM_CASES,
+                         ids=[f"{name}-{ell}" for name, _, ell in _SAME_SPECTRUM_CASES])
+def test_laplacian_spectrum_equals_eigendecompose(name, K, ell):
+    # laplacian_spectrum decomposes the Laplacian in its own buffer,
+    # eigendecompose a copy of it: one core, the same bits.
+    s = laplacian_spectrum(K, ell)
+    t = eigendecompose(hodge_laplacian(K, ell), K.weight_vector(ell))
+    assert s.eigenvalues.tobytes() == t.eigenvalues.tobytes()
+    assert s.eigencochains.shape == t.eigencochains.shape
+    assert s.eigencochains.tobytes() == t.eigencochains.tobytes()
+    assert (s.kernel_dim, s.gap) == (t.kernel_dim, t.gap)
+
+
+@pytest.mark.parametrize("as_operator", [False, True], ids=["array", "operator"])
+def test_eigendecompose_leaves_its_argument_unchanged(as_operator):
+    # A weighted Laplacian is not a symmetric matrix, so both the scaling
+    # and the averaging would show in it.
+    K = log_uniform_weights(lib.flat_torus(6, 6), 3)
+    L = hodge_laplacian(K, 1)
+    before = L.entries.copy()
+    eigendecompose(L if as_operator else L.entries, K.weight_vector(1))
+    assert L.entries.tobytes() == before.tobytes()
+
+
+def test_laplacian_spectrum_footprint():
+    # Traced: the Laplacian beside one more n x n buffer, first the
+    # assembly check's, then eigh's eigenvector output.  Not traced: eigh's
+    # input copy and the dsyevd workspace, which numpy's LAPACK wrapper
+    # allocates outside numpy's arrays.
+    K = lib.flat_torus(12, 12)
+    n = K.n_simplices(1)
+    _, peak = traced_peak(laplacian_spectrum, K, 1)
+    assert peak <= 2.5 * n * n * 8
+
+
+class TestRowBlocks:
+    """The self-adjointness check and the averaging run in _BLOCK_ROWS-row blocks."""
+
+    @staticmethod
+    def _positive_definite(n):
+        X = np.random.default_rng(n).standard_normal((n, n))
+        return X @ X.T + n * np.eye(n)
+
+    @pytest.mark.parametrize("col", [0, -2], ids=["first-column", "last-block"])
+    def test_asymmetry_in_the_last_block_is_caught(self, col):
+        # (n-1, n-2) is read by the last, partial row block alone.
+        n = 2 * _BLOCK_ROWS + 5
+        A = self._positive_definite(n)
+        A[n - 1, col] += 1.0
+        with pytest.raises(ValueError,
+                           match="operator is not self-adjoint in the weighted inner product"):
+            eigendecompose(A)
+
+    def test_symmetric_below_one_block_passes(self):
+        s = eigendecompose(self._positive_definite(_BLOCK_ROWS - 3))
+        assert s.kernel_dim == 0
+
+    def test_average_equals_the_whole_matrix_average(self):
+        n = 2 * _BLOCK_ROWS + 5
+        A = self._positive_definite(n)
+        A += 1e-12 * np.random.default_rng(0).standard_normal((n, n))
+        s = eigendecompose(A)
+        evals, U = np.linalg.eigh((A + A.T) / 2.0)
+        assert s.eigenvalues.tobytes() == evals.tobytes()
+        assert s.eigencochains.tobytes() == U.tobytes()
 
 
 class TestClassifyZero:
