@@ -41,17 +41,11 @@ class Cochain:
 
 @dataclass
 class OperatorMatrix:
-    """Linear map between cochain spaces, tagged with its degrees.
-
-    ``symmetric`` asserts self-adjointness with respect to the weighted
-    inner product of the (common) degree; builders verify it before
-    setting the flag.
-    """
+    """Linear map between cochain spaces, tagged with its degrees."""
 
     entries: np.ndarray
     domain_degree: int
     codomain_degree: int
-    symmetric: bool = False
 
     def __post_init__(self):
         self.entries = np.asarray(self.entries, dtype=float)
@@ -99,13 +93,23 @@ class SimplicialComplex:
         self._index = [
             {s: i for i, s in enumerate(level)} for level in self.simplices
         ]
+        # _faces[ell][j, i]: the index in degree ell - 1 of the face of
+        # simplex j that drops its i-th vertex, for ell >= 1.
+        self._faces = {}
         for ell in range(1, len(self.simplices)):
+            lower, faces = self._index[ell - 1], []
             for s in self.simplices[ell]:
+                # combinations drops the last vertex first, the first one last.
                 for face in itertools.combinations(s, ell):
-                    if face not in self._index[ell - 1]:
+                    i = lower.get(face)
+                    if i is None:
                         raise ValueError(f"simplex {s} has a face {face} missing from "
                                          f"degree {ell - 1}: the complex is not closed "
                                          "under taking faces")
+                    faces.append(i)
+            table = np.array(faces, dtype=np.intp).reshape(-1, ell + 1)[:, ::-1]
+            table.flags.writeable = False
+            self._faces[ell] = table
 
     @property
     def max_degree(self) -> int:
@@ -236,42 +240,32 @@ def coboundary(K: SimplicialComplex, ell: int) -> OperatorMatrix:
 
 
 def _incidence(K: SimplicialComplex, ell: int):
-    """Nonzeros (rows, cols, signs) of d_ell, face by face.
+    """Nonzeros (rows, cols, signs) of d_ell, face position by face position.
 
-    Each simplex is encoded as the base-``vertex_count`` integer of its
-    vertex ranks; lexicographic order of the simplices is numeric order of
-    the keys, so one ``np.searchsorted`` per face position finds the face
-    columns.
+    Read off the face table of degree ell + 1: the face that drops vertex
+    i of a simplex is its column, with sign (-1)^i.
     """
     if not 0 <= ell < K.max_degree:
         raise ValueError(f"coboundary degree {ell} out of range [0, {K.max_degree - 1}]")
-    nv = K.vertex_count
-    if nv ** (ell + 2) > np.iinfo(np.int64).max:
-        raise ValueError(f"{nv} vertices overflow the int64 keys of degree-{ell + 1} simplices")
-    lo, hi = _vertex_ranks(K, ell), _vertex_ranks(K, ell + 1)
-    place = nv ** np.arange(ell, -1, -1, dtype=np.int64)
-    lo_keys = lo @ place
-    rows = np.tile(np.arange(len(hi)), ell + 2)
-    face_keys = np.concatenate([np.delete(hi, i, axis=1) @ place for i in range(ell + 2)])
-    cols = np.searchsorted(lo_keys, face_keys)
-    # Keys are >= 0, so a face past the last key meets the -1 and fails.
-    if not np.array_equal(np.append(lo_keys, -1)[cols], face_keys):
-        raise ValueError(f"a degree-{ell + 1} simplex has a face missing from degree {ell}")
-    signs = np.repeat((-1.0) ** np.arange(ell + 2), len(hi))
-    return rows, cols, signs
+    faces = K._faces[ell + 1]
+    rows = np.tile(np.arange(len(faces)), ell + 2)
+    signs = np.repeat((-1.0) ** np.arange(ell + 2), len(faces))
+    return rows, faces.T.ravel(), signs
 
 
 def _vertex_ranks(K: SimplicialComplex, k: int) -> np.ndarray:
-    """Rows of the vertices of every degree-k simplex among the sorted vertex ids.
+    """Rows in degree 0 of the vertices of every degree-k simplex, shape (n_k, k + 1).
 
-    Shape (n_k, k + 1).  A vertex missing from degree 0 raises ValueError.
+    Read off the face tables: the first k vertices of a k-simplex are those
+    of the face that drops its last vertex, and its last vertex is the last
+    one of the face that drops its first.
     """
-    ids = np.array(K.simplices[0], dtype=np.int64).ravel()
-    raw = np.array(K.simplices[k], dtype=np.int64).reshape(-1, k + 1)
-    out = np.minimum(np.searchsorted(ids, raw), ids.size - 1)
-    if not np.array_equal(ids[out], raw):
-        raise ValueError(f"a degree-{k} simplex has a vertex missing from degree 0")
-    return out
+    K._check_degree(k)
+    ranks = np.arange(K.vertex_count)[:, None]
+    for ell in range(1, k + 1):
+        faces = K._faces[ell]
+        ranks = np.column_stack([ranks[faces[:, ell]], ranks[faces[:, 0], -1]])
+    return ranks
 
 
 def codifferential(K: SimplicialComplex, ell: int) -> OperatorMatrix:
@@ -335,7 +329,7 @@ def hodge_laplacian(K: SimplicialComplex, ell: int) -> OperatorMatrix:
     np.fill_diagonal(A, diagonal)
     if not is_weighted_self_adjoint(A, w):
         raise AssertionError("assembled Laplacian is not W-self-adjoint")
-    return OperatorMatrix(A, domain_degree=ell, codomain_degree=ell, symmetric=True)
+    return OperatorMatrix(A, domain_degree=ell, codomain_degree=ell)
 
 
 def weighted_adjoint(A: np.ndarray, w_dom: np.ndarray, w_cod: np.ndarray) -> np.ndarray:

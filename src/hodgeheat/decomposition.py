@@ -112,8 +112,7 @@ def _inv_on_support(lam: np.ndarray) -> np.ndarray:
 
 def green_spectral(s: SpectralData) -> OperatorMatrix:
     """Closed form of the Green operator: 1/lambda on the nonzero spectrum."""
-    return OperatorMatrix(s.function_matrix(_inv_on_support), s.degree, s.degree,
-                          symmetric=True)
+    return OperatorMatrix(s.function_matrix(_inv_on_support), s.degree, s.degree)
 
 
 def inv_sqrt_spectral(s: SpectralData) -> OperatorMatrix:
@@ -121,7 +120,7 @@ def inv_sqrt_spectral(s: SpectralData) -> OperatorMatrix:
     M = s.function_matrix(
         lambda lam: np.where(lam > 0, 1.0 / np.sqrt(np.where(lam > 0, lam, 1.0)), 0.0)
     )
-    return OperatorMatrix(M, s.degree, s.degree, symmetric=True)
+    return OperatorMatrix(M, s.degree, s.degree)
 
 
 def _quadrature_setup(s: SpectralData, omega: Cochain, grid, omega0):
@@ -358,24 +357,27 @@ class HarmonicRepresentative:
     coexact_norm_rel: float
 
 
+_CLOSED_TOL = 1e-8  # largest |d omega| / |omega| of a closed input
+_UNIQUENESS_TOL = 1e-6  # largest relative gap between the two routes' parts
+
+
 def harmonic_representative(K: SimplicialComplex, ell: int, omega: Cochain,
-                            spectral: SpectralData | None = None,
-                            tol: float = 1e-8) -> HarmonicRepresentative:
+                            spectral: SpectralData | None = None) -> HarmonicRepresentative:
     """Harmonic representative of a closed cochain.
 
-    Rejects inputs that are not closed.  Certifies that omega minus the
-    representative is exact and that the coexact component vanishes (the
-    cohomology-class argument, reproduced numerically).
+    Rejects inputs that are not closed, up to ``_CLOSED_TOL``.  Certifies
+    that omega minus the representative is exact and that the coexact
+    component vanishes (the cohomology-class argument, reproduced
+    numerically).
     """
     K.check_cochain(omega)
     s = spectral if spectral is not None else laplacian_spectrum(K, ell)
     norm = s.norm2(omega.values)
     if ell < K.max_degree and norm > 0:
         d_norm = lp_norm(K, Cochain(ell + 1, coboundary(K, ell).entries @ omega.values), 2)
-        if d_norm > tol * norm:
-            raise ValueError(
-                f"input is not closed: |d omega| = {d_norm:g} exceeds {tol:g} * |omega|"
-            )
+        if d_norm > _CLOSED_TOL * norm:
+            raise ValueError(f"input is not closed: |d omega| = {d_norm:g} exceeds "
+                             f"{_CLOSED_TOL:g} * |omega|")
     dec = decompose(K, ell, omega, spectral=s)
     scale = max(norm, 1e-300)
     coexact_rel = s.norm2(dec.coexact_part.values) / scale
@@ -397,7 +399,7 @@ class UniquenessReport:
 
 
 def verify_uniqueness(K: SimplicialComplex, ell: int, omega: Cochain,
-                      tol: float = 1e-6, error_target: float = 1e-8,
+                      error_target: float = 1e-8,
                       spectral: SpectralData | None = None) -> UniquenessReport:
     """Decompose through two independent paths and compare the components.
 
@@ -409,7 +411,9 @@ def verify_uniqueness(K: SimplicialComplex, ell: int, omega: Cochain,
     of the Laplacian; ``quadrature`` reports their summed truncation
     bound and matvec count next to the tail bound.  Additionally,
     perturbing the harmonic component along any kernel direction is shown
-    to leave a detectable harmonic residue in the remaining parts.
+    to leave a detectable harmonic residue in the remaining parts.  The
+    routes agree when no component differs by more than
+    ``_UNIQUENESS_TOL`` relative to |omega|.
     """
     if not 0 < error_target < 1:
         raise ValueError(f"error_target must lie in (0, 1), got {error_target}")
@@ -456,8 +460,8 @@ def verify_uniqueness(K: SimplicialComplex, ell: int, omega: Cochain,
     return UniquenessReport(
         component_diffs=diffs,
         max_rel_diff=max_diff,
-        tol=tol,
-        passed=max_diff <= tol,
+        tol=_UNIQUENESS_TOL,
+        passed=max_diff <= _UNIQUENESS_TOL,
         kernel_perturbations=perturbations,
         perturbation_detected=detected,
         quadrature=quad_cert,

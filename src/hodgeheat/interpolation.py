@@ -221,12 +221,11 @@ class AlphaFit:
 
 
 def measure_alpha(K: SimplicialComplex, ell: int, t_grid,
-                  spectral: SpectralData | None = None,
-                  complement: bool = False) -> AlphaFit:
+                  spectral: SpectralData | None = None) -> AlphaFit:
     """Growth rate of the heat semigroup on the weighted l^1 space.
 
-    Evaluates the exact 1->1 norm of P_t (or of P_t (1-H) when
-    ``complement`` is set) on the grid and fits log-norm against t.
+    Evaluates the exact 1->1 norm of P_t on the grid and fits log-norm
+    against t.
     """
     t = np.asarray(t_grid, dtype=float)
     if t.size < 3 or not np.all(np.isfinite(t) & (t > 0)) or np.any(np.diff(t) <= 0):
@@ -236,10 +235,7 @@ def measure_alpha(K: SimplicialComplex, ell: int, t_grid,
     w = s.weights
     norms = []
     for ti in t:
-        if complement:
-            M = s.function_matrix(lambda lam: np.exp(-ti * lam) * (lam > 0))
-        else:
-            M = s.function_matrix(lambda lam: np.exp(-ti * lam))
+        M = s.function_matrix(lambda lam: np.exp(-ti * lam))
         norms.append(opnorm_exact_extremes(M, 1, w, w))
         del M  # freed before the next heat matrix is built
     norms = np.asarray(norms)
@@ -309,17 +305,16 @@ _BFS_PAIRS = 1 << 18  # (source, edge end) pairs one step of _hop_distances expa
 
 
 def _hop_distances(K: SimplicialComplex):
-    """Vertex ids, component labels and 1-skeleton hop distances.
+    """Component labels and 1-skeleton hop distances of the vertices.
 
-    Rows follow the sorted vertex ids of ``K.simplices[0]``.  Vertices in
+    Rows follow the vertex order of ``K.simplices[0]``.  Vertices in
     different components are at distance ``K.vertex_count``, one more than
-    any path can have; components are numbered by their smallest vertex.
+    any path can have; components are numbered by their first vertex.
     A breadth-first search runs from every vertex at once over the flat
     (source, vertex) keys of its frontier, so its work is the number of
     (source, edge end) pairs, as for one search per source.
     """
-    ids = np.array([v for (v,) in K.simplices[0]])
-    n = ids.size
+    n = K.vertex_count
     edges = _vertex_ranks(K, 1) if K.max_degree >= 1 else np.empty((0, 2), dtype=int)
     ends = np.concatenate([edges, edges[:, ::-1]])
     ends = ends[np.argsort(ends[:, 0], kind="stable")]
@@ -355,7 +350,7 @@ def _hop_distances(K: SimplicialComplex):
     hops = hops.reshape(n, n)
     # The first vertex at a finite distance is the smallest of the component.
     _, labels = np.unique(np.argmax(hops < n, axis=1), return_inverse=True)
-    return ids, labels.astype(np.int32), hops
+    return labels.astype(np.int32), hops
 
 
 @dataclass
@@ -379,8 +374,8 @@ def _simplex_distances(K: SimplicialComplex, ell: int):
     vertex count nv across components), offset by (nv + 1) times the
     component of i, so one reduction bins every block.
     """
-    ids, labels, hops = _hop_distances(K)
-    nv = ids.size
+    labels, hops = _hop_distances(K)
+    nv = K.vertex_count
     verts = _vertex_ranks(K, ell)
     # near[v, j]: the hop distance from vertex v to simplex j.
     near = hops[:, verts[:, 0]]
@@ -467,7 +462,7 @@ def volume_growth_fit(K: SimplicialComplex, *, distances=None) -> VolumeGrowthFi
     exact distance; a cumulative sum along the distance axis gives every
     ball volume at once.
     """
-    hops = distances[1] if distances is not None else _hop_distances(K)[2]
+    hops = distances[1] if distances is not None else _hop_distances(K)[1]
     w0 = K.weight_vector(0)
     c = float(np.max(w0))
     nv = hops.shape[0]

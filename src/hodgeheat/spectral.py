@@ -358,7 +358,7 @@ def heat_apply(source, t: float, omega: Cochain) -> Cochain:
 def harmonic_projector(s: SpectralData) -> OperatorMatrix:
     """W-orthogonal projector V_k V_k^T W onto the kernel of the Laplacian."""
     Vk = s.kernel_basis()
-    return OperatorMatrix(Vk @ (Vk.T * s.weights), s.degree, s.degree, symmetric=True)
+    return OperatorMatrix(Vk @ (Vk.T * s.weights), s.degree, s.degree)
 
 
 def harmonic_part(s: SpectralData, values: np.ndarray) -> np.ndarray:

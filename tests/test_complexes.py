@@ -31,7 +31,7 @@ from hodgeheat import (
     weighted_adjoint,
 )
 from hodgeheat import library as lib
-from hodgeheat.complexes import RANK_TOL, _incidence, _rank
+from hodgeheat.complexes import RANK_TOL, _incidence, _rank, _vertex_ranks
 
 
 class TestBuildComplex:
@@ -123,6 +123,27 @@ class TestCoboundary:
             coboundary(lib.interval(), 1)
 
 
+_NON_CONTIGUOUS = build_complex(
+    {"triangles": [(5, 17, 40), (5, 17, 1000), (5, 40, 1000), (17, 40, 1000)]})
+_RANK_CASES = CORPUS + [
+    ("non_contiguous", _NON_CONTIGUOUS),
+    ("negative_ids", build_complex({"triangles": [(-9, -4, 0), (-4, 0, 6)], "edges": [(-9, 6)]})),
+    ("past_int64", build_complex({"triangles": [(-5, 2 ** 63, 2 ** 64 + 5)]})),
+]
+
+
+@pytest.mark.parametrize("name,K", _RANK_CASES, ids=[name for name, _ in _RANK_CASES])
+def test_vertex_ranks_equal_index_lookups(name, K):
+    # Oracle: each vertex looked up in degree 0 by id.  Exact, dtype included.
+    for k in all_degrees(K):
+        want = np.array([[K.index_of(0, (v,)) for v in s] for s in K.simplices[k]],
+                        dtype=np.int64).reshape(-1, k + 1)
+        got = _vertex_ranks(K, k)
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+    with pytest.raises(ValueError, match="out of range"):
+        _vertex_ranks(K, K.max_degree + 1)
+
+
 def _loop_coboundary(K, ell):
     """Oracle: d_ell filled one simplex and one face at a time."""
     lo, hi = K.simplices[ell], K.simplices[ell + 1]
@@ -188,8 +209,7 @@ class TestOperatorsAgainstLoopOracles:
             assert np.array_equal(hodge_laplacian(K, ell).entries, _dense_laplacian(K, ell))
 
     def test_non_contiguous_vertex_ids(self):
-        K = log_uniform_weights(build_complex(
-            {"triangles": [(5, 17, 40), (5, 17, 1000), (5, 40, 1000), (17, 40, 1000)]}), 5)
+        K = log_uniform_weights(_NON_CONTIGUOUS, 5)
         for ell in range(K.max_degree):
             d = coboundary(K, ell).entries
             assert np.array_equal(d, _loop_coboundary(K, ell))
@@ -199,12 +219,14 @@ class TestOperatorsAgainstLoopOracles:
         for ell in all_degrees(K):
             assert np.array_equal(hodge_laplacian(K, ell).entries, _dense_laplacian(K, ell))
 
-    def test_int64_key_overflow_rejected(self):
-        # 1000 vertices: 1000^6 keys still fit in int64, 1000^7 do not.
+    def test_six_simplex_among_a_thousand_vertices(self):
+        # 1000^7 overflows int64: the face columns come from the face table,
+        # not from base-1000 keys, so d_5 is built like every other degree.
         K = build_complex({"vertices": list(range(1000)), 6: [tuple(range(7))]})
-        assert np.array_equal(coboundary(K, 4).entries, _loop_coboundary(K, 4))
-        with pytest.raises(ValueError, match="int64"):
-            coboundary(K, 5)
+        d4, d5 = coboundary(K, 4).entries, coboundary(K, 5).entries
+        assert np.array_equal(d4, _loop_coboundary(K, 4))
+        assert np.array_equal(d5, _loop_coboundary(K, 5))
+        assert np.array_equal(d5 @ d4, np.zeros((d5.shape[0], d4.shape[1])))
 
     def test_missing_face_rejected(self):
         # Without the face closure: vertex 3 and the edge (1, 2) are absent.
@@ -267,7 +289,6 @@ class TestHodgeLaplacian:
     def test_psd_and_weighted_symmetry(self, name, K):
         for ell in all_degrees(K):
             op = hodge_laplacian(K, ell)
-            assert op.symmetric
             w = K.weight_vector(ell)
             adj = weighted_adjoint(op.entries, w, w)
             assert np.linalg.norm(op.entries - adj) <= 1e-12 * max(

@@ -283,6 +283,28 @@ class TestCli:
         assert uncached.exit_code == 0
         assert first.stdout.replace(json.dumps(str(cache)), "null") == uncached.stdout
 
+    def test_vertex_ids_past_int64(self, tmp_path):
+        # Vertex ids are labels only: ids past int64 give the output of the
+        # order-preserving relabelling, apart from the input path and the
+        # ids that build lists.
+        relabel = {0: 0, 1: 1, 2 ** 63: 2, 2 ** 64 + 5: 3}
+        big, small = tmp_path / "big.json", tmp_path / "small.json"
+        big.write_text(json.dumps({"simplices": {"2": [[0, 1, 2 ** 63],
+                                                       [1, 2 ** 63, 2 ** 64 + 5]]}}))
+        small.write_text(json.dumps({"simplices": {"2": [[0, 1, 2], [1, 2, 3]]}}))
+        runner = CliRunner()
+        for command in ("build", "spectrum", "report"):
+            got, want = (runner.invoke(main, [command, str(path)]) for path in (big, small))
+            assert got.exit_code == 0 and want.exit_code == 0, got.output
+            out = got.stdout.replace(json.dumps(str(big)), json.dumps(str(small)))
+            if command == "build":
+                payload = json.loads(out)
+                for level in payload["complex"]["simplices"].values():
+                    level[:] = [[relabel[v] for v in s] for s in level]
+                assert payload == json.loads(want.stdout)
+            else:
+                assert out == want.stdout
+
     @pytest.mark.parametrize("command", ["report", "verify"])
     @pytest.mark.parametrize("value", ["0", "0.5", "nan", "-1"])
     def test_bad_error_target_is_input_error(self, tmp_path, command, value):
