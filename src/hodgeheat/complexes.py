@@ -16,9 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-# Relative threshold separating exact-zero homology from double-precision
-# noise.  Single source of truth for "harmonic" across the package.
-RANK_TOL = 1e-10
+_PRIME = 2 ** 31 - 1  # the field of betti_numbers' exact ranks
 
 _DEGREE_NAMES = {"vertices": 0, "edges": 1, "triangles": 2, "tetrahedra": 3}
 
@@ -327,6 +325,9 @@ def hodge_laplacian(K: SimplicialComplex, ell: int) -> OperatorMatrix:
                     np.concatenate(values or [np.zeros(0)]), minlength=n * n)
     A = A.astype(float, copy=False).reshape(n, n)  # integer when there is no pair
     np.fill_diagonal(A, diagonal)
+    if not np.isfinite(A).all():
+        raise ValueError(f"degree {ell}: the weights overflow the Laplacian "
+                         "(it has a non-finite entry)")
     if not is_weighted_self_adjoint(A, w):
         raise AssertionError("assembled Laplacian is not W-self-adjoint")
     return OperatorMatrix(A, domain_degree=ell, codomain_degree=ell)
@@ -368,36 +369,33 @@ def lp_norm(K: SimplicialComplex, omega: Cochain, p) -> float:
 
 
 def betti_numbers(K: SimplicialComplex) -> list[int]:
-    """Cohomology dimensions b_ell = dim C^ell - rank d_ell - rank d_(ell-1).
+    """Cohomology dimensions b_ell = n_ell - rank d_ell - rank d_(ell-1).
 
-    Ranks come from singular values of the integer incidence matrices with
-    relative threshold RANK_TOL; weights do not affect them.
+    Each rank is exact over F_p, p = _PRIME: the boundary columns are read
+    off the face table and reduced by lowest pivot, from the top degree
+    down.  Clearing skips each simplex that was a pivot row one degree up.
+    p-torsion in the integral homology can only make a Betti number larger.
     """
-    ranks = [
-        _rank(coboundary(K, ell).entries) for ell in range(K.max_degree)
-    ]
-    betti = []
-    for ell in range(K.max_degree + 1):
-        b = K.n_simplices(ell)
-        if ell < K.max_degree:
-            b -= ranks[ell]
-        if ell >= 1:
-            b -= ranks[ell - 1]
-        betti.append(int(b))
-    return betti
+    ranks, pivots = [0] * (K.max_degree + 2), set()  # ranks[ell] = rank d_(ell-1)
+    for ell in range(K.max_degree, 0, -1):
+        pivots = _pivot_rows({f: (-1) ** i for i, f in enumerate(faces)} for j, faces
+                             in enumerate(K._faces[ell].tolist()) if j not in pivots)
+        ranks[ell] = len(pivots)
+    return [K.n_simplices(ell) - ranks[ell] - ranks[ell + 1] for ell in range(K.max_degree + 1)]
 
 
-def _rank(A: np.ndarray) -> int:
-    """Number of singular values of A above RANK_TOL times the largest.
-
-    The singular values are taken from the square R factor (side
-    min(A.shape)) of a QR of A or A^T, whichever has more rows; they are
-    A's up to backward error, and the SVD of R costs less than A's own.
-    """
-    if min(A.shape) == 0:
-        return 0
-    tall = A if A.shape[0] >= A.shape[1] else A.T
-    sv = np.linalg.svd(np.linalg.qr(tall, mode="r"), compute_uv=False)
-    if sv[0] == 0:
-        return 0
-    return int(np.count_nonzero(sv > RANK_TOL * sv[0]))
+def _pivot_rows(columns) -> set[int]:
+    """Pivot rows, as many as the rank, of {row: int} columns reduced over F_p."""
+    p, reduced = _PRIME, {}  # pivot row -> its reduced column, 1 at the pivot
+    for column in columns:
+        column = {r: c % p for r, c in column.items() if c % p}
+        while column and (low := max(column)) in reduced:
+            factor = column[low]
+            for r, c in reduced[low].items():
+                column[r] = (column.get(r, 0) - factor * c) % p
+                if not column[r]:
+                    del column[r]
+        if column:
+            scale = pow(column[low], -1, p)
+            reduced[low] = {r: c * scale % p for r, c in column.items()}
+    return set(reduced)

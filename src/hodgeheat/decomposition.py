@@ -37,6 +37,10 @@ from .spectral import (
 )
 
 
+# Gauss-Legendre nodes per panel of the subordinated integral.
+_GAUSS_NODES = 24
+
+
 @dataclass
 class QuadratureGrid:
     """Truncation time t_max, and a composite Gauss-Legendre rule on [0, t_max].
@@ -48,28 +52,27 @@ class QuadratureGrid:
     """
 
     t_max: float
-    nodes: int = 24
     levels: int = 12
     error_target: float = 1e-8
 
     def __post_init__(self):
         if not 0 < self.t_max < math.inf:
             raise ValueError(f"t_max must be positive and finite, got {self.t_max}")
-        if self.nodes < 2 or self.levels < 1:
-            raise ValueError("grid needs at least 2 nodes and 1 level")
+        if self.levels < 1:
+            raise ValueError("grid needs at least 1 level")
         if not 0 < self.error_target < 1:
             raise ValueError("error_target must lie in (0, 1)")
 
     @classmethod
-    def for_spectrum(cls, gap: float, lam_max: float, error_target: float = 1e-8,
-                     nodes: int = 24) -> "QuadratureGrid":
+    def for_spectrum(cls, gap: float, lam_max: float,
+                     error_target: float = 1e-8) -> "QuadratureGrid":
         """Grid sized so the certified tail beats error_target with margin."""
         if not 0 < gap < math.inf:
             raise ValueError("grid sizing needs a finite positive gap")
         ratio = max(lam_max / gap, 1.0)
         t_max = (math.log(1.0 / error_target) + math.log(ratio) + 3.0) / gap
         levels = int(math.ceil(math.log2(max(t_max * max(lam_max, gap), 4.0)))) + 1
-        return cls(t_max=t_max, nodes=nodes, levels=min(max(levels, 4), 60),
+        return cls(t_max=t_max, levels=min(max(levels, 4), 60),
                    error_target=error_target)
 
     def panels(self, upper: float):
@@ -180,7 +183,7 @@ def inv_sqrt_subordinated(s: SpectralData, omega: Cochain,
                                 0.0, 0, grid.error_target if grid else 0.0)
     # Imported here: numpy.polynomial would otherwise load at every start-up.
     from numpy.polynomial.legendre import leggauss
-    xs, ws = leggauss(sized.nodes)
+    xs, ws = leggauss(_GAUSS_NODES)
     vals = np.zeros_like(v0)
     count = 0
     for a, b in sized.panels(math.sqrt(sized.t_max)):

@@ -529,7 +529,7 @@ def gaffney_constant(K: SimplicialComplex, ell: int, gamma_shift: float,
 
 
 def dimension_consistency(K: SimplicialComplex, spectra, p_list=()) -> list[dict]:
-    """Spectral kernel dimension vs. rank-oracle Betti number, per degree.
+    """Spectral kernel dimension vs. exact Betti number, per degree.
 
     ``spectra`` holds the Laplacian spectrum of every degree of K, in
     degree order; nothing is recomputed here.  Also checks that every

@@ -23,12 +23,15 @@ from typing import NamedTuple
 import numpy as np
 
 from .complexes import (
-    RANK_TOL,
     Cochain,
     OperatorMatrix,
     SimplicialComplex,
     hodge_laplacian,
 )
+
+# Relative threshold separating exact-zero eigenvalues from double-precision
+# noise.  Single source of truth for "harmonic" across the package.
+RANK_TOL = 1e-10
 
 
 @dataclass
@@ -133,9 +136,12 @@ def _eigendecompose_in_place(A: np.ndarray, w: np.ndarray, degree: int) -> Spect
     A /= sqrt_w[None, :]
     asymmetry = 0.0
     for r0, r1 in _row_blocks(w.size):
+        if not np.isfinite(A[r0:r1]).all():
+            raise ValueError(f"degree {degree}: the weights overflow the W^(1/2)-"
+                             "symmetrized operator (it has a non-finite entry)")
         diff = A[r0:r1] - A[:, r0:r1].T
         asymmetry += float(np.vdot(diff, diff))
-    if math.sqrt(asymmetry) > 1e-8 * max(float(np.linalg.norm(A)), 1e-300):
+    if not math.sqrt(asymmetry) <= 1e-8 * max(float(np.linalg.norm(A)), 1e-300):
         raise ValueError("operator is not self-adjoint in the weighted inner product")
     for r0, r1 in _row_blocks(w.size):
         # Writes rows r0:r1 left of column r1; reads columns r0:r1 above
@@ -380,7 +386,17 @@ def complex_content_hash(K: SimplicialComplex, degree: int) -> str:
 
 
 def save_spectral_data(s: SpectralData, path: str) -> None:
-    np.savez(path, **{f.name: getattr(s, f.name) for f in fields(s)})
+    """Write s to path through a temporary file in its directory, renamed into
+    place, so a writer killed midway leaves no partial entry at path."""
+    tmp = f"{path}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "wb") as fh:
+            np.savez(fh, **{f.name: getattr(s, f.name) for f in fields(s)})
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
+        raise
 
 
 def load_spectral_data(path: str) -> SpectralData:
@@ -391,11 +407,16 @@ def load_spectral_data(path: str) -> SpectralData:
 
 
 def cached_laplacian_spectrum(K: SimplicialComplex, ell: int, cache_dir: str) -> SpectralData:
-    """laplacian_spectrum with a content-addressed on-disk cache."""
+    """laplacian_spectrum with a content-addressed on-disk cache.
+
+    An entry that does not load is a miss: it is recomputed and overwritten.
+    """
     os.makedirs(cache_dir, exist_ok=True)
     path = os.path.join(cache_dir, complex_content_hash(K, ell) + ".npz")
-    if os.path.exists(path):
+    try:
         return load_spectral_data(path)
+    except Exception:  # missing, empty or truncated: numpy raises many kinds
+        pass
     s = laplacian_spectrum(K, ell)
     save_spectral_data(s, path)
     return s

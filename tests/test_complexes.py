@@ -1,7 +1,9 @@
 """Complex construction, discrete operators, norms, and Betti numbers."""
 
 import itertools
+import json
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -18,6 +20,7 @@ from conftest import (
     log_uniform_weights,
     spectrum_of,
 )
+import hodgeheat.complexes
 from hodgeheat import (
     Cochain,
     SimplicialComplex,
@@ -31,7 +34,10 @@ from hodgeheat import (
     weighted_adjoint,
 )
 from hodgeheat import library as lib
-from hodgeheat.complexes import RANK_TOL, _incidence, _rank, _vertex_ranks
+from hodgeheat.cli import RunConfig, run_pipeline
+from hodgeheat.complexes import _incidence, _pivot_rows, _vertex_ranks
+from hodgeheat.io import complex_to_json_dict
+from hodgeheat.spectral import RANK_TOL
 
 
 class TestBuildComplex:
@@ -300,6 +306,44 @@ class TestHodgeLaplacian:
             assert evals.min() >= -1e-10
 
 
+def _complete_two_skeleton(n):
+    return build_complex({"triangles": list(itertools.combinations(range(n), 3))})
+
+
+_BETTI_NAMED = [
+    ("torus_12x12", lib.flat_torus(12, 12)),
+    ("torus_20x20", lib.flat_torus(20, 20)),
+    ("C2000", lib.cycle_complex(2000)),
+    ("simplex_boundary_4", lib.simplex_boundary(4)),
+    ("two_skeleton_20", _complete_two_skeleton(20)),
+]
+
+
+def _rp2():
+    """The 6-vertex real projective plane."""
+    return build_complex({"triangles": [
+        (0, 1, 2), (0, 2, 3), (0, 3, 4), (0, 4, 5), (0, 1, 5),
+        (1, 2, 4), (2, 3, 5), (1, 3, 4), (2, 4, 5), (1, 3, 5)]})
+
+
+def _klein_bottle(n=4):
+    """flat_torus's n x n grid, with the vertical wrap sending row i to -i."""
+    def vid(i, j):
+        if j == n:
+            i, j = -i, 0
+        return (i % n) * n + j
+
+    triangles = []
+    for i in range(n):
+        for j in range(n):
+            a, b, c, d = vid(i, j), vid(i + 1, j), vid(i, j + 1), vid(i + 1, j + 1)
+            triangles += [tuple(sorted((a, b, d))), tuple(sorted((a, d, c)))]
+    return build_complex({"triangles": triangles})
+
+
+_TORSION = {"rp2": _rp2, "klein": _klein_bottle}
+
+
 class TestBetti:
     def test_known_homotopy_types(self):
         assert betti_numbers(lib.cycle_complex(3)) == [1, 1]
@@ -314,29 +358,81 @@ class TestBetti:
             s = spectrum_of(name, K, ell)
             assert s.kernel_dim == betti[ell]
 
-    @pytest.mark.parametrize("name,K", CORPUS, ids=CORPUS_IDS)
-    def test_rank_equals_direct_svd_rank_on_coboundaries(self, name, K):
-        for ell in range(K.max_degree):
-            d = coboundary(K, ell).entries
-            for A in (d, d.T):
-                assert _rank(A) == _svd_rank(A)
+    @pytest.mark.parametrize("name,K", CORPUS + _BETTI_NAMED,
+                             ids=CORPUS_IDS + [name for name, _ in _BETTI_NAMED])
+    def test_exact_betti_equals_float_svd_ranks(self, name, K):
+        # ranks[ell] = rank d_(ell-1), 0 past either end.
+        ranks = [0] + [_svd_rank(coboundary(K, ell).entries) for ell in range(K.max_degree)] + [0]
+        assert betti_numbers(K) == [K.n_simplices(ell) - ranks[ell] - ranks[ell + 1]
+                                    for ell in all_degrees(K)]
 
-    def test_rank_of_random_rank_deficient_integer_matrices(self):
+    def test_reduction_rank_of_random_rank_deficient_integer_matrices(self):
         rng = np.random.default_rng(29)
         for _ in range(60):
             m, n = rng.integers(1, 30, size=2)
             k = rng.integers(0, min(m, n))
-            A = (rng.integers(-2, 3, size=(m, k)) @ rng.integers(-2, 3, size=(k, n))).astype(float)
+            A = rng.integers(-2, 3, size=(m, k)) @ rng.integers(-2, 3, size=(k, n))
             for B in (A, A.T):
-                assert _rank(B) == _svd_rank(B) <= k
+                assert _reduction_rank(B) == _fraction_rank(B) <= k
 
-    def test_rank_of_empty_and_zero_matrices(self):
+    def test_reduction_of_empty_and_zero_columns(self):
         for shape in ((0, 3), (3, 0), (2, 5), (5, 2)):
-            assert _rank(np.zeros(shape)) == 0
+            assert _reduction_rank(np.zeros(shape, dtype=int)) == 0
+
+    @given(st.integers(0, 10_000))
+    @settings(max_examples=60, deadline=None)
+    def test_euler_characteristic(self, seed):
+        K = lib.random_two_complex(seed)
+        signs = [(-1) ** ell for ell in all_degrees(K)]
+        assert (sum(s * K.n_simplices(ell) for ell, s in enumerate(signs))
+                == sum(s * b for s, b in zip(signs, betti_numbers(K))))
+
+    @pytest.mark.parametrize("name,betti,betti_mod2",
+                             [("rp2", [1, 0, 0], [1, 1, 1]),
+                              ("klein", [1, 1, 0], [1, 2, 1])])
+    def test_torsion_fixtures(self, name, betti, betti_mod2, monkeypatch):
+        # Both have 2-torsion in H_1: over F_2 a Betti number comes out too
+        # large, never too small.
+        K = _TORSION[name]()
+        assert betti_numbers(K) == betti
+        monkeypatch.setattr(hodgeheat.complexes, "_PRIME", 2)
+        assert betti_numbers(K) == betti_mod2
+
+    def test_torsion_at_the_prime_fails_named_invariants(self, tmp_path, monkeypatch):
+        path = tmp_path / "rp2.json"
+        path.write_text(json.dumps(complex_to_json_dict(_TORSION["rp2"]())))
+        config = RunConfig(input_path=str(path), degree=1, p_list=())
+        assert run_pipeline(config)[1] == 0
+        monkeypatch.setattr(hodgeheat.complexes, "_PRIME", 2)
+        report, code = run_pipeline(config)
+        failed = {c["name"] for c in report["checks"] if not c["passed"]}
+        assert code == 1
+        assert {"kernel_dim_equals_betti", "dimension_consistency"} <= failed
+
+
+def _reduction_rank(A):
+    """Rank over F_p of an integer matrix, by the Betti oracle's reduction."""
+    return len(_pivot_rows({i: int(v) for i, v in enumerate(col) if v} for col in A.T))
+
+
+def _fraction_rank(A):
+    """Exact rational rank by Gaussian elimination over fractions.Fraction."""
+    rows = [[Fraction(int(v)) for v in row] for row in A]
+    rank = 0
+    for col in range(A.shape[1]):
+        pivot = next((r for r in range(rank, len(rows)) if rows[r][col]), None)
+        if pivot is None:
+            continue
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        for r in range(rank + 1, len(rows)):
+            factor = rows[r][col] / rows[rank][col]
+            rows[r] = [x - factor * y for x, y in zip(rows[r], rows[rank])]
+        rank += 1
+    return rank
 
 
 def _svd_rank(A):
-    """Singular values of A itself above RANK_TOL times the largest."""
+    """Singular values of A above RANK_TOL times the largest."""
     if min(A.shape) == 0:
         return 0
     sv = np.linalg.svd(A, compute_uv=False)

@@ -879,23 +879,22 @@ class TestInterpolationReport:
             interpolation_report(K, 0, epsilon=epsilon)
 
     def test_pipeline_work_counts(self, tmp_path, monkeypatch):
-        # Every operator once: the only SVDs are the two Betti ranks, each
-        # of the square R factor of its coboundary; one eigh per degree;
-        # five heat matrices for alpha and two for kernel decay; one
-        # hop-distance pass for the whole report.
+        # Every operator once: no SVD or QR, since the Betti numbers are
+        # exact ranks over F_p; one eigh per degree; five heat matrices for
+        # alpha and two for kernel decay; one hop-distance pass for the
+        # whole report.
         K = lib.flat_torus(6, 6)
         path = tmp_path / "torus.json"
         path.write_text(json.dumps(complex_to_json_dict(K)))
         svds = count_calls(monkeypatch, "svd", np.linalg)
+        qrs = count_calls(monkeypatch, "qr", np.linalg)
         eighs = count_calls(monkeypatch, "eigh", np.linalg)
         matrices = count_calls(monkeypatch, "function_matrix", SpectralData)
         hops = count_calls(monkeypatch, "_hop_distances", hodgeheat.interpolation)
         powers = count_calls(monkeypatch, "opnorm_power_method", hodgeheat.interpolation)
         report, code = run_pipeline(RunConfig(input_path=str(path), p_list=()))
         assert code == 0 and report["ok"]
-        assert (len(svds), len(eighs), len(matrices), len(hops)) == (2, 3, 7, 1)
-        sides = [min(coboundary(K, ell).shape) for ell in range(K.max_degree)]
-        assert [np.shape(args[0]) for args in svds] == [(n, n) for n in sides]
+        assert (len(svds), len(qrs), len(eighs), len(matrices), len(hops)) == (0, 0, 3, 7, 1)
         # The projector brackets iterate through the rank-b1 factor of H:
         # no n x n matrix reaches the power method.
         n, b1 = K.n_simplices(1), report["betti"][1]

@@ -268,6 +268,25 @@ class TestCli:
         assert again.exit_code == 0
         assert json.loads(again.output) == json.loads(result.output)
 
+    def test_broken_cache_entry_is_recomputed(self, tmp_path):
+        # An entry left broken by a killed writer is a miss, not a crash.
+        path = tmp_path / "torus.json"
+        path.write_text(json.dumps(complex_to_json_dict(lib.flat_torus(4, 4))))
+        cache = tmp_path / "cache"
+        runner = CliRunner()
+        uncached = runner.invoke(main, ["spectrum", str(path)])
+        args = ["spectrum", str(path), "--cache-dir", str(cache)]
+        assert runner.invoke(main, args).stdout == uncached.stdout
+        (entry,) = cache.glob("*.npz")
+        size = entry.stat().st_size
+        for broken in (entry.read_bytes()[: size // 3], b""):
+            entry.write_bytes(broken)
+            result = runner.invoke(main, args)
+            assert result.exit_code == 0, result.output
+            assert result.stdout == uncached.stdout
+            assert entry.stat().st_size == size
+        assert [p.name for p in cache.iterdir()] == [entry.name]
+
     def test_report_cache_covers_every_degree(self, tmp_path):
         path = tmp_path / "torus.json"
         path.write_text(json.dumps(complex_to_json_dict(lib.flat_torus(6, 6))))
@@ -416,6 +435,24 @@ class TestCli:
         assert proc.returncode == 2, proc.stderr
         assert proc.stderr.startswith("input error: degenerate t_grid")
         assert "DLASCL" not in proc.stderr
+
+    @pytest.mark.parametrize("weights, commands, message", [
+        ([1.7e308, 1.7e308, 1.0], ["spectrum", "interp", "verify", "report"],
+         "the weights overflow the Laplacian"),
+        ([1e-300, 1.0, 1e300], ["spectrum"],
+         "the weights overflow the W^(1/2)-symmetrized operator"),
+    ], ids=["laplacian_overflows", "symmetrized_overflows"])
+    def test_weights_that_overflow_the_operators_are_input_errors(self, tmp_path, weights,
+                                                                  commands, message):
+        path = tmp_path / "hollow.json"
+        path.write_text(json.dumps({"simplices": {"1": [[0, 1], [1, 2], [0, 2]]},
+                                    "weights": {"1": weights}}))
+        for command in commands:
+            result = CliRunner().invoke(main, [command, str(path), "--degree", "1"])
+            assert result.exit_code == 2, (command, result.output)
+            assert isinstance(result.exception, SystemExit)
+            assert f"input error: degree 1: {message}" in result.stderr
+            assert "Traceback" not in result.output and not result.stdout
 
     @pytest.mark.parametrize("command", ["decompose", "report"])
     def test_nan_p_is_input_error(self, tmp_path, command):
