@@ -13,6 +13,7 @@ on degree-ell cochains, and of the corresponding weighted p-norms.
 import itertools
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -278,6 +279,19 @@ def codifferential(K: SimplicialComplex, ell: int) -> OperatorMatrix:
     return OperatorMatrix(entries, domain_degree=ell, codomain_degree=ell - 1)
 
 
+def _coboundary_apply(K: SimplicialComplex, ell: int, u: np.ndarray) -> np.ndarray:
+    """d_ell u, gathered through the face table of degree ell + 1."""
+    return u[K._faces[ell + 1]] @ (-1.0) ** np.arange(ell + 2)
+
+
+def _codifferential_apply(K: SimplicialComplex, ell: int, v: np.ndarray) -> np.ndarray:
+    """delta_ell v = W_(ell-1)^-1 d_(ell-1)^T W_ell v, one ``np.bincount`` over
+    the face table of degree ell."""
+    signed = np.multiply.outer(K.weight_vector(ell) * v, (-1.0) ** np.arange(ell + 1))
+    lower = K.weight_vector(ell - 1)
+    return np.bincount(K._faces[ell].ravel(), signed.ravel(), minlength=lower.size) / lower
+
+
 def _group_pairs(group, member, left, right):
     """(member_a, member_b, left_a * right_b) over the pairs a, b of each group.
 
@@ -293,59 +307,119 @@ def _group_pairs(group, member, left, right):
     return member[a], member[b], left[a] * right[b]
 
 
+class _Nonzeros(NamedTuple):
+    """The nonzeros of a square matrix in compressed-row order.
+
+    Row by row, columns ascending.  ``transpose[k]`` is the position of
+    entry (cols[k], rows[k]), or -1 when that entry is zero.
+    """
+
+    rows: np.ndarray
+    cols: np.ndarray
+    vals: np.ndarray
+    transpose: np.ndarray
+
+
+class _LaplacianMatrix(OperatorMatrix):
+    """A Hodge Laplacian held as its nonzeros; ``entries`` scatters them
+    into a dense matrix on first use."""
+
+    def __init__(self, nonzeros: _Nonzeros, n: int, ell: int):
+        self.nonzeros, self.domain_degree, self.codomain_degree = nonzeros, ell, ell
+        self._n, self._entries = n, None
+
+    @property
+    def shape(self):
+        return (self._n, self._n)
+
+    @property
+    def entries(self) -> np.ndarray:
+        if self._entries is None:
+            self._entries = np.zeros(self.shape)
+            self._entries[self.nonzeros.rows, self.nonzeros.cols] = self.nonzeros.vals
+        return self._entries
+
+
 def hodge_laplacian(K: SimplicialComplex, ell: int) -> OperatorMatrix:
     """Hodge Laplacian d delta + delta d on degree ell (boundary terms dropped).
 
-    Assembled dense.  The down term pairs the ell-simplices of each common
-    face, the up term the faces of each common coface.  An off-diagonal
-    entry has at most one product in each term; one ``np.bincount`` adds
-    the down products and then the up ones.  The diagonal sums each term
-    apart, in ascending face or coface order, and then adds the two.  So
-    every entry is summed in the order of a compressed-row product of the
-    incidence matrices.
+    Assembled as its nonzeros, read off the face tables; the dense matrix
+    is built only when ``entries`` is read.  The down term pairs the
+    ell-simplices of each common face, the up term the faces of each
+    common coface.  An off-diagonal entry has at most one product in each
+    term; one ``np.bincount`` adds the down product and then the up one.
+    The diagonal sums each term apart, in ascending face or coface order,
+    and then adds the two.  So every entry is summed in the order of a
+    compressed-row product of the incidence matrices.  Exact zeros are
+    dropped, as ``np.nonzero`` drops them.  Raises a ValueError for a
+    non-finite entry; the nonzeros are checked to be W-self-adjoint.
     """
     K._check_degree(ell)
     n = K.n_simplices(ell)
     w = K.weight_vector(ell)
     terms = []  # (group, member, left, right): d_(group, member) and its adjoint
-    if ell >= 1:
-        rows, cols, signs = _incidence(K, ell - 1)
-        terms.append((cols, rows, signs, signs * w[rows] / K.weight_vector(ell - 1)[cols]))
-    if ell < K.max_degree:
-        rows, cols, signs = _incidence(K, ell)
-        terms.append((rows, cols, signs * K.weight_vector(ell + 1)[rows] / w[cols], signs))
-    index, values, diagonal = [], [], np.zeros(n)
-    for term in terms:
-        i, j, products = _group_pairs(*term)
-        same = i == j
-        index.append(i[~same] * n + j[~same])
-        values.append(products[~same])
-        diagonal += np.bincount(i[same], products[same], minlength=n)
-    A = np.bincount(np.concatenate(index or [np.zeros(0, dtype=np.intp)]),
-                    np.concatenate(values or [np.zeros(0)]), minlength=n * n)
-    A = A.astype(float, copy=False).reshape(n, n)  # integer when there is no pair
-    np.fill_diagonal(A, diagonal)
-    if not np.isfinite(A).all():
+    keys, values, diagonal = [], [], np.zeros(n)
+    # Overflow gives inf or nan, which the finiteness check below reports.
+    with np.errstate(over="ignore", invalid="ignore"):
+        if ell >= 1:
+            rows, cols, signs = _incidence(K, ell - 1)
+            terms.append((cols, rows, signs, signs * w[rows] / K.weight_vector(ell - 1)[cols]))
+        if ell < K.max_degree:
+            rows, cols, signs = _incidence(K, ell)
+            terms.append((rows, cols, signs * K.weight_vector(ell + 1)[rows] / w[cols], signs))
+        for term in terms:
+            i, j, products = _group_pairs(*term)
+            same = i == j
+            keys.append(i[~same] * n + j[~same])
+            values.append(products[~same])
+            diagonal += np.bincount(i[same], products[same], minlength=n)
+    # The diagonal keys come once each, so their sums are 0.0 + diagonal.
+    keys, slot = np.unique(np.concatenate([*keys, np.arange(n) * (n + 1)]), return_inverse=True)
+    vals = np.bincount(slot, np.concatenate([*values, diagonal]), minlength=keys.size)
+    kept = vals != 0.0
+    keys, vals = keys[kept], vals[kept]
+    if not np.isfinite(vals).all():
         raise ValueError(f"degree {ell}: the weights overflow the Laplacian "
                          "(it has a non-finite entry)")
-    if not is_weighted_self_adjoint(A, w):
+    rows, cols = np.divmod(keys, max(n, 1))
+    mirror = cols * n + rows
+    at = np.minimum(np.searchsorted(keys, mirror), keys.size - 1)
+    transpose = np.where(keys[at] == mirror, at, -1)
+    nz = _Nonzeros(rows, cols, vals, transpose)
+    if not _is_weighted_self_adjoint(nz, w):
         raise AssertionError("assembled Laplacian is not W-self-adjoint")
-    return OperatorMatrix(A, domain_degree=ell, codomain_degree=ell)
+    return _LaplacianMatrix(nz, n, ell)
+
+
+def _is_weighted_self_adjoint(nz: _Nonzeros, w: np.ndarray, tol: float = 1e-12) -> bool:
+    """|A - W^-1 A^T W| <= tol |A| in the Frobenius norm, over the nonzeros.
+
+    Every entry is divided by the largest |entry| before it is squared,
+    so the test holds at any scale.  A nonzero whose mirror is zero adds
+    both positions.
+    """
+    if not nz.vals.size:
+        return True
+    top = np.abs(nz.vals).max()
+    has_mirror = nz.transpose >= 0
+    mirror = np.where(has_mirror, nz.vals[nz.transpose], 0.0)
+    lone = ~has_mirror
+    v = nz.vals / top
+    defect = np.append(v - _ratio(mirror, w[nz.cols], w[nz.rows], top),
+                       _ratio(nz.vals[lone], w[nz.rows[lone]], w[nz.cols[lone]], top))
+    return math.sqrt(np.dot(defect, defect)) <= tol * math.sqrt(np.dot(v, v))
+
+
+def _ratio(x, a, b, c) -> np.ndarray:
+    """x a / b / c, formed from mantissas and exponents so that it overflows
+    or underflows only when its value does."""
+    (mx, ex), (ma, ea), (mb, eb), (mc, ec) = map(np.frexp, (x, a, b, c))
+    return np.ldexp(mx * ma / mb / mc, ex + ea - eb - ec)
 
 
 def weighted_adjoint(A: np.ndarray, w_dom: np.ndarray, w_cod: np.ndarray) -> np.ndarray:
     """Adjoint of A: (C^dom, W_dom) -> (C^cod, W_cod)."""
     return (A.T * np.asarray(w_cod)[None, :]) / np.asarray(w_dom)[:, None]
-
-
-def is_weighted_self_adjoint(A: np.ndarray, w: np.ndarray, tol: float = 1e-12) -> bool:
-    # A - weighted_adjoint(A, w, w), built in one n x n buffer.
-    w = np.asarray(w)
-    diff = np.empty_like(A)
-    np.multiply(A.T, w, out=diff)
-    diff /= w[:, None]
-    np.subtract(A, diff, out=diff)
-    return np.linalg.norm(diff) <= tol * max(np.linalg.norm(A), 1e-300)
 
 
 def inner_product(K: SimplicialComplex, u: Cochain, v: Cochain) -> float:

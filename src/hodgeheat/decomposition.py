@@ -20,6 +20,8 @@ from .complexes import (
     Cochain,
     OperatorMatrix,
     SimplicialComplex,
+    _coboundary_apply,
+    _codifferential_apply,
     coboundary,
     codifferential,
     hodge_laplacian,
@@ -32,6 +34,7 @@ from .spectral import (
     _chebyshev_action,
     _green_series,
     _heat_series,
+    _row_slots,
     harmonic_part,
     laplacian_spectrum,
 )
@@ -143,15 +146,16 @@ def _quadrature_setup(s: SpectralData, omega: Cochain, grid, omega0):
     return v0, grid
 
 
-def green_quadrature(s: SpectralData, omega: Cochain, laplacian: OperatorMatrix,
+def green_quadrature(s: SpectralData, omega: Cochain, laplacian,
                      grid: QuadratureGrid | None = None,
                      omega0=None) -> QuadratureResult:
     """Green operator as the time integral of the heat semigroup.
 
-    Integrates P_t (1-H) omega over [0, t_max] on the assembled Laplacian
-    L without its eigenbasis: int_0^t_max exp(-t lam) dt has Chebyshev
-    coefficients (4/b) (-1)^k J_k in closed form, and the heat action's
-    recurrence sums them.  The dropped tail is certified by
+    Integrates P_t (1-H) omega over [0, t_max] on the Laplacian L, an
+    OperatorMatrix or row slots, without its eigenbasis:
+    int_0^t_max exp(-t lam) dt has Chebyshev coefficients
+    (4/b) (-1)^k J_k in closed form, and the heat action's recurrence
+    sums them.  The dropped tail is certified by
     exp(-gap * t_max) / gap times |v0|_W, the cut series by its
     dropped-coefficient sum times |v0|_W.  Refuses grids whose t_max is
     too small for their error target.
@@ -161,7 +165,7 @@ def green_quadrature(s: SpectralData, omega: Cochain, laplacian: OperatorMatrix,
         return QuadratureResult(Cochain(s.degree, np.zeros_like(v0)), 0.0,
                                 0.0, 0, grid.error_target if grid else 0.0)
     norm = s.norm2(v0)
-    green = _chebyshev_action(laplacian.entries, v0, _green_series, sized.t_max)
+    green = _chebyshev_action(laplacian, v0, _green_series, sized.t_max)
     tail = math.exp(-s.gap * sized.t_max) / s.gap * norm
     return QuadratureResult(Cochain(s.degree, green.values), tail, sized.t_max,
                             green.matvecs, sized.error_target, green.dropped * norm)
@@ -269,17 +273,18 @@ def _hodge_split(K: SimplicialComplex, ell: int, g: np.ndarray):
     """(omega1, exact, omega2, coexact) of a Green potential g.
 
     omega1 = delta g, exact = d omega1, omega2 = d g and coexact =
-    delta omega2; a potential is None and its part 0 at a boundary degree.
+    delta omega2, each applied through the face tables; a potential is
+    None and its part 0 at a boundary degree.
     """
     omega1 = omega2 = None
     exact = np.zeros_like(g)
     coexact = np.zeros_like(g)
     if ell >= 1:
-        omega1 = codifferential(K, ell).entries @ g
-        exact = coboundary(K, ell - 1).entries @ omega1
+        omega1 = _codifferential_apply(K, ell, g)
+        exact = _coboundary_apply(K, ell - 1, omega1)
     if ell < K.max_degree:
-        omega2 = coboundary(K, ell).entries @ g
-        coexact = codifferential(K, ell + 1).entries @ omega2
+        omega2 = _coboundary_apply(K, ell, g)
+        coexact = _codifferential_apply(K, ell + 1, omega2)
     return omega1, exact, omega2, coexact
 
 
@@ -377,7 +382,7 @@ def harmonic_representative(K: SimplicialComplex, ell: int, omega: Cochain,
     s = spectral if spectral is not None else laplacian_spectrum(K, ell)
     norm = s.norm2(omega.values)
     if ell < K.max_degree and norm > 0:
-        d_norm = lp_norm(K, Cochain(ell + 1, coboundary(K, ell).entries @ omega.values), 2)
+        d_norm = lp_norm(K, Cochain(ell + 1, _coboundary_apply(K, ell, omega.values)), 2)
         if d_norm > _CLOSED_TOL * norm:
             raise ValueError(f"input is not closed: |d omega| = {d_norm:g} exceeds "
                              f"{_CLOSED_TOL:g} * |omega|")
@@ -471,19 +476,20 @@ def verify_uniqueness(K: SimplicialComplex, ell: int, omega: Cochain,
     )
 
 
-def _route_b(laplacian: OperatorMatrix, s: SpectralData, omega: Cochain,
-             error_target: float):
+def _route_b(laplacian, s: SpectralData, omega: Cochain, error_target: float):
     """Route B's harmonic part and Green term, for a finite gap.
 
-    Reads the assembled Laplacian and, of the spectrum, only the gap, the
-    largest eigenvalue (for t_max) and the weights.  At the time t_h
+    Reads the Laplacian, as row slots (or a dense matrix, turned into them
+    once) that both Chebyshev actions share, and, of the spectrum, only
+    the gap, the largest eigenvalue (for t_max) and the weights.  At the time t_h
     below, exp(-gap t_h) = error_target * min(1, gap), so both
     |h_b - H omega|_W and |G (h_b - H omega)|_W are at most
     error_target * |omega|_W, up to the truncation bounds of the two
     Chebyshev actions, which the returned result sums with their matvecs.
     """
     t_h = (math.log(1.0 / error_target) + max(0.0, math.log(1.0 / s.gap))) / s.gap
-    heat = _chebyshev_action(laplacian.entries, omega.values, _heat_series, t_h)
+    laplacian = _row_slots(laplacian)
+    heat = _chebyshev_action(laplacian, omega.values, _heat_series, t_h)
     grid = QuadratureGrid.for_spectrum(s.gap, float(s.eigenvalues[-1]),
                                        error_target=error_target)
     green = green_quadrature(s, omega, laplacian, grid=grid,

@@ -15,6 +15,7 @@ line with ``#`` comments.
 
 import csv
 import io as _io
+import itertools
 import json
 import math
 import os
@@ -69,8 +70,10 @@ def parse_json_complex(text: str) -> ParsedInput:
         ell = int(key)
         if ell in spec:
             raise ValueError(f"simplices[{key!r}]: degree {ell} is listed twice")
-        for i, simplex in enumerate(_json_list(simplices, list, f"simplices[{key!r}]")):
-            _json_list(simplex, int, f"simplices[{key!r}][{i}]")
+        simplices = _json_list(simplices, list, f"simplices[{key!r}]")
+        if not set(map(type, itertools.chain.from_iterable(simplices))) <= {int}:
+            for i, simplex in enumerate(simplices):
+                _json_list(simplex, int, f"simplices[{key!r}][{i}]")
         spec[ell] = [tuple(s) for s in simplices]
         listing[ell] = [tuple(sorted(s)) for s in simplices]
     if "weights" in doc:
@@ -113,7 +116,15 @@ def _json_value(x, kind, where: str):
 
 
 def _json_list(value, kind, where: str) -> list:
-    """``value`` if it is a list of ``kind`` entries; the error names the first bad one."""
+    """``value`` if it is a list of ``kind`` entries; the error names the first bad one.
+
+    The entries' exact types are checked in one pass first, as ``json.loads``
+    makes them (a bool is not an int); only a list that fails it is walked
+    entry by entry for the message.
+    """
+    kinds = set(kind) if isinstance(kind, tuple) else {kind}
+    if type(value) is list and set(map(type, value)) <= kinds:
+        return value
     return [_json_value(x, kind, f"{where}[{i}]")
             for i, x in enumerate(_json_value(value, list, where))]
 

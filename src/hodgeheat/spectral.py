@@ -26,6 +26,7 @@ from .complexes import (
     Cochain,
     OperatorMatrix,
     SimplicialComplex,
+    _LaplacianMatrix,
     hodge_laplacian,
 )
 
@@ -124,32 +125,61 @@ def _row_blocks(n: int):
 
 
 def _eigendecompose_in_place(A: np.ndarray, w: np.ndarray, degree: int) -> SpectralData:
-    """The eigendecomposition behind both entry points; overwrites A.
+    """The eigendecomposition of a dense operator; overwrites A.
 
     A becomes S = W^(1/2) A W^(-1/2).  |S - S^T| is summed in row blocks;
     then the lower triangle of S is averaged to (S + S^T) / 2 in row
-    blocks, the only triangle ``np.linalg.eigh`` reads.  The eigenvectors
-    are divided by sqrt(w) in place.
+    blocks, the only triangle ``np.linalg.eigh`` reads.
     """
     sqrt_w = np.sqrt(w)
-    A *= sqrt_w[:, None]
-    A /= sqrt_w[None, :]
-    asymmetry = 0.0
+    with np.errstate(over="ignore", invalid="ignore"):  # checked just below
+        A *= sqrt_w[:, None]
+        A /= sqrt_w[None, :]
+    scale = 0.0
     for r0, r1 in _row_blocks(w.size):
         if not np.isfinite(A[r0:r1]).all():
-            raise ValueError(f"degree {degree}: the weights overflow the W^(1/2)-"
-                             "symmetrized operator (it has a non-finite entry)")
-        diff = A[r0:r1] - A[:, r0:r1].T
+            _raise_overflow(degree)
+        scale = max(scale, float(np.abs(A[r0:r1]).max(initial=0.0)))
+    scale = scale or 1.0
+    asymmetry = size = 0.0
+    for r0, r1 in _row_blocks(w.size):
+        block = A[r0:r1] / scale
+        diff = block - A[:, r0:r1].T / scale
         asymmetry += float(np.vdot(diff, diff))
-    if not math.sqrt(asymmetry) <= 1e-8 * max(float(np.linalg.norm(A)), 1e-300):
-        raise ValueError("operator is not self-adjoint in the weighted inner product")
+        size += float(np.vdot(block, block))
+    _check_symmetric(asymmetry, size)
     for r0, r1 in _row_blocks(w.size):
         # Writes rows r0:r1 left of column r1; reads columns r0:r1 above
         # them, which no earlier block wrote.
         block = A[r0:r1, :r1] + A[:r1, r0:r1].T
         block /= 2.0
         A[r0:r1, :r1] = block
-    evals, V = np.linalg.eigh(A)
+    return _decomposed(A, sqrt_w, w, degree)
+
+
+def _raise_overflow(degree: int):
+    raise ValueError(f"degree {degree}: the weights overflow the W^(1/2)-"
+                     "symmetrized operator (it has a non-finite entry)")
+
+
+def _check_symmetric(asymmetry: float, size: float) -> None:
+    """Reject |S - S^T|^2 = asymmetry above (1e-8 |S|)^2 = (1e-8)^2 size.
+
+    Both sums square entries divided by the largest |S_ij|, so neither
+    overflows nor underflows at any scale of S.
+    """
+    if not math.sqrt(asymmetry) <= 1e-8 * max(math.sqrt(size), 1e-300):
+        raise ValueError("operator is not self-adjoint in the weighted inner product")
+
+
+def _decomposed(lower: np.ndarray, sqrt_w: np.ndarray, w: np.ndarray,
+                degree: int) -> SpectralData:
+    """SpectralData from ``np.linalg.eigh`` of the lower triangle of S.
+
+    Eigenvalues below RANK_TOL relative to the largest are snapped to 0;
+    the eigenvectors are divided by sqrt(w) in place.
+    """
+    evals, V = np.linalg.eigh(lower)
 
     lam_max = float(evals[-1]) if evals.size else 0.0
     if lam_max < 0 and abs(lam_max) <= RANK_TOL:
@@ -180,9 +210,46 @@ def _eigendecompose_in_place(A: np.ndarray, w: np.ndarray, degree: int) -> Spect
 def laplacian_spectrum(K: SimplicialComplex, ell: int) -> SpectralData:
     """Eigendecomposition of the degree-ell Hodge Laplacian of K.
 
-    The Laplacian is assembled here and decomposed in its own buffer.
+    Built from the Laplacian's nonzeros, never from the dense matrix (see
+    ``_symmetrized_lower``), so that only the buffer ``np.linalg.eigh``
+    reads is n x n.
     """
-    return _eigendecompose_in_place(hodge_laplacian(K, ell).entries, K.weight_vector(ell), ell)
+    w = K.weight_vector(ell)
+    sqrt_w = np.sqrt(w)
+    lower = _symmetrized_lower(hodge_laplacian(K, ell).nonzeros, sqrt_w, ell)
+    return _decomposed(lower, sqrt_w, w, ell)
+
+
+def _symmetrized_lower(nz, sqrt_w: np.ndarray, degree: int) -> np.ndarray:
+    """The lower triangle of (S + S^T) / 2, S = W^(1/2) L W^(-1/2), from
+    the nonzeros of L; zeros above the diagonal.
+
+    |S - S^T| is summed over each nonzero and its transpose.  Each entry
+    takes the operations of ``eigendecompose`` on the dense Laplacian, so
+    both give ``np.linalg.eigh`` the same bits.  Its temporaries are freed
+    on return, before ``eigh`` allocates.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):  # checked just below
+        S = nz.vals * sqrt_w[nz.rows]
+        S /= sqrt_w[nz.cols]
+    if not np.isfinite(S).all():
+        _raise_overflow(degree)
+    has_mirror = nz.transpose >= 0
+    mirror = np.where(has_mirror, S[nz.transpose], 0.0)  # S_ji, 0 where L_ji is
+    scale = float(np.abs(S).max(initial=0.0)) or 1.0
+    scaled = S / scale
+    diff = scaled - mirror / scale
+    lone = scaled[~has_mirror]  # S_ij - S_ji again, at (j, i)
+    _check_symmetric(float(np.dot(diff, diff) + np.dot(lone, lone)),
+                     float(np.dot(scaled, scaled)))
+    # Each position on or below the diagonal once: from its own nonzero,
+    # or from the transposed one when its own entry is zero.
+    pick = (nz.rows >= nz.cols) | ~has_mirror
+    lower = np.zeros((sqrt_w.size, sqrt_w.size))
+    average = S[pick] + mirror[pick]
+    average /= 2.0
+    lower[np.maximum(nz.rows, nz.cols)[pick], np.minimum(nz.rows, nz.cols)[pick]] = average
+    return lower
 
 
 # Miller's recurrence starts where e^(-z) I_k(z) has fallen below
@@ -258,78 +325,125 @@ class _ChebyshevAction(NamedTuple):
     matvecs: int
 
 
-class _Nonzeros(NamedTuple):
-    """A square matrix as its nonzeros (rows, cols, vals) in row-major order.
+class _RowSlots:
+    """A square matrix in padded row slots (ELLPACK), and b >= its lambda_max.
 
-    ``M @ x`` is one ``np.bincount``: each row adds its products from 0 in
-    column order, as a compressed-row matvec does.
+    Built from nonzeros in compressed-row order.  Slot k of row i holds the
+    row's k-th nonzero: ``vals[k, i]`` and ``cols[k, i]``, 0.0 and 0 past
+    the row's end.  ``M @ x`` reduces the slots' products along axis 0
+    starting from 0.0, so each row adds its products from 0 in column
+    order, as a compressed-row matvec does, signed zeros included.  The
+    slots hold at most about twice the nonzeros; a row longer than that
+    (the apex of a cone) keeps the rest in ``spill``, which ``np.add.at``
+    adds afterwards in column order.  ``bound`` is ``_spectral_bound`` of
+    the nonzeros.
     """
 
-    rows: np.ndarray
-    cols: np.ndarray
-    vals: np.ndarray
+    def __init__(self, rows: np.ndarray, cols: np.ndarray, vals: np.ndarray, n: int):
+        lengths = np.bincount(rows, minlength=n)
+        width = min(int(lengths.max(initial=0)), 2 * math.ceil(rows.size / max(n, 1)))
+        slot = np.arange(rows.size) - (np.cumsum(lengths) - lengths)[rows]
+        fits = slot < width
+        self.vals = np.zeros((width, n))
+        self.cols = np.zeros((width, n), dtype=np.intp)
+        self.vals[slot[fits], rows[fits]] = vals[fits]
+        self.cols[slot[fits], rows[fits]] = cols[fits]
+        self.spill = rows[~fits], cols[~fits], vals[~fits]
+        self.bound = _spectral_bound(rows, cols, vals)
 
     @classmethod
-    def of(cls, A: np.ndarray) -> "_Nonzeros":
+    def of(cls, A) -> "_RowSlots":
+        """The row slots of a dense square matrix."""
+        A = np.asarray(A, dtype=float)
         rows, cols = np.nonzero(A)
-        return cls(rows, cols, A[rows, cols])
+        return cls(rows, cols, A[rows, cols], A.shape[0])
 
     def __matmul__(self, x: np.ndarray) -> np.ndarray:
-        return np.bincount(self.rows, self.vals * x.take(self.cols), minlength=x.size)
+        products = x.take(self.cols)
+        products *= self.vals
+        y = np.add.reduce(products, axis=0, initial=0.0)
+        rows, cols, vals = self.spill
+        if rows.size:
+            np.add.at(y, rows, vals * x.take(cols))
+        return y
+
+
+def _row_slots(laplacian) -> _RowSlots:
+    """``laplacian`` itself if it is row slots; else the row slots of the
+    nonzeros ``hodge_laplacian`` assembled, or of a dense matrix (an array
+    or an OperatorMatrix)."""
+    if isinstance(laplacian, _RowSlots):
+        return laplacian
+    if isinstance(laplacian, _LaplacianMatrix):
+        nz = laplacian.nonzeros
+        return _RowSlots(nz.rows, nz.cols, nz.vals, laplacian.shape[0])
+    if isinstance(laplacian, OperatorMatrix):
+        laplacian = laplacian.entries
+    return _RowSlots.of(laplacian)
 
 
 def _chebyshev_sum(A, b: float, coeffs: np.ndarray, x: np.ndarray) -> np.ndarray:
     """sum_k coeffs_k T_k(Y) x with Y = (2/b) A - I, by the three-term recurrence.
 
     T_(k+1)(Y) x = 2 Y T_k(Y) x - T_(k-1)(Y) x, with Y applied as
-    (2/b) (A @ v) - v, so Y is never formed.  Uses len(coeffs) - 1 matvecs.
+    (2/b) (A @ v) - v, so Y is never formed; each step works in the
+    product's own buffer.  Uses len(coeffs) - 1 matvecs.
     """
     out = coeffs[0] * x
     if coeffs.size == 1:
         return out
     scale = 2.0 / b
-    prev, cur = x, scale * (A @ x) - x
-    out += coeffs[1] * cur
+    prev, cur = x, A @ x
+    cur *= scale
+    cur -= x
+    term = coeffs[1] * cur
+    out += term
     for c in coeffs[2:]:
-        prev, cur = cur, 2.0 * (scale * (A @ cur) - cur) - prev
-        out += c * cur
+        step = A @ cur
+        step *= scale
+        step -= cur
+        step *= 2.0
+        step -= prev
+        prev, cur = cur, step
+        np.multiply(c, cur, out=term)
+        out += term
     return out
 
 
-def _spectral_bound(M: _Nonzeros) -> float:
-    """b >= lambda_max from the matrix alone: the smaller of its row-sum and
-    column-sum norms, each of which bounds the spectral radius.
+def _spectral_bound(rows: np.ndarray, cols: np.ndarray, vals: np.ndarray) -> float:
+    """b >= lambda_max from a matrix's nonzeros in compressed-row order: the
+    smaller of its row-sum and column-sum norms, each of which bounds the
+    spectral radius.
 
     Each row sum reduces the row's run of |values| with ``np.add.reduceat``
     and the column sums accumulate them in row-major order: the orders of a
     compressed-row matrix's own sums, so b does not depend on the storage.
     """
-    magnitudes = np.abs(M.vals)
+    magnitudes = np.abs(vals)
     if not magnitudes.size:
         return 0.0
-    runs = np.flatnonzero(np.diff(M.rows, prepend=-1))
+    runs = np.flatnonzero(np.diff(rows, prepend=-1))
     b = min(float(np.add.reduceat(magnitudes, runs).max()),
-            float(np.bincount(M.cols, magnitudes).max()))
+            float(np.bincount(cols, magnitudes).max()))
     if not math.isfinite(b):
         raise ValueError("Laplacian has non-finite entries")
     return b
 
 
-def _chebyshev_action(A: np.ndarray, x: np.ndarray, series, t: float) -> _ChebyshevAction:
-    """f(A) x for the function whose Chebyshev coefficients are series(t, b).
+def _chebyshev_action(laplacian, x: np.ndarray, series, t: float) -> _ChebyshevAction:
+    """f(L) x for the function whose Chebyshev coefficients are series(t, b).
 
-    A must be a dense Laplacian: W-self-adjoint with spectrum in [0, b],
-    where b comes from ``_spectral_bound``, so the spectrum of Y lies in
-    [-1, 1].  The recurrence multiplies by A through its nonzeros.  The
-    series is cut at the lowest degree whose dropped |coefficients| sum to
-    at most the unit roundoff times the sum of all of them.
+    L is row slots, or a dense Laplacian that ``_row_slots`` turns into
+    them: W-self-adjoint with spectrum in [0, b], b its ``bound``, so the
+    spectrum of Y lies in [-1, 1].  The series is cut at the lowest degree
+    whose dropped |coefficients| sum to at most the unit roundoff times
+    the sum of all of them.
     """
-    M = _Nonzeros.of(np.asarray(A, dtype=float))
-    b = _spectral_bound(M)
-    coeffs = series(t, b)
+    M = _row_slots(laplacian)
+    coeffs = series(t, M.bound)
     tails = np.append(np.cumsum(np.abs(coeffs[::-1]))[::-1], 0.0)
     degree = max(int(np.argmax(tails <= _UNIT_ROUNDOFF * tails[0])) - 1, 0)
-    return _ChebyshevAction(_chebyshev_sum(M, b, coeffs[: degree + 1], x),
+    return _ChebyshevAction(_chebyshev_sum(M, M.bound, coeffs[: degree + 1], x),
                            float(tails[degree + 1]), degree)
 
 
@@ -353,12 +467,9 @@ def heat_apply(source, t: float, omega: Cochain) -> Cochain:
             raise ValueError("cochain degree does not match spectral data")
         return Cochain(source.degree,
                        source.apply_function(lambda lam: np.exp(-t * lam), omega.values))
-    A = source
-    if isinstance(source, OperatorMatrix):
-        if omega.degree != source.domain_degree:
-            raise ValueError("cochain degree does not match the Laplacian")
-        A = source.entries
-    return Cochain(omega.degree, _chebyshev_action(A, omega.values, _heat_series, t).values)
+    if isinstance(source, OperatorMatrix) and omega.degree != source.domain_degree:
+        raise ValueError("cochain degree does not match the Laplacian")
+    return Cochain(omega.degree, _chebyshev_action(source, omega.values, _heat_series, t).values)
 
 
 def harmonic_projector(s: SpectralData) -> OperatorMatrix:

@@ -8,11 +8,20 @@ import threading
 import numpy as np
 import pytest
 
-from conftest import NAMED, NAMED_IDS, all_degrees, spectrum_of
+from conftest import (
+    CORPUS,
+    CORPUS_IDS,
+    NAMED,
+    NAMED_IDS,
+    all_degrees,
+    log_uniform_weights,
+    spectrum_of,
+)
 from hodgeheat import (
     Cochain,
     QuadratureGrid,
     coboundary,
+    codifferential,
     decompose,
     green_quadrature,
     green_spectral,
@@ -29,8 +38,8 @@ from hodgeheat import (
     verify_uniqueness,
 )
 from hodgeheat import library as lib
-from hodgeheat.decomposition import _route_b
-from hodgeheat.spectral import _Nonzeros, harmonic_part
+from hodgeheat.decomposition import _hodge_split, _route_b
+from hodgeheat.spectral import _RowSlots, harmonic_part
 
 
 class TestGreenSpectral:
@@ -264,6 +273,33 @@ class TestDecompose:
         assert np.linalg.norm(again.exact_part.values) <= 1e-10 * norm
         assert np.linalg.norm(again.coexact_part.values) <= 1e-10 * norm
 
+    @pytest.mark.parametrize("name,K", CORPUS, ids=CORPUS_IDS)
+    def test_face_table_split_matches_dense_products(self, name, K):
+        # Gathers and bincounts over the face tables against the dense
+        # coboundary and codifferential.  Relative to the scale of the
+        # products' rounding: the largest entry of the same products taken
+        # with |entries| and |g|.
+        for weighted in (K, log_uniform_weights(K, 11)):
+            for ell in all_degrees(K):
+                g = np.random.default_rng(ell).standard_normal(K.n_simplices(ell))
+                dense = [None, np.zeros_like(g), None, np.zeros_like(g)]
+                bound = [None, np.zeros_like(g), None, np.zeros_like(g)]
+                if ell >= 1:
+                    delta = codifferential(weighted, ell).entries
+                    d = coboundary(weighted, ell - 1).entries
+                    dense[0], bound[0] = delta @ g, np.abs(delta) @ np.abs(g)
+                    dense[1], bound[1] = d @ dense[0], np.abs(d) @ bound[0]
+                if ell < K.max_degree:
+                    d = coboundary(weighted, ell).entries
+                    delta = codifferential(weighted, ell + 1).entries
+                    dense[2], bound[2] = d @ g, np.abs(d) @ np.abs(g)
+                    dense[3], bound[3] = delta @ dense[2], np.abs(delta) @ bound[2]
+                for got, want, scale in zip(_hodge_split(weighted, ell, g), dense, bound):
+                    if want is None:
+                        assert got is None
+                    else:
+                        assert np.max(np.abs(got - want)) <= 1e-15 * np.max(scale, initial=0.0)
+
     def test_zero_cochain(self):
         K = lib.interval()
         dec = decompose(K, 0, Cochain(0, np.zeros(2)), p_list=(2.0,))
@@ -352,13 +388,13 @@ class TestVerifyUniqueness:
     def test_route_b_meets_its_certificates(self, name, K, monkeypatch):
         # Eigencochains replaced by NaN: route B must not read them.
         matvecs = []
-        matvec = _Nonzeros.__matmul__
+        matvec = _RowSlots.__matmul__
 
         def counting_matvec(self, x):
             matvecs.append(1)
             return matvec(self, x)
 
-        monkeypatch.setattr(_Nonzeros, "__matmul__", counting_matvec)
+        monkeypatch.setattr(_RowSlots, "__matmul__", counting_matvec)
         error_target = 1e-8
         for ell in all_degrees(K):
             s = spectrum_of(name, K, ell)

@@ -54,7 +54,7 @@ from hodgeheat.cli import RunConfig, run_pipeline
 from hodgeheat.complexes import _vertex_ranks, weighted_adjoint
 from hodgeheat.interpolation import _Factored, _hop_distances, _opnorm2, _simplex_distances
 from hodgeheat.io import complex_to_json_dict
-from hodgeheat.spectral import SpectralData
+from hodgeheat.spectral import SpectralData, _RowSlots
 
 
 class TestExactExtremes:
@@ -892,6 +892,10 @@ class TestInterpolationReport:
         matrices = count_calls(monkeypatch, "function_matrix", SpectralData)
         hops = count_calls(monkeypatch, "_hop_distances", hodgeheat.interpolation)
         powers = count_calls(monkeypatch, "opnorm_power_method", hodgeheat.interpolation)
+        # Operators come from the face tables: no dense matrix is scanned
+        # for its nonzeros, and route B builds its row slots once.
+        nonzeros = count_calls(monkeypatch, "nonzero", np)
+        row_slots = count_calls(monkeypatch, "__init__", _RowSlots)
         report, code = run_pipeline(RunConfig(input_path=str(path), p_list=()))
         assert code == 0 and report["ok"]
         assert (len(svds), len(qrs), len(eighs), len(matrices), len(hops)) == (0, 0, 3, 7, 1)
@@ -904,10 +908,12 @@ class TestInterpolationReport:
         # splits both routes' potentials itself.
         decomposes = count_calls(monkeypatch, "decompose",
                                  hodgeheat.cli, hodgeheat.decomposition)
+        assert not row_slots
         eighs.clear()
         report, code = run_pipeline(RunConfig(input_path=str(path)))
         assert code == 0 and report["ok"] and report["uniqueness"]["passed"]
-        assert (len(decomposes), len(eighs)) == (1, 3)
+        assert (len(decomposes), len(eighs), len(row_slots)) == (1, 3, 1)
+        assert nonzeros and all(np.ndim(args[0]) == 1 for args in nonzeros)
 
 
 class TestConjugateExponent:

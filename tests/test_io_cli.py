@@ -454,6 +454,23 @@ class TestCli:
             assert f"input error: degree 1: {message}" in result.stderr
             assert "Traceback" not in result.output and not result.stdout
 
+    @pytest.mark.parametrize("weights, operator", [
+        ([1.7e308, 1.7e308, 1.0], "Laplacian"),
+        ([1e-300, 1.0, 1e300], "W^(1/2)-symmetrized operator"),
+    ], ids=["laplacian_overflows", "symmetrized_overflows"])
+    def test_overflow_error_is_the_only_stderr_line(self, tmp_path, weights, operator):
+        # A subprocess, so that numpy's RuntimeWarnings would be seen too.
+        path = tmp_path / "hollow.json"
+        path.write_text(json.dumps({"simplices": {"1": [[0, 1], [1, 2], [0, 2]]},
+                                    "weights": {"1": weights}}))
+        proc = subprocess.run(
+            [sys.executable, "-m", "hodgeheat.cli", "spectrum", str(path), "--degree", "1"],
+            env=child_env("1"), capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 2 and not proc.stdout
+        assert proc.stderr.splitlines() == [
+            f"input error: degree 1: the weights overflow the {operator} "
+            "(it has a non-finite entry)"]
+
     @pytest.mark.parametrize("command", ["decompose", "report"])
     def test_nan_p_is_input_error(self, tmp_path, command):
         result = CliRunner().invoke(main, [command, _c3_json(tmp_path), "--p", "nan"])

@@ -30,16 +30,17 @@ from hodgeheat import (
 )
 from hodgeheat import library as lib
 from hodgeheat.cli import _spectrum_section
+from hodgeheat.complexes import _is_weighted_self_adjoint
 from hodgeheat.spectral import (
     _BLOCK_ROWS,
     _UNIT_ROUNDOFF,
-    _Nonzeros,
+    _RowSlots,
     _chebyshev_action,
     _chebyshev_sum,
     _green_series,
     _heat_series,
+    _row_slots,
     _scaled_bessel_i,
-    _spectral_bound,
     cached_laplacian_spectrum,
     complex_content_hash,
     load_spectral_data,
@@ -93,13 +94,18 @@ class TestEigendecompose:
 _SAME_SPECTRUM_CASES = [(name, K, ell) for name, K in NAMED for ell in all_degrees(K)]
 _SAME_SPECTRUM_CASES += [("torus_6x6_weighted", log_uniform_weights(lib.flat_torus(6, 6), 6), ell)
                          for ell in range(3)]
+_SAME_SPECTRUM_CASES += [(name, K, ell) for name, K in CORPUS[len(NAMED):]
+                         for ell in all_degrees(K)]
+_SAME_SPECTRUM_CASES += [(f"{name}_log_uniform", log_uniform_weights(K, i), ell)
+                         for i, (name, K) in enumerate(CORPUS) for ell in all_degrees(K)]
 
 
 @pytest.mark.parametrize("name,K,ell", _SAME_SPECTRUM_CASES,
                          ids=[f"{name}-{ell}" for name, _, ell in _SAME_SPECTRUM_CASES])
 def test_laplacian_spectrum_equals_eigendecompose(name, K, ell):
-    # laplacian_spectrum decomposes the Laplacian in its own buffer,
-    # eigendecompose a copy of it: one core, the same bits.
+    # laplacian_spectrum builds the lower triangle that eigh reads from the
+    # Laplacian's nonzeros, eigendecompose from the dense matrix: each entry
+    # takes the same operations, so the bits agree.
     s = laplacian_spectrum(K, ell)
     t = eigendecompose(hodge_laplacian(K, ell), K.weight_vector(ell))
     assert s.eigenvalues.tobytes() == t.eigenvalues.tobytes()
@@ -120,14 +126,53 @@ def test_eigendecompose_leaves_its_argument_unchanged(as_operator):
 
 
 def test_laplacian_spectrum_footprint():
-    # Traced: the Laplacian beside one more n x n buffer, first the
-    # assembly check's, then eigh's eigenvector output.  Not traced: eigh's
-    # input copy and the dsyevd workspace, which numpy's LAPACK wrapper
-    # allocates outside numpy's arrays.
+    # Traced: the lower-triangle buffer beside eigh's eigenvector output;
+    # the Laplacian itself is only its nonzeros.  Not traced: eigh's input
+    # copy and the dsyevd workspace, which numpy's LAPACK wrapper allocates
+    # outside numpy's arrays.
     K = lib.flat_torus(12, 12)
     n = K.n_simplices(1)
     _, peak = traced_peak(laplacian_spectrum, K, 1)
     assert peak <= 2.5 * n * n * 8
+
+
+class TestScaleInvariantChecks:
+    """The self-adjointness tests divide by the largest |entry| before squaring."""
+
+    @pytest.mark.parametrize("scale", [1.0, 1e200, 1e-200])
+    def test_asymmetry_is_caught_at_any_scale(self, scale):
+        A = scale * np.array([[2.0, 1.0], [-1.0, 2.0]])
+        with pytest.raises(ValueError, match="not self-adjoint"):
+            eigendecompose(A)
+
+    @pytest.mark.parametrize("scale", [1e200, 1e-200])
+    def test_symmetric_passes_at_any_scale(self, scale):
+        s = eigendecompose(scale * np.array([[2.0, 1.0], [1.0, 2.0]]))
+        assert s.eigenvalues == pytest.approx([scale, 3.0 * scale], rel=1e-15)
+
+    @staticmethod
+    def _flipped(nz):
+        # The entries above the diagonal negated: no longer W-self-adjoint.
+        return nz._replace(vals=np.where(nz.rows < nz.cols, -nz.vals, nz.vals))
+
+    @pytest.mark.parametrize("scale", [1.0, 1e200, 1e-200])
+    def test_assembly_check_at_any_scale(self, scale):
+        K = log_uniform_weights(lib.filled_triangle(), 2)
+        nz = hodge_laplacian(K, 1).nonzeros
+        w = K.weight_vector(1)
+        for case, expected in ((nz, True), (self._flipped(nz), False)):
+            assert _is_weighted_self_adjoint(case._replace(vals=case.vals * scale), w) == expected
+
+    def test_assembly_check_with_extreme_weights(self):
+        # The mirrored entry A_ji w_j / w_i is formed from mantissas and
+        # exponents: a weight ratio of 1e600 neither overflows nor flushes
+        # it to 0.
+        K = build_complex({"edges": [[0, 1], [0, 2], [1, 2]],
+                           "weights": {"1": [1e-300, 1e300, 1.0]}})
+        nz = hodge_laplacian(K, 1).nonzeros
+        w = K.weight_vector(1)
+        assert _is_weighted_self_adjoint(nz, w)
+        assert not _is_weighted_self_adjoint(self._flipped(nz), w)
 
 
 class TestRowBlocks:
@@ -377,7 +422,7 @@ class TestChebyshevAction:
         # with its backward error of a few ulps.
         for ell in all_degrees(K):
             s = laplacian_spectrum(K, ell)
-            b = _spectral_bound(_Nonzeros.of(hodge_laplacian(K, ell).entries))
+            b = _RowSlots.of(hodge_laplacian(K, ell).entries).bound
             assert b >= s.eigenvalues[-1] - 1e-13 * b
 
     @pytest.mark.parametrize("nx,ny,seed", [(6, 6, 1), (12, 12, 2), (24, 3, 3)])
@@ -388,12 +433,40 @@ class TestChebyshevAction:
         rng = np.random.default_rng(seed)
         for ell in all_degrees(K):
             A = hodge_laplacian(K, ell).entries
-            M, csr = _Nonzeros.of(A), sparse.csr_matrix(A)
+            M, csr = _RowSlots.of(A), sparse.csr_matrix(A)
             for _ in range(20):
                 x = rng.standard_normal(A.shape[0])
                 assert np.array_equal(M @ x, csr @ x)
             norms = [np.asarray(abs(csr).sum(axis=axis)).max() for axis in (0, 1)]
-            assert _spectral_bound(M) == min(norms)
+            assert M.bound == min(norms)
+
+    @staticmethod
+    def _cone_over_cycle(n):
+        edges = lib.cycle_complex(n).simplices[1]
+        return build_complex({"triangles": [(u, v, n) for u, v in edges]})
+
+    def test_row_slots_equal_compressed_row_bit_for_bit(self):
+        # On the cone the apex's rows outgrow the slots and spill; a row of
+        # -0.0 products sums to +0.0 from 0.0, as a compressed-row matvec does.
+        K = log_uniform_weights(self._cone_over_cycle(500), 5)
+        rng = np.random.default_rng(5)
+        for ell in all_degrees(K):
+            L = hodge_laplacian(K, ell)
+            A = L.entries
+            n = A.shape[0]
+            signed_zeros = np.where(rng.random(n) < 0.5, -0.0, 0.0)
+            cases = [(A, rng.standard_normal(n)), (A, signed_zeros),
+                     (np.abs(A), np.full(n, -0.0))]
+            for matrix, x in cases:
+                csr = sparse.csr_matrix(matrix)
+                expected = (csr @ x).tobytes()
+                slots = [_RowSlots.of(matrix)] + ([_row_slots(L)] if matrix is A else [])
+                for M in slots:
+                    assert (M @ x).tobytes() == expected
+                    norms = [np.asarray(abs(csr).sum(axis=axis)).max() for axis in (0, 1)]
+                    assert M.bound == min(norms)
+            if ell == 0:
+                assert _row_slots(L).spill[0].size >= 400
 
     def test_t_zero_returns_x_exactly(self):
         K = lib.flat_torus(6, 6)
@@ -435,7 +508,7 @@ class TestChebyshevAction:
         for ell in all_degrees(K):
             s = laplacian_spectrum(K, ell)
             A = hodge_laplacian(K, ell).entries
-            b = _spectral_bound(_Nonzeros.of(A))
+            b = _RowSlots.of(A).bound
             if b == 0.0:
                 continue
             x = lib.random_cochain(K, ell, 23).values
