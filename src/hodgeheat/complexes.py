@@ -381,14 +381,36 @@ def hodge_laplacian(K: SimplicialComplex, ell: int) -> OperatorMatrix:
     if not np.isfinite(vals).all():
         raise ValueError(f"degree {ell}: the weights overflow the Laplacian "
                          "(it has a non-finite entry)")
-    rows, cols = np.divmod(keys, max(n, 1))
-    mirror = cols * n + rows
-    at = np.minimum(np.searchsorted(keys, mirror), keys.size - 1)
-    transpose = np.where(keys[at] == mirror, at, -1)
-    nz = _Nonzeros(rows, cols, vals, transpose)
+    nz = _keyed_nonzeros(keys, vals, n)
     if not _is_weighted_self_adjoint(nz, w):
         raise AssertionError("assembled Laplacian is not W-self-adjoint")
     return _LaplacianMatrix(nz, n, ell)
+
+
+def _keyed_nonzeros(keys: np.ndarray, vals: np.ndarray, n: int) -> _Nonzeros:
+    """_Nonzeros of an n x n matrix from its ascending row-major keys
+    i * n + j; each transpose is found by one ``np.searchsorted``."""
+    rows, cols = np.divmod(keys, max(n, 1))
+    mirror = cols * n + rows
+    at = np.minimum(np.searchsorted(keys, mirror), keys.size - 1)
+    return _Nonzeros(rows, cols, vals, np.where(keys[at] == mirror, at, -1))
+
+
+def _nonzeros_of(operator) -> _Nonzeros:
+    """The nonzeros of a square operator.
+
+    For what ``hodge_laplacian`` returns, the assembly's own; for an
+    OperatorMatrix or an array, those of its dense matrix in row-major
+    order, found by one scan of all n^2 entries.
+    """
+    if isinstance(operator, _LaplacianMatrix):
+        return operator.nonzeros
+    A = operator.entries if isinstance(operator, OperatorMatrix) else np.asarray(operator, float)
+    if A.ndim != 2 or A.shape[0] != A.shape[1]:
+        raise ValueError(f"expected a square matrix, got shape {A.shape}")
+    flat = A.ravel()
+    keys = np.flatnonzero(flat)
+    return _keyed_nonzeros(keys, flat[keys], A.shape[0])
 
 
 def _is_weighted_self_adjoint(nz: _Nonzeros, w: np.ndarray, tol: float = 1e-12) -> bool:

@@ -19,10 +19,10 @@ from .complexes import (
     Cochain,
     OperatorMatrix,
     SimplicialComplex,
+    _coboundary_apply,
+    _codifferential_apply,
     _vertex_ranks,
     betti_numbers,
-    coboundary,
-    codifferential,
     lp_norm,
 )
 from .spectral import (
@@ -508,17 +508,15 @@ def gaffney_constant(K: SimplicialComplex, ell: int, gamma_shift: float,
     if gamma_shift <= 0:
         raise ValueError("shift must be positive")
     s = spectral if spectral is not None else laplacian_spectrum(K, ell)
-    d_mat = coboundary(K, ell).entries if ell < K.max_degree else None
-    delta_mat = codifferential(K, ell).entries if ell >= 1 else None
     rng = np.random.default_rng(seed)
     max_ratio = 0.0
     for _ in range(n_samples):
         v = rng.uniform(-1.0, 1.0, size=K.n_simplices(ell))
         num = 0.0
-        if d_mat is not None:
-            num += lp_norm(K, Cochain(ell + 1, d_mat @ v), p)
-        if delta_mat is not None:
-            num += lp_norm(K, Cochain(ell - 1, delta_mat @ v), p)
+        if ell < K.max_degree:
+            num += lp_norm(K, Cochain(ell + 1, _coboundary_apply(K, ell, v)), p)
+        if ell >= 1:
+            num += lp_norm(K, Cochain(ell - 1, _codifferential_apply(K, ell, v)), p)
         den_vals = s.apply_function(lambda lam: np.sqrt(lam + gamma_shift), v)
         den = lp_norm(K, Cochain(ell, den_vals), p)
         if den > 0:

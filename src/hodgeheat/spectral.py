@@ -26,7 +26,7 @@ from .complexes import (
     Cochain,
     OperatorMatrix,
     SimplicialComplex,
-    _LaplacianMatrix,
+    _nonzeros_of,
     hodge_laplacian,
 )
 
@@ -95,81 +95,27 @@ class SpectralData:
 def eigendecompose(delta, weights=None, degree: int | None = None) -> SpectralData:
     """Full eigendecomposition of a W-self-adjoint PSD operator.
 
-    Works on the symmetrized form W^(1/2) A W^(-1/2); rejects input whose
-    symmetrized residual exceeds 1e-8 relative.  Eigenvalues within
+    Works on the symmetrized form W^(1/2) A W^(-1/2), built by
+    ``_symmetrized_lower`` from ``_nonzeros_of(delta)``; rejects input
+    whose symmetrized residual exceeds 1e-8 relative.  Eigenvalues within
     RANK_TOL of zero, relative to the largest, are clamped to exactly 0.
-    ``delta`` is copied, never written.
+    ``delta`` is read, never written.  A dense matrix with few zeros has
+    about n^2 nonzeros, and their rows, columns, values and transposes
+    take the traced peak to about 12 n^2 doubles (34 MB at n = 600).
     """
     if isinstance(delta, OperatorMatrix):
         if delta.domain_degree != delta.codomain_degree:
             raise ValueError("eigendecomposition needs equal domain/codomain degrees")
-        if degree is None:
-            degree = delta.domain_degree
-        delta = delta.entries
-    A = np.array(delta, dtype=float)
-    if weights is None:
-        weights = np.ones(A.shape[0])
-    w = np.asarray(weights, dtype=float)
-    if A.shape[0] != A.shape[1] or A.shape[0] != w.size:
+        degree = delta.domain_degree if degree is None else degree
+    shape = np.shape(delta)
+    w = np.asarray(np.ones(shape[0]) if weights is None else weights, dtype=float)
+    if len(shape) != 2 or shape[0] != shape[1] or shape[0] != w.size:
         raise ValueError("operator and weights have mismatched shapes")
-    return _eigendecompose_in_place(A, w, 0 if degree is None else degree)
-
-
-# Rows per block of the symmetrization, so that its temporaries are
-# _BLOCK_ROWS x n and never n x n.
-_BLOCK_ROWS = 64
-
-
-def _row_blocks(n: int):
-    return ((r0, min(r0 + _BLOCK_ROWS, n)) for r0 in range(0, n, _BLOCK_ROWS))
-
-
-def _eigendecompose_in_place(A: np.ndarray, w: np.ndarray, degree: int) -> SpectralData:
-    """The eigendecomposition of a dense operator; overwrites A.
-
-    A becomes S = W^(1/2) A W^(-1/2).  |S - S^T| is summed in row blocks;
-    then the lower triangle of S is averaged to (S + S^T) / 2 in row
-    blocks, the only triangle ``np.linalg.eigh`` reads.
-    """
+    if not np.all(np.isfinite(w) & (w > 0)):
+        raise ValueError("weights must be positive and finite")
+    degree = 0 if degree is None else degree
     sqrt_w = np.sqrt(w)
-    with np.errstate(over="ignore", invalid="ignore"):  # checked just below
-        A *= sqrt_w[:, None]
-        A /= sqrt_w[None, :]
-    scale = 0.0
-    for r0, r1 in _row_blocks(w.size):
-        if not np.isfinite(A[r0:r1]).all():
-            _raise_overflow(degree)
-        scale = max(scale, float(np.abs(A[r0:r1]).max(initial=0.0)))
-    scale = scale or 1.0
-    asymmetry = size = 0.0
-    for r0, r1 in _row_blocks(w.size):
-        block = A[r0:r1] / scale
-        diff = block - A[:, r0:r1].T / scale
-        asymmetry += float(np.vdot(diff, diff))
-        size += float(np.vdot(block, block))
-    _check_symmetric(asymmetry, size)
-    for r0, r1 in _row_blocks(w.size):
-        # Writes rows r0:r1 left of column r1; reads columns r0:r1 above
-        # them, which no earlier block wrote.
-        block = A[r0:r1, :r1] + A[:r1, r0:r1].T
-        block /= 2.0
-        A[r0:r1, :r1] = block
-    return _decomposed(A, sqrt_w, w, degree)
-
-
-def _raise_overflow(degree: int):
-    raise ValueError(f"degree {degree}: the weights overflow the W^(1/2)-"
-                     "symmetrized operator (it has a non-finite entry)")
-
-
-def _check_symmetric(asymmetry: float, size: float) -> None:
-    """Reject |S - S^T|^2 = asymmetry above (1e-8 |S|)^2 = (1e-8)^2 size.
-
-    Both sums square entries divided by the largest |S_ij|, so neither
-    overflows nor underflows at any scale of S.
-    """
-    if not math.sqrt(asymmetry) <= 1e-8 * max(math.sqrt(size), 1e-300):
-        raise ValueError("operator is not self-adjoint in the weighted inner product")
+    return _decomposed(_symmetrized_lower(_nonzeros_of(delta), sqrt_w, degree), sqrt_w, w, degree)
 
 
 def _decomposed(lower: np.ndarray, sqrt_w: np.ndarray, w: np.ndarray,
@@ -225,23 +171,28 @@ def _symmetrized_lower(nz, sqrt_w: np.ndarray, degree: int) -> np.ndarray:
     the nonzeros of L; zeros above the diagonal.
 
     |S - S^T| is summed over each nonzero and its transpose.  Each entry
-    takes the operations of ``eigendecompose`` on the dense Laplacian, so
-    both give ``np.linalg.eigh`` the same bits.  Its temporaries are freed
-    on return, before ``eigh`` allocates.
+    takes the operations of the dense formula, L_ij sqrt(w_i) / sqrt(w_j)
+    then (S_ij + S_ji) / 2, so ``np.linalg.eigh`` gets the bits of
+    ``np.tril((S + S^T) / 2)``.  Its temporaries are freed on return,
+    before ``eigh`` allocates.
     """
     with np.errstate(over="ignore", invalid="ignore"):  # checked just below
         S = nz.vals * sqrt_w[nz.rows]
         S /= sqrt_w[nz.cols]
     if not np.isfinite(S).all():
-        _raise_overflow(degree)
+        raise ValueError(f"degree {degree}: the weights overflow the W^(1/2)-"
+                         "symmetrized operator (it has a non-finite entry)")
     has_mirror = nz.transpose >= 0
     mirror = np.where(has_mirror, S[nz.transpose], 0.0)  # S_ji, 0 where L_ji is
+    # Every entry is divided by the largest |S_ij| before it is squared, so
+    # |S - S^T| <= 1e-8 |S| is tested at any scale of S.
     scale = float(np.abs(S).max(initial=0.0)) or 1.0
     scaled = S / scale
     diff = scaled - mirror / scale
     lone = scaled[~has_mirror]  # S_ij - S_ji again, at (j, i)
-    _check_symmetric(float(np.dot(diff, diff) + np.dot(lone, lone)),
-                     float(np.dot(scaled, scaled)))
+    asymmetry = math.sqrt(np.dot(diff, diff) + np.dot(lone, lone))
+    if not asymmetry <= 1e-8 * max(math.sqrt(np.dot(scaled, scaled)), 1e-300):
+        raise ValueError("operator is not self-adjoint in the weighted inner product")
     # Each position on or below the diagonal once: from its own nonzero,
     # or from the transposed one when its own entry is zero.
     pick = (nz.rows >= nz.cols) | ~has_mirror
@@ -328,7 +279,7 @@ class _ChebyshevAction(NamedTuple):
 class _RowSlots:
     """A square matrix in padded row slots (ELLPACK), and b >= its lambda_max.
 
-    Built from nonzeros in compressed-row order.  Slot k of row i holds the
+    Built from _Nonzeros in compressed-row order.  Slot k of row i holds the
     row's k-th nonzero: ``vals[k, i]`` and ``cols[k, i]``, 0.0 and 0 past
     the row's end.  ``M @ x`` reduces the slots' products along axis 0
     starting from 0.0, so each row adds its products from 0 in column
@@ -339,7 +290,8 @@ class _RowSlots:
     the nonzeros.
     """
 
-    def __init__(self, rows: np.ndarray, cols: np.ndarray, vals: np.ndarray, n: int):
+    def __init__(self, nz, n: int):
+        rows, cols, vals = nz.rows, nz.cols, nz.vals
         lengths = np.bincount(rows, minlength=n)
         width = min(int(lengths.max(initial=0)), 2 * math.ceil(rows.size / max(n, 1)))
         slot = np.arange(rows.size) - (np.cumsum(lengths) - lengths)[rows]
@@ -350,13 +302,6 @@ class _RowSlots:
         self.cols[slot[fits], rows[fits]] = cols[fits]
         self.spill = rows[~fits], cols[~fits], vals[~fits]
         self.bound = _spectral_bound(rows, cols, vals)
-
-    @classmethod
-    def of(cls, A) -> "_RowSlots":
-        """The row slots of a dense square matrix."""
-        A = np.asarray(A, dtype=float)
-        rows, cols = np.nonzero(A)
-        return cls(rows, cols, A[rows, cols], A.shape[0])
 
     def __matmul__(self, x: np.ndarray) -> np.ndarray:
         products = x.take(self.cols)
@@ -369,17 +314,10 @@ class _RowSlots:
 
 
 def _row_slots(laplacian) -> _RowSlots:
-    """``laplacian`` itself if it is row slots; else the row slots of the
-    nonzeros ``hodge_laplacian`` assembled, or of a dense matrix (an array
-    or an OperatorMatrix)."""
+    """``laplacian`` if it is row slots, else the row slots of its ``_nonzeros_of``."""
     if isinstance(laplacian, _RowSlots):
         return laplacian
-    if isinstance(laplacian, _LaplacianMatrix):
-        nz = laplacian.nonzeros
-        return _RowSlots(nz.rows, nz.cols, nz.vals, laplacian.shape[0])
-    if isinstance(laplacian, OperatorMatrix):
-        laplacian = laplacian.entries
-    return _RowSlots.of(laplacian)
+    return _RowSlots(_nonzeros_of(laplacian), np.shape(laplacian)[0])
 
 
 def _chebyshev_sum(A, b: float, coeffs: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -433,8 +371,8 @@ def _spectral_bound(rows: np.ndarray, cols: np.ndarray, vals: np.ndarray) -> flo
 def _chebyshev_action(laplacian, x: np.ndarray, series, t: float) -> _ChebyshevAction:
     """f(L) x for the function whose Chebyshev coefficients are series(t, b).
 
-    L is row slots, or a dense Laplacian that ``_row_slots`` turns into
-    them: W-self-adjoint with spectrum in [0, b], b its ``bound``, so the
+    L is row slots, or any operator that ``_row_slots`` turns into them:
+    W-self-adjoint with spectrum in [0, b], b its ``bound``, so the
     spectrum of Y lies in [-1, 1].  The series is cut at the lowest degree
     whose dropped |coefficients| sum to at most the unit roundoff times
     the sum of all of them.
@@ -451,11 +389,12 @@ def heat_apply(source, t: float, omega: Cochain) -> Cochain:
     """Apply the heat semigroup P_t to a cochain.
 
     For SpectralData ``source`` this is the spectral sum
-    exp(-t lambda_i) <omega, v_i> v_i.  For a Laplacian, given as a dense
-    array or an OperatorMatrix, it is the eigenbasis-free Chebyshev action
-    in Y = (2/b) L - I: about sqrt(t b log(1/eps)) products with the
-    Laplacian's nonzeros, cut where the dropped coefficients sum to the
-    unit roundoff.  The two agree to 1e-12 relative.  The matrix must be
+    exp(-t lambda_i) <omega, v_i> v_i.  For a Laplacian (what
+    ``hodge_laplacian`` returns, an OperatorMatrix or an array) it is the
+    eigenbasis-free Chebyshev action in Y = (2/b) L - I on the row slots
+    of ``_nonzeros_of(source)``: about sqrt(t b log(1/eps)) products with
+    its nonzeros, cut where the dropped coefficients sum to the unit
+    roundoff.  The two agree to 1e-12 relative.  The matrix must be
     self-adjoint in a weighted inner product with spectrum in
     [0, lambda_max], as every Hodge Laplacian is; for other matrices the
     truncated series is not exp(-t A) x.  ``t`` must be finite and >= 0.

@@ -51,7 +51,7 @@ from hodgeheat import (
 )
 from hodgeheat import library as lib
 from hodgeheat.cli import RunConfig, run_pipeline
-from hodgeheat.complexes import _vertex_ranks, weighted_adjoint
+from hodgeheat.complexes import _LaplacianMatrix, _vertex_ranks, weighted_adjoint
 from hodgeheat.interpolation import _Factored, _hop_distances, _opnorm2, _simplex_distances
 from hodgeheat.io import complex_to_json_dict
 from hodgeheat.spectral import SpectralData, _RowSlots
@@ -895,6 +895,9 @@ class TestInterpolationReport:
         # Operators come from the face tables: no dense matrix is scanned
         # for its nonzeros, and route B builds its row slots once.
         nonzeros = count_calls(monkeypatch, "nonzero", np)
+        flat_nonzeros = count_calls(monkeypatch, "flatnonzero", np)
+        conversions = count_calls(monkeypatch, "_nonzeros_of",
+                                  hodgeheat.complexes, hodgeheat.spectral)
         row_slots = count_calls(monkeypatch, "__init__", _RowSlots)
         report, code = run_pipeline(RunConfig(input_path=str(path), p_list=()))
         assert code == 0 and report["ok"]
@@ -914,6 +917,10 @@ class TestInterpolationReport:
         assert code == 0 and report["ok"] and report["uniqueness"]["passed"]
         assert (len(decomposes), len(eighs), len(row_slots)) == (1, 3, 1)
         assert nonzeros and all(np.ndim(args[0]) == 1 for args in nonzeros)
+        # np.flatnonzero ravels its argument before np.nonzero sees it, and
+        # _nonzeros_of scans a dense matrix for anything but the assembly.
+        assert all(np.ndim(args[0]) == 1 for args in flat_nonzeros)
+        assert conversions and all(isinstance(args[0], _LaplacianMatrix) for args in conversions)
 
 
 class TestConjugateExponent:

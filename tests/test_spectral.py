@@ -20,9 +20,11 @@ from conftest import (
 )
 from hodgeheat import (
     Cochain,
+    OperatorMatrix,
     betti_numbers,
     build_complex,
     eigendecompose,
+    green_quadrature,
     harmonic_projector,
     heat_apply,
     hodge_laplacian,
@@ -32,15 +34,14 @@ from hodgeheat import library as lib
 from hodgeheat.cli import _spectrum_section
 from hodgeheat.complexes import _is_weighted_self_adjoint
 from hodgeheat.spectral import (
-    _BLOCK_ROWS,
     _UNIT_ROUNDOFF,
-    _RowSlots,
     _chebyshev_action,
     _chebyshev_sum,
     _green_series,
     _heat_series,
     _row_slots,
     _scaled_bessel_i,
+    _symmetrized_lower,
     cached_laplacian_spectrum,
     complex_content_hash,
     load_spectral_data,
@@ -74,6 +75,12 @@ class TestEigendecompose:
         with pytest.raises(ValueError, match="self-adjoint"):
             eigendecompose(np.array([[0.0, 1.0], [0.0, 0.0]]), np.ones(2))
 
+    @pytest.mark.parametrize("weight", [0.0, -1.0, math.inf, math.nan])
+    def test_rejects_bad_weight_on_a_zero_row(self, weight):
+        # No nonzero reads the second weight, so only the weights check sees it.
+        with pytest.raises(ValueError, match="weights"):
+            eigendecompose(np.diag([1.0, 0.0]), [1.0, weight])
+
     def test_rejects_negative_definite(self):
         with pytest.raises(ValueError, match="semidefinite"):
             eigendecompose(-np.eye(2), np.ones(2))
@@ -102,16 +109,15 @@ _SAME_SPECTRUM_CASES += [(f"{name}_log_uniform", log_uniform_weights(K, i), ell)
 
 @pytest.mark.parametrize("name,K,ell", _SAME_SPECTRUM_CASES,
                          ids=[f"{name}-{ell}" for name, _, ell in _SAME_SPECTRUM_CASES])
-def test_laplacian_spectrum_equals_eigendecompose(name, K, ell):
-    # laplacian_spectrum builds the lower triangle that eigh reads from the
-    # Laplacian's nonzeros, eigendecompose from the dense matrix: each entry
-    # takes the same operations, so the bits agree.
-    s = laplacian_spectrum(K, ell)
-    t = eigendecompose(hodge_laplacian(K, ell), K.weight_vector(ell))
-    assert s.eigenvalues.tobytes() == t.eigenvalues.tobytes()
-    assert s.eigencochains.shape == t.eigencochains.shape
-    assert s.eigencochains.tobytes() == t.eigencochains.tobytes()
-    assert (s.kernel_dim, s.gap) == (t.kernel_dim, t.gap)
+def test_symmetrized_lower_equals_dense_average(name, K, ell):
+    # The lower triangle eigh reads, built from the Laplacian's nonzeros,
+    # against the dense formula on its entries: each entry takes the same
+    # operations, so the bits agree.
+    sqrt_w = np.sqrt(K.weight_vector(ell))
+    L = hodge_laplacian(K, ell)
+    S = L.entries * sqrt_w[:, None] / sqrt_w[None, :]
+    lower = _symmetrized_lower(L.nonzeros, sqrt_w, ell)
+    assert lower.tobytes() == np.tril((S + S.T) / 2.0).tobytes()
 
 
 @pytest.mark.parametrize("as_operator", [False, True], ids=["array", "operator"])
@@ -123,6 +129,27 @@ def test_eigendecompose_leaves_its_argument_unchanged(as_operator):
     before = L.entries.copy()
     eigendecompose(L if as_operator else L.entries, K.weight_vector(1))
     assert L.entries.tobytes() == before.tobytes()
+
+
+@pytest.mark.parametrize("i,name,K", [(i, name, K) for i, (name, K) in enumerate(CORPUS)],
+                         ids=CORPUS_IDS)
+def test_operator_forms_agree_bit_for_bit(i, name, K):
+    # The assembly's nonzeros, the dense entries and an OperatorMatrix of
+    # them all reach eigh and the Chebyshev matvec through _nonzeros_of.
+    K = log_uniform_weights(K, i)
+    for ell in all_degrees(K):
+        L = hodge_laplacian(K, ell)
+        w = K.weight_vector(ell)
+        omega = lib.random_cochain(K, ell, 31)
+        results = []
+        for form in (L, L.entries, OperatorMatrix(L.entries, ell, ell)):
+            s = eigendecompose(form, w, degree=ell)
+            heat = heat_apply(form, 0.7, omega)
+            green = green_quadrature(s, omega, form)
+            results.append((s.eigenvalues.tobytes(), s.eigencochains.tobytes(), s.kernel_dim,
+                            s.gap, heat.values.tobytes(), green.cochain.values.tobytes(),
+                            green.truncation_bound, green.nodes_evaluated))
+        assert results[1] == results[0] and results[2] == results[0]
 
 
 def test_laplacian_spectrum_footprint():
@@ -175,30 +202,29 @@ class TestScaleInvariantChecks:
         assert not _is_weighted_self_adjoint(self._flipped(nz), w)
 
 
-class TestRowBlocks:
-    """The self-adjointness check and the averaging run in _BLOCK_ROWS-row blocks."""
+class TestDenseInput:
+    """Fully dense raw matrices: eigendecompose reads all n^2 of their nonzeros."""
 
     @staticmethod
     def _positive_definite(n):
         X = np.random.default_rng(n).standard_normal((n, n))
         return X @ X.T + n * np.eye(n)
 
-    @pytest.mark.parametrize("col", [0, -2], ids=["first-column", "last-block"])
-    def test_asymmetry_in_the_last_block_is_caught(self, col):
-        # (n-1, n-2) is read by the last, partial row block alone.
-        n = 2 * _BLOCK_ROWS + 5
+    @pytest.mark.parametrize("col", [0, -2], ids=["first-column", "last-row"])
+    def test_asymmetry_in_the_last_row_is_caught(self, col):
+        n = 133
         A = self._positive_definite(n)
         A[n - 1, col] += 1.0
         with pytest.raises(ValueError,
                            match="operator is not self-adjoint in the weighted inner product"):
             eigendecompose(A)
 
-    def test_symmetric_below_one_block_passes(self):
-        s = eigendecompose(self._positive_definite(_BLOCK_ROWS - 3))
+    def test_symmetric_passes(self):
+        s = eigendecompose(self._positive_definite(61))
         assert s.kernel_dim == 0
 
     def test_average_equals_the_whole_matrix_average(self):
-        n = 2 * _BLOCK_ROWS + 5
+        n = 133
         A = self._positive_definite(n)
         A += 1e-12 * np.random.default_rng(0).standard_normal((n, n))
         s = eigendecompose(A)
@@ -422,7 +448,7 @@ class TestChebyshevAction:
         # with its backward error of a few ulps.
         for ell in all_degrees(K):
             s = laplacian_spectrum(K, ell)
-            b = _RowSlots.of(hodge_laplacian(K, ell).entries).bound
+            b = _row_slots(hodge_laplacian(K, ell).entries).bound
             assert b >= s.eigenvalues[-1] - 1e-13 * b
 
     @pytest.mark.parametrize("nx,ny,seed", [(6, 6, 1), (12, 12, 2), (24, 3, 3)])
@@ -433,7 +459,7 @@ class TestChebyshevAction:
         rng = np.random.default_rng(seed)
         for ell in all_degrees(K):
             A = hodge_laplacian(K, ell).entries
-            M, csr = _RowSlots.of(A), sparse.csr_matrix(A)
+            M, csr = _row_slots(A), sparse.csr_matrix(A)
             for _ in range(20):
                 x = rng.standard_normal(A.shape[0])
                 assert np.array_equal(M @ x, csr @ x)
@@ -460,7 +486,7 @@ class TestChebyshevAction:
             for matrix, x in cases:
                 csr = sparse.csr_matrix(matrix)
                 expected = (csr @ x).tobytes()
-                slots = [_RowSlots.of(matrix)] + ([_row_slots(L)] if matrix is A else [])
+                slots = [_row_slots(matrix)] + ([_row_slots(L)] if matrix is A else [])
                 for M in slots:
                     assert (M @ x).tobytes() == expected
                     norms = [np.asarray(abs(csr).sum(axis=axis)).max() for axis in (0, 1)]
@@ -508,7 +534,7 @@ class TestChebyshevAction:
         for ell in all_degrees(K):
             s = laplacian_spectrum(K, ell)
             A = hodge_laplacian(K, ell).entries
-            b = _RowSlots.of(A).bound
+            b = _row_slots(A).bound
             if b == 0.0:
                 continue
             x = lib.random_cochain(K, ell, 23).values
