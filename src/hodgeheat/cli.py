@@ -51,8 +51,6 @@ class RunConfig:
                 raise ValueError(f"p = {p} outside [1, inf]")
         if not 0 < self.error_target <= 1e-2:
             raise ValueError("error_target must lie in (0, 1e-2]")
-        if self.epsilon is not None and not 0 <= self.epsilon < math.inf:
-            raise ValueError(f"epsilon = {self.epsilon} is not a finite number >= 0")
 
     def to_json_dict(self):
         """Every field; the report's ``config`` section."""
@@ -105,15 +103,13 @@ def _spectrum_section(s):
 
 
 def _interval_section(K, s, config):
-    return interpolation_report(K, s.degree, epsilon=config.epsilon,
-                                t_grid=config.t_grid, spectral=s,
+    return interpolation_report(K, s, epsilon=config.epsilon, t_grid=config.t_grid,
                                 seed=config.seed).to_json_dict()
 
 
 # Each stage below returns its report section and its checks.
 
-def _decomposition_stage(K, s, omega, p_list):
-    dec = decompose(K, s.degree, omega, p_list=p_list, spectral=s)
+def _decomposition_stage(dec):
     orthogonality = max(dec.orthogonality.values())
     return dec.to_json_dict(), [
         {"name": "decomposition_residual", "passed": dec.residual <= 1e-8,
@@ -125,8 +121,8 @@ def _decomposition_stage(K, s, omega, p_list):
     ]
 
 
-def _uniqueness_stage(K, s, omega, error_target):
-    uniq = verify_uniqueness(K, s.degree, omega, error_target=error_target, spectral=s)
+def _uniqueness_stage(K, s, dec, error_target):
+    uniq = verify_uniqueness(K, s, dec, error_target=error_target)
     section = {
         "component_diffs": uniq.component_diffs,
         "max_rel_diff": uniq.max_rel_diff,
@@ -176,8 +172,9 @@ def run_pipeline(config: RunConfig):
                   if interval["p1"] < p < interval["p2"] or p == 2.0]
     dec_section = uniq_section = None
     if config.p_list:
-        dec_section, dec_checks = _decomposition_stage(K, s, omega, admissible)
-        uniq_section, uniq_checks = _uniqueness_stage(K, s, omega, config.error_target)
+        dec = decompose(K, s, omega, p_list=admissible)
+        dec_section, dec_checks = _decomposition_stage(dec)
+        uniq_section, uniq_checks = _uniqueness_stage(K, s, dec, config.error_target)
         checks += dec_checks + uniq_checks
 
     dim_rows, (kernel_check, dim_check) = _dimension_stage(K, s, config.cache_dir, admissible)
@@ -228,7 +225,7 @@ def _spectrum_payload(config):
 def _decompose_payload(config):
     parsed, s = _front_end(config)
     omega = _cochain_for(parsed, config.degree, config.seed)
-    section, checks = _decomposition_stage(parsed.complex, s, omega, config.p_list)
+    section, checks = _decomposition_stage(decompose(parsed.complex, s, omega, config.p_list))
     return {"decomposition": section, "checks": checks}, parsed.warnings
 
 
@@ -240,8 +237,8 @@ def _interp_payload(config):
 def _verify_payload(config):
     parsed, s = _front_end(config)
     K = parsed.complex
-    omega = _cochain_for(parsed, config.degree, config.seed)
-    section, uniq_checks = _uniqueness_stage(K, s, omega, config.error_target)
+    dec = decompose(K, s, _cochain_for(parsed, config.degree, config.seed))
+    section, uniq_checks = _uniqueness_stage(K, s, dec, config.error_target)
     rows, (kernel_check, dim_check) = _dimension_stage(K, s, config.cache_dir, ())
     return {"uniqueness": section, "dimension_consistency": rows,
             "checks": [kernel_check, *uniq_checks, dim_check]}, parsed.warnings

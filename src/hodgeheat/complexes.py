@@ -146,6 +146,24 @@ class SimplicialComplex:
             raise ValueError(f"non-finite cochain value {omega.values[bad[0]]} on simplex "
                              f"{self.simplices[omega.degree][bad[0]]}")
 
+    def check_spectrum(self, s) -> None:
+        """Raise ValueError unless s is this complex's spectrum at degree s.degree.
+
+        Compares what a ``SpectralData`` records of its complex: the degree,
+        the number of simplices and their weights.
+        """
+        ell = s.degree
+        if ell not in range(self.max_degree + 1):
+            problem = f"its degrees run 0..{self.max_degree}"
+        elif s.dim != self.n_simplices(ell):
+            problem = f"it has {self.n_simplices(ell)} simplices of degree {ell}"
+        elif not np.array_equal(s.weights, self.weights[ell]):
+            problem = f"it has other weights on its degree-{ell} simplices"
+        else:
+            return
+        raise ValueError(f"the spectrum of degree {ell} on {s.dim} simplices is not that of "
+                         f"{self!r}: {problem}")
+
     def _check_degree(self, ell: int) -> None:
         if not 0 <= ell <= self.max_degree:
             raise ValueError(f"degree {ell} out of range [0, {self.max_degree}]")

@@ -12,7 +12,7 @@ the substitution t = u^2 removes the integrable singularity at t = 0.
 
 import itertools
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -36,7 +36,6 @@ from .spectral import (
     _heat_series,
     _row_slots,
     harmonic_part,
-    laplacian_spectrum,
 )
 
 
@@ -238,7 +237,8 @@ class DecompositionResult:
     omega1 / omega2 are the potentials one degree below / above (None at
     the boundary degrees); omega3 is harmonic.  component_norms maps each
     requested p to the weighted p-norms of the pieces, and c_p to the
-    largest ratio against |omega|_p.
+    largest ratio against |omega|_p.  ``omega`` is the input cochain, kept
+    for ``verify_uniqueness`` and not emitted.
     """
 
     degree: int
@@ -252,6 +252,7 @@ class DecompositionResult:
     orthogonality: dict
     component_norms: dict
     c_p: dict
+    omega: Cochain = field(repr=False)
 
     def to_json_dict(self):
         return {
@@ -288,17 +289,21 @@ def _hodge_split(K: SimplicialComplex, ell: int, g: np.ndarray):
     return omega1, exact, omega2, coexact
 
 
-def decompose(K: SimplicialComplex, ell: int, omega: Cochain, p_list=(),
-              spectral: SpectralData | None = None) -> DecompositionResult:
-    """Split a cochain into exact, coexact, and harmonic parts.
+def decompose(K: SimplicialComplex, s: SpectralData, omega: Cochain,
+              p_list=()) -> DecompositionResult:
+    """Split a cochain into exact, coexact, and harmonic parts (route A).
 
-    omega3 = H omega; the potentials come from the Green operator applied
-    to the non-harmonic part: omega1 = delta G (1-H) omega and
-    omega2 = d G (1-H) omega, so d omega1 + delta omega2 + omega3
-    reconstructs omega.
+    s is K's spectrum at the degree of omega.  omega3 = H omega; the
+    potentials come from the Green operator applied to the non-harmonic
+    part: omega1 = delta G (1-H) omega and omega2 = d G (1-H) omega, so
+    d omega1 + delta omega2 + omega3 reconstructs omega.
     """
+    K.check_spectrum(s)
     K.check_cochain(omega)
-    s = spectral if spectral is not None else laplacian_spectrum(K, ell)
+    if omega.degree != s.degree:
+        raise ValueError(f"cochain of degree {omega.degree} does not match "
+                         f"the spectrum of degree {s.degree}")
+    ell = s.degree
     v = omega.values
     h = harmonic_part(s, v)
     g = s.apply_function(_inv_on_support, v - h)
@@ -355,6 +360,7 @@ def decompose(K: SimplicialComplex, ell: int, omega: Cochain, p_list=(),
         orthogonality=ortho,
         component_norms=component_norms,
         c_p=c_p,
+        omega=omega,
     )
 
 
@@ -369,24 +375,23 @@ _CLOSED_TOL = 1e-8  # largest |d omega| / |omega| of a closed input
 _UNIQUENESS_TOL = 1e-6  # largest relative gap between the two routes' parts
 
 
-def harmonic_representative(K: SimplicialComplex, ell: int, omega: Cochain,
-                            spectral: SpectralData | None = None) -> HarmonicRepresentative:
-    """Harmonic representative of a closed cochain.
+def harmonic_representative(K: SimplicialComplex, s: SpectralData,
+                            omega: Cochain) -> HarmonicRepresentative:
+    """Harmonic representative of a closed cochain; s is K's spectrum at its degree.
 
     Rejects inputs that are not closed, up to ``_CLOSED_TOL``.  Certifies
     that omega minus the representative is exact and that the coexact
     component vanishes (the cohomology-class argument, reproduced
     numerically).
     """
-    K.check_cochain(omega)
-    s = spectral if spectral is not None else laplacian_spectrum(K, ell)
+    dec = decompose(K, s, omega)
+    ell = s.degree
     norm = s.norm2(omega.values)
     if ell < K.max_degree and norm > 0:
         d_norm = lp_norm(K, Cochain(ell + 1, _coboundary_apply(K, ell, omega.values)), 2)
         if d_norm > _CLOSED_TOL * norm:
             raise ValueError(f"input is not closed: |d omega| = {d_norm:g} exceeds "
                              f"{_CLOSED_TOL:g} * |omega|")
-    dec = decompose(K, ell, omega, spectral=s)
     scale = max(norm, 1e-300)
     coexact_rel = s.norm2(dec.coexact_part.values) / scale
     exactness = s.norm2(omega.values - dec.omega3.values - dec.exact_part.values) / scale
@@ -406,30 +411,31 @@ class UniquenessReport:
     quadrature: dict
 
 
-def verify_uniqueness(K: SimplicialComplex, ell: int, omega: Cochain,
-                      error_target: float = 1e-8,
-                      spectral: SpectralData | None = None) -> UniquenessReport:
-    """Decompose through two independent paths and compare the components.
+def verify_uniqueness(K: SimplicialComplex, s: SpectralData, dec: DecompositionResult,
+                      error_target: float = 1e-8) -> UniquenessReport:
+    """Decompose ``dec.omega`` by route B and compare it with route A's ``dec``.
 
-    Route A uses the closed spectral form of the Green operator.  Route B
-    never touches the eigenbasis: it reads the assembled Laplacian and,
-    from the spectrum, only the gap, the largest eigenvalue and the
-    weights.  Its harmonic part is the heat semigroup at a certified time
-    and its Green term the semigroup integral, both as Chebyshev actions
-    of the Laplacian; ``quadrature`` reports their summed truncation
-    bound and matvec count next to the tail bound.  Additionally,
-    perturbing the harmonic component along any kernel direction is shown
-    to leave a detectable harmonic residue in the remaining parts.  The
-    routes agree when no component differs by more than
-    ``_UNIQUENESS_TOL`` relative to |omega|.
+    s is K's spectrum at the degree of ``dec``, the result of
+    ``decompose(K, s, omega)``: route A, the closed spectral form of the
+    Green operator.  Route B never touches the eigenbasis: it reads the
+    assembled Laplacian and, from the spectrum, only the gap, the largest
+    eigenvalue and the weights.  Its harmonic part is the heat semigroup
+    at a certified time and its Green term the semigroup integral, both as
+    Chebyshev actions of the Laplacian; ``quadrature`` reports their summed
+    truncation bound and matvec count next to the tail bound.
+    Additionally, perturbing the harmonic component along any kernel
+    direction is shown to leave a detectable harmonic residue in the
+    remaining parts.  The routes agree when no component differs by more
+    than ``_UNIQUENESS_TOL`` relative to |omega|.
     """
     if not 0 < error_target < 1:
         raise ValueError(f"error_target must lie in (0, 1), got {error_target}")
-    K.check_cochain(omega)
-    s = spectral if spectral is not None else laplacian_spectrum(K, ell)
-    v = omega.values
-    h_a = harmonic_part(s, v)
-    g_a = s.apply_function(_inv_on_support, v - h_a)
+    K.check_spectrum(s)
+    if dec.degree != s.degree:
+        raise ValueError(f"decomposition of degree {dec.degree} does not match "
+                         f"the spectrum of degree {s.degree}")
+    ell, omega = s.degree, dec.omega
+    v, h_a = omega.values, dec.omega3.values
 
     quad_cert = {}
     if math.isinf(s.gap):
@@ -440,15 +446,15 @@ def verify_uniqueness(K: SimplicialComplex, ell: int, omega: Cochain,
         g_b = res.cochain.values
         quad_cert = res.to_json_dict()
 
-    a, b = _hodge_split(K, ell, g_a), _hodge_split(K, ell, g_b)
+    o1, exact, o2, coexact = _hodge_split(K, ell, g_b)
     scale = max(s.norm2(v), 1e-300)
     diffs = {"harmonic": s.norm2(h_a - h_b) / scale}
     if ell >= 1:
-        diffs["omega1"] = lp_norm(K, Cochain(ell - 1, a[0] - b[0]), 2) / scale
-        diffs["exact"] = s.norm2(a[1] - b[1]) / scale
+        diffs["omega1"] = lp_norm(K, Cochain(ell - 1, dec.omega1.values - o1), 2) / scale
+        diffs["exact"] = s.norm2(dec.exact_part.values - exact) / scale
     if ell < K.max_degree:
-        diffs["omega2"] = lp_norm(K, Cochain(ell + 1, a[2] - b[2]), 2) / scale
-        diffs["coexact"] = s.norm2(a[3] - b[3]) / scale
+        diffs["omega2"] = lp_norm(K, Cochain(ell + 1, dec.omega2.values - o2), 2) / scale
+        diffs["coexact"] = s.norm2(dec.coexact_part.values - coexact) / scale
 
     max_diff = max(diffs.values())
 
@@ -508,17 +514,18 @@ class RieszTransformReport:
     resolution_residual: float
 
 
-def riesz_transform_norms(K: SimplicialComplex, ell: int, p_list,
-                          spectral: SpectralData | None = None,
+def riesz_transform_norms(K: SimplicialComplex, s: SpectralData, p_list,
                           iters: int = 48, seed: int = 0) -> RieszTransformReport:
     """p->p norm brackets for d Lap^(-1/2)(1-H) and delta Lap^(-1/2)(1-H).
 
-    Also verifies, at the matrix level, that d delta commutes with the
-    Laplacian, that d delta G factors through the two half-inverses, and
-    that d delta G + delta d G resolves the identity minus the harmonic
+    s is K's spectrum at the degree of the transforms.  Also verifies, at
+    the matrix level, that d delta commutes with the Laplacian, that
+    d delta G factors through the two half-inverses, and that
+    d delta G + delta d G resolves the identity minus the harmonic
     projector.
     """
-    s = spectral if spectral is not None else laplacian_spectrum(K, ell)
+    K.check_spectrum(s)
+    ell = s.degree
     inv_sqrt = inv_sqrt_spectral(s).entries
     green = green_spectral(s).entries
     one_minus_h = s.function_matrix(lambda lam: (lam > 0).astype(float))

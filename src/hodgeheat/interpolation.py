@@ -30,7 +30,6 @@ from .spectral import (
     SpectralData,
     harmonic_part,
     harmonic_projector,
-    laplacian_spectrum,
 )
 
 
@@ -220,24 +219,27 @@ class AlphaFit:
     norms: tuple
 
 
-def measure_alpha(K: SimplicialComplex, ell: int, t_grid,
-                  spectral: SpectralData | None = None) -> AlphaFit:
-    """Growth rate of the heat semigroup on the weighted l^1 space.
+def measure_alpha(s: SpectralData, t_grid) -> AlphaFit:
+    """Growth rate of the heat semigroup on the weighted l^1 space of s.
 
     Evaluates the exact 1->1 norm of P_t on the grid and fits log-norm
-    against t.
+    against t.  P_t = S W with S = G G^T and G = V diag(exp(-t lambda))^(1/2),
+    so the norm, the largest weighted column sum of |P_t| W^-1, is
+    max(w @ |S|): the weights of the columns cancel.  G and S are the same
+    two n x n buffers at every time.
     """
     t = np.asarray(t_grid, dtype=float)
     if t.size < 3 or not np.all(np.isfinite(t) & (t > 0)) or np.any(np.diff(t) <= 0):
         raise ValueError(f"degenerate t_grid {tuple(map(float, t))}: "
                          "need >= 3 finite, positive, increasing times")
-    s = spectral if spectral is not None else laplacian_spectrum(K, ell)
-    w = s.weights
+    G = np.empty_like(s.eigencochains)
+    S = np.empty((s.dim, s.dim))
     norms = []
     for ti in t:
-        M = s.function_matrix(lambda lam: np.exp(-ti * lam))
-        norms.append(opnorm_exact_extremes(M, 1, w, w))
-        del M  # freed before the next heat matrix is built
+        np.multiply(s.eigencochains, np.sqrt(np.exp(-ti * s.eigenvalues)), out=G)
+        np.matmul(G, G.T, out=S)  # BLAS syrk
+        np.abs(S, out=S)
+        norms.append(float((s.weights @ S).max(initial=0.0)))
     norms = np.asarray(norms)
     logs = np.log(np.maximum(norms, 1e-300))
     slope, intercept = np.polyfit(t, logs, 1)
@@ -282,17 +284,15 @@ def decay_rate(alpha, tau, p):
     return theta * tau - alpha * (1 - theta)
 
 
-def projector_norm_profile(K: SimplicialComplex, ell: int, p_grid,
-                           spectral: SpectralData | None = None,
-                           iters: int = 64, seed: int = 0) -> list[dict]:
-    """Brackets on the p->p norms of the harmonic projector.
+def projector_norm_profile(s: SpectralData, p_grid, iters: int = 64,
+                           seed: int = 0) -> list[dict]:
+    """Brackets on the p->p norms of the harmonic projector of s.
 
     H is a W-orthogonal projector, so its 2->2 norm is exactly 1 when the
     kernel is nonzero and 0 otherwise; no SVD is needed for it.  The exact
     1 and inf endpoints read the dense H; the power method runs through
     its rank-k factor H = V_k (W V_k)^T, k the kernel dimension.
     """
-    s = spectral if spectral is not None else laplacian_spectrum(K, ell)
     ps = [float(p) for p in p_grid]
     Vk = s.kernel_basis()
     brackets = _brackets(harmonic_projector(s).entries, ps, s.weights, s.weights, iters, seed,
@@ -388,15 +388,15 @@ def _simplex_distances(K: SimplicialComplex, ell: int):
     return labels, hops, key
 
 
-def kernel_decay_fit(K: SimplicialComplex, ell: int, t0: float,
-                     spectral: SpectralData | None = None, *,
+def kernel_decay_fit(K: SimplicialComplex, s: SpectralData, t0: float, *,
                      distances=None) -> KernelDecayFit:
     """Fit exp(-2 rho / t0 * distance) to the entries of Laplacian P_(t0/4).
 
-    Distance between two ell-simplices is the smallest 1-skeleton hop
-    distance between their vertex sets.  Disconnected complexes are fitted
-    per component (entries across components vanish identically); the
-    reported rho is the most conservative component value.  A bin whose
+    s is K's spectrum at the degree ell of the fit.  Distance between two
+    ell-simplices is the smallest 1-skeleton hop distance between their
+    vertex sets.  Disconnected complexes are fitted per component (entries
+    across components vanish identically); the reported rho is the most
+    conservative component value.  A bin whose
     largest entry is at or below n * u * max|entry| (n simplices, u the
     unit roundoff), the rounding floor of the matrix's dot products, is
     not fitted.  ``distances`` is ``_simplex_distances(K, ell)``, computed
@@ -404,11 +404,11 @@ def kernel_decay_fit(K: SimplicialComplex, ell: int, t0: float,
     """
     if t0 <= 0:
         raise ValueError("t0 must be positive")
-    s = spectral if spectral is not None else laplacian_spectrum(K, ell)
+    K.check_spectrum(s)
     mag = s.function_matrix(lambda lam: lam * np.exp(-lam * t0 / 4.0))
     np.abs(mag, out=mag)
 
-    labels, hops, key = distances if distances is not None else _simplex_distances(K, ell)
+    labels, hops, key = distances if distances is not None else _simplex_distances(K, s.degree)
     nv = hops.shape[0]
     table = np.full((labels.max() + 1, nv + 1), -1.0)  # -1: the distance does not occur
     np.maximum.at(table.reshape(-1), key.ravel(), mag.ravel())
@@ -495,19 +495,19 @@ class GaffneyReport:
     n_samples: int
 
 
-def gaffney_constant(K: SimplicialComplex, ell: int, gamma_shift: float,
-                     p=2, n_samples: int = 50, seed: int = 0,
-                     spectral: SpectralData | None = None) -> GaffneyReport:
+def gaffney_constant(K: SimplicialComplex, s: SpectralData, gamma_shift: float,
+                     p=2, n_samples: int = 50, seed: int = 0) -> GaffneyReport:
     """Sampled constant in |d w|_p + |delta w|_p <= c |(Lap+gamma)^(1/2) w|_p.
 
-    Returns the largest observed ratio over seeded random cochains.  At
-    p = 2 the Pythagorean identity |dw|^2 + |delta w|^2 = <Lap w, w> gives
-    the exact spectral bound sqrt(2 lam_max / (lam_max + gamma)) <= sqrt 2,
-    reported alongside.
+    Returns the largest observed ratio over seeded random cochains of the
+    degree of s, K's spectrum there.  At p = 2 the Pythagorean identity
+    |dw|^2 + |delta w|^2 = <Lap w, w> gives the exact spectral bound
+    sqrt(2 lam_max / (lam_max + gamma)) <= sqrt 2, reported alongside.
     """
     if gamma_shift <= 0:
         raise ValueError("shift must be positive")
-    s = spectral if spectral is not None else laplacian_spectrum(K, ell)
+    K.check_spectrum(s)
+    ell = s.degree
     rng = np.random.default_rng(seed)
     max_ratio = 0.0
     for _ in range(n_samples):
@@ -607,19 +607,22 @@ _DEFAULT_T_GRID = (0.25, 0.5, 1.0, 2.0, 4.0)
 _DEFAULT_P_SAMPLES = (1.25, 4.0 / 3.0, 1.5, 2.0, 3.0, 4.0)
 
 
-def interpolation_report(K: SimplicialComplex, ell: int, epsilon: float | None = None,
-                         t_grid=_DEFAULT_T_GRID, p_samples=_DEFAULT_P_SAMPLES,
-                         spectral: SpectralData | None = None,
-                         seed: int = 0) -> InterpolationReport:
+def interpolation_report(K: SimplicialComplex, s: SpectralData,
+                         epsilon: float | None = None, t_grid=_DEFAULT_T_GRID,
+                         p_samples=_DEFAULT_P_SAMPLES, seed: int = 0) -> InterpolationReport:
     """Measure (alpha, tau, rho, gamma_vol) and derive the exponent calculus.
 
-    epsilon defaults to tau/20.  When the whole degree is harmonic (gap
-    +inf) the interval degenerates to (1, inf) and gamma(p) to +inf.
+    s is K's spectrum at the degree of the report.  epsilon defaults to
+    tau/20; it must be finite and lie in [0, tau).  When the whole degree
+    is harmonic (gap +inf) the interval degenerates to (1, inf) and
+    gamma(p) to +inf.
     """
-    if epsilon is not None and not 0 <= epsilon < math.inf:
-        raise ValueError(f"epsilon = {epsilon} is not a finite number >= 0")
-    s = spectral if spectral is not None else laplacian_spectrum(K, ell)
-    fit = measure_alpha(K, ell, t_grid, spectral=s)
+    K.check_spectrum(s)
+    ell = s.degree
+    if epsilon is not None and not (0 <= epsilon < s.gap and math.isfinite(epsilon)):
+        raise ValueError(f"epsilon = {epsilon} must be finite and lie in [0, tau) "
+                         f"for tau = {s.gap}, the spectral gap")
+    fit = measure_alpha(s, t_grid)
 
     if math.isinf(s.gap):
         tau = math.inf
@@ -637,17 +640,17 @@ def interpolation_report(K: SimplicialComplex, ell: int, epsilon: float | None =
         ps = sorted({float(p) for p in p_samples if p1 < p < p2} | {2.0})
         gammas = [(p, float(decay_rate(fit.alpha, tau, p))) for p in ps]
 
-    profile = projector_norm_profile(K, ell, ps, spectral=s, seed=seed)
+    profile = projector_norm_profile(s, ps, seed=seed)
     for row, (_, g) in zip(profile, gammas):
         row["gamma"] = g
 
     distances = _simplex_distances(K, ell)
     vol = volume_growth_fit(K, distances=distances)
-    provisional = kernel_decay_fit(K, ell, 1.0, spectral=s, distances=distances)
+    provisional = kernel_decay_fit(K, s, 1.0, distances=distances)
     rho = t0 = condition = None
     if not provisional.degenerate and provisional.rho > 0:
         t0_sel = select_t0(provisional.rho, vol.gamma_vol)
-        refit = kernel_decay_fit(K, ell, t0_sel, spectral=s, distances=distances)
+        refit = kernel_decay_fit(K, s, t0_sel, distances=distances)
         if not refit.degenerate and refit.rho > 0:
             rho = refit.rho
             t0 = select_t0(rho, vol.gamma_vol)

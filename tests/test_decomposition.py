@@ -8,6 +8,7 @@ import threading
 import numpy as np
 import pytest
 
+import hodgeheat
 from conftest import (
     CORPUS,
     CORPUS_IDS,
@@ -227,7 +228,7 @@ class TestDecompose:
         K = lib.cycle_complex(3)
         s = laplacian_spectrum(K, 1)
         h = s.kernel_basis()[:, 0]
-        dec = decompose(K, 1, Cochain(1, h), p_list=(2.0,))
+        dec = decompose(K, s, Cochain(1, h), p_list=(2.0,))
         assert np.allclose(dec.omega3.values, h, atol=1e-12)
         assert np.allclose(dec.exact_part.values, 0.0, atol=1e-12)
         assert dec.omega2 is None  # no degree-2 simplices on C3
@@ -236,14 +237,14 @@ class TestDecompose:
         K = lib.cycle_complex(3)
         f = lib.random_cochain(K, 0, 23)
         omega = coboundary(K, 0).apply(f)
-        dec = decompose(K, 1, omega)
+        dec = decompose(K, laplacian_spectrum(K, 1), omega)
         assert np.allclose(dec.omega3.values, 0.0, atol=1e-10)
         assert np.allclose(dec.exact_part.values, omega.values, atol=1e-10)
 
     def test_tetra_random_residual_and_orthogonality(self):
         K = lib.simplex_boundary(3)
         omega = lib.random_cochain(K, 1, 29)
-        dec = decompose(K, 1, omega, p_list=(1.0, 2.0, math.inf))
+        dec = decompose(K, laplacian_spectrum(K, 1), omega, p_list=(1.0, 2.0, math.inf))
         assert dec.residual <= 1e-8
         assert dec.harmonic_defect <= 1e-8
         assert all(v <= 1e-8 for v in dec.orthogonality.values())
@@ -253,7 +254,7 @@ class TestDecompose:
     def test_pythagoras(self):
         K = lib.simplex_boundary(3)
         omega = lib.random_cochain(K, 1, 31)
-        dec = decompose(K, 1, omega)
+        dec = decompose(K, laplacian_spectrum(K, 1), omega)
         total = (
             inner_product(K, dec.exact_part, dec.exact_part)
             + inner_product(K, dec.coexact_part, dec.coexact_part)
@@ -266,8 +267,8 @@ class TestDecompose:
         K = lib.flat_torus(6, 6)
         omega = lib.random_cochain(K, 1, 37)
         s = spectrum_of("torus_6x6", K, 1)
-        first = decompose(K, 1, omega, spectral=s)
-        again = decompose(K, 1, first.omega3, spectral=s)
+        first = decompose(K, s, omega)
+        again = decompose(K, s, first.omega3)
         norm = max(np.linalg.norm(first.omega3.values), 1e-30)
         assert np.linalg.norm(again.omega3.values - first.omega3.values) <= 1e-10 * norm
         assert np.linalg.norm(again.exact_part.values) <= 1e-10 * norm
@@ -302,7 +303,7 @@ class TestDecompose:
 
     def test_zero_cochain(self):
         K = lib.interval()
-        dec = decompose(K, 0, Cochain(0, np.zeros(2)), p_list=(2.0,))
+        dec = decompose(K, laplacian_spectrum(K, 0), Cochain(0, np.zeros(2)), p_list=(2.0,))
         assert dec.residual == 0.0
         assert dec.c_p[2.0] == 0.0
 
@@ -312,7 +313,7 @@ class TestHarmonicRepresentative:
         K = lib.cycle_complex(3)
         s = laplacian_spectrum(K, 1)
         h = s.kernel_basis()[:, 0]
-        rep = harmonic_representative(K, 1, Cochain(1, h))
+        rep = harmonic_representative(K, s, Cochain(1, h))
         assert np.allclose(rep.cochain.values, h, atol=1e-10)
         assert rep.coexact_norm_rel <= 1e-8
 
@@ -322,7 +323,7 @@ class TestHarmonicRepresentative:
         circulation = 1.7 * s.kernel_basis()[:, 0]
         f = lib.random_cochain(K, 0, 41)
         omega = Cochain(1, circulation + coboundary(K, 0).apply(f).values)
-        rep = harmonic_representative(K, 1, omega)
+        rep = harmonic_representative(K, s, omega)
         norm = np.linalg.norm(omega.values)
         assert np.linalg.norm(rep.cochain.values - circulation) <= 1e-8 * norm
         assert rep.exactness_residual <= 1e-8
@@ -332,7 +333,7 @@ class TestHarmonicRepresentative:
         K = lib.filled_triangle()
         f = lib.random_cochain(K, 0, 43)
         omega = coboundary(K, 0).apply(f)  # closed since b1 = 0 forces exactness
-        rep = harmonic_representative(K, 1, omega)
+        rep = harmonic_representative(K, laplacian_spectrum(K, 1), omega)
         assert np.allclose(rep.cochain.values, 0.0, atol=1e-10)
         assert rep.exactness_residual <= 1e-8
 
@@ -340,12 +341,12 @@ class TestHarmonicRepresentative:
         K = lib.filled_triangle()
         omega = Cochain(1, [1.0, 0.0, 0.0])
         with pytest.raises(ValueError, match="not closed"):
-            harmonic_representative(K, 1, omega)
+            harmonic_representative(K, laplacian_spectrum(K, 1), omega)
 
     def test_top_degree_always_closed(self):
         K = lib.simplex_boundary(3)
         omega = lib.random_cochain(K, 2, 47)
-        rep = harmonic_representative(K, 2, omega)
+        rep = harmonic_representative(K, laplacian_spectrum(K, 2), omega)
         assert rep.exactness_residual <= 1e-8
 
 
@@ -353,34 +354,34 @@ class TestVerifyUniqueness:
     @pytest.mark.parametrize("ell", [0, 1])
     def test_c3_routes_agree(self, ell):
         K = lib.cycle_complex(3)
-        omega = lib.random_cochain(K, ell, 53)
-        rep = verify_uniqueness(K, ell, omega)
+        s = laplacian_spectrum(K, ell)
+        rep = verify_uniqueness(K, s, decompose(K, s, lib.random_cochain(K, ell, 53)))
         assert rep.passed
         assert rep.max_rel_diff <= 1e-6
 
     @pytest.mark.parametrize("target", [0.0, 1.0, math.nan, -1.0, math.inf])
     def test_error_target_outside_unit_interval_rejected(self, target):
-        # A cochain of the wrong length: the target is checked before anything else.
-        K = lib.cycle_complex(3)
+        # Neither a spectrum nor a decomposition: the target is checked before anything else.
         with pytest.raises(ValueError, match="error_target"):
-            verify_uniqueness(K, 1, Cochain(1, np.ones(2)), error_target=target)
+            verify_uniqueness(lib.cycle_complex(3), None, None, error_target=target)
 
     def test_zero_cochain_both_routes_zero(self):
         K = lib.cycle_complex(3)
-        rep = verify_uniqueness(K, 1, Cochain(1, np.zeros(3)))
+        s = laplacian_spectrum(K, 1)
+        rep = verify_uniqueness(K, s, decompose(K, s, Cochain(1, np.zeros(3))))
         assert rep.passed
         assert rep.max_rel_diff == 0.0
 
     def test_tetra_random(self):
         K = lib.simplex_boundary(3)
-        omega = lib.random_cochain(K, 1, 59)
-        rep = verify_uniqueness(K, 1, omega)
+        s = laplacian_spectrum(K, 1)
+        rep = verify_uniqueness(K, s, decompose(K, s, lib.random_cochain(K, 1, 59)))
         assert rep.passed
 
     def test_kernel_perturbation_detected(self):
         K = lib.cycle_complex(3)
-        omega = lib.random_cochain(K, 1, 61)
-        rep = verify_uniqueness(K, 1, omega)
+        s = laplacian_spectrum(K, 1)
+        rep = verify_uniqueness(K, s, decompose(K, s, lib.random_cochain(K, 1, 61)))
         assert rep.kernel_perturbations  # b1 = 1
         assert rep.perturbation_detected
 
@@ -416,7 +417,8 @@ class TestVerifyUniqueness:
     def test_stiff_strip_torus_passes(self):
         K = lib.flat_torus(24, 3)  # lambda_max / gap about 400
         omega = lib.random_cochain(K, 1, 71)
-        rep = verify_uniqueness(K, 1, omega)
+        s = laplacian_spectrum(K, 1)
+        rep = verify_uniqueness(K, s, decompose(K, s, omega))
         assert rep.passed
         assert rep.quadrature["tail_bound"] <= rep.quadrature["error_target"] * np.linalg.norm(
             omega.values)
@@ -424,11 +426,11 @@ class TestVerifyUniqueness:
     def test_route_b_ignores_and_keeps_global_random_state(self):
         K = lib.flat_torus(6, 6)
         s = spectrum_of("torus_6x6", K, 2)
-        omega = lib.random_cochain(K, 2, 42)
+        dec = decompose(K, s, lib.random_cochain(K, 2, 42))
         runs = []
         for seed in range(20):
             np.random.seed(seed)
-            rep = verify_uniqueness(K, 2, omega, spectral=s)
+            rep = verify_uniqueness(K, s, dec)
             runs.append((rep.max_rel_diff, rep.quadrature["tail_bound"]))
             assert np.random.randint(2**31) == np.random.RandomState(seed).randint(2**31)
         assert len(set(runs)) == 1
@@ -438,12 +440,12 @@ class TestVerifyUniqueness:
         # random state; route B reads no random state, so nothing moves.
         K = lib.flat_torus(6, 6)
         s = spectrum_of("torus_6x6", K, 2)
-        omega = lib.random_cochain(K, 2, 42)
+        dec = decompose(K, s, lib.random_cochain(K, 2, 42))
 
         def key(rep):
             return rep.max_rel_diff, rep.component_diffs, rep.quadrature
 
-        expected = key(verify_uniqueness(K, 2, omega, spectral=s))
+        expected = key(verify_uniqueness(K, s, dec))
         results, stop = [], threading.Event()
 
         def reseed():
@@ -455,7 +457,7 @@ class TestVerifyUniqueness:
 
         def work():
             for _ in range(3):
-                results.append(key(verify_uniqueness(K, 2, omega, spectral=s)))
+                results.append(key(verify_uniqueness(K, s, dec)))
 
         switch = sys.getswitchinterval()
         sys.setswitchinterval(1e-5)
@@ -478,25 +480,78 @@ class TestVerifyUniqueness:
 class TestRieszTransforms:
     def test_p2_norm_of_d_transform_at_most_one(self):
         K = lib.simplex_boundary(3)
-        rep = riesz_transform_norms(K, 1, p_list=(2.0,))
+        rep = riesz_transform_norms(K, laplacian_spectrum(K, 1), p_list=(2.0,))
         rows = {(r["operator"], r["p"]): r for r in rep.rows}
         assert rows[("d", 2.0)]["upper"] <= 1.0 + 1e-10
         assert rows[("delta", 2.0)]["upper"] <= 1.0 + 1e-10
 
     def test_commutation_and_factorization_residuals(self):
         K = lib.cycle_complex(3)
-        rep = riesz_transform_norms(K, 1, p_list=())
+        rep = riesz_transform_norms(K, laplacian_spectrum(K, 1), p_list=())
         assert rep.commutation_residual <= 1e-9
         assert rep.factorization_residual <= 1e-9
 
     def test_filled_triangle_resolution_of_identity(self):
         K = lib.filled_triangle()
-        rep = riesz_transform_norms(K, 1, p_list=())
+        rep = riesz_transform_norms(K, laplacian_spectrum(K, 1), p_list=())
         assert rep.resolution_residual <= 1e-10
 
     def test_brackets_ordered(self):
         K = lib.flat_torus(6, 6)
         s = spectrum_of("torus_6x6", K, 1)
-        rep = riesz_transform_norms(K, 1, p_list=(1.5, 2.0, 3.0), spectral=s)
+        rep = riesz_transform_norms(K, s, p_list=(1.5, 2.0, 3.0))
         for row in rep.rows:
             assert row["lower"] <= row["upper"] + 1e-8
+
+
+class TestSpectrumBelongsToComplex:
+    """Every routine that takes K and a spectrum s checks that s is K's."""
+
+    K = lib.flat_torus(6, 6)
+    OMEGA = lib.random_cochain(K, 1, 5)
+    TORUS = r"SimplicialComplex\(counts=\[36, 108, 72\]\)"
+
+    @classmethod
+    def _calls(cls):
+        s = laplacian_spectrum(cls.K, 1)
+        dec = decompose(cls.K, s, cls.OMEGA)
+        return {
+            "kernel_decay_fit": lambda K, s: hodgeheat.kernel_decay_fit(K, s, 1.0),
+            "interpolation_report": lambda K, s: hodgeheat.interpolation_report(K, s),
+            "gaffney_constant": lambda K, s: hodgeheat.gaffney_constant(K, s, 1.0),
+            "riesz_transform_norms": lambda K, s: riesz_transform_norms(K, s, (2.0,)),
+            "decompose": lambda K, s: decompose(K, s, cls.OMEGA),
+            "harmonic_representative": lambda K, s: harmonic_representative(K, s, cls.OMEGA),
+            "verify_uniqueness": lambda K, s: verify_uniqueness(K, s, dec),
+        }
+
+    # (bad spectrum, the complex it is passed with, what the message names)
+    CASES = {
+        "other_complex": (lambda K: laplacian_spectrum(lib.flat_torus(4, 4), 1), None,
+                          r"degree 1 on 48 simplices is not that of {K}: "
+                          r"it has 108 simplices of degree 1"),
+        "other_weights": (lambda K: laplacian_spectrum(log_uniform_weights(K, 3), 1), None,
+                          r"degree 1 on 108 simplices is not that of {K}: "
+                          r"it has other weights on its degree-1 simplices"),
+        "degree_past_complex": (lambda K: laplacian_spectrum(K, 2), lib.cycle_complex(12),
+                                r"degree 2 on 72 simplices is not that of "
+                                r"SimplicialComplex\(counts=\[12, 12\]\): its degrees run 0..1"),
+    }
+    COCHAIN_ROUTINES = ("decompose", "harmonic_representative", "verify_uniqueness")
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    @pytest.mark.parametrize("routine", ["kernel_decay_fit", "interpolation_report",
+                                         "gaffney_constant", "riesz_transform_norms",
+                                         *COCHAIN_ROUTINES])
+    def test_spectrum_of_another_complex_rejected(self, routine, case):
+        spectrum_of_, K, message = self.CASES[case]
+        with pytest.raises(ValueError, match=message.format(K=self.TORUS)):
+            self._calls()[routine](self.K if K is None else K, spectrum_of_(self.K))
+
+    @pytest.mark.parametrize("routine", COCHAIN_ROUTINES)
+    def test_spectrum_of_another_degree_rejected(self, routine):
+        # K's own degree-2 spectrum, with a degree-1 cochain.
+        thing = "decomposition" if routine == "verify_uniqueness" else "cochain"
+        with pytest.raises(ValueError, match=f"{thing} of degree 1 does not match "
+                                             "the spectrum of degree 2"):
+            self._calls()[routine](self.K, laplacian_spectrum(self.K, 2))

@@ -176,19 +176,19 @@ class TestRieszThorin:
 class TestMeasureAlpha:
     def test_vertex_heat_has_zero_growth(self):
         for K in (lib.path_complex(5), lib.cycle_complex(12), lib.complete_graph(4)):
-            fit = measure_alpha(K, 0, (0.5, 1.0, 2.0, 4.0))
+            fit = measure_alpha(laplacian_spectrum(K, 0), (0.5, 1.0, 2.0, 4.0))
             assert fit.alpha == 0.0
             assert all(n == pytest.approx(1.0, abs=1e-11) for n in fit.norms)
 
     def test_single_simplex_degree(self):
         K = lib.interval()  # degree 1 has one simplex; P_t is exp(-2t)
-        fit = measure_alpha(K, 1, (0.5, 1.0, 2.0))
+        fit = measure_alpha(laplacian_spectrum(K, 1), (0.5, 1.0, 2.0))
         assert fit.alpha == 0.0
         assert fit.c1 == pytest.approx(1.0, abs=1e-12)
         assert fit.norms[0] == pytest.approx(math.exp(-1.0), abs=1e-12)
 
     def test_c3_degree1_reports_fit(self):
-        fit = measure_alpha(lib.cycle_complex(3), 1, (0.25, 0.5, 1.0, 2.0))
+        fit = measure_alpha(laplacian_spectrum(lib.cycle_complex(3), 1), (0.25, 0.5, 1.0, 2.0))
         assert fit.alpha >= 0.0
         assert math.isfinite(fit.residual)
         assert fit.envelope_c1 >= max(
@@ -200,7 +200,25 @@ class TestMeasureAlpha:
         for grid in ((1.0, 2.0), (1.0, 1.0, 2.0), (-1.0, 1.0, 2.0),
                      (math.nan, 1.0, 2.0), (1.0, 2.0, math.inf)):
             with pytest.raises(ValueError, match="grid"):
-                measure_alpha(K, 0, grid)
+                measure_alpha(laplacian_spectrum(K, 0), grid)
+
+    @pytest.mark.parametrize("weights_seed", [None, 3, 4])
+    @pytest.mark.parametrize("t_grid", [(0.25, 0.5, 1.0, 2.0, 4.0), (1000.0, 2000.0, 4000.0)])
+    def test_norms_match_dense_heat_matrices(self, t_grid, weights_seed):
+        # The norms measure_alpha reads off G G^T in place are the exact
+        # 1->1 norms of the dense heat matrices, to rounding: at most
+        # 5.8e-16 relative over the corpus.  At t >= 1000 every nonzero
+        # mode underflows and only the harmonic projector is left.
+        for name, K in CORPUS:
+            if weights_seed is not None:
+                K = log_uniform_weights(K, weights_seed)
+            for ell in all_degrees(K):
+                s = (spectrum_of(name, K, ell) if weights_seed is None
+                     else laplacian_spectrum(K, ell))
+                dense = [opnorm_exact_extremes(s.function_matrix(lambda lam: np.exp(-t * lam)),
+                                               1, s.weights, s.weights) for t in t_grid]
+                assert measure_alpha(s, t_grid).norms == pytest.approx(dense, rel=1e-15), \
+                    f"{name} ell={ell}"
 
 
 class TestFootprint:
@@ -218,15 +236,13 @@ class TestFootprint:
 
     def test_measure_alpha(self, spectrum):
         n = spectrum.dim
-        _, peak = traced_peak(measure_alpha, self.K, 1, (0.25, 0.5, 1.0, 2.0, 4.0),
-                              spectral=spectrum)
+        _, peak = traced_peak(measure_alpha, spectrum, (0.25, 0.5, 1.0, 2.0, 4.0))
         assert peak <= 2.5 * n * n * 8
 
     def test_kernel_decay_fit(self, spectrum):
         n = spectrum.dim
         distances = _simplex_distances(self.K, 1)
-        _, peak = traced_peak(kernel_decay_fit, self.K, 1, 1.0, spectral=spectrum,
-                              distances=distances)
+        _, peak = traced_peak(kernel_decay_fit, self.K, spectrum, 1.0, distances=distances)
         assert peak <= 2.5 * n * n * 8
 
 
@@ -363,23 +379,24 @@ class TestDecayRate:
 class TestProjectorProfile:
     def test_orthogonal_projection_norm_one_at_p2(self):
         K = lib.cycle_complex(3)
-        rows = projector_norm_profile(K, 0, (2.0,))
+        rows = projector_norm_profile(laplacian_spectrum(K, 0), (2.0,))
         assert rows[0]["lower"] == pytest.approx(1.0, abs=1e-10)
         assert rows[0]["upper"] == pytest.approx(1.0, abs=1e-10)
 
     def test_averaging_has_unit_l1_norm(self):
         K = lib.path_complex(5)
-        rows = projector_norm_profile(K, 0, (1.0,))
+        rows = projector_norm_profile(laplacian_spectrum(K, 0), (1.0,))
         assert rows[0]["upper"] == pytest.approx(1.0, abs=1e-12)
 
     def test_rank_zero_projector_vanishes(self):
         K = lib.filled_triangle()
-        for row in projector_norm_profile(K, 1, (1.0, 1.5, 2.0, math.inf)):
+        for row in projector_norm_profile(laplacian_spectrum(K, 1), (1.0, 1.5, 2.0, math.inf)):
             assert row["lower"] <= 1e-12 and row["upper"] <= 1e-12
 
     def test_brackets_ordered_across_grid(self):
         K = lib.simplex_boundary(3)
-        for row in projector_norm_profile(K, 1, (1.0, 1.25, 2.0, 3.0, math.inf)):
+        s = laplacian_spectrum(K, 1)
+        for row in projector_norm_profile(s, (1.0, 1.25, 2.0, 3.0, math.inf)):
             assert row["lower"] <= row["upper"] + 1e-8
 
 
@@ -526,7 +543,7 @@ class TestKernelDecayFit:
     @pytest.mark.parametrize("name,K,ell", _ORACLE_CASES,
                              ids=[f"{name}-{ell}" for name, _, ell in _ORACLE_CASES])
     def test_matches_per_pair_oracle(self, name, K, ell, t0):
-        fit = kernel_decay_fit(K, ell, t0=t0)
+        fit = kernel_decay_fit(K, laplacian_spectrum(K, ell), t0=t0)
         bins, fits, rho = _kernel_decay_oracle(K, ell, t0)
         assert fit.bins == bins
         assert fit.component_fits == fits
@@ -534,32 +551,32 @@ class TestKernelDecayFit:
 
     def test_path_graph_has_positive_rho(self):
         K = lib.path_complex(8)
-        fit = kernel_decay_fit(K, 0, t0=0.5)
+        fit = kernel_decay_fit(K, laplacian_spectrum(K, 0), t0=0.5)
         assert not fit.degenerate
         assert fit.rho > 0
         assert fit.bins[0][0] == 0  # distance-0 bin populated
 
     def test_single_vertex_degenerate(self):
         K = build_complex({"vertices": [0]})
-        fit = kernel_decay_fit(K, 0, t0=1.0)
+        fit = kernel_decay_fit(K, laplacian_spectrum(K, 0), t0=1.0)
         assert fit.degenerate
         assert fit.rho is None
 
     def test_c12_binned_magnitudes_decay_monotonically(self):
         K = lib.cycle_complex(12)
-        fit = kernel_decay_fit(K, 0, t0=1.0)
+        fit = kernel_decay_fit(K, laplacian_spectrum(K, 0), t0=1.0)
         mags = [m for _, m in fit.bins]
         assert all(a > b for a, b in zip(mags, mags[1:]))
 
     def test_disconnected_fits_per_component(self):
         K = build_complex({"edges": [(0, 1), (1, 2), (2, 3), (10, 11), (11, 12), (12, 13)]})
-        fit = kernel_decay_fit(K, 0, t0=0.5)
+        fit = kernel_decay_fit(K, laplacian_spectrum(K, 0), t0=0.5)
         assert len(fit.component_fits) == 2
         assert fit.rho == min(f["rho"] for f in fit.component_fits)
 
     def test_invalid_t0(self):
         with pytest.raises(ValueError):
-            kernel_decay_fit(lib.interval(), 0, t0=0.0)
+            kernel_decay_fit(lib.interval(), laplacian_spectrum(lib.interval(), 0), t0=0.0)
 
     @pytest.mark.parametrize("name,K,ell", _ROUNDING_CASES,
                              ids=[f"{name}-{ell}" for name, _, ell in _ROUNDING_CASES])
@@ -569,14 +586,14 @@ class TestKernelDecayFit:
         # The absolute 1e-12 covers a true rho of 0 (the interval's two
         # bins are equal), which rounding leaves at about +-1e-17.
         s = laplacian_spectrum(K, ell)
-        first = kernel_decay_fit(K, ell, 1.0, spectral=s)
+        first = kernel_decay_fit(K, s, 1.0)
         t0s = [1.0]
         if not first.degenerate and first.rho > 0:
             t0s.append(select_t0(first.rho, volume_growth_fit(K).gamma_vol))
-        rhos = [kernel_decay_fit(K, ell, t0, spectral=s).rho for t0 in t0s]
+        rhos = [kernel_decay_fit(K, s, t0).rho for t0 in t0s]
         monkeypatch.setattr(SpectralData, "function_matrix", general_product)
         for t0, rho in zip(t0s, rhos):
-            gemm_rho = kernel_decay_fit(K, ell, t0, spectral=s).rho
+            gemm_rho = kernel_decay_fit(K, s, t0).rho
             if rho is None or gemm_rho is None:
                 assert rho is gemm_rho
             else:
@@ -591,7 +608,7 @@ class TestKernelDecayFit:
         _, _, key = _simplex_distances(K, 2)
         far = key > 0
         assert far.any() and not np.any(far & (blocks[:, None] == blocks[None, :]))
-        fit = kernel_decay_fit(K, 2, t0=1.0)
+        fit = kernel_decay_fit(K, laplacian_spectrum(K, 2), t0=1.0)
         assert [d for d, _ in fit.bins] == [0, 1] and 0 < fit.bins[1][1] < 1e-15
         assert fit.degenerate and fit.rho is None
 
@@ -600,7 +617,7 @@ class TestKernelDecayFit:
         # noise left there exceeds the rounding bound of its own dot
         # product, so a floor of that bound alone would fit it.
         K = log_uniform_weights(lib.random_two_complex(115), 1)
-        fit = kernel_decay_fit(K, 2, t0=2.0)
+        fit = kernel_decay_fit(K, laplacian_spectrum(K, 2), t0=2.0)
         assert [d for d, _ in fit.bins] == [0, 1] and 0 < fit.bins[1][1] < 1e-15
         assert fit.degenerate and fit.rho is None
 
@@ -692,13 +709,13 @@ class TestGaffney:
     def test_p2_ratio_below_sqrt2(self, gamma):
         for K, ell in ((lib.cycle_complex(3), 0), (lib.simplex_boundary(3), 1),
                        (lib.flat_torus(6, 6), 1)):
-            rep = gaffney_constant(K, ell, gamma, p=2, n_samples=25, seed=5)
+            rep = gaffney_constant(K, laplacian_spectrum(K, ell), gamma, p=2, n_samples=25, seed=5)
             assert rep.max_ratio <= math.sqrt(2.0) + 1e-10
             assert rep.max_ratio <= rep.upper_bound_2 + 1e-10
 
     def test_single_vertex_ratio_zero(self):
         K = build_complex({"vertices": [0]})
-        rep = gaffney_constant(K, 0, 1.0, n_samples=5)
+        rep = gaffney_constant(K, laplacian_spectrum(K, 0), 1.0, n_samples=5)
         assert rep.max_ratio == 0.0
 
     def test_harmonic_direction_scores_zero(self):
@@ -711,7 +728,7 @@ class TestGaffney:
 
     def test_invalid_shift(self):
         with pytest.raises(ValueError):
-            gaffney_constant(lib.interval(), 0, 0.0)
+            gaffney_constant(lib.interval(), laplacian_spectrum(lib.interval(), 0), 0.0)
 
 
 def _spectra(K):
@@ -761,14 +778,14 @@ class TestBracketsShareEndpoints:
         s = spectrum_of("torus_6x6", K, 1)
         calls = count_calls(monkeypatch, "_opnorm2", hodgeheat.interpolation)
         svds = count_calls(monkeypatch, "svd", np.linalg)
-        projector_norm_profile(K, 1, (1.25, 1.5, 2.0, 3.0, 4.0), spectral=s)
+        projector_norm_profile(s, (1.25, 1.5, 2.0, 3.0, 4.0))
         assert calls == [] and svds == []
 
     def test_riesz_runs_one_svd_per_operator(self, monkeypatch):
         K = lib.flat_torus(6, 6)
         s = spectrum_of("torus_6x6", K, 1)
         calls = count_calls(monkeypatch, "_opnorm2", hodgeheat.interpolation)
-        rep = riesz_transform_norms(K, 1, p_list=(1.5, 2.0, 3.0), spectral=s)
+        rep = riesz_transform_norms(K, s, p_list=(1.5, 2.0, 3.0))
         assert len(calls) == 2
         assert [(r["p"], r["operator"]) for r in rep.rows] == \
             [(p, op) for p in (1.5, 2.0, 3.0) for op in ("d", "delta")]
@@ -777,7 +794,7 @@ class TestBracketsShareEndpoints:
         K = lib.flat_torus(6, 6)
         s = spectrum_of("torus_6x6", K, 1)
         calls = count_calls(monkeypatch, "_opnorm2", hodgeheat.interpolation)
-        projector_norm_profile(K, 1, (1.0, math.inf), spectral=s)
+        projector_norm_profile(s, (1.0, math.inf))
         assert calls == []
 
     def check_profile_against_dense_brackets(self, K, ell, s):
@@ -787,7 +804,7 @@ class TestBracketsShareEndpoints:
         # so its lower bounds match the dense ones up to rounding only.
         H, w = harmonic_projector(s).entries, s.weights
         norm2 = 1.0 if s.kernel_dim else 0.0
-        rows = projector_norm_profile(K, ell, self.GRID, spectral=s)
+        rows = projector_norm_profile(s, self.GRID)
         assert [row["p"] for row in rows] == list(self.GRID)
         for p, row in zip(self.GRID, rows):
             lo, hi = opnorm_bracket(H, p, w, w)
@@ -827,7 +844,7 @@ class TestBracketsShareEndpoints:
             closed = 1.0 if s.kernel_dim else 0.0
             svd = _opnorm2(harmonic_projector(s).entries, s.weights, s.weights)
             assert abs(svd - closed) <= 1e-12
-            row = projector_norm_profile(K, ell, (2.0,), spectral=s)[0]
+            row = projector_norm_profile(s, (2.0,))[0]
             assert row["lower"] == row["upper"] == closed
 
     @pytest.mark.parametrize("name, K", NAMED, ids=NAMED_IDS)
@@ -847,12 +864,13 @@ class TestBracketsShareEndpoints:
                     lo, hi = opnorm_bracket(T, p, K.weight_vector(ell), K.weight_vector(cod),
                                             iters=48, seed=0)
                     expected.append({"operator": op, "p": p, "lower": lo, "upper": hi})
-            assert riesz_transform_norms(K, ell, self.GRID, spectral=s).rows == expected
+            assert riesz_transform_norms(K, s, self.GRID).rows == expected
 
 
 class TestInterpolationReport:
     def test_c3_degree0_fields(self):
-        rep = interpolation_report(lib.cycle_complex(3), 0)
+        K = lib.cycle_complex(3)
+        rep = interpolation_report(K, laplacian_spectrum(K, 0))
         assert rep.alpha == 0.0
         assert rep.tau == pytest.approx(3.0, abs=1e-12)
         assert rep.q0 == pytest.approx(1.0, abs=1e-12)
@@ -861,14 +879,15 @@ class TestInterpolationReport:
         assert all(g > 0 for _, g in rep.gamma_of_p)
 
     def test_levelset_condition_when_measurable(self):
-        rep = interpolation_report(lib.path_complex(8), 0)
+        K = lib.path_complex(8)
+        rep = interpolation_report(K, laplacian_spectrum(K, 0))
         assert rep.rho is not None and rep.rho > 0
         assert rep.levelset_condition == pytest.approx(0.5, abs=1e-12)
         assert rep.levelset_condition < 1.0
 
     def test_all_harmonic_degree_degenerates_gracefully(self):
         K = build_complex({"vertices": [0, 1]})
-        rep = interpolation_report(K, 0)
+        rep = interpolation_report(K, laplacian_spectrum(K, 0))
         assert math.isinf(rep.tau)
         assert rep.p1 == 1.0 and math.isinf(rep.p2)
 
@@ -876,13 +895,13 @@ class TestInterpolationReport:
     def test_bad_epsilon_rejected_on_all_harmonic_degree(self, epsilon):
         K = build_complex({"vertices": [0, 1]})
         with pytest.raises(ValueError, match="epsilon"):
-            interpolation_report(K, 0, epsilon=epsilon)
+            interpolation_report(K, laplacian_spectrum(K, 0), epsilon=epsilon)
 
     def test_pipeline_work_counts(self, tmp_path, monkeypatch):
         # Every operator once: no SVD or QR, since the Betti numbers are
-        # exact ranks over F_p; one eigh per degree; five heat matrices for
-        # alpha and two for kernel decay; one hop-distance pass for the
-        # whole report.
+        # exact ranks over F_p; one eigh per degree; two heat matrices for
+        # kernel decay (alpha's norms need none); one hop-distance pass for
+        # the whole report.
         K = lib.flat_torus(6, 6)
         path = tmp_path / "torus.json"
         path.write_text(json.dumps(complex_to_json_dict(K)))
@@ -901,21 +920,22 @@ class TestInterpolationReport:
         row_slots = count_calls(monkeypatch, "__init__", _RowSlots)
         report, code = run_pipeline(RunConfig(input_path=str(path), p_list=()))
         assert code == 0 and report["ok"]
-        assert (len(svds), len(qrs), len(eighs), len(matrices), len(hops)) == (0, 0, 3, 7, 1)
+        assert (len(svds), len(qrs), len(eighs), len(matrices), len(hops)) == (0, 0, 3, 2, 1)
         # The projector brackets iterate through the rank-b1 factor of H:
         # no n x n matrix reaches the power method.
         n, b1 = K.n_simplices(1), report["betti"][1]
         assert powers and all(isinstance(args[0], _Factored) for args in powers)
         assert {(args[0].left.shape, args[0].right.shape) for args in powers} == {((n, b1),) * 2}
-        # The full report decomposes the cochain once: verify_uniqueness
-        # splits both routes' potentials itself.
+        # The full report builds route A once: verify_uniqueness compares
+        # route B against decompose's result and splits only its own potential.
         decomposes = count_calls(monkeypatch, "decompose",
                                  hodgeheat.cli, hodgeheat.decomposition)
+        splits = count_calls(monkeypatch, "_hodge_split", hodgeheat.decomposition)
         assert not row_slots
         eighs.clear()
         report, code = run_pipeline(RunConfig(input_path=str(path)))
         assert code == 0 and report["ok"] and report["uniqueness"]["passed"]
-        assert (len(decomposes), len(eighs), len(row_slots)) == (1, 3, 1)
+        assert (len(decomposes), len(splits), len(eighs), len(row_slots)) == (1, 2, 3, 1)
         assert nonzeros and all(np.ndim(args[0]) == 1 for args in nonzeros)
         # np.flatnonzero ravels its argument before np.nonzero sees it, and
         # _nonzeros_of scans a dense matrix for anything but the assembly.

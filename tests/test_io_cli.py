@@ -482,13 +482,23 @@ class TestCli:
     def test_bad_epsilon_on_all_harmonic_degree_is_input_error(self, tmp_path, command,
                                                                epsilon):
         # Degree 0 of two isolated vertices has gap +inf, so no interval
-        # computation would see epsilon; the config check must.
+        # computation would see epsilon; interpolation_report's own check must.
         path = tmp_path / "two.json"
         path.write_text('{"simplices": {"0": [[0], [1]]}}')
         result = CliRunner().invoke(main, [command, str(path), "--degree", "0",
                                            "--epsilon", epsilon])
         assert result.exit_code == 2, result.output
         assert result.stderr.startswith(f"input error: epsilon = {float(epsilon)} ")
+
+
+    @pytest.mark.parametrize("command", ["interp", "report"])
+    def test_epsilon_past_tau_names_both(self, tmp_path, command):
+        tau = hodgeheat.laplacian_spectrum(lib.cycle_complex(3), 0).gap
+        result = CliRunner().invoke(main, [command, _c3_json(tmp_path), "--degree", "0",
+                                           "--epsilon", "100"])
+        assert result.exit_code == 2, result.output
+        assert result.stderr == ("input error: epsilon = 100.0 must be finite and lie in "
+                                 f"[0, tau) for tau = {tau}, the spectral gap\n")
 
 
 def _csv_tables(text):
