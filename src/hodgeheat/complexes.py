@@ -13,7 +13,7 @@ on degree-ell cochains, and of the corresponding weighted p-norms.
 import itertools
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
+from functools import cached_property
 
 import numpy as np
 
@@ -325,52 +325,19 @@ def _group_pairs(group, member, left, right):
     return member[a], member[b], left[a] * right[b]
 
 
-class _Nonzeros(NamedTuple):
-    """The nonzeros of a square matrix in compressed-row order.
-
-    Row by row, columns ascending.  ``transpose[k]`` is the position of
-    entry (cols[k], rows[k]), or -1 when that entry is zero.
-    """
-
-    rows: np.ndarray
-    cols: np.ndarray
-    vals: np.ndarray
-    transpose: np.ndarray
-
-
-class _LaplacianMatrix(OperatorMatrix):
-    """A Hodge Laplacian held as its nonzeros; ``entries`` scatters them
-    into a dense matrix on first use."""
-
-    def __init__(self, nonzeros: _Nonzeros, n: int, ell: int):
-        self.nonzeros, self.domain_degree, self.codomain_degree = nonzeros, ell, ell
-        self._n, self._entries = n, None
-
-    @property
-    def shape(self):
-        return (self._n, self._n)
-
-    @property
-    def entries(self) -> np.ndarray:
-        if self._entries is None:
-            self._entries = np.zeros(self.shape)
-            self._entries[self.nonzeros.rows, self.nonzeros.cols] = self.nonzeros.vals
-        return self._entries
-
-
 def hodge_laplacian(K: SimplicialComplex, ell: int) -> OperatorMatrix:
     """Hodge Laplacian d delta + delta d on degree ell (boundary terms dropped).
 
-    Assembled as its nonzeros, read off the face tables; the dense matrix
-    is built only when ``entries`` is read.  The down term pairs the
-    ell-simplices of each common face, the up term the faces of each
-    common coface.  An off-diagonal entry has at most one product in each
-    term; one ``np.bincount`` adds the down product and then the up one.
-    The diagonal sums each term apart, in ascending face or coface order,
-    and then adds the two.  So every entry is summed in the order of a
-    compressed-row product of the incidence matrices.  Exact zeros are
-    dropped, as ``np.nonzero`` drops them.  Raises a ValueError for a
-    non-finite entry; the nonzeros are checked to be W-self-adjoint.
+    A ``_SparseOperator``, assembled as its nonzeros off the face tables;
+    the dense matrix is built only when ``entries`` is read.  The down
+    term pairs the ell-simplices of each common face, the up term the
+    faces of each common coface.  An off-diagonal entry has at most one
+    product in each term; one ``np.bincount`` adds the down product and
+    then the up one.  The diagonal sums each term apart, in ascending face
+    or coface order, and then adds the two.  So every entry is summed in
+    the order of a compressed-row product of the incidence matrices.
+    Exact zeros are dropped, as ``np.nonzero`` drops them.  A non-finite
+    entry is a ValueError; the nonzeros are checked to be W-self-adjoint.
     """
     K._check_degree(ell)
     n = K.n_simplices(ell)
@@ -399,55 +366,152 @@ def hodge_laplacian(K: SimplicialComplex, ell: int) -> OperatorMatrix:
     if not np.isfinite(vals).all():
         raise ValueError(f"degree {ell}: the weights overflow the Laplacian "
                          "(it has a non-finite entry)")
-    nz = _keyed_nonzeros(keys, vals, n)
-    if not _is_weighted_self_adjoint(nz, w):
+    L = _SparseOperator(keys, vals, n, ell)
+    if not L.is_weighted_self_adjoint(w):
         raise AssertionError("assembled Laplacian is not W-self-adjoint")
-    return _LaplacianMatrix(nz, n, ell)
+    return L
 
 
-def _keyed_nonzeros(keys: np.ndarray, vals: np.ndarray, n: int) -> _Nonzeros:
-    """_Nonzeros of an n x n matrix from its ascending row-major keys
-    i * n + j; each transpose is found by one ``np.searchsorted``."""
-    rows, cols = np.divmod(keys, max(n, 1))
-    mirror = cols * n + rows
-    at = np.minimum(np.searchsorted(keys, mirror), keys.size - 1)
-    return _Nonzeros(rows, cols, vals, np.where(keys[at] == mirror, at, -1))
+class _SparseOperator(OperatorMatrix):
+    """A square operator held as its nonzeros in compressed-row order.
 
-
-def _nonzeros_of(operator) -> _Nonzeros:
-    """The nonzeros of a square operator.
-
-    For what ``hodge_laplacian`` returns, the assembly's own; for an
-    OperatorMatrix or an array, those of its dense matrix in row-major
-    order, found by one scan of all n^2 entries.
+    Row by row, columns ascending; ``transpose[k]`` is the position of
+    entry (cols[k], rows[k]), or -1 when that entry is zero.  Only its
+    methods read this format; ``entries`` scatters it anew on each read.
+    ``A @ x`` multiplies through padded row slots (ELLPACK), built on first
+    use: slot k of row i holds the row's k-th nonzero, 0.0 and column 0
+    past its end.  The products are reduced along the slots from 0.0, so
+    each row adds them in column order, as a compressed-row matvec does,
+    signed zeros included.  A row longer than twice the mean (a cone's
+    apex) keeps the rest in a spill that ``np.add.at`` adds afterwards.
     """
-    if isinstance(operator, _LaplacianMatrix):
-        return operator.nonzeros
-    A = operator.entries if isinstance(operator, OperatorMatrix) else np.asarray(operator, float)
-    if A.ndim != 2 or A.shape[0] != A.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {A.shape}")
-    flat = A.ravel()
-    keys = np.flatnonzero(flat)
-    return _keyed_nonzeros(keys, flat[keys], A.shape[0])
 
+    def __init__(self, keys: np.ndarray, vals: np.ndarray, n: int, degree: int):
+        """From the ascending row-major keys i * n + j of the nonzeros."""
+        self.rows, self.cols = np.divmod(keys, max(n, 1))
+        mirror = self.cols * n + self.rows
+        at = np.minimum(np.searchsorted(keys, mirror), keys.size - 1)
+        self.vals, self.transpose = vals, np.where(keys[at] == mirror, at, -1)
+        self.domain_degree = self.codomain_degree = degree
+        self._n = n
 
-def _is_weighted_self_adjoint(nz: _Nonzeros, w: np.ndarray, tol: float = 1e-12) -> bool:
-    """|A - W^-1 A^T W| <= tol |A| in the Frobenius norm, over the nonzeros.
+    @classmethod
+    def of(cls, operator, degree: int) -> "_SparseOperator":
+        """``operator`` itself when it is one, else the nonzeros of its dense
+        matrix, found by one scan of all n^2 entries.  An array has no
+        degree and gets ``degree``; an OperatorMatrix keeps its own."""
+        if isinstance(operator, cls):
+            return operator
+        if isinstance(operator, OperatorMatrix):
+            operator, degree = operator.entries, operator.domain_degree
+        A = np.asarray(operator, dtype=float)
+        if A.ndim != 2 or A.shape[0] != A.shape[1]:
+            raise ValueError(f"expected a square matrix, got shape {A.shape}")
+        keys = np.flatnonzero(A)
+        return cls(keys, A.ravel()[keys], A.shape[0], degree)
 
-    Every entry is divided by the largest |entry| before it is squared,
-    so the test holds at any scale.  A nonzero whose mirror is zero adds
-    both positions.
-    """
-    if not nz.vals.size:
-        return True
-    top = np.abs(nz.vals).max()
-    has_mirror = nz.transpose >= 0
-    mirror = np.where(has_mirror, nz.vals[nz.transpose], 0.0)
-    lone = ~has_mirror
-    v = nz.vals / top
-    defect = np.append(v - _ratio(mirror, w[nz.cols], w[nz.rows], top),
-                       _ratio(nz.vals[lone], w[nz.rows[lone]], w[nz.cols[lone]], top))
-    return math.sqrt(np.dot(defect, defect)) <= tol * math.sqrt(np.dot(v, v))
+    @property
+    def shape(self):
+        return (self._n, self._n)
+
+    @property
+    def entries(self) -> np.ndarray:
+        A = np.zeros(self.shape)
+        A[self.rows, self.cols] = self.vals
+        return A
+
+    def is_weighted_self_adjoint(self, w: np.ndarray, tol: float = 1e-12) -> bool:
+        """|A - W^-1 A^T W| <= tol |A| in the Frobenius norm, over the nonzeros.
+
+        Every entry is divided by the largest |entry| before it is squared,
+        so the test holds at any scale.  A nonzero whose mirror is zero adds
+        both positions.
+        """
+        if not self.vals.size:
+            return True
+        rows, cols, vals = self.rows, self.cols, self.vals
+        top = np.abs(vals).max()
+        has_mirror = self.transpose >= 0
+        mirror = np.where(has_mirror, vals[self.transpose], 0.0)
+        lone = ~has_mirror
+        v = vals / top
+        defect = np.append(v - _ratio(mirror, w[cols], w[rows], top),
+                           _ratio(vals[lone], w[rows[lone]], w[cols[lone]], top))
+        return math.sqrt(np.dot(defect, defect)) <= tol * math.sqrt(np.dot(v, v))
+
+    def symmetrized_lower(self, sqrt_w: np.ndarray, degree: int) -> np.ndarray:
+        """The lower triangle of (S + S^T) / 2, S = W^(1/2) A W^(-1/2); zeros
+        above the diagonal.
+
+        |S - S^T| is summed over each nonzero and its transpose.  Each entry
+        takes the operations of the dense formula, A_ij sqrt(w_i) / sqrt(w_j)
+        then (S_ij + S_ji) / 2, so ``np.linalg.eigh`` gets the bits of
+        ``np.tril((S + S^T) / 2)``.  Its temporaries are freed on return,
+        before ``eigh`` allocates.
+        """
+        rows, cols = self.rows, self.cols
+        with np.errstate(over="ignore", invalid="ignore"):  # checked just below
+            S = self.vals * sqrt_w[rows]
+            S /= sqrt_w[cols]
+        if not np.isfinite(S).all():
+            raise ValueError(f"degree {degree}: the weights overflow the W^(1/2)-"
+                             "symmetrized operator (it has a non-finite entry)")
+        has_mirror = self.transpose >= 0
+        mirror = np.where(has_mirror, S[self.transpose], 0.0)  # S_ji, 0 where A_ji is
+        # Every entry is divided by the largest |S_ij| before it is squared, so
+        # |S - S^T| <= 1e-8 |S| is tested at any scale of S.
+        scale = float(np.abs(S).max(initial=0.0)) or 1.0
+        scaled = S / scale
+        diff = scaled - mirror / scale
+        lone = scaled[~has_mirror]  # S_ij - S_ji again, at (j, i)
+        asymmetry = math.sqrt(np.dot(diff, diff) + np.dot(lone, lone))
+        if not asymmetry <= 1e-8 * max(math.sqrt(np.dot(scaled, scaled)), 1e-300):
+            raise ValueError("operator is not self-adjoint in the weighted inner product")
+        # Each position on or below the diagonal once: from its own nonzero,
+        # or from the transposed one when its own entry is zero.
+        pick = (rows >= cols) | ~has_mirror
+        lower = np.zeros(self.shape)
+        average = S[pick] + mirror[pick]
+        average /= 2.0
+        lower[np.maximum(rows, cols)[pick], np.minimum(rows, cols)[pick]] = average
+        return lower
+
+    @cached_property
+    def bound(self) -> float:
+        """b >= lambda_max: the smaller of the row-sum and column-sum norms,
+        each summed in the order of a compressed-row matrix's own sums."""
+        magnitudes = np.abs(self.vals)
+        if not magnitudes.size:
+            return 0.0
+        runs = np.flatnonzero(np.diff(self.rows, prepend=-1))
+        b = min(float(np.add.reduceat(magnitudes, runs).max()),
+                float(np.bincount(self.cols, magnitudes).max()))
+        if not math.isfinite(b):
+            raise ValueError("Laplacian has non-finite entries")
+        return b
+
+    @cached_property
+    def _slots(self):
+        """(vals, cols, spill): the row slots, and the spill as (rows, cols, vals)."""
+        n, rows, cols, vals = self._n, self.rows, self.cols, self.vals
+        lengths = np.bincount(rows, minlength=n)
+        width = min(int(lengths.max(initial=0)), 2 * math.ceil(rows.size / max(n, 1)))
+        slot = np.arange(rows.size) - (np.cumsum(lengths) - lengths)[rows]
+        fits = slot < width
+        slot_vals = np.zeros((width, n))
+        slot_cols = np.zeros((width, n), dtype=np.intp)
+        slot_vals[slot[fits], rows[fits]] = vals[fits]
+        slot_cols[slot[fits], rows[fits]] = cols[fits]
+        return slot_vals, slot_cols, (rows[~fits], cols[~fits], vals[~fits])
+
+    def __matmul__(self, x: np.ndarray) -> np.ndarray:
+        vals, cols, (spill_rows, spill_cols, spill_vals) = self._slots
+        products = x.take(cols)
+        products *= vals
+        y = np.add.reduce(products, axis=0, initial=0.0)
+        if spill_rows.size:
+            np.add.at(y, spill_rows, spill_vals * x.take(spill_cols))
+        return y
 
 
 def _ratio(x, a, b, c) -> np.ndarray:
@@ -467,7 +531,8 @@ def inner_product(K: SimplicialComplex, u: Cochain, v: Cochain) -> float:
         raise ValueError("inner product needs cochains of equal degree")
     K.check_cochain(u)
     K.check_cochain(v)
-    return float(np.sum(K.weight_vector(u.degree) * u.values * v.values))
+    w = K.weight_vector(u.degree)
+    return _scaled_sum(lambda x, y: w * x * y, lambda total: total, u.values, v.values)
 
 
 def lp_norm(K: SimplicialComplex, omega: Cochain, p) -> float:
@@ -479,7 +544,28 @@ def lp_norm(K: SimplicialComplex, omega: Cochain, p) -> float:
     if not p >= 1:
         raise ValueError(f"p must satisfy p >= 1, got {p}")
     w = K.weight_vector(omega.degree)
-    return float(np.sum(w * np.abs(omega.values) ** p) ** (1.0 / p))
+    return _scaled_sum(lambda x: w * np.abs(x) ** p, lambda total: total ** (1.0 / p),
+                       omega.values)
+
+
+def _unit_scaled(x: np.ndarray) -> tuple[np.ndarray, int]:
+    """(x / 2^e, e), with the power of two e that brings the largest |entry|
+    into [0.5, 1); e = 0 for a zero array."""
+    e = int(np.frexp(np.max(np.abs(x), initial=0.0))[1])
+    return np.ldexp(x, -e), e
+
+
+def _scaled_sum(terms, root, *vectors) -> float:
+    """root(sum of terms(*vectors)), summed as written when that sum is a
+    finite normal number.  Otherwise the vectors are ``_unit_scaled`` first
+    and the result scaled back, so it overflows or underflows only when its
+    value does; root(sum) must scale by 2^-(e_1 + e_2 + ...) then."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        total = np.sum(terms(*vectors))
+        if 2.0 ** -1022 <= abs(total) < math.inf:  # a normal number
+            return float(root(total))
+        scaled, exponents = zip(*map(_unit_scaled, vectors))
+        return float(np.ldexp(root(np.sum(terms(*scaled))), sum(exponents)))
 
 
 def betti_numbers(K: SimplicialComplex) -> list[int]:

@@ -22,6 +22,7 @@ from .complexes import (
     SimplicialComplex,
     _coboundary_apply,
     _codifferential_apply,
+    _unit_scaled,
     coboundary,
     codifferential,
     hodge_laplacian,
@@ -34,7 +35,7 @@ from .spectral import (
     _chebyshev_action,
     _green_series,
     _heat_series,
-    _row_slots,
+    _laplacian_for,
     harmonic_part,
 )
 
@@ -150,15 +151,18 @@ def green_quadrature(s: SpectralData, omega: Cochain, laplacian,
                      omega0=None) -> QuadratureResult:
     """Green operator as the time integral of the heat semigroup.
 
-    Integrates P_t (1-H) omega over [0, t_max] on the Laplacian L, an
-    OperatorMatrix or row slots, without its eigenbasis:
+    Integrates P_t (1-H) omega over [0, t_max] on the Laplacian L (what
+    ``hodge_laplacian`` returns, an OperatorMatrix or an array), without
+    its eigenbasis:
     int_0^t_max exp(-t lam) dt has Chebyshev coefficients
     (4/b) (-1)^k J_k in closed form, and the heat action's recurrence
     sums them.  The dropped tail is certified by
     exp(-gap * t_max) / gap times |v0|_W, the cut series by its
     dropped-coefficient sum times |v0|_W.  Refuses grids whose t_max is
-    too small for their error target.
+    too small for their error target, and a Laplacian of another degree
+    or size than s.
     """
+    laplacian = _laplacian_for(laplacian, s.degree, s.dim, "the spectrum")
     v0, sized = _quadrature_setup(s, omega, grid, omega0)
     if sized is None:
         return QuadratureResult(Cochain(s.degree, np.zeros_like(v0)), 0.0,
@@ -311,7 +315,7 @@ def decompose(K: SimplicialComplex, s: SpectralData, omega: Cochain,
     omega1 = None if o1 is None else Cochain(ell - 1, o1)
     omega2 = None if o2 is None else Cochain(ell + 1, o2)
 
-    scale = max(s.norm2(v), 1e-300)
+    scale = s.norm2(v) or 1.0
     residual = s.norm2(v - exact - coexact - h) / scale
 
     h_norm = s.norm2(h)
@@ -326,7 +330,10 @@ def decompose(K: SimplicialComplex, s: SpectralData, omega: Cochain,
         "harmonic": Cochain(ell, h),
     }
     ortho = {}
-    for (na, a), (nb, b) in itertools.combinations(parts.items(), 2):
+    # The parts scaled by powers of two, which leaves the ratios' bits as
+    # they are: neither <a, b> nor |a| |b| overflows or underflows.
+    units = {name: Cochain(ell, _unit_scaled(part.values)[0]) for name, part in parts.items()}
+    for (na, a), (nb, b) in itertools.combinations(units.items(), 2):
         denom = max(s.norm2(a.values) * s.norm2(b.values), 1e-300)
         ortho[f"{na}|{nb}"] = abs(inner_product(K, a, b)) / denom
 
@@ -392,7 +399,7 @@ def harmonic_representative(K: SimplicialComplex, s: SpectralData,
         if d_norm > _CLOSED_TOL * norm:
             raise ValueError(f"input is not closed: |d omega| = {d_norm:g} exceeds "
                              f"{_CLOSED_TOL:g} * |omega|")
-    scale = max(norm, 1e-300)
+    scale = norm or 1.0
     coexact_rel = s.norm2(dec.coexact_part.values) / scale
     exactness = s.norm2(omega.values - dec.omega3.values - dec.exact_part.values) / scale
     return HarmonicRepresentative(dec.omega3, exactness, coexact_rel)
@@ -447,7 +454,7 @@ def verify_uniqueness(K: SimplicialComplex, s: SpectralData, dec: DecompositionR
         quad_cert = res.to_json_dict()
 
     o1, exact, o2, coexact = _hodge_split(K, ell, g_b)
-    scale = max(s.norm2(v), 1e-300)
+    scale = s.norm2(v) or 1.0
     diffs = {"harmonic": s.norm2(h_a - h_b) / scale}
     if ell >= 1:
         diffs["omega1"] = lp_norm(K, Cochain(ell - 1, dec.omega1.values - o1), 2) / scale
@@ -485,16 +492,15 @@ def verify_uniqueness(K: SimplicialComplex, s: SpectralData, dec: DecompositionR
 def _route_b(laplacian, s: SpectralData, omega: Cochain, error_target: float):
     """Route B's harmonic part and Green term, for a finite gap.
 
-    Reads the Laplacian, as row slots (or a dense matrix, turned into them
-    once) that both Chebyshev actions share, and, of the spectrum, only
-    the gap, the largest eigenvalue (for t_max) and the weights.  At the time t_h
+    Reads the Laplacian that ``hodge_laplacian`` returns, whose row slots
+    both Chebyshev actions share, and, of the spectrum, only the gap, the
+    largest eigenvalue (for t_max) and the weights.  At the time t_h
     below, exp(-gap t_h) = error_target * min(1, gap), so both
     |h_b - H omega|_W and |G (h_b - H omega)|_W are at most
     error_target * |omega|_W, up to the truncation bounds of the two
     Chebyshev actions, which the returned result sums with their matvecs.
     """
     t_h = (math.log(1.0 / error_target) + max(0.0, math.log(1.0 / s.gap))) / s.gap
-    laplacian = _row_slots(laplacian)
     heat = _chebyshev_action(laplacian, omega.values, _heat_series, t_h)
     grid = QuadratureGrid.for_spectrum(s.gap, float(s.eigenvalues[-1]),
                                        error_target=error_target)

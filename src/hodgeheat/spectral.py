@@ -26,7 +26,8 @@ from .complexes import (
     Cochain,
     OperatorMatrix,
     SimplicialComplex,
-    _nonzeros_of,
+    _scaled_sum,
+    _SparseOperator,
     hodge_laplacian,
 )
 
@@ -89,14 +90,14 @@ class SpectralData:
         return M
 
     def norm2(self, values: np.ndarray) -> float:
-        return float(np.sqrt(np.sum(self.weights * values * values)))
+        return _scaled_sum(lambda x: self.weights * x * x, np.sqrt, values)
 
 
 def eigendecompose(delta, weights=None, degree: int | None = None) -> SpectralData:
     """Full eigendecomposition of a W-self-adjoint PSD operator.
 
-    Works on the symmetrized form W^(1/2) A W^(-1/2), built by
-    ``_symmetrized_lower`` from ``_nonzeros_of(delta)``; rejects input
+    Works on the symmetrized form W^(1/2) A W^(-1/2), built from the
+    nonzeros of ``_SparseOperator.of(delta)``; rejects input
     whose symmetrized residual exceeds 1e-8 relative.  Eigenvalues within
     RANK_TOL of zero, relative to the largest, are clamped to exactly 0.
     ``delta`` is read, never written.  A dense matrix with few zeros has
@@ -115,7 +116,8 @@ def eigendecompose(delta, weights=None, degree: int | None = None) -> SpectralDa
         raise ValueError("weights must be positive and finite")
     degree = 0 if degree is None else degree
     sqrt_w = np.sqrt(w)
-    return _decomposed(_symmetrized_lower(_nonzeros_of(delta), sqrt_w, degree), sqrt_w, w, degree)
+    lower = _SparseOperator.of(delta, degree).symmetrized_lower(sqrt_w, degree)
+    return _decomposed(lower, sqrt_w, w, degree)
 
 
 def _decomposed(lower: np.ndarray, sqrt_w: np.ndarray, w: np.ndarray,
@@ -157,50 +159,12 @@ def laplacian_spectrum(K: SimplicialComplex, ell: int) -> SpectralData:
     """Eigendecomposition of the degree-ell Hodge Laplacian of K.
 
     Built from the Laplacian's nonzeros, never from the dense matrix (see
-    ``_symmetrized_lower``), so that only the buffer ``np.linalg.eigh``
-    reads is n x n.
+    ``_SparseOperator.symmetrized_lower``), so that only the buffer
+    ``np.linalg.eigh`` reads is n x n.
     """
     w = K.weight_vector(ell)
     sqrt_w = np.sqrt(w)
-    lower = _symmetrized_lower(hodge_laplacian(K, ell).nonzeros, sqrt_w, ell)
-    return _decomposed(lower, sqrt_w, w, ell)
-
-
-def _symmetrized_lower(nz, sqrt_w: np.ndarray, degree: int) -> np.ndarray:
-    """The lower triangle of (S + S^T) / 2, S = W^(1/2) L W^(-1/2), from
-    the nonzeros of L; zeros above the diagonal.
-
-    |S - S^T| is summed over each nonzero and its transpose.  Each entry
-    takes the operations of the dense formula, L_ij sqrt(w_i) / sqrt(w_j)
-    then (S_ij + S_ji) / 2, so ``np.linalg.eigh`` gets the bits of
-    ``np.tril((S + S^T) / 2)``.  Its temporaries are freed on return,
-    before ``eigh`` allocates.
-    """
-    with np.errstate(over="ignore", invalid="ignore"):  # checked just below
-        S = nz.vals * sqrt_w[nz.rows]
-        S /= sqrt_w[nz.cols]
-    if not np.isfinite(S).all():
-        raise ValueError(f"degree {degree}: the weights overflow the W^(1/2)-"
-                         "symmetrized operator (it has a non-finite entry)")
-    has_mirror = nz.transpose >= 0
-    mirror = np.where(has_mirror, S[nz.transpose], 0.0)  # S_ji, 0 where L_ji is
-    # Every entry is divided by the largest |S_ij| before it is squared, so
-    # |S - S^T| <= 1e-8 |S| is tested at any scale of S.
-    scale = float(np.abs(S).max(initial=0.0)) or 1.0
-    scaled = S / scale
-    diff = scaled - mirror / scale
-    lone = scaled[~has_mirror]  # S_ij - S_ji again, at (j, i)
-    asymmetry = math.sqrt(np.dot(diff, diff) + np.dot(lone, lone))
-    if not asymmetry <= 1e-8 * max(math.sqrt(np.dot(scaled, scaled)), 1e-300):
-        raise ValueError("operator is not self-adjoint in the weighted inner product")
-    # Each position on or below the diagonal once: from its own nonzero,
-    # or from the transposed one when its own entry is zero.
-    pick = (nz.rows >= nz.cols) | ~has_mirror
-    lower = np.zeros((sqrt_w.size, sqrt_w.size))
-    average = S[pick] + mirror[pick]
-    average /= 2.0
-    lower[np.maximum(nz.rows, nz.cols)[pick], np.minimum(nz.rows, nz.cols)[pick]] = average
-    return lower
+    return _decomposed(hodge_laplacian(K, ell).symmetrized_lower(sqrt_w, ell), sqrt_w, w, ell)
 
 
 # Miller's recurrence starts where e^(-z) I_k(z) has fallen below
@@ -276,50 +240,6 @@ class _ChebyshevAction(NamedTuple):
     matvecs: int
 
 
-class _RowSlots:
-    """A square matrix in padded row slots (ELLPACK), and b >= its lambda_max.
-
-    Built from _Nonzeros in compressed-row order.  Slot k of row i holds the
-    row's k-th nonzero: ``vals[k, i]`` and ``cols[k, i]``, 0.0 and 0 past
-    the row's end.  ``M @ x`` reduces the slots' products along axis 0
-    starting from 0.0, so each row adds its products from 0 in column
-    order, as a compressed-row matvec does, signed zeros included.  The
-    slots hold at most about twice the nonzeros; a row longer than that
-    (the apex of a cone) keeps the rest in ``spill``, which ``np.add.at``
-    adds afterwards in column order.  ``bound`` is ``_spectral_bound`` of
-    the nonzeros.
-    """
-
-    def __init__(self, nz, n: int):
-        rows, cols, vals = nz.rows, nz.cols, nz.vals
-        lengths = np.bincount(rows, minlength=n)
-        width = min(int(lengths.max(initial=0)), 2 * math.ceil(rows.size / max(n, 1)))
-        slot = np.arange(rows.size) - (np.cumsum(lengths) - lengths)[rows]
-        fits = slot < width
-        self.vals = np.zeros((width, n))
-        self.cols = np.zeros((width, n), dtype=np.intp)
-        self.vals[slot[fits], rows[fits]] = vals[fits]
-        self.cols[slot[fits], rows[fits]] = cols[fits]
-        self.spill = rows[~fits], cols[~fits], vals[~fits]
-        self.bound = _spectral_bound(rows, cols, vals)
-
-    def __matmul__(self, x: np.ndarray) -> np.ndarray:
-        products = x.take(self.cols)
-        products *= self.vals
-        y = np.add.reduce(products, axis=0, initial=0.0)
-        rows, cols, vals = self.spill
-        if rows.size:
-            np.add.at(y, rows, vals * x.take(cols))
-        return y
-
-
-def _row_slots(laplacian) -> _RowSlots:
-    """``laplacian`` if it is row slots, else the row slots of its ``_nonzeros_of``."""
-    if isinstance(laplacian, _RowSlots):
-        return laplacian
-    return _RowSlots(_nonzeros_of(laplacian), np.shape(laplacian)[0])
-
-
 def _chebyshev_sum(A, b: float, coeffs: np.ndarray, x: np.ndarray) -> np.ndarray:
     """sum_k coeffs_k T_k(Y) x with Y = (2/b) A - I, by the three-term recurrence.
 
@@ -348,41 +268,29 @@ def _chebyshev_sum(A, b: float, coeffs: np.ndarray, x: np.ndarray) -> np.ndarray
     return out
 
 
-def _spectral_bound(rows: np.ndarray, cols: np.ndarray, vals: np.ndarray) -> float:
-    """b >= lambda_max from a matrix's nonzeros in compressed-row order: the
-    smaller of its row-sum and column-sum norms, each of which bounds the
-    spectral radius.
-
-    Each row sum reduces the row's run of |values| with ``np.add.reduceat``
-    and the column sums accumulate them in row-major order: the orders of a
-    compressed-row matrix's own sums, so b does not depend on the storage.
-    """
-    magnitudes = np.abs(vals)
-    if not magnitudes.size:
-        return 0.0
-    runs = np.flatnonzero(np.diff(rows, prepend=-1))
-    b = min(float(np.add.reduceat(magnitudes, runs).max()),
-            float(np.bincount(cols, magnitudes).max()))
-    if not math.isfinite(b):
-        raise ValueError("Laplacian has non-finite entries")
-    return b
-
-
-def _chebyshev_action(laplacian, x: np.ndarray, series, t: float) -> _ChebyshevAction:
+def _chebyshev_action(L: _SparseOperator, x: np.ndarray, series, t: float) -> _ChebyshevAction:
     """f(L) x for the function whose Chebyshev coefficients are series(t, b).
 
-    L is row slots, or any operator that ``_row_slots`` turns into them:
-    W-self-adjoint with spectrum in [0, b], b its ``bound``, so the
+    L is W-self-adjoint with spectrum in [0, b], b its ``bound``, so the
     spectrum of Y lies in [-1, 1].  The series is cut at the lowest degree
     whose dropped |coefficients| sum to at most the unit roundoff times
     the sum of all of them.
     """
-    M = _row_slots(laplacian)
-    coeffs = series(t, M.bound)
+    coeffs = series(t, L.bound)
     tails = np.append(np.cumsum(np.abs(coeffs[::-1]))[::-1], 0.0)
     degree = max(int(np.argmax(tails <= _UNIT_ROUNDOFF * tails[0])) - 1, 0)
-    return _ChebyshevAction(_chebyshev_sum(M, M.bound, coeffs[: degree + 1], x),
+    return _ChebyshevAction(_chebyshev_sum(L, L.bound, coeffs[: degree + 1], x),
                            float(tails[degree + 1]), degree)
+
+
+def _laplacian_for(laplacian, degree: int, n: int, what: str) -> _SparseOperator:
+    """``_SparseOperator.of(laplacian)``, checked to act on cochains of
+    ``degree`` on n simplices, those of ``what`` (named in the ValueError)."""
+    L = _SparseOperator.of(laplacian, degree)
+    if (L.domain_degree, L.shape[0]) != (degree, n):
+        raise ValueError(f"the Laplacian of degree {L.domain_degree} on {L.shape[0]} simplices "
+                         f"does not match {what} of degree {degree} on {n} simplices")
+    return L
 
 
 def heat_apply(source, t: float, omega: Cochain) -> Cochain:
@@ -392,8 +300,8 @@ def heat_apply(source, t: float, omega: Cochain) -> Cochain:
     exp(-t lambda_i) <omega, v_i> v_i.  For a Laplacian (what
     ``hodge_laplacian`` returns, an OperatorMatrix or an array) it is the
     eigenbasis-free Chebyshev action in Y = (2/b) L - I on the row slots
-    of ``_nonzeros_of(source)``: about sqrt(t b log(1/eps)) products with
-    its nonzeros, cut where the dropped coefficients sum to the unit
+    of ``_SparseOperator.of(source)``: about sqrt(t b log(1/eps)) products
+    with its nonzeros, cut where the dropped coefficients sum to the unit
     roundoff.  The two agree to 1e-12 relative.  The matrix must be
     self-adjoint in a weighted inner product with spectrum in
     [0, lambda_max], as every Hodge Laplacian is; for other matrices the
@@ -406,9 +314,8 @@ def heat_apply(source, t: float, omega: Cochain) -> Cochain:
             raise ValueError("cochain degree does not match spectral data")
         return Cochain(source.degree,
                        source.apply_function(lambda lam: np.exp(-t * lam), omega.values))
-    if isinstance(source, OperatorMatrix) and omega.degree != source.domain_degree:
-        raise ValueError("cochain degree does not match the Laplacian")
-    return Cochain(omega.degree, _chebyshev_action(source, omega.values, _heat_series, t).values)
+    L = _laplacian_for(source, omega.degree, omega.values.size, "the cochain")
+    return Cochain(omega.degree, _chebyshev_action(L, omega.values, _heat_series, t).values)
 
 
 def harmonic_projector(s: SpectralData) -> OperatorMatrix:

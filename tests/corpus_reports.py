@@ -1,0 +1,57 @@
+"""Write run_pipeline reports for a fixed set of inputs, to compare two trees.
+
+Usage: PYTHONPATH=src python tests/corpus_reports.py OUTDIR
+
+Writes OUTDIR/inputs/NAME.json and OUTDIR/reports/NAME.json for:
+- every (complex, degree) pair of the test corpus, seed 42;
+- the first 8 corpus complexes under ``log_uniform_weights``, every degree;
+- flat_torus 12x12 and 48x3 at degree 1, and 20x20 at degree 1 with
+  ``p_list=()``.
+
+Each report names its input by the same relative path on every tree, so
+``diff -r`` of two OUTDIRs is empty exactly when the reports agree byte
+for byte.  pytest does not collect this file.
+"""
+
+import json
+import os
+import sys
+
+from conftest import CORPUS, all_degrees, log_uniform_weights
+
+from hodgeheat import library as lib
+from hodgeheat.cli import RunConfig, run_pipeline
+from hodgeheat.io import complex_to_json_dict, emit_report
+
+
+def _cases():
+    """(name, complex, degree, p_list) of every report; None keeps the default."""
+    for name, K in CORPUS:
+        for ell in all_degrees(K):
+            yield f"{name}-{ell}", K, ell, None
+    for i, (name, K) in enumerate(CORPUS[:8]):
+        K = log_uniform_weights(K, i)
+        for ell in all_degrees(K):
+            yield f"{name}_log_uniform-{ell}", K, ell, None
+    yield "torus_12x12-1", lib.flat_torus(12, 12), 1, None
+    yield "torus_20x20-1", lib.flat_torus(20, 20), 1, ()
+    yield "torus_48x3-1", lib.flat_torus(48, 3), 1, None
+
+
+def main(outdir):
+    os.makedirs(os.path.join(outdir, "inputs"), exist_ok=True)
+    os.makedirs(os.path.join(outdir, "reports"), exist_ok=True)
+    os.chdir(outdir)
+    for name, K, ell, p_list in _cases():
+        path = os.path.join("inputs", f"{name}.json")
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(complex_to_json_dict(K), fh)
+        extra = {} if p_list is None else {"p_list": p_list}
+        report, _ = run_pipeline(RunConfig(input_path=path, degree=ell, **extra))
+        emit_report(report, os.path.join("reports", f"{name}.json"))
+
+
+if __name__ == "__main__":
+    if len(sys.argv) != 2:
+        sys.exit("usage: corpus_reports.py OUTDIR")
+    main(sys.argv[1])

@@ -39,8 +39,9 @@ from hodgeheat import (
     verify_uniqueness,
 )
 from hodgeheat import library as lib
+from hodgeheat.complexes import _SparseOperator
 from hodgeheat.decomposition import _hodge_split, _route_b
-from hodgeheat.spectral import _RowSlots, harmonic_part
+from hodgeheat.spectral import harmonic_part
 
 
 class TestGreenSpectral:
@@ -389,13 +390,13 @@ class TestVerifyUniqueness:
     def test_route_b_meets_its_certificates(self, name, K, monkeypatch):
         # Eigencochains replaced by NaN: route B must not read them.
         matvecs = []
-        matvec = _RowSlots.__matmul__
+        matvec = _SparseOperator.__matmul__
 
         def counting_matvec(self, x):
             matvecs.append(1)
             return matvec(self, x)
 
-        monkeypatch.setattr(_RowSlots, "__matmul__", counting_matvec)
+        monkeypatch.setattr(_SparseOperator, "__matmul__", counting_matvec)
         error_target = 1e-8
         for ell in all_degrees(K):
             s = spectrum_of(name, K, ell)

@@ -1,5 +1,6 @@
 """Operator p-norms, rate measurement, and the exponent calculus."""
 
+import functools
 import json
 import math
 from collections import deque
@@ -51,10 +52,24 @@ from hodgeheat import (
 )
 from hodgeheat import library as lib
 from hodgeheat.cli import RunConfig, run_pipeline
-from hodgeheat.complexes import _LaplacianMatrix, _vertex_ranks, weighted_adjoint
+from hodgeheat.complexes import _SparseOperator, _vertex_ranks, weighted_adjoint
 from hodgeheat.interpolation import _Factored, _hop_distances, _opnorm2, _simplex_distances
 from hodgeheat.io import complex_to_json_dict
-from hodgeheat.spectral import SpectralData, _RowSlots
+from hodgeheat.spectral import SpectralData
+
+
+def _count_slot_builds(monkeypatch):
+    """The operators whose row slots are built, one entry per build."""
+    built, build = [], _SparseOperator._slots.func
+
+    def counting(self):
+        built.append(self)
+        return build(self)
+
+    slots = functools.cached_property(counting)
+    slots.__set_name__(_SparseOperator, "_slots")
+    monkeypatch.setattr(_SparseOperator, "_slots", slots)
+    return built
 
 
 class TestExactExtremes:
@@ -915,9 +930,8 @@ class TestInterpolationReport:
         # for its nonzeros, and route B builds its row slots once.
         nonzeros = count_calls(monkeypatch, "nonzero", np)
         flat_nonzeros = count_calls(monkeypatch, "flatnonzero", np)
-        conversions = count_calls(monkeypatch, "_nonzeros_of",
-                                  hodgeheat.complexes, hodgeheat.spectral)
-        row_slots = count_calls(monkeypatch, "__init__", _RowSlots)
+        conversions = count_calls(monkeypatch, "of", _SparseOperator)
+        row_slots = _count_slot_builds(monkeypatch)
         report, code = run_pipeline(RunConfig(input_path=str(path), p_list=()))
         assert code == 0 and report["ok"]
         assert (len(svds), len(qrs), len(eighs), len(matrices), len(hops)) == (0, 0, 3, 2, 1)
@@ -938,9 +952,9 @@ class TestInterpolationReport:
         assert (len(decomposes), len(splits), len(eighs), len(row_slots)) == (1, 2, 3, 1)
         assert nonzeros and all(np.ndim(args[0]) == 1 for args in nonzeros)
         # np.flatnonzero ravels its argument before np.nonzero sees it, and
-        # _nonzeros_of scans a dense matrix for anything but the assembly.
+        # _SparseOperator.of scans a dense matrix for anything but the assembly.
         assert all(np.ndim(args[0]) == 1 for args in flat_nonzeros)
-        assert conversions and all(isinstance(args[0], _LaplacianMatrix) for args in conversions)
+        assert conversions and all(isinstance(args[0], _SparseOperator) for args in conversions)
 
 
 class TestConjugateExponent:

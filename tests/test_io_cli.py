@@ -1,6 +1,7 @@
 """Parsers, report emission, schema validation, and the CLI surface."""
 
 import ctypes
+import functools
 import json
 import math
 import subprocess
@@ -470,6 +471,38 @@ class TestCli:
         assert proc.stderr.splitlines() == [
             f"input error: degree 1: the weights overflow the {operator} "
             "(it has a non-finite entry)"]
+
+    @pytest.fixture(scope="class")
+    def scaled_reports(self, tmp_path_factory):
+        """run(scale): (exit code, stderr, report) of ``report`` in a child
+        process on the 4x4 torus with the degree-1 cochain ((i % 7) - 3) * scale."""
+        K = lib.flat_torus(4, 4)
+
+        def run(scale):
+            doc = complex_to_json_dict(K)
+            doc["cochain"] = {"degree": 1, "values": [((i % 7) - 3) * scale
+                                                      for i in range(K.n_simplices(1))]}
+            path = tmp_path_factory.mktemp("scaled") / "torus.json"
+            path.write_text(json.dumps(doc))
+            proc = subprocess.run(
+                [sys.executable, "-m", "hodgeheat.cli", "report", str(path), "--degree", "1"],
+                env=child_env("1"), capture_output=True, text=True, timeout=120)
+            return proc.returncode, proc.stderr, json.loads(proc.stdout)
+
+        return functools.cache(run)
+
+    @pytest.mark.parametrize("exponent", [500, -500, 530, -530, -660])
+    def test_cochain_of_any_magnitude(self, scaled_reports, exponent):
+        # Past 2^500 or below 2^-500 the plain sums of norms and inner
+        # products overflow or underflow; a child process, so that numpy's
+        # RuntimeWarnings would be seen.
+        code, stderr, report = scaled_reports(2.0 ** exponent)
+        _, _, unscaled = scaled_reports(1.0)
+        assert code == 0 and stderr == ""
+        assert report["decomposition"]["c_p"] == pytest.approx(
+            unscaled["decomposition"]["c_p"], rel=1e-12)
+        assert (report["uniqueness"]["quadrature"]["nodes_evaluated"]
+                == unscaled["uniqueness"]["quadrature"]["nodes_evaluated"])
 
     @pytest.mark.parametrize("command", ["decompose", "report"])
     def test_nan_p_is_input_error(self, tmp_path, command):

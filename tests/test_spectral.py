@@ -32,16 +32,14 @@ from hodgeheat import (
 )
 from hodgeheat import library as lib
 from hodgeheat.cli import _spectrum_section
-from hodgeheat.complexes import _is_weighted_self_adjoint
+from hodgeheat.complexes import _SparseOperator
 from hodgeheat.spectral import (
     _UNIT_ROUNDOFF,
     _chebyshev_action,
     _chebyshev_sum,
     _green_series,
     _heat_series,
-    _row_slots,
     _scaled_bessel_i,
-    _symmetrized_lower,
     cached_laplacian_spectrum,
     complex_content_hash,
     load_spectral_data,
@@ -116,7 +114,7 @@ def test_symmetrized_lower_equals_dense_average(name, K, ell):
     sqrt_w = np.sqrt(K.weight_vector(ell))
     L = hodge_laplacian(K, ell)
     S = L.entries * sqrt_w[:, None] / sqrt_w[None, :]
-    lower = _symmetrized_lower(L.nonzeros, sqrt_w, ell)
+    lower = L.symmetrized_lower(sqrt_w, ell)
     assert lower.tobytes() == np.tril((S + S.T) / 2.0).tobytes()
 
 
@@ -135,7 +133,7 @@ def test_eigendecompose_leaves_its_argument_unchanged(as_operator):
                          ids=CORPUS_IDS)
 def test_operator_forms_agree_bit_for_bit(i, name, K):
     # The assembly's nonzeros, the dense entries and an OperatorMatrix of
-    # them all reach eigh and the Chebyshev matvec through _nonzeros_of.
+    # them all reach eigh and the Chebyshev matvec through _SparseOperator.of.
     K = log_uniform_weights(K, i)
     for ell in all_degrees(K):
         L = hodge_laplacian(K, ell)
@@ -178,17 +176,22 @@ class TestScaleInvariantChecks:
         assert s.eigenvalues == pytest.approx([scale, 3.0 * scale], rel=1e-15)
 
     @staticmethod
-    def _flipped(nz):
+    def _with_vals(L, vals):
+        n = L.shape[0]
+        return _SparseOperator(L.rows * n + L.cols, vals, n, L.domain_degree)
+
+    @classmethod
+    def _flipped(cls, L):
         # The entries above the diagonal negated: no longer W-self-adjoint.
-        return nz._replace(vals=np.where(nz.rows < nz.cols, -nz.vals, nz.vals))
+        return cls._with_vals(L, np.where(L.rows < L.cols, -L.vals, L.vals))
 
     @pytest.mark.parametrize("scale", [1.0, 1e200, 1e-200])
     def test_assembly_check_at_any_scale(self, scale):
         K = log_uniform_weights(lib.filled_triangle(), 2)
-        nz = hodge_laplacian(K, 1).nonzeros
+        L = hodge_laplacian(K, 1)
         w = K.weight_vector(1)
-        for case, expected in ((nz, True), (self._flipped(nz), False)):
-            assert _is_weighted_self_adjoint(case._replace(vals=case.vals * scale), w) == expected
+        for case, expected in ((L, True), (self._flipped(L), False)):
+            assert self._with_vals(case, case.vals * scale).is_weighted_self_adjoint(w) == expected
 
     def test_assembly_check_with_extreme_weights(self):
         # The mirrored entry A_ji w_j / w_i is formed from mantissas and
@@ -196,10 +199,10 @@ class TestScaleInvariantChecks:
         # it to 0.
         K = build_complex({"edges": [[0, 1], [0, 2], [1, 2]],
                            "weights": {"1": [1e-300, 1e300, 1.0]}})
-        nz = hodge_laplacian(K, 1).nonzeros
+        L = hodge_laplacian(K, 1)
         w = K.weight_vector(1)
-        assert _is_weighted_self_adjoint(nz, w)
-        assert not _is_weighted_self_adjoint(self._flipped(nz), w)
+        assert L.is_weighted_self_adjoint(w)
+        assert not self._flipped(L).is_weighted_self_adjoint(w)
 
 
 class TestDenseInput:
@@ -390,6 +393,27 @@ class TestHeatDerivative:
                 heat_apply(source, -1e-3, omega)
             assert np.allclose(heat_apply(source, 0.0, omega).values, omega.values, atol=1e-15)
 
+    @pytest.mark.parametrize("entry,laplacian,n,message", [
+        ("heat", 1, 5, "degree 1 on 3 simplices does not match the cochain of degree 1 on 5"),
+        ("heat", 0, 3, "degree 0 on 3 simplices does not match the cochain of degree 1 on 3"),
+        ("heat", None, 3, "degree 1 on 4 simplices does not match the cochain of degree 1 on 3"),
+        ("green", 0, 3, "degree 0 on 3 simplices does not match the spectrum of degree 1 on 3"),
+        ("green", 2, 3, "degree 2 on 1 simplices does not match the spectrum of degree 1 on 3"),
+        ("green", None, 3, "degree 1 on 4 simplices does not match the spectrum of degree 1 on 3"),
+    ], ids=["heat-size", "heat-degree", "heat-array", "green-degree", "green-size",
+            "green-array"])
+    def test_laplacian_of_another_degree_or_size_rejected(self, entry, laplacian, n, message):
+        # The filled triangle has 3 vertices, 3 edges and 1 triangle; None
+        # stands for a 4 x 4 array, which takes the degree it is used at.
+        K = lib.filled_triangle()
+        L = np.eye(4) if laplacian is None else hodge_laplacian(K, laplacian)
+        omega = Cochain(1, np.ones(n))
+        with pytest.raises(ValueError, match=f"^the Laplacian of {message} simplices$"):
+            if entry == "heat":
+                heat_apply(L, 0.5, omega)
+            else:
+                green_quadrature(laplacian_spectrum(K, 1), omega, L)
+
     @pytest.mark.parametrize("t", [math.nan, math.inf, -math.inf])
     def test_nonfinite_time_rejected(self, t):
         K = lib.cycle_complex(3)
@@ -448,7 +472,7 @@ class TestChebyshevAction:
         # with its backward error of a few ulps.
         for ell in all_degrees(K):
             s = laplacian_spectrum(K, ell)
-            b = _row_slots(hodge_laplacian(K, ell).entries).bound
+            b = _SparseOperator.of(hodge_laplacian(K, ell).entries, ell).bound
             assert b >= s.eigenvalues[-1] - 1e-13 * b
 
     @pytest.mark.parametrize("nx,ny,seed", [(6, 6, 1), (12, 12, 2), (24, 3, 3)])
@@ -459,7 +483,7 @@ class TestChebyshevAction:
         rng = np.random.default_rng(seed)
         for ell in all_degrees(K):
             A = hodge_laplacian(K, ell).entries
-            M, csr = _row_slots(A), sparse.csr_matrix(A)
+            M, csr = _SparseOperator.of(A, ell), sparse.csr_matrix(A)
             for _ in range(20):
                 x = rng.standard_normal(A.shape[0])
                 assert np.array_equal(M @ x, csr @ x)
@@ -486,13 +510,14 @@ class TestChebyshevAction:
             for matrix, x in cases:
                 csr = sparse.csr_matrix(matrix)
                 expected = (csr @ x).tobytes()
-                slots = [_row_slots(matrix)] + ([_row_slots(L)] if matrix is A else [])
+                slots = [_SparseOperator.of(matrix, ell)] + ([L] if matrix is A else [])
                 for M in slots:
                     assert (M @ x).tobytes() == expected
                     norms = [np.asarray(abs(csr).sum(axis=axis)).max() for axis in (0, 1)]
                     assert M.bound == min(norms)
             if ell == 0:
-                assert _row_slots(L).spill[0].size >= 400
+                spill_rows = L._slots[2][0]
+                assert spill_rows.size >= 400
 
     def test_t_zero_returns_x_exactly(self):
         K = lib.flat_torus(6, 6)
@@ -506,7 +531,7 @@ class TestChebyshevAction:
         x = np.array([0.3, -1.7, 2.2])
         assert not L.entries.any()
         assert np.array_equal(heat_apply(L, 5.0, Cochain(0, x)).values, x)
-        green = _chebyshev_action(L.entries, x, _green_series, 2.5)
+        green = _chebyshev_action(_SparseOperator.of(L.entries, 0), x, _green_series, 2.5)
         assert np.array_equal(green.values, 2.5 * x) and green.matvecs == 0
         empty = heat_apply(np.zeros((0, 0)), 1.0, Cochain(0, np.zeros(0)))
         assert empty.values.shape == (0,)
@@ -521,7 +546,7 @@ class TestChebyshevAction:
             for t in (0.01, 1.0, 30.0):
                 heat = heat_apply(L, t, omega).values
                 assert s.norm2(heat - heat_apply(s, t, omega).values) <= 1e-12 * norm
-                green = _chebyshev_action(L.entries, omega.values, _green_series, t).values
+                green = _chebyshev_action(L, omega.values, _green_series, t).values
                 exact = s.apply_function(_green_function(t), omega.values)
                 assert s.norm2(green - exact) <= 1e-12 * s.norm2(exact)
 
@@ -534,7 +559,8 @@ class TestChebyshevAction:
         for ell in all_degrees(K):
             s = laplacian_spectrum(K, ell)
             A = hodge_laplacian(K, ell).entries
-            b = _row_slots(A).bound
+            M = _SparseOperator.of(A, ell)
+            b = M.bound
             if b == 0.0:
                 continue
             x = lib.random_cochain(K, ell, 23).values
@@ -551,7 +577,7 @@ class TestChebyshevAction:
                             break
                         err = s.norm2(_chebyshev_sum(A, b, coeffs[: m + 1], x) - exact)
                         assert err <= dropped * norm + 1e-14 * norm, (m, dropped)
-                    action = _chebyshev_action(A, x, series, t)
+                    action = _chebyshev_action(M, x, series, t)
                     assert action.dropped == pytest.approx(tails[action.matvecs + 1], rel=1e-9)
                     assert action.dropped <= _UNIT_ROUNDOFF * tails[0]
                     assert s.norm2(action.values - exact) <= 1e-12 * tails[0] * norm
