@@ -12,7 +12,7 @@ the substitution t = u^2 removes the integrable singularity at t = 0.
 
 import itertools
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -32,7 +32,8 @@ from .complexes import (
 from .interpolation import _brackets
 from .spectral import (
     SpectralData,
-    _chebyshev_action,
+    _chebyshev_sum,
+    _cut_series,
     _green_series,
     _heat_series,
     _laplacian_for,
@@ -90,9 +91,11 @@ class QuadratureResult:
     ``tail_bound`` bounds the W-norm of the integral beyond t_max.
     ``truncation_bound`` bounds the W-norm error of cutting Chebyshev
     series: the dropped-coefficient sum times |v|_W (0 for the spectral
-    Gauss sum).  ``nodes_evaluated`` counts the work: Gauss nodes for the
-    subordinated integral, products with the Laplacian's nonzeros for the
-    Green term (route B adds those of its heat limit).
+    Gauss sum; route B sums the dropped sums of its two rows, times
+    |omega|_W).  ``nodes_evaluated`` counts the work: Gauss nodes for the
+    subordinated integral, and for a Chebyshev recurrence its products
+    with the Laplacian's nonzeros, which route B's heat limit and Green
+    term share.
     """
 
     cochain: Cochain
@@ -129,10 +132,9 @@ def inv_sqrt_spectral(s: SpectralData) -> OperatorMatrix:
     return OperatorMatrix(M, s.degree, s.degree)
 
 
-def _quadrature_setup(s: SpectralData, omega: Cochain, grid, omega0):
-    if omega.degree != s.degree:
-        raise ValueError("cochain degree does not match spectral data")
-    v0 = omega0 if omega0 is not None else omega.values - harmonic_part(s, omega.values)
+def _quadrature_setup(s: SpectralData, omega: Cochain, grid):
+    s.check_cochain(omega)
+    v0 = omega.values - harmonic_part(s, omega.values)
     if s.norm2(v0) == 0.0 or math.isinf(s.gap):
         return v0, None
     if grid is None:
@@ -147,8 +149,7 @@ def _quadrature_setup(s: SpectralData, omega: Cochain, grid, omega0):
 
 
 def green_quadrature(s: SpectralData, omega: Cochain, laplacian,
-                     grid: QuadratureGrid | None = None,
-                     omega0=None) -> QuadratureResult:
+                     grid: QuadratureGrid | None = None) -> QuadratureResult:
     """Green operator as the time integral of the heat semigroup.
 
     Integrates P_t (1-H) omega over [0, t_max] on the Laplacian L (what
@@ -163,15 +164,16 @@ def green_quadrature(s: SpectralData, omega: Cochain, laplacian,
     or size than s.
     """
     laplacian = _laplacian_for(laplacian, s.degree, s.dim, "the spectrum")
-    v0, sized = _quadrature_setup(s, omega, grid, omega0)
+    v0, sized = _quadrature_setup(s, omega, grid)
     if sized is None:
         return QuadratureResult(Cochain(s.degree, np.zeros_like(v0)), 0.0,
                                 0.0, 0, grid.error_target if grid else 0.0)
     norm = s.norm2(v0)
-    green = _chebyshev_action(laplacian, v0, _green_series, sized.t_max)
+    kept, dropped = _cut_series(_green_series(sized.t_max, laplacian.bound))
+    green = _chebyshev_sum(laplacian, laplacian.bound, [kept], v0)[0]
     tail = math.exp(-s.gap * sized.t_max) / s.gap * norm
-    return QuadratureResult(Cochain(s.degree, green.values), tail, sized.t_max,
-                            green.matvecs, sized.error_target, green.dropped * norm)
+    return QuadratureResult(Cochain(s.degree, green), tail, sized.t_max,
+                            kept.size - 1, sized.error_target, dropped * norm)
 
 
 def inv_sqrt_subordinated(s: SpectralData, omega: Cochain,
@@ -184,7 +186,7 @@ def inv_sqrt_subordinated(s: SpectralData, omega: Cochain,
     node.  The Gamma(1/2) = sqrt(pi) normalization makes the identity with
     the spectral lambda^(-1/2) exact.
     """
-    v0, sized = _quadrature_setup(s, omega, grid, None)
+    v0, sized = _quadrature_setup(s, omega, grid)
     if sized is None:
         return QuadratureResult(Cochain(s.degree, np.zeros_like(v0)), 0.0,
                                 0.0, 0, grid.error_target if grid else 0.0)
@@ -210,8 +212,7 @@ def shifted_sqrt_diff(s: SpectralData, gamma_shift: float, omega: Cochain) -> Co
     """((Laplacian + gamma)^(1/2) - Laplacian^(1/2)) omega, spectrally."""
     if gamma_shift <= 0:
         raise ValueError("shift must be positive")
-    if omega.degree != s.degree:
-        raise ValueError("cochain degree does not match spectral data")
+    s.check_cochain(omega)
     vals = s.apply_function(
         lambda lam: np.sqrt(lam + gamma_shift) - np.sqrt(lam), omega.values
     )
@@ -304,9 +305,7 @@ def decompose(K: SimplicialComplex, s: SpectralData, omega: Cochain,
     """
     K.check_spectrum(s)
     K.check_cochain(omega)
-    if omega.degree != s.degree:
-        raise ValueError(f"cochain of degree {omega.degree} does not match "
-                         f"the spectrum of degree {s.degree}")
+    s.check_cochain(omega)
     ell = s.degree
     v = omega.values
     h = harmonic_part(s, v)
@@ -337,23 +336,22 @@ def decompose(K: SimplicialComplex, s: SpectralData, omega: Cochain,
         denom = max(s.norm2(a.values) * s.norm2(b.values), 1e-300)
         ortho[f"{na}|{nb}"] = abs(inner_product(K, a, b)) / denom
 
+    named = dict(parts, omega1=omega1, omega2=omega2, omega=omega)
+    named = {name: c for name, c in named.items() if c is not None}
     component_norms = {}
     c_p = {}
     for p in p_list:
-        table = {name: lp_norm(K, part, p) for name, part in parts.items()}
-        if omega1 is not None:
-            table["omega1"] = lp_norm(K, omega1, p)
-        if omega2 is not None:
-            table["omega2"] = lp_norm(K, omega2, p)
-        table["omega"] = lp_norm(K, omega, p)
-        component_norms[float(p)] = table
-        denom = table["omega"]
-        if denom == 0.0:
-            c_p[float(p)] = 0.0
-        else:
-            c_p[float(p)] = max(
-                val / denom for name, val in table.items() if name != "omega"
-            )
+        table = {name: lp_norm(K, c, p) for name, c in named.items()}
+        component_norms[float(p)] = ratios = table
+        if not all(n == 0.0 or 2.0 ** -1022 <= n < math.inf for n in table.values()):
+            # A norm past the double range: the ratios of the cochains scaled
+            # by one power of two, which leaves them as they are.
+            e = max(_unit_scaled(c.values)[1] for c in named.values())
+            ratios = {name: lp_norm(K, Cochain(c.degree, np.ldexp(c.values, -e)), p)
+                      for name, c in named.items()}
+        denom = ratios["omega"]
+        c_p[float(p)] = 0.0 if denom == 0.0 else max(
+            val / denom for name, val in ratios.items() if name != "omega")
 
     return DecompositionResult(
         degree=ell,
@@ -427,9 +425,10 @@ def verify_uniqueness(K: SimplicialComplex, s: SpectralData, dec: DecompositionR
     Green operator.  Route B never touches the eigenbasis: it reads the
     assembled Laplacian and, from the spectrum, only the gap, the largest
     eigenvalue and the weights.  Its harmonic part is the heat semigroup
-    at a certified time and its Green term the semigroup integral, both as
-    Chebyshev actions of the Laplacian; ``quadrature`` reports their summed
-    truncation bound and matvec count next to the tail bound.
+    at a certified time and its Green term the semigroup integral, two
+    coefficient rows of one Chebyshev recurrence in the Laplacian;
+    ``quadrature`` reports its truncation bound and matvec count next to
+    the tail bound.
     Additionally, perturbing the harmonic component along any kernel
     direction is shown to leave a detectable harmonic residue in the
     remaining parts.  The routes agree when no component differs by more
@@ -438,9 +437,7 @@ def verify_uniqueness(K: SimplicialComplex, s: SpectralData, dec: DecompositionR
     if not 0 < error_target < 1:
         raise ValueError(f"error_target must lie in (0, 1), got {error_target}")
     K.check_spectrum(s)
-    if dec.degree != s.degree:
-        raise ValueError(f"decomposition of degree {dec.degree} does not match "
-                         f"the spectrum of degree {s.degree}")
+    s.check_cochain(dec.omega)
     ell, omega = s.degree, dec.omega
     v, h_a = omega.values, dec.omega3.values
 
@@ -489,27 +486,40 @@ def verify_uniqueness(K: SimplicialComplex, s: SpectralData, dec: DecompositionR
     )
 
 
+def _green_after_heat(t_h: float, t_max: float, b: float) -> np.ndarray:
+    """Chebyshev row of G_t_max - G_(t_h + t_max) + G_t_h = G_t_max (1 - P_t_h) on
+    [0, b], G_t = int_0^t P_u du: (1 - exp(-t_h lam)) (1 - exp(-t_max lam)) / lam."""
+    parts = (_green_series(t_max, b), -_green_series(t_h + t_max, b), _green_series(t_h, b))
+    row = np.zeros(max(c.size for c in parts))
+    for c in parts:
+        row[: c.size] += c
+    return row
+
+
 def _route_b(laplacian, s: SpectralData, omega: Cochain, error_target: float):
     """Route B's harmonic part and Green term, for a finite gap.
 
-    Reads the Laplacian that ``hodge_laplacian`` returns, whose row slots
-    both Chebyshev actions share, and, of the spectrum, only the gap, the
-    largest eigenvalue (for t_max) and the weights.  At the time t_h
-    below, exp(-gap t_h) = error_target * min(1, gap), so both
-    |h_b - H omega|_W and |G (h_b - H omega)|_W are at most
-    error_target * |omega|_W, up to the truncation bounds of the two
-    Chebyshev actions, which the returned result sums with their matvecs.
+    Reads the Laplacian that ``hodge_laplacian`` returns and, of the
+    spectrum, only the gap, the largest eigenvalue (for t_max) and the
+    weights.  At the time t_h below, exp(-gap t_h) = error_target *
+    min(1, gap), so both |h_b - H omega|_W and |G (h_b - H omega)|_W are
+    at most error_target * |omega|_W, up to the truncation bound.  The
+    heat limit P_t_h omega and the Green term G_t_max (1 - P_t_h) omega
+    are two rows of one Chebyshev recurrence, run on omega scaled by a
+    power of two so that no product overflows.
     """
     t_h = (math.log(1.0 / error_target) + max(0.0, math.log(1.0 / s.gap))) / s.gap
-    heat = _chebyshev_action(laplacian, omega.values, _heat_series, t_h)
-    grid = QuadratureGrid.for_spectrum(s.gap, float(s.eigenvalues[-1]),
-                                       error_target=error_target)
-    green = green_quadrature(s, omega, laplacian, grid=grid,
-                             omega0=omega.values - heat.values)
-    return heat.values, replace(
-        green,
-        truncation_bound=green.truncation_bound + heat.dropped * s.norm2(omega.values),
-        nodes_evaluated=green.nodes_evaluated + heat.matvecs)
+    t_max = QuadratureGrid.for_spectrum(s.gap, float(s.eigenvalues[-1]),
+                                        error_target=error_target).t_max
+    b = laplacian.bound
+    heat, heat_dropped = _cut_series(_heat_series(t_h, b))
+    green, green_dropped = _cut_series(_green_after_heat(t_h, t_max, b))
+    unit, e = _unit_scaled(omega.values)
+    h, g = (np.ldexp(y, e) for y in _chebyshev_sum(laplacian, b, [heat, green], unit))
+    tail = math.exp(-s.gap * t_max) / s.gap * s.norm2(omega.values - h)
+    return h, QuadratureResult(Cochain(s.degree, g), tail, t_max,
+                               max(heat.size, green.size) - 1, error_target,
+                               (heat_dropped + green_dropped) * s.norm2(omega.values))
 
 
 @dataclass

@@ -18,7 +18,6 @@ import json
 import math
 import os
 from dataclasses import dataclass, fields
-from typing import NamedTuple
 
 import numpy as np
 
@@ -91,6 +90,13 @@ class SpectralData:
 
     def norm2(self, values: np.ndarray) -> float:
         return _scaled_sum(lambda x: self.weights * x * x, np.sqrt, values)
+
+    def check_cochain(self, omega: Cochain) -> None:
+        """Raise ValueError unless omega has this spectrum's degree and size."""
+        if (omega.degree, omega.values.size) != (self.degree, self.dim):
+            raise ValueError(f"cochain of degree {omega.degree} on {omega.values.size} "
+                             f"simplices does not match the spectrum of degree "
+                             f"{self.degree} on {self.dim} simplices")
 
 
 def eigendecompose(delta, weights=None, degree: int | None = None) -> SpectralData:
@@ -227,60 +233,38 @@ def _green_series(t: float, b: float) -> np.ndarray:
     return a
 
 
-class _ChebyshevAction(NamedTuple):
-    """Result of one Chebyshev action: values, truncation and work.
-
-    ``dropped`` is the sum of the |coefficients| past the degree used, so
-    the truncation error is at most ``dropped`` times |x|_W; ``matvecs``
-    is that degree, the number of products with the Laplacian's nonzeros.
-    """
-
-    values: np.ndarray
-    dropped: float
-    matvecs: int
+def _cut_series(coeffs: np.ndarray) -> tuple[np.ndarray, float]:
+    """(kept, dropped): coeffs cut at the lowest degree whose dropped |coefficients|
+    sum to at most the unit roundoff times the sum of all of them, and that sum,
+    which times |x|_W bounds the truncation error on spectrum [0, b]."""
+    tails = np.append(np.cumsum(np.abs(coeffs[::-1]))[::-1], 0.0)
+    degree = max(int(np.argmax(tails <= _UNIT_ROUNDOFF * tails[0])) - 1, 0)
+    return coeffs[: degree + 1], float(tails[degree + 1])
 
 
-def _chebyshev_sum(A, b: float, coeffs: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """sum_k coeffs_k T_k(Y) x with Y = (2/b) A - I, by the three-term recurrence.
+def _chebyshev_sum(A, b: float, rows, x: np.ndarray) -> list:
+    """[sum_k c_k T_k(Y) x for each row c], Y = (2/b) A - I, on one recurrence.
 
     T_(k+1)(Y) x = 2 Y T_k(Y) x - T_(k-1)(Y) x, with Y applied as
     (2/b) (A @ v) - v, so Y is never formed; each step works in the
-    product's own buffer.  Uses len(coeffs) - 1 matvecs.
+    product's own buffer.  A row's bits do not depend on the other rows.
+    Uses max(len(c)) - 1 matvecs.
     """
-    out = coeffs[0] * x
-    if coeffs.size == 1:
-        return out
-    scale = 2.0 / b
-    prev, cur = x, A @ x
-    cur *= scale
-    cur -= x
-    term = coeffs[1] * cur
-    out += term
-    for c in coeffs[2:]:
+    outs = [c[0] * x for c in rows]
+    prev, cur, term = x, x, np.empty_like(x)
+    for k in range(1, max(c.size for c in rows)):
         step = A @ cur
-        step *= scale
+        step *= 2.0 / b
         step -= cur
-        step *= 2.0
-        step -= prev
+        if k > 1:
+            step *= 2.0
+            step -= prev
         prev, cur = cur, step
-        np.multiply(c, cur, out=term)
-        out += term
-    return out
-
-
-def _chebyshev_action(L: _SparseOperator, x: np.ndarray, series, t: float) -> _ChebyshevAction:
-    """f(L) x for the function whose Chebyshev coefficients are series(t, b).
-
-    L is W-self-adjoint with spectrum in [0, b], b its ``bound``, so the
-    spectrum of Y lies in [-1, 1].  The series is cut at the lowest degree
-    whose dropped |coefficients| sum to at most the unit roundoff times
-    the sum of all of them.
-    """
-    coeffs = series(t, L.bound)
-    tails = np.append(np.cumsum(np.abs(coeffs[::-1]))[::-1], 0.0)
-    degree = max(int(np.argmax(tails <= _UNIT_ROUNDOFF * tails[0])) - 1, 0)
-    return _ChebyshevAction(_chebyshev_sum(L, L.bound, coeffs[: degree + 1], x),
-                           float(tails[degree + 1]), degree)
+        for c, out in zip(rows, outs):
+            if k < c.size:
+                np.multiply(c[k], cur, out=term)
+                out += term
+    return outs
 
 
 def _laplacian_for(laplacian, degree: int, n: int, what: str) -> _SparseOperator:
@@ -310,12 +294,12 @@ def heat_apply(source, t: float, omega: Cochain) -> Cochain:
     if not 0 <= t < math.inf:
         raise ValueError(f"heat semigroup requires a finite t >= 0, got t = {t}")
     if isinstance(source, SpectralData):
-        if omega.degree != source.degree:
-            raise ValueError("cochain degree does not match spectral data")
+        source.check_cochain(omega)
         return Cochain(source.degree,
                        source.apply_function(lambda lam: np.exp(-t * lam), omega.values))
     L = _laplacian_for(source, omega.degree, omega.values.size, "the cochain")
-    return Cochain(omega.degree, _chebyshev_action(L, omega.values, _heat_series, t).values)
+    kept, _ = _cut_series(_heat_series(t, L.bound))
+    return Cochain(omega.degree, _chebyshev_sum(L, L.bound, [kept], omega.values)[0])
 
 
 def harmonic_projector(s: SpectralData) -> OperatorMatrix:

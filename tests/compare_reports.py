@@ -1,0 +1,86 @@
+"""Compare two directories written by ``tests/corpus_reports.py``, field by field.
+
+Usage: python tests/compare_reports.py OLD NEW
+
+For every JSON path where some report differs, prints how many reports
+differ there and the largest relative move |new - old| / |old| (inf where
+old is 0, "-" where a value is not a number).  List indices are collapsed
+to ``[]``, except that an entry with a "name" (a check) is keyed by it,
+as in ``checks[uniqueness_dual_route].value``.  Then lists every report
+whose top-level ``ok`` changed, and every report present on one side
+only.  pytest does not collect this file.
+"""
+
+import json
+import math
+import os
+import sys
+from collections import defaultdict
+
+
+def _leaves(node, path="", collapsed=""):
+    """(path, index-collapsed path, value) of every scalar in a report."""
+    if isinstance(node, dict):
+        for key, value in node.items():
+            yield from _leaves(value, f"{path}.{key}", f"{collapsed}.{key}")
+    elif isinstance(node, list):
+        for i, value in enumerate(node):
+            name = value.get("name", "") if isinstance(value, dict) else ""
+            yield from _leaves(value, f"{path}[{i}]", f"{collapsed}[{name}]")
+    else:
+        yield path.lstrip("."), collapsed.lstrip("."), node
+
+
+def _move(old, new) -> float | None:
+    """|new - old| / |old| for two numbers (not bools), else None."""
+    if not all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in (old, new)):
+        return None
+    if old == new:  # 0.0 and -0.0
+        return 0.0
+    return abs(new - old) / abs(old) if old else math.inf
+
+
+def compare(old_dir, new_dir):
+    """(table, ok_changes, one_sided): table maps a collapsed path to
+    (reports differing there, largest relative move or None)."""
+    old_names = set(os.listdir(os.path.join(old_dir, "reports")))
+    new_names = set(os.listdir(os.path.join(new_dir, "reports")))
+    counts, moves = defaultdict(set), {}
+    ok_changes = []
+    for name in sorted(old_names & new_names):
+        docs = []
+        for root in (old_dir, new_dir):
+            with open(os.path.join(root, "reports", name), encoding="utf-8") as fh:
+                docs.append(json.load(fh))
+        old, new = ({p: (c, v) for p, c, v in _leaves(doc)} for doc in docs)
+        for path in old.keys() | new.keys():
+            (c, a), (c_new, b) = old.get(path, (None, None)), new.get(path, (None, None))
+            c = c or c_new
+            if json.dumps(a) == json.dumps(b):
+                continue
+            counts[c].add(name)
+            move = _move(a, b)
+            best = moves.get(c, 0.0)
+            moves[c] = None if move is None or best is None else max(best, move)
+        if docs[0].get("ok") != docs[1].get("ok"):
+            ok_changes.append((name, docs[0].get("ok"), docs[1].get("ok")))
+    table = {c: (len(counts[c]), moves[c]) for c in sorted(counts)}
+    return table, ok_changes, sorted(old_names ^ new_names)
+
+
+def main(old_dir, new_dir):
+    table, ok_changes, one_sided = compare(old_dir, new_dir)
+    width = max((len(c) for c in table), default=4)
+    print(f"{'path':<{width}}  reports  largest relative move")
+    for path, (count, move) in table.items():
+        print(f"{path:<{width}}  {count:7d}  {'-' if move is None else f'{move:.3g}'}")
+    for name, before, after in ok_changes:
+        print(f"ok changed: {name}: {before} -> {after}")
+    for name in one_sided:
+        print(f"on one side only: {name}")
+
+
+if __name__ == "__main__":
+    if len(sys.argv) != 3:
+        sys.exit("usage: compare_reports.py OLD NEW")
+    main(sys.argv[1], sys.argv[2])

@@ -551,8 +551,32 @@ class TestSpectrumBelongsToComplex:
 
     @pytest.mark.parametrize("routine", COCHAIN_ROUTINES)
     def test_spectrum_of_another_degree_rejected(self, routine):
-        # K's own degree-2 spectrum, with a degree-1 cochain.
-        thing = "decomposition" if routine == "verify_uniqueness" else "cochain"
-        with pytest.raises(ValueError, match=f"{thing} of degree 1 does not match "
-                                             "the spectrum of degree 2"):
+        # K's own degree-2 spectrum, with a degree-1 cochain (verify_uniqueness
+        # checks the one its decomposition keeps).
+        with pytest.raises(ValueError, match="^cochain of degree 1 on 108 simplices does not "
+                                             "match the spectrum of degree 2 on 72 simplices$"):
             self._calls()[routine](self.K, laplacian_spectrum(self.K, 2))
+
+
+class TestCochainMatchesSpectrum:
+    """Every routine that takes a spectrum and a cochain checks both the
+    degree and the size, before any arithmetic can broadcast."""
+
+    K = lib.filled_triangle()  # 3 vertices, 3 edges, 1 triangle
+    ENTRIES = {
+        "heat_apply": lambda s, omega: hodgeheat.heat_apply(s, 0.5, omega),
+        "green_quadrature": lambda s, omega: green_quadrature(
+            s, omega, hodge_laplacian(TestCochainMatchesSpectrum.K, 1)),
+        "inv_sqrt_subordinated": inv_sqrt_subordinated,
+        "shifted_sqrt_diff": lambda s, omega: shifted_sqrt_diff(s, 1.0, omega),
+    }
+
+    @pytest.mark.parametrize("degree,n", [(1, 5), (0, 3), (2, 1)],
+                             ids=["size", "degree", "both"])
+    @pytest.mark.parametrize("entry", sorted(ENTRIES))
+    def test_mismatch_rejected(self, entry, degree, n):
+        s = laplacian_spectrum(self.K, 1)
+        message = (f"^cochain of degree {degree} on {n} simplices does not match "
+                   f"the spectrum of degree 1 on 3 simplices$")
+        with pytest.raises(ValueError, match=message):
+            self.ENTRIES[entry](s, Cochain(degree, np.ones(n)))

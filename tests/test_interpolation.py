@@ -927,11 +927,13 @@ class TestInterpolationReport:
         hops = count_calls(monkeypatch, "_hop_distances", hodgeheat.interpolation)
         powers = count_calls(monkeypatch, "opnorm_power_method", hodgeheat.interpolation)
         # Operators come from the face tables: no dense matrix is scanned
-        # for its nonzeros, and route B builds its row slots once.
+        # for its nonzeros, and route B builds its row slots once and runs
+        # one Chebyshev recurrence for its heat limit and Green term.
         nonzeros = count_calls(monkeypatch, "nonzero", np)
         flat_nonzeros = count_calls(monkeypatch, "flatnonzero", np)
         conversions = count_calls(monkeypatch, "of", _SparseOperator)
         row_slots = _count_slot_builds(monkeypatch)
+        recurrences = count_calls(monkeypatch, "_chebyshev_sum", hodgeheat.decomposition)
         report, code = run_pipeline(RunConfig(input_path=str(path), p_list=()))
         assert code == 0 and report["ok"]
         assert (len(svds), len(qrs), len(eighs), len(matrices), len(hops)) == (0, 0, 3, 2, 1)
@@ -945,16 +947,17 @@ class TestInterpolationReport:
         decomposes = count_calls(monkeypatch, "decompose",
                                  hodgeheat.cli, hodgeheat.decomposition)
         splits = count_calls(monkeypatch, "_hodge_split", hodgeheat.decomposition)
-        assert not row_slots
+        assert not row_slots and not recurrences
         eighs.clear()
         report, code = run_pipeline(RunConfig(input_path=str(path)))
         assert code == 0 and report["ok"] and report["uniqueness"]["passed"]
         assert (len(decomposes), len(splits), len(eighs), len(row_slots)) == (1, 2, 3, 1)
+        assert len(recurrences) == 1 and len(recurrences[0][2]) == 2
         assert nonzeros and all(np.ndim(args[0]) == 1 for args in nonzeros)
         # np.flatnonzero ravels its argument before np.nonzero sees it, and
-        # _SparseOperator.of scans a dense matrix for anything but the assembly.
+        # _SparseOperator.of, which scans a dense matrix, is not on the path.
         assert all(np.ndim(args[0]) == 1 for args in flat_nonzeros)
-        assert conversions and all(isinstance(args[0], _SparseOperator) for args in conversions)
+        assert not conversions
 
 
 class TestConjugateExponent:

@@ -474,20 +474,21 @@ class TestCli:
 
     @pytest.fixture(scope="class")
     def scaled_reports(self, tmp_path_factory):
-        """run(scale): (exit code, stderr, report) of ``report`` in a child
-        process on the 4x4 torus with the degree-1 cochain ((i % 7) - 3) * scale."""
+        """run(scale, command): (exit code, stderr, report) of ``command``
+        (``report`` by default) in a child process on the 4x4 torus with the
+        degree-1 cochain ((i % 7) - 3) * scale."""
         K = lib.flat_torus(4, 4)
 
-        def run(scale):
+        def run(scale, command="report"):
             doc = complex_to_json_dict(K)
             doc["cochain"] = {"degree": 1, "values": [((i % 7) - 3) * scale
                                                       for i in range(K.n_simplices(1))]}
             path = tmp_path_factory.mktemp("scaled") / "torus.json"
             path.write_text(json.dumps(doc))
             proc = subprocess.run(
-                [sys.executable, "-m", "hodgeheat.cli", "report", str(path), "--degree", "1"],
+                [sys.executable, "-m", "hodgeheat.cli", command, str(path), "--degree", "1"],
                 env=child_env("1"), capture_output=True, text=True, timeout=120)
-            return proc.returncode, proc.stderr, json.loads(proc.stdout)
+            return proc.returncode, proc.stderr, json.loads(proc.stdout or "null")
 
         return functools.cache(run)
 
@@ -503,6 +504,20 @@ class TestCli:
             unscaled["decomposition"]["c_p"], rel=1e-12)
         assert (report["uniqueness"]["quadrature"]["nodes_evaluated"]
                 == unscaled["uniqueness"]["quadrature"]["nodes_evaluated"])
+
+    @pytest.mark.parametrize("scale", [1e307, 2.0 ** 1020, 2.0 ** 1021],
+                             ids=["1e307", "2^1020", "2^1021"])
+    @pytest.mark.parametrize("command", ["decompose", "report"])
+    def test_cochain_near_the_top_of_the_double_range(self, scaled_reports, command, scale):
+        # Some p-norms read inf here, so c_p is formed from the parts scaled
+        # by one power of two; route B runs on the scaled cochain, where its
+        # products cannot overflow.
+        code, stderr, report = scaled_reports(scale, command)
+        _, _, unscaled = scaled_reports(1.0, command)
+        assert (code, stderr) == (0, "")
+        c_p = (report.get("decomposition") or report)["c_p"]
+        expected = (unscaled.get("decomposition") or unscaled)["c_p"]
+        assert c_p == pytest.approx(expected, rel=1e-12)
 
     @pytest.mark.parametrize("command", ["decompose", "report"])
     def test_nan_p_is_input_error(self, tmp_path, command):

@@ -33,10 +33,11 @@ from hodgeheat import (
 from hodgeheat import library as lib
 from hodgeheat.cli import _spectrum_section
 from hodgeheat.complexes import _SparseOperator
+from hodgeheat.decomposition import _green_after_heat
 from hodgeheat.spectral import (
     _UNIT_ROUNDOFF,
-    _chebyshev_action,
     _chebyshev_sum,
+    _cut_series,
     _green_series,
     _heat_series,
     _scaled_bessel_i,
@@ -445,6 +446,18 @@ def _green_function(t):
         lam > 0, -np.expm1(-t * lam) / np.where(lam > 0, lam, 1.0), t)
 
 
+def _green_after_heat_function(t1, t2):
+    """(1 - exp(-t1 lam)) (1 - exp(-t2 lam)) / lam, equal to 0 at lam = 0."""
+    return lambda lam: np.where(
+        lam > 0, np.expm1(-t1 * lam) * np.expm1(-t2 * lam) / np.where(lam > 0, lam, 1.0), 0.0)
+
+
+def _cut_action(L, x, coeffs):
+    """(values, dropped, matvecs) of the cut series, summed on L's recurrence."""
+    kept, dropped = _cut_series(coeffs)
+    return _chebyshev_sum(L, L.bound, [kept], x)[0], dropped, kept.size - 1
+
+
 class TestChebyshevAction:
     @pytest.mark.parametrize("z", [0.0, 1e-12, 0.5, 3.0, 40.0, 441.0, 2e4])
     def test_bessel_values_match_scipy(self, z):
@@ -531,8 +544,9 @@ class TestChebyshevAction:
         x = np.array([0.3, -1.7, 2.2])
         assert not L.entries.any()
         assert np.array_equal(heat_apply(L, 5.0, Cochain(0, x)).values, x)
-        green = _chebyshev_action(_SparseOperator.of(L.entries, 0), x, _green_series, 2.5)
-        assert np.array_equal(green.values, 2.5 * x) and green.matvecs == 0
+        M = _SparseOperator.of(L.entries, 0)
+        green, _, matvecs = _cut_action(M, x, _green_series(2.5, M.bound))
+        assert np.array_equal(green, 2.5 * x) and matvecs == 0
         empty = heat_apply(np.zeros((0, 0)), 1.0, Cochain(0, np.zeros(0)))
         assert empty.values.shape == (0,)
 
@@ -546,7 +560,7 @@ class TestChebyshevAction:
             for t in (0.01, 1.0, 30.0):
                 heat = heat_apply(L, t, omega).values
                 assert s.norm2(heat - heat_apply(s, t, omega).values) <= 1e-12 * norm
-                green = _chebyshev_action(L, omega.values, _green_series, t).values
+                green = _cut_action(L, omega.values, _green_series(t, L.bound))[0]
                 exact = s.apply_function(_green_function(t), omega.values)
                 assert s.norm2(green - exact) <= 1e-12 * s.norm2(exact)
 
@@ -555,7 +569,8 @@ class TestChebyshevAction:
         # Cut each series at every degree whose dropped sum is still far above
         # rounding; the error against the spectral function must stay below
         # the dropped |coefficients| times |x|_W.  1e-14 |x|_W allows for the
-        # rounding of the two evaluations.
+        # rounding of the two evaluations.  The third series is route B's
+        # Green row, three Green series whose sum cancels.
         for ell in all_degrees(K):
             s = laplacian_spectrum(K, ell)
             A = hodge_laplacian(K, ell).entries
@@ -566,21 +581,43 @@ class TestChebyshevAction:
             x = lib.random_cochain(K, ell, 23).values
             norm = s.norm2(x)
             for t in (0.3, 12.0):
-                for series, func in ((_heat_series, lambda lam: np.exp(-t * lam)),
-                                     (_green_series, _green_function(t))):
-                    coeffs = series(t, b)
+                for coeffs, func in (
+                        (_heat_series(t, b), lambda lam: np.exp(-t * lam)),
+                        (_green_series(t, b), _green_function(t)),
+                        (_green_after_heat(t, 2.0 * t, b), _green_after_heat_function(t, 2.0 * t))):
                     exact = s.apply_function(func, x)
                     tails = np.cumsum(np.abs(coeffs[::-1]))[::-1]
                     for m in range(0, coeffs.size - 1, 3):
                         dropped = tails[m + 1]
                         if dropped < 1e-9 * tails[0]:
                             break
-                        err = s.norm2(_chebyshev_sum(A, b, coeffs[: m + 1], x) - exact)
+                        err = s.norm2(_chebyshev_sum(A, b, [coeffs[: m + 1]], x)[0] - exact)
                         assert err <= dropped * norm + 1e-14 * norm, (m, dropped)
-                    action = _chebyshev_action(M, x, series, t)
-                    assert action.dropped == pytest.approx(tails[action.matvecs + 1], rel=1e-9)
-                    assert action.dropped <= _UNIT_ROUNDOFF * tails[0]
-                    assert s.norm2(action.values - exact) <= 1e-12 * tails[0] * norm
+                    values, dropped, matvecs = _cut_action(M, x, coeffs)
+                    assert dropped == pytest.approx(tails[matvecs + 1], rel=1e-9)
+                    assert dropped <= _UNIT_ROUNDOFF * tails[0]
+                    assert s.norm2(values - exact) <= 1e-12 * tails[0] * norm
+
+    @pytest.mark.parametrize("name,K", _ACTION_COMPLEXES, ids=_ACTION_IDS)
+    def test_rows_share_one_recurrence(self, name, K, monkeypatch):
+        # Two rows on one recurrence: each gets the bits it gets alone, and the
+        # products number one less than the longer row.
+        calls = []
+        matvec = _SparseOperator.__matmul__
+        monkeypatch.setattr(_SparseOperator, "__matmul__",
+                            lambda self, x: calls.append(1) or matvec(self, x))
+        for ell in all_degrees(K):
+            L = hodge_laplacian(K, ell)
+            if L.bound == 0.0:
+                continue
+            x = lib.random_cochain(K, ell, 29).values
+            rows = [_cut_series(_heat_series(2.0, L.bound))[0],
+                    _cut_series(_green_after_heat(2.0, 5.0, L.bound))[0]]
+            alone = [_chebyshev_sum(L, L.bound, [c], x)[0] for c in rows]
+            calls.clear()
+            together = _chebyshev_sum(L, L.bound, rows, x)
+            assert len(calls) == max(c.size for c in rows) - 1
+            assert [y.tobytes() for y in together] == [y.tobytes() for y in alone]
 
 
 class TestHarmonicProjector:
