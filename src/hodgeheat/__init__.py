@@ -52,7 +52,6 @@ from .decomposition import (
     QuadratureGrid,
     QuadratureResult,
     decompose,
-    green_quadrature,
     green_spectral,
     harmonic_representative,
     inv_sqrt_spectral,

@@ -103,8 +103,8 @@ def _spectrum_section(s):
 
 
 def _interval_section(K, s, config):
-    return interpolation_report(K, s, epsilon=config.epsilon, t_grid=config.t_grid,
-                                seed=config.seed).to_json_dict()
+    return asdict(interpolation_report(K, s, epsilon=config.epsilon, t_grid=config.t_grid,
+                                       seed=config.seed))
 
 
 # Each stage below returns its report section and its checks.

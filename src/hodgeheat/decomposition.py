@@ -36,7 +36,6 @@ from .spectral import (
     _cut_series,
     _green_series,
     _heat_series,
-    _laplacian_for,
     harmonic_part,
 )
 
@@ -132,50 +131,6 @@ def inv_sqrt_spectral(s: SpectralData) -> OperatorMatrix:
     return OperatorMatrix(M, s.degree, s.degree)
 
 
-def _quadrature_setup(s: SpectralData, omega: Cochain, grid):
-    s.check_cochain(omega)
-    v0 = omega.values - harmonic_part(s, omega.values)
-    if s.norm2(v0) == 0.0 or math.isinf(s.gap):
-        return v0, None
-    if grid is None:
-        grid = QuadratureGrid.for_spectrum(s.gap, float(s.eigenvalues[-1]))
-    required = math.log(1.0 / grid.error_target) / s.gap
-    if grid.t_max < required:
-        raise ValueError(
-            f"t_max = {grid.t_max:g} cannot certify error_target = "
-            f"{grid.error_target:g} with gap {s.gap:g}; need t_max >= {required:g}"
-        )
-    return v0, grid
-
-
-def green_quadrature(s: SpectralData, omega: Cochain, laplacian,
-                     grid: QuadratureGrid | None = None) -> QuadratureResult:
-    """Green operator as the time integral of the heat semigroup.
-
-    Integrates P_t (1-H) omega over [0, t_max] on the Laplacian L (what
-    ``hodge_laplacian`` returns, an OperatorMatrix or an array), without
-    its eigenbasis:
-    int_0^t_max exp(-t lam) dt has Chebyshev coefficients
-    (4/b) (-1)^k J_k in closed form, and the heat action's recurrence
-    sums them.  The dropped tail is certified by
-    exp(-gap * t_max) / gap times |v0|_W, the cut series by its
-    dropped-coefficient sum times |v0|_W.  Refuses grids whose t_max is
-    too small for their error target, and a Laplacian of another degree
-    or size than s.
-    """
-    laplacian = _laplacian_for(laplacian, s.degree, s.dim, "the spectrum")
-    v0, sized = _quadrature_setup(s, omega, grid)
-    if sized is None:
-        return QuadratureResult(Cochain(s.degree, np.zeros_like(v0)), 0.0,
-                                0.0, 0, grid.error_target if grid else 0.0)
-    norm = s.norm2(v0)
-    kept, dropped = _cut_series(_green_series(sized.t_max, laplacian.bound))
-    green = _chebyshev_sum(laplacian, laplacian.bound, [kept], v0)[0]
-    tail = math.exp(-s.gap * sized.t_max) / s.gap * norm
-    return QuadratureResult(Cochain(s.degree, green), tail, sized.t_max,
-                            kept.size - 1, sized.error_target, dropped * norm)
-
-
 def inv_sqrt_subordinated(s: SpectralData, omega: Cochain,
                           grid: QuadratureGrid | None = None) -> QuadratureResult:
     """Inverse square root via the subordinated heat integral.
@@ -184,28 +139,37 @@ def inv_sqrt_subordinated(s: SpectralData, omega: Cochain,
     the substitution t = u^2, which makes the integrand analytic at 0, on
     the grid's Gauss-Legendre panels with the spectral heat sum at each
     node.  The Gamma(1/2) = sqrt(pi) normalization makes the identity with
-    the spectral lambda^(-1/2) exact.
+    the spectral lambda^(-1/2) exact.  Refuses a grid whose t_max is too
+    small for its error target.
     """
-    v0, sized = _quadrature_setup(s, omega, grid)
-    if sized is None:
+    s.check_cochain(omega)
+    v0 = omega.values - harmonic_part(s, omega.values)
+    if s.norm2(v0) == 0.0 or math.isinf(s.gap):
         return QuadratureResult(Cochain(s.degree, np.zeros_like(v0)), 0.0,
                                 0.0, 0, grid.error_target if grid else 0.0)
+    if grid is None:
+        grid = QuadratureGrid.for_spectrum(s.gap, float(s.eigenvalues[-1]))
+    required = math.log(1.0 / grid.error_target) / s.gap
+    if grid.t_max < required:
+        raise ValueError(
+            f"t_max = {grid.t_max:g} cannot certify error_target = "
+            f"{grid.error_target:g} with gap {s.gap:g}; need t_max >= {required:g}"
+        )
     # Imported here: numpy.polynomial would otherwise load at every start-up.
     from numpy.polynomial.legendre import leggauss
     xs, ws = leggauss(_GAUSS_NODES)
     vals = np.zeros_like(v0)
     count = 0
-    for a, b in sized.panels(math.sqrt(sized.t_max)):
+    for a, b in grid.panels(math.sqrt(grid.t_max)):
         mid, half = (a + b) / 2.0, (b - a) / 2.0
         for x, w in zip(xs, ws):
             t = (mid + half * x) ** 2
             vals += (w * half * 2.0) * s.apply_function(lambda lam: np.exp(-t * lam), v0)
             count += 1
     vals /= math.sqrt(math.pi)
-    tail = (math.exp(-s.gap * sized.t_max) / (s.gap * math.sqrt(sized.t_max))
+    tail = (math.exp(-s.gap * grid.t_max) / (s.gap * math.sqrt(grid.t_max))
             / math.sqrt(math.pi) * s.norm2(v0))
-    return QuadratureResult(Cochain(s.degree, vals), tail, sized.t_max, count,
-                            sized.error_target)
+    return QuadratureResult(Cochain(s.degree, vals), tail, grid.t_max, count, grid.error_target)
 
 
 def shifted_sqrt_diff(s: SpectralData, gamma_shift: float, omega: Cochain) -> Cochain:
@@ -301,21 +265,21 @@ def decompose(K: SimplicialComplex, s: SpectralData, omega: Cochain,
     s is K's spectrum at the degree of omega.  omega3 = H omega; the
     potentials come from the Green operator applied to the non-harmonic
     part: omega1 = delta G (1-H) omega and omega2 = d G (1-H) omega, so
-    d omega1 + delta omega2 + omega3 reconstructs omega.
+    d omega1 + delta omega2 + omega3 reconstructs omega.  The split runs
+    on omega scaled by a power of two, its largest |entry| in [0.5, 1),
+    which leaves every bit of the parts as it is: ``residual`` and
+    ``harmonic_defect`` are formed there, so they do not depend on the
+    scale, and the parts and potentials are scaled back.
     """
     K.check_spectrum(s)
     K.check_cochain(omega)
     s.check_cochain(omega)
     ell = s.degree
-    v = omega.values
-    h = harmonic_part(s, v)
-    g = s.apply_function(_inv_on_support, v - h)
+    unit, e = _unit_scaled(omega.values)
+    h = harmonic_part(s, unit)
+    g = s.apply_function(_inv_on_support, unit - h)
     o1, exact, o2, coexact = _hodge_split(K, ell, g)
-    omega1 = None if o1 is None else Cochain(ell - 1, o1)
-    omega2 = None if o2 is None else Cochain(ell + 1, o2)
-
-    scale = s.norm2(v) or 1.0
-    residual = s.norm2(v - exact - coexact - h) / scale
+    residual = s.norm2(unit - exact - coexact - h) / (s.norm2(unit) or 1.0)
 
     h_norm = s.norm2(h)
     if h_norm == 0.0:
@@ -323,21 +287,25 @@ def decompose(K: SimplicialComplex, s: SpectralData, omega: Cochain,
     else:
         harmonic_defect = s.norm2(s.apply_function(lambda lam: lam, h)) / h_norm
 
-    parts = {
-        "exact": Cochain(ell, exact),
-        "coexact": Cochain(ell, coexact),
-        "harmonic": Cochain(ell, h),
-    }
     ortho = {}
-    # The parts scaled by powers of two, which leaves the ratios' bits as
-    # they are: neither <a, b> nor |a| |b| overflows or underflows.
-    units = {name: Cochain(ell, _unit_scaled(part.values)[0]) for name, part in parts.items()}
+    # Each part scaled by its own power of two: neither <a, b> nor |a| |b|
+    # overflows or underflows, and the ratios' bits stay as they are.
+    units = {name: Cochain(ell, _unit_scaled(x)[0])
+             for name, x in (("exact", exact), ("coexact", coexact), ("harmonic", h))}
     for (na, a), (nb, b) in itertools.combinations(units.items(), 2):
         denom = max(s.norm2(a.values) * s.norm2(b.values), 1e-300)
         ortho[f"{na}|{nb}"] = abs(inner_product(K, a, b)) / denom
 
+    with np.errstate(over="ignore"):  # an overflow is checked for below
+        parts = {"exact": Cochain(ell, np.ldexp(exact, e)),
+                 "coexact": Cochain(ell, np.ldexp(coexact, e)),
+                 "harmonic": Cochain(ell, np.ldexp(h, e))}
+        omega1 = None if o1 is None else Cochain(ell - 1, np.ldexp(o1, e))
+        omega2 = None if o2 is None else Cochain(ell + 1, np.ldexp(o2, e))
     named = dict(parts, omega1=omega1, omega2=omega2, omega=omega)
     named = {name: c for name, c in named.items() if c is not None}
+    for c in named.values():
+        K.check_cochain(c)
     component_norms = {}
     c_p = {}
     for p in p_list:
@@ -346,8 +314,8 @@ def decompose(K: SimplicialComplex, s: SpectralData, omega: Cochain,
         if not all(n == 0.0 or 2.0 ** -1022 <= n < math.inf for n in table.values()):
             # A norm past the double range: the ratios of the cochains scaled
             # by one power of two, which leaves them as they are.
-            e = max(_unit_scaled(c.values)[1] for c in named.values())
-            ratios = {name: lp_norm(K, Cochain(c.degree, np.ldexp(c.values, -e)), p)
+            top = max(_unit_scaled(c.values)[1] for c in named.values())
+            ratios = {name: lp_norm(K, Cochain(c.degree, np.ldexp(c.values, -top)), p)
                       for name, c in named.items()}
         denom = ratios["omega"]
         c_p[float(p)] = 0.0 if denom == 0.0 else max(
@@ -387,20 +355,23 @@ def harmonic_representative(K: SimplicialComplex, s: SpectralData,
     Rejects inputs that are not closed, up to ``_CLOSED_TOL``.  Certifies
     that omega minus the representative is exact and that the coexact
     component vanishes (the cohomology-class argument, reproduced
-    numerically).
+    numerically).  Every ratio is formed on omega and its parts scaled by
+    one power of two, so none depends on the scale of omega.
     """
     dec = decompose(K, s, omega)
     ell = s.degree
-    norm = s.norm2(omega.values)
+    unit, e = _unit_scaled(omega.values)
+    norm = s.norm2(unit)
     if ell < K.max_degree and norm > 0:
-        d_norm = lp_norm(K, Cochain(ell + 1, _coboundary_apply(K, ell, omega.values)), 2)
+        d_norm = lp_norm(K, Cochain(ell + 1, _coboundary_apply(K, ell, unit)), 2)
         if d_norm > _CLOSED_TOL * norm:
-            raise ValueError(f"input is not closed: |d omega| = {d_norm:g} exceeds "
-                             f"{_CLOSED_TOL:g} * |omega|")
+            raise ValueError(f"input is not closed: |d omega| = {d_norm / norm:g} |omega| "
+                             f"exceeds {_CLOSED_TOL:g} |omega|")
     scale = norm or 1.0
-    coexact_rel = s.norm2(dec.coexact_part.values) / scale
-    exactness = s.norm2(omega.values - dec.omega3.values - dec.exact_part.values) / scale
-    return HarmonicRepresentative(dec.omega3, exactness, coexact_rel)
+    exact, coexact, h = (np.ldexp(c.values, -e)
+                         for c in (dec.exact_part, dec.coexact_part, dec.omega3))
+    return HarmonicRepresentative(dec.omega3, s.norm2(unit - h - exact) / scale,
+                                  s.norm2(coexact) / scale)
 
 
 @dataclass
@@ -432,34 +403,42 @@ def verify_uniqueness(K: SimplicialComplex, s: SpectralData, dec: DecompositionR
     Additionally, perturbing the harmonic component along any kernel
     direction is shown to leave a detectable harmonic residue in the
     remaining parts.  The routes agree when no component differs by more
-    than ``_UNIQUENESS_TOL`` relative to |omega|.
+    than ``_UNIQUENESS_TOL`` relative to |omega|.  Route B, the
+    differences and the perturbations run on omega scaled by a power of
+    two, its largest |entry| in [0.5, 1), and route A's parts scaled
+    alike, so no product overflows and no figure depends on the scale;
+    each ``kernel_perturbations`` entry is of that scaled omega.  The
+    quadrature's two absolute bounds are scaled back to omega's.
     """
     if not 0 < error_target < 1:
         raise ValueError(f"error_target must lie in (0, 1), got {error_target}")
     K.check_spectrum(s)
     s.check_cochain(dec.omega)
-    ell, omega = s.degree, dec.omega
-    v, h_a = omega.values, dec.omega3.values
+    ell = s.degree
+    unit, e = _unit_scaled(dec.omega.values)
+    h_a = np.ldexp(dec.omega3.values, -e)
 
     quad_cert = {}
     if math.isinf(s.gap):
-        h_b = v.copy()
-        g_b = np.zeros_like(v)
+        h_b, g_b = unit, np.zeros_like(unit)
     else:
-        h_b, res = _route_b(hodge_laplacian(K, ell), s, omega, error_target)
+        h_b, res = _route_b(hodge_laplacian(K, ell), s, Cochain(ell, unit), error_target)
         g_b = res.cochain.values
-        quad_cert = res.to_json_dict()
+        with np.errstate(over="ignore"):
+            quad_cert = dict(res.to_json_dict(),
+                             tail_bound=float(np.ldexp(res.tail_bound, e)),
+                             truncation_bound=float(np.ldexp(res.truncation_bound, e)))
 
     o1, exact, o2, coexact = _hodge_split(K, ell, g_b)
-    scale = s.norm2(v) or 1.0
-    diffs = {"harmonic": s.norm2(h_a - h_b) / scale}
+    scale = s.norm2(unit) or 1.0
+    diffs = {"harmonic": s.norm2(h_a - h_b)}
     if ell >= 1:
-        diffs["omega1"] = lp_norm(K, Cochain(ell - 1, dec.omega1.values - o1), 2) / scale
-        diffs["exact"] = s.norm2(dec.exact_part.values - exact) / scale
+        diffs["omega1"] = lp_norm(K, Cochain(ell - 1, np.ldexp(dec.omega1.values, -e) - o1), 2)
+        diffs["exact"] = s.norm2(np.ldexp(dec.exact_part.values, -e) - exact)
     if ell < K.max_degree:
-        diffs["omega2"] = lp_norm(K, Cochain(ell + 1, dec.omega2.values - o2), 2) / scale
-        diffs["coexact"] = s.norm2(dec.coexact_part.values - coexact) / scale
-
+        diffs["omega2"] = lp_norm(K, Cochain(ell + 1, np.ldexp(dec.omega2.values, -e) - o2), 2)
+        diffs["coexact"] = s.norm2(np.ldexp(dec.coexact_part.values, -e) - coexact)
+    diffs = {name: diff / scale for name, diff in diffs.items()}
     max_diff = max(diffs.values())
 
     # Any kernel-direction shift of omega3 leaves a harmonic residue of the
@@ -471,7 +450,7 @@ def verify_uniqueness(K: SimplicialComplex, s: SpectralData, dec: DecompositionR
     detected = True
     for i in range(s.kernel_dim):
         k_dir = kernel[:, i]
-        residue = abs(float(np.sum(s.weights * (v - (h_a + eps * k_dir)) * k_dir)))
+        residue = abs(float(np.sum(s.weights * (unit - (h_a + eps * k_dir)) * k_dir)))
         perturbations.append({"kernel_index": i, "perturbation": eps, "residue": residue})
         detected = detected and residue >= 0.5 * eps
 
@@ -505,8 +484,9 @@ def _route_b(laplacian, s: SpectralData, omega: Cochain, error_target: float):
     min(1, gap), so both |h_b - H omega|_W and |G (h_b - H omega)|_W are
     at most error_target * |omega|_W, up to the truncation bound.  The
     heat limit P_t_h omega and the Green term G_t_max (1 - P_t_h) omega
-    are two rows of one Chebyshev recurrence, run on omega scaled by a
-    power of two so that no product overflows.
+    are two rows of one Chebyshev recurrence.  Its products grow to about
+    b |omega|, so ``verify_uniqueness`` passes omega scaled by a power of
+    two.
     """
     t_h = (math.log(1.0 / error_target) + max(0.0, math.log(1.0 / s.gap))) / s.gap
     t_max = QuadratureGrid.for_spectrum(s.gap, float(s.eigenvalues[-1]),
@@ -514,8 +494,7 @@ def _route_b(laplacian, s: SpectralData, omega: Cochain, error_target: float):
     b = laplacian.bound
     heat, heat_dropped = _cut_series(_heat_series(t_h, b))
     green, green_dropped = _cut_series(_green_after_heat(t_h, t_max, b))
-    unit, e = _unit_scaled(omega.values)
-    h, g = (np.ldexp(y, e) for y in _chebyshev_sum(laplacian, b, [heat, green], unit))
+    h, g = _chebyshev_sum(laplacian, b, [heat, green], omega.values)
     tail = math.exp(-s.gap * t_max) / s.gap * s.norm2(omega.values - h)
     return h, QuadratureResult(Cochain(s.degree, g), tail, t_max,
                                max(heat.size, green.size) - 1, error_target,

@@ -582,26 +582,6 @@ class InterpolationReport:
     t0: float | None
     levelset_condition: float | None
 
-    def to_json_dict(self):
-        return {
-            "degree": self.degree,
-            "alpha": self.alpha,
-            "c1": self.c1,
-            "alpha_residual": self.alpha_residual,
-            "tau": self.tau,
-            "epsilon": self.epsilon,
-            "q0": self.q0,
-            "q_eps": self.q_eps,
-            "p1": self.p1,
-            "p2": self.p2,
-            "gamma_of_p": [[p, g] for p, g in self.gamma_of_p],
-            "profile": self.profile,
-            "rho": self.rho,
-            "gamma_vol": self.gamma_vol,
-            "t0": self.t0,
-            "levelset_condition": self.levelset_condition,
-        }
-
 
 _DEFAULT_T_GRID = (0.25, 0.5, 1.0, 2.0, 4.0)
 _DEFAULT_P_SAMPLES = (1.25, 4.0 / 3.0, 1.5, 2.0, 3.0, 4.0)

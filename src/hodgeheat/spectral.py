@@ -122,18 +122,7 @@ def eigendecompose(delta, weights=None, degree: int | None = None) -> SpectralDa
         raise ValueError("weights must be positive and finite")
     degree = 0 if degree is None else degree
     sqrt_w = np.sqrt(w)
-    lower = _SparseOperator.of(delta, degree).symmetrized_lower(sqrt_w, degree)
-    return _decomposed(lower, sqrt_w, w, degree)
-
-
-def _decomposed(lower: np.ndarray, sqrt_w: np.ndarray, w: np.ndarray,
-                degree: int) -> SpectralData:
-    """SpectralData from ``np.linalg.eigh`` of the lower triangle of S.
-
-    Eigenvalues below RANK_TOL relative to the largest are snapped to 0;
-    the eigenvectors are divided by sqrt(w) in place.
-    """
-    evals, V = np.linalg.eigh(lower)
+    evals, V = np.linalg.eigh(_SparseOperator.of(delta, degree).symmetrized_lower(sqrt_w, degree))
 
     lam_max = float(evals[-1]) if evals.size else 0.0
     if lam_max < 0 and abs(lam_max) <= RANK_TOL:
@@ -162,15 +151,12 @@ def _decomposed(lower: np.ndarray, sqrt_w: np.ndarray, w: np.ndarray,
 
 
 def laplacian_spectrum(K: SimplicialComplex, ell: int) -> SpectralData:
-    """Eigendecomposition of the degree-ell Hodge Laplacian of K.
+    """``eigendecompose`` of the degree-ell Hodge Laplacian of K in K's weights.
 
-    Built from the Laplacian's nonzeros, never from the dense matrix (see
-    ``_SparseOperator.symmetrized_lower``), so that only the buffer
-    ``np.linalg.eigh`` reads is n x n.
+    The Laplacian is its nonzeros (see ``hodge_laplacian``), so only the
+    buffer ``np.linalg.eigh`` reads is n x n.
     """
-    w = K.weight_vector(ell)
-    sqrt_w = np.sqrt(w)
-    return _decomposed(hodge_laplacian(K, ell).symmetrized_lower(sqrt_w, ell), sqrt_w, w, ell)
+    return eigendecompose(hodge_laplacian(K, ell), K.weight_vector(ell))
 
 
 # Miller's recurrence starts where e^(-z) I_k(z) has fallen below
@@ -267,16 +253,6 @@ def _chebyshev_sum(A, b: float, rows, x: np.ndarray) -> list:
     return outs
 
 
-def _laplacian_for(laplacian, degree: int, n: int, what: str) -> _SparseOperator:
-    """``_SparseOperator.of(laplacian)``, checked to act on cochains of
-    ``degree`` on n simplices, those of ``what`` (named in the ValueError)."""
-    L = _SparseOperator.of(laplacian, degree)
-    if (L.domain_degree, L.shape[0]) != (degree, n):
-        raise ValueError(f"the Laplacian of degree {L.domain_degree} on {L.shape[0]} simplices "
-                         f"does not match {what} of degree {degree} on {n} simplices")
-    return L
-
-
 def heat_apply(source, t: float, omega: Cochain) -> Cochain:
     """Apply the heat semigroup P_t to a cochain.
 
@@ -297,7 +273,11 @@ def heat_apply(source, t: float, omega: Cochain) -> Cochain:
         source.check_cochain(omega)
         return Cochain(source.degree,
                        source.apply_function(lambda lam: np.exp(-t * lam), omega.values))
-    L = _laplacian_for(source, omega.degree, omega.values.size, "the cochain")
+    L = _SparseOperator.of(source, omega.degree)
+    if (L.domain_degree, L.shape[0]) != (omega.degree, omega.values.size):
+        raise ValueError(f"the Laplacian of degree {L.domain_degree} on {L.shape[0]} simplices "
+                         f"does not match the cochain of degree {omega.degree} on "
+                         f"{omega.values.size} simplices")
     kept, _ = _cut_series(_heat_series(t, L.bound))
     return Cochain(omega.degree, _chebyshev_sum(L, L.bound, [kept], omega.values)[0])
 

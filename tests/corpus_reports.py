@@ -6,7 +6,10 @@ Writes OUTDIR/inputs/NAME.json and OUTDIR/reports/NAME.json for:
 - every (complex, degree) pair of the test corpus, seed 42;
 - the first 8 corpus complexes under ``log_uniform_weights``, every degree;
 - flat_torus 12x12 and 48x3 at degree 1, and 20x20 at degree 1 with
-  ``p_list=()``.
+  ``p_list=()``;
+- flat_torus 12x12 at degree 1 with the file cochain ((i % 7) - 3) * scale
+  on edge i, at scale 2^1020 and 1e307, where |omega|_W passes the
+  largest double.
 
 Each report names its input by the same relative path on every tree, so
 ``diff -r`` of two OUTDIRs is empty exactly when the reports agree byte
@@ -25,27 +28,34 @@ from hodgeheat.io import complex_to_json_dict, emit_report
 
 
 def _cases():
-    """(name, complex, degree, p_list) of every report; None keeps the default."""
+    """(name, input document, degree, p_list) of every report; None keeps
+    the default."""
     for name, K in CORPUS:
         for ell in all_degrees(K):
-            yield f"{name}-{ell}", K, ell, None
+            yield f"{name}-{ell}", complex_to_json_dict(K), ell, None
     for i, (name, K) in enumerate(CORPUS[:8]):
-        K = log_uniform_weights(K, i)
+        doc = complex_to_json_dict(log_uniform_weights(K, i))
         for ell in all_degrees(K):
-            yield f"{name}_log_uniform-{ell}", K, ell, None
-    yield "torus_12x12-1", lib.flat_torus(12, 12), 1, None
-    yield "torus_20x20-1", lib.flat_torus(20, 20), 1, ()
-    yield "torus_48x3-1", lib.flat_torus(48, 3), 1, None
+            yield f"{name}_log_uniform-{ell}", doc, ell, None
+    torus = complex_to_json_dict(lib.flat_torus(12, 12))
+    yield "torus_12x12-1", torus, 1, None
+    yield "torus_20x20-1", complex_to_json_dict(lib.flat_torus(20, 20)), 1, ()
+    yield "torus_48x3-1", complex_to_json_dict(lib.flat_torus(48, 3)), 1, None
+    n = len(torus["simplices"]["1"])
+    for tag, scale in (("2p1020", 2.0 ** 1020), ("1e307", 1e307)):
+        values = [((i % 7) - 3) * scale for i in range(n)]
+        yield (f"torus_12x12_x{tag}-1", dict(torus, cochain={"degree": 1, "values": values}),
+               1, None)
 
 
 def main(outdir):
     os.makedirs(os.path.join(outdir, "inputs"), exist_ok=True)
     os.makedirs(os.path.join(outdir, "reports"), exist_ok=True)
     os.chdir(outdir)
-    for name, K, ell, p_list in _cases():
+    for name, doc, ell, p_list in _cases():
         path = os.path.join("inputs", f"{name}.json")
         with open(path, "w", encoding="utf-8") as fh:
-            json.dump(complex_to_json_dict(K), fh)
+            json.dump(doc, fh)
         extra = {} if p_list is None else {"p_list": p_list}
         report, _ = run_pipeline(RunConfig(input_path=path, degree=ell, **extra))
         emit_report(report, os.path.join("reports", f"{name}.json"))

@@ -24,7 +24,6 @@ from hodgeheat import (
     coboundary,
     codifferential,
     decompose,
-    green_quadrature,
     green_spectral,
     harmonic_projector,
     harmonic_representative,
@@ -82,10 +81,13 @@ class TestGreenSpectral:
 
 
 class TestGreenQuadrature:
+    """Route B's Green term, the heat semigroup integrated by its Chebyshev
+    recurrence beside the heat limit."""
+
     def test_harmonic_gives_zero(self):
         K = lib.cycle_complex(3)
         s = laplacian_spectrum(K, 0)
-        res = green_quadrature(s, Cochain(0, np.ones(3)), hodge_laplacian(K, 0))
+        _, res = _route_b(hodge_laplacian(K, 0), s, Cochain(0, np.ones(3)), 1e-8)
         assert np.allclose(res.cochain.values, 0.0, atol=1e-12)
         assert res.tail_bound <= 1e-12
 
@@ -94,35 +96,8 @@ class TestGreenQuadrature:
         K = lib.cycle_complex(3)
         s = laplacian_spectrum(K, 0)
         v = s.eigencochains[:, 2]
-        grid = QuadratureGrid.for_spectrum(s.gap, 3.0, error_target=1e-6)
-        res = green_quadrature(s, Cochain(0, v), hodge_laplacian(K, 0), grid=grid)
+        _, res = _route_b(hodge_laplacian(K, 0), s, Cochain(0, v), 1e-6)
         assert np.linalg.norm(res.cochain.values - v / 3.0) <= 1e-6
-
-    def test_tetra_matches_spectral_route(self):
-        K = lib.simplex_boundary(3)
-        s = laplacian_spectrum(K, 1)
-        omega = lib.random_cochain(K, 1, 13)
-        exact = green_spectral(s).apply(omega).values
-        grid = QuadratureGrid.for_spectrum(s.gap, float(s.eigenvalues[-1]),
-                                           error_target=1e-6)
-        res = green_quadrature(s, omega, hodge_laplacian(K, 1), grid=grid)
-        assert np.linalg.norm(res.cochain.values - exact) <= 1e-6
-
-    def test_default_grid_matches_spectral(self):
-        K = lib.cycle_complex(12)
-        s = laplacian_spectrum(K, 1)
-        omega = lib.random_cochain(K, 1, 14)
-        exact = green_spectral(s).apply(omega).values
-        res = green_quadrature(s, omega, hodge_laplacian(K, 1))
-        assert np.linalg.norm(res.cochain.values - exact) <= 1e-7
-
-    def test_refusal_names_required_t_max(self):
-        K = lib.cycle_complex(3)
-        s = laplacian_spectrum(K, 0)
-        omega = lib.random_cochain(K, 0, 1)
-        bad = QuadratureGrid(t_max=0.5, error_target=1e-8)
-        with pytest.raises(ValueError, match="need t_max"):
-            green_quadrature(s, omega, hodge_laplacian(K, 0), grid=bad)
 
     @pytest.mark.parametrize("t_max", [0.0, -1.0, math.nan, math.inf])
     def test_grid_rejects_t_max_not_positive_and_finite(self, t_max):
@@ -130,29 +105,16 @@ class TestGreenQuadrature:
             QuadratureGrid(t_max=t_max)
 
     def test_defining_identity_through_quadrature_route(self):
-        # Laplacian applied to the quadrature Green term recovers (1-H)omega
-        # to 1e-10 once the grid is pushed past that target.
+        # Laplacian applied to route B's Green term recovers (1-H)omega to
+        # 1e-10 once its error target is pushed past that.
         K = lib.simplex_boundary(3)
         s = laplacian_spectrum(K, 1)
         omega = lib.random_cochain(K, 1, 15)
-        grid = QuadratureGrid.for_spectrum(s.gap, float(s.eigenvalues[-1]),
-                                           error_target=1e-12)
         lap = hodge_laplacian(K, 1)
-        res = green_quadrature(s, omega, lap, grid=grid)
+        _, res = _route_b(lap, s, omega, 1e-12)
         recovered = lap.entries @ res.cochain.values
         expected = omega.values - harmonic_part(s, omega.values)
         assert np.linalg.norm(recovered - expected) <= 1e-10
-
-    def test_quadrature_soundness_certificate(self):
-        K = lib.simplex_boundary(3)
-        s = laplacian_spectrum(K, 1)
-        omega = lib.random_cochain(K, 1, 17)
-        exact = green_spectral(s).apply(omega).values
-        grid = QuadratureGrid.for_spectrum(s.gap, float(s.eigenvalues[-1]),
-                                           error_target=1e-6)
-        res = green_quadrature(s, omega, hodge_laplacian(K, 1), grid=grid)
-        err = s.norm2(res.cochain.values - exact)
-        assert err <= res.tail_bound + grid.error_target * max(s.norm2(exact), 1.0)
 
 
 class TestInverseSquareRoot:
@@ -180,6 +142,14 @@ class TestInverseSquareRoot:
         res = inv_sqrt_subordinated(s, omega, grid=grid)
         rel = np.linalg.norm(res.cochain.values - exact) / np.linalg.norm(exact)
         assert rel <= 1e-6
+
+    def test_refusal_names_required_t_max(self):
+        K = lib.cycle_complex(3)
+        s = laplacian_spectrum(K, 0)
+        omega = lib.random_cochain(K, 0, 1)
+        bad = QuadratureGrid(t_max=0.5, error_target=1e-8)
+        with pytest.raises(ValueError, match="need t_max"):
+            inv_sqrt_subordinated(s, omega, grid=bad)
 
     @pytest.mark.parametrize("name,K", NAMED[:6], ids=NAMED_IDS[:6])
     def test_half_inverse_squares_to_green(self, name, K):
@@ -338,6 +308,14 @@ class TestHarmonicRepresentative:
         assert np.allclose(rep.cochain.values, 0.0, atol=1e-10)
         assert rep.exactness_residual <= 1e-8
 
+    def test_rejects_non_closed_where_the_norm_overflows(self):
+        # At 2^1020 |omega|_W passes the largest double; the closedness test
+        # is formed on omega scaled by a power of two.
+        K = lib.flat_torus(12, 12)
+        omega = Cochain(1, [((i % 7) - 3) * 2.0 ** 1020 for i in range(K.n_simplices(1))])
+        with pytest.raises(ValueError, match="input is not closed"):
+            harmonic_representative(K, laplacian_spectrum(K, 1), omega)
+
     def test_rejects_non_closed_with_norm_report(self):
         K = lib.filled_triangle()
         omega = Cochain(1, [1.0, 0.0, 0.0])
@@ -385,6 +363,19 @@ class TestVerifyUniqueness:
         rep = verify_uniqueness(K, s, decompose(K, s, lib.random_cochain(K, 1, 61)))
         assert rep.kernel_perturbations  # b1 = 1
         assert rep.perturbation_detected
+
+    def test_kernel_perturbations_where_the_norm_overflows(self):
+        # At 2^1020 |omega|_W passes the largest double; the perturbations
+        # are of omega scaled by a power of two, so they keep their bits.
+        K = lib.flat_torus(12, 12)
+        s = laplacian_spectrum(K, 1)
+        base = np.array([(i % 7) - 3 for i in range(K.n_simplices(1))], dtype=float)
+        reps = [verify_uniqueness(K, s, decompose(K, s, Cochain(1, base * scale)))
+                for scale in (1.0, 2.0 ** 1020)]
+        assert reps[1].kernel_perturbations == reps[0].kernel_perturbations
+        assert all(p["residue"] / p["perturbation"] == pytest.approx(1.0, rel=1e-9)
+                   for p in reps[1].kernel_perturbations)
+        assert reps[1].perturbation_detected
 
     @pytest.mark.parametrize("name,K", NAMED, ids=NAMED_IDS)
     def test_route_b_meets_its_certificates(self, name, K, monkeypatch):
@@ -565,8 +556,6 @@ class TestCochainMatchesSpectrum:
     K = lib.filled_triangle()  # 3 vertices, 3 edges, 1 triangle
     ENTRIES = {
         "heat_apply": lambda s, omega: hodgeheat.heat_apply(s, 0.5, omega),
-        "green_quadrature": lambda s, omega: green_quadrature(
-            s, omega, hodge_laplacian(TestCochainMatchesSpectrum.K, 1)),
         "inv_sqrt_subordinated": inv_sqrt_subordinated,
         "shifted_sqrt_diff": lambda s, omega: shifted_sqrt_diff(s, 1.0, omega),
     }

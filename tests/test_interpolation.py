@@ -955,9 +955,10 @@ class TestInterpolationReport:
         assert len(recurrences) == 1 and len(recurrences[0][2]) == 2
         assert nonzeros and all(np.ndim(args[0]) == 1 for args in nonzeros)
         # np.flatnonzero ravels its argument before np.nonzero sees it, and
-        # _SparseOperator.of, which scans a dense matrix, is not on the path.
+        # _SparseOperator.of only passes the assembled operators through: it
+        # scans no dense matrix.
         assert all(np.ndim(args[0]) == 1 for args in flat_nonzeros)
-        assert not conversions
+        assert conversions and all(isinstance(args[0], _SparseOperator) for args in conversions)
 
 
 class TestConjugateExponent:

@@ -248,6 +248,17 @@ _MALFORMED_JSON = {
 }
 
 
+def _relative_figures(report):
+    """The figures that a ``report`` or ``verify`` payload divides by |omega|,
+    and the harmonic defect, by name."""
+    uniq = report["uniqueness"]
+    figures = {"max_rel_diff": uniq["max_rel_diff"], **uniq["component_diffs"]}
+    if "decomposition" in report:
+        figures.update(residual=report["decomposition"]["residual"],
+                       harmonic_defect=report["decomposition"]["harmonic_defect"])
+    return figures
+
+
 class TestCli:
     def test_build_summary(self, tmp_path):
         runner = CliRunner()
@@ -474,12 +485,12 @@ class TestCli:
 
     @pytest.fixture(scope="class")
     def scaled_reports(self, tmp_path_factory):
-        """run(scale, command): (exit code, stderr, report) of ``command``
-        (``report`` by default) in a child process on the 4x4 torus with the
-        degree-1 cochain ((i % 7) - 3) * scale."""
-        K = lib.flat_torus(4, 4)
+        """run(scale, command, side): (exit code, stderr, report) of ``command``
+        (``report`` by default) in a child process on the side x side torus
+        (4 by default) with the degree-1 cochain ((i % 7) - 3) * scale."""
 
-        def run(scale, command="report"):
+        def run(scale, command="report", side=4):
+            K = lib.flat_torus(side, side)
             doc = complex_to_json_dict(K)
             doc["cochain"] = {"degree": 1, "values": [((i % 7) - 3) * scale
                                                       for i in range(K.n_simplices(1))]}
@@ -518,6 +529,33 @@ class TestCli:
         c_p = (report.get("decomposition") or report)["c_p"]
         expected = (unscaled.get("decomposition") or unscaled)["c_p"]
         assert c_p == pytest.approx(expected, rel=1e-12)
+
+    @pytest.mark.parametrize("scale", [2.0 ** 1020, 2.0 ** 1021, 1e307],
+                             ids=["2^1020", "2^1021", "1e307"])
+    @pytest.mark.parametrize("command", ["report", "verify"])
+    def test_figures_where_the_norm_overflows(self, scaled_reports, command, scale):
+        # On the 12x12 torus |omega|_W passes the largest double at these
+        # scales.  The relative figures are formed on omega scaled by a power
+        # of two, so they keep their scale-1 bits at 2^1020 and 2^1021, and
+        # route B's absolute bounds scale with omega.
+        code, stderr, report = scaled_reports(scale, command, 12)
+        _, _, unscaled = scaled_reports(1.0, command, 12)
+        assert (code, stderr) == (0, "")
+        figures, expected = (_relative_figures(r) for r in (report, unscaled))
+        assert 0.0 not in figures.values()
+        if scale != 1e307:
+            assert figures == expected
+            bounds = ("tail_bound", "truncation_bound")
+            assert ([report["uniqueness"]["quadrature"][b] for b in bounds]
+                    == [unscaled["uniqueness"]["quadrature"][b] * scale for b in bounds])
+
+    @pytest.mark.parametrize("command", ["report", "verify"])
+    def test_part_past_the_double_range_is_input_error(self, scaled_reports, command):
+        # At 2^1022 the coexact part's largest entry passes the largest
+        # double once scaled back.
+        code, stderr, _ = scaled_reports(2.0 ** 1022, command, 12)
+        assert code == 2
+        assert stderr == "input error: non-finite cochain value -inf on simplex (6, 138)\n"
 
     @pytest.mark.parametrize("command", ["decompose", "report"])
     def test_nan_p_is_input_error(self, tmp_path, command):

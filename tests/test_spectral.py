@@ -24,7 +24,6 @@ from hodgeheat import (
     betti_numbers,
     build_complex,
     eigendecompose,
-    green_quadrature,
     harmonic_projector,
     heat_apply,
     hodge_laplacian,
@@ -134,21 +133,19 @@ def test_eigendecompose_leaves_its_argument_unchanged(as_operator):
                          ids=CORPUS_IDS)
 def test_operator_forms_agree_bit_for_bit(i, name, K):
     # The assembly's nonzeros, the dense entries and an OperatorMatrix of
-    # them all reach eigh and the Chebyshev matvec through _SparseOperator.of.
+    # them all reach eigh and the Chebyshev matvec through _SparseOperator.of,
+    # and laplacian_spectrum is eigendecompose of the first.
     K = log_uniform_weights(K, i)
     for ell in all_degrees(K):
         L = hodge_laplacian(K, ell)
         w = K.weight_vector(ell)
         omega = lib.random_cochain(K, ell, 31)
-        results = []
-        for form in (L, L.entries, OperatorMatrix(L.entries, ell, ell)):
-            s = eigendecompose(form, w, degree=ell)
-            heat = heat_apply(form, 0.7, omega)
-            green = green_quadrature(s, omega, form)
-            results.append((s.eigenvalues.tobytes(), s.eigencochains.tobytes(), s.kernel_dim,
-                            s.gap, heat.values.tobytes(), green.cochain.values.tobytes(),
-                            green.truncation_bound, green.nodes_evaluated))
-        assert results[1] == results[0] and results[2] == results[0]
+        forms = (L, L.entries, OperatorMatrix(L.entries, ell, ell))
+        spectra = [eigendecompose(form, w, degree=ell) for form in forms]
+        spectra.append(laplacian_spectrum(K, ell))
+        assert len({(s.eigenvalues.tobytes(), s.eigencochains.tobytes(), s.kernel_dim, s.gap)
+                    for s in spectra}) == 1
+        assert len({heat_apply(form, 0.7, omega).values.tobytes() for form in forms}) == 1
 
 
 def test_laplacian_spectrum_footprint():
@@ -394,26 +391,19 @@ class TestHeatDerivative:
                 heat_apply(source, -1e-3, omega)
             assert np.allclose(heat_apply(source, 0.0, omega).values, omega.values, atol=1e-15)
 
-    @pytest.mark.parametrize("entry,laplacian,n,message", [
-        ("heat", 1, 5, "degree 1 on 3 simplices does not match the cochain of degree 1 on 5"),
-        ("heat", 0, 3, "degree 0 on 3 simplices does not match the cochain of degree 1 on 3"),
-        ("heat", None, 3, "degree 1 on 4 simplices does not match the cochain of degree 1 on 3"),
-        ("green", 0, 3, "degree 0 on 3 simplices does not match the spectrum of degree 1 on 3"),
-        ("green", 2, 3, "degree 2 on 1 simplices does not match the spectrum of degree 1 on 3"),
-        ("green", None, 3, "degree 1 on 4 simplices does not match the spectrum of degree 1 on 3"),
-    ], ids=["heat-size", "heat-degree", "heat-array", "green-degree", "green-size",
-            "green-array"])
-    def test_laplacian_of_another_degree_or_size_rejected(self, entry, laplacian, n, message):
+    @pytest.mark.parametrize("laplacian,n,message", [
+        (1, 5, "degree 1 on 3 simplices does not match the cochain of degree 1 on 5"),
+        (0, 3, "degree 0 on 3 simplices does not match the cochain of degree 1 on 3"),
+        (None, 3, "degree 1 on 4 simplices does not match the cochain of degree 1 on 3"),
+    ], ids=["heat-size", "heat-degree", "heat-array"])
+    def test_laplacian_of_another_degree_or_size_rejected(self, laplacian, n, message):
         # The filled triangle has 3 vertices, 3 edges and 1 triangle; None
         # stands for a 4 x 4 array, which takes the degree it is used at.
         K = lib.filled_triangle()
         L = np.eye(4) if laplacian is None else hodge_laplacian(K, laplacian)
         omega = Cochain(1, np.ones(n))
         with pytest.raises(ValueError, match=f"^the Laplacian of {message} simplices$"):
-            if entry == "heat":
-                heat_apply(L, 0.5, omega)
-            else:
-                green_quadrature(laplacian_spectrum(K, 1), omega, L)
+            heat_apply(L, 0.5, omega)
 
     @pytest.mark.parametrize("t", [math.nan, math.inf, -math.inf])
     def test_nonfinite_time_rejected(self, t):
