@@ -49,7 +49,6 @@ from .complexes import (
 )
 from .decomposition import (
     DecompositionResult,
-    QuadratureGrid,
     QuadratureResult,
     decompose,
     green_spectral,

@@ -12,7 +12,7 @@ the substitution t = u^2 removes the integrable singularity at t = 0.
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -44,43 +44,11 @@ from .spectral import (
 _GAUSS_NODES = 24
 
 
-@dataclass
-class QuadratureGrid:
-    """Truncation time t_max, and a composite Gauss-Legendre rule on [0, t_max].
-
-    Panel widths double away from 0, so the first panel resolves the
-    fastest spectral mode while the count stays logarithmic in
-    t_max * lambda_max.  The truncation error beyond t_max is certified
-    analytically by the spectral gap.
-    """
-
-    t_max: float
-    levels: int = 12
-    error_target: float = 1e-8
-
-    def __post_init__(self):
-        if not 0 < self.t_max < math.inf:
-            raise ValueError(f"t_max must be positive and finite, got {self.t_max}")
-        if self.levels < 1:
-            raise ValueError("grid needs at least 1 level")
-        if not 0 < self.error_target < 1:
-            raise ValueError("error_target must lie in (0, 1)")
-
-    @classmethod
-    def for_spectrum(cls, gap: float, lam_max: float,
-                     error_target: float = 1e-8) -> "QuadratureGrid":
-        """Grid sized so the certified tail beats error_target with margin."""
-        if not 0 < gap < math.inf:
-            raise ValueError("grid sizing needs a finite positive gap")
-        ratio = max(lam_max / gap, 1.0)
-        t_max = (math.log(1.0 / error_target) + math.log(ratio) + 3.0) / gap
-        levels = int(math.ceil(math.log2(max(t_max * max(lam_max, gap), 4.0)))) + 1
-        return cls(t_max=t_max, levels=min(max(levels, 4), 60),
-                   error_target=error_target)
-
-    def panels(self, upper: float):
-        bounds = [0.0] + [upper * 2.0 ** (k - self.levels + 1) for k in range(self.levels)]
-        return list(zip(bounds[:-1], bounds[1:]))
+def _t_max(gap: float, lam_max: float, error_target: float) -> float:
+    """Truncation time of a heat integral, for a finite positive gap: the
+    certified tail beyond it beats error_target with margin."""
+    ratio = max(lam_max / gap, 1.0)
+    return (math.log(1.0 / error_target) + math.log(ratio) + 3.0) / gap
 
 
 @dataclass
@@ -105,13 +73,7 @@ class QuadratureResult:
     truncation_bound: float = 0.0
 
     def to_json_dict(self):
-        return {
-            "tail_bound": self.tail_bound,
-            "t_max": self.t_max,
-            "nodes_evaluated": self.nodes_evaluated,
-            "error_target": self.error_target,
-            "truncation_bound": self.truncation_bound,
-        }
+        return {f.name: getattr(self, f.name) for f in fields(self) if f.name != "cochain"}
 
 
 def _inv_on_support(lam: np.ndarray) -> np.ndarray:
@@ -132,44 +94,46 @@ def inv_sqrt_spectral(s: SpectralData) -> OperatorMatrix:
 
 
 def inv_sqrt_subordinated(s: SpectralData, omega: Cochain,
-                          grid: QuadratureGrid | None = None) -> QuadratureResult:
+                          error_target: float = 1e-8) -> QuadratureResult:
     """Inverse square root via the subordinated heat integral.
 
-    Evaluates (1/Gamma(1/2)) * integral of t^(-1/2) P_t (1-H) omega dt with
-    the substitution t = u^2, which makes the integrand analytic at 0, on
-    the grid's Gauss-Legendre panels with the spectral heat sum at each
-    node.  The Gamma(1/2) = sqrt(pi) normalization makes the identity with
-    the spectral lambda^(-1/2) exact.  Refuses a grid whose t_max is too
-    small for its error target.
+    Evaluates (1/Gamma(1/2)) * integral of t^(-1/2) P_t (1-H) omega dt up
+    to the horizon t_max that the gap and error_target fix, with the
+    substitution t = u^2, which makes the integrand analytic at 0.  The
+    rule is composite Gauss-Legendre on [0, sqrt(t_max)], with the spectral
+    heat sum at each node; panel widths double away from 0, so the first
+    panel resolves the fastest spectral mode while the panel count stays
+    logarithmic in t_max * lambda_max.  The Gamma(1/2) = sqrt(pi)
+    normalization makes the identity with the spectral lambda^(-1/2)
+    exact, and ``tail_bound`` certifies the integral beyond t_max by the
+    gap.
     """
+    if not 0 < error_target < 1:
+        raise ValueError(f"error_target must lie in (0, 1), got {error_target}")
     s.check_cochain(omega)
     v0 = omega.values - harmonic_part(s, omega.values)
     if s.norm2(v0) == 0.0 or math.isinf(s.gap):
-        return QuadratureResult(Cochain(s.degree, np.zeros_like(v0)), 0.0,
-                                0.0, 0, grid.error_target if grid else 0.0)
-    if grid is None:
-        grid = QuadratureGrid.for_spectrum(s.gap, float(s.eigenvalues[-1]))
-    required = math.log(1.0 / grid.error_target) / s.gap
-    if grid.t_max < required:
-        raise ValueError(
-            f"t_max = {grid.t_max:g} cannot certify error_target = "
-            f"{grid.error_target:g} with gap {s.gap:g}; need t_max >= {required:g}"
-        )
+        return QuadratureResult(Cochain(s.degree, np.zeros_like(v0)), 0.0, 0.0, 0, error_target)
+    lam_max = float(s.eigenvalues[-1])
+    t_max = _t_max(s.gap, lam_max, error_target)
+    levels = min(max(int(math.ceil(math.log2(max(t_max * max(lam_max, s.gap), 4.0)))) + 1, 4), 60)
+    upper = math.sqrt(t_max)
+    bounds = [0.0] + [upper * 2.0 ** (k - levels + 1) for k in range(levels)]
     # Imported here: numpy.polynomial would otherwise load at every start-up.
     from numpy.polynomial.legendre import leggauss
     xs, ws = leggauss(_GAUSS_NODES)
     vals = np.zeros_like(v0)
     count = 0
-    for a, b in grid.panels(math.sqrt(grid.t_max)):
+    for a, b in zip(bounds[:-1], bounds[1:]):
         mid, half = (a + b) / 2.0, (b - a) / 2.0
         for x, w in zip(xs, ws):
             t = (mid + half * x) ** 2
             vals += (w * half * 2.0) * s.apply_function(lambda lam: np.exp(-t * lam), v0)
             count += 1
     vals /= math.sqrt(math.pi)
-    tail = (math.exp(-s.gap * grid.t_max) / (s.gap * math.sqrt(grid.t_max))
+    tail = (math.exp(-s.gap * t_max) / (s.gap * math.sqrt(t_max))
             / math.sqrt(math.pi) * s.norm2(v0))
-    return QuadratureResult(Cochain(s.degree, vals), tail, grid.t_max, count, grid.error_target)
+    return QuadratureResult(Cochain(s.degree, vals), tail, t_max, count, error_target)
 
 
 def shifted_sqrt_diff(s: SpectralData, gamma_shift: float, omega: Cochain) -> Cochain:
@@ -302,10 +266,15 @@ def decompose(K: SimplicialComplex, s: SpectralData, omega: Cochain,
                  "harmonic": Cochain(ell, np.ldexp(h, e))}
         omega1 = None if o1 is None else Cochain(ell - 1, np.ldexp(o1, e))
         omega2 = None if o2 is None else Cochain(ell + 1, np.ldexp(o2, e))
-    named = dict(parts, omega1=omega1, omega2=omega2, omega=omega)
+    named = dict(parts, omega1=omega1, omega2=omega2)
     named = {name: c for name, c in named.items() if c is not None}
-    for c in named.values():
-        K.check_cochain(c)
+    for name, c in named.items():
+        bad = np.flatnonzero(~np.isfinite(c.values))
+        if bad.size:
+            what = f"{name} part" if name in parts else f"potential {name}"
+            raise ValueError(f"the {what} passes the largest double on simplex "
+                             f"{K.simplices[c.degree][bad[0]]}; the cochain must be scaled down")
+    named["omega"] = omega
     component_norms = {}
     c_p = {}
     for p in p_list:
@@ -489,8 +458,7 @@ def _route_b(laplacian, s: SpectralData, omega: Cochain, error_target: float):
     two.
     """
     t_h = (math.log(1.0 / error_target) + max(0.0, math.log(1.0 / s.gap))) / s.gap
-    t_max = QuadratureGrid.for_spectrum(s.gap, float(s.eigenvalues[-1]),
-                                        error_target=error_target).t_max
+    t_max = _t_max(s.gap, float(s.eigenvalues[-1]), error_target)
     b = laplacian.bound
     heat, heat_dropped = _cut_series(_heat_series(t_h, b))
     green, green_dropped = _cut_series(_green_after_heat(t_h, t_max, b))
@@ -509,8 +477,8 @@ class RieszTransformReport:
     resolution_residual: float
 
 
-def riesz_transform_norms(K: SimplicialComplex, s: SpectralData, p_list,
-                          iters: int = 48, seed: int = 0) -> RieszTransformReport:
+def riesz_transform_norms(K: SimplicialComplex, s: SpectralData,
+                          p_list) -> RieszTransformReport:
     """p->p norm brackets for d Lap^(-1/2)(1-H) and delta Lap^(-1/2)(1-H).
 
     s is K's spectrum at the degree of the transforms.  Also verifies, at
@@ -533,7 +501,7 @@ def riesz_transform_norms(K: SimplicialComplex, s: SpectralData, p_list,
         operators.append(("delta", codifferential(K, ell).entries @ inv_sqrt,
                           K.weight_vector(ell - 1)))
     ps = [float(p) for p in p_list]
-    brackets = {name: _brackets(T, ps, w_ell, w_cod, iters, seed)
+    brackets = {name: _brackets(T, ps, w_ell, w_cod, iters=48, seed=0)
                 for name, T, w_cod in operators}
     rows = [{"operator": name, "p": p, "lower": b[i][0], "upper": b[i][1]}
             for i, p in enumerate(ps) for name, b in brackets.items()]

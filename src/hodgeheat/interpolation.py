@@ -284,8 +284,7 @@ def decay_rate(alpha, tau, p):
     return theta * tau - alpha * (1 - theta)
 
 
-def projector_norm_profile(s: SpectralData, p_grid, iters: int = 64,
-                           seed: int = 0) -> list[dict]:
+def projector_norm_profile(s: SpectralData, p_grid, seed: int = 0) -> list[dict]:
     """Brackets on the p->p norms of the harmonic projector of s.
 
     H is a W-orthogonal projector, so its 2->2 norm is exactly 1 when the
@@ -295,7 +294,8 @@ def projector_norm_profile(s: SpectralData, p_grid, iters: int = 64,
     """
     ps = [float(p) for p in p_grid]
     Vk = s.kernel_basis()
-    brackets = _brackets(harmonic_projector(s).entries, ps, s.weights, s.weights, iters, seed,
+    brackets = _brackets(harmonic_projector(s).entries, ps, s.weights, s.weights,
+                         iters=64, seed=seed,
                          norm2=1.0 if s.kernel_dim else 0.0,
                          factor=(Vk, Vk * s.weights[:, None]))
     return [{"p": p, "lower": lo, "upper": hi} for p, (lo, hi) in zip(ps, brackets)]
@@ -584,12 +584,12 @@ class InterpolationReport:
 
 
 _DEFAULT_T_GRID = (0.25, 0.5, 1.0, 2.0, 4.0)
-_DEFAULT_P_SAMPLES = (1.25, 4.0 / 3.0, 1.5, 2.0, 3.0, 4.0)
+_P_SAMPLES = (1.25, 4.0 / 3.0, 1.5, 2.0, 3.0, 4.0)
 
 
 def interpolation_report(K: SimplicialComplex, s: SpectralData,
                          epsilon: float | None = None, t_grid=_DEFAULT_T_GRID,
-                         p_samples=_DEFAULT_P_SAMPLES, seed: int = 0) -> InterpolationReport:
+                         seed: int = 0) -> InterpolationReport:
     """Measure (alpha, tau, rho, gamma_vol) and derive the exponent calculus.
 
     s is K's spectrum at the degree of the report.  epsilon defaults to
@@ -609,7 +609,7 @@ def interpolation_report(K: SimplicialComplex, s: SpectralData,
         eps = 0.0 if epsilon is None else float(epsilon)
         q0 = q_eps = p1 = 1.0
         p2 = math.inf
-        gammas = [(float(p), math.inf) for p in p_samples]
+        gammas = [(float(p), math.inf) for p in _P_SAMPLES]
         ps = [p for p, _ in gammas]
     else:
         tau = s.gap
@@ -617,7 +617,7 @@ def interpolation_report(K: SimplicialComplex, s: SpectralData,
         q0, _ = admissible_interval(fit.alpha, tau, 0.0)
         p1, p2 = admissible_interval(fit.alpha, tau, eps)
         q_eps = p1
-        ps = sorted({float(p) for p in p_samples if p1 < p < p2} | {2.0})
+        ps = sorted({float(p) for p in _P_SAMPLES if p1 < p < p2} | {2.0})
         gammas = [(p, float(decay_rate(fit.alpha, tau, p))) for p in ps]
 
     profile = projector_norm_profile(s, ps, seed=seed)

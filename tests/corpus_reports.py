@@ -9,7 +9,14 @@ Writes OUTDIR/inputs/NAME.json and OUTDIR/reports/NAME.json for:
   ``p_list=()``;
 - flat_torus 12x12 at degree 1 with the file cochain ((i % 7) - 3) * scale
   on edge i, at scale 2^1020 and 1e307, where |omega|_W passes the
-  largest double.
+  largest double;
+- flat_torus 6x6 with weights 10^U(-3, 3) on every simplex, drawn degree
+  by degree from one ``np.random.default_rng(12)``, at degrees 0-2 with
+  ``p_list=()``: its spectrum counts more kernel directions than its Betti
+  numbers (2, 5, 2 against 1, 2, 1), so each report fails
+  ``kernel_dim_equals_betti`` and ``dimension_consistency``.  ``p_list=()``
+  leaves out route B, which takes about 40 s at degrees 1 and 2 here
+  (ROADMAP D10).
 
 Each report names its input by the same relative path on every tree, so
 ``diff -r`` of two OUTDIRs is empty exactly when the reports agree byte
@@ -20,8 +27,10 @@ import json
 import os
 import sys
 
+import numpy as np
 from conftest import CORPUS, all_degrees, log_uniform_weights
 
+from hodgeheat import SimplicialComplex
 from hodgeheat import library as lib
 from hodgeheat.cli import RunConfig, run_pipeline
 from hodgeheat.io import complex_to_json_dict, emit_report
@@ -46,6 +55,12 @@ def _cases():
         values = [((i % 7) - 3) * scale for i in range(n)]
         yield (f"torus_12x12_x{tag}-1", dict(torus, cochain={"degree": 1, "values": values}),
                1, None)
+    K = lib.flat_torus(6, 6)
+    rng = np.random.default_rng(12)
+    spread = complex_to_json_dict(SimplicialComplex(
+        K.simplices, [10.0 ** rng.uniform(-3.0, 3.0, len(level)) for level in K.simplices]))
+    for ell in range(3):
+        yield f"torus_6x6_spread-{ell}", spread, ell, ()
 
 
 def main(outdir):

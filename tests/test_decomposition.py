@@ -20,7 +20,6 @@ from conftest import (
 )
 from hodgeheat import (
     Cochain,
-    QuadratureGrid,
     coboundary,
     codifferential,
     decompose,
@@ -99,11 +98,6 @@ class TestGreenQuadrature:
         _, res = _route_b(hodge_laplacian(K, 0), s, Cochain(0, v), 1e-6)
         assert np.linalg.norm(res.cochain.values - v / 3.0) <= 1e-6
 
-    @pytest.mark.parametrize("t_max", [0.0, -1.0, math.nan, math.inf])
-    def test_grid_rejects_t_max_not_positive_and_finite(self, t_max):
-        with pytest.raises(ValueError, match="t_max"):
-            QuadratureGrid(t_max=t_max)
-
     def test_defining_identity_through_quadrature_route(self):
         # Laplacian applied to route B's Green term recovers (1-H)omega to
         # 1e-10 once its error target is pushed past that.
@@ -131,25 +125,23 @@ class TestInverseSquareRoot:
         s = laplacian_spectrum(K, 0)
         res = inv_sqrt_subordinated(s, Cochain(0, np.ones(3)))
         assert np.allclose(res.cochain.values, 0.0, atol=1e-14)
+        assert res.error_target == 1e-8
 
     def test_subordinated_matches_spectral(self):
         K = lib.cycle_complex(3)
         s = laplacian_spectrum(K, 0)
         omega = lib.random_cochain(K, 0, 19)
         exact = inv_sqrt_spectral(s).apply(omega).values
-        grid = QuadratureGrid.for_spectrum(s.gap, float(s.eigenvalues[-1]),
-                                           error_target=1e-6)
-        res = inv_sqrt_subordinated(s, omega, grid=grid)
+        res = inv_sqrt_subordinated(s, omega, error_target=1e-6)
         rel = np.linalg.norm(res.cochain.values - exact) / np.linalg.norm(exact)
         assert rel <= 1e-6
 
-    def test_refusal_names_required_t_max(self):
+    @pytest.mark.parametrize("target", [0.0, 1.0, -1.0, math.nan, math.inf])
+    def test_error_target_outside_unit_interval_rejected(self, target):
         K = lib.cycle_complex(3)
         s = laplacian_spectrum(K, 0)
-        omega = lib.random_cochain(K, 0, 1)
-        bad = QuadratureGrid(t_max=0.5, error_target=1e-8)
-        with pytest.raises(ValueError, match="need t_max"):
-            inv_sqrt_subordinated(s, omega, grid=bad)
+        with pytest.raises(ValueError, match="^error_target must lie in \\(0, 1\\), got "):
+            inv_sqrt_subordinated(s, lib.random_cochain(K, 0, 1), error_target=target)
 
     @pytest.mark.parametrize("name,K", NAMED[:6], ids=NAMED_IDS[:6])
     def test_half_inverse_squares_to_green(self, name, K):

@@ -549,13 +549,14 @@ class TestCli:
             assert ([report["uniqueness"]["quadrature"][b] for b in bounds]
                     == [unscaled["uniqueness"]["quadrature"][b] * scale for b in bounds])
 
-    @pytest.mark.parametrize("command", ["report", "verify"])
+    @pytest.mark.parametrize("command", ["decompose", "report", "verify"])
     def test_part_past_the_double_range_is_input_error(self, scaled_reports, command):
-        # At 2^1022 the coexact part's largest entry passes the largest
-        # double once scaled back.
+        # At 2^1022 every entry is finite, but the coexact part's largest
+        # entry passes the largest double once scaled back.
         code, stderr, _ = scaled_reports(2.0 ** 1022, command, 12)
         assert code == 2
-        assert stderr == "input error: non-finite cochain value -inf on simplex (6, 138)\n"
+        assert stderr == ("input error: the coexact part passes the largest double on "
+                          "simplex (6, 138); the cochain must be scaled down\n")
 
     @pytest.mark.parametrize("command", ["decompose", "report"])
     def test_nan_p_is_input_error(self, tmp_path, command):
