@@ -11,7 +11,7 @@ precedence.
 
 import math
 import sys
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import click
 
@@ -19,14 +19,7 @@ from . import __version__
 from .complexes import betti_numbers
 from .decomposition import decompose, verify_uniqueness
 from .interpolation import dimension_consistency, interpolation_report
-from .io import (
-    complex_to_json_dict,
-    emit_report,
-    parse_input,
-    report_to_csv,
-    report_to_json,
-    sanitize,
-)
+from .io import complex_to_json_dict, emit_report, parse_input, render_report
 from .library import random_cochain
 from .spectral import cached_laplacian_spectrum, laplacian_spectrum
 
@@ -51,10 +44,6 @@ class RunConfig:
                 raise ValueError(f"p = {p} outside [1, inf]")
         if not 0 < self.error_target <= 1e-2:
             raise ValueError("error_target must lie in (0, 1e-2]")
-
-    def to_json_dict(self):
-        """Every field; the report's ``config`` section."""
-        return {**asdict(self), "p_list": list(self.p_list), "t_grid": list(self.t_grid)}
 
 
 def _spectrum_for(K, ell, cache_dir):
@@ -103,15 +92,15 @@ def _spectrum_section(s):
 
 
 def _interval_section(K, s, config):
-    return asdict(interpolation_report(K, s, epsilon=config.epsilon, t_grid=config.t_grid,
-                                       seed=config.seed))
+    return interpolation_report(K, s, epsilon=config.epsilon, t_grid=config.t_grid,
+                                seed=config.seed)
 
 
-# Each stage below returns its report section and its checks.
+# Each stage below returns its report section (a result or rows) and its checks.
 
 def _decomposition_stage(dec):
     orthogonality = max(dec.orthogonality.values())
-    return dec.to_json_dict(), [
+    return dec, [
         {"name": "decomposition_residual", "passed": dec.residual <= 1e-8,
          "value": dec.residual, "threshold": 1e-8},
         {"name": "harmonic_component_defect", "passed": dec.harmonic_defect <= 1e-8,
@@ -123,15 +112,7 @@ def _decomposition_stage(dec):
 
 def _uniqueness_stage(K, s, dec, error_target):
     uniq = verify_uniqueness(K, s, dec, error_target=error_target)
-    section = {
-        "component_diffs": uniq.component_diffs,
-        "max_rel_diff": uniq.max_rel_diff,
-        "tol": uniq.tol,
-        "passed": uniq.passed,
-        "perturbation_detected": uniq.perturbation_detected,
-        "quadrature": uniq.quadrature,
-    }
-    return section, [
+    return uniq, [
         {"name": "uniqueness_dual_route", "passed": uniq.passed,
          "value": uniq.max_rel_diff, "threshold": uniq.tol},
         {"name": "uniqueness_kernel_perturbation", "passed": uniq.perturbation_detected,
@@ -156,25 +137,28 @@ def _dimension_stage(K, s, cache_dir, p_list):
 
 
 def run_pipeline(config: RunConfig):
-    """Full pipeline; returns (report dict, exit code 0/1)."""
+    """Full pipeline; returns (report dict, exit code 0/1).
+
+    The config, interval, decomposition and uniqueness sections hold the
+    RunConfig and the result objects themselves; ``io.sanitize`` encodes
+    them.
+    """
     parsed, s = _front_end(config)
     K, ell = parsed.complex, config.degree
     interval = _interval_section(K, s, config)
 
     checks = []
-    if interval["levelset_condition"] is not None:
+    if interval.levelset_condition is not None:
         checks.append({"name": "levelset_condition_below_one",
-                       "passed": interval["levelset_condition"] < 1.0,
-                       "value": interval["levelset_condition"], "threshold": 1.0})
+                       "passed": interval.levelset_condition < 1.0,
+                       "value": interval.levelset_condition, "threshold": 1.0})
 
     omega = _cochain_for(parsed, ell, config.seed)
-    admissible = [p for p in config.p_list
-                  if interval["p1"] < p < interval["p2"] or p == 2.0]
-    dec_section = uniq_section = None
+    admissible = [p for p in config.p_list if interval.p1 < p < interval.p2 or p == 2.0]
+    dec = uniq = None
     if config.p_list:
-        dec = decompose(K, s, omega, p_list=admissible)
-        dec_section, dec_checks = _decomposition_stage(dec)
-        uniq_section, uniq_checks = _uniqueness_stage(K, s, dec, config.error_target)
+        dec, dec_checks = _decomposition_stage(decompose(K, s, omega, p_list=admissible))
+        uniq, uniq_checks = _uniqueness_stage(K, s, dec, config.error_target)
         checks += dec_checks + uniq_checks
 
     dim_rows, (kernel_check, dim_check) = _dimension_stage(K, s, config.cache_dir, admissible)
@@ -182,7 +166,7 @@ def run_pipeline(config: RunConfig):
     ok = all(c["passed"] for c in checks)
     report = {
         "tool": {"name": "hodgeheat", "version": __version__},
-        "config": config.to_json_dict(),
+        "config": config,
         "complex": {
             "counts": [len(level) for level in K.simplices],
             "total_weights": [K.total_weight(d) for d in range(K.max_degree + 1)],
@@ -193,8 +177,8 @@ def run_pipeline(config: RunConfig):
         "degree": ell,
         "spectrum": _spectrum_section(s),
         "interval": interval,
-        "decomposition": dec_section,
-        "uniqueness": uniq_section,
+        "decomposition": dec,
+        "uniqueness": uniq,
         "dimension_consistency": dim_rows,
         "checks": checks,
         "ok": ok,
@@ -265,8 +249,7 @@ def _run(payload_of, output_path=None, output_format="json", t_grid=None, **fiel
             emit_report(payload, output_path, output_format)
             click.echo(f"wrote {output_path}")
         else:
-            click.echo(report_to_json(payload) if output_format == "json"
-                       else report_to_csv(sanitize(payload)), nl=False)
+            click.echo(render_report(payload, output_format), nl=False)
     except (ValueError, OSError) as exc:
         click.echo(f"input error: {exc}", err=True)
         sys.exit(2)

@@ -378,12 +378,13 @@ class _SparseOperator(OperatorMatrix):
     Row by row, columns ascending; ``transpose[k]`` is the position of
     entry (cols[k], rows[k]), or -1 when that entry is zero.  Only its
     methods read this format; ``entries`` scatters it anew on each read.
-    ``A @ x`` multiplies through padded row slots (ELLPACK), built on first
-    use: slot k of row i holds the row's k-th nonzero, 0.0 and column 0
-    past its end.  The products are reduced along the slots from 0.0, so
-    each row adds them in column order, as a compressed-row matvec does,
-    signed zeros included.  A row longer than twice the mean (a cone's
-    apex) keeps the rest in a spill that ``np.add.at`` adds afterwards.
+    ``A @ x``, and ``apply`` through it, multiply through padded row slots
+    (ELLPACK), built on first use: slot k of row i holds the row's k-th
+    nonzero, 0.0 and column 0 past its end.  The products are reduced
+    along the slots from 0.0, so each row adds them in column order, as a
+    compressed-row matvec does, signed zeros included.  A row longer than
+    twice the mean (a cone's apex) keeps the rest in a spill that
+    ``np.add.at`` adds afterwards.
     """
 
     def __init__(self, keys: np.ndarray, vals: np.ndarray, n: int, degree: int):
@@ -503,6 +504,17 @@ class _SparseOperator(OperatorMatrix):
         slot_vals[slot[fits], rows[fits]] = vals[fits]
         slot_cols[slot[fits], rows[fits]] = cols[fits]
         return slot_vals, slot_cols, (rows[~fits], cols[~fits], vals[~fits])
+
+    def apply(self, omega: Cochain) -> Cochain:
+        """``self @ omega.values`` as a cochain: no dense matrix is built."""
+        if omega.degree != self.domain_degree:
+            raise ValueError(
+                f"operator expects degree {self.domain_degree}, got {omega.degree}"
+            )
+        if omega.values.size != self._n:
+            raise ValueError(f"operator acts on {self._n} values, got a cochain "
+                             f"of {omega.values.size}")
+        return Cochain(self.codomain_degree, self @ omega.values)
 
     def __matmul__(self, x: np.ndarray) -> np.ndarray:
         vals, cols, (spill_rows, spill_cols, spill_vals) = self._slots

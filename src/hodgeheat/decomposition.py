@@ -12,7 +12,7 @@ the substitution t = u^2 removes the integrable singularity at t = 0.
 
 import itertools
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -65,15 +65,12 @@ class QuadratureResult:
     term share.
     """
 
-    cochain: Cochain
+    cochain: Cochain = field(repr=False)
     tail_bound: float
     t_max: float
     nodes_evaluated: int
     error_target: float
     truncation_bound: float = 0.0
-
-    def to_json_dict(self):
-        return {f.name: getattr(self, f.name) for f in fields(self) if f.name != "cochain"}
 
 
 def _inv_on_support(lam: np.ndarray) -> np.ndarray:
@@ -186,21 +183,6 @@ class DecompositionResult:
     component_norms: dict
     c_p: dict
     omega: Cochain = field(repr=False)
-
-    def to_json_dict(self):
-        return {
-            "degree": self.degree,
-            "omega1": None if self.omega1 is None else list(self.omega1.values),
-            "omega2": None if self.omega2 is None else list(self.omega2.values),
-            "omega3": list(self.omega3.values),
-            "exact_part": list(self.exact_part.values),
-            "coexact_part": list(self.coexact_part.values),
-            "residual": self.residual,
-            "harmonic_defect": self.harmonic_defect,
-            "orthogonality": dict(self.orthogonality),
-            "component_norms": {str(p): dict(t) for p, t in self.component_norms.items()},
-            "c_p": {str(p): v for p, v in self.c_p.items()},
-        }
 
 
 def _hodge_split(K: SimplicialComplex, ell: int, g: np.ndarray):
@@ -345,15 +327,19 @@ def harmonic_representative(K: SimplicialComplex, s: SpectralData,
 
 @dataclass
 class UniquenessReport:
-    """Agreement of the spectral and heat-semigroup decomposition routes."""
+    """Agreement of the spectral and heat-semigroup decomposition routes.
+
+    ``quadrature`` is route B's result, its bounds scaled back to omega's,
+    or {} when the gap is infinite and route B does not run.
+    """
 
     component_diffs: dict
     max_rel_diff: float
     tol: float
     passed: bool
-    kernel_perturbations: list
+    kernel_perturbations: list = field(repr=False)
     perturbation_detected: bool
-    quadrature: dict
+    quadrature: QuadratureResult | dict
 
 
 def verify_uniqueness(K: SimplicialComplex, s: SpectralData, dec: DecompositionResult,
@@ -387,16 +373,15 @@ def verify_uniqueness(K: SimplicialComplex, s: SpectralData, dec: DecompositionR
     unit, e = _unit_scaled(dec.omega.values)
     h_a = np.ldexp(dec.omega3.values, -e)
 
-    quad_cert = {}
+    quadrature = {}
     if math.isinf(s.gap):
         h_b, g_b = unit, np.zeros_like(unit)
     else:
         h_b, res = _route_b(hodge_laplacian(K, ell), s, Cochain(ell, unit), error_target)
         g_b = res.cochain.values
         with np.errstate(over="ignore"):
-            quad_cert = dict(res.to_json_dict(),
-                             tail_bound=float(np.ldexp(res.tail_bound, e)),
-                             truncation_bound=float(np.ldexp(res.truncation_bound, e)))
+            quadrature = replace(res, tail_bound=float(np.ldexp(res.tail_bound, e)),
+                                 truncation_bound=float(np.ldexp(res.truncation_bound, e)))
 
     o1, exact, o2, coexact = _hodge_split(K, ell, g_b)
     scale = s.norm2(unit) or 1.0
@@ -430,7 +415,7 @@ def verify_uniqueness(K: SimplicialComplex, s: SpectralData, dec: DecompositionR
         passed=max_diff <= _UNIQUENESS_TOL,
         kernel_perturbations=perturbations,
         perturbation_detected=detected,
-        quadrature=quad_cert,
+        quadrature=quadrature,
     )
 
 

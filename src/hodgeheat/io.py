@@ -19,7 +19,7 @@ import itertools
 import json
 import math
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, is_dataclass
 from importlib import resources
 
 import numpy as np
@@ -245,7 +245,13 @@ def complex_to_json_dict(K: SimplicialComplex) -> dict:
 
 
 def sanitize(obj):
-    """Recursively convert to JSON-safe values; non-finite floats to strings."""
+    """Recursively convert to JSON-safe values; non-finite floats to strings.
+
+    The one report encoder: a Cochain encodes as its values, any other
+    dataclass (a result) as its fields whose ``repr`` is true, so
+    ``field(repr=False)`` keeps a field out.  Those branches come last, so
+    that a report's many floats pay no extra test.
+    """
     if isinstance(obj, dict):
         return {str(k): sanitize(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
@@ -263,6 +269,10 @@ def sanitize(obj):
         return int(obj)
     if isinstance(obj, (np.bool_,)):
         return bool(obj)
+    if isinstance(obj, Cochain):
+        return sanitize(obj.values)
+    if is_dataclass(obj):
+        return {f.name: sanitize(getattr(obj, f.name)) for f in fields(obj) if f.repr}
     return obj
 
 
@@ -330,14 +340,20 @@ def _csv_num(x):
     return x
 
 
-def emit_report(report: dict, path: str, fmt: str = "json") -> None:
-    """Write a report deterministically; identical reports give identical bytes."""
+def render_report(report: dict, fmt: str = "json") -> str:
+    """The text of a report in ``fmt``, json or csv; identical reports give
+    identical text."""
     if fmt == "json":
-        payload = report_to_json(report)
-    elif fmt == "csv":
-        payload = report_to_csv(sanitize(report))
-    else:
-        raise ValueError(f"unknown report format {fmt!r}")
+        return report_to_json(report)
+    if fmt == "csv":
+        return report_to_csv(sanitize(report))
+    raise ValueError(f"unknown report format {fmt!r}")
+
+
+def emit_report(report: dict, path: str, fmt: str = "json") -> None:
+    """Write a report deterministically; it is rendered before the file is
+    opened, so a failed render leaves an existing file as it was."""
+    payload = render_report(report, fmt)
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(payload)
 

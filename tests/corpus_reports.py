@@ -16,7 +16,16 @@ Writes OUTDIR/inputs/NAME.json and OUTDIR/reports/NAME.json for:
   numbers (2, 5, 2 against 1, 2, 1), so each report fails
   ``kernel_dim_equals_betti`` and ``dimension_consistency``.  ``p_list=()``
   leaves out route B, which takes about 40 s at degrees 1 and 2 here
-  (ROADMAP D10).
+  (ROADMAP D10);
+- three vertices with no edges at degree 0: the gap is infinite, so route
+  B does not run and the uniqueness section's ``quadrature`` is ``{}``.
+
+It also runs the ``spectrum``, ``decompose``, ``interp``, ``verify`` and
+``report`` subcommands through click's ``CliRunner`` on ``cycle_complex(3)``,
+``filled_triangle`` and flat_torus 6x6 at degree 1, in JSON and, where the
+subcommand offers it, with ``--output-format csv``.  Each run writes
+OUTDIR/cli/INPUT-COMMAND-FORMAT.stdout, .stderr and .exit (the exit code),
+so the comparison covers the CLI's renderer and its payload slices too.
 
 Each report names its input by the same relative path on every tree, so
 ``diff -r`` of two OUTDIRs is empty exactly when the reports agree byte
@@ -28,12 +37,17 @@ import os
 import sys
 
 import numpy as np
+from click.testing import CliRunner
 from conftest import CORPUS, all_degrees, log_uniform_weights
 
-from hodgeheat import SimplicialComplex
+from hodgeheat import SimplicialComplex, build_complex
 from hodgeheat import library as lib
-from hodgeheat.cli import RunConfig, run_pipeline
+from hodgeheat.cli import RunConfig, main as cli_main, run_pipeline
 from hodgeheat.io import complex_to_json_dict, emit_report
+
+# Subcommand -> output formats it offers.
+_CLI_COMMANDS = {"spectrum": ("json", "csv"), "decompose": ("json", "csv"),
+                 "interp": ("json", "csv"), "verify": ("json",), "report": ("json", "csv")}
 
 
 def _cases():
@@ -61,6 +75,27 @@ def _cases():
         K.simplices, [10.0 ** rng.uniform(-3.0, 3.0, len(level)) for level in K.simplices]))
     for ell in range(3):
         yield f"torus_6x6_spread-{ell}", spread, ell, ()
+    yield "vertices_only-0", complex_to_json_dict(build_complex({"vertices": [0, 1, 2]})), 0, None
+
+
+def _cli_runs():
+    """Write every subcommand's stdout, stderr and exit code to cli/."""
+    os.makedirs("cli", exist_ok=True)
+    inputs = {"c3": lib.cycle_complex(3), "filled_triangle": lib.filled_triangle(),
+              "torus_6x6": lib.flat_torus(6, 6)}
+    for name, K in inputs.items():
+        path = os.path.join("inputs", f"cli_{name}.json")
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(complex_to_json_dict(K), fh)
+        for command, formats in _CLI_COMMANDS.items():
+            for fmt in formats:
+                extra = [] if fmt == "json" else ["--output-format", fmt]
+                result = CliRunner().invoke(cli_main, [command, path, "--degree", "1", *extra])
+                stem = os.path.join("cli", f"{name}-{command}-{fmt}")
+                for suffix, text in (("stdout", result.stdout), ("stderr", result.stderr),
+                                     ("exit", f"{result.exit_code}\n")):
+                    with open(f"{stem}.{suffix}", "w", encoding="utf-8") as fh:
+                        fh.write(text)
 
 
 def main(outdir):
@@ -74,6 +109,7 @@ def main(outdir):
         extra = {} if p_list is None else {"p_list": p_list}
         report, _ = run_pipeline(RunConfig(input_path=path, degree=ell, **extra))
         emit_report(report, os.path.join("reports", f"{name}.json"))
+    _cli_runs()
 
 
 if __name__ == "__main__":

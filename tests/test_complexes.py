@@ -19,6 +19,7 @@ from conftest import (
     all_degrees,
     log_uniform_weights,
     spectrum_of,
+    traced_peak,
 )
 import hodgeheat.complexes
 from hodgeheat import (
@@ -304,6 +305,32 @@ class TestHodgeLaplacian:
             sym = (op.entries * sqrt_w[:, None]) / sqrt_w[None, :]
             evals = np.linalg.eigvalsh((sym + sym.T) / 2)
             assert evals.min() >= -1e-10
+
+    @pytest.mark.parametrize("name,K", CORPUS, ids=CORPUS_IDS)
+    def test_apply_agrees_with_the_dense_product(self, name, K):
+        for ell in all_degrees(K):
+            L = hodge_laplacian(K, ell)
+            x = np.random.default_rng(ell).standard_normal(K.n_simplices(ell))
+            y = L.apply(Cochain(ell, x))
+            dense = L.entries @ x
+            assert y.degree == ell
+            assert np.linalg.norm(y.values - dense) <= 1e-14 * np.linalg.norm(dense)
+
+    def test_apply_builds_no_dense_matrix(self):
+        K = lib.flat_torus(20, 20)
+        L = hodge_laplacian(K, 1)
+        n = K.n_simplices(1)
+        omega = Cochain(1, np.random.default_rng(0).standard_normal(n))
+        y, peak = traced_peak(L.apply, omega)
+        assert np.array_equal(y.values, L @ omega.values)
+        assert peak < n * n * 8 / 10  # the row slots are built in this call too
+
+    def test_apply_checks_degree_and_size(self):
+        L = hodge_laplacian(lib.cycle_complex(3), 1)
+        with pytest.raises(ValueError, match="operator expects degree 1, got 0"):
+            L.apply(Cochain(0, np.zeros(3)))
+        with pytest.raises(ValueError, match="acts on 3 values, got a cochain of 4"):
+            L.apply(Cochain(1, np.zeros(4)))
 
 
 def _complete_two_skeleton(n):

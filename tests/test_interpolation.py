@@ -950,7 +950,7 @@ class TestInterpolationReport:
         assert not row_slots and not recurrences
         eighs.clear()
         report, code = run_pipeline(RunConfig(input_path=str(path)))
-        assert code == 0 and report["ok"] and report["uniqueness"]["passed"]
+        assert code == 0 and report["ok"] and report["uniqueness"].passed
         assert (len(decomposes), len(splits), len(eighs), len(row_slots)) == (1, 2, 3, 1)
         assert len(recurrences) == 1 and len(recurrences[0][2]) == 2
         assert nonzeros and all(np.ndim(args[0]) == 1 for args in nonzeros)

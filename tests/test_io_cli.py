@@ -15,7 +15,14 @@ from click.testing import CliRunner
 
 import hodgeheat
 from conftest import child_env, count_calls
-from hodgeheat import betti_numbers
+from hodgeheat import (
+    Cochain,
+    QuadratureResult,
+    betti_numbers,
+    decompose,
+    laplacian_spectrum,
+    verify_uniqueness,
+)
 from hodgeheat import library as lib
 from hodgeheat.cli import RunConfig, main, run_pipeline
 from hodgeheat.io import (
@@ -25,6 +32,7 @@ from hodgeheat.io import (
     parse_input,
     parse_json_complex,
     parse_off,
+    render_report,
     report_schema,
     report_to_csv,
     report_to_json,
@@ -169,7 +177,7 @@ class TestPipelineAndReports:
         assert report["decomposition"] is None
         assert report["uniqueness"] is None
         assert report["spectrum"]["eigenvalues"]
-        assert report["interval"]["p1"] >= 1.0
+        assert report["interval"].p1 >= 1.0
 
     def test_csv_norms_header(self, tmp_path):
         config = RunConfig(input_path=_c3_json(tmp_path), degree=1)
@@ -183,8 +191,8 @@ class TestPipelineAndReports:
         report, code = run_pipeline(config)
         assert code == 0
         assert report["betti"] == [1, 1]
-        assert report["interval"]["tau"] == pytest.approx(3.0, abs=1e-12)
-        assert report["decomposition"]["residual"] <= 1e-8
+        assert report["interval"].tau == pytest.approx(3.0, abs=1e-12)
+        assert report["decomposition"].residual <= 1e-8
 
     def test_filled_triangle_harmonic_component_trivial(self, tmp_path):
         path = tmp_path / "filled.json"
@@ -192,7 +200,7 @@ class TestPipelineAndReports:
         report, code = run_pipeline(RunConfig(input_path=str(path), degree=1))
         assert code == 0
         assert report["spectrum"]["kernel_dim"] == 0
-        assert np.allclose(report["decomposition"]["omega3"], 0.0, atol=1e-10)
+        assert np.allclose(report["decomposition"].omega3.values, 0.0, atol=1e-10)
 
     def test_degree_out_of_range_is_input_error(self, tmp_path):
         config = RunConfig(input_path=_c3_json(tmp_path), degree=5)
@@ -227,6 +235,45 @@ class TestPipelineAndReports:
         emit_report(report, str(cpath), "csv")
         assert json.loads(jpath.read_text())["spectrum"]["degree"] == 0
         assert "eigenvalue" in cpath.read_text()
+
+
+class TestReportEncoding:
+    """``sanitize`` encodes a Cochain as its values, and any other dataclass
+    as its fields whose repr is true."""
+
+    def test_decomposition_result_gives_its_emitted_fields(self):
+        K = lib.filled_triangle()
+        s = laplacian_spectrum(K, 1)
+        dec = decompose(K, s, lib.random_cochain(K, 1, 42), p_list=(1.5, 2.0, 3.0))
+        doc = json.loads(report_to_json({"decomposition": dec}))["decomposition"]
+        assert sorted(doc) == [
+            "c_p", "coexact_part", "component_norms", "degree", "exact_part",
+            "harmonic_defect", "omega1", "omega2", "omega3", "orthogonality", "residual"]
+        assert doc["omega3"] == dec.omega3.values.tolist()
+        assert sorted(doc["component_norms"]) == ["1.5", "2.0", "3.0"]
+
+    def test_uniqueness_report_leaves_out_perturbations_and_green_cochain(self):
+        K = lib.cycle_complex(3)
+        s = laplacian_spectrum(K, 1)
+        uniq = verify_uniqueness(K, s, decompose(K, s, lib.random_cochain(K, 1, 42)))
+        assert uniq.kernel_perturbations and isinstance(uniq.quadrature, QuadratureResult)
+        doc = sanitize(uniq)
+        assert sorted(doc) == ["component_diffs", "max_rel_diff", "passed",
+                               "perturbation_detected", "quadrature", "tol"]
+        assert sorted(doc["quadrature"]) == [
+            "error_target", "nodes_evaluated", "t_max", "tail_bound", "truncation_bound"]
+
+    def test_cochain_encodes_as_its_values(self):
+        assert sanitize(Cochain(1, [0.5, -math.inf, 2.0])) == [0.5, "-inf", 2.0]
+
+    def test_unknown_format_rejected_before_the_file_opens(self, tmp_path):
+        with pytest.raises(ValueError, match="unknown report format 'xml'"):
+            render_report({"checks": []}, "xml")
+        path = tmp_path / "r.xml"
+        path.write_text("kept")
+        with pytest.raises(ValueError, match="unknown report format 'xml'"):
+            emit_report({"checks": []}, str(path), "xml")
+        assert path.read_text() == "kept"
 
 
 # name -> (document, the part of it that the error message names)
