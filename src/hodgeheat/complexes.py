@@ -109,6 +109,7 @@ class SimplicialComplex:
             table = np.array(faces, dtype=np.intp).reshape(-1, ell + 1)[:, ::-1]
             table.flags.writeable = False
             self._faces[ell] = table
+        self._coface_slots = {}  # filled by _coface_slots
 
     @property
     def max_degree(self) -> int:
@@ -298,16 +299,58 @@ def codifferential(K: SimplicialComplex, ell: int) -> OperatorMatrix:
 
 
 def _coboundary_apply(K: SimplicialComplex, ell: int, u: np.ndarray) -> np.ndarray:
-    """d_ell u, gathered through the face table of degree ell + 1."""
-    return u[K._faces[ell + 1]] @ (-1.0) ** np.arange(ell + 2)
+    """d_ell u, gathered through the face table of degree ell + 1.  ``u`` is a
+    cochain's values or a block of them, one cochain per row."""
+    return np.take(u, K._faces[ell + 1], axis=-1) @ (-1.0) ** np.arange(ell + 2)
 
 
 def _codifferential_apply(K: SimplicialComplex, ell: int, v: np.ndarray) -> np.ndarray:
-    """delta_ell v = W_(ell-1)^-1 d_(ell-1)^T W_ell v, one ``np.bincount`` over
-    the face table of degree ell."""
-    signed = np.multiply.outer(K.weight_vector(ell) * v, (-1.0) ** np.arange(ell + 1))
-    lower = K.weight_vector(ell - 1)
-    return np.bincount(K._faces[ell].ravel(), signed.ravel(), minlength=lower.size) / lower
+    """delta_ell v = W_(ell-1)^-1 d_(ell-1)^T W_ell v, gathered through the
+    coface slots of degree ell - 1 (see ``_coface_slots``).  ``v`` is a
+    cochain's values or a block of them, one cochain per row.
+
+    Each entry is 0.0 plus its signed, weighted cofaces in ascending order,
+    then divided by its weight: the sums of one ``np.bincount`` over the
+    face table.
+    """
+    cofaces, signs, (spill, spill_cofaces, spill_signs) = _coface_slots(K, ell)
+    weighted = np.zeros(v.shape[:-1] + (v.shape[-1] + 1,))  # a zero past the end
+    np.multiply(v, K.weight_vector(ell), out=weighted[..., :-1])
+    out = np.zeros(v.shape[:-1] + cofaces.shape[1:])
+    term = np.empty_like(out)
+    for slot_cofaces, slot_signs in zip(cofaces, signs):
+        np.take(weighted, slot_cofaces, axis=-1, out=term)
+        term *= slot_signs
+        out += term
+    np.add.at(out.T, spill, (weighted[..., spill_cofaces] * spill_signs).T)
+    out /= K.weight_vector(ell - 1)
+    return out
+
+
+def _coface_slots(K: SimplicialComplex, ell: int):
+    """(cofaces, signs, spill) of d_(ell-1)^T, built once per complex.
+
+    Slot k of an (ell-1)-simplex holds its k-th coface in ascending order
+    and the sign of the face in it, or n_ell (past the end) and 0.0 past
+    its last.  There are as many slots as the most cofaces of one simplex,
+    but at most twice the mean; the rest spill, as (simplex, coface, sign)
+    in the same order, to one ``np.add.at``.
+    """
+    if ell not in K._coface_slots:
+        faces, n = K._faces[ell], K.n_simplices(ell - 1)
+        order = np.argsort(faces.ravel(), kind="stable")
+        coface, member = order // (ell + 1), faces.ravel()[order]
+        sign = (-1.0) ** (order % (ell + 1))
+        counts = np.bincount(member, minlength=n)
+        slot = np.arange(order.size) - (np.cumsum(counts) - counts)[member]
+        width = min(int(counts.max(initial=0)), 2 * math.ceil(order.size / max(n, 1)))
+        fits = slot < width
+        cofaces = np.full((width, n), len(faces))
+        cofaces[slot[fits], member[fits]] = coface[fits]
+        signs = np.zeros((width, n))
+        signs[slot[fits], member[fits]] = sign[fits]
+        K._coface_slots[ell] = cofaces, signs, (member[~fits], coface[~fits], sign[~fits])
+    return K._coface_slots[ell]
 
 
 def _group_pairs(group, member, left, right):
@@ -440,25 +483,24 @@ class _SparseOperator(OperatorMatrix):
                            _ratio(vals[lone], w[rows[lone]], w[cols[lone]], top))
         return math.sqrt(np.dot(defect, defect)) <= tol * math.sqrt(np.dot(v, v))
 
-    def symmetrized_lower(self, sqrt_w: np.ndarray, degree: int) -> np.ndarray:
-        """The lower triangle of (S + S^T) / 2, S = W^(1/2) A W^(-1/2); zeros
-        above the diagonal.
+    def symmetrized_average(self, sqrt_w: np.ndarray, degree: int) -> np.ndarray:
+        """(S_ij + S_ji) / 2 at each nonzero (i, j), S = W^(1/2) A W^(-1/2).
 
-        |S - S^T| is summed over each nonzero and its transpose.  Each entry
-        takes the operations of the dense formula, A_ij sqrt(w_i) / sqrt(w_j)
-        then (S_ij + S_ji) / 2, so ``np.linalg.eigh`` gets the bits of
-        ``np.tril((S + S^T) / 2)``.  Its temporaries are freed on return,
-        before ``eigh`` allocates.
+        A ValueError unless these are finite (S and each sum S_ij + S_ji)
+        and |S - S^T| <= 1e-8 |S|, with |S - S^T| summed over each nonzero
+        and its transpose.  Each entry takes the operations of the dense
+        formula, A_ij sqrt(w_i) / sqrt(w_j) then (S_ij + S_ji) / 2.
         """
         rows, cols = self.rows, self.cols
+        has_mirror = self.transpose >= 0
         with np.errstate(over="ignore", invalid="ignore"):  # checked just below
             S = self.vals * sqrt_w[rows]
             S /= sqrt_w[cols]
-        if not np.isfinite(S).all():
+            mirror = np.where(has_mirror, S[self.transpose], 0.0)  # S_ji, 0 where A_ji is
+            average = S + mirror  # not finite when S is not
+        if not np.isfinite(average).all():
             raise ValueError(f"degree {degree}: the weights overflow the W^(1/2)-"
                              "symmetrized operator (it has a non-finite entry)")
-        has_mirror = self.transpose >= 0
-        mirror = np.where(has_mirror, S[self.transpose], 0.0)  # S_ji, 0 where A_ji is
         # Every entry is divided by the largest |S_ij| before it is squared, so
         # |S - S^T| <= 1e-8 |S| is tested at any scale of S.
         scale = float(np.abs(S).max(initial=0.0)) or 1.0
@@ -468,13 +510,24 @@ class _SparseOperator(OperatorMatrix):
         asymmetry = math.sqrt(np.dot(diff, diff) + np.dot(lone, lone))
         if not asymmetry <= 1e-8 * max(math.sqrt(np.dot(scaled, scaled)), 1e-300):
             raise ValueError("operator is not self-adjoint in the weighted inner product")
+        average /= 2.0
+        return average
+
+    def symmetrized_lower(self, sqrt_w: np.ndarray, degree: int) -> np.ndarray:
+        """The lower triangle of (S + S^T) / 2, S = W^(1/2) A W^(-1/2); zeros
+        above the diagonal.
+
+        Checked by ``symmetrized_average``, whose entries give
+        ``np.linalg.eigh`` the bits of ``np.tril((S + S^T) / 2)``.  Its
+        temporaries are freed on return, before ``eigh`` allocates.
+        """
+        rows, cols = self.rows, self.cols
+        average = self.symmetrized_average(sqrt_w, degree)
         # Each position on or below the diagonal once: from its own nonzero,
         # or from the transposed one when its own entry is zero.
-        pick = (rows >= cols) | ~has_mirror
+        pick = (rows >= cols) | (self.transpose < 0)
         lower = np.zeros(self.shape)
-        average = S[pick] + mirror[pick]
-        average /= 2.0
-        lower[np.maximum(rows, cols)[pick], np.minimum(rows, cols)[pick]] = average
+        lower[np.maximum(rows, cols)[pick], np.minimum(rows, cols)[pick]] = average[pick]
         return lower
 
     @cached_property

@@ -5,6 +5,13 @@ P_t = exp(-t * Laplacian) computed two independent ways (spectral sum, and
 one eigenbasis-free Chebyshev action), and the harmonic projector as a
 spectral projection.
 
+Degree 1 of a graph or a 2-complex runs no eigendecomposition of its own:
+its exact eigencochains are d_0 u / sqrt(mu) for the eigenpairs (mu, u) of
+degree 0, its coexact ones delta_2 z / sqrt(nu) for those (nu, z) of
+degree 2, and its kernel is their W-complement.  Where its
+lambda_max / gap passes LIFT_MAX_SPREAD, lifted columns would lose
+W-orthogonality, and it is decomposed by ``eigendecompose`` instead.
+
 The Chebyshev action expands a function of the Laplacian L in T_k(Y),
 Y = (2/b) L - I, where b >= lambda_max is read off the matrix.  The
 coefficients are closed form in the scaled modified Bessel values
@@ -18,6 +25,7 @@ import json
 import math
 import os
 from dataclasses import dataclass, fields
+from functools import partial
 
 import numpy as np
 
@@ -25,6 +33,8 @@ from .complexes import (
     Cochain,
     OperatorMatrix,
     SimplicialComplex,
+    _coboundary_apply,
+    _codifferential_apply,
     _scaled_sum,
     _SparseOperator,
     hodge_laplacian,
@@ -123,6 +133,9 @@ def eigendecompose(delta, weights=None, degree: int | None = None) -> SpectralDa
     degree = 0 if degree is None else degree
     sqrt_w = np.sqrt(w)
     evals, V = np.linalg.eigh(_SparseOperator.of(delta, degree).symmetrized_lower(sqrt_w, degree))
+    if not np.isfinite(evals).all():
+        raise ValueError(f"degree {degree}: the weights overflow the spectrum of the "
+                         "W^(1/2)-symmetrized operator (it has a non-finite eigenvalue)")
 
     lam_max = float(evals[-1]) if evals.size else 0.0
     if lam_max < 0 and abs(lam_max) <= RANK_TOL:
@@ -150,13 +163,116 @@ def eigendecompose(delta, weights=None, degree: int | None = None) -> SpectralDa
     )
 
 
-def laplacian_spectrum(K: SimplicialComplex, ell: int) -> SpectralData:
-    """``eigendecompose`` of the degree-ell Hodge Laplacian of K in K's weights.
+def lifted_from(K: SimplicialComplex, ell: int) -> tuple[int, ...]:
+    """The degrees whose spectra ``laplacian_spectrum`` lifts to degree ell's:
+    (0,) on a graph, (0, 2) on a 2-complex at degree 1, () elsewhere."""
+    return tuple(range(0, K.max_degree + 1, 2)) if ell == 1 and K.max_degree <= 2 else ()
 
-    The Laplacian is its nonzeros (see ``hodge_laplacian``), so only the
-    buffer ``np.linalg.eigh`` reads is n x n.
+
+def laplacian_spectrum(K: SimplicialComplex, ell: int, neighbours=None) -> SpectralData:
+    """The spectrum of the degree-ell Hodge Laplacian of K in K's weights.
+
+    Degree 1 of a graph or a 2-complex is lifted (see ``_lift``) from the
+    spectra of degrees 0 and 2.  They are read from ``neighbours``, a
+    mapping from degree to spectrum; the missing ones are built and added
+    to it, after degree 1's own operator has passed the nonzero-level
+    checks of ``eigendecompose``, so both paths reject the same input with
+    the same message.  Where the lift could lose accuracy, and at every
+    other degree, the spectrum is ``eigendecompose`` of the Laplacian,
+    which is its nonzeros (see ``hodge_laplacian``), so only the buffer
+    ``np.linalg.eigh`` reads is n x n.
     """
-    return eigendecompose(hodge_laplacian(K, ell), K.weight_vector(ell))
+    L, w = hodge_laplacian(K, ell), K.weight_vector(ell)
+    sources = lifted_from(K, ell)
+    if sources:
+        L.symmetrized_average(np.sqrt(w), ell)
+        neighbours = {} if neighbours is None else neighbours
+        for d in sources:
+            if d not in neighbours:
+                neighbours[d] = laplacian_spectrum(K, d)
+            K.check_spectrum(neighbours[d])
+        lifted = _lift(K, *(neighbours[d] for d in sources))
+        if lifted is not None:
+            return lifted
+    return eigendecompose(L, w)
+
+
+# The lift runs only where degree 1's own lambda_max / gap is at most this.
+# A lifted column d u / sqrt(mu) loses W-orthogonality by about
+# u lambda_max / gap, u the unit roundoff.  The largest W-orthonormality
+# defect of the lifted eigencochains, by band of lambda_max / gap, over the
+# test corpus at unit weights and log_uniform_weights seeds 0, 3 and 4, and
+# 6x6 tori with weights 10^U(-s, s) (eigh: at most 4e-15 on all of them):
+#
+#     lambda_max / gap    largest defect
+#     <= 1e4              4.3e-13
+#     1e4 .. 1.2e5        2.1e-12
+#     1.6e6 .. 4.1e6      3.2e-11   (s = 2)
+#     5.7e7 .. 1.6e8      9.6e-10   (s = 2.5)
+#
+# At s = 2, seed 0, lifted, ``decompose --degree 1`` reads a residual of
+# 1.6e-8 (eigh 6.1e-11) and fails its 1e-8 check.  The benchmark tori read
+# 99 (12x12) and 273 (20x20), the 48x3 strip 1,576.  Below the bound the
+# RANK_TOL cut lies far from every eigenvalue, so both paths count the
+# same kernel.
+LIFT_MAX_SPREAD = 1e4
+
+# Eigencochains lifted at a time: the temporaries stay a few
+# _LIFT_BLOCK x n blocks beside the n x n result.
+_LIFT_BLOCK = 64
+
+
+def _lift(K: SimplicialComplex, exact: SpectralData, coexact: SpectralData | None = None):
+    """Degree 1's spectrum from degree 0's and, on a 2-complex, degree 2's;
+    None where the lift could lose accuracy.
+
+    L_1 = d_0 delta_1 + delta_2 d_1 has no spectrum beyond its neighbours'
+    and its kernel: for an eigenpair (mu, u) of L_0 with mu > 0, d_0 u /
+    sqrt(mu) is a W-unit eigencochain of L_1 at mu (exact), and so is
+    delta_2 z / sqrt(nu) for an eigenpair (nu, z) of L_2 (coexact).  The
+    kernel is the W-complement of these, n_1 - rank_0 - rank_2 columns,
+    from a seeded Gaussian block projected out twice and orthonormalized
+    by QR.  Eigenvalues ascend, merged by a stable sort with the kernel
+    first at exactly 0.  None unless lambda_max / gap <= LIFT_MAX_SPREAD,
+    every lifted entry is finite and the complement block has full rank.
+    """
+    blocks = [(exact, partial(_coboundary_apply, K, 0))]
+    if coexact is not None:
+        blocks.append((coexact, partial(_codifferential_apply, K, 2)))
+    w = K.weight_vector(1)
+    n = w.size
+    values = np.concatenate([s.eigenvalues[s.kernel_dim:] for s, _ in blocks])
+    kernel_dim = n - values.size
+    if kernel_dim < 0 or not 0 < values.max(initial=0.0) <= LIFT_MAX_SPREAD * values.min():
+        return None
+    order = np.argsort(values, kind="stable")
+    evals = np.zeros(n)
+    evals[kernel_dim:] = values[order]
+    column = np.empty(values.size, dtype=np.intp)  # output column of each pair, by block
+    column[order] = np.arange(kernel_dim, n)
+    V = np.empty((n, n), order="F")  # V.T[i], eigencochain i, is contiguous
+    done = 0
+    for s, apply in blocks:
+        for start in range(s.kernel_dim, s.dim, _LIFT_BLOCK):
+            stop = min(start + _LIFT_BLOCK, s.dim)
+            block = apply(s.eigencochains[:, start:stop].T)
+            block /= np.sqrt(s.eigenvalues[start:stop])[:, None]
+            if not np.isfinite(block).all():
+                return None
+            V.T[column[done:done + stop - start]] = block
+            done += stop - start
+    if kernel_dim:
+        sqrt_w, lifted = np.sqrt(w)[:, None], V[:, kernel_dim:]
+        Y = np.random.default_rng(0).standard_normal((n, kernel_dim))
+        for _ in range(2):
+            Y -= lifted @ (lifted.T @ (w[:, None] * Y))
+        Q, R = np.linalg.qr(sqrt_w * Y)
+        diagonal = np.abs(np.diagonal(R))
+        if not diagonal.min() > RANK_TOL * diagonal.max():
+            return None
+        np.divide(Q, sqrt_w, out=V[:, :kernel_dim])
+    return SpectralData(degree=1, eigenvalues=evals, eigencochains=V, weights=w,
+                        kernel_dim=kernel_dim, gap=float(evals[kernel_dim]))
 
 
 # Miller's recurrence starts where e^(-z) I_k(z) has fallen below
@@ -327,10 +443,15 @@ def load_spectral_data(path: str) -> SpectralData:
     return SpectralData(**{k: v if v.ndim else v.item() for k, v in values.items()})
 
 
-def cached_laplacian_spectrum(K: SimplicialComplex, ell: int, cache_dir: str) -> SpectralData:
+def cached_laplacian_spectrum(K: SimplicialComplex, ell: int, cache_dir: str,
+                              spectra=None) -> SpectralData:
     """laplacian_spectrum with a content-addressed on-disk cache.
 
-    An entry that does not load is a miss: it is recomputed and overwritten.
+    An entry that does not load is a miss, and is overwritten: with the
+    spectrum of degree ell in ``spectra`` (a mapping from degree to
+    spectrum) if it holds one, else with ``laplacian_spectrum(K, ell,
+    spectra)``.  An entry keeps the bits it was written with, so entries
+    of eigh's degree-1 spectra from before the lift still hit.
     """
     os.makedirs(cache_dir, exist_ok=True)
     path = os.path.join(cache_dir, complex_content_hash(K, ell) + ".npz")
@@ -338,6 +459,6 @@ def cached_laplacian_spectrum(K: SimplicialComplex, ell: int, cache_dir: str) ->
         return load_spectral_data(path)
     except Exception:  # missing, empty or truncated: numpy raises many kinds
         pass
-    s = laplacian_spectrum(K, ell)
+    s = spectra[ell] if spectra and ell in spectra else laplacian_spectrum(K, ell, spectra)
     save_spectral_data(s, path)
     return s

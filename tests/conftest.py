@@ -57,6 +57,14 @@ def log_uniform_weights(K, seed):
                              [np.exp(rng.uniform(-3.0, 3.0, len(level))) for level in K.simplices])
 
 
+def log10_uniform_weights(K, spread, seed):
+    """K with weights 10^U(-spread, spread) on every simplex, drawn degree by
+    degree from one np.random.default_rng(seed)."""
+    rng = np.random.default_rng(seed)
+    return SimplicialComplex(K.simplices, [10.0 ** rng.uniform(-spread, spread, len(level))
+                                           for level in K.simplices])
+
+
 def general_product(s, func):
     """f(Laplacian) = V diag(f) V^T W as one general product, for any f."""
     V = s.eigencochains

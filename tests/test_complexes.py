@@ -36,7 +36,13 @@ from hodgeheat import (
 )
 from hodgeheat import library as lib
 from hodgeheat.cli import RunConfig, run_pipeline
-from hodgeheat.complexes import _incidence, _pivot_rows, _vertex_ranks
+from hodgeheat.complexes import (
+    _coboundary_apply,
+    _codifferential_apply,
+    _incidence,
+    _pivot_rows,
+    _vertex_ranks,
+)
 from hodgeheat.io import complex_to_json_dict
 from hodgeheat.spectral import RANK_TOL
 
@@ -274,6 +280,46 @@ class TestCodifferential:
     def test_degree_zero_rejected(self):
         with pytest.raises(ValueError):
             codifferential(lib.interval(), 0)
+
+
+def _book(pages):
+    """Triangles (0, 1, k) on one spine edge: it has ``pages`` cofaces, far
+    past twice the mean, so the coface slots spill."""
+    return build_complex({"triangles": [(0, 1, k) for k in range(2, pages + 2)]})
+
+
+_APPLY_CASES = [*CORPUS, ("book_8", _book(8))]
+_APPLY_CASES += [(f"{name}_log_uniform", log_uniform_weights(K, i))
+                 for i, (name, K) in enumerate(_APPLY_CASES)]
+
+
+@pytest.mark.parametrize("name,K", _APPLY_CASES, ids=[name for name, _ in _APPLY_CASES])
+def test_block_applies_are_the_cochain_applies_row_by_row(name, K):
+    # A block of cochains, one per row, gives each row the bits of the
+    # one-cochain apply; and the codifferential keeps the bits of one
+    # np.bincount over the face table, spill included.
+    rng = np.random.default_rng(5)
+    for ell in all_degrees(K):
+        block = rng.uniform(-1.0, 1.0, (4, K.n_simplices(ell)))
+        if ell < K.max_degree:
+            rows = [_coboundary_apply(K, ell, row) for row in block]
+            assert np.array_equal(_coboundary_apply(K, ell, block), rows)
+            assert np.allclose(rows, block @ coboundary(K, ell).entries.T, rtol=0, atol=1e-14)
+        if ell >= 1:
+            rows = [_codifferential_apply(K, ell, row) for row in block]
+            assert np.array_equal(_codifferential_apply(K, ell, block), rows)
+            signs = (-1.0) ** np.arange(ell + 1)
+            lower = K.weight_vector(ell - 1)
+            for row, got in zip(block, rows):
+                signed = np.multiply.outer(K.weight_vector(ell) * row, signs)
+                summed = np.bincount(K._faces[ell].ravel(), signed.ravel(), minlength=lower.size)
+                assert (summed / lower).tobytes() == got.tobytes()
+
+
+def test_book_spills_its_spine():
+    K = _book(8)
+    cofaces, _, (spill, _, _) = hodgeheat.complexes._coface_slots(K, 2)
+    assert cofaces.shape[0] < 8 and set(spill.tolist()) == {K.index_of(1, (0, 1))}
 
 
 class TestHodgeLaplacian:

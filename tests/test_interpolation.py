@@ -913,8 +913,9 @@ class TestInterpolationReport:
             interpolation_report(K, laplacian_spectrum(K, 0), epsilon=epsilon)
 
     def test_pipeline_work_counts(self, tmp_path, monkeypatch):
-        # Every operator once: no SVD or QR, since the Betti numbers are
-        # exact ranks over F_p; one eigh per degree; two heat matrices for
+        # Every operator once: no SVD, since the Betti numbers are exact
+        # ranks over F_p; one eigh each for degrees 0 and 2, and degree 1
+        # lifted from them with one QR for its kernel; two heat matrices for
         # kernel decay (alpha's norms need none); one hop-distance pass for
         # the whole report.
         K = lib.flat_torus(6, 6)
@@ -936,7 +937,7 @@ class TestInterpolationReport:
         recurrences = count_calls(monkeypatch, "_chebyshev_sum", hodgeheat.decomposition)
         report, code = run_pipeline(RunConfig(input_path=str(path), p_list=()))
         assert code == 0 and report["ok"]
-        assert (len(svds), len(qrs), len(eighs), len(matrices), len(hops)) == (0, 0, 3, 2, 1)
+        assert (len(svds), len(qrs), len(eighs), len(matrices), len(hops)) == (0, 1, 2, 2, 1)
         # The projector brackets iterate through the rank-b1 factor of H:
         # no n x n matrix reaches the power method.
         n, b1 = K.n_simplices(1), report["betti"][1]
@@ -951,7 +952,7 @@ class TestInterpolationReport:
         eighs.clear()
         report, code = run_pipeline(RunConfig(input_path=str(path)))
         assert code == 0 and report["ok"] and report["uniqueness"].passed
-        assert (len(decomposes), len(splits), len(eighs), len(row_slots)) == (1, 2, 3, 1)
+        assert (len(decomposes), len(splits), len(eighs), len(row_slots)) == (1, 2, 2, 1)
         assert len(recurrences) == 1 and len(recurrences[0][2]) == 2
         assert nonzeros and all(np.ndim(args[0]) == 1 for args in nonzeros)
         # np.flatnonzero ravels its argument before np.nonzero sees it, and

@@ -6,6 +6,7 @@ import json
 import math
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import jsonschema
@@ -14,10 +15,12 @@ import pytest
 from click.testing import CliRunner
 
 import hodgeheat
-from conftest import child_env, count_calls
+import hodgeheat.spectral
+from conftest import child_env, count_calls, log10_uniform_weights
 from hodgeheat import (
     Cochain,
     QuadratureResult,
+    SimplicialComplex,
     betti_numbers,
     decompose,
     laplacian_spectrum,
@@ -218,10 +221,15 @@ class TestPipelineAndReports:
         eigh_calls = count_calls(monkeypatch, "eigh", np.linalg)
         betti_calls = count_calls(monkeypatch, "betti_numbers",
                                   hodgeheat.cli, hodgeheat.interpolation)
+        spectra = count_calls(monkeypatch, "laplacian_spectrum",
+                              hodgeheat.cli, hodgeheat.spectral)
         report, code = run_pipeline(RunConfig(input_path=str(path), degree=1))
         assert code == 0 and report["betti"] == [1, 2, 1]
         assert report["checks"][0]["name"] == "kernel_dim_equals_betti"
-        assert (len(eigh_calls), len(betti_calls)) == (3, 1)
+        # Degree 1 is lifted from the spectra of degrees 0 and 2, which the
+        # dimension stage then reuses: one eigh each for those two.
+        assert sorted(args[1] for args in spectra) == [0, 1, 2]
+        assert (len(eigh_calls), len(betti_calls)) == (2, 1)
 
     def test_sanitize_handles_infinities(self):
         assert sanitize({"x": math.inf, "y": [-math.inf, np.float64(2.0)]}) == \
@@ -529,6 +537,61 @@ class TestCli:
         assert proc.stderr.splitlines() == [
             f"input error: degree 1: the weights overflow the {operator} "
             "(it has a non-finite entry)"]
+
+    @pytest.mark.parametrize("command", ["spectrum", "report"])
+    def test_weights_that_overflow_the_symmetrized_average_are_input_errors(self, tmp_path,
+                                                                            command):
+        # S_ij and S_ji are finite, but their sum in (S + S^T) / 2 is not.
+        # eigh would get an inf and return NaNs; the check names the weights.
+        K = lib.filled_triangle()
+        K = SimplicialComplex(K.simplices, [[1.0, 1.0, 1.7e308], [1.7e308, 1.0, 2.0], [1.0]])
+        path = tmp_path / "triangle.json"
+        path.write_text(json.dumps(complex_to_json_dict(K)))
+        proc = subprocess.run(
+            [sys.executable, "-m", "hodgeheat.cli", command, str(path), "--degree", "0"],
+            env=child_env("1"), capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 2 and not proc.stdout
+        assert proc.stderr.splitlines() == [
+            "input error: degree 0: the weights overflow the W^(1/2)-symmetrized operator "
+            "(it has a non-finite entry)"]
+
+    @pytest.mark.parametrize("weights_of, degree", [
+        (lambda K, rng: [rng.choice([1.0, 1e200, 1e300], len(level)) for level in K.simplices],
+         2),
+        (lambda K, rng: [np.full(len(level), w) for level, w in zip(K.simplices, (1, 1e300, 1))],
+         1),
+    ], ids=["mixed", "edges_1e300"])
+    def test_lifted_report_checks_every_degree_before_any_stage(self, tmp_path, weights_of,
+                                                                degree):
+        # Degree 1 is lifted from degrees 0 and 2, so all three operators are
+        # checked before any stage runs, and no stage overflows first.
+        K = lib.random_two_complex(101)
+        K = SimplicialComplex(K.simplices, weights_of(K, np.random.default_rng(4)))
+        path = tmp_path / "random_101.json"
+        path.write_text(json.dumps(complex_to_json_dict(K)))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            result = CliRunner().invoke(main, ["report", str(path), "--degree", "1",
+                                               "--error-target", "1e-12"])
+        assert result.exit_code == 2 and not result.stdout
+        assert result.stderr.splitlines() == [
+            f"input error: degree {degree}: the weights overflow the W^(1/2)-symmetrized "
+            "operator (it has a non-finite entry)"]
+        assert not caught, [str(w.message) for w in caught]
+
+    def test_stiff_torus_decomposes_past_the_lift_bound(self, tmp_path, monkeypatch):
+        # 10^U(-2, 2) weights put degree 1's lambda_max / gap past 1e6, where
+        # lifted columns lose W-orthogonality.  The spread bound sends it to
+        # eigh, and decompose passes; lifted anyway, it fails its residual.
+        path = tmp_path / "torus.json"
+        K = log10_uniform_weights(lib.flat_torus(6, 6), 2.0, 0)
+        path.write_text(json.dumps(complex_to_json_dict(K)))
+        args = ["decompose", str(path), "--degree", "1"]
+        assert CliRunner().invoke(main, args).exit_code == 0
+        monkeypatch.setattr(hodgeheat.spectral, "LIFT_MAX_SPREAD", math.inf)
+        ungated = CliRunner().invoke(main, args)
+        assert ungated.exit_code == 1
+        assert "invariant violated: decomposition_residual" in ungated.stderr
 
     @pytest.fixture(scope="class")
     def scaled_reports(self, tmp_path_factory):

@@ -13,7 +13,9 @@ from conftest import (
     NAMED,
     NAMED_IDS,
     all_degrees,
+    count_calls,
     general_product,
+    log10_uniform_weights,
     log_uniform_weights,
     spectrum_of,
     traced_peak,
@@ -34,14 +36,17 @@ from hodgeheat.cli import _spectrum_section
 from hodgeheat.complexes import _SparseOperator
 from hodgeheat.decomposition import _green_after_heat
 from hodgeheat.spectral import (
+    LIFT_MAX_SPREAD,
     _UNIT_ROUNDOFF,
     _chebyshev_sum,
     _cut_series,
     _green_series,
     _heat_series,
+    _lift,
     _scaled_bessel_i,
     cached_laplacian_spectrum,
     complex_content_hash,
+    lifted_from,
     load_spectral_data,
     save_spectral_data,
 )
@@ -134,7 +139,8 @@ def test_eigendecompose_leaves_its_argument_unchanged(as_operator):
 def test_operator_forms_agree_bit_for_bit(i, name, K):
     # The assembly's nonzeros, the dense entries and an OperatorMatrix of
     # them all reach eigh and the Chebyshev matvec through _SparseOperator.of,
-    # and laplacian_spectrum is eigendecompose of the first.
+    # and laplacian_spectrum is eigendecompose of the first wherever it does
+    # not lift (see TestDegreeOneLift for the lift).
     K = log_uniform_weights(K, i)
     for ell in all_degrees(K):
         L = hodge_laplacian(K, ell)
@@ -142,7 +148,9 @@ def test_operator_forms_agree_bit_for_bit(i, name, K):
         omega = lib.random_cochain(K, ell, 31)
         forms = (L, L.entries, OperatorMatrix(L.entries, ell, ell))
         spectra = [eigendecompose(form, w, degree=ell) for form in forms]
-        spectra.append(laplacian_spectrum(K, ell))
+        sources = lifted_from(K, ell)
+        if not sources or _lift(K, *(laplacian_spectrum(K, d) for d in sources)) is None:
+            spectra.append(laplacian_spectrum(K, ell))
         assert len({(s.eigenvalues.tobytes(), s.eigencochains.tobytes(), s.kernel_dim, s.gap)
                     for s in spectra}) == 1
         assert len({heat_apply(form, 0.7, omega).values.tobytes() for form in forms}) == 1
@@ -159,6 +167,90 @@ def test_laplacian_spectrum_footprint():
     assert peak <= 2.5 * n * n * 8
 
 
+def _neighbour_spread(K):
+    """lambda_max / gap of degree 1, read off its neighbours' spectra."""
+    values = np.concatenate([s.eigenvalues[s.kernel_dim:]
+                             for s in (laplacian_spectrum(K, d) for d in lifted_from(K, 1))])
+    return values.max() / values.min()
+
+
+_LIFT_CASES = [(name, K, True) for name, K in CORPUS]
+_LIFT_CASES += [(f"{name}_log_uniform", log_uniform_weights(K, i), False)
+                for i, (name, K) in enumerate(CORPUS)]
+_LIFT_CASES += [(f"torus_{n}x{n}", lib.flat_torus(n, n), True) for n in (12, 20)]
+
+
+class TestDegreeOneLift:
+    """Degree 1 of a graph or a 2-complex is lifted from degrees 0 and 2."""
+
+    @pytest.mark.parametrize("name,K,must_lift", _LIFT_CASES,
+                             ids=[name for name, _, _ in _LIFT_CASES])
+    def test_agrees_with_eigh(self, name, K, must_lift):
+        # Every unit-weight case lifts; the log-uniform ones lift where
+        # their spread allows, and are eigh's spectrum elsewhere.
+        w = K.weight_vector(1)
+        s = laplacian_spectrum(K, 1)
+        if must_lift:
+            assert _neighbour_spread(K) <= LIFT_MAX_SPREAD
+        ref = eigendecompose(hodge_laplacian(K, 1), w)
+        lam_max = ref.eigenvalues[-1]
+        assert s.kernel_dim == ref.kernel_dim and s.degree == 1
+        assert np.abs(s.eigenvalues - ref.eigenvalues).max() <= 1e-12 * lam_max
+        assert s.gap == s.eigenvalues[s.kernel_dim] and not s.eigenvalues[:s.kernel_dim].any()
+        V = s.eigencochains
+        assert np.abs(V.T @ (w[:, None] * V) - np.eye(s.dim)).max() <= 1e-12
+        residual = hodge_laplacian(K, 1).entries @ V - V * s.eigenvalues
+        assert np.abs(residual).max() <= 1e-12 * lam_max
+
+    def test_degree_one_runs_no_eigh_of_its_own(self, monkeypatch):
+        K = lib.flat_torus(12, 12)
+        eighs = count_calls(monkeypatch, "eigh", np.linalg)
+        qrs = count_calls(monkeypatch, "qr", np.linalg)
+        neighbours = {}
+        s = laplacian_spectrum(K, 1, neighbours)
+        # One eigh each for degrees 0 and 2, kept for the caller, and one QR
+        # for the two harmonic columns.
+        assert sorted(len(args[0]) for args in eighs) == [144, 288]
+        assert sorted(neighbours) == [0, 2] and len(qrs) == 1
+        # Given the neighbours, the lift runs no eigh at all.
+        eighs.clear()
+        again = laplacian_spectrum(K, 1, neighbours)
+        assert not eighs and again.eigencochains.tobytes() == s.eigencochains.tobytes()
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_past_the_spread_bound_is_eigh_bit_for_bit(self, seed):
+        K = log10_uniform_weights(lib.flat_torus(6, 6), 2.0, seed)
+        assert _neighbour_spread(K) > LIFT_MAX_SPREAD
+        s = laplacian_spectrum(K, 1)
+        ref = eigendecompose(hodge_laplacian(K, 1), K.weight_vector(1))
+        assert s.eigenvalues.tobytes() == ref.eigenvalues.tobytes()
+        assert s.eigencochains.tobytes() == ref.eigencochains.tobytes()
+        assert (s.kernel_dim, s.gap) == (ref.kernel_dim, ref.gap)
+
+    def test_deterministic_and_leaves_global_random_state(self):
+        K = lib.flat_torus(6, 6)
+        before = np.random.get_state(legacy=False)
+        a, b = laplacian_spectrum(K, 1), laplacian_spectrum(K, 1)
+        after = np.random.get_state(legacy=False)
+        assert a.eigencochains.tobytes() == b.eigencochains.tobytes()
+        assert a.eigenvalues.tobytes() == b.eigenvalues.tobytes()
+        assert np.array_equal(before["state"]["key"], after["state"]["key"])
+        assert before["state"]["pos"] == after["state"]["pos"]
+
+    def test_neighbours_of_another_complex_are_rejected(self):
+        K = lib.flat_torus(4, 4)
+        other = {0: laplacian_spectrum(log_uniform_weights(K, 1), 0)}
+        with pytest.raises(ValueError, match="other weights"):
+            laplacian_spectrum(K, 1, other)
+
+    def test_only_degree_one_of_low_complexes_lifts(self):
+        assert lifted_from(lib.cycle_complex(5), 1) == (0,)
+        assert lifted_from(lib.flat_torus(4, 4), 1) == (0, 2)
+        assert lifted_from(lib.flat_torus(4, 4), 0) == ()
+        assert lifted_from(lib.flat_torus(4, 4), 2) == ()
+        assert lifted_from(lib.simplex_boundary(4), 1) == ()
+
+
 class TestScaleInvariantChecks:
     """The self-adjointness tests divide by the largest |entry| before squaring."""
 
@@ -167,6 +259,12 @@ class TestScaleInvariantChecks:
         A = scale * np.array([[2.0, 1.0], [-1.0, 2.0]])
         with pytest.raises(ValueError, match="not self-adjoint"):
             eigendecompose(A)
+
+    def test_non_finite_spectrum_is_rejected(self):
+        # Every entry and every (S_ij + S_ji) / 2 is finite, but the largest
+        # eigenvalue, 2.4e308, is not.
+        with pytest.raises(ValueError, match="non-finite eigenvalue"):
+            eigendecompose(np.full((3, 3), 8e307))
 
     @pytest.mark.parametrize("scale", [1e200, 1e-200])
     def test_symmetric_passes_at_any_scale(self, scale):
