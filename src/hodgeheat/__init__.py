@@ -41,11 +41,9 @@ from .complexes import (
     betti_numbers,
     build_complex,
     coboundary,
-    codifferential,
     hodge_laplacian,
     inner_product,
     lp_norm,
-    weighted_adjoint,
 )
 from .decomposition import (
     DecompositionResult,
@@ -55,9 +53,6 @@ from .decomposition import (
     harmonic_representative,
     inv_sqrt_spectral,
     inv_sqrt_subordinated,
-    riesz_transform_norms,
-    shifted_sqrt_diff,
-    shifted_sqrt_norms,
     verify_uniqueness,
 )
 from .interpolation import (
@@ -81,7 +76,6 @@ from .spectral import (
     SpectralData,
     eigendecompose,
     harmonic_projector,
-    heat_apply,
     laplacian_spectrum,
 )
 

@@ -34,9 +34,6 @@ class Cochain:
         if self.values.ndim != 1:
             raise ValueError("cochain values must be a 1-d array")
 
-    def copy(self) -> "Cochain":
-        return Cochain(self.degree, self.values.copy())
-
 
 @dataclass
 class OperatorMatrix:
@@ -286,18 +283,6 @@ def _vertex_ranks(K: SimplicialComplex, k: int) -> np.ndarray:
     return ranks
 
 
-def codifferential(K: SimplicialComplex, ell: int) -> OperatorMatrix:
-    """Adjoint of the coboundary w.r.t. the weighted inner products.
-
-    delta_ell = W_(ell-1)^-1 d_(ell-1)^T W_ell, mapping C^ell -> C^(ell-1).
-    """
-    if not 1 <= ell <= K.max_degree:
-        raise ValueError(f"codifferential degree {ell} out of range [1, {K.max_degree}]")
-    d = coboundary(K, ell - 1).entries
-    entries = weighted_adjoint(d, K.weight_vector(ell - 1), K.weight_vector(ell))
-    return OperatorMatrix(entries, domain_degree=ell, codomain_degree=ell - 1)
-
-
 def _coboundary_apply(K: SimplicialComplex, ell: int, u: np.ndarray) -> np.ndarray:
     """d_ell u, gathered through the face table of degree ell + 1.  ``u`` is a
     cochain's values or a block of them, one cochain per row."""
@@ -443,7 +428,9 @@ class _SparseOperator(OperatorMatrix):
     def of(cls, operator, degree: int) -> "_SparseOperator":
         """``operator`` itself when it is one, else the nonzeros of its dense
         matrix, found by one scan of all n^2 entries.  An array has no
-        degree and gets ``degree``; an OperatorMatrix keeps its own."""
+        degree and gets ``degree``; an OperatorMatrix keeps its own.
+        ``eigendecompose`` is the one routine that takes an operator in any
+        of these forms; route B reads what ``hodge_laplacian`` returns."""
         if isinstance(operator, cls):
             return operator
         if isinstance(operator, OperatorMatrix):
@@ -584,11 +571,6 @@ def _ratio(x, a, b, c) -> np.ndarray:
     or underflows only when its value does."""
     (mx, ex), (ma, ea), (mb, eb), (mc, ec) = map(np.frexp, (x, a, b, c))
     return np.ldexp(mx * ma / mb / mc, ex + ea - eb - ec)
-
-
-def weighted_adjoint(A: np.ndarray, w_dom: np.ndarray, w_cod: np.ndarray) -> np.ndarray:
-    """Adjoint of A: (C^dom, W_dom) -> (C^cod, W_cod)."""
-    return (A.T * np.asarray(w_cod)[None, :]) / np.asarray(w_dom)[:, None]
 
 
 def inner_product(K: SimplicialComplex, u: Cochain, v: Cochain) -> float:

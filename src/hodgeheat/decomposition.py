@@ -23,13 +23,10 @@ from .complexes import (
     _coboundary_apply,
     _codifferential_apply,
     _unit_scaled,
-    coboundary,
-    codifferential,
     hodge_laplacian,
     inner_product,
     lp_norm,
 )
-from .interpolation import _brackets
 from .spectral import (
     SpectralData,
     _chebyshev_sum,
@@ -131,33 +128,6 @@ def inv_sqrt_subordinated(s: SpectralData, omega: Cochain,
     tail = (math.exp(-s.gap * t_max) / (s.gap * math.sqrt(t_max))
             / math.sqrt(math.pi) * s.norm2(v0))
     return QuadratureResult(Cochain(s.degree, vals), tail, t_max, count, error_target)
-
-
-def shifted_sqrt_diff(s: SpectralData, gamma_shift: float, omega: Cochain) -> Cochain:
-    """((Laplacian + gamma)^(1/2) - Laplacian^(1/2)) omega, spectrally."""
-    if gamma_shift <= 0:
-        raise ValueError("shift must be positive")
-    s.check_cochain(omega)
-    vals = s.apply_function(
-        lambda lam: np.sqrt(lam + gamma_shift) - np.sqrt(lam), omega.values
-    )
-    return Cochain(s.degree, vals)
-
-
-def shifted_sqrt_norms(s: SpectralData, gamma_shift: float) -> dict:
-    """2->2 norm of the shifted square-root difference and its sqrt(gamma) bound.
-
-    The scalar function sqrt(lam + gamma) - sqrt(lam) is decreasing in lam,
-    so the operator norm is its value at the smallest eigenvalue present
-    and never exceeds sqrt(gamma).
-    """
-    if gamma_shift <= 0:
-        raise ValueError("shift must be positive")
-    f = np.sqrt(s.eigenvalues + gamma_shift) - np.sqrt(s.eigenvalues)
-    return {
-        "opnorm_2to2": float(np.max(f)) if f.size else 0.0,
-        "bound": math.sqrt(gamma_shift),
-    }
 
 
 @dataclass
@@ -452,59 +422,3 @@ def _route_b(laplacian, s: SpectralData, omega: Cochain, error_target: float):
     return h, QuadratureResult(Cochain(s.degree, g), tail, t_max,
                                max(heat.size, green.size) - 1, error_target,
                                (heat_dropped + green_dropped) * s.norm2(omega.values))
-
-
-@dataclass
-class RieszTransformReport:
-    rows: list
-    commutation_residual: float
-    factorization_residual: float
-    resolution_residual: float
-
-
-def riesz_transform_norms(K: SimplicialComplex, s: SpectralData,
-                          p_list) -> RieszTransformReport:
-    """p->p norm brackets for d Lap^(-1/2)(1-H) and delta Lap^(-1/2)(1-H).
-
-    s is K's spectrum at the degree of the transforms.  Also verifies, at
-    the matrix level, that d delta commutes with the Laplacian, that
-    d delta G factors through the two half-inverses, and that
-    d delta G + delta d G resolves the identity minus the harmonic
-    projector.
-    """
-    K.check_spectrum(s)
-    ell = s.degree
-    inv_sqrt = inv_sqrt_spectral(s).entries
-    green = green_spectral(s).entries
-    one_minus_h = s.function_matrix(lambda lam: (lam > 0).astype(float))
-
-    w_ell = K.weight_vector(ell)
-    operators = []  # (name, matrix, codomain weights)
-    if ell < K.max_degree:
-        operators.append(("d", coboundary(K, ell).entries @ inv_sqrt, K.weight_vector(ell + 1)))
-    if ell >= 1:
-        operators.append(("delta", codifferential(K, ell).entries @ inv_sqrt,
-                          K.weight_vector(ell - 1)))
-    ps = [float(p) for p in p_list]
-    brackets = {name: _brackets(T, ps, w_ell, w_cod, iters=48, seed=0)
-                for name, T, w_cod in operators}
-    rows = [{"operator": name, "p": p, "lower": b[i][0], "upper": b[i][1]}
-            for i, p in enumerate(ps) for name, b in brackets.items()]
-
-    lap = hodge_laplacian(K, ell).entries
-    if ell >= 1:
-        d_delta = coboundary(K, ell - 1).entries @ codifferential(K, ell).entries
-    else:
-        d_delta = np.zeros_like(lap)
-    commutation = float(np.linalg.norm(d_delta @ lap - lap @ d_delta, 2))
-    factorization = float(
-        np.linalg.norm(d_delta @ green - inv_sqrt @ d_delta @ inv_sqrt, 2)
-    )
-    if ell < K.max_degree:
-        delta_d = codifferential(K, ell + 1).entries @ coboundary(K, ell).entries
-    else:
-        delta_d = np.zeros_like(lap)
-    resolution = float(
-        np.linalg.norm(d_delta @ green + delta_d @ green - one_minus_h, 2)
-    )
-    return RieszTransformReport(rows, commutation, factorization, resolution)

@@ -369,35 +369,6 @@ def _chebyshev_sum(A, b: float, rows, x: np.ndarray) -> list:
     return outs
 
 
-def heat_apply(source, t: float, omega: Cochain) -> Cochain:
-    """Apply the heat semigroup P_t to a cochain.
-
-    For SpectralData ``source`` this is the spectral sum
-    exp(-t lambda_i) <omega, v_i> v_i.  For a Laplacian (what
-    ``hodge_laplacian`` returns, an OperatorMatrix or an array) it is the
-    eigenbasis-free Chebyshev action in Y = (2/b) L - I on the row slots
-    of ``_SparseOperator.of(source)``: about sqrt(t b log(1/eps)) products
-    with its nonzeros, cut where the dropped coefficients sum to the unit
-    roundoff.  The two agree to 1e-12 relative.  The matrix must be
-    self-adjoint in a weighted inner product with spectrum in
-    [0, lambda_max], as every Hodge Laplacian is; for other matrices the
-    truncated series is not exp(-t A) x.  ``t`` must be finite and >= 0.
-    """
-    if not 0 <= t < math.inf:
-        raise ValueError(f"heat semigroup requires a finite t >= 0, got t = {t}")
-    if isinstance(source, SpectralData):
-        source.check_cochain(omega)
-        return Cochain(source.degree,
-                       source.apply_function(lambda lam: np.exp(-t * lam), omega.values))
-    L = _SparseOperator.of(source, omega.degree)
-    if (L.domain_degree, L.shape[0]) != (omega.degree, omega.values.size):
-        raise ValueError(f"the Laplacian of degree {L.domain_degree} on {L.shape[0]} simplices "
-                         f"does not match the cochain of degree {omega.degree} on "
-                         f"{omega.values.size} simplices")
-    kept, _ = _cut_series(_heat_series(t, L.bound))
-    return Cochain(omega.degree, _chebyshev_sum(L, L.bound, [kept], omega.values)[0])
-
-
 def harmonic_projector(s: SpectralData) -> OperatorMatrix:
     """W-orthogonal projector V_k V_k^T W onto the kernel of the Laplacian."""
     Vk = s.kernel_basis()

@@ -1,4 +1,5 @@
-"""Shared corpus of test complexes and a session-wide spectral cache."""
+"""Shared corpus of test complexes, a session-wide spectral cache and the
+dense oracles of the operators the package applies without forming."""
 
 import os
 import tracemalloc
@@ -7,8 +8,10 @@ from pathlib import Path
 import pytest
 
 import hodgeheat
-from hodgeheat import SimplicialComplex, laplacian_spectrum
+from hodgeheat import OperatorMatrix, SimplicialComplex, coboundary, laplacian_spectrum
 from hodgeheat import library as lib
+from hodgeheat.complexes import _SparseOperator
+from hodgeheat.spectral import _chebyshev_sum, _cut_series, _heat_series
 
 # After hodgeheat, whose import applies HODGEHEAT_NUM_THREADS before numpy loads.
 import numpy as np  # noqa: E402,I001
@@ -69,6 +72,29 @@ def general_product(s, func):
     """f(Laplacian) = V diag(f) V^T W as one general product, for any f."""
     V = s.eigencochains
     return (V * func(s.eigenvalues)[None, :]) @ (V.T * s.weights[None, :])
+
+
+def weighted_adjoint(A, w_dom, w_cod):
+    """Adjoint of A: (C^dom, W_dom) -> (C^cod, W_cod)."""
+    return (A.T * np.asarray(w_cod)[None, :]) / np.asarray(w_dom)[:, None]
+
+
+def codifferential(K, ell):
+    """Oracle: the dense delta_ell = W_(ell-1)^-1 d_(ell-1)^T W_ell, C^ell -> C^(ell-1)."""
+    if not 1 <= ell <= K.max_degree:
+        raise ValueError(f"codifferential degree {ell} out of range [1, {K.max_degree}]")
+    d = coboundary(K, ell - 1).entries
+    entries = weighted_adjoint(d, K.weight_vector(ell - 1), K.weight_vector(ell))
+    return OperatorMatrix(entries, domain_degree=ell, codomain_degree=ell - 1)
+
+
+def chebyshev_heat(laplacian, t, values):
+    """exp(-t L) values without the eigenbasis: route B's heat row, the cut
+    Chebyshev series of exp(-t lam) on [0, b], summed on L's recurrence.
+    ``laplacian`` is anything ``_SparseOperator.of`` takes."""
+    L = _SparseOperator.of(laplacian, 0)
+    kept, _ = _cut_series(_heat_series(t, L.bound))
+    return _chebyshev_sum(L, L.bound, [kept], values)[0]
 
 
 def count_calls(monkeypatch, name, *modules):

@@ -20,12 +20,21 @@ Writes OUTDIR/inputs/NAME.json and OUTDIR/reports/NAME.json for:
 - three vertices with no edges at degree 0: the gap is infinite, so route
   B does not run and the uniqueness section's ``quadrature`` is ``{}``.
 
-It also runs the ``spectrum``, ``decompose``, ``interp``, ``verify`` and
-``report`` subcommands through click's ``CliRunner`` on ``cycle_complex(3)``,
-``filled_triangle`` and flat_torus 6x6 at degree 1, in JSON and, where the
-subcommand offers it, with ``--output-format csv``.  Each run writes
-OUTDIR/cli/INPUT-COMMAND-FORMAT.stdout, .stderr and .exit (the exit code),
-so the comparison covers the CLI's renderer and its payload slices too.
+It also runs every subcommand through click's ``CliRunner``, so the
+comparison covers the CLI's renderer, its payload slices and every reader:
+
+- ``build``, and ``spectrum``, ``decompose``, ``interp``, ``verify`` and
+  ``report`` at degree 1, on ``cycle_complex(3)``, ``filled_triangle`` and
+  flat_torus 6x6 as JSON files, in JSON and, where the subcommand offers
+  it, with ``--output-format csv``;
+- ``build`` and ``report`` on the tetrahedron boundary as an OFF mesh and
+  on C3 as an edge list, both written as text;
+- ``spectrum`` at degrees 0-2 on the filled triangle with ``--cache-dir``,
+  which writes each entry, then ``report`` at degrees 0-2, which reads
+  them.  The cache directory is removed afterwards: an entry's bytes hold
+  the time it was written.
+
+Each run writes OUTDIR/cli/NAME.stdout, .stderr and .exit (the exit code).
 
 Each report names its input by the same relative path on every tree, so
 ``diff -r`` of two OUTDIRs is empty exactly when the reports agree byte
@@ -34,6 +43,7 @@ for byte.  pytest does not collect this file.
 
 import json
 import os
+import shutil
 import sys
 
 import numpy as np
@@ -46,8 +56,17 @@ from hodgeheat.cli import RunConfig, main as cli_main, run_pipeline
 from hodgeheat.io import complex_to_json_dict, emit_report
 
 # Subcommand -> output formats it offers.
-_CLI_COMMANDS = {"spectrum": ("json", "csv"), "decompose": ("json", "csv"),
-                 "interp": ("json", "csv"), "verify": ("json",), "report": ("json", "csv")}
+_CLI_COMMANDS = {"build": ("json",), "spectrum": ("json", "csv"),
+                 "decompose": ("json", "csv"), "interp": ("json", "csv"),
+                 "verify": ("json",), "report": ("json", "csv")}
+
+# File name -> text, one input per text reader: the tetrahedron boundary as
+# a consistently oriented OFF mesh, and C3 as an edge list, one edge weighted.
+_TEXT_INPUTS = {
+    "tetra_boundary.off": ("OFF\n4 4 6\n0 0 0\n1 0 0\n0 1 0\n0 0 1\n"
+                           "3 0 2 1\n3 0 1 3\n3 0 3 2\n3 1 2 3\n"),
+    "c3.edges": "0 1\n1 2\n0 2 2.0\n",
+}
 
 
 def _cases():
@@ -78,24 +97,45 @@ def _cases():
     yield "vertices_only-0", complex_to_json_dict(build_complex({"vertices": [0, 1, 2]})), 0, None
 
 
+def _invoke(name, args):
+    """Run the CLI on args; write its stdout, stderr and exit code to cli/NAME.*."""
+    result = CliRunner().invoke(cli_main, args)
+    stem = os.path.join("cli", name)
+    for suffix, text in (("stdout", result.stdout), ("stderr", result.stderr),
+                         ("exit", f"{result.exit_code}\n")):
+        with open(f"{stem}.{suffix}", "w", encoding="utf-8") as fh:
+            fh.write(text)
+
+
+def _write_input(filename, text):
+    path = os.path.join("inputs", f"cli_{filename}")
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(text)
+    return path
+
+
 def _cli_runs():
     """Write every subcommand's stdout, stderr and exit code to cli/."""
     os.makedirs("cli", exist_ok=True)
     inputs = {"c3": lib.cycle_complex(3), "filled_triangle": lib.filled_triangle(),
               "torus_6x6": lib.flat_torus(6, 6)}
     for name, K in inputs.items():
-        path = os.path.join("inputs", f"cli_{name}.json")
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(complex_to_json_dict(K), fh)
+        path = _write_input(f"{name}.json", json.dumps(complex_to_json_dict(K)))
         for command, formats in _CLI_COMMANDS.items():
+            degree = [] if command == "build" else ["--degree", "1"]
             for fmt in formats:
                 extra = [] if fmt == "json" else ["--output-format", fmt]
-                result = CliRunner().invoke(cli_main, [command, path, "--degree", "1", *extra])
-                stem = os.path.join("cli", f"{name}-{command}-{fmt}")
-                for suffix, text in (("stdout", result.stdout), ("stderr", result.stderr),
-                                     ("exit", f"{result.exit_code}\n")):
-                    with open(f"{stem}.{suffix}", "w", encoding="utf-8") as fh:
-                        fh.write(text)
+                _invoke(f"{name}-{command}-{fmt}", [command, path, *degree, *extra])
+    for filename, text in _TEXT_INPUTS.items():
+        path = _write_input(filename, text)
+        for command in ("build", "report"):
+            _invoke(f"{filename.replace('.', '_')}-{command}-json", [command, path])
+    path = os.path.join("inputs", "cli_filled_triangle.json")
+    for command in ("spectrum", "report"):
+        for ell in range(3):
+            _invoke(f"filled_triangle-{command}-cache-{ell}",
+                    [command, path, "--degree", str(ell), "--cache-dir", "cache"])
+    shutil.rmtree("cache")
 
 
 def main(outdir):

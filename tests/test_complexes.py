@@ -17,9 +17,11 @@ from conftest import (
     NAMED,
     NAMED_IDS,
     all_degrees,
+    codifferential,
     log_uniform_weights,
     spectrum_of,
     traced_peak,
+    weighted_adjoint,
 )
 import hodgeheat.complexes
 from hodgeheat import (
@@ -28,11 +30,9 @@ from hodgeheat import (
     betti_numbers,
     build_complex,
     coboundary,
-    codifferential,
     hodge_laplacian,
     inner_product,
     lp_norm,
-    weighted_adjoint,
 )
 from hodgeheat import library as lib
 from hodgeheat.cli import RunConfig, run_pipeline

@@ -15,13 +15,13 @@ from conftest import (
     NAMED,
     NAMED_IDS,
     all_degrees,
+    codifferential,
     log_uniform_weights,
     spectrum_of,
 )
 from hodgeheat import (
     Cochain,
     coboundary,
-    codifferential,
     decompose,
     green_spectral,
     harmonic_projector,
@@ -31,9 +31,6 @@ from hodgeheat import (
     inv_sqrt_spectral,
     inv_sqrt_subordinated,
     laplacian_spectrum,
-    riesz_transform_norms,
-    shifted_sqrt_diff,
-    shifted_sqrt_norms,
     verify_uniqueness,
 )
 from hodgeheat import library as lib
@@ -150,40 +147,6 @@ class TestInverseSquareRoot:
             R = inv_sqrt_spectral(s).entries
             G = green_spectral(s).entries
             assert np.linalg.norm(R @ R - G, 2) <= 1e-9 * max(np.linalg.norm(G, 2), 1.0)
-
-
-class TestShiftedSquareRoot:
-    def test_kernel_component_scales_by_sqrt_gamma(self):
-        K = lib.cycle_complex(3)
-        s = laplacian_spectrum(K, 0)
-        omega = Cochain(0, np.ones(3))
-        out = shifted_sqrt_diff(s, 2.0, omega)
-        assert np.allclose(out.values, math.sqrt(2.0), atol=1e-12)
-
-    def test_eigenvalue_three_with_unit_shift(self):
-        K = lib.cycle_complex(3)
-        s = laplacian_spectrum(K, 0)
-        v = s.eigencochains[:, 2]
-        out = shifted_sqrt_diff(s, 1.0, Cochain(0, v))
-        assert np.allclose(out.values, (2.0 - math.sqrt(3.0)) * v, atol=1e-12)
-
-    def test_norm_report_bounded_by_sqrt_gamma(self):
-        for K, ell in ((lib.cycle_complex(3), 0), (lib.filled_triangle(), 1)):
-            s = laplacian_spectrum(K, ell)
-            for gamma in (0.1, 1.0, 10.0):
-                rep = shifted_sqrt_norms(s, gamma)
-                assert rep["opnorm_2to2"] <= rep["bound"] + 1e-12
-                if s.kernel_dim > 0:
-                    assert rep["opnorm_2to2"] == pytest.approx(math.sqrt(gamma), abs=1e-12)
-                else:
-                    lam0 = float(s.eigenvalues[0])
-                    expected = math.sqrt(lam0 + gamma) - math.sqrt(lam0)
-                    assert rep["opnorm_2to2"] == pytest.approx(expected, abs=1e-12)
-
-    def test_nonpositive_shift_rejected(self):
-        s = laplacian_spectrum(lib.interval(), 0)
-        with pytest.raises(ValueError):
-            shifted_sqrt_diff(s, 0.0, Cochain(0, [1.0, 0.0]))
 
 
 class TestDecompose:
@@ -467,33 +430,6 @@ class TestVerifyUniqueness:
         assert len(results) == 6 and all(same(r, expected) for r in results)
 
 
-class TestRieszTransforms:
-    def test_p2_norm_of_d_transform_at_most_one(self):
-        K = lib.simplex_boundary(3)
-        rep = riesz_transform_norms(K, laplacian_spectrum(K, 1), p_list=(2.0,))
-        rows = {(r["operator"], r["p"]): r for r in rep.rows}
-        assert rows[("d", 2.0)]["upper"] <= 1.0 + 1e-10
-        assert rows[("delta", 2.0)]["upper"] <= 1.0 + 1e-10
-
-    def test_commutation_and_factorization_residuals(self):
-        K = lib.cycle_complex(3)
-        rep = riesz_transform_norms(K, laplacian_spectrum(K, 1), p_list=())
-        assert rep.commutation_residual <= 1e-9
-        assert rep.factorization_residual <= 1e-9
-
-    def test_filled_triangle_resolution_of_identity(self):
-        K = lib.filled_triangle()
-        rep = riesz_transform_norms(K, laplacian_spectrum(K, 1), p_list=())
-        assert rep.resolution_residual <= 1e-10
-
-    def test_brackets_ordered(self):
-        K = lib.flat_torus(6, 6)
-        s = spectrum_of("torus_6x6", K, 1)
-        rep = riesz_transform_norms(K, s, p_list=(1.5, 2.0, 3.0))
-        for row in rep.rows:
-            assert row["lower"] <= row["upper"] + 1e-8
-
-
 class TestSpectrumBelongsToComplex:
     """Every routine that takes K and a spectrum s checks that s is K's."""
 
@@ -509,7 +445,6 @@ class TestSpectrumBelongsToComplex:
             "kernel_decay_fit": lambda K, s: hodgeheat.kernel_decay_fit(K, s, 1.0),
             "interpolation_report": lambda K, s: hodgeheat.interpolation_report(K, s),
             "gaffney_constant": lambda K, s: hodgeheat.gaffney_constant(K, s, 1.0),
-            "riesz_transform_norms": lambda K, s: riesz_transform_norms(K, s, (2.0,)),
             "decompose": lambda K, s: decompose(K, s, cls.OMEGA),
             "harmonic_representative": lambda K, s: harmonic_representative(K, s, cls.OMEGA),
             "verify_uniqueness": lambda K, s: verify_uniqueness(K, s, dec),
@@ -531,8 +466,7 @@ class TestSpectrumBelongsToComplex:
 
     @pytest.mark.parametrize("case", sorted(CASES))
     @pytest.mark.parametrize("routine", ["kernel_decay_fit", "interpolation_report",
-                                         "gaffney_constant", "riesz_transform_norms",
-                                         *COCHAIN_ROUTINES])
+                                         "gaffney_constant", *COCHAIN_ROUTINES])
     def test_spectrum_of_another_complex_rejected(self, routine, case):
         spectrum_of_, K, message = self.CASES[case]
         with pytest.raises(ValueError, match=message.format(K=self.TORUS)):
@@ -552,11 +486,7 @@ class TestCochainMatchesSpectrum:
     degree and the size, before any arithmetic can broadcast."""
 
     K = lib.filled_triangle()  # 3 vertices, 3 edges, 1 triangle
-    ENTRIES = {
-        "heat_apply": lambda s, omega: hodgeheat.heat_apply(s, 0.5, omega),
-        "inv_sqrt_subordinated": inv_sqrt_subordinated,
-        "shifted_sqrt_diff": lambda s, omega: shifted_sqrt_diff(s, 1.0, omega),
-    }
+    ENTRIES = {"inv_sqrt_subordinated": inv_sqrt_subordinated}
 
     @pytest.mark.parametrize("degree,n", [(1, 5), (0, 3), (2, 1)],
                              ids=["size", "degree", "both"])

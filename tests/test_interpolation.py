@@ -20,24 +20,23 @@ from conftest import (
     NAMED,
     NAMED_IDS,
     all_degrees,
+    codifferential,
     count_calls,
     general_product,
     log_uniform_weights,
     spectrum_of,
     traced_peak,
+    weighted_adjoint,
 )
 from hodgeheat import (
     SimplicialComplex,
     admissible_interval,
     build_complex,
-    coboundary,
-    codifferential,
     decay_rate,
     dimension_consistency,
     gaffney_constant,
     harmonic_projector,
     hodge_laplacian,
-    inv_sqrt_spectral,
     interpolation_report,
     kernel_decay_fit,
     laplacian_spectrum,
@@ -46,13 +45,12 @@ from hodgeheat import (
     opnorm_exact_extremes,
     opnorm_power_method,
     projector_norm_profile,
-    riesz_transform_norms,
     select_t0,
     volume_growth_fit,
 )
 from hodgeheat import library as lib
 from hodgeheat.cli import RunConfig, run_pipeline
-from hodgeheat.complexes import _SparseOperator, _vertex_ranks, weighted_adjoint
+from hodgeheat.complexes import _SparseOperator, _vertex_ranks
 from hodgeheat.interpolation import _Factored, _hop_distances, _opnorm2, _simplex_distances
 from hodgeheat.io import complex_to_json_dict
 from hodgeheat.spectral import SpectralData
@@ -737,7 +735,6 @@ class TestGaffney:
         K = lib.cycle_complex(3)
         s = laplacian_spectrum(K, 1)
         h = s.kernel_basis()[:, 0]
-        from hodgeheat import codifferential
         d = codifferential(K, 1).entries @ h
         assert np.linalg.norm(d) <= 1e-12  # d omega = delta omega = 0 on kernel
 
@@ -796,15 +793,6 @@ class TestBracketsShareEndpoints:
         projector_norm_profile(s, (1.25, 1.5, 2.0, 3.0, 4.0))
         assert calls == [] and svds == []
 
-    def test_riesz_runs_one_svd_per_operator(self, monkeypatch):
-        K = lib.flat_torus(6, 6)
-        s = spectrum_of("torus_6x6", K, 1)
-        calls = count_calls(monkeypatch, "_opnorm2", hodgeheat.interpolation)
-        rep = riesz_transform_norms(K, s, p_list=(1.5, 2.0, 3.0))
-        assert len(calls) == 2
-        assert [(r["p"], r["operator"]) for r in rep.rows] == \
-            [(p, op) for p in (1.5, 2.0, 3.0) for op in ("d", "delta")]
-
     def test_no_svd_when_no_p_needs_it(self, monkeypatch):
         K = lib.flat_torus(6, 6)
         s = spectrum_of("torus_6x6", K, 1)
@@ -861,25 +849,6 @@ class TestBracketsShareEndpoints:
             assert abs(svd - closed) <= 1e-12
             row = projector_norm_profile(s, (2.0,))[0]
             assert row["lower"] == row["upper"] == closed
-
-    @pytest.mark.parametrize("name, K", NAMED, ids=NAMED_IDS)
-    def test_riesz_rows_equal_per_p_brackets(self, name, K):
-        # Oracle: one opnorm_bracket call per (p, operator) on the same matrices.
-        for ell in all_degrees(K):
-            s = spectrum_of(name, K, ell)
-            inv_sqrt = inv_sqrt_spectral(s).entries
-            ops = []
-            if ell < K.max_degree:
-                ops.append(("d", coboundary(K, ell).entries @ inv_sqrt, ell + 1))
-            if ell >= 1:
-                ops.append(("delta", codifferential(K, ell).entries @ inv_sqrt, ell - 1))
-            expected = []
-            for p in self.GRID:
-                for op, T, cod in ops:
-                    lo, hi = opnorm_bracket(T, p, K.weight_vector(ell), K.weight_vector(cod),
-                                            iters=48, seed=0)
-                    expected.append({"operator": op, "p": p, "lower": lo, "upper": hi})
-            assert riesz_transform_norms(K, s, self.GRID).rows == expected
 
 
 class TestInterpolationReport:
