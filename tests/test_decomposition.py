@@ -31,6 +31,7 @@ from hodgeheat import (
     inv_sqrt_spectral,
     inv_sqrt_subordinated,
     laplacian_spectrum,
+    opnorm_bracket,
     verify_uniqueness,
 )
 from hodgeheat import library as lib
@@ -428,6 +429,88 @@ class TestVerifyUniqueness:
             sys.setswitchinterval(switch)
         assert not seeder.is_alive() and not any(w.is_alive() for w in workers)
         assert len(results) == 6 and all(same(r, expected) for r in results)
+
+
+def _d_delta_and_delta_d(K, ell):
+    """Dense d_(ell-1) delta_ell and delta_(ell+1) d_ell on C^ell, zero where
+    the degree has no face or coface."""
+    n = K.n_simplices(ell)
+    d_delta = (coboundary(K, ell - 1).entries @ codifferential(K, ell).entries
+               if ell >= 1 else np.zeros((n, n)))
+    delta_d = (codifferential(K, ell + 1).entries @ coboundary(K, ell).entries
+               if ell < K.max_degree else np.zeros((n, n)))
+    return d_delta, delta_d
+
+
+def _riesz_transforms(K, s):
+    """(name, d Lap^(-1/2) or delta Lap^(-1/2), codomain weights) at s's degree."""
+    ell = s.degree
+    inv_sqrt = inv_sqrt_spectral(s).entries
+    out = []
+    if ell < K.max_degree:
+        out.append(("d", coboundary(K, ell).entries @ inv_sqrt, K.weight_vector(ell + 1)))
+    if ell >= 1:
+        out.append(("delta", codifferential(K, ell).entries @ inv_sqrt, K.weight_vector(ell - 1)))
+    return out
+
+
+class TestRieszIdentities:
+    """The Hodge identities behind the Riesz transforms d Lap^(-1/2) and
+    delta Lap^(-1/2), at the matrix level, from the spectral Green operator,
+    inverse square root and harmonic projector."""
+
+    @pytest.mark.parametrize("name,K", NAMED, ids=NAMED_IDS)
+    def test_resolution_of_identity(self, name, K):
+        # d delta G + delta d G = 1 - H.
+        for ell in all_degrees(K):
+            s = spectrum_of(name, K, ell)
+            green = green_spectral(s).entries
+            d_delta, delta_d = _d_delta_and_delta_d(K, ell)
+            one_minus_h = np.eye(s.dim) - harmonic_projector(s).entries
+            assert np.linalg.norm(d_delta @ green + delta_d @ green - one_minus_h, 2) <= 1e-10
+
+    @pytest.mark.parametrize("name,K", NAMED, ids=NAMED_IDS)
+    def test_d_delta_commutes_with_laplacian(self, name, K):
+        for ell in all_degrees(K):
+            lap = hodge_laplacian(K, ell).entries
+            d_delta, _ = _d_delta_and_delta_d(K, ell)
+            scale = max(np.linalg.norm(lap, 2) ** 2, 1.0)
+            assert np.linalg.norm(d_delta @ lap - lap @ d_delta, 2) <= 1e-12 * scale
+
+    @pytest.mark.parametrize("name,K", NAMED, ids=NAMED_IDS)
+    def test_d_delta_green_factors_through_half_inverses(self, name, K):
+        # d delta G = Lap^(-1/2) d delta Lap^(-1/2).
+        for ell in all_degrees(K):
+            s = spectrum_of(name, K, ell)
+            green = green_spectral(s).entries
+            inv_sqrt = inv_sqrt_spectral(s).entries
+            d_delta, _ = _d_delta_and_delta_d(K, ell)
+            assert np.linalg.norm(d_delta @ green - inv_sqrt @ d_delta @ inv_sqrt, 2) <= 1e-10
+
+    @pytest.mark.parametrize("name,K", NAMED, ids=NAMED_IDS)
+    def test_transforms_split_the_l2_norm(self, name, K):
+        # |d R omega|^2 + |delta R omega|^2 = |(1 - H) omega|^2, so each
+        # transform has weighted 2->2 norm at most 1.
+        for ell in all_degrees(K):
+            s = spectrum_of(name, K, ell)
+            omega = lib.random_cochain(K, ell, 11)
+            coexact_exact = omega.values - harmonic_part(s, omega.values)
+            total = 0.0
+            for _, T, w_cod in _riesz_transforms(K, s):
+                total += float(np.sum(w_cod * (T @ omega.values) ** 2))
+                lower, upper = opnorm_bracket(T, 2.0, K.weight_vector(ell), w_cod)
+                assert lower == upper <= 1.0 + 1e-10
+            assert total == pytest.approx(s.norm2(coexact_exact) ** 2, rel=1e-10, abs=1e-24)
+
+    @pytest.mark.parametrize("name,K", NAMED, ids=NAMED_IDS)
+    def test_brackets_ordered(self, name, K):
+        for ell in all_degrees(K):
+            s = spectrum_of(name, K, ell)
+            for _, T, w_cod in _riesz_transforms(K, s):
+                for p in (1.5, 2.0, 3.0):
+                    lower, upper = opnorm_bracket(T, p, K.weight_vector(ell), w_cod,
+                                                  iters=48, seed=0)
+                    assert 0.0 <= lower <= upper + 1e-8
 
 
 class TestSpectrumBelongsToComplex:

@@ -744,6 +744,20 @@ class TestFunctionMatrix:
         s = laplacian_spectrum(lib.cycle_complex(3), 1)
         assert np.array_equal(s.function_matrix(np.zeros_like), np.zeros((3, 3)))
 
+    def test_apply_function_acts_on_kernel_and_eigenvectors(self):
+        # sqrt(lam + 1) - sqrt(lam) on C3 at degree 0: sqrt(1) on the
+        # constants, 2 - sqrt(3) on the eigenvalue 3; it agrees with the matrix.
+        def func(lam):
+            lam = np.maximum(lam, 0.0)
+            return np.sqrt(lam + 1.0) - np.sqrt(lam)
+
+        s = laplacian_spectrum(lib.cycle_complex(3), 0)
+        v = s.eigencochains[:, 2]
+        assert np.allclose(s.apply_function(func, np.ones(3)), 1.0, atol=1e-12)
+        assert np.allclose(s.apply_function(func, v), (2.0 - math.sqrt(3.0)) * v, atol=1e-12)
+        x = lib.random_cochain(lib.cycle_complex(3), 0, 5).values
+        assert np.allclose(s.apply_function(func, x), s.function_matrix(func) @ x, atol=1e-13)
+
 
 def _assert_same_spectrum(loaded, s):
     for name in ("degree", "kernel_dim", "gap"):
