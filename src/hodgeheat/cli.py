@@ -46,30 +46,26 @@ class RunConfig:
             raise ValueError("error_target must lie in (0, 1e-2]")
 
 
-def _spectrum_for(K, ell, cache_dir, spectra):
-    """Degree ell's spectrum through the cache, if there is one; else the one
-    in ``spectra`` (by degree), or built from them (see laplacian_spectrum)."""
+def _spectrum_for(K, ell, cache_dir):
+    """Degree ell's spectrum, through the cache if there is one."""
     if cache_dir:
-        return cached_laplacian_spectrum(K, ell, cache_dir, spectra)
-    return spectra[ell] if ell in spectra else laplacian_spectrum(K, ell, spectra)
+        return cached_laplacian_spectrum(K, ell, cache_dir)
+    return laplacian_spectrum(K, ell)
 
 
 def _front_end(config: RunConfig):
-    """Validate, parse, check the degree, and build its spectrum: (parsed, spectra).
+    """Validate, parse, check the degree, and build its spectrum: (parsed, s).
 
-    ``spectra`` maps a degree to its spectrum.  Where the degree's spectrum
-    is lifted, the neighbours that ``laplacian_spectrum`` builds for it are
-    kept there too: every operator it reads is checked before any stage
-    runs, and the dimension stage decomposes no degree twice.
+    Where s is lifted, the complex also holds the neighbours it was lifted
+    from: every operator it reads is checked before any stage runs, and
+    the dimension stage decomposes no degree twice.
     """
     config.validate()
     parsed = parse_input(config.input_path, config.input_format)
     K, ell = parsed.complex, config.degree
     if not 0 <= ell <= K.max_degree:
         raise ValueError(f"degree {ell} out of range [0, {K.max_degree}]")
-    spectra = {}
-    spectra[ell] = _spectrum_for(K, ell, config.cache_dir, spectra)
-    return parsed, spectra
+    return parsed, _spectrum_for(K, ell, config.cache_dir)
 
 
 def _cochain_for(parsed, degree, seed):
@@ -130,13 +126,13 @@ def _uniqueness_stage(K, s, dec, error_target):
     ]
 
 
-def _dimension_stage(K, s, spectra, cache_dir, p_list):
+def _dimension_stage(K, s, cache_dir, p_list):
     """Dimension rows of every degree; checks (kernel_dim_equals_betti, dimension_consistency).
 
-    The spectra in hand (by degree) are reused; the other degrees are built
-    only now, after the degree-ell work has released its temporaries.
+    The spectra that K holds are reused; the other degrees are built only
+    now, after the degree-ell work has released its temporaries.
     """
-    spectra = [s if d == s.degree else _spectrum_for(K, d, cache_dir, spectra)
+    spectra = [s if d == s.degree else _spectrum_for(K, d, cache_dir)
                for d in range(K.max_degree + 1)]
     rows = dimension_consistency(K, spectra, p_list=p_list)
     betti = rows[s.degree]["betti"]
@@ -155,9 +151,8 @@ def run_pipeline(config: RunConfig):
     RunConfig and the result objects themselves; ``io.sanitize`` encodes
     them.
     """
-    parsed, spectra = _front_end(config)
+    parsed, s = _front_end(config)
     K, ell = parsed.complex, config.degree
-    s = spectra[ell]
     interval = _interval_section(K, s, config)
 
     checks = []
@@ -174,8 +169,7 @@ def run_pipeline(config: RunConfig):
         uniq, uniq_checks = _uniqueness_stage(K, s, dec, config.error_target)
         checks += dec_checks + uniq_checks
 
-    dim_rows, (kernel_check, dim_check) = _dimension_stage(K, s, spectra, config.cache_dir,
-                                                           admissible)
+    dim_rows, (kernel_check, dim_check) = _dimension_stage(K, s, config.cache_dir, admissible)
     checks = [kernel_check, *checks, dim_check]
     ok = all(c["passed"] for c in checks)
     report = {
@@ -216,30 +210,30 @@ def _build_payload(config):
 
 
 def _spectrum_payload(config):
-    parsed, spectra = _front_end(config)
-    return {"spectrum": _spectrum_section(spectra[config.degree])}, parsed.warnings
+    parsed, s = _front_end(config)
+    return {"spectrum": _spectrum_section(s)}, parsed.warnings
 
 
 def _decompose_payload(config):
-    parsed, spectra = _front_end(config)
+    parsed, s = _front_end(config)
     omega = _cochain_for(parsed, config.degree, config.seed)
-    dec = decompose(parsed.complex, spectra[config.degree], omega, config.p_list)
+    dec = decompose(parsed.complex, s, omega, config.p_list)
     section, checks = _decomposition_stage(dec)
     return {"decomposition": section, "checks": checks}, parsed.warnings
 
 
 def _interp_payload(config):
-    parsed, spectra = _front_end(config)
-    interval = _interval_section(parsed.complex, spectra[config.degree], config)
+    parsed, s = _front_end(config)
+    interval = _interval_section(parsed.complex, s, config)
     return {"interval": interval}, parsed.warnings
 
 
 def _verify_payload(config):
-    parsed, spectra = _front_end(config)
-    K, s = parsed.complex, spectra[config.degree]
+    parsed, s = _front_end(config)
+    K = parsed.complex
     dec = decompose(K, s, _cochain_for(parsed, config.degree, config.seed))
     section, uniq_checks = _uniqueness_stage(K, s, dec, config.error_target)
-    rows, (kernel_check, dim_check) = _dimension_stage(K, s, spectra, config.cache_dir, ())
+    rows, (kernel_check, dim_check) = _dimension_stage(K, s, config.cache_dir, ())
     return {"uniqueness": section, "dimension_consistency": rows,
             "checks": [kernel_check, *uniq_checks, dim_check]}, parsed.warnings
 

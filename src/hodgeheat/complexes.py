@@ -61,17 +61,20 @@ class OperatorMatrix:
 
 
 class SimplicialComplex:
-    """Oriented weighted simplicial complex, closed under taking faces."""
+    """Oriented weighted simplicial complex, closed under taking faces.
+
+    Immutable: tuples of simplices and of read-only weight copies, and
+    read-only face tables.  So it holds what is derived from it, built on
+    first use: coface slots, Laplacians and spectra (``hodge_laplacian``).
+    """
 
     def __init__(self, simplices, weights):
         if not simplices or not simplices[0]:
             raise ValueError("empty complex: at least one vertex is required")
-        self.simplices: list[tuple[tuple[int, ...], ...]] = [
+        self.simplices: tuple[tuple[tuple[int, ...], ...], ...] = tuple(
             tuple(tuple(int(v) for v in s) for s in level) for level in simplices
-        ]
-        self.weights: list[np.ndarray] = [
-            np.asarray(w, dtype=float) for w in weights
-        ]
+        )
+        self.weights: tuple[np.ndarray, ...] = tuple(np.array(w, dtype=float) for w in weights)
         if len(self.weights) != len(self.simplices):
             raise ValueError("weights and simplices must cover the same degrees")
         for ell, (level, w) in enumerate(zip(self.simplices, self.weights)):
@@ -86,6 +89,7 @@ class SimplicialComplex:
                     raise ValueError(f"invalid degree-{ell} simplex {s}")
             if len(set(level)) != len(level):
                 raise ValueError(f"duplicate simplices in degree {ell}")
+            w.flags.writeable = False
         self._index = [
             {s: i for i, s in enumerate(level)} for level in self.simplices
         ]
@@ -107,6 +111,8 @@ class SimplicialComplex:
             table.flags.writeable = False
             self._faces[ell] = table
         self._coface_slots = {}  # filled by _coface_slots
+        self._laplacians = {}  # filled by hodge_laplacian
+        self._spectra = {}  # filled by spectral.laplacian_spectrum
 
     @property
     def max_degree(self) -> int:
@@ -366,8 +372,12 @@ def hodge_laplacian(K: SimplicialComplex, ell: int) -> OperatorMatrix:
     the order of a compressed-row product of the incidence matrices.
     Exact zeros are dropped, as ``np.nonzero`` drops them.  A non-finite
     entry is a ValueError; the nonzeros are checked to be W-self-adjoint.
+    Each degree is assembled once per complex: K holds the operator, and
+    later calls return it, as ``spectral.laplacian_spectrum`` its spectrum.
     """
     K._check_degree(ell)
+    if ell in K._laplacians:
+        return K._laplacians[ell]
     n = K.n_simplices(ell)
     w = K.weight_vector(ell)
     terms = []  # (group, member, left, right): d_(group, member) and its adjoint
@@ -397,7 +407,7 @@ def hodge_laplacian(K: SimplicialComplex, ell: int) -> OperatorMatrix:
     L = _SparseOperator(keys, vals, n, ell)
     if not L.is_weighted_self_adjoint(w):
         raise AssertionError("assembled Laplacian is not W-self-adjoint")
-    return L
+    return K._laplacians.setdefault(ell, L)
 
 
 class _SparseOperator(OperatorMatrix):
@@ -430,7 +440,7 @@ class _SparseOperator(OperatorMatrix):
         matrix, found by one scan of all n^2 entries.  An array has no
         degree and gets ``degree``; an OperatorMatrix keeps its own.
         ``eigendecompose`` is the one routine that takes an operator in any
-        of these forms; route B reads what ``hodge_laplacian`` returns."""
+        of these forms; route B reads the operator that K holds."""
         if isinstance(operator, cls):
             return operator
         if isinstance(operator, OperatorMatrix):

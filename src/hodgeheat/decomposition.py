@@ -319,12 +319,12 @@ def verify_uniqueness(K: SimplicialComplex, s: SpectralData, dec: DecompositionR
     s is K's spectrum at the degree of ``dec``, the result of
     ``decompose(K, s, omega)``: route A, the closed spectral form of the
     Green operator.  Route B never touches the eigenbasis: it reads the
-    assembled Laplacian and, from the spectrum, only the gap, the largest
-    eigenvalue and the weights.  Its harmonic part is the heat semigroup
-    at a certified time and its Green term the semigroup integral, two
-    coefficient rows of one Chebyshev recurrence in the Laplacian;
-    ``quadrature`` reports its truncation bound and matvec count next to
-    the tail bound.
+    Laplacian that K holds, which the eigensolver or the lift checked, and
+    of the spectrum only the gap, the largest eigenvalue and the weights.
+    Its harmonic part is the heat semigroup at a certified time and its
+    Green term the semigroup integral, two coefficient rows of one
+    Chebyshev recurrence in the Laplacian; ``quadrature`` reports its
+    truncation bound and matvec count next to the tail bound.
     Additionally, perturbing the harmonic component along any kernel
     direction is shown to leave a detectable harmonic residue in the
     remaining parts.  The routes agree when no component differs by more
@@ -402,9 +402,9 @@ def _green_after_heat(t_h: float, t_max: float, b: float) -> np.ndarray:
 def _route_b(laplacian, s: SpectralData, omega: Cochain, error_target: float):
     """Route B's harmonic part and Green term, for a finite gap.
 
-    Reads the Laplacian that ``hodge_laplacian`` returns and, of the
-    spectrum, only the gap, the largest eigenvalue (for t_max) and the
-    weights.  At the time t_h below, exp(-gap t_h) = error_target *
+    Reads the complex's held Laplacian, whose row slots and bound are kept,
+    and, of the spectrum, only the gap, the largest eigenvalue (for t_max)
+    and the weights.  At the time t_h below, exp(-gap t_h) = error_target *
     min(1, gap), so both |h_b - H omega|_W and |G (h_b - H omega)|_W are
     at most error_target * |omega|_W, up to the truncation bound.  The
     heat limit P_t_h omega and the Green term G_t_max (1 - P_t_h) omega

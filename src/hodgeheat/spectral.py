@@ -169,32 +169,28 @@ def lifted_from(K: SimplicialComplex, ell: int) -> tuple[int, ...]:
     return tuple(range(0, K.max_degree + 1, 2)) if ell == 1 and K.max_degree <= 2 else ()
 
 
-def laplacian_spectrum(K: SimplicialComplex, ell: int, neighbours=None) -> SpectralData:
+def laplacian_spectrum(K: SimplicialComplex, ell: int) -> SpectralData:
     """The spectrum of the degree-ell Hodge Laplacian of K in K's weights.
 
-    Degree 1 of a graph or a 2-complex is lifted (see ``_lift``) from the
-    spectra of degrees 0 and 2.  They are read from ``neighbours``, a
-    mapping from degree to spectrum; the missing ones are built and added
-    to it, after degree 1's own operator has passed the nonzero-level
-    checks of ``eigendecompose``, so both paths reject the same input with
-    the same message.  Where the lift could lose accuracy, and at every
-    other degree, the spectrum is ``eigendecompose`` of the Laplacian,
-    which is its nonzeros (see ``hodge_laplacian``), so only the buffer
-    ``np.linalg.eigh`` reads is n x n.
+    Built once per degree and held by K, its arrays read-only.  Degree 1
+    of a graph or a 2-complex is lifted (see ``_lift``) from the spectra of
+    degrees 0 and 2, built after degree 1's own operator has passed the
+    nonzero-level checks of ``eigendecompose``, so both paths reject the
+    same input with the same message.  Where the lift could lose accuracy,
+    and at every other degree, the spectrum is ``eigendecompose`` of the
+    Laplacian, which is its nonzeros (see ``hodge_laplacian``), so only
+    the buffer ``np.linalg.eigh`` reads is n x n.
     """
-    L, w = hodge_laplacian(K, ell), K.weight_vector(ell)
-    sources = lifted_from(K, ell)
-    if sources:
-        L.symmetrized_average(np.sqrt(w), ell)
-        neighbours = {} if neighbours is None else neighbours
-        for d in sources:
-            if d not in neighbours:
-                neighbours[d] = laplacian_spectrum(K, d)
-            K.check_spectrum(neighbours[d])
-        lifted = _lift(K, *(neighbours[d] for d in sources))
-        if lifted is not None:
-            return lifted
-    return eigendecompose(L, w)
+    if ell not in K._spectra:
+        L, w = hodge_laplacian(K, ell), K.weight_vector(ell)
+        sources, s = lifted_from(K, ell), None
+        if sources:
+            L.symmetrized_average(np.sqrt(w), ell)
+            s = _lift(K, *(laplacian_spectrum(K, d) for d in sources))
+        s = eigendecompose(L, w) if s is None else s
+        s.eigenvalues.flags.writeable = s.eigencochains.flags.writeable = False
+        K._spectra.setdefault(ell, s)
+    return K._spectra[ell]
 
 
 # The lift runs only where degree 1's own lambda_max / gap is at most this.
@@ -414,15 +410,14 @@ def load_spectral_data(path: str) -> SpectralData:
     return SpectralData(**{k: v if v.ndim else v.item() for k, v in values.items()})
 
 
-def cached_laplacian_spectrum(K: SimplicialComplex, ell: int, cache_dir: str,
-                              spectra=None) -> SpectralData:
+def cached_laplacian_spectrum(K: SimplicialComplex, ell: int, cache_dir: str) -> SpectralData:
     """laplacian_spectrum with a content-addressed on-disk cache.
 
-    An entry that does not load is a miss, and is overwritten: with the
-    spectrum of degree ell in ``spectra`` (a mapping from degree to
-    spectrum) if it holds one, else with ``laplacian_spectrum(K, ell,
-    spectra)``.  An entry keeps the bits it was written with, so entries
-    of eigh's degree-1 spectra from before the lift still hit.
+    An entry that does not load is a miss, and is overwritten with
+    ``laplacian_spectrum(K, ell)``, the spectrum K holds or builds.  A hit
+    is returned as loaded and not held in K.  An entry keeps the bits it
+    was written with, so entries of eigh's degree-1 spectra from before
+    the lift still hit.
     """
     os.makedirs(cache_dir, exist_ok=True)
     path = os.path.join(cache_dir, complex_content_hash(K, ell) + ".npz")
@@ -430,6 +425,6 @@ def cached_laplacian_spectrum(K: SimplicialComplex, ell: int, cache_dir: str,
         return load_spectral_data(path)
     except Exception:  # missing, empty or truncated: numpy raises many kinds
         pass
-    s = spectra[ell] if spectra and ell in spectra else laplacian_spectrum(K, ell, spectra)
+    s = laplacian_spectrum(K, ell)
     save_spectral_data(s, path)
     return s

@@ -1,14 +1,18 @@
-"""Compare two directories written by ``tests/corpus_reports.py``, field by field.
+"""Compare two directories written by ``tests/corpus_reports.py``.
 
 Usage: python tests/compare_reports.py OLD NEW
 
-For every JSON path where some report differs, prints how many reports
+Compares the reports field by field and the CLI runs byte for byte.  For
+every JSON path where some report differs, prints how many reports
 differ there and the largest relative move |new - old| / |old| (inf where
 old is 0, "-" where a value is not a number).  List indices are collapsed
 to ``[]``, except that an entry with a "name" (a check) is keyed by it,
 as in ``checks[uniqueness_dual_route].value``.  Then lists every report
-whose top-level ``ok`` changed, and every report present on one side
-only.  pytest does not collect this file.
+whose top-level ``ok`` changed, every file of ``reports/`` or ``cli/``
+present on one side only, and every one whose bytes differ (for ``cli/``,
+a run's stdout, stderr or exit code).  Exits 1 when it lists anything,
+else 0, so it exits 0 exactly when ``diff -r`` over both is empty.
+pytest does not collect this file.
 """
 
 import json
@@ -40,11 +44,22 @@ def _move(old, new) -> float | None:
     return abs(new - old) / abs(old) if old else math.inf
 
 
+def _names(root, sub):
+    path = os.path.join(root, sub)
+    return set(os.listdir(path)) if os.path.isdir(path) else set()
+
+
+def _bytes(root, sub, name):
+    with open(os.path.join(root, sub, name), "rb") as fh:
+        return fh.read()
+
+
 def compare(old_dir, new_dir):
-    """(table, ok_changes, one_sided): table maps a collapsed path to
-    (reports differing there, largest relative move or None)."""
-    old_names = set(os.listdir(os.path.join(old_dir, "reports")))
-    new_names = set(os.listdir(os.path.join(new_dir, "reports")))
+    """(table, ok_changes, one_sided, byte_changes): table maps a collapsed
+    path to (reports differing there, largest relative move or None);
+    one_sided and byte_changes hold paths under OLD and NEW."""
+    old_names, new_names = _names(old_dir, "reports"), _names(new_dir, "reports")
+    old_cli, new_cli = _names(old_dir, "cli"), _names(new_dir, "cli")
     counts, moves = defaultdict(set), {}
     ok_changes = []
     for name in sorted(old_names & new_names):
@@ -65,11 +80,18 @@ def compare(old_dir, new_dir):
         if docs[0].get("ok") != docs[1].get("ok"):
             ok_changes.append((name, docs[0].get("ok"), docs[1].get("ok")))
     table = {c: (len(counts[c]), moves[c]) for c in sorted(counts)}
-    return table, ok_changes, sorted(old_names ^ new_names)
+    one_sided = sorted([f"reports/{name}" for name in old_names ^ new_names]
+                       + [f"cli/{name}" for name in old_cli ^ new_cli])
+    byte_changes = [f"{sub}/{name}" for sub, names in (("reports", old_names & new_names),
+                                                         ("cli", old_cli & new_cli))
+                    for name in sorted(names)
+                    if _bytes(old_dir, sub, name) != _bytes(new_dir, sub, name)]
+    return table, ok_changes, one_sided, byte_changes
 
 
-def main(old_dir, new_dir):
-    table, ok_changes, one_sided = compare(old_dir, new_dir)
+def main(old_dir, new_dir) -> int:
+    """Print the differences; 1 if there are any, else 0."""
+    table, ok_changes, one_sided, byte_changes = compare(old_dir, new_dir)
     width = max((len(c) for c in table), default=4)
     print(f"{'path':<{width}}  reports  largest relative move")
     for path, (count, move) in table.items():
@@ -78,9 +100,12 @@ def main(old_dir, new_dir):
         print(f"ok changed: {name}: {before} -> {after}")
     for name in one_sided:
         print(f"on one side only: {name}")
+    for name in byte_changes:
+        print(f"bytes differ: {name}")
+    return int(bool(table or ok_changes or one_sided or byte_changes))
 
 
 if __name__ == "__main__":
     if len(sys.argv) != 3:
         sys.exit("usage: compare_reports.py OLD NEW")
-    main(sys.argv[1], sys.argv[2])
+    sys.exit(main(sys.argv[1], sys.argv[2]))

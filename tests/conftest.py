@@ -1,5 +1,5 @@
-"""Shared corpus of test complexes, a session-wide spectral cache and the
-dense oracles of the operators the package applies without forming."""
+"""Shared corpus of test complexes, work counters and the dense oracles of
+the operators the package applies without forming."""
 
 import os
 import tracemalloc
@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 import hodgeheat
-from hodgeheat import OperatorMatrix, SimplicialComplex, coboundary, laplacian_spectrum
+from hodgeheat import OperatorMatrix, SimplicialComplex, coboundary
 from hodgeheat import library as lib
 from hodgeheat.complexes import _SparseOperator
 from hodgeheat.spectral import _chebyshev_sum, _cut_series, _heat_series
@@ -37,17 +37,6 @@ CORPUS = _build_corpus()
 NAMED = CORPUS[:7]
 CORPUS_IDS = [name for name, _ in CORPUS]
 NAMED_IDS = [name for name, _ in NAMED]
-
-_SPECTRA = {}
-
-
-def spectrum_of(name, K, ell):
-    """Eigendecomposition cached per (corpus entry, degree) for the session."""
-    key = (name, ell)
-    if key not in _SPECTRA:
-        _SPECTRA[key] = laplacian_spectrum(K, ell)
-    return _SPECTRA[key]
-
 
 def all_degrees(K):
     return range(K.max_degree + 1)
@@ -112,6 +101,20 @@ def count_calls(monkeypatch, name, *modules):
     for module in modules:
         monkeypatch.setattr(module, name, counting)
     return calls
+
+
+def count_assemblies(monkeypatch):
+    """Record the degree of every ``_SparseOperator`` built: one per
+    Laplacian assembly, or per dense operator ``eigendecompose`` scans."""
+    degrees = []
+    original = _SparseOperator.__init__
+
+    def counting(self, keys, vals, n, degree):
+        degrees.append(degree)
+        original(self, keys, vals, n, degree)
+
+    monkeypatch.setattr(_SparseOperator, "__init__", counting)
+    return degrees
 
 
 def traced_peak(fn, *args, **kwargs):

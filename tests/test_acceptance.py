@@ -15,7 +15,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from conftest import CORPUS, all_degrees, child_env, spectrum_of
+from conftest import CORPUS, all_degrees, child_env
 from hodgeheat import (
     Cochain,
     admissible_interval,
@@ -27,6 +27,7 @@ from hodgeheat import (
     harmonic_representative,
     inv_sqrt_spectral,
     inv_sqrt_subordinated,
+    laplacian_spectrum,
     measure_alpha,
     opnorm_bracket,
     verify_uniqueness,
@@ -43,7 +44,7 @@ def _interval_data(name, K, ell):
     """(spectral data, alpha, tau, p1, p2) cached per corpus entry/degree."""
     key = (name, ell)
     if key not in _INTERVALS:
-        s = spectrum_of(name, K, ell)
+        s = laplacian_spectrum(K, ell)
         fit = measure_alpha(s, (0.5, 1.0, 2.0, 4.0))
         tau = s.gap
         if math.isinf(tau):
@@ -81,7 +82,7 @@ def test_criterion_1_decomposition_theorem():
 def test_criterion_2_uniqueness_dual_route():
     for name, K in CORPUS:
         for ell in all_degrees(K):
-            s = spectrum_of(name, K, ell)
+            s = laplacian_spectrum(K, ell)
             omega = lib.random_cochain(K, ell, seed=2000 + ell)
             rep = verify_uniqueness(K, s, decompose(K, s, omega))
             assert rep.passed, \
@@ -93,7 +94,7 @@ def test_criterion_2_uniqueness_dual_route():
 def test_criterion_3_exact_gap_decay():
     for name, K in CORPUS:
         for ell in all_degrees(K):
-            s = spectrum_of(name, K, ell)
+            s = laplacian_spectrum(K, ell)
             expected_rate = s.gap
             for t in (0.1, 1.0, 5.0):
                 M = s.function_matrix(lambda lam: np.exp(-t * lam) * (lam > 0))
@@ -107,7 +108,7 @@ def test_criterion_3_exact_gap_decay():
 def test_criterion_4_subordination_identity():
     for name, K in CORPUS:
         for ell in all_degrees(K):
-            s = spectrum_of(name, K, ell)
+            s = laplacian_spectrum(K, ell)
             if math.isinf(s.gap):
                 continue
             omega = lib.random_cochain(K, ell, seed=3000 + ell)
@@ -149,7 +150,7 @@ def test_criterion_5_interpolation_soundness():
 def test_criterion_6_cohomology_representation():
     for name, K in CORPUS:
         for ell in all_degrees(K):
-            s = spectrum_of(name, K, ell)
+            s = laplacian_spectrum(K, ell)
             rng = np.random.default_rng(6000 + 31 * ell)
             harmonic = np.zeros(K.n_simplices(ell))
             if s.kernel_dim:
@@ -174,7 +175,7 @@ def test_criterion_7_corollary_dimension_consistency():
     for name, K in CORPUS:
         betti = betti_numbers(K)
         for ell in all_degrees(K):
-            s = spectrum_of(name, K, ell)
+            s = laplacian_spectrum(K, ell)
             assert s.kernel_dim == betti[ell], \
                 f"kernel dim {s.kernel_dim} != betti {betti[ell]} at {name} ell={ell}"
     assert betti_numbers(lib.flat_torus(6, 6)) == [1, 2, 1]
@@ -186,7 +187,7 @@ def test_criterion_8_gaffney_bound_at_p2():
     bound = math.sqrt(2.0) + 1e-10
     for name, K in CORPUS:
         for ell in all_degrees(K):
-            s = spectrum_of(name, K, ell)
+            s = laplacian_spectrum(K, ell)
             for gamma in (0.1, 1.0, 10.0):
                 rep = gaffney_constant(K, s, gamma, p=2, n_samples=20, seed=4000)
                 assert rep.max_ratio <= bound, \

@@ -19,7 +19,6 @@ from conftest import (
     all_degrees,
     codifferential,
     log_uniform_weights,
-    spectrum_of,
     traced_peak,
     weighted_adjoint,
 )
@@ -32,6 +31,7 @@ from hodgeheat import (
     coboundary,
     hodge_laplacian,
     inner_product,
+    laplacian_spectrum,
     lp_norm,
 )
 from hodgeheat import library as lib
@@ -428,7 +428,7 @@ class TestBetti:
     def test_kernel_dimension_matches_betti(self, name, K):
         betti = betti_numbers(K)
         for ell in all_degrees(K):
-            s = spectrum_of(name, K, ell)
+            s = laplacian_spectrum(K, ell)
             assert s.kernel_dim == betti[ell]
 
     @pytest.mark.parametrize("name,K", CORPUS + _BETTI_NAMED,

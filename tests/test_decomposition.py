@@ -17,7 +17,6 @@ from conftest import (
     all_degrees,
     codifferential,
     log_uniform_weights,
-    spectrum_of,
 )
 from hodgeheat import (
     Cochain,
@@ -60,7 +59,7 @@ class TestGreenSpectral:
     @pytest.mark.parametrize("name,K", NAMED, ids=NAMED_IDS)
     def test_defining_identity_all_degrees(self, name, K):
         for ell in all_degrees(K):
-            s = spectrum_of(name, K, ell)
+            s = laplacian_spectrum(K, ell)
             G = green_spectral(s).entries
             A = hodge_laplacian(K, ell).entries
             one_minus_h = np.eye(len(s.weights)) - harmonic_projector(s).entries
@@ -144,7 +143,7 @@ class TestInverseSquareRoot:
     @pytest.mark.parametrize("name,K", NAMED[:6], ids=NAMED_IDS[:6])
     def test_half_inverse_squares_to_green(self, name, K):
         for ell in all_degrees(K):
-            s = spectrum_of(name, K, ell)
+            s = laplacian_spectrum(K, ell)
             R = inv_sqrt_spectral(s).entries
             G = green_spectral(s).entries
             assert np.linalg.norm(R @ R - G, 2) <= 1e-9 * max(np.linalg.norm(G, 2), 1.0)
@@ -193,7 +192,7 @@ class TestDecompose:
     def test_idempotent_on_harmonic_component(self):
         K = lib.flat_torus(6, 6)
         omega = lib.random_cochain(K, 1, 37)
-        s = spectrum_of("torus_6x6", K, 1)
+        s = laplacian_spectrum(K, 1)
         first = decompose(K, s, omega)
         again = decompose(K, s, first.omega3)
         norm = max(np.linalg.norm(first.omega3.values), 1e-30)
@@ -346,7 +345,7 @@ class TestVerifyUniqueness:
         monkeypatch.setattr(_SparseOperator, "__matmul__", counting_matvec)
         error_target = 1e-8
         for ell in all_degrees(K):
-            s = spectrum_of(name, K, ell)
+            s = laplacian_spectrum(K, ell)
             if math.isinf(s.gap):
                 continue
             omega = lib.random_cochain(K, ell, 67)
@@ -373,7 +372,7 @@ class TestVerifyUniqueness:
 
     def test_route_b_ignores_and_keeps_global_random_state(self):
         K = lib.flat_torus(6, 6)
-        s = spectrum_of("torus_6x6", K, 2)
+        s = laplacian_spectrum(K, 2)
         dec = decompose(K, s, lib.random_cochain(K, 2, 42))
         runs = []
         for seed in range(20):
@@ -387,7 +386,7 @@ class TestVerifyUniqueness:
         # Two threads run route B while a third keeps reseeding numpy's global
         # random state; route B reads no random state, so nothing moves.
         K = lib.flat_torus(6, 6)
-        s = spectrum_of("torus_6x6", K, 2)
+        s = laplacian_spectrum(K, 2)
         dec = decompose(K, s, lib.random_cochain(K, 2, 42))
 
         def key(rep):
@@ -463,7 +462,7 @@ class TestRieszIdentities:
     def test_resolution_of_identity(self, name, K):
         # d delta G + delta d G = 1 - H.
         for ell in all_degrees(K):
-            s = spectrum_of(name, K, ell)
+            s = laplacian_spectrum(K, ell)
             green = green_spectral(s).entries
             d_delta, delta_d = _d_delta_and_delta_d(K, ell)
             one_minus_h = np.eye(s.dim) - harmonic_projector(s).entries
@@ -481,7 +480,7 @@ class TestRieszIdentities:
     def test_d_delta_green_factors_through_half_inverses(self, name, K):
         # d delta G = Lap^(-1/2) d delta Lap^(-1/2).
         for ell in all_degrees(K):
-            s = spectrum_of(name, K, ell)
+            s = laplacian_spectrum(K, ell)
             green = green_spectral(s).entries
             inv_sqrt = inv_sqrt_spectral(s).entries
             d_delta, _ = _d_delta_and_delta_d(K, ell)
@@ -492,7 +491,7 @@ class TestRieszIdentities:
         # |d R omega|^2 + |delta R omega|^2 = |(1 - H) omega|^2, so each
         # transform has weighted 2->2 norm at most 1.
         for ell in all_degrees(K):
-            s = spectrum_of(name, K, ell)
+            s = laplacian_spectrum(K, ell)
             omega = lib.random_cochain(K, ell, 11)
             coexact_exact = omega.values - harmonic_part(s, omega.values)
             total = 0.0
@@ -505,7 +504,7 @@ class TestRieszIdentities:
     @pytest.mark.parametrize("name,K", NAMED, ids=NAMED_IDS)
     def test_brackets_ordered(self, name, K):
         for ell in all_degrees(K):
-            s = spectrum_of(name, K, ell)
+            s = laplacian_spectrum(K, ell)
             for _, T, w_cod in _riesz_transforms(K, s):
                 for p in (1.5, 2.0, 3.0):
                     lower, upper = opnorm_bracket(T, p, K.weight_vector(ell), w_cod,

@@ -24,7 +24,6 @@ from conftest import (
     count_calls,
     general_product,
     log_uniform_weights,
-    spectrum_of,
     traced_peak,
     weighted_adjoint,
 )
@@ -226,7 +225,7 @@ class TestMeasureAlpha:
             if weights_seed is not None:
                 K = log_uniform_weights(K, weights_seed)
             for ell in all_degrees(K):
-                s = (spectrum_of(name, K, ell) if weights_seed is None
+                s = (laplacian_spectrum(K, ell) if weights_seed is None
                      else laplacian_spectrum(K, ell))
                 dense = [opnorm_exact_extremes(s.function_matrix(lambda lam: np.exp(-t * lam)),
                                                1, s.weights, s.weights) for t in t_grid]
@@ -268,7 +267,7 @@ class TestSemigroupInterpolationBound:
         # fit is measure_alpha's, on the complement heat matrices.
         t_grid = (0.5, 1.0, 2.0, 5.0)
         for ell in all_degrees(K):
-            s = spectrum_of(name, K, ell)
+            s = laplacian_spectrum(K, ell)
             if math.isinf(s.gap):
                 continue
             heat = [s.function_matrix(lambda lam: np.exp(-t * lam) * (lam > 0)) for t in t_grid]
@@ -787,7 +786,7 @@ class TestBracketsShareEndpoints:
     def test_profile_runs_no_svd(self, monkeypatch):
         # The projector's 2-norm is closed form: no _opnorm2, no SVD at all.
         K = lib.flat_torus(6, 6)
-        s = spectrum_of("torus_6x6", K, 1)
+        s = laplacian_spectrum(K, 1)
         calls = count_calls(monkeypatch, "_opnorm2", hodgeheat.interpolation)
         svds = count_calls(monkeypatch, "svd", np.linalg)
         projector_norm_profile(s, (1.25, 1.5, 2.0, 3.0, 4.0))
@@ -795,7 +794,7 @@ class TestBracketsShareEndpoints:
 
     def test_no_svd_when_no_p_needs_it(self, monkeypatch):
         K = lib.flat_torus(6, 6)
-        s = spectrum_of("torus_6x6", K, 1)
+        s = laplacian_spectrum(K, 1)
         calls = count_calls(monkeypatch, "_opnorm2", hodgeheat.interpolation)
         projector_norm_profile(s, (1.0, math.inf))
         assert calls == []
@@ -830,7 +829,7 @@ class TestBracketsShareEndpoints:
     @pytest.mark.parametrize("name, K", NAMED, ids=NAMED_IDS)
     def test_profile_rows_equal_per_p_brackets(self, name, K):
         for ell in all_degrees(K):
-            self.check_profile_against_dense_brackets(K, ell, spectrum_of(name, K, ell))
+            self.check_profile_against_dense_brackets(K, ell, laplacian_spectrum(K, ell))
 
     @pytest.mark.parametrize("seed", [3, 4])
     @pytest.mark.parametrize("name, K", NAMED, ids=NAMED_IDS)
@@ -843,7 +842,7 @@ class TestBracketsShareEndpoints:
     def test_projector_norm2_closed_form_matches_svd(self, name, K):
         # H is a W-orthogonal projector: its 2-norm is 1 (0 on a trivial kernel).
         for ell in all_degrees(K):
-            s = spectrum_of(name, K, ell)
+            s = laplacian_spectrum(K, ell)
             closed = 1.0 if s.kernel_dim else 0.0
             svd = _opnorm2(harmonic_projector(s).entries, s.weights, s.weights)
             assert abs(svd - closed) <= 1e-12

@@ -14,9 +14,10 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
+import compare_reports
 import hodgeheat
 import hodgeheat.spectral
-from conftest import child_env, count_calls, log10_uniform_weights
+from conftest import child_env, count_assemblies, count_calls, log10_uniform_weights
 from hodgeheat import (
     Cochain,
     QuadratureResult,
@@ -219,17 +220,19 @@ class TestPipelineAndReports:
         path = tmp_path / "torus.json"
         path.write_text(json.dumps(complex_to_json_dict(lib.flat_torus(6, 6))))
         eigh_calls = count_calls(monkeypatch, "eigh", np.linalg)
+        qr_calls = count_calls(monkeypatch, "qr", np.linalg)
         betti_calls = count_calls(monkeypatch, "betti_numbers",
                                   hodgeheat.cli, hodgeheat.interpolation)
-        spectra = count_calls(monkeypatch, "laplacian_spectrum",
-                              hodgeheat.cli, hodgeheat.spectral)
+        assemblies = count_assemblies(monkeypatch)
         report, code = run_pipeline(RunConfig(input_path=str(path), degree=1))
         assert code == 0 and report["betti"] == [1, 2, 1]
         assert report["checks"][0]["name"] == "kernel_dim_equals_betti"
         # Degree 1 is lifted from the spectra of degrees 0 and 2, which the
-        # dimension stage then reuses: one eigh each for those two.
-        assert sorted(args[1] for args in spectra) == [0, 1, 2]
-        assert (len(eigh_calls), len(betti_calls)) == (2, 1)
+        # complex holds for the dimension stage: one eigh each for those two
+        # and one QR for degree 1's kernel.  Each Laplacian is assembled
+        # once; route B reads degree 1's from the complex.
+        assert (len(eigh_calls), len(qr_calls), len(betti_calls)) == (2, 1, 1)
+        assert sorted(assemblies) == [0, 1, 2]
 
     def test_sanitize_handles_infinities(self):
         assert sanitize({"x": math.inf, "y": [-math.inf, np.float64(2.0)]}) == \
@@ -768,6 +771,54 @@ class TestSubcommandsAreReportSlices:
         assert result.stderr == f"invariant violated: {check}\n"
         payload = json.loads(result.stdout)
         assert [c["name"] for c in payload["checks"] if not c["passed"]] == [check]
+
+
+_REPORT = {"ok": True, "checks": [{"name": "uniqueness_dual_route", "value": 1e-9}]}
+
+
+def _corpus_tree(root):
+    """A directory as ``tests/corpus_reports.py`` writes one: one report
+    and one CLI run."""
+    (root / "reports").mkdir(parents=True)
+    (root / "cli").mkdir()
+    (root / "reports" / "c3-1.json").write_text(json.dumps(_REPORT))
+    (root / "cli" / "c3-report-json.stdout").write_text(json.dumps(_REPORT))
+    (root / "cli" / "c3-report-json.exit").write_text("0\n")
+    return str(root)
+
+# What each change to the new tree is, and the line that names it.
+_TREE_CHANGES = {
+    "field": (lambda root: (root / "reports" / "c3-1.json").write_text(json.dumps(
+        dict(_REPORT, checks=[{"name": "uniqueness_dual_route", "value": 2e-9}]))),
+        "checks[uniqueness_dual_route].value        1  1"),
+    "ok": (lambda root: (root / "reports" / "c3-1.json").write_text(
+        json.dumps(dict(_REPORT, ok=False))), "ok changed: c3-1.json: True -> False"),
+    "report_one_side": (lambda root: (root / "reports" / "c4-1.json").write_text("{}"),
+                        "on one side only: reports/c4-1.json"),
+    "cli_one_side": (lambda root: (root / "cli" / "c3-report-json.exit").unlink(),
+                     "on one side only: cli/c3-report-json.exit"),
+    "cli_bytes": (lambda root: (root / "cli" / "c3-report-json.exit").write_text("1\n"),
+                  "bytes differ: cli/c3-report-json.exit"),
+    "report_bytes": (lambda root: (root / "reports" / "c3-1.json").write_text(
+        json.dumps(_REPORT, indent=1)), "bytes differ: reports/c3-1.json"),
+}
+
+
+class TestCompareReports:
+    """``tests/compare_reports.py`` exits 1 on any difference, 0 on none."""
+
+    def test_equal_trees_exit_0(self, tmp_path, capsys):
+        old, new = _corpus_tree(tmp_path / "old"), _corpus_tree(tmp_path / "new")
+        assert compare_reports.main(old, new) == 0
+        assert capsys.readouterr().out == "path  reports  largest relative move\n"
+
+    @pytest.mark.parametrize("change", _TREE_CHANGES)
+    def test_any_difference_exits_1(self, tmp_path, capsys, change):
+        edit, line = _TREE_CHANGES[change]
+        old, new = _corpus_tree(tmp_path / "old"), _corpus_tree(tmp_path / "new")
+        edit(tmp_path / "new")
+        assert compare_reports.main(old, new) == 1
+        assert line in capsys.readouterr().out
 
 
 def _c3_with_cochain(tmp_path):

@@ -1,6 +1,8 @@
 """Eigendecomposition, heat semigroup, projectors, and the spectral cache."""
 
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -14,16 +16,17 @@ from conftest import (
     NAMED_IDS,
     all_degrees,
     chebyshev_heat,
+    count_assemblies,
     count_calls,
     general_product,
     log10_uniform_weights,
     log_uniform_weights,
-    spectrum_of,
     traced_peak,
 )
 from hodgeheat import (
     Cochain,
     OperatorMatrix,
+    SimplicialComplex,
     betti_numbers,
     build_complex,
     eigendecompose,
@@ -91,7 +94,7 @@ class TestEigendecompose:
     @pytest.mark.parametrize("name,K", NAMED, ids=NAMED_IDS)
     def test_w_orthonormality_and_residual(self, name, K):
         for ell in all_degrees(K):
-            s = spectrum_of(name, K, ell)
+            s = laplacian_spectrum(K, ell)
             V, w = s.eigencochains, s.weights
             gram = V.T @ (V * w[:, None])
             assert np.max(np.abs(gram - np.eye(V.shape[1]))) <= 1e-10
@@ -206,16 +209,16 @@ class TestDegreeOneLift:
         K = lib.flat_torus(12, 12)
         eighs = count_calls(monkeypatch, "eigh", np.linalg)
         qrs = count_calls(monkeypatch, "qr", np.linalg)
-        neighbours = {}
-        s = laplacian_spectrum(K, 1, neighbours)
-        # One eigh each for degrees 0 and 2, kept for the caller, and one QR
-        # for the two harmonic columns.
+        assemblies = count_assemblies(monkeypatch)
+        s = laplacian_spectrum(K, 1)
+        # One eigh each for degrees 0 and 2, which K then holds, one QR for
+        # the two harmonic columns, and one assembly of each degree.
         assert sorted(len(args[0]) for args in eighs) == [144, 288]
-        assert sorted(neighbours) == [0, 2] and len(qrs) == 1
-        # Given the neighbours, the lift runs no eigh at all.
-        eighs.clear()
-        again = laplacian_spectrum(K, 1, neighbours)
-        assert not eighs and again.eigencochains.tobytes() == s.eigencochains.tobytes()
+        assert len(qrs) == 1 and sorted(assemblies) == [0, 1, 2]
+        # Asked again, K computes nothing: it returns the spectra it holds.
+        assert laplacian_spectrum(K, 1) is s
+        assert [laplacian_spectrum(K, d).dim for d in (0, 2)] == [144, 288]
+        assert (len(eighs), len(qrs), len(assemblies)) == (2, 1, 3)
 
     @pytest.mark.parametrize("seed", range(3))
     def test_past_the_spread_bound_is_eigh_bit_for_bit(self, seed):
@@ -230,18 +233,13 @@ class TestDegreeOneLift:
     def test_deterministic_and_leaves_global_random_state(self):
         K = lib.flat_torus(6, 6)
         before = np.random.get_state(legacy=False)
-        a, b = laplacian_spectrum(K, 1), laplacian_spectrum(K, 1)
+        # Two complexes: one complex builds its spectrum once and holds it.
+        a, b = laplacian_spectrum(K, 1), laplacian_spectrum(lib.flat_torus(6, 6), 1)
         after = np.random.get_state(legacy=False)
         assert a.eigencochains.tobytes() == b.eigencochains.tobytes()
         assert a.eigenvalues.tobytes() == b.eigenvalues.tobytes()
         assert np.array_equal(before["state"]["key"], after["state"]["key"])
         assert before["state"]["pos"] == after["state"]["pos"]
-
-    def test_neighbours_of_another_complex_are_rejected(self):
-        K = lib.flat_torus(4, 4)
-        other = {0: laplacian_spectrum(log_uniform_weights(K, 1), 0)}
-        with pytest.raises(ValueError, match="other weights"):
-            laplacian_spectrum(K, 1, other)
 
     def test_only_degree_one_of_low_complexes_lifts(self):
         assert lifted_from(lib.cycle_complex(5), 1) == (0,)
@@ -249,6 +247,70 @@ class TestDegreeOneLift:
         assert lifted_from(lib.flat_torus(4, 4), 0) == ()
         assert lifted_from(lib.flat_torus(4, 4), 2) == ()
         assert lifted_from(lib.simplex_boundary(4), 1) == ()
+
+
+class TestHeldByTheComplex:
+    """K holds one Laplacian and one spectrum per degree; nothing they were
+    built from can change after they are built."""
+
+    def test_held_arrays_are_read_only(self):
+        K = lib.flat_torus(4, 4)
+        s = laplacian_spectrum(K, 1)
+        for array in (K.weights[1], s.weights, s.eigenvalues, s.eigencochains):
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = 2.0
+
+    def test_callers_weights_are_copied(self):
+        base = lib.flat_torus(4, 4)
+        weights = [np.array(w) for w in base.weights]
+        K = SimplicialComplex(base.simplices, weights)
+        weights[1] *= 5.0
+        s = laplacian_spectrum(K, 1)
+        weights[0] *= 3.0
+        weights[2] *= 7.0
+        assert all(np.array_equal(a, b) for a, b in zip(K.weights, base.weights))
+        ref = laplacian_spectrum(base, 1)
+        assert s.eigenvalues.tobytes() == ref.eigenvalues.tobytes()
+        assert s.eigencochains.tobytes() == ref.eigencochains.tobytes()
+        for d in (0, 2):
+            assert (laplacian_spectrum(K, d).eigenvalues.tobytes()
+                    == laplacian_spectrum(base, d).eigenvalues.tobytes())
+
+    def test_other_weights_give_other_spectra(self):
+        K = lib.flat_torus(4, 4)
+        other = log_uniform_weights(K, 1)
+        for ell in all_degrees(K):
+            s, t = laplacian_spectrum(K, ell), laplacian_spectrum(other, ell)
+            assert hodge_laplacian(K, ell) is not hodge_laplacian(other, ell)
+            assert not np.array_equal(s.eigenvalues, t.eigenvalues)
+            other.check_spectrum(t)
+            with pytest.raises(ValueError, match="other weights"):
+                other.check_spectrum(s)
+
+    def test_threads_that_ask_at_once_share_one(self):
+        # More threads than cores, released together and switching often,
+        # all building K's first degree-1 spectrum (and through the lift
+        # degrees 0 and 2) at once: each gets the one object K then holds.
+        K = lib.flat_torus(6, 6)
+        results, start = [], threading.Barrier(4)
+
+        def work():
+            start.wait(timeout=60)
+            results.append((laplacian_spectrum(K, 1), hodge_laplacian(K, 1)))
+
+        switch = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        workers = [threading.Thread(target=work) for _ in range(4)]
+        try:
+            for w in workers:
+                w.start()
+            for w in workers:
+                w.join(timeout=60)
+        finally:
+            sys.setswitchinterval(switch)
+        assert not any(w.is_alive() for w in workers) and len(results) == 4
+        assert all(s is laplacian_spectrum(K, 1) and L is hodge_laplacian(K, 1)
+                   for s, L in results)
 
 
 class TestScaleInvariantChecks:
@@ -385,14 +447,14 @@ class TestHeatSemigroup:
             ell = int(rng.integers(0, K.max_degree + 1))
             t = float(rng.uniform(0.0, 10.0))
             omega = Cochain(ell, rng.uniform(-1, 1, K.n_simplices(ell)))
-            s = spectrum_of(name, K, ell)
+            s = laplacian_spectrum(K, ell)
             a = _heat(s, t, omega.values)
             b = chebyshev_heat(delta[ell], t, omega.values)
             assert np.linalg.norm(a - b) <= 1e-8 * max(np.linalg.norm(a), 1.0)
 
     def test_backend_agreement_torus_degree1(self):
-        name, K = "torus_6x6", lib.flat_torus(6, 6)
-        s = spectrum_of(name, K, 1)
+        K = lib.flat_torus(6, 6)
+        s = laplacian_spectrum(K, 1)
         delta = hodge_laplacian(K, 1)
         rng = np.random.default_rng(12)
         for _ in range(10):
@@ -405,7 +467,7 @@ class TestHeatSemigroup:
     @pytest.mark.parametrize("name,K", NAMED[:6], ids=NAMED_IDS[:6])
     def test_semigroup_law(self, name, K):
         for ell in all_degrees(K):
-            s = spectrum_of(name, K, ell)
+            s = laplacian_spectrum(K, ell)
             for ts, tt in ((0.2, 0.5), (1.0, 3.0)):
                 Ps = s.function_matrix(lambda lam: np.exp(-ts * lam))
                 Pt = s.function_matrix(lambda lam: np.exp(-tt * lam))
@@ -415,7 +477,7 @@ class TestHeatSemigroup:
     @pytest.mark.parametrize("name,K", NAMED, ids=NAMED_IDS)
     def test_exact_gap_decay_on_complement(self, name, K):
         for ell in all_degrees(K):
-            s = spectrum_of(name, K, ell)
+            s = laplacian_spectrum(K, ell)
             for t in (0.1, 1.0, 5.0):
                 M = s.function_matrix(lambda lam: np.exp(-t * lam) * (lam > 0))
                 measured = _opnorm2w(M, s.weights)
@@ -424,7 +486,7 @@ class TestHeatSemigroup:
     @pytest.mark.parametrize("name,K", NAMED[:6], ids=NAMED_IDS[:6])
     def test_projector_commutes_with_heat(self, name, K):
         for ell in all_degrees(K):
-            s = spectrum_of(name, K, ell)
+            s = laplacian_spectrum(K, ell)
             H = harmonic_projector(s).entries
             for t in (0.5, 2.0):
                 P = s.function_matrix(lambda lam: np.exp(-t * lam))
@@ -701,7 +763,7 @@ class TestHarmonicProjector:
     def test_rank_equals_betti(self, name, K):
         betti = betti_numbers(K)
         for ell in all_degrees(K):
-            H = harmonic_projector(spectrum_of(name, K, ell)).entries
+            H = harmonic_projector(laplacian_spectrum(K, ell)).entries
             assert round(float(np.trace(H))) == betti[ell]
 
 
@@ -727,7 +789,7 @@ class TestFunctionMatrix:
         if weighted:
             K = log_uniform_weights(K, 11)
         for ell in all_degrees(K):
-            s = laplacian_spectrum(K, ell) if weighted else spectrum_of(name, K, ell)
+            s = laplacian_spectrum(K, ell) if weighted else laplacian_spectrum(K, ell)
             for func in _NONNEGATIVE_FUNCTIONS.values():
                 reference = general_product(s, func)
                 M = s.function_matrix(func)
