@@ -36,7 +36,6 @@ if _threads:
 
 from .complexes import (
     Cochain,
-    OperatorMatrix,
     SimplicialComplex,
     betti_numbers,
     build_complex,

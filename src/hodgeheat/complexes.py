@@ -35,31 +35,6 @@ class Cochain:
             raise ValueError("cochain values must be a 1-d array")
 
 
-@dataclass
-class OperatorMatrix:
-    """Linear map between cochain spaces, tagged with its degrees."""
-
-    entries: np.ndarray
-    domain_degree: int
-    codomain_degree: int
-
-    def __post_init__(self):
-        self.entries = np.asarray(self.entries, dtype=float)
-        if self.entries.ndim != 2:
-            raise ValueError("operator entries must be a matrix")
-
-    @property
-    def shape(self):
-        return self.entries.shape
-
-    def apply(self, omega: Cochain) -> Cochain:
-        if omega.degree != self.domain_degree:
-            raise ValueError(
-                f"operator expects degree {self.domain_degree}, got {omega.degree}"
-            )
-        return Cochain(self.codomain_degree, self.entries @ omega.values)
-
-
 class SimplicialComplex:
     """Oriented weighted simplicial complex, closed under taking faces.
 
@@ -248,7 +223,7 @@ def _degree_key(key) -> int:
     return ell
 
 
-def coboundary(K: SimplicialComplex, ell: int) -> OperatorMatrix:
+def coboundary(K: SimplicialComplex, ell: int) -> np.ndarray:
     """Signed incidence matrix d_ell: C^ell -> C^(ell+1).
 
     The entry for an (ell+1)-simplex and its i-th face (the sorted simplex
@@ -257,7 +232,7 @@ def coboundary(K: SimplicialComplex, ell: int) -> OperatorMatrix:
     rows, cols, signs = _incidence(K, ell)
     D = np.zeros((K.n_simplices(ell + 1), K.n_simplices(ell)))
     D[rows, cols] = signs
-    return OperatorMatrix(D, domain_degree=ell, codomain_degree=ell + 1)
+    return D
 
 
 def _incidence(K: SimplicialComplex, ell: int):
@@ -359,7 +334,7 @@ def _group_pairs(group, member, left, right):
     return member[a], member[b], left[a] * right[b]
 
 
-def hodge_laplacian(K: SimplicialComplex, ell: int) -> OperatorMatrix:
+def hodge_laplacian(K: SimplicialComplex, ell: int) -> "_SparseOperator":
     """Hodge Laplacian d delta + delta d on degree ell (boundary terms dropped).
 
     A ``_SparseOperator``, assembled as its nonzeros off the face tables;
@@ -410,19 +385,20 @@ def hodge_laplacian(K: SimplicialComplex, ell: int) -> OperatorMatrix:
     return K._laplacians.setdefault(ell, L)
 
 
-class _SparseOperator(OperatorMatrix):
-    """A square operator held as its nonzeros in compressed-row order.
+class _SparseOperator:
+    """A square operator on degree-``degree`` cochains, held as its
+    nonzeros in compressed-row order.
 
     Row by row, columns ascending; ``transpose[k]`` is the position of
     entry (cols[k], rows[k]), or -1 when that entry is zero.  Only its
     methods read this format; ``entries`` scatters it anew on each read.
-    ``A @ x``, and ``apply`` through it, multiply through padded row slots
-    (ELLPACK), built on first use: slot k of row i holds the row's k-th
-    nonzero, 0.0 and column 0 past its end.  The products are reduced
-    along the slots from 0.0, so each row adds them in column order, as a
-    compressed-row matvec does, signed zeros included.  A row longer than
-    twice the mean (a cone's apex) keeps the rest in a spill that
-    ``np.add.at`` adds afterwards.
+    ``A @ x`` multiplies through padded row slots (ELLPACK), built on
+    first use: slot k of row i holds the row's k-th nonzero, 0.0 and
+    column 0 past its end.  The products are reduced along the slots from
+    0.0, so each row adds them in column order, as a compressed-row matvec
+    does, signed zeros included.  A row longer than twice the mean (a
+    cone's apex) keeps the rest in a spill that ``np.add.at`` adds
+    afterwards.
     """
 
     def __init__(self, keys: np.ndarray, vals: np.ndarray, n: int, degree: int):
@@ -431,20 +407,16 @@ class _SparseOperator(OperatorMatrix):
         mirror = self.cols * n + self.rows
         at = np.minimum(np.searchsorted(keys, mirror), keys.size - 1)
         self.vals, self.transpose = vals, np.where(keys[at] == mirror, at, -1)
-        self.domain_degree = self.codomain_degree = degree
-        self._n = n
+        self.degree, self._n = degree, n
 
     @classmethod
     def of(cls, operator, degree: int) -> "_SparseOperator":
         """``operator`` itself when it is one, else the nonzeros of its dense
-        matrix, found by one scan of all n^2 entries.  An array has no
-        degree and gets ``degree``; an OperatorMatrix keeps its own.
-        ``eigendecompose`` is the one routine that takes an operator in any
-        of these forms; route B reads the operator that K holds."""
+        matrix, of degree ``degree``, found by one scan of all n^2 entries.
+        ``eigendecompose`` is the one routine that takes an operator in
+        either form; route B reads the operator that K holds."""
         if isinstance(operator, cls):
             return operator
-        if isinstance(operator, OperatorMatrix):
-            operator, degree = operator.entries, operator.domain_degree
         A = np.asarray(operator, dtype=float)
         if A.ndim != 2 or A.shape[0] != A.shape[1]:
             raise ValueError(f"expected a square matrix, got shape {A.shape}")
@@ -554,17 +526,6 @@ class _SparseOperator(OperatorMatrix):
         slot_vals[slot[fits], rows[fits]] = vals[fits]
         slot_cols[slot[fits], rows[fits]] = cols[fits]
         return slot_vals, slot_cols, (rows[~fits], cols[~fits], vals[~fits])
-
-    def apply(self, omega: Cochain) -> Cochain:
-        """``self @ omega.values`` as a cochain: no dense matrix is built."""
-        if omega.degree != self.domain_degree:
-            raise ValueError(
-                f"operator expects degree {self.domain_degree}, got {omega.degree}"
-            )
-        if omega.values.size != self._n:
-            raise ValueError(f"operator acts on {self._n} values, got a cochain "
-                             f"of {omega.values.size}")
-        return Cochain(self.codomain_degree, self @ omega.values)
 
     def __matmul__(self, x: np.ndarray) -> np.ndarray:
         vals, cols, (spill_rows, spill_cols, spill_vals) = self._slots

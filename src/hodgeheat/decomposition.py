@@ -18,7 +18,6 @@ import numpy as np
 
 from .complexes import (
     Cochain,
-    OperatorMatrix,
     SimplicialComplex,
     _coboundary_apply,
     _codifferential_apply,
@@ -74,17 +73,16 @@ def _inv_on_support(lam: np.ndarray) -> np.ndarray:
     return np.where(lam > 0, 1.0 / np.where(lam > 0, lam, 1.0), 0.0)
 
 
-def green_spectral(s: SpectralData) -> OperatorMatrix:
+def green_spectral(s: SpectralData) -> np.ndarray:
     """Closed form of the Green operator: 1/lambda on the nonzero spectrum."""
-    return OperatorMatrix(s.function_matrix(_inv_on_support), s.degree, s.degree)
+    return s.function_matrix(_inv_on_support)
 
 
-def inv_sqrt_spectral(s: SpectralData) -> OperatorMatrix:
+def inv_sqrt_spectral(s: SpectralData) -> np.ndarray:
     """lambda^(-1/2) on the nonzero spectrum, 0 on the kernel."""
-    M = s.function_matrix(
+    return s.function_matrix(
         lambda lam: np.where(lam > 0, 1.0 / np.sqrt(np.where(lam > 0, lam, 1.0)), 0.0)
     )
-    return OperatorMatrix(M, s.degree, s.degree)
 
 
 def inv_sqrt_subordinated(s: SpectralData, omega: Cochain,

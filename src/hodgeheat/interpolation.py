@@ -17,7 +17,6 @@ import numpy as np
 
 from .complexes import (
     Cochain,
-    OperatorMatrix,
     SimplicialComplex,
     _coboundary_apply,
     _codifferential_apply,
@@ -33,10 +32,6 @@ from .spectral import (
 )
 
 
-def _entries(T) -> np.ndarray:
-    return T.entries if isinstance(T, OperatorMatrix) else np.asarray(T, dtype=float)
-
-
 def _weight_pair(A, w_dom, w_cod):
     w_dom = np.ones(A.shape[1]) if w_dom is None else np.asarray(w_dom, dtype=float)
     w_cod = np.ones(A.shape[0]) if w_cod is None else np.asarray(w_cod, dtype=float)
@@ -50,7 +45,7 @@ def opnorm_exact_extremes(T, p, w_dom=None, w_cod=None) -> float:
     is the largest absolute row sum (weights drop out of sup norms).  The
     two are exactly dual under the weighted adjoint.
     """
-    A = _entries(T)
+    A = np.asarray(T, dtype=float)
     w_dom, w_cod = _weight_pair(A, w_dom, w_cod)
     if min(A.shape) == 0:
         return 0.0
@@ -113,7 +108,7 @@ def opnorm_power_method(T, p, w_dom=None, w_cod=None, iters: int = 64,
     p = float(p)
     if not 1.0 < p < math.inf:
         raise ValueError(f"power method needs 1 < p < inf, got {p}")
-    A = T if isinstance(T, _Factored) else _entries(T)
+    A = T if isinstance(T, _Factored) else np.asarray(T, dtype=float)
     w_dom, w_cod = _weight_pair(A, w_dom, w_cod)
     if min(A.shape) == 0:
         return 0.0
@@ -166,7 +161,7 @@ def _brackets(T, p_grid, w_dom, w_cod, iters: int, seed: int,
     a factorization T = left @ right.T passes it as ``factor = (left,
     right)``, and the power method runs through it.
     """
-    A = _entries(T)
+    A = np.asarray(T, dtype=float)
     w_dom, w_cod = _weight_pair(A, w_dom, w_cod)
     exact = {} if norm2 is None else {2.0: norm2}
     power = A if factor is None else _Factored(*factor)
@@ -294,7 +289,7 @@ def projector_norm_profile(s: SpectralData, p_grid, seed: int = 0) -> list[dict]
     """
     ps = [float(p) for p in p_grid]
     Vk = s.kernel_basis()
-    brackets = _brackets(harmonic_projector(s).entries, ps, s.weights, s.weights,
+    brackets = _brackets(harmonic_projector(s), ps, s.weights, s.weights,
                          iters=64, seed=seed,
                          norm2=1.0 if s.kernel_dim else 0.0,
                          factor=(Vk, Vk * s.weights[:, None]))

@@ -77,19 +77,17 @@ def parse_json_complex(text: str) -> ParsedInput:
         spec[ell] = [tuple(s) for s in simplices]
         listing[ell] = [tuple(sorted(s)) for s in simplices]
     if "weights" in doc:
-        for key, weights in _json_value(doc["weights"], dict, "'weights'").items():
-            _json_list(weights, (int, float), f"weights[{key!r}]")
-        spec["weights"] = doc["weights"]
+        spec["weights"] = {key: _json_list(weights, _NUMBER, f"weights[{key!r}]") for key, weights
+                           in _json_value(doc["weights"], dict, "'weights'").items()}
     if "weights_default" in doc:
-        spec["weights_default"] = _json_value(doc["weights_default"], (int, float),
-                                              "'weights_default'")
+        spec["weights_default"] = _json_value(doc["weights_default"], _NUMBER, "'weights_default'")
     K = build_complex(spec)
 
     cochain = None
     if "cochain" in doc:
         c = _json_value(doc["cochain"], dict, "'cochain'")
         ell = _json_value(c.get("degree"), int, "cochain degree")
-        values = [float(x) for x in _json_list(c.get("values"), (int, float), "cochain values")]
+        values = _json_list(c.get("values"), _NUMBER, "cochain values")
         order = listing.get(ell, [])
         if len(values) != len(order) or K.n_simplices(ell) != len(order):
             raise ValueError(
@@ -105,26 +103,37 @@ def parse_json_complex(text: str) -> ParsedInput:
     return ParsedInput(K, cochain, [])
 
 
-_KINDS = {dict: "a mapping", list: "a list", int: "an integer", (int, float): "a number"}
+_NUMBER = (int, float)
+_KINDS = {dict: "a mapping", list: "a list", int: "an integer", _NUMBER: "a number"}
 
 
 def _json_value(x, kind, where: str):
-    """``x`` if it is of ``kind`` (a bool is no number), else a ValueError naming ``where``."""
+    """``x`` if it is of ``kind`` (a bool is no number), else a ValueError naming
+    ``where``.  A number comes back as a float: an integer past the double range
+    is an error too."""
     if isinstance(x, bool) or not isinstance(x, kind):
         raise ValueError(f"{where} must be {_KINDS[kind]}, got {x!r:.40}")
-    return x
+    try:
+        return float(x) if kind == _NUMBER else x
+    except OverflowError:
+        raise ValueError(f"{where} must be a number in the double range, got an integer "
+                         f"of {len(str(abs(x)))} digits") from None
 
 
 def _json_list(value, kind, where: str) -> list:
-    """``value`` if it is a list of ``kind`` entries; the error names the first bad one.
+    """``value`` if it is a list of ``kind`` entries, numbers as floats; the
+    error names the first bad one.
 
     The entries' exact types are checked in one pass first, as ``json.loads``
-    makes them (a bool is not an int); only a list that fails it is walked
-    entry by entry for the message.
+    makes them (a bool is not an int); only a list that fails it, or holds an
+    integer past the double range, is walked entry by entry for the message.
     """
     kinds = set(kind) if isinstance(kind, tuple) else {kind}
     if type(value) is list and set(map(type, value)) <= kinds:
-        return value
+        try:
+            return [float(x) for x in value] if kind == _NUMBER else value
+        except OverflowError:
+            pass
     return [_json_value(x, kind, f"{where}[{i}]")
             for i, x in enumerate(_json_value(value, list, where))]
 

@@ -31,7 +31,6 @@ import numpy as np
 
 from .complexes import (
     Cochain,
-    OperatorMatrix,
     SimplicialComplex,
     _coboundary_apply,
     _codifferential_apply,
@@ -112,25 +111,24 @@ class SpectralData:
 def eigendecompose(delta, weights=None, degree: int | None = None) -> SpectralData:
     """Full eigendecomposition of a W-self-adjoint PSD operator.
 
-    Works on the symmetrized form W^(1/2) A W^(-1/2), built from the
-    nonzeros of ``_SparseOperator.of(delta)``; rejects input
-    whose symmetrized residual exceeds 1e-8 relative.  Eigenvalues within
-    RANK_TOL of zero, relative to the largest, are clamped to exactly 0.
+    ``delta`` is a square array or a ``_SparseOperator``; the spectrum's
+    degree is ``degree``, else the operator's own, else 0.  Works on the
+    symmetrized form W^(1/2) A W^(-1/2), built from the nonzeros of
+    ``_SparseOperator.of(delta)``; rejects input whose symmetrized residual
+    exceeds 1e-8 relative.  Eigenvalues within RANK_TOL of zero, relative
+    to the largest, are clamped to exactly 0.
     ``delta`` is read, never written.  A dense matrix with few zeros has
     about n^2 nonzeros, and their rows, columns, values and transposes
     take the traced peak to about 12 n^2 doubles (34 MB at n = 600).
     """
-    if isinstance(delta, OperatorMatrix):
-        if delta.domain_degree != delta.codomain_degree:
-            raise ValueError("eigendecomposition needs equal domain/codomain degrees")
-        degree = delta.domain_degree if degree is None else degree
+    if degree is None:
+        degree = delta.degree if isinstance(delta, _SparseOperator) else 0
     shape = np.shape(delta)
-    w = np.asarray(np.ones(shape[0]) if weights is None else weights, dtype=float)
-    if len(shape) != 2 or shape[0] != shape[1] or shape[0] != w.size:
+    w = np.asarray(np.ones(shape[:1]) if weights is None else weights, dtype=float)
+    if shape != (w.size, w.size):
         raise ValueError("operator and weights have mismatched shapes")
     if not np.all(np.isfinite(w) & (w > 0)):
         raise ValueError("weights must be positive and finite")
-    degree = 0 if degree is None else degree
     sqrt_w = np.sqrt(w)
     evals, V = np.linalg.eigh(_SparseOperator.of(delta, degree).symmetrized_lower(sqrt_w, degree))
     if not np.isfinite(evals).all():
@@ -365,10 +363,10 @@ def _chebyshev_sum(A, b: float, rows, x: np.ndarray) -> list:
     return outs
 
 
-def harmonic_projector(s: SpectralData) -> OperatorMatrix:
+def harmonic_projector(s: SpectralData) -> np.ndarray:
     """W-orthogonal projector V_k V_k^T W onto the kernel of the Laplacian."""
     Vk = s.kernel_basis()
-    return OperatorMatrix(Vk @ (Vk.T * s.weights), s.degree, s.degree)
+    return Vk @ (Vk.T * s.weights)
 
 
 def harmonic_part(s: SpectralData, values: np.ndarray) -> np.ndarray:

@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 import hodgeheat
-from hodgeheat import OperatorMatrix, SimplicialComplex, coboundary
+from hodgeheat import SimplicialComplex, coboundary
 from hodgeheat import library as lib
 from hodgeheat.complexes import _SparseOperator
 from hodgeheat.spectral import _chebyshev_sum, _cut_series, _heat_series
@@ -72,9 +72,8 @@ def codifferential(K, ell):
     """Oracle: the dense delta_ell = W_(ell-1)^-1 d_(ell-1)^T W_ell, C^ell -> C^(ell-1)."""
     if not 1 <= ell <= K.max_degree:
         raise ValueError(f"codifferential degree {ell} out of range [1, {K.max_degree}]")
-    d = coboundary(K, ell - 1).entries
-    entries = weighted_adjoint(d, K.weight_vector(ell - 1), K.weight_vector(ell))
-    return OperatorMatrix(entries, domain_degree=ell, codomain_degree=ell - 1)
+    return weighted_adjoint(coboundary(K, ell - 1), K.weight_vector(ell - 1),
+                            K.weight_vector(ell))
 
 
 def chebyshev_heat(laplacian, t, values):

@@ -46,7 +46,6 @@ import os
 import shutil
 import sys
 
-import numpy as np
 from click.testing import CliRunner
 from conftest import CORPUS, all_degrees, log_uniform_weights
 
@@ -54,6 +53,9 @@ from hodgeheat import SimplicialComplex, build_complex
 from hodgeheat import library as lib
 from hodgeheat.cli import RunConfig, main as cli_main, run_pipeline
 from hodgeheat.io import complex_to_json_dict, emit_report
+
+# After hodgeheat, whose import applies HODGEHEAT_NUM_THREADS before numpy loads.
+import numpy as np  # noqa: E402,I001
 
 # Subcommand -> output formats it offers.
 _CLI_COMMANDS = {"build": ("json",), "spectrum": ("json", "csv"),

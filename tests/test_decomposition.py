@@ -43,8 +43,8 @@ class TestGreenSpectral:
     def test_annihilates_harmonic(self):
         K = lib.cycle_complex(3)
         s = laplacian_spectrum(K, 0)
-        out = green_spectral(s).apply(Cochain(0, np.ones(3)))
-        assert np.allclose(out.values, 0.0, atol=1e-14)
+        out = green_spectral(s) @ np.ones(3)
+        assert np.allclose(out, 0.0, atol=1e-14)
 
     def test_interval_pseudo_inverse_oracle(self):
         # Laplacian maps (1, -1) to (2, -2); the pseudo-inverse halves it.
@@ -53,16 +53,16 @@ class TestGreenSpectral:
         assert np.allclose(
             hodge_laplacian(K, 0).entries @ [1.0, -1.0], [2.0, -2.0], atol=1e-14
         )
-        out = green_spectral(s).apply(Cochain(0, [1.0, -1.0]))
-        assert np.allclose(out.values, [0.5, -0.5], atol=1e-12)
+        out = green_spectral(s) @ [1.0, -1.0]
+        assert np.allclose(out, [0.5, -0.5], atol=1e-12)
 
     @pytest.mark.parametrize("name,K", NAMED, ids=NAMED_IDS)
     def test_defining_identity_all_degrees(self, name, K):
         for ell in all_degrees(K):
             s = laplacian_spectrum(K, ell)
-            G = green_spectral(s).entries
+            G = green_spectral(s)
             A = hodge_laplacian(K, ell).entries
-            one_minus_h = np.eye(len(s.weights)) - harmonic_projector(s).entries
+            one_minus_h = np.eye(len(s.weights)) - harmonic_projector(s)
             assert np.linalg.norm(A @ G - one_minus_h, 2) <= 1e-10
             assert np.linalg.norm(G @ A - one_minus_h, 2) <= 1e-10
 
@@ -70,10 +70,10 @@ class TestGreenSpectral:
         K = lib.simplex_boundary(3)
         s = laplacian_spectrum(K, 1)
         omega = lib.random_cochain(K, 1, 8)
-        lap = hodge_laplacian(K, 1).apply(omega)
-        out = green_spectral(s).apply(lap)
+        lap = hodge_laplacian(K, 1) @ omega.values
+        out = green_spectral(s) @ lap
         expected = omega.values - harmonic_part(s, omega.values)
-        assert np.linalg.norm(out.values - expected) <= 1e-10
+        assert np.linalg.norm(out - expected) <= 1e-10
 
 
 class TestGreenQuadrature:
@@ -114,8 +114,8 @@ class TestInverseSquareRoot:
         s = laplacian_spectrum(K, 0)
         assert s.eigenvalues[-1] == pytest.approx(4.0, abs=1e-12)
         v = s.eigencochains[:, -1]
-        out = inv_sqrt_spectral(s).apply(Cochain(0, v))
-        assert np.allclose(out.values, v / 2.0, atol=1e-12)
+        out = inv_sqrt_spectral(s) @ v
+        assert np.allclose(out, v / 2.0, atol=1e-12)
 
     def test_harmonic_gives_zero(self):
         K = lib.cycle_complex(3)
@@ -128,7 +128,7 @@ class TestInverseSquareRoot:
         K = lib.cycle_complex(3)
         s = laplacian_spectrum(K, 0)
         omega = lib.random_cochain(K, 0, 19)
-        exact = inv_sqrt_spectral(s).apply(omega).values
+        exact = inv_sqrt_spectral(s) @ omega.values
         res = inv_sqrt_subordinated(s, omega, error_target=1e-6)
         rel = np.linalg.norm(res.cochain.values - exact) / np.linalg.norm(exact)
         assert rel <= 1e-6
@@ -144,8 +144,8 @@ class TestInverseSquareRoot:
     def test_half_inverse_squares_to_green(self, name, K):
         for ell in all_degrees(K):
             s = laplacian_spectrum(K, ell)
-            R = inv_sqrt_spectral(s).entries
-            G = green_spectral(s).entries
+            R = inv_sqrt_spectral(s)
+            G = green_spectral(s)
             assert np.linalg.norm(R @ R - G, 2) <= 1e-9 * max(np.linalg.norm(G, 2), 1.0)
 
 
@@ -162,7 +162,7 @@ class TestDecompose:
     def test_exact_form_on_c3(self):
         K = lib.cycle_complex(3)
         f = lib.random_cochain(K, 0, 23)
-        omega = coboundary(K, 0).apply(f)
+        omega = Cochain(1, coboundary(K, 0) @ f.values)
         dec = decompose(K, laplacian_spectrum(K, 1), omega)
         assert np.allclose(dec.omega3.values, 0.0, atol=1e-10)
         assert np.allclose(dec.exact_part.values, omega.values, atol=1e-10)
@@ -212,13 +212,13 @@ class TestDecompose:
                 dense = [None, np.zeros_like(g), None, np.zeros_like(g)]
                 bound = [None, np.zeros_like(g), None, np.zeros_like(g)]
                 if ell >= 1:
-                    delta = codifferential(weighted, ell).entries
-                    d = coboundary(weighted, ell - 1).entries
+                    delta = codifferential(weighted, ell)
+                    d = coboundary(weighted, ell - 1)
                     dense[0], bound[0] = delta @ g, np.abs(delta) @ np.abs(g)
                     dense[1], bound[1] = d @ dense[0], np.abs(d) @ bound[0]
                 if ell < K.max_degree:
-                    d = coboundary(weighted, ell).entries
-                    delta = codifferential(weighted, ell + 1).entries
+                    d = coboundary(weighted, ell)
+                    delta = codifferential(weighted, ell + 1)
                     dense[2], bound[2] = d @ g, np.abs(d) @ np.abs(g)
                     dense[3], bound[3] = delta @ dense[2], np.abs(delta) @ bound[2]
                 for got, want, scale in zip(_hodge_split(weighted, ell, g), dense, bound):
@@ -248,7 +248,7 @@ class TestHarmonicRepresentative:
         s = laplacian_spectrum(K, 1)
         circulation = 1.7 * s.kernel_basis()[:, 0]
         f = lib.random_cochain(K, 0, 41)
-        omega = Cochain(1, circulation + coboundary(K, 0).apply(f).values)
+        omega = Cochain(1, circulation + coboundary(K, 0) @ f.values)
         rep = harmonic_representative(K, s, omega)
         norm = np.linalg.norm(omega.values)
         assert np.linalg.norm(rep.cochain.values - circulation) <= 1e-8 * norm
@@ -258,7 +258,7 @@ class TestHarmonicRepresentative:
     def test_filled_triangle_closed_forms_are_exact(self):
         K = lib.filled_triangle()
         f = lib.random_cochain(K, 0, 43)
-        omega = coboundary(K, 0).apply(f)  # closed since b1 = 0 forces exactness
+        omega = Cochain(1, coboundary(K, 0) @ f.values)  # closed since b1 = 0 forces exactness
         rep = harmonic_representative(K, laplacian_spectrum(K, 1), omega)
         assert np.allclose(rep.cochain.values, 0.0, atol=1e-10)
         assert rep.exactness_residual <= 1e-8
@@ -356,7 +356,7 @@ class TestVerifyUniqueness:
             # exp(-gap t_h) = error_target * min(1, gap) at route B's heat time
             h_bound = error_target * min(1.0, s.gap) * norm * (1 + 1e-6)
             assert s.norm2(h_b - harmonic_part(s, omega.values)) <= h_bound
-            g_err = s.norm2(quad.cochain.values - green_spectral(s).apply(omega).values)
+            g_err = s.norm2(quad.cochain.values - green_spectral(s) @ omega.values)
             assert g_err <= quad.tail_bound + error_target * norm
             assert quad.nodes_evaluated == len(matvecs) > 0
             assert 0.0 <= quad.truncation_bound <= 1e-3 * error_target * norm
@@ -434,9 +434,9 @@ def _d_delta_and_delta_d(K, ell):
     """Dense d_(ell-1) delta_ell and delta_(ell+1) d_ell on C^ell, zero where
     the degree has no face or coface."""
     n = K.n_simplices(ell)
-    d_delta = (coboundary(K, ell - 1).entries @ codifferential(K, ell).entries
+    d_delta = (coboundary(K, ell - 1) @ codifferential(K, ell)
                if ell >= 1 else np.zeros((n, n)))
-    delta_d = (codifferential(K, ell + 1).entries @ coboundary(K, ell).entries
+    delta_d = (codifferential(K, ell + 1) @ coboundary(K, ell)
                if ell < K.max_degree else np.zeros((n, n)))
     return d_delta, delta_d
 
@@ -444,12 +444,12 @@ def _d_delta_and_delta_d(K, ell):
 def _riesz_transforms(K, s):
     """(name, d Lap^(-1/2) or delta Lap^(-1/2), codomain weights) at s's degree."""
     ell = s.degree
-    inv_sqrt = inv_sqrt_spectral(s).entries
+    inv_sqrt = inv_sqrt_spectral(s)
     out = []
     if ell < K.max_degree:
-        out.append(("d", coboundary(K, ell).entries @ inv_sqrt, K.weight_vector(ell + 1)))
+        out.append(("d", coboundary(K, ell) @ inv_sqrt, K.weight_vector(ell + 1)))
     if ell >= 1:
-        out.append(("delta", codifferential(K, ell).entries @ inv_sqrt, K.weight_vector(ell - 1)))
+        out.append(("delta", codifferential(K, ell) @ inv_sqrt, K.weight_vector(ell - 1)))
     return out
 
 
@@ -463,9 +463,9 @@ class TestRieszIdentities:
         # d delta G + delta d G = 1 - H.
         for ell in all_degrees(K):
             s = laplacian_spectrum(K, ell)
-            green = green_spectral(s).entries
+            green = green_spectral(s)
             d_delta, delta_d = _d_delta_and_delta_d(K, ell)
-            one_minus_h = np.eye(s.dim) - harmonic_projector(s).entries
+            one_minus_h = np.eye(s.dim) - harmonic_projector(s)
             assert np.linalg.norm(d_delta @ green + delta_d @ green - one_minus_h, 2) <= 1e-10
 
     @pytest.mark.parametrize("name,K", NAMED, ids=NAMED_IDS)
@@ -481,8 +481,8 @@ class TestRieszIdentities:
         # d delta G = Lap^(-1/2) d delta Lap^(-1/2).
         for ell in all_degrees(K):
             s = laplacian_spectrum(K, ell)
-            green = green_spectral(s).entries
-            inv_sqrt = inv_sqrt_spectral(s).entries
+            green = green_spectral(s)
+            inv_sqrt = inv_sqrt_spectral(s)
             d_delta, _ = _d_delta_and_delta_d(K, ell)
             assert np.linalg.norm(d_delta @ green - inv_sqrt @ d_delta @ inv_sqrt, 2) <= 1e-10
 

@@ -734,7 +734,7 @@ class TestGaffney:
         K = lib.cycle_complex(3)
         s = laplacian_spectrum(K, 1)
         h = s.kernel_basis()[:, 0]
-        d = codifferential(K, 1).entries @ h
+        d = codifferential(K, 1) @ h
         assert np.linalg.norm(d) <= 1e-12  # d omega = delta omega = 0 on kernel
 
     def test_invalid_shift(self):
@@ -804,7 +804,7 @@ class TestBracketsShareEndpoints:
         # the closed-form 2-norm as the p = 2 row and interpolation endpoint.
         # The profile's power method runs through the rank-k factor of H,
         # so its lower bounds match the dense ones up to rounding only.
-        H, w = harmonic_projector(s).entries, s.weights
+        H, w = harmonic_projector(s), s.weights
         norm2 = 1.0 if s.kernel_dim else 0.0
         rows = projector_norm_profile(s, self.GRID)
         assert [row["p"] for row in rows] == list(self.GRID)
@@ -844,7 +844,7 @@ class TestBracketsShareEndpoints:
         for ell in all_degrees(K):
             s = laplacian_spectrum(K, ell)
             closed = 1.0 if s.kernel_dim else 0.0
-            svd = _opnorm2(harmonic_projector(s).entries, s.weights, s.weights)
+            svd = _opnorm2(harmonic_projector(s), s.weights, s.weights)
             assert abs(svd - closed) <= 1e-12
             row = projector_norm_profile(s, (2.0,))[0]
             assert row["lower"] == row["upper"] == closed

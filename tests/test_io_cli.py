@@ -303,6 +303,17 @@ _MALFORMED_JSON = {
     "degree_key_listed_twice":
         ('{"simplices": {"1": [[0, 1]], "01": [[1, 2]]}}',
          "simplices['01']: degree 1 is listed twice"),
+    # json.dumps writes 10 ** 400 as its 401 digits, past the double range.
+    "weight_past_the_double_range":
+        (json.dumps({"simplices": {"1": [[0, 1], [1, 2]]}, "weights": {"1": [1, 10 ** 400]}}),
+         "weights['1'][1] must be a number in the double range, got an integer of 401 digits"),
+    "weights_default_past_the_double_range":
+        (json.dumps({"simplices": {"1": [[0, 1]]}, "weights_default": 10 ** 400}),
+         "'weights_default' must be a number in the double range"),
+    "cochain_value_past_the_double_range":
+        (json.dumps({"simplices": {"1": [[0, 1], [1, 2]]},
+                     "cochain": {"degree": 1, "values": [1, 10 ** 400]}}),
+         "cochain values[1] must be a number in the double range"),
 }
 
 
@@ -373,14 +384,15 @@ class TestCli:
         assert first.stdout.replace(json.dumps(str(cache)), "null") == uncached.stdout
 
     def test_vertex_ids_past_int64(self, tmp_path):
-        # Vertex ids are labels only: ids past int64 give the output of the
-        # order-preserving relabelling, apart from the input path and the
-        # ids that build lists.
-        relabel = {0: 0, 1: 1, 2 ** 63: 2, 2 ** 64 + 5: 3}
+        # Vertex ids are labels only: ids past int64, and past the double
+        # range, give the output of the order-preserving relabelling, apart
+        # from the input path and the ids that build lists.
+        relabel = {0: 0, 1: 1, 2 ** 63: 2, 2 ** 64 + 5: 3, 10 ** 400: 4}
         big, small = tmp_path / "big.json", tmp_path / "small.json"
         big.write_text(json.dumps({"simplices": {"2": [[0, 1, 2 ** 63],
-                                                       [1, 2 ** 63, 2 ** 64 + 5]]}}))
-        small.write_text(json.dumps({"simplices": {"2": [[0, 1, 2], [1, 2, 3]]}}))
+                                                       [1, 2 ** 63, 2 ** 64 + 5],
+                                                       [2 ** 63, 2 ** 64 + 5, 10 ** 400]]}}))
+        small.write_text(json.dumps({"simplices": {"2": [[0, 1, 2], [1, 2, 3], [2, 3, 4]]}}))
         runner = CliRunner()
         for command in ("build", "spectrum", "report"):
             got, want = (runner.invoke(main, [command, str(path)]) for path in (big, small))
@@ -494,7 +506,7 @@ class TestCli:
         assert result.exit_code == 2, result.output
         assert isinstance(result.exception, SystemExit)
         assert result.stderr.startswith("input error: ") and part in result.stderr
-        assert "Traceback" not in result.output
+        assert result.stderr.count("\n") == 1 and "Traceback" not in result.output
 
     @pytest.mark.parametrize("command, grid", [("report", "nan,1,2"), ("interp", "1,2,inf")])
     def test_nonfinite_t_grid_is_input_error(self, tmp_path, command, grid):
@@ -819,6 +831,16 @@ class TestCompareReports:
         edit(tmp_path / "new")
         assert compare_reports.main(old, new) == 1
         assert line in capsys.readouterr().out
+
+
+def test_corpus_reports_applies_the_thread_cap():
+    # The script imports hodgeheat before numpy, so HODGEHEAT_NUM_THREADS
+    # applies and its import raises no RuntimeWarning.
+    proc = subprocess.run(
+        [sys.executable, "-W", "error::RuntimeWarning", "-c", "import corpus_reports"],
+        cwd=Path(compare_reports.__file__).parent, env=child_env("1"),
+        capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
 
 
 def _c3_with_cochain(tmp_path):

@@ -25,7 +25,6 @@ from conftest import (
 )
 from hodgeheat import (
     Cochain,
-    OperatorMatrix,
     SimplicialComplex,
     betti_numbers,
     build_complex,
@@ -91,6 +90,12 @@ class TestEigendecompose:
         with pytest.raises(ValueError, match="semidefinite"):
             eigendecompose(-np.eye(2), np.ones(2))
 
+    @pytest.mark.parametrize("operator", [np.float64(3.0), np.ones(3), np.ones((2, 3))],
+                             ids=["scalar", "vector", "non-square"])
+    def test_rejects_an_operator_that_is_no_square_matrix(self, operator):
+        with pytest.raises(ValueError, match="mismatched shapes"):
+            eigendecompose(operator)
+
     @pytest.mark.parametrize("name,K", NAMED, ids=NAMED_IDS)
     def test_w_orthonormality_and_residual(self, name, K):
         for ell in all_degrees(K):
@@ -140,16 +145,16 @@ def test_eigendecompose_leaves_its_argument_unchanged(as_operator):
 @pytest.mark.parametrize("i,name,K", [(i, name, K) for i, (name, K) in enumerate(CORPUS)],
                          ids=CORPUS_IDS)
 def test_operator_forms_agree_bit_for_bit(i, name, K):
-    # The assembly's nonzeros, the dense entries and an OperatorMatrix of
-    # them all reach eigh and the Chebyshev matvec through _SparseOperator.of,
-    # and laplacian_spectrum is eigendecompose of the first wherever it does
-    # not lift (see TestDegreeOneLift for the lift).
+    # The assembly's nonzeros and the dense entries both reach eigh and the
+    # Chebyshev matvec through _SparseOperator.of, and laplacian_spectrum
+    # is eigendecompose of the first wherever it does not lift (see
+    # TestDegreeOneLift for the lift).
     K = log_uniform_weights(K, i)
     for ell in all_degrees(K):
         L = hodge_laplacian(K, ell)
         w = K.weight_vector(ell)
         omega = lib.random_cochain(K, ell, 31)
-        forms = (L, L.entries, OperatorMatrix(L.entries, ell, ell))
+        forms = (L, L.entries)
         spectra = [eigendecompose(form, w, degree=ell) for form in forms]
         sources = lifted_from(K, ell)
         if not sources or _lift(K, *(laplacian_spectrum(K, d) for d in sources)) is None:
@@ -336,7 +341,7 @@ class TestScaleInvariantChecks:
     @staticmethod
     def _with_vals(L, vals):
         n = L.shape[0]
-        return _SparseOperator(L.rows * n + L.cols, vals, n, L.domain_degree)
+        return _SparseOperator(L.rows * n + L.cols, vals, n, L.degree)
 
     @classmethod
     def _flipped(cls, L):
@@ -487,7 +492,7 @@ class TestHeatSemigroup:
     def test_projector_commutes_with_heat(self, name, K):
         for ell in all_degrees(K):
             s = laplacian_spectrum(K, ell)
-            H = harmonic_projector(s).entries
+            H = harmonic_projector(s)
             for t in (0.5, 2.0):
                 P = s.function_matrix(lambda lam: np.exp(-t * lam))
                 assert np.linalg.norm(H @ P - P @ H, 2) <= 1e-10
@@ -738,32 +743,32 @@ class TestHarmonicProjector:
         K = lib.cycle_complex(3)
         s = laplacian_spectrum(K, 0)
         omega = lib.random_cochain(K, 0, 2)
-        out = harmonic_projector(s).apply(omega)
-        assert np.allclose(out.values, omega.values.mean(), atol=1e-12)
+        out = harmonic_projector(s) @ omega.values
+        assert np.allclose(out, omega.values.mean(), atol=1e-12)
 
     def test_weighted_mean_on_weighted_complex(self):
         K = build_complex({"edges": [(0, 1), (1, 2)], "weights": {0: [1.0, 2.0, 3.0]}})
         s = laplacian_spectrum(K, 0)
         omega = Cochain(0, [1.0, -2.0, 4.0])
         expected = np.sum(s.weights * omega.values) / np.sum(s.weights)
-        out = harmonic_projector(s).apply(omega)
-        assert np.allclose(out.values, expected, atol=1e-12)
+        out = harmonic_projector(s) @ omega.values
+        assert np.allclose(out, expected, atol=1e-12)
 
     def test_filled_triangle_degree1_is_zero(self):
         s = laplacian_spectrum(lib.filled_triangle(), 1)
-        H = harmonic_projector(s).entries
+        H = harmonic_projector(s)
         assert np.allclose(H, 0.0, atol=1e-14)
 
     def test_idempotent(self):
         s = laplacian_spectrum(lib.simplex_boundary(3), 2)
-        H = harmonic_projector(s).entries
+        H = harmonic_projector(s)
         assert np.linalg.norm(H @ H - H, 2) <= 1e-12
 
     @pytest.mark.parametrize("name,K", NAMED, ids=NAMED_IDS)
     def test_rank_equals_betti(self, name, K):
         betti = betti_numbers(K)
         for ell in all_degrees(K):
-            H = harmonic_projector(laplacian_spectrum(K, ell)).entries
+            H = harmonic_projector(laplacian_spectrum(K, ell))
             assert round(float(np.trace(H))) == betti[ell]
 
 
