@@ -25,10 +25,10 @@ from .complexes import (
     lp_norm,
 )
 from .spectral import (
+    _ROW_BLOCK,
     _UNIT_ROUNDOFF,
     SpectralData,
     harmonic_part,
-    harmonic_projector,
 )
 
 
@@ -43,13 +43,25 @@ def opnorm_exact_extremes(T, p, w_dom=None, w_cod=None) -> float:
 
     p = 1 is the largest weighted column sum of W_cod T W_dom^-1; p = inf
     is the largest absolute row sum (weights drop out of sup norms).  The
-    two are exactly dual under the weighted adjoint.
+    two are exactly dual under the weighted adjoint.  A ``_Factored`` T is
+    read a block of its rows at a time, never whole.
     """
-    A = np.asarray(T, dtype=float)
+    A = T if isinstance(T, _Factored) else np.asarray(T, dtype=float)
     w_dom, w_cod = _weight_pair(A, w_dom, w_cod)
     if min(A.shape) == 0:
         return 0.0
     p = float(p)
+    if isinstance(A, _Factored) and (p == 1.0 or math.isinf(p)):
+        sums = np.zeros(A.shape[1] if p == 1.0 else A.shape[0])
+        for i0 in range(0, A.shape[0], _ROW_BLOCK):
+            rows = slice(i0, i0 + _ROW_BLOCK)
+            B = A.left[rows] @ A.right.T
+            np.abs(B, out=B)
+            if p == 1.0:
+                sums += w_cod[rows] @ B
+            else:
+                sums[rows] = B.sum(axis=1)
+        return float((sums / w_dom if p == 1.0 else sums).max())
     if p == 1.0:
         B = np.abs(A)
         B *= w_cod[:, None]
@@ -152,19 +164,17 @@ def opnorm_bracket(T, p, w_dom=None, w_cod=None, iters: int = 64,
 
 
 def _brackets(T, p_grid, w_dom, w_cod, iters: int, seed: int,
-              norm2: float | None = None, factor=None) -> list[tuple[float, float]]:
-    """``opnorm_bracket`` of one matrix at every p of the grid.
+              norm2: float | None = None) -> list[tuple[float, float]]:
+    """``opnorm_bracket`` of one operator at every p of the grid.
 
     Each exact endpoint (1, 2, inf) is computed at most once.  A caller
     that knows the 2-norm in closed form passes it as ``norm2``; otherwise
-    the SVD behind it runs only when some p needs it.  A caller that knows
-    a factorization T = left @ right.T passes it as ``factor = (left,
-    right)``, and the power method runs through it.
+    the SVD behind it runs only when some p needs it, on a dense T.  T may
+    be a ``_Factored`` operator, which no endpoint or iteration forms.
     """
-    A = np.asarray(T, dtype=float)
+    A = T if isinstance(T, _Factored) else np.asarray(T, dtype=float)
     w_dom, w_cod = _weight_pair(A, w_dom, w_cod)
     exact = {} if norm2 is None else {2.0: norm2}
-    power = A if factor is None else _Factored(*factor)
 
     def endpoint(q):
         if q not in exact:
@@ -177,7 +187,7 @@ def _brackets(T, p_grid, w_dom, w_cod, iters: int, seed: int,
         if p in (1.0, 2.0) or math.isinf(p):
             out.append((endpoint(p), endpoint(p)))
             continue
-        lower = opnorm_power_method(power, p, w_dom, w_cod, iters=iters, seed=seed)
+        lower = opnorm_power_method(A, p, w_dom, w_cod, iters=iters, seed=seed)
         # Riesz-Thorin between the two exact endpoints around p.
         if p < 2.0:
             m0, m1 = endpoint(1.0), endpoint(2.0)
@@ -195,6 +205,10 @@ def _opnorm2(A: np.ndarray, w_dom: np.ndarray, w_cod: np.ndarray) -> float:
         return 0.0
     B = (A * np.sqrt(w_cod)[:, None]) / np.sqrt(w_dom)[None, :]
     return float(np.linalg.svd(B, compute_uv=False)[0])
+
+
+# exp(-x) is 0.0 in double precision from x = 745.14 on.
+_EXP_ZERO = 746.0
 
 
 @dataclass
@@ -218,26 +232,36 @@ def measure_alpha(s: SpectralData, t_grid) -> AlphaFit:
     """Growth rate of the heat semigroup on the weighted l^1 space of s.
 
     Evaluates the exact 1->1 norm of P_t on the grid and fits log-norm
-    against t.  P_t = S W with S = G G^T and G = V diag(exp(-t lambda))^(1/2),
-    so the norm, the largest weighted column sum of |P_t| W^-1, is
-    max(w @ |S|): the weights of the columns cancel.  G and S are the same
-    two n x n buffers at every time.
+    against t.  P_t = S W with S = V diag(exp(-t lambda)) V^T, so the norm,
+    the largest weighted column sum of |P_t| W^-1, is max(w @ |S|): the
+    weights of the columns cancel.  S is read in its upper row blocks,
+    each block adding its rows' share to the column sums and, mirrored,
+    its columns' share to its own diagonal block's columns.  The fit runs
+    on the times scaled by a power of two into [1/2, 1), which keeps t^2
+    finite for every finite time and, where t^2 was finite and normal
+    before, gives the same slope to the bit.
     """
     t = np.asarray(t_grid, dtype=float)
     if t.size < 3 or not np.all(np.isfinite(t) & (t > 0)) or np.any(np.diff(t) <= 0):
         raise ValueError(f"degenerate t_grid {tuple(map(float, t))}: "
                          "need >= 3 finite, positive, increasing times")
-    G = np.empty_like(s.eigencochains)
-    S = np.empty((s.dim, s.dim))
+    w = s.weights
     norms = []
     for ti in t:
-        np.multiply(s.eigencochains, np.sqrt(np.exp(-ti * s.eigenvalues)), out=G)
-        np.matmul(G, G.T, out=S)  # BLAS syrk
-        np.abs(S, out=S)
-        norms.append(float((s.weights @ S).max(initial=0.0)))
+        # Capping t * lambda at _EXP_ZERO keeps it finite and changes no
+        # factor; below t = 1 the product cannot overflow.
+        f = np.exp(-ti * np.minimum(s.eigenvalues, _EXP_ZERO / ti if ti > 1.0 else np.inf))
+        col = np.zeros(s.dim)
+        for i0, i1, B in s.row_blocks(f):
+            np.abs(B, out=B)
+            col[i0:] += w[i0:i1] @ B
+            col[i0:i1] += B[:, i1 - i0:] @ w[i1:]
+        norms.append(float(col.max(initial=0.0)))
     norms = np.asarray(norms)
     logs = np.log(np.maximum(norms, 1e-300))
-    slope, intercept = np.polyfit(t, logs, 1)
+    scale = math.frexp(t[-1])[1]
+    slope, intercept = np.polyfit(np.ldexp(t, -scale), logs, 1)
+    slope = np.ldexp(slope, -scale)
     residual = float(np.sqrt(np.mean((logs - (slope * t + intercept)) ** 2)))
     # Clamp at 0 from below and snap slopes inside double-precision
     # measurement noise to an exact 0.
@@ -283,16 +307,15 @@ def projector_norm_profile(s: SpectralData, p_grid, seed: int = 0) -> list[dict]
     """Brackets on the p->p norms of the harmonic projector of s.
 
     H is a W-orthogonal projector, so its 2->2 norm is exactly 1 when the
-    kernel is nonzero and 0 otherwise; no SVD is needed for it.  The exact
-    1 and inf endpoints read the dense H; the power method runs through
-    its rank-k factor H = V_k (W V_k)^T, k the kernel dimension.
+    kernel is nonzero and 0 otherwise; no SVD is needed for it.  H is
+    passed as its rank-k factor H = V_k (W V_k)^T, k the kernel dimension:
+    the exact 1 and inf endpoints read it a block of rows at a time, and
+    the power method runs through the two factors.
     """
     ps = [float(p) for p in p_grid]
     Vk = s.kernel_basis()
-    brackets = _brackets(harmonic_projector(s), ps, s.weights, s.weights,
-                         iters=64, seed=seed,
-                         norm2=1.0 if s.kernel_dim else 0.0,
-                         factor=(Vk, Vk * s.weights[:, None]))
+    brackets = _brackets(_Factored(Vk, Vk * s.weights[:, None]), ps, s.weights, s.weights,
+                         iters=64, seed=seed, norm2=1.0 if s.kernel_dim else 0.0)
     return [{"p": p, "lower": lo, "upper": hi} for p, (lo, hi) in zip(ps, brackets)]
 
 
@@ -361,26 +384,35 @@ class KernelDecayFit:
 
 
 def _simplex_distances(K: SimplicialComplex, ell: int):
-    """(labels, hops, key) shared by the kernel-decay and volume fits.
+    """(labels, hops, near) shared by the kernel-decay and volume fits.
 
     ``labels`` and ``hops`` are the vertex components and hop distances of
-    ``_hop_distances``.  ``key[i, j]`` is the distance between ell-simplices
-    i and j, the smallest hop distance between their vertex sets (the
-    vertex count nv across components), offset by (nv + 1) times the
-    component of i, so one reduction bins every block.
+    ``_hop_distances``.  ``near[v, j]`` is the hop distance from vertex v
+    to ell-simplex j, the smallest over j's vertices (the vertex count nv
+    across components); ``_distance_keys`` reads the pairs of simplices
+    off it a block of rows at a time.
     """
     labels, hops = _hop_distances(K)
-    nv = K.vertex_count
     verts = _vertex_ranks(K, ell)
-    # near[v, j]: the hop distance from vertex v to simplex j.
     near = hops[:, verts[:, 0]]
     for b in range(1, ell + 1):
         np.minimum(near, hops[:, verts[:, b]], out=near)
-    key = near[verts[:, 0]].astype(np.intp)
-    for a in range(1, ell + 1):
-        np.minimum(key, near[verts[:, a]], out=key)
-    key += (nv + 1) * labels[verts[:, 0], None].astype(np.intp)
-    return labels, hops, key
+    return labels, hops, near
+
+
+def _distance_keys(labels, near, verts, i0: int, i1: int) -> np.ndarray:
+    """Keys of the simplex pairs (i, j), i in i0:i1 and j in i0:n.
+
+    A key is the distance between the two simplices, the smallest hop
+    distance between their vertex sets (nv across components), offset by
+    (nv + 1) times the component of i, so one reduction bins every
+    component.  ``verts`` holds the vertex ranks of each simplex.
+    """
+    key = near[verts[i0:i1, 0], i0:].astype(np.intp)
+    for a in range(1, verts.shape[1]):
+        np.minimum(key, near[verts[i0:i1, a], i0:], out=key)
+    key += (near.shape[0] + 1) * labels[verts[i0:i1, 0], None].astype(np.intp)
+    return key
 
 
 def kernel_decay_fit(K: SimplicialComplex, s: SpectralData, t0: float, *,
@@ -396,20 +428,30 @@ def kernel_decay_fit(K: SimplicialComplex, s: SpectralData, t0: float, *,
     unit roundoff), the rounding floor of the matrix's dot products, is
     not fitted.  ``distances`` is ``_simplex_distances(K, ell)``, computed
     here when omitted.
+
+    The matrix is S W with S = V diag(f) V^T symmetric, read in the upper
+    row blocks of S.  An entry S_ij stands for the pair max(|S_ij| w_j,
+    |S_ij| w_i) = |S_ij| max(w_i, w_j), whose two keys agree within a
+    component; across components both fall at distance nv, which is not
+    binned.
     """
     if t0 <= 0:
         raise ValueError("t0 must be positive")
     K.check_spectrum(s)
-    mag = s.function_matrix(lambda lam: lam * np.exp(-lam * t0 / 4.0))
-    np.abs(mag, out=mag)
-
-    labels, hops, key = distances if distances is not None else _simplex_distances(K, s.degree)
-    nv = hops.shape[0]
+    labels, hops, near = distances if distances is not None else _simplex_distances(K, s.degree)
+    verts = _vertex_ranks(K, s.degree)
+    nv, w = hops.shape[0], s.weights
     table = np.full((labels.max() + 1, nv + 1), -1.0)  # -1: the distance does not occur
-    np.maximum.at(table.reshape(-1), key.ravel(), mag.ravel())
+    top = 0.0
+    for i0, i1, B in s.row_blocks(s.eigenvalues * np.exp(-s.eigenvalues * t0 / 4.0)):
+        np.abs(B, out=B)
+        B *= np.maximum(w[i0:i1, None], w[None, i0:])
+        top = max(top, B.max())
+        np.maximum.at(table.reshape(-1), _distance_keys(labels, near, verts, i0, i1).ravel(),
+                      B.ravel())
     table = table[:, :nv]
 
-    floor = max(mag.shape[0] * _UNIT_ROUNDOFF * mag.max(initial=0.0), 1e-250)
+    floor = max(s.dim * _UNIT_ROUNDOFF * top, 1e-250)
     fits = []
     for cid in np.flatnonzero((table >= 0).any(axis=1)):
         usable = [(d, m) for d, m in enumerate(table[cid]) if m > floor]

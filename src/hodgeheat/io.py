@@ -19,6 +19,7 @@ import itertools
 import json
 import math
 import os
+import sys
 from dataclasses import dataclass, fields, is_dataclass
 from importlib import resources
 
@@ -56,7 +57,7 @@ def parse_input(path: str, fmt: str | None = None) -> ParsedInput:
 
 def parse_json_complex(text: str) -> ParsedInput:
     try:
-        doc = json.loads(text)
+        doc = json.loads(text, parse_int=_json_int)
     except json.JSONDecodeError as exc:
         raise ValueError(f"invalid JSON: {exc}") from None
     if not isinstance(doc, dict) or not isinstance(doc.get("simplices"), dict):
@@ -103,6 +104,22 @@ def parse_json_complex(text: str) -> ParsedInput:
     return ParsedInput(K, cochain, [])
 
 
+class _LongInt(str):
+    """A JSON integer with more digits than ``int`` converts from text
+    (``sys.get_int_max_str_digits()``), kept as its digits."""
+
+    __repr__ = str.__str__
+
+
+def _json_int(digits: str):
+    """``json.loads``'s ``parse_int``: an int, or a ``_LongInt`` past the
+    digit limit, which ``_json_value`` rejects naming its field."""
+    try:
+        return int(digits)
+    except ValueError:
+        return _LongInt(digits)
+
+
 _NUMBER = (int, float)
 _KINDS = {dict: "a mapping", list: "a list", int: "an integer", _NUMBER: "a number"}
 
@@ -110,14 +127,21 @@ _KINDS = {dict: "a mapping", list: "a list", int: "an integer", _NUMBER: "a numb
 def _json_value(x, kind, where: str):
     """``x`` if it is of ``kind`` (a bool is no number), else a ValueError naming
     ``where``.  A number comes back as a float: an integer past the double range
-    is an error too."""
-    if isinstance(x, bool) or not isinstance(x, kind):
+    is an error too, and so is an integer past the digit limit."""
+    if isinstance(x, _LongInt) and kind in (int, _NUMBER):
+        digits = len(x.lstrip("-"))
+    elif isinstance(x, bool) or not isinstance(x, kind):
         raise ValueError(f"{where} must be {_KINDS[kind]}, got {x!r:.40}")
-    try:
-        return float(x) if kind == _NUMBER else x
-    except OverflowError:
-        raise ValueError(f"{where} must be a number in the double range, got an integer "
-                         f"of {len(str(abs(x)))} digits") from None
+    else:
+        try:
+            return float(x) if kind == _NUMBER else x
+        except OverflowError:
+            digits = len(str(abs(x)))
+    if kind == int:
+        raise ValueError(f"{where} must be an integer of at most "
+                         f"{sys.get_int_max_str_digits()} digits, got one of {digits}")
+    raise ValueError(f"{where} must be a number in the double range, got an integer "
+                     f"of {digits} digits")
 
 
 def _json_list(value, kind, where: str) -> list:

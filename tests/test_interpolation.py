@@ -1,5 +1,6 @@
 """Operator p-norms, rate measurement, and the exponent calculus."""
 
+import dataclasses
 import functools
 import json
 import math
@@ -50,9 +51,15 @@ from hodgeheat import (
 from hodgeheat import library as lib
 from hodgeheat.cli import RunConfig, run_pipeline
 from hodgeheat.complexes import _SparseOperator, _vertex_ranks
-from hodgeheat.interpolation import _Factored, _hop_distances, _opnorm2, _simplex_distances
+from hodgeheat.interpolation import (
+    _distance_keys,
+    _Factored,
+    _hop_distances,
+    _opnorm2,
+    _simplex_distances,
+)
 from hodgeheat.io import complex_to_json_dict
-from hodgeheat.spectral import SpectralData
+from hodgeheat.spectral import _ROW_BLOCK, SpectralData
 
 
 def _count_slot_builds(monkeypatch):
@@ -104,6 +111,19 @@ class TestExactExtremes:
             lhs = opnorm_exact_extremes(A, 1, w_dom, w_cod)
             rhs = opnorm_exact_extremes(adj, math.inf, w_cod, w_dom)
             assert lhs == rhs
+
+    @pytest.mark.parametrize("shape", [(300, 200), (90, 40), (128, 257)])
+    def test_factored_operator_matches_its_dense_matrix(self, shape):
+        # A _Factored operator is read a block of rows at a time, with
+        # the weights applied to the column sums instead of the entries:
+        # equal to rounding, across several blocks and a short last one.
+        rng = np.random.default_rng(7)
+        left, right = rng.normal(size=(shape[0], 3)), rng.normal(size=(shape[1], 3))
+        w_cod, w_dom = rng.uniform(0.1, 10.0, shape[0]), rng.uniform(0.1, 10.0, shape[1])
+        for p in (1, math.inf):
+            dense = opnorm_exact_extremes(left @ right.T, p, w_dom, w_cod)
+            factored = opnorm_exact_extremes(_Factored(left, right), p, w_dom, w_cod)
+            assert factored == pytest.approx(dense, rel=1e-14, abs=0.0)
 
 
 class TestPowerMethod:
@@ -217,11 +237,12 @@ class TestMeasureAlpha:
     @pytest.mark.parametrize("weights_seed", [None, 3, 4])
     @pytest.mark.parametrize("t_grid", [(0.25, 0.5, 1.0, 2.0, 4.0), (1000.0, 2000.0, 4000.0)])
     def test_norms_match_dense_heat_matrices(self, t_grid, weights_seed):
-        # The norms measure_alpha reads off G G^T in place are the exact
-        # 1->1 norms of the dense heat matrices, to rounding: at most
+        # The norms measure_alpha sums up a block of rows at a time are the
+        # exact 1->1 norms of the dense heat matrices, to rounding: at most
         # 5.8e-16 relative over the corpus.  At t >= 1000 every nonzero
-        # mode underflows and only the harmonic projector is left.
-        for name, K in CORPUS:
+        # mode underflows and only the harmonic projector is left.  The
+        # 12x12 torus's 432 edges span several row blocks.
+        for name, K in CORPUS + [("torus_12x12", lib.flat_torus(12, 12))]:
             if weights_seed is not None:
                 K = log_uniform_weights(K, weights_seed)
             for ell in all_degrees(K):
@@ -234,28 +255,37 @@ class TestMeasureAlpha:
 
 
 class TestFootprint:
-    """Peak traced memory above the start, on the 12x12 torus at degree 1.
+    """Peak traced memory above the start, on the 20x20 torus at degree 1.
 
-    Each heat matrix is freed before the next one is built, so no stage
-    holds more than two n x n buffers at once.
+    The interval stage reads its n x n matrices (heat, kernel decay,
+    projector) a block of rows at a time, and its distances as a
+    vertex-to-simplex table, so no stage holds an n x n array beside the
+    eigenbasis: each stays under half of one n x n buffer of doubles.
     """
 
-    K = lib.flat_torus(12, 12)
+    K = lib.flat_torus(20, 20)
 
     @pytest.fixture(scope="class")
     def spectrum(self):
         return laplacian_spectrum(self.K, 1)
 
-    def test_measure_alpha(self, spectrum):
+    def check(self, spectrum, fn, *args, **kwargs):
         n = spectrum.dim
-        _, peak = traced_peak(measure_alpha, spectrum, (0.25, 0.5, 1.0, 2.0, 4.0))
-        assert peak <= 2.5 * n * n * 8
+        _, peak = traced_peak(fn, *args, **kwargs)
+        assert peak <= 0.5 * n * n * 8, peak / (n * n * 8)
+
+    def test_measure_alpha(self, spectrum):
+        self.check(spectrum, measure_alpha, spectrum, (0.25, 0.5, 1.0, 2.0, 4.0))
 
     def test_kernel_decay_fit(self, spectrum):
-        n = spectrum.dim
         distances = _simplex_distances(self.K, 1)
-        _, peak = traced_peak(kernel_decay_fit, self.K, spectrum, 1.0, distances=distances)
-        assert peak <= 2.5 * n * n * 8
+        self.check(spectrum, kernel_decay_fit, self.K, spectrum, 1.0, distances=distances)
+
+    def test_projector_norm_profile(self, spectrum):
+        self.check(spectrum, projector_norm_profile, spectrum, (1.25, 4.0 / 3.0, 1.5, 2.0, 3.0))
+
+    def test_simplex_distances(self, spectrum):
+        self.check(spectrum, _simplex_distances, self.K, 1)
 
 
 class TestSemigroupInterpolationBound:
@@ -479,6 +509,8 @@ _ORACLE_CASES += [("torus_6x6_weighted", log_uniform_weights(lib.flat_torus(6, 6
 _ORACLE_CASES += [("random_107_weighted", log_uniform_weights(lib.random_two_complex(107), 7), ell)
                   for ell in range(3)]
 _ORACLE_CASES += [("random_115_weighted", log_uniform_weights(lib.random_two_complex(115), 2), 2)]
+# 432 edges: pairs in different row blocks of the kernel-decay matrix.
+_ORACLE_CASES += [("torus_12x12_weighted", log_uniform_weights(lib.flat_torus(12, 12), 6), 1)]
 
 
 _HOP_CASES = list(CORPUS) + [
@@ -535,15 +567,35 @@ def _all_pairs_key(K, ell):
     return key
 
 
-@pytest.mark.parametrize("name,K,ell", _ORACLE_CASES,
-                         ids=[f"{name}-{ell}" for name, _, ell in _ORACLE_CASES])
+def _block_keys(K, ell):
+    """The keys ``kernel_decay_fit`` bins, one row block at a time, assembled
+    into their upper triangle; -1 below it."""
+    labels, _, near = _simplex_distances(K, ell)
+    verts, n = _vertex_ranks(K, ell), K.n_simplices(ell)
+    key = np.full((n, n), -1, dtype=np.intp)
+    for i0 in range(0, n, _ROW_BLOCK):
+        i1 = min(i0 + _ROW_BLOCK, n)
+        rows = _distance_keys(labels, near, verts, i0, i1)
+        assert rows.dtype == np.intp
+        key[i0:i1, i0:] = np.where(np.tri(i1 - i0, n - i0, -1, dtype=bool), -1, rows)
+    return key
+
+
+_BLOCK_KEY_CASES = _ORACLE_CASES + [("torus_20x20", lib.flat_torus(20, 20), 1)]
+
+
+@pytest.mark.parametrize("name,K,ell", _BLOCK_KEY_CASES,
+                         ids=[f"{name}-{ell}" for name, _, ell in _BLOCK_KEY_CASES])
 def test_simplex_distances_equal_all_pairs_gathers(name, K, ell):
-    # The keys go through a vertex-to-simplex table; the oracle gathers
-    # the hop table once per pair of vertex slots.  Exact, dtype included.
-    _, hops, key = _simplex_distances(K, ell)
-    want = _all_pairs_key(K, ell)
-    assert key.dtype == want.dtype == np.intp and np.array_equal(key, want)
-    assert np.array_equal(hops, _hop_distances(K)[1])
+    # The keys go through a vertex-to-simplex table, one block of rows at a
+    # time; the oracle gathers the hop table once per pair of vertex
+    # slots.  Exact on the upper triangle, which the blocks cover once; the
+    # 20x20 torus spans several blocks and a short last one.
+    key, want = _block_keys(K, ell), _all_pairs_key(K, ell)
+    upper = np.triu(np.ones(want.shape, dtype=bool))
+    assert want.dtype == np.intp and np.array_equal(key[upper], want[upper])
+    assert np.all(key[~upper] == -1)
+    assert np.array_equal(_simplex_distances(K, ell)[1], _hop_distances(K)[1])
 
 
 _ROUNDING_CASES = [(name, K, ell) for name, K in CORPUS for ell in all_degrees(K)]
@@ -593,9 +645,10 @@ class TestKernelDecayFit:
     @pytest.mark.parametrize("name,K,ell", _ROUNDING_CASES,
                              ids=[f"{name}-{ell}" for name, _, ell in _ROUNDING_CASES])
     def test_rho_does_not_depend_on_product_rounding(self, name, K, ell, monkeypatch):
-        # The same matrix from the general product V diag(f) (V^T W) must
-        # give the same rho, at the provisional t0 = 1 and at the refit t0.
-        # The absolute 1e-12 covers a true rho of 0 (the interval's two
+        # The same matrix from the general product V diag(f) V^T, its
+        # upper row blocks cut from the whole product and not mirrored,
+        # must give the same rho, at the provisional t0 = 1 and at the refit
+        # t0.  The absolute 1e-12 covers a true rho of 0 (the interval's two
         # bins are equal), which rounding leaves at about +-1e-17.
         s = laplacian_spectrum(K, ell)
         first = kernel_decay_fit(K, s, 1.0)
@@ -603,13 +656,24 @@ class TestKernelDecayFit:
         if not first.degenerate and first.rho > 0:
             t0s.append(select_t0(first.rho, volume_growth_fit(K).gamma_vol))
         rhos = [kernel_decay_fit(K, s, t0).rho for t0 in t0s]
-        monkeypatch.setattr(SpectralData, "function_matrix", general_product)
+        patched = []
+
+        def general_blocks(self, f):
+            S = general_product(dataclasses.replace(self, weights=np.ones(self.dim)),
+                                lambda lam: f)
+            patched.append(f)
+            for i0 in range(0, self.dim, _ROW_BLOCK):
+                i1 = min(i0 + _ROW_BLOCK, self.dim)
+                yield i0, i1, S[i0:i1, i0:].copy()
+
+        monkeypatch.setattr(SpectralData, "row_blocks", general_blocks)
         for t0, rho in zip(t0s, rhos):
             gemm_rho = kernel_decay_fit(K, s, t0).rho
             if rho is None or gemm_rho is None:
                 assert rho is gemm_rho
             else:
                 assert gemm_rho == pytest.approx(rho, rel=1e-6, abs=1e-12)
+        assert len(patched) == len(t0s)
 
     def test_bins_of_rounding_noise_are_not_fitted(self):
         # Every pair of triangles at distance 1 lies in another block of
@@ -617,8 +681,7 @@ class TestKernelDecayFit:
         # and the ~2e-16 the product leaves there is rounding noise.
         K = lib.random_two_complex(115)
         blocks = csgraph.connected_components(hodge_laplacian(K, 2).entries != 0)[1]
-        _, _, key = _simplex_distances(K, 2)
-        far = key > 0
+        far = _block_keys(K, 2) > 0
         assert far.any() and not np.any(far & (blocks[:, None] == blocks[None, :]))
         fit = kernel_decay_fit(K, laplacian_spectrum(K, 2), t0=1.0)
         assert [d for d, _ in fit.bins] == [0, 1] and 0 < fit.bins[1][1] < 1e-15
@@ -802,29 +865,37 @@ class TestBracketsShareEndpoints:
     def check_profile_against_dense_brackets(self, K, ell, s):
         # Oracle: one opnorm_bracket call per p on the dense projector, with
         # the closed-form 2-norm as the p = 2 row and interpolation endpoint.
-        # The profile's power method runs through the rank-k factor of H,
-        # so its lower bounds match the dense ones up to rounding only.
+        # The profile reads H through its rank-k factor, a block of rows at
+        # a time, so its endpoints and lower bounds match the dense ones up
+        # to rounding only; its upper bounds are exactly the interpolation
+        # between the factored endpoints.
         H, w = harmonic_projector(s), s.weights
+        Vk = s.kernel_basis()
+        factored = _Factored(Vk, Vk * w[:, None])
         norm2 = 1.0 if s.kernel_dim else 0.0
         rows = projector_norm_profile(s, self.GRID)
         assert [row["p"] for row in rows] == list(self.GRID)
         for p, row in zip(self.GRID, rows):
             lo, hi = opnorm_bracket(H, p, w, w)
             if p == 2.0:
-                lo = hi = norm2
-            elif 1.0 < p < math.inf:
-                if p < 2:
-                    m0, m1, theta = opnorm_exact_extremes(H, 1, w, w), norm2, 2 - 2 / p
-                else:
-                    m0, m1, theta = norm2, opnorm_exact_extremes(H, math.inf, w, w), 1 - 2 / p
-                hi = m0 ** (1 - theta) * m1 ** theta if m0 and m1 else 0.0
-                assert row["upper"] == hi
+                assert row == {"p": p, "lower": norm2, "upper": norm2}
+                continue
+            if 1.0 < p < math.inf:
+                end = 1.0 if p < 2 else math.inf
+                m0 = opnorm_exact_extremes(factored, end, w, w)
+                assert m0 == pytest.approx(opnorm_exact_extremes(H, end, w, w), rel=1e-13)
+                theta = 2 - 2 / p if p < 2 else 1 - 2 / p
+                m0, m1 = (m0, norm2) if p < 2 else (norm2, m0)
+                assert row["upper"] == (m0 ** (1 - theta) * m1 ** theta if m0 and m1 else 0.0)
+                assert row["upper"] == pytest.approx(hi, rel=1e-13, abs=0.0)
                 assert row["lower"] == pytest.approx(lo, rel=1e-12, abs=0.0)
                 # Up to rounding: where the norm is 1 at every p (degree 0),
                 # the dense lower bound, too, lands a few ulps above upper.
                 assert row["lower"] <= row["upper"] * (1.0 + 1e-12)
                 continue
-            assert row == {"p": p, "lower": lo, "upper": hi}
+            exact = opnorm_exact_extremes(factored, p, w, w)
+            assert row == {"p": p, "lower": exact, "upper": exact}
+            assert exact == pytest.approx(lo, rel=1e-13, abs=0.0) and lo == hi
 
     @pytest.mark.parametrize("name, K", NAMED, ids=NAMED_IDS)
     def test_profile_rows_equal_per_p_brackets(self, name, K):
@@ -883,9 +954,10 @@ class TestInterpolationReport:
     def test_pipeline_work_counts(self, tmp_path, monkeypatch):
         # Every operator once: no SVD, since the Betti numbers are exact
         # ranks over F_p; one eigh each for degrees 0 and 2, and degree 1
-        # lifted from them with one QR for its kernel; two heat matrices for
-        # kernel decay (alpha's norms need none); one hop-distance pass for
-        # the whole report.
+        # lifted from them with one QR for its kernel; one pass over the
+        # row blocks of each of alpha's five heat matrices and of the two
+        # kernel-decay matrices, and no whole matrix; one hop-distance pass
+        # for the whole report.
         K = lib.flat_torus(6, 6)
         path = tmp_path / "torus.json"
         path.write_text(json.dumps(complex_to_json_dict(K)))
@@ -893,6 +965,15 @@ class TestInterpolationReport:
         qrs = count_calls(monkeypatch, "qr", np.linalg)
         eighs = count_calls(monkeypatch, "eigh", np.linalg)
         matrices = count_calls(monkeypatch, "function_matrix", SpectralData)
+        passes = count_calls(monkeypatch, "row_blocks", SpectralData)
+        made = {}  # stage -> the row-block passes made inside it
+        for stage in ("measure_alpha", "kernel_decay_fit"):
+            def tally(*args, _stage=stage, _run=getattr(hodgeheat.interpolation, stage), **kw):
+                start = len(passes)
+                out = _run(*args, **kw)
+                made[_stage] = made.get(_stage, 0) + len(passes) - start
+                return out
+            monkeypatch.setattr(hodgeheat.interpolation, stage, tally)
         hops = count_calls(monkeypatch, "_hop_distances", hodgeheat.interpolation)
         powers = count_calls(monkeypatch, "opnorm_power_method", hodgeheat.interpolation)
         # Operators come from the face tables: no dense matrix is scanned
@@ -905,7 +986,8 @@ class TestInterpolationReport:
         recurrences = count_calls(monkeypatch, "_chebyshev_sum", hodgeheat.decomposition)
         report, code = run_pipeline(RunConfig(input_path=str(path), p_list=()))
         assert code == 0 and report["ok"]
-        assert (len(svds), len(qrs), len(eighs), len(matrices), len(hops)) == (0, 1, 2, 2, 1)
+        assert (len(svds), len(qrs), len(eighs), len(matrices), len(hops)) == (0, 1, 2, 0, 1)
+        assert made == {"measure_alpha": 5, "kernel_decay_fit": 2} and len(passes) == 7
         # The projector brackets iterate through the rank-b1 factor of H:
         # no n x n matrix reaches the power method.
         n, b1 = K.n_simplices(1), report["betti"][1]

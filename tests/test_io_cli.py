@@ -314,6 +314,27 @@ _MALFORMED_JSON = {
         (json.dumps({"simplices": {"1": [[0, 1], [1, 2]]},
                      "cochain": {"degree": 1, "values": [1, 10 ** 400]}}),
          "cochain values[1] must be a number in the double range"),
+    # Past sys.get_int_max_str_digits() (4300), which json.loads's own int()
+    # refuses with a message that names no field; written by hand, since
+    # json.dumps refuses such an int too.
+    "weight_past_the_digit_limit":
+        ('{"simplices": {"1": [[0, 1], [1, 2]]}, "weights": {"1": [1, 1%s]}}' % ("0" * 5000),
+         "weights['1'][1] must be a number in the double range, got an integer of 5001 digits"),
+    "negative_weight_past_the_digit_limit":
+        ('{"simplices": {"1": [[0, 1]]}, "weights": {"1": [-9%s]}}' % ("9" * 5000),
+         "weights['1'][0] must be a number in the double range, got an integer of 5001 digits"),
+    "weights_default_past_the_digit_limit":
+        ('{"simplices": {"1": [[0, 1]]}, "weights_default": 1%s}' % ("0" * 5000),
+         "'weights_default' must be a number in the double range, got an integer of 5001"),
+    "cochain_value_past_the_digit_limit":
+        ('{"simplices": {"1": [[0, 1]]}, "cochain": {"degree": 1, "values": [1%s]}}'
+         % ("0" * 5000), "cochain values[0] must be a number in the double range"),
+    "vertex_id_past_the_digit_limit":
+        ('{"simplices": {"1": [[0, 1%s]]}}' % ("0" * 5000),
+         "simplices['1'][0][1] must be an integer of at most 4300 digits, got one of 5001"),
+    "cochain_degree_past_the_digit_limit":
+        ('{"simplices": {"1": [[0, 1]]}, "cochain": {"degree": 1%s, "values": [1]}}'
+         % ("0" * 5000), "cochain degree must be an integer of at most 4300 digits"),
 }
 
 
@@ -517,6 +538,22 @@ class TestCli:
         assert proc.returncode == 2, proc.stderr
         assert proc.stderr.startswith("input error: degenerate t_grid")
         assert "DLASCL" not in proc.stderr
+
+    @pytest.mark.parametrize("command, grid", [("report", "0.1,0.2,1e308"),
+                                               ("interp", "1,2,1e300")])
+    def test_huge_t_grid_runs_without_warnings(self, tmp_path, command, grid):
+        # The heat factor exp(-t lambda) tends to 0 without overflowing t
+        # lambda, and the alpha fit runs on the times scaled into [1/2, 1),
+        # so its t^2 stays finite: no warning is raised, none is printed.
+        path = tmp_path / "torus.json"
+        path.write_text(json.dumps(complex_to_json_dict(lib.flat_torus(6, 6))))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            result = CliRunner().invoke(main, [command, str(path), "--degree", "1",
+                                               "--t-grid", grid])
+        assert result.exit_code == 0 and result.exception is None, result.output
+        assert result.stderr == ""
+        assert json.loads(result.stdout)["interval"]["alpha"] == 0.0
 
     @pytest.mark.parametrize("weights, commands, message", [
         ([1.7e308, 1.7e308, 1.0], ["spectrum", "interp", "verify", "report"],

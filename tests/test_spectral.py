@@ -38,6 +38,7 @@ from hodgeheat.cli import _spectrum_section
 from hodgeheat.complexes import _SparseOperator
 from hodgeheat.decomposition import _green_after_heat
 from hodgeheat.spectral import (
+    _ROW_BLOCK,
     LIFT_MAX_SPREAD,
     _UNIT_ROUNDOFF,
     _chebyshev_sum,
@@ -806,6 +807,28 @@ class TestFunctionMatrix:
         s = laplacian_spectrum(lib.cycle_complex(3), 1)
         with pytest.raises(ValueError, match=">= 0 on the spectrum"):
             s.function_matrix(func)
+
+    @pytest.mark.parametrize("nx", [6, 12])
+    def test_row_blocks_tile_one_exactly_symmetric_core(self, nx):
+        # The blocks cover the upper triangle once, each diagonal block is
+        # exactly symmetric, and function_matrix is that core times W, bit
+        # for bit.  The 12x12 torus spans four blocks, the last one short.
+        K = log_uniform_weights(lib.flat_torus(nx, nx), 5)
+        s = laplacian_spectrum(K, 1)
+        f = np.exp(-0.7 * s.eigenvalues)
+        S, starts = np.full((s.dim, s.dim), np.nan), []
+        for i0, i1, B in s.row_blocks(f):
+            assert B.shape == (i1 - i0, s.dim - i0) and i1 - i0 <= _ROW_BLOCK
+            assert np.array_equal(B[:, : i1 - i0], B[:, : i1 - i0].T)
+            S[i0:i1, i0:] = B
+            S[i1:, i0:i1] = B[:, i1 - i0:].T
+            starts.append(i0)
+        assert starts == list(range(0, s.dim, _ROW_BLOCK)) and not np.isnan(S).any()
+        assert np.array_equal(S, S.T)
+        assert np.array_equal(s.function_matrix(lambda lam: np.exp(-0.7 * lam)),
+                              S * s.weights[None, :])
+        reference = general_product(s, lambda lam: np.exp(-0.7 * lam))
+        assert np.max(np.abs(S * s.weights - reference)) <= 1e-13 * np.max(np.abs(reference))
 
     def test_function_zero_on_the_spectrum_gives_zero(self):
         s = laplacian_spectrum(lib.cycle_complex(3), 1)
