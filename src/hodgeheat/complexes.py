@@ -40,7 +40,8 @@ class SimplicialComplex:
 
     Immutable: tuples of simplices and of read-only weight copies, and
     read-only face tables.  So it holds what is derived from it, built on
-    first use: coface slots, Laplacians and spectra (``hodge_laplacian``).
+    first use: transposed incidences (``_codifferential_apply``), Laplacians
+    and spectra (``hodge_laplacian``).
     """
 
     def __init__(self, simplices, weights):
@@ -85,7 +86,7 @@ class SimplicialComplex:
             table = np.array(faces, dtype=np.intp).reshape(-1, ell + 1)[:, ::-1]
             table.flags.writeable = False
             self._faces[ell] = table
-        self._coface_slots = {}  # filled by _coface_slots
+        self._transposed = {}  # filled by _codifferential_apply
         self._laplacians = {}  # filled by hodge_laplacian
         self._spectra = {}  # filled by spectral.laplacian_spectrum
 
@@ -157,9 +158,9 @@ def build_complex(spec) -> SimplicialComplex:
 
     Simplices are listed by degree, either under named keys (``vertices``,
     ``edges``, ``triangles``, ``tetrahedra``) or under integer / string
-    degree keys.  ``weights`` maps a degree to a list of weights aligned
-    with the listing order; unlisted simplices created by the face closure
-    get weight 1.0, listed ones default to ``weights_default`` (1.0).
+    degree keys.  ``weights`` maps a listed degree to a list of weights
+    aligned with the listing order; unlisted simplices created by the face
+    closure get weight 1.0, listed ones default to ``weights_default`` (1.0).
     """
     listed: dict[int, list[tuple[int, ...]]] = {}
     for key, value in spec.items():
@@ -179,7 +180,11 @@ def build_complex(spec) -> SimplicialComplex:
         raise ValueError("empty complex description")
 
     default = float(spec.get("weights_default", 1.0))
-    weight_spec = {_degree_key(k): v for k, v in spec.get("weights", {}).items()}
+    weight_spec = {}
+    for key, given in spec.get("weights", {}).items():
+        if (ell := _degree_key(key)) not in listed:
+            raise ValueError(f"weights[{key!r}]: degree {ell} lists no simplices to weigh")
+        weight_spec[ell] = given
 
     weighted: dict[int, dict[tuple[int, ...], float]] = {}
     for ell, level in listed.items():
@@ -271,52 +276,23 @@ def _coboundary_apply(K: SimplicialComplex, ell: int, u: np.ndarray) -> np.ndarr
 
 
 def _codifferential_apply(K: SimplicialComplex, ell: int, v: np.ndarray) -> np.ndarray:
-    """delta_ell v = W_(ell-1)^-1 d_(ell-1)^T W_ell v, gathered through the
-    coface slots of degree ell - 1 (see ``_coface_slots``).  ``v`` is a
-    cochain's values or a block of them, one cochain per row.
+    """delta_ell v = W_(ell-1)^-1 d_(ell-1)^T W_ell v.  ``v`` is a cochain's
+    values or a block of them, one cochain per row.
 
-    Each entry is 0.0 plus its signed, weighted cofaces in ascending order,
-    then divided by its weight: the sums of one ``np.bincount`` over the
-    face table.
+    d_(ell-1)^T is a ``_SparseOperator`` of its +-1 nonzeros, built once per
+    complex.  So each entry is 0.0 plus its signed, weighted cofaces in
+    ascending order, then divided by its weight: the sums of one
+    ``np.bincount`` over the face table.
     """
-    cofaces, signs, (spill, spill_cofaces, spill_signs) = _coface_slots(K, ell)
-    weighted = np.zeros(v.shape[:-1] + (v.shape[-1] + 1,))  # a zero past the end
-    np.multiply(v, K.weight_vector(ell), out=weighted[..., :-1])
-    out = np.zeros(v.shape[:-1] + cofaces.shape[1:])
-    term = np.empty_like(out)
-    for slot_cofaces, slot_signs in zip(cofaces, signs):
-        np.take(weighted, slot_cofaces, axis=-1, out=term)
-        term *= slot_signs
-        out += term
-    np.add.at(out.T, spill, (weighted[..., spill_cofaces] * spill_signs).T)
+    if ell not in K._transposed:
+        rows, cols, signs = _incidence(K, ell - 1)
+        keys = cols * K.n_simplices(ell) + rows
+        order = np.argsort(keys)
+        K._transposed[ell] = _SparseOperator(keys[order], signs[order],
+                                             (K.n_simplices(ell - 1), K.n_simplices(ell)), ell - 1)
+    out = K._transposed[ell] @ (v * K.weight_vector(ell))
     out /= K.weight_vector(ell - 1)
     return out
-
-
-def _coface_slots(K: SimplicialComplex, ell: int):
-    """(cofaces, signs, spill) of d_(ell-1)^T, built once per complex.
-
-    Slot k of an (ell-1)-simplex holds its k-th coface in ascending order
-    and the sign of the face in it, or n_ell (past the end) and 0.0 past
-    its last.  There are as many slots as the most cofaces of one simplex,
-    but at most twice the mean; the rest spill, as (simplex, coface, sign)
-    in the same order, to one ``np.add.at``.
-    """
-    if ell not in K._coface_slots:
-        faces, n = K._faces[ell], K.n_simplices(ell - 1)
-        order = np.argsort(faces.ravel(), kind="stable")
-        coface, member = order // (ell + 1), faces.ravel()[order]
-        sign = (-1.0) ** (order % (ell + 1))
-        counts = np.bincount(member, minlength=n)
-        slot = np.arange(order.size) - (np.cumsum(counts) - counts)[member]
-        width = min(int(counts.max(initial=0)), 2 * math.ceil(order.size / max(n, 1)))
-        fits = slot < width
-        cofaces = np.full((width, n), len(faces))
-        cofaces[slot[fits], member[fits]] = coface[fits]
-        signs = np.zeros((width, n))
-        signs[slot[fits], member[fits]] = sign[fits]
-        K._coface_slots[ell] = cofaces, signs, (member[~fits], coface[~fits], sign[~fits])
-    return K._coface_slots[ell]
 
 
 def _group_pairs(group, member, left, right):
@@ -338,17 +314,18 @@ def hodge_laplacian(K: SimplicialComplex, ell: int) -> "_SparseOperator":
     """Hodge Laplacian d delta + delta d on degree ell (boundary terms dropped).
 
     A ``_SparseOperator``, assembled as its nonzeros off the face tables;
-    the dense matrix is built only when ``entries`` is read.  The down
-    term pairs the ell-simplices of each common face, the up term the
-    faces of each common coface.  An off-diagonal entry has at most one
-    product in each term; one ``np.bincount`` adds the down product and
-    then the up one.  The diagonal sums each term apart, in ascending face
-    or coface order, and then adds the two.  So every entry is summed in
-    the order of a compressed-row product of the incidence matrices.
-    Exact zeros are dropped, as ``np.nonzero`` drops them.  A non-finite
-    entry is a ValueError; the nonzeros are checked to be W-self-adjoint.
-    Each degree is assembled once per complex: K holds the operator, and
-    later calls return it, as ``spectral.laplacian_spectrum`` its spectrum.
+    no dense matrix is built.  The down term pairs the ell-simplices of
+    each common face, the up term the faces of each common coface.  An
+    off-diagonal entry has at most one product in each term; one
+    ``np.bincount`` adds the down product and then the up one.  The
+    diagonal sums each term apart, in ascending face or coface order, and
+    then adds the two.  So every entry is summed in the order of a
+    compressed-row product of the incidence matrices.  Exact zeros are
+    dropped, as ``np.nonzero`` drops them.  A non-finite entry is a
+    ValueError.  W-self-adjointness is checked where the spectrum is
+    built, by ``_SparseOperator.symmetrized_average``.  Each degree is
+    assembled once per complex: K holds the operator, and later calls
+    return it, as ``spectral.laplacian_spectrum`` its spectrum.
     """
     K._check_degree(ell)
     if ell in K._laplacians:
@@ -379,35 +356,26 @@ def hodge_laplacian(K: SimplicialComplex, ell: int) -> "_SparseOperator":
     if not np.isfinite(vals).all():
         raise ValueError(f"degree {ell}: the weights overflow the Laplacian "
                          "(it has a non-finite entry)")
-    L = _SparseOperator(keys, vals, n, ell)
-    if not L.is_weighted_self_adjoint(w):
-        raise AssertionError("assembled Laplacian is not W-self-adjoint")
-    return K._laplacians.setdefault(ell, L)
+    return K._laplacians.setdefault(ell, _SparseOperator(keys, vals, (n, n), ell))
 
 
 class _SparseOperator:
-    """A square operator on degree-``degree`` cochains, held as its
-    nonzeros in compressed-row order.
+    """An operator into degree-``degree`` cochains, held as its nonzeros
+    in compressed-row order: row by row, columns ascending.
 
-    Row by row, columns ascending; ``transpose[k]`` is the position of
-    entry (cols[k], rows[k]), or -1 when that entry is zero.  Only its
-    methods read this format; ``entries`` scatters it anew on each read.
-    ``A @ x`` multiplies through padded row slots (ELLPACK), built on
-    first use: slot k of row i holds the row's k-th nonzero, 0.0 and
-    column 0 past its end.  The products are reduced along the slots from
-    0.0, so each row adds them in column order, as a compressed-row matvec
-    does, signed zeros included.  A row longer than twice the mean (a
-    cone's apex) keeps the rest in a spill that ``np.add.at`` adds
-    afterwards.
+    Only its methods read this format.  ``A @ x`` multiplies through padded
+    row slots (ELLPACK), built on first use: slot k of row i holds the
+    row's k-th nonzero, 0.0 and column 0 past its end.  The products are
+    reduced along the slots from 0.0, so each row adds them in column
+    order, as a compressed-row matvec does, signed zeros included.  A row
+    longer than twice the mean (a cone's apex) keeps the rest in a spill
+    that ``np.add.at`` adds afterwards.
     """
 
-    def __init__(self, keys: np.ndarray, vals: np.ndarray, n: int, degree: int):
-        """From the ascending row-major keys i * n + j of the nonzeros."""
-        self.rows, self.cols = np.divmod(keys, max(n, 1))
-        mirror = self.cols * n + self.rows
-        at = np.minimum(np.searchsorted(keys, mirror), keys.size - 1)
-        self.vals, self.transpose = vals, np.where(keys[at] == mirror, at, -1)
-        self.degree, self._n = degree, n
+    def __init__(self, keys: np.ndarray, vals: np.ndarray, shape: tuple[int, int], degree: int):
+        """From the ascending row-major keys i * shape[1] + j of the nonzeros."""
+        self.rows, self.cols = np.divmod(keys, max(shape[1], 1))
+        self.vals, self.shape, self.degree = vals, shape, degree
 
     @classmethod
     def of(cls, operator, degree: int) -> "_SparseOperator":
@@ -421,36 +389,16 @@ class _SparseOperator:
         if A.ndim != 2 or A.shape[0] != A.shape[1]:
             raise ValueError(f"expected a square matrix, got shape {A.shape}")
         keys = np.flatnonzero(A)
-        return cls(keys, A.ravel()[keys], A.shape[0], degree)
+        return cls(keys, A.ravel()[keys], A.shape, degree)
 
-    @property
-    def shape(self):
-        return (self._n, self._n)
-
-    @property
-    def entries(self) -> np.ndarray:
-        A = np.zeros(self.shape)
-        A[self.rows, self.cols] = self.vals
-        return A
-
-    def is_weighted_self_adjoint(self, w: np.ndarray, tol: float = 1e-12) -> bool:
-        """|A - W^-1 A^T W| <= tol |A| in the Frobenius norm, over the nonzeros.
-
-        Every entry is divided by the largest |entry| before it is squared,
-        so the test holds at any scale.  A nonzero whose mirror is zero adds
-        both positions.
-        """
-        if not self.vals.size:
-            return True
-        rows, cols, vals = self.rows, self.cols, self.vals
-        top = np.abs(vals).max()
-        has_mirror = self.transpose >= 0
-        mirror = np.where(has_mirror, vals[self.transpose], 0.0)
-        lone = ~has_mirror
-        v = vals / top
-        defect = np.append(v - _ratio(mirror, w[cols], w[rows], top),
-                           _ratio(vals[lone], w[rows[lone]], w[cols[lone]], top))
-        return math.sqrt(np.dot(defect, defect)) <= tol * math.sqrt(np.dot(v, v))
+    @cached_property
+    def transpose(self) -> np.ndarray:
+        """``transpose[k]``: the position of entry (cols[k], rows[k]), or -1
+        when that entry is zero.  Read only by the square ``symmetrized_*``."""
+        n = self.shape[1]
+        keys, mirror = self.rows * n + self.cols, self.cols * n + self.rows
+        at = np.minimum(np.searchsorted(keys, mirror), keys.size - 1)
+        return np.where(keys[at] == mirror, at, -1)
 
     def symmetrized_average(self, sqrt_w: np.ndarray, degree: int) -> np.ndarray:
         """(S_ij + S_ji) / 2 at each nonzero (i, j), S = W^(1/2) A W^(-1/2).
@@ -516,7 +464,7 @@ class _SparseOperator:
     @cached_property
     def _slots(self):
         """(vals, cols, spill): the row slots, and the spill as (rows, cols, vals)."""
-        n, rows, cols, vals = self._n, self.rows, self.cols, self.vals
+        n, rows, cols, vals = self.shape[0], self.rows, self.cols, self.vals
         lengths = np.bincount(rows, minlength=n)
         width = min(int(lengths.max(initial=0)), 2 * math.ceil(rows.size / max(n, 1)))
         slot = np.arange(rows.size) - (np.cumsum(lengths) - lengths)[rows]
@@ -528,20 +476,15 @@ class _SparseOperator:
         return slot_vals, slot_cols, (rows[~fits], cols[~fits], vals[~fits])
 
     def __matmul__(self, x: np.ndarray) -> np.ndarray:
+        """The product with a cochain's values, or with a block of them, one
+        cochain per row."""
         vals, cols, (spill_rows, spill_cols, spill_vals) = self._slots
-        products = x.take(cols)
+        products = x.take(cols, axis=-1)
         products *= vals
-        y = np.add.reduce(products, axis=0, initial=0.0)
+        y = np.add.reduce(products, axis=-2, initial=0.0)
         if spill_rows.size:
-            np.add.at(y, spill_rows, spill_vals * x.take(spill_cols))
+            np.add.at(y.T, spill_rows, (spill_vals * x.take(spill_cols, axis=-1)).T)
         return y
-
-
-def _ratio(x, a, b, c) -> np.ndarray:
-    """x a / b / c, formed from mantissas and exponents so that it overflows
-    or underflows only when its value does."""
-    (mx, ex), (ma, ea), (mb, eb), (mc, ec) = map(np.frexp, (x, a, b, c))
-    return np.ldexp(mx * ma / mb / mc, ex + ea - eb - ec)
 
 
 def inner_product(K: SimplicialComplex, u: Cochain, v: Cochain) -> float:

@@ -671,10 +671,9 @@ def interpolation_report(K: SimplicialComplex, s: SpectralData,
         if not refit.degenerate and refit.rho > 0:
             rho = refit.rho
             t0 = select_t0(rho, vol.gamma_vol)
-            condition = (vol.gamma_vol / (2.0 * rho)) * t0
         else:
             rho, t0 = provisional.rho, t0_sel
-            condition = (vol.gamma_vol / (2.0 * provisional.rho)) * t0_sel
+        condition = (vol.gamma_vol / (2.0 * rho)) * t0
 
     return InterpolationReport(
         degree=ell,

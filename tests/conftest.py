@@ -76,6 +76,13 @@ def codifferential(K, ell):
                             K.weight_vector(ell))
 
 
+def entries(operator):
+    """Oracle: the dense matrix of a ``_SparseOperator``, scattered from its nonzeros."""
+    A = np.zeros(operator.shape)
+    A[operator.rows, operator.cols] = operator.vals
+    return A
+
+
 def chebyshev_heat(laplacian, t, values):
     """exp(-t L) values without the eigenbasis: route B's heat row, the cut
     Chebyshev series of exp(-t lam) on [0, b], summed on L's recurrence.
@@ -104,13 +111,14 @@ def count_calls(monkeypatch, name, *modules):
 
 def count_assemblies(monkeypatch):
     """Record the degree of every ``_SparseOperator`` built: one per
-    Laplacian assembly, or per dense operator ``eigendecompose`` scans."""
+    Laplacian assembly, per transposed incidence ``_codifferential_apply``
+    holds, or per dense operator ``eigendecompose`` scans."""
     degrees = []
     original = _SparseOperator.__init__
 
-    def counting(self, keys, vals, n, degree):
+    def counting(self, keys, vals, shape, degree):
         degrees.append(degree)
-        original(self, keys, vals, n, degree)
+        original(self, keys, vals, shape, degree)
 
     monkeypatch.setattr(_SparseOperator, "__init__", counting)
     return degrees

@@ -18,6 +18,7 @@ from conftest import (
     NAMED_IDS,
     all_degrees,
     codifferential,
+    entries,
     log_uniform_weights,
     traced_peak,
     weighted_adjoint,
@@ -209,7 +210,7 @@ class TestOperatorsAgainstLoopOracles:
         if seed is not None:
             K = log_uniform_weights(K, seed)
         for ell in all_degrees(K):
-            assert np.array_equal(hodge_laplacian(K, ell).entries, _sparse_laplacian(K, ell))
+            assert np.array_equal(entries(hodge_laplacian(K, ell)), _sparse_laplacian(K, ell))
 
     @pytest.mark.parametrize("weighted", [False, True], ids=["plain", "weighted"])
     @pytest.mark.parametrize("name,K", CORPUS, ids=CORPUS_IDS)
@@ -219,7 +220,7 @@ class TestOperatorsAgainstLoopOracles:
         for ell in all_degrees(K):
             if ell < K.max_degree:
                 assert np.array_equal(coboundary(K, ell), _loop_coboundary(K, ell))
-            assert np.array_equal(hodge_laplacian(K, ell).entries, _dense_laplacian(K, ell))
+            assert np.array_equal(entries(hodge_laplacian(K, ell)), _dense_laplacian(K, ell))
 
     def test_non_contiguous_vertex_ids(self):
         K = log_uniform_weights(_NON_CONTIGUOUS, 5)
@@ -230,7 +231,7 @@ class TestOperatorsAgainstLoopOracles:
                 d_hi = coboundary(K, ell + 1)
                 assert np.array_equal(d_hi @ d, np.zeros((d_hi.shape[0], d.shape[1])))
         for ell in all_degrees(K):
-            assert np.array_equal(hodge_laplacian(K, ell).entries, _dense_laplacian(K, ell))
+            assert np.array_equal(entries(hodge_laplacian(K, ell)), _dense_laplacian(K, ell))
 
     def test_six_simplex_among_a_thousand_vertices(self):
         # 1000^7 overflows int64: the face columns come from the face table,
@@ -317,25 +318,30 @@ def test_block_applies_are_the_cochain_applies_row_by_row(name, K):
 
 
 def test_book_spills_its_spine():
+    # delta_2 applies the transposed incidence that K then holds: d_1^T,
+    # whose row slots are narrower than the spine's 8 cofaces.
     K = _book(8)
-    cofaces, _, (spill, _, _) = hodgeheat.complexes._coface_slots(K, 2)
-    assert cofaces.shape[0] < 8 and set(spill.tolist()) == {K.index_of(1, (0, 1))}
+    _codifferential_apply(K, 2, np.ones(K.n_simplices(2)))
+    transposed = K._transposed[2]
+    slot_vals, _, (spill, _, _) = transposed._slots
+    assert transposed.shape == (K.n_simplices(1), K.n_simplices(2)) and transposed.degree == 1
+    assert slot_vals.shape[0] < 8 and set(spill.tolist()) == {K.index_of(1, (0, 1))}
 
 
 class TestHodgeLaplacian:
     def test_interval_matches_graph_laplacian_oracle(self):
-        A = hodge_laplacian(lib.interval(), 0).entries
+        A = entries(hodge_laplacian(lib.interval(), 0))
         assert np.array_equal(A, np.array([[1.0, -1.0], [-1.0, 1.0]]))
         assert np.allclose(np.linalg.eigvalsh(A), [0.0, 2.0])
 
     def test_c3_eigenvalues_oracle(self):
-        A = hodge_laplacian(lib.cycle_complex(3), 0).entries
+        A = entries(hodge_laplacian(lib.cycle_complex(3), 0))
         oracle = 2.0 * np.eye(3) - (np.ones((3, 3)) - np.eye(3))
         assert np.array_equal(A, oracle)
         assert np.allclose(np.linalg.eigvalsh(A), [0.0, 3.0, 3.0])
 
     def test_filled_triangle_degree1_is_three_identity(self):
-        A = hodge_laplacian(lib.filled_triangle(), 1).entries
+        A = entries(hodge_laplacian(lib.filled_triangle(), 1))
         assert np.allclose(A, 3.0 * np.eye(3))
 
     @pytest.mark.parametrize("name,K", CORPUS, ids=CORPUS_IDS)
@@ -343,12 +349,12 @@ class TestHodgeLaplacian:
         for ell in all_degrees(K):
             op = hodge_laplacian(K, ell)
             w = K.weight_vector(ell)
-            adj = weighted_adjoint(op.entries, w, w)
-            assert np.linalg.norm(op.entries - adj) <= 1e-12 * max(
-                np.linalg.norm(op.entries), 1e-300
+            adj = weighted_adjoint(entries(op), w, w)
+            assert np.linalg.norm(entries(op) - adj) <= 1e-12 * max(
+                np.linalg.norm(entries(op)), 1e-300
             )
             sqrt_w = np.sqrt(w)
-            sym = (op.entries * sqrt_w[:, None]) / sqrt_w[None, :]
+            sym = (entries(op) * sqrt_w[:, None]) / sqrt_w[None, :]
             evals = np.linalg.eigvalsh((sym + sym.T) / 2)
             assert evals.min() >= -1e-10
 
@@ -358,7 +364,7 @@ class TestHodgeLaplacian:
             L = hodge_laplacian(K, ell)
             x = np.random.default_rng(ell).standard_normal(K.n_simplices(ell))
             y = L @ x
-            dense = L.entries @ x
+            dense = entries(L) @ x
             assert L.degree == ell
             assert np.linalg.norm(y - dense) <= 1e-14 * np.linalg.norm(dense)
 

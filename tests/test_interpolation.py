@@ -23,6 +23,7 @@ from conftest import (
     all_degrees,
     codifferential,
     count_calls,
+    entries,
     general_product,
     log_uniform_weights,
     traced_peak,
@@ -89,7 +90,7 @@ class TestExactExtremes:
         # Oracle: explicit matrix exponential of the graph Laplacian has
         # nonnegative entries with unit column sums, so the 1->1 norm is 1.
         K = lib.path_complex(5)
-        L = hodge_laplacian(K, 0).entries
+        L = entries(hodge_laplacian(K, 0))
         for t in (0.1, 1.0, 4.0):
             P = expm(-t * L)
             assert P.min() >= -1e-15
@@ -680,7 +681,7 @@ class TestKernelDecayFit:
         # the degree-2 Laplacian, so those entries of L P_t are exactly 0
         # and the ~2e-16 the product leaves there is rounding noise.
         K = lib.random_two_complex(115)
-        blocks = csgraph.connected_components(hodge_laplacian(K, 2).entries != 0)[1]
+        blocks = csgraph.connected_components(entries(hodge_laplacian(K, 2)) != 0)[1]
         far = _block_keys(K, 2) > 0
         assert far.any() and not np.any(far & (blocks[:, None] == blocks[None, :]))
         fit = kernel_decay_fit(K, laplacian_spectrum(K, 2), t0=1.0)
@@ -978,7 +979,8 @@ class TestInterpolationReport:
         powers = count_calls(monkeypatch, "opnorm_power_method", hodgeheat.interpolation)
         # Operators come from the face tables: no dense matrix is scanned
         # for its nonzeros, and route B builds its row slots once and runs
-        # one Chebyshev recurrence for its heat limit and Green term.
+        # one Chebyshev recurrence for its heat limit and Green term.  The
+        # lift applies delta_2, so d_1^T builds its row slots first.
         nonzeros = count_calls(monkeypatch, "nonzero", np)
         flat_nonzeros = count_calls(monkeypatch, "flatnonzero", np)
         conversions = count_calls(monkeypatch, "of", _SparseOperator)
@@ -998,11 +1000,16 @@ class TestInterpolationReport:
         decomposes = count_calls(monkeypatch, "decompose",
                                  hodgeheat.cli, hodgeheat.decomposition)
         splits = count_calls(monkeypatch, "_hodge_split", hodgeheat.decomposition)
-        assert not row_slots and not recurrences
+        n0, n2 = K.n_simplices(0), K.n_simplices(2)
+        assert [op.shape for op in row_slots] == [(n, n2)] and not recurrences
         eighs.clear()
+        row_slots.clear()
         report, code = run_pipeline(RunConfig(input_path=str(path)))
         assert code == 0 and report["ok"] and report["uniqueness"].passed
-        assert (len(decomposes), len(splits), len(eighs), len(row_slots)) == (1, 2, 2, 1)
+        assert (len(decomposes), len(splits), len(eighs)) == (1, 2, 2)
+        # The lift and route A apply delta_2, route A delta_1 and route B
+        # the Laplacian: each operator builds its row slots once.
+        assert sorted(op.shape for op in row_slots) == [(n0, n), (n, n2), (n, n)]
         assert len(recurrences) == 1 and len(recurrences[0][2]) == 2
         assert nonzeros and all(np.ndim(args[0]) == 1 for args in nonzeros)
         # np.flatnonzero ravels its argument before np.nonzero sees it, and

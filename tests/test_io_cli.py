@@ -230,9 +230,10 @@ class TestPipelineAndReports:
         # Degree 1 is lifted from the spectra of degrees 0 and 2, which the
         # complex holds for the dimension stage: one eigh each for those two
         # and one QR for degree 1's kernel.  Each Laplacian is assembled
-        # once; route B reads degree 1's from the complex.
+        # once; route B reads degree 1's from the complex.  So is each
+        # transposed incidence: d_0^T for delta_1, d_1^T for delta_2.
         assert (len(eigh_calls), len(qr_calls), len(betti_calls)) == (2, 1, 1)
-        assert sorted(assemblies) == [0, 1, 2]
+        assert sorted(assemblies) == [0, 0, 1, 1, 2]
 
     def test_sanitize_handles_infinities(self):
         assert sanitize({"x": math.inf, "y": [-math.inf, np.float64(2.0)]}) == \
@@ -335,6 +336,14 @@ _MALFORMED_JSON = {
     "cochain_degree_past_the_digit_limit":
         ('{"simplices": {"1": [[0, 1]]}, "cochain": {"degree": 1%s, "values": [1]}}'
          % ("0" * 5000), "cochain degree must be an integer of at most 4300 digits"),
+    # Weights of a degree that lists no simplices: its faces come from the
+    # closure, at weight 1.0, so no simplex would read them.
+    "weights_of_an_unlisted_degree":
+        ('{"simplices": {"1": [[0, 1], [1, 2]]}, "weights": {"0": [7, 7, 7]}}',
+         "weights['0']: degree 0 lists no simplices to weigh"),
+    "weights_of_an_unlisted_degree_of_no_length":
+        ('{"simplices": {"1": [[0, 1], [1, 2]]}, "weights": {"0": [7]}}',
+         "weights['0']: degree 0 lists no simplices to weigh"),
 }
 
 
@@ -606,6 +615,50 @@ class TestCli:
         assert proc.stderr.splitlines() == [
             "input error: degree 0: the weights overflow the W^(1/2)-symmetrized operator "
             "(it has a non-finite entry)"]
+
+    @pytest.mark.parametrize("command, code, failed", [
+        ("spectrum", 0, None),
+        ("report", 1, "kernel_dim_equals_betti, harmonic_component_defect, "
+                      "uniqueness_dual_route, dimension_consistency"),
+    ])
+    def test_underflowing_laplacian_entry_runs_to_named_checks(self, tmp_path, command, code,
+                                                               failed):
+        # Degree 1's Laplacian is [[2, 0], [-1, 0]]: its entry -w_1 / w_v =
+        # -1e-500 underflows to 0 beside a mirror of -1.  The symmetrized
+        # operator is self-adjoint to rounding, so the run reaches its checks.
+        path = tmp_path / "path.json"
+        path.write_text(json.dumps({"simplices": {"0": [[0], [1], [2]], "1": [[0, 1], [1, 2]]},
+                                    "weights": {"0": [1e200] * 3, "1": [1e200, 1e-300]}}))
+        self._run_to_named_checks([command, str(path), "--degree", "1"], code, failed)
+
+    @pytest.mark.parametrize("degree, code, failed", [
+        (0, 0, None),
+        (1, 1, "decomposition_residual, harmonic_component_defect"),
+        (2, 1, "harmonic_component_defect"),
+    ])
+    def test_extreme_weights_decompose_to_named_checks(self, tmp_path, degree, code, failed):
+        # Vertex weights 1e200 and 1e-300 alternating by rank, edge weights
+        # 1e-300, triangle weights 1.
+        K = lib.random_two_complex(101)
+        vertex = np.where(np.arange(K.vertex_count) % 2 == 0, 1e200, 1e-300)
+        K = SimplicialComplex(K.simplices, [vertex, np.full(K.n_simplices(1), 1e-300),
+                                            np.ones(K.n_simplices(2))])
+        path = tmp_path / "random_101.json"
+        path.write_text(json.dumps(complex_to_json_dict(K)))
+        self._run_to_named_checks(["decompose", str(path), "--degree", str(degree)], code, failed)
+
+    @staticmethod
+    def _run_to_named_checks(args, code, failed):
+        """The run exits ``code`` after its payload, and names the ``failed``
+        checks on its one stderr line, with no warning and no traceback."""
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            result = CliRunner().invoke(main, args)
+        assert result.exit_code == code, result.output
+        assert result.exception is None or isinstance(result.exception, SystemExit)
+        assert json.loads(result.stdout) and "Traceback" not in result.output
+        assert result.stderr.splitlines() == ([f"invariant violated: {failed}"] if failed else [])
+        assert not caught, [str(w.message) for w in caught]
 
     @pytest.mark.parametrize("weights_of, degree", [
         (lambda K, rng: [rng.choice([1.0, 1e200, 1e300], len(level)) for level in K.simplices],

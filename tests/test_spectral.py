@@ -18,6 +18,7 @@ from conftest import (
     chebyshev_heat,
     count_assemblies,
     count_calls,
+    entries,
     general_product,
     log10_uniform_weights,
     log_uniform_weights,
@@ -104,7 +105,7 @@ class TestEigendecompose:
             V, w = s.eigencochains, s.weights
             gram = V.T @ (V * w[:, None])
             assert np.max(np.abs(gram - np.eye(V.shape[1]))) <= 1e-10
-            A = hodge_laplacian(K, ell).entries
+            A = entries(hodge_laplacian(K, ell))
             resid = A @ V - V * s.eigenvalues[None, :]
             scale = max(float(s.eigenvalues[-1]), 1.0)
             assert np.max(np.abs(resid)) <= 1e-8 * scale
@@ -127,7 +128,7 @@ def test_symmetrized_lower_equals_dense_average(name, K, ell):
     # operations, so the bits agree.
     sqrt_w = np.sqrt(K.weight_vector(ell))
     L = hodge_laplacian(K, ell)
-    S = L.entries * sqrt_w[:, None] / sqrt_w[None, :]
+    S = entries(L) * sqrt_w[:, None] / sqrt_w[None, :]
     lower = L.symmetrized_lower(sqrt_w, ell)
     assert lower.tobytes() == np.tril((S + S.T) / 2.0).tobytes()
 
@@ -138,9 +139,9 @@ def test_eigendecompose_leaves_its_argument_unchanged(as_operator):
     # and the averaging would show in it.
     K = log_uniform_weights(lib.flat_torus(6, 6), 3)
     L = hodge_laplacian(K, 1)
-    before = L.entries.copy()
-    eigendecompose(L if as_operator else L.entries, K.weight_vector(1))
-    assert L.entries.tobytes() == before.tobytes()
+    before = entries(L)
+    eigendecompose(L if as_operator else entries(L), K.weight_vector(1))
+    assert entries(L).tobytes() == before.tobytes()
 
 
 @pytest.mark.parametrize("i,name,K", [(i, name, K) for i, (name, K) in enumerate(CORPUS)],
@@ -155,7 +156,7 @@ def test_operator_forms_agree_bit_for_bit(i, name, K):
         L = hodge_laplacian(K, ell)
         w = K.weight_vector(ell)
         omega = lib.random_cochain(K, ell, 31)
-        forms = (L, L.entries)
+        forms = (L, entries(L))
         spectra = [eigendecompose(form, w, degree=ell) for form in forms]
         sources = lifted_from(K, ell)
         if not sources or _lift(K, *(laplacian_spectrum(K, d) for d in sources)) is None:
@@ -208,7 +209,7 @@ class TestDegreeOneLift:
         assert s.gap == s.eigenvalues[s.kernel_dim] and not s.eigenvalues[:s.kernel_dim].any()
         V = s.eigencochains
         assert np.abs(V.T @ (w[:, None] * V) - np.eye(s.dim)).max() <= 1e-12
-        residual = hodge_laplacian(K, 1).entries @ V - V * s.eigenvalues
+        residual = entries(hodge_laplacian(K, 1)) @ V - V * s.eigenvalues
         assert np.abs(residual).max() <= 1e-12 * lam_max
 
     def test_degree_one_runs_no_eigh_of_its_own(self, monkeypatch):
@@ -218,13 +219,14 @@ class TestDegreeOneLift:
         assemblies = count_assemblies(monkeypatch)
         s = laplacian_spectrum(K, 1)
         # One eigh each for degrees 0 and 2, which K then holds, one QR for
-        # the two harmonic columns, and one assembly of each degree.
+        # the two harmonic columns, one assembly of each degree, and d_1^T,
+        # into degree 1, for delta_2.
         assert sorted(len(args[0]) for args in eighs) == [144, 288]
-        assert len(qrs) == 1 and sorted(assemblies) == [0, 1, 2]
+        assert len(qrs) == 1 and sorted(assemblies) == [0, 1, 1, 2]
         # Asked again, K computes nothing: it returns the spectra it holds.
         assert laplacian_spectrum(K, 1) is s
         assert [laplacian_spectrum(K, d).dim for d in (0, 2)] == [144, 288]
-        assert (len(eighs), len(qrs), len(assemblies)) == (2, 1, 3)
+        assert (len(eighs), len(qrs), len(assemblies)) == (2, 1, 4)
 
     @pytest.mark.parametrize("seed", range(3))
     def test_past_the_spread_bound_is_eigh_bit_for_bit(self, seed):
@@ -320,13 +322,36 @@ class TestHeldByTheComplex:
 
 
 class TestScaleInvariantChecks:
-    """The self-adjointness tests divide by the largest |entry| before squaring."""
+    """The self-adjointness test divides by the largest |entry| before squaring."""
+
+    @staticmethod
+    def _with_vals(L, vals):
+        return _SparseOperator(L.rows * L.shape[1] + L.cols, vals, L.shape, L.degree)
 
     @pytest.mark.parametrize("scale", [1.0, 1e200, 1e-200])
     def test_asymmetry_is_caught_at_any_scale(self, scale):
         A = scale * np.array([[2.0, 1.0], [-1.0, 2.0]])
         with pytest.raises(ValueError, match="not self-adjoint"):
             eigendecompose(A)
+        # A face-table Laplacian passes; with the entries above its diagonal
+        # negated it is no longer W-self-adjoint.
+        K = log_uniform_weights(lib.filled_triangle(), 2)
+        L = hodge_laplacian(K, 1)
+        sqrt_w = np.sqrt(K.weight_vector(1))
+        flipped = np.where(L.rows < L.cols, -L.vals, L.vals)
+        self._with_vals(L, L.vals * scale).symmetrized_average(sqrt_w, 1)
+        with pytest.raises(ValueError, match="not self-adjoint"):
+            self._with_vals(L, flipped * scale).symmetrized_average(sqrt_w, 1)
+
+    def test_extreme_weights_overflow_the_symmetrized_operator(self):
+        # A weight ratio of 1e600 across the hollow triangle: the assembly
+        # passes, and the symmetrized operator names the overflow, which the
+        # CLI reports as an input error.
+        K = build_complex({"edges": [[0, 1], [0, 2], [1, 2]],
+                           "weights": {"1": [1e-300, 1e300, 1.0]}})
+        L = hodge_laplacian(K, 1)
+        with pytest.raises(ValueError, match=r"degree 1: the weights overflow the W\^\(1/2\)-"):
+            L.symmetrized_average(np.sqrt(K.weight_vector(1)), 1)
 
     def test_non_finite_spectrum_is_rejected(self):
         # Every entry and every (S_ij + S_ji) / 2 is finite, but the largest
@@ -338,35 +363,6 @@ class TestScaleInvariantChecks:
     def test_symmetric_passes_at_any_scale(self, scale):
         s = eigendecompose(scale * np.array([[2.0, 1.0], [1.0, 2.0]]))
         assert s.eigenvalues == pytest.approx([scale, 3.0 * scale], rel=1e-15)
-
-    @staticmethod
-    def _with_vals(L, vals):
-        n = L.shape[0]
-        return _SparseOperator(L.rows * n + L.cols, vals, n, L.degree)
-
-    @classmethod
-    def _flipped(cls, L):
-        # The entries above the diagonal negated: no longer W-self-adjoint.
-        return cls._with_vals(L, np.where(L.rows < L.cols, -L.vals, L.vals))
-
-    @pytest.mark.parametrize("scale", [1.0, 1e200, 1e-200])
-    def test_assembly_check_at_any_scale(self, scale):
-        K = log_uniform_weights(lib.filled_triangle(), 2)
-        L = hodge_laplacian(K, 1)
-        w = K.weight_vector(1)
-        for case, expected in ((L, True), (self._flipped(L), False)):
-            assert self._with_vals(case, case.vals * scale).is_weighted_self_adjoint(w) == expected
-
-    def test_assembly_check_with_extreme_weights(self):
-        # The mirrored entry A_ji w_j / w_i is formed from mantissas and
-        # exponents: a weight ratio of 1e600 neither overflows nor flushes
-        # it to 0.
-        K = build_complex({"edges": [[0, 1], [0, 2], [1, 2]],
-                           "weights": {"1": [1e-300, 1e300, 1.0]}})
-        L = hodge_laplacian(K, 1)
-        w = K.weight_vector(1)
-        assert L.is_weighted_self_adjoint(w)
-        assert not self._flipped(L).is_weighted_self_adjoint(w)
 
 
 class TestDenseInput:
@@ -502,7 +498,7 @@ class TestHeatSemigroup:
 
 def _heat_derivative(K, s, t, omega):
     """d/dt P_t omega = -Delta P_t omega, from the spectral sum and the Laplacian."""
-    L = hodge_laplacian(K, omega.degree).entries
+    L = entries(hodge_laplacian(K, omega.degree))
     return -(L @ _heat(s, t, omega.values))
 
 
@@ -604,7 +600,7 @@ class TestChebyshevAction:
         # with its backward error of a few ulps.
         for ell in all_degrees(K):
             s = laplacian_spectrum(K, ell)
-            b = _SparseOperator.of(hodge_laplacian(K, ell).entries, ell).bound
+            b = _SparseOperator.of(entries(hodge_laplacian(K, ell)), ell).bound
             assert b >= s.eigenvalues[-1] - 1e-13 * b
 
     @pytest.mark.parametrize("nx,ny,seed", [(6, 6, 1), (12, 12, 2), (24, 3, 3)])
@@ -614,7 +610,7 @@ class TestChebyshevAction:
         K = log_uniform_weights(lib.flat_torus(nx, ny), seed)
         rng = np.random.default_rng(seed)
         for ell in all_degrees(K):
-            A = hodge_laplacian(K, ell).entries
+            A = entries(hodge_laplacian(K, ell))
             M, csr = _SparseOperator.of(A, ell), sparse.csr_matrix(A)
             for _ in range(20):
                 x = rng.standard_normal(A.shape[0])
@@ -634,7 +630,7 @@ class TestChebyshevAction:
         rng = np.random.default_rng(5)
         for ell in all_degrees(K):
             L = hodge_laplacian(K, ell)
-            A = L.entries
+            A = entries(L)
             n = A.shape[0]
             signed_zeros = np.where(rng.random(n) < 0.5, -0.0, 0.0)
             cases = [(A, rng.standard_normal(n)), (A, signed_zeros),
@@ -661,9 +657,9 @@ class TestChebyshevAction:
         K = build_complex({"vertices": [0, 1, 2]})
         L = hodge_laplacian(K, 0)
         x = np.array([0.3, -1.7, 2.2])
-        assert not L.entries.any()
+        assert not entries(L).any()
         assert np.array_equal(chebyshev_heat(L, 5.0, x), x)
-        M = _SparseOperator.of(L.entries, 0)
+        M = _SparseOperator.of(entries(L), 0)
         green, _, matvecs = _cut_action(M, x, _green_series(2.5, M.bound))
         assert np.array_equal(green, 2.5 * x) and matvecs == 0
         empty = chebyshev_heat(np.zeros((0, 0)), 1.0, np.zeros(0))
@@ -692,7 +688,7 @@ class TestChebyshevAction:
         # Green row, three Green series whose sum cancels.
         for ell in all_degrees(K):
             s = laplacian_spectrum(K, ell)
-            A = hodge_laplacian(K, ell).entries
+            A = entries(hodge_laplacian(K, ell))
             M = _SparseOperator.of(A, ell)
             b = M.bound
             if b == 0.0:
@@ -748,7 +744,9 @@ class TestHarmonicProjector:
         assert np.allclose(out, omega.values.mean(), atol=1e-12)
 
     def test_weighted_mean_on_weighted_complex(self):
-        K = build_complex({"edges": [(0, 1), (1, 2)], "weights": {0: [1.0, 2.0, 3.0]}})
+        K = build_complex({"vertices": [0, 1, 2], "edges": [(0, 1), (1, 2)],
+                           "weights": {0: [1.0, 2.0, 3.0]}})
+        assert list(K.weight_vector(0)) == [1.0, 2.0, 3.0]
         s = laplacian_spectrum(K, 0)
         omega = Cochain(0, [1.0, -2.0, 4.0])
         expected = np.sum(s.weights * omega.values) / np.sum(s.weights)
