@@ -97,9 +97,9 @@ def _spectrum_section(s):
     }
 
 
-def _interval_section(K, s, config):
-    return interpolation_report(K, s, epsilon=config.epsilon, t_grid=config.t_grid,
-                                seed=config.seed)
+def _interval_section(K, config):
+    return interpolation_report(K, config.degree, epsilon=config.epsilon,
+                                t_grid=config.t_grid, seed=config.seed)
 
 
 # Each stage below returns its report section (a result or rows) and its checks.
@@ -116,8 +116,8 @@ def _decomposition_stage(dec):
     ]
 
 
-def _uniqueness_stage(K, s, dec, error_target):
-    uniq = verify_uniqueness(K, s, dec, error_target=error_target)
+def _uniqueness_stage(K, dec, error_target):
+    uniq = verify_uniqueness(K, dec, error_target=error_target)
     return uniq, [
         {"name": "uniqueness_dual_route", "passed": uniq.passed,
          "value": uniq.max_rel_diff, "threshold": uniq.tol},
@@ -129,12 +129,14 @@ def _uniqueness_stage(K, s, dec, error_target):
 def _dimension_stage(K, s, cache_dir, p_list):
     """Dimension rows of every degree; checks (kernel_dim_equals_betti, dimension_consistency).
 
-    The spectra that K holds are reused; the other degrees are built only
-    now, after the degree-ell work has released its temporaries.
+    s is the report degree's spectrum, which K holds.  The other degrees
+    are loaded or built only now, after the degree-ell work has released
+    its temporaries, and K holds them for ``dimension_consistency``.
     """
-    spectra = [s if d == s.degree else _spectrum_for(K, d, cache_dir)
-               for d in range(K.max_degree + 1)]
-    rows = dimension_consistency(K, spectra, p_list=p_list)
+    for d in range(K.max_degree + 1):
+        if d != s.degree:
+            _spectrum_for(K, d, cache_dir)
+    rows = dimension_consistency(K, p_list=p_list)
     betti = rows[s.degree]["betti"]
     return rows, [
         {"name": "kernel_dim_equals_betti", "passed": s.kernel_dim == betti,
@@ -153,7 +155,7 @@ def run_pipeline(config: RunConfig):
     """
     parsed, s = _front_end(config)
     K, ell = parsed.complex, config.degree
-    interval = _interval_section(K, s, config)
+    interval = _interval_section(K, config)
 
     checks = []
     if interval.levelset_condition is not None:
@@ -165,8 +167,8 @@ def run_pipeline(config: RunConfig):
     admissible = [p for p in config.p_list if interval.p1 < p < interval.p2 or p == 2.0]
     dec = uniq = None
     if config.p_list:
-        dec, dec_checks = _decomposition_stage(decompose(K, s, omega, p_list=admissible))
-        uniq, uniq_checks = _uniqueness_stage(K, s, dec, config.error_target)
+        dec, dec_checks = _decomposition_stage(decompose(K, omega, p_list=admissible))
+        uniq, uniq_checks = _uniqueness_stage(K, dec, config.error_target)
         checks += dec_checks + uniq_checks
 
     dim_rows, (kernel_check, dim_check) = _dimension_stage(K, s, config.cache_dir, admissible)
@@ -215,24 +217,24 @@ def _spectrum_payload(config):
 
 
 def _decompose_payload(config):
-    parsed, s = _front_end(config)
+    parsed, _ = _front_end(config)
     omega = _cochain_for(parsed, config.degree, config.seed)
-    dec = decompose(parsed.complex, s, omega, config.p_list)
+    dec = decompose(parsed.complex, omega, config.p_list)
     section, checks = _decomposition_stage(dec)
     return {"decomposition": section, "checks": checks}, parsed.warnings
 
 
 def _interp_payload(config):
-    parsed, s = _front_end(config)
-    interval = _interval_section(parsed.complex, s, config)
+    parsed, _ = _front_end(config)
+    interval = _interval_section(parsed.complex, config)
     return {"interval": interval}, parsed.warnings
 
 
 def _verify_payload(config):
     parsed, s = _front_end(config)
     K = parsed.complex
-    dec = decompose(K, s, _cochain_for(parsed, config.degree, config.seed))
-    section, uniq_checks = _uniqueness_stage(K, s, dec, config.error_target)
+    dec = decompose(K, _cochain_for(parsed, config.degree, config.seed))
+    section, uniq_checks = _uniqueness_stage(K, dec, config.error_target)
     rows, (kernel_check, dim_check) = _dimension_stage(K, s, config.cache_dir, ())
     return {"uniqueness": section, "dimension_consistency": rows,
             "checks": [kernel_check, *uniq_checks, dim_check]}, parsed.warnings

@@ -41,7 +41,9 @@ class SimplicialComplex:
     Immutable: tuples of simplices and of read-only weight copies, and
     read-only face tables.  So it holds what is derived from it, built on
     first use: transposed incidences (``_codifferential_apply``), Laplacians
-    and spectra (``hodge_laplacian``).
+    (``hodge_laplacian``) and spectra, built by ``laplacian_spectrum`` or
+    loaded by ``cached_laplacian_spectrum``.  Every routine that takes a
+    complex reads the spectra it needs from there.
     """
 
     def __init__(self, simplices, weights):
@@ -126,31 +128,9 @@ class SimplicialComplex:
             raise ValueError(f"non-finite cochain value {omega.values[bad[0]]} on simplex "
                              f"{self.simplices[omega.degree][bad[0]]}")
 
-    def check_spectrum(self, s) -> None:
-        """Raise ValueError unless s is this complex's spectrum at degree s.degree.
-
-        Compares what a ``SpectralData`` records of its complex: the degree,
-        the number of simplices and their weights.
-        """
-        ell = s.degree
-        if ell not in range(self.max_degree + 1):
-            problem = f"its degrees run 0..{self.max_degree}"
-        elif s.dim != self.n_simplices(ell):
-            problem = f"it has {self.n_simplices(ell)} simplices of degree {ell}"
-        elif not np.array_equal(s.weights, self.weights[ell]):
-            problem = f"it has other weights on its degree-{ell} simplices"
-        else:
-            return
-        raise ValueError(f"the spectrum of degree {ell} on {s.dim} simplices is not that of "
-                         f"{self!r}: {problem}")
-
     def _check_degree(self, ell: int) -> None:
         if not 0 <= ell <= self.max_degree:
             raise ValueError(f"degree {ell} out of range [0, {self.max_degree}]")
-
-    def __repr__(self):
-        counts = ", ".join(str(len(s)) for s in self.simplices)
-        return f"SimplicialComplex(counts=[{counts}])"
 
 
 def build_complex(spec) -> SimplicialComplex:

@@ -33,6 +33,7 @@ from .spectral import (
     _green_series,
     _heat_series,
     harmonic_part,
+    laplacian_spectrum,
 )
 
 
@@ -172,11 +173,10 @@ def _hodge_split(K: SimplicialComplex, ell: int, g: np.ndarray):
     return omega1, exact, omega2, coexact
 
 
-def decompose(K: SimplicialComplex, s: SpectralData, omega: Cochain,
-              p_list=()) -> DecompositionResult:
+def decompose(K: SimplicialComplex, omega: Cochain, p_list=()) -> DecompositionResult:
     """Split a cochain into exact, coexact, and harmonic parts (route A).
 
-    s is K's spectrum at the degree of omega.  omega3 = H omega; the
+    Reads K's spectrum at the degree of omega.  omega3 = H omega; the
     potentials come from the Green operator applied to the non-harmonic
     part: omega1 = delta G (1-H) omega and omega2 = d G (1-H) omega, so
     d omega1 + delta omega2 + omega3 reconstructs omega.  The split runs
@@ -185,10 +185,9 @@ def decompose(K: SimplicialComplex, s: SpectralData, omega: Cochain,
     ``harmonic_defect`` are formed there, so they do not depend on the
     scale, and the parts and potentials are scaled back.
     """
-    K.check_spectrum(s)
     K.check_cochain(omega)
-    s.check_cochain(omega)
-    ell = s.degree
+    ell = omega.degree
+    s = laplacian_spectrum(K, ell)
     unit, e = _unit_scaled(omega.values)
     h = harmonic_part(s, unit)
     g = s.apply_function(_inv_on_support, unit - h)
@@ -267,9 +266,8 @@ _CLOSED_TOL = 1e-8  # largest |d omega| / |omega| of a closed input
 _UNIQUENESS_TOL = 1e-6  # largest relative gap between the two routes' parts
 
 
-def harmonic_representative(K: SimplicialComplex, s: SpectralData,
-                            omega: Cochain) -> HarmonicRepresentative:
-    """Harmonic representative of a closed cochain; s is K's spectrum at its degree.
+def harmonic_representative(K: SimplicialComplex, omega: Cochain) -> HarmonicRepresentative:
+    """Harmonic representative of a closed cochain of K.
 
     Rejects inputs that are not closed, up to ``_CLOSED_TOL``.  Certifies
     that omega minus the representative is exact and that the coexact
@@ -277,8 +275,9 @@ def harmonic_representative(K: SimplicialComplex, s: SpectralData,
     numerically).  Every ratio is formed on omega and its parts scaled by
     one power of two, so none depends on the scale of omega.
     """
-    dec = decompose(K, s, omega)
-    ell = s.degree
+    dec = decompose(K, omega)
+    ell = omega.degree
+    s = laplacian_spectrum(K, ell)
     unit, e = _unit_scaled(omega.values)
     norm = s.norm2(unit)
     if ell < K.max_degree and norm > 0:
@@ -310,15 +309,15 @@ class UniquenessReport:
     quadrature: QuadratureResult | dict
 
 
-def verify_uniqueness(K: SimplicialComplex, s: SpectralData, dec: DecompositionResult,
+def verify_uniqueness(K: SimplicialComplex, dec: DecompositionResult,
                       error_target: float = 1e-8) -> UniquenessReport:
     """Decompose ``dec.omega`` by route B and compare it with route A's ``dec``.
 
-    s is K's spectrum at the degree of ``dec``, the result of
-    ``decompose(K, s, omega)``: route A, the closed spectral form of the
-    Green operator.  Route B never touches the eigenbasis: it reads the
-    Laplacian that K holds, which the eigensolver or the lift checked, and
-    of the spectrum only the gap, the largest eigenvalue and the weights.
+    ``dec`` is the result of ``decompose(K, omega)``: route A, the closed
+    spectral form of the Green operator.  Route B never touches the
+    eigenbasis: it reads the Laplacian that K holds, which the eigensolver
+    or the lift checked, and of K's spectrum only the gap, the largest
+    eigenvalue and the weights.
     Its harmonic part is the heat semigroup at a certified time and its
     Green term the semigroup integral, two coefficient rows of one
     Chebyshev recurrence in the Laplacian; ``quadrature`` reports its
@@ -335,9 +334,9 @@ def verify_uniqueness(K: SimplicialComplex, s: SpectralData, dec: DecompositionR
     """
     if not 0 < error_target < 1:
         raise ValueError(f"error_target must lie in (0, 1), got {error_target}")
-    K.check_spectrum(s)
-    s.check_cochain(dec.omega)
-    ell = s.degree
+    K.check_cochain(dec.omega)
+    ell = dec.degree
+    s = laplacian_spectrum(K, ell)
     unit, e = _unit_scaled(dec.omega.values)
     h_a = np.ldexp(dec.omega3.values, -e)
 

@@ -29,6 +29,7 @@ from .spectral import (
     _UNIT_ROUNDOFF,
     SpectralData,
     harmonic_part,
+    laplacian_spectrum,
 )
 
 
@@ -415,11 +416,11 @@ def _distance_keys(labels, near, verts, i0: int, i1: int) -> np.ndarray:
     return key
 
 
-def kernel_decay_fit(K: SimplicialComplex, s: SpectralData, t0: float, *,
+def kernel_decay_fit(K: SimplicialComplex, ell: int, t0: float, *,
                      distances=None) -> KernelDecayFit:
     """Fit exp(-2 rho / t0 * distance) to the entries of Laplacian P_(t0/4).
 
-    s is K's spectrum at the degree ell of the fit.  Distance between two
+    Reads K's spectrum at the degree ell of the fit.  Distance between two
     ell-simplices is the smallest 1-skeleton hop distance between their
     vertex sets.  Disconnected complexes are fitted per component (entries
     across components vanish identically); the reported rho is the most
@@ -437,9 +438,9 @@ def kernel_decay_fit(K: SimplicialComplex, s: SpectralData, t0: float, *,
     """
     if t0 <= 0:
         raise ValueError("t0 must be positive")
-    K.check_spectrum(s)
-    labels, hops, near = distances if distances is not None else _simplex_distances(K, s.degree)
-    verts = _vertex_ranks(K, s.degree)
+    s = laplacian_spectrum(K, ell)
+    labels, hops, near = distances if distances is not None else _simplex_distances(K, ell)
+    verts = _vertex_ranks(K, ell)
     nv, w = hops.shape[0], s.weights
     table = np.full((labels.max() + 1, nv + 1), -1.0)  # -1: the distance does not occur
     top = 0.0
@@ -532,19 +533,18 @@ class GaffneyReport:
     n_samples: int
 
 
-def gaffney_constant(K: SimplicialComplex, s: SpectralData, gamma_shift: float,
+def gaffney_constant(K: SimplicialComplex, ell: int, gamma_shift: float,
                      p=2, n_samples: int = 50, seed: int = 0) -> GaffneyReport:
     """Sampled constant in |d w|_p + |delta w|_p <= c |(Lap+gamma)^(1/2) w|_p.
 
-    Returns the largest observed ratio over seeded random cochains of the
-    degree of s, K's spectrum there.  At p = 2 the Pythagorean identity
+    Returns the largest observed ratio over seeded random ell-cochains,
+    read through K's degree-ell spectrum.  At p = 2 the Pythagorean identity
     |dw|^2 + |delta w|^2 = <Lap w, w> gives the exact spectral bound
     sqrt(2 lam_max / (lam_max + gamma)) <= sqrt 2, reported alongside.
     """
     if gamma_shift <= 0:
         raise ValueError("shift must be positive")
-    K.check_spectrum(s)
-    ell = s.degree
+    s = laplacian_spectrum(K, ell)
     rng = np.random.default_rng(seed)
     max_ratio = 0.0
     for _ in range(n_samples):
@@ -563,19 +563,17 @@ def gaffney_constant(K: SimplicialComplex, s: SpectralData, gamma_shift: float,
     return GaffneyReport(max_ratio, bound, float(p), gamma_shift, n_samples)
 
 
-def dimension_consistency(K: SimplicialComplex, spectra, p_list=()) -> list[dict]:
+def dimension_consistency(K: SimplicialComplex, p_list=()) -> list[dict]:
     """Spectral kernel dimension vs. exact Betti number, per degree.
 
-    ``spectra`` holds the Laplacian spectrum of every degree of K, in
-    degree order; nothing is recomputed here.  Also checks that every
-    kernel basis cochain has a finite norm in each requested p and that
-    the harmonic projection returns it unchanged.
+    Reads K's spectrum at every degree.  Also checks that every kernel
+    basis cochain has a finite norm in each requested p and that the
+    harmonic projection returns it unchanged.
     """
-    if [s.degree for s in spectra] != list(range(K.max_degree + 1)):
-        raise ValueError(f"need one spectrum per degree 0..{K.max_degree}, in order")
     betti = betti_numbers(K)
     rows = []
-    for ell, s in enumerate(spectra):
+    for ell in range(K.max_degree + 1):
+        s = laplacian_spectrum(K, ell)
         kernel = s.kernel_basis()
         finite = True
         projector_residual = 0.0
@@ -624,18 +622,16 @@ _DEFAULT_T_GRID = (0.25, 0.5, 1.0, 2.0, 4.0)
 _P_SAMPLES = (1.25, 4.0 / 3.0, 1.5, 2.0, 3.0, 4.0)
 
 
-def interpolation_report(K: SimplicialComplex, s: SpectralData,
-                         epsilon: float | None = None, t_grid=_DEFAULT_T_GRID,
-                         seed: int = 0) -> InterpolationReport:
+def interpolation_report(K: SimplicialComplex, ell: int, epsilon: float | None = None,
+                         t_grid=_DEFAULT_T_GRID, seed: int = 0) -> InterpolationReport:
     """Measure (alpha, tau, rho, gamma_vol) and derive the exponent calculus.
 
-    s is K's spectrum at the degree of the report.  epsilon defaults to
+    Reads K's spectrum at the degree ell of the report.  epsilon defaults to
     tau/20; it must be finite and lie in [0, tau).  When the whole degree
     is harmonic (gap +inf) the interval degenerates to (1, inf) and
     gamma(p) to +inf.
     """
-    K.check_spectrum(s)
-    ell = s.degree
+    s = laplacian_spectrum(K, ell)
     if epsilon is not None and not (0 <= epsilon < s.gap and math.isfinite(epsilon)):
         raise ValueError(f"epsilon = {epsilon} must be finite and lie in [0, tau) "
                          f"for tau = {s.gap}, the spectral gap")
@@ -663,11 +659,11 @@ def interpolation_report(K: SimplicialComplex, s: SpectralData,
 
     distances = _simplex_distances(K, ell)
     vol = volume_growth_fit(K, distances=distances)
-    provisional = kernel_decay_fit(K, s, 1.0, distances=distances)
+    provisional = kernel_decay_fit(K, ell, 1.0, distances=distances)
     rho = t0 = condition = None
     if not provisional.degenerate and provisional.rho > 0:
         t0_sel = select_t0(provisional.rho, vol.gamma_vol)
-        refit = kernel_decay_fit(K, s, t0_sel, distances=distances)
+        refit = kernel_decay_fit(K, ell, t0_sel, distances=distances)
         if not refit.degenerate and refit.rho > 0:
             rho = refit.rho
             t0 = select_t0(rho, vol.gamma_vol)

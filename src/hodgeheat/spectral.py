@@ -209,10 +209,16 @@ def laplacian_spectrum(K: SimplicialComplex, ell: int) -> SpectralData:
         if sources:
             L.symmetrized_average(np.sqrt(w), ell)
             s = _lift(K, *(laplacian_spectrum(K, d) for d in sources))
-        s = eigendecompose(L, w) if s is None else s
-        s.eigenvalues.flags.writeable = s.eigencochains.flags.writeable = False
-        K._spectra.setdefault(ell, s)
+        _hold(K, ell, eigendecompose(L, w) if s is None else s)
     return K._spectra[ell]
+
+
+def _hold(K: SimplicialComplex, ell: int, s: SpectralData) -> SpectralData:
+    """Hold s as K's degree-ell spectrum, its arrays read-only, unless K
+    holds one already; return the one K holds."""
+    for a in (s.eigenvalues, s.eigencochains, s.weights):
+        a.flags.writeable = False
+    return K._spectra.setdefault(ell, s)
 
 
 # The lift runs only where degree 1's own lambda_max / gap is at most this.
@@ -437,18 +443,23 @@ def load_spectral_data(path: str) -> SpectralData:
 def cached_laplacian_spectrum(K: SimplicialComplex, ell: int, cache_dir: str) -> SpectralData:
     """laplacian_spectrum with a content-addressed on-disk cache.
 
-    An entry that does not load is a miss, and is overwritten with
-    ``laplacian_spectrum(K, ell)``, the spectrum K holds or builds.  A hit
-    is returned as loaded and not held in K.  An entry keeps the bits it
-    was written with, so entries of eigh's degree-1 spectra from before
-    the lift still hit.
+    A hit is held in K as ``laplacian_spectrum`` holds what it builds, so
+    later calls of either return it.  An entry that does not load, or that
+    is not a degree-ell spectrum on K's simplices in K's weights, is a
+    miss, and is overwritten with ``laplacian_spectrum(K, ell)``, the
+    spectrum K holds or builds.  An entry keeps the bits it was written
+    with, so entries of eigh's degree-1 spectra from before the lift still
+    hit.
     """
     os.makedirs(cache_dir, exist_ok=True)
     path = os.path.join(cache_dir, complex_content_hash(K, ell) + ".npz")
     try:
-        return load_spectral_data(path)
+        s = load_spectral_data(path)
     except Exception:  # missing, empty or truncated: numpy raises many kinds
-        pass
+        s = None
+    if (s is not None and s.degree == ell and s.dim == K.n_simplices(ell)
+            and np.array_equal(s.weights, K.weights[ell])):
+        return _hold(K, ell, s)
     s = laplacian_spectrum(K, ell)
     save_spectral_data(s, path)
     return s

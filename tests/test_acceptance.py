@@ -67,7 +67,7 @@ def test_criterion_1_decomposition_theorem():
             probes = tuple(p for p in P_PROBES if p1 < p < p2)
             for i in range(20):
                 omega = lib.random_cochain(K, ell, seed=1000 + i)
-                dec = decompose(K, s, omega, p_list=probes)
+                dec = decompose(K, omega, p_list=probes)
                 where = f"{name} ell={ell} cochain={i}"
                 assert dec.residual <= 1e-8, f"residual {dec.residual} at {where}"
                 assert dec.harmonic_defect <= 1e-8, \
@@ -82,9 +82,8 @@ def test_criterion_1_decomposition_theorem():
 def test_criterion_2_uniqueness_dual_route():
     for name, K in CORPUS:
         for ell in all_degrees(K):
-            s = laplacian_spectrum(K, ell)
             omega = lib.random_cochain(K, ell, seed=2000 + ell)
-            rep = verify_uniqueness(K, s, decompose(K, s, omega))
+            rep = verify_uniqueness(K, decompose(K, omega))
             assert rep.passed, \
                 f"route disagreement {rep.max_rel_diff} at {name} ell={ell}"
             assert rep.perturbation_detected, f"perturbation missed at {name} ell={ell}"
@@ -163,7 +162,7 @@ def test_criterion_6_cohomology_representation():
             norm = s.norm2(omega.values)
             if norm == 0.0:
                 continue
-            rep = harmonic_representative(K, s, omega)
+            rep = harmonic_representative(K, omega)
             err = s.norm2(rep.cochain.values - harmonic) / norm
             assert err <= 1e-8, f"representative off by {err} at {name} ell={ell}"
             assert rep.coexact_norm_rel <= 1e-8, \
@@ -187,9 +186,8 @@ def test_criterion_8_gaffney_bound_at_p2():
     bound = math.sqrt(2.0) + 1e-10
     for name, K in CORPUS:
         for ell in all_degrees(K):
-            s = laplacian_spectrum(K, ell)
             for gamma in (0.1, 1.0, 10.0):
-                rep = gaffney_constant(K, s, gamma, p=2, n_samples=20, seed=4000)
+                rep = gaffney_constant(K, ell, gamma, p=2, n_samples=20, seed=4000)
                 assert rep.max_ratio <= bound, \
                     f"gaffney ratio {rep.max_ratio} at {name} ell={ell} gamma={gamma}"
     print("ACCEPTANCE 8 gaffney-bound: PASS")

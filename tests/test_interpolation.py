@@ -280,7 +280,7 @@ class TestFootprint:
 
     def test_kernel_decay_fit(self, spectrum):
         distances = _simplex_distances(self.K, 1)
-        self.check(spectrum, kernel_decay_fit, self.K, spectrum, 1.0, distances=distances)
+        self.check(spectrum, kernel_decay_fit, self.K, 1, 1.0, distances=distances)
 
     def test_projector_norm_profile(self, spectrum):
         self.check(spectrum, projector_norm_profile, spectrum, (1.25, 4.0 / 3.0, 1.5, 2.0, 3.0))
@@ -608,7 +608,7 @@ class TestKernelDecayFit:
     @pytest.mark.parametrize("name,K,ell", _ORACLE_CASES,
                              ids=[f"{name}-{ell}" for name, _, ell in _ORACLE_CASES])
     def test_matches_per_pair_oracle(self, name, K, ell, t0):
-        fit = kernel_decay_fit(K, laplacian_spectrum(K, ell), t0=t0)
+        fit = kernel_decay_fit(K, ell, t0=t0)
         bins, fits, rho = _kernel_decay_oracle(K, ell, t0)
         assert fit.bins == bins
         assert fit.component_fits == fits
@@ -616,32 +616,32 @@ class TestKernelDecayFit:
 
     def test_path_graph_has_positive_rho(self):
         K = lib.path_complex(8)
-        fit = kernel_decay_fit(K, laplacian_spectrum(K, 0), t0=0.5)
+        fit = kernel_decay_fit(K, 0, t0=0.5)
         assert not fit.degenerate
         assert fit.rho > 0
         assert fit.bins[0][0] == 0  # distance-0 bin populated
 
     def test_single_vertex_degenerate(self):
         K = build_complex({"vertices": [0]})
-        fit = kernel_decay_fit(K, laplacian_spectrum(K, 0), t0=1.0)
+        fit = kernel_decay_fit(K, 0, t0=1.0)
         assert fit.degenerate
         assert fit.rho is None
 
     def test_c12_binned_magnitudes_decay_monotonically(self):
         K = lib.cycle_complex(12)
-        fit = kernel_decay_fit(K, laplacian_spectrum(K, 0), t0=1.0)
+        fit = kernel_decay_fit(K, 0, t0=1.0)
         mags = [m for _, m in fit.bins]
         assert all(a > b for a, b in zip(mags, mags[1:]))
 
     def test_disconnected_fits_per_component(self):
         K = build_complex({"edges": [(0, 1), (1, 2), (2, 3), (10, 11), (11, 12), (12, 13)]})
-        fit = kernel_decay_fit(K, laplacian_spectrum(K, 0), t0=0.5)
+        fit = kernel_decay_fit(K, 0, t0=0.5)
         assert len(fit.component_fits) == 2
         assert fit.rho == min(f["rho"] for f in fit.component_fits)
 
     def test_invalid_t0(self):
         with pytest.raises(ValueError):
-            kernel_decay_fit(lib.interval(), laplacian_spectrum(lib.interval(), 0), t0=0.0)
+            kernel_decay_fit(lib.interval(), 0, t0=0.0)
 
     @pytest.mark.parametrize("name,K,ell", _ROUNDING_CASES,
                              ids=[f"{name}-{ell}" for name, _, ell in _ROUNDING_CASES])
@@ -651,12 +651,11 @@ class TestKernelDecayFit:
         # must give the same rho, at the provisional t0 = 1 and at the refit
         # t0.  The absolute 1e-12 covers a true rho of 0 (the interval's two
         # bins are equal), which rounding leaves at about +-1e-17.
-        s = laplacian_spectrum(K, ell)
-        first = kernel_decay_fit(K, s, 1.0)
+        first = kernel_decay_fit(K, ell, 1.0)
         t0s = [1.0]
         if not first.degenerate and first.rho > 0:
             t0s.append(select_t0(first.rho, volume_growth_fit(K).gamma_vol))
-        rhos = [kernel_decay_fit(K, s, t0).rho for t0 in t0s]
+        rhos = [kernel_decay_fit(K, ell, t0).rho for t0 in t0s]
         patched = []
 
         def general_blocks(self, f):
@@ -669,7 +668,7 @@ class TestKernelDecayFit:
 
         monkeypatch.setattr(SpectralData, "row_blocks", general_blocks)
         for t0, rho in zip(t0s, rhos):
-            gemm_rho = kernel_decay_fit(K, s, t0).rho
+            gemm_rho = kernel_decay_fit(K, ell, t0).rho
             if rho is None or gemm_rho is None:
                 assert rho is gemm_rho
             else:
@@ -684,7 +683,7 @@ class TestKernelDecayFit:
         blocks = csgraph.connected_components(entries(hodge_laplacian(K, 2)) != 0)[1]
         far = _block_keys(K, 2) > 0
         assert far.any() and not np.any(far & (blocks[:, None] == blocks[None, :]))
-        fit = kernel_decay_fit(K, laplacian_spectrum(K, 2), t0=1.0)
+        fit = kernel_decay_fit(K, 2, t0=1.0)
         assert [d for d, _ in fit.bins] == [0, 1] and 0 < fit.bins[1][1] < 1e-15
         assert fit.degenerate and fit.rho is None
 
@@ -693,7 +692,7 @@ class TestKernelDecayFit:
         # noise left there exceeds the rounding bound of its own dot
         # product, so a floor of that bound alone would fit it.
         K = log_uniform_weights(lib.random_two_complex(115), 1)
-        fit = kernel_decay_fit(K, laplacian_spectrum(K, 2), t0=2.0)
+        fit = kernel_decay_fit(K, 2, t0=2.0)
         assert [d for d, _ in fit.bins] == [0, 1] and 0 < fit.bins[1][1] < 1e-15
         assert fit.degenerate and fit.rho is None
 
@@ -785,13 +784,13 @@ class TestGaffney:
     def test_p2_ratio_below_sqrt2(self, gamma):
         for K, ell in ((lib.cycle_complex(3), 0), (lib.simplex_boundary(3), 1),
                        (lib.flat_torus(6, 6), 1)):
-            rep = gaffney_constant(K, laplacian_spectrum(K, ell), gamma, p=2, n_samples=25, seed=5)
+            rep = gaffney_constant(K, ell, gamma, p=2, n_samples=25, seed=5)
             assert rep.max_ratio <= math.sqrt(2.0) + 1e-10
             assert rep.max_ratio <= rep.upper_bound_2 + 1e-10
 
     def test_single_vertex_ratio_zero(self):
         K = build_complex({"vertices": [0]})
-        rep = gaffney_constant(K, laplacian_spectrum(K, 0), 1.0, n_samples=5)
+        rep = gaffney_constant(K, 0, 1.0, n_samples=5)
         assert rep.max_ratio == 0.0
 
     def test_harmonic_direction_scores_zero(self):
@@ -803,11 +802,7 @@ class TestGaffney:
 
     def test_invalid_shift(self):
         with pytest.raises(ValueError):
-            gaffney_constant(lib.interval(), laplacian_spectrum(lib.interval(), 0), 0.0)
-
-
-def _spectra(K):
-    return [laplacian_spectrum(K, ell) for ell in all_degrees(K)]
+            gaffney_constant(lib.interval(), 0, 0.0)
 
 
 class TestDimensionConsistency:
@@ -815,29 +810,23 @@ class TestDimensionConsistency:
                                    lib.filled_triangle()],
                              ids=["C3", "tetra", "filled"])
     def test_all_rows_ok(self, K):
-        rows = dimension_consistency(K, _spectra(K), p_list=(1.0, 2.0, math.inf))
+        rows = dimension_consistency(K, p_list=(1.0, 2.0, math.inf))
         assert all(r["ok"] for r in rows)
         assert all(r["spectral_dim"] == r["betti"] for r in rows)
 
     def test_c3_degree1_counts(self):
         K = lib.cycle_complex(3)
-        rows = dimension_consistency(K, _spectra(K))
+        rows = dimension_consistency(K)
         assert rows[1]["spectral_dim"] == 1 and rows[1]["betti"] == 1
 
-    @pytest.mark.parametrize("pick", [lambda sp: sp[:-1], lambda sp: sp[::-1],
-                                      lambda sp: sp + sp[:1], lambda sp: []],
-                             ids=["short", "reversed", "long", "empty"])
-    def test_rejects_spectra_of_wrong_length_or_order(self, pick):
-        K = lib.simplex_boundary(3)
-        with pytest.raises(ValueError, match="one spectrum per degree"):
-            dimension_consistency(K, pick(_spectra(K)))
-
     def test_computes_no_spectrum_and_no_decomposition(self, monkeypatch):
+        # Once K holds the spectrum of every degree, they are only read.
         K = lib.flat_torus(6, 6)
-        spectra = _spectra(K)
+        for ell in all_degrees(K):
+            laplacian_spectrum(K, ell)
         monkeypatch.setattr(np.linalg, "eigh", _forbidden)
         monkeypatch.setattr(hodgeheat.decomposition, "decompose", _forbidden)
-        assert all(r["ok"] for r in dimension_consistency(K, spectra, p_list=(1.5, 3.0)))
+        assert all(r["ok"] for r in dimension_consistency(K, p_list=(1.5, 3.0)))
 
 
 def _forbidden(*args, **kwargs):
@@ -925,7 +914,7 @@ class TestBracketsShareEndpoints:
 class TestInterpolationReport:
     def test_c3_degree0_fields(self):
         K = lib.cycle_complex(3)
-        rep = interpolation_report(K, laplacian_spectrum(K, 0))
+        rep = interpolation_report(K, 0)
         assert rep.alpha == 0.0
         assert rep.tau == pytest.approx(3.0, abs=1e-12)
         assert rep.q0 == pytest.approx(1.0, abs=1e-12)
@@ -935,14 +924,14 @@ class TestInterpolationReport:
 
     def test_levelset_condition_when_measurable(self):
         K = lib.path_complex(8)
-        rep = interpolation_report(K, laplacian_spectrum(K, 0))
+        rep = interpolation_report(K, 0)
         assert rep.rho is not None and rep.rho > 0
         assert rep.levelset_condition == pytest.approx(0.5, abs=1e-12)
         assert rep.levelset_condition < 1.0
 
     def test_all_harmonic_degree_degenerates_gracefully(self):
         K = build_complex({"vertices": [0, 1]})
-        rep = interpolation_report(K, laplacian_spectrum(K, 0))
+        rep = interpolation_report(K, 0)
         assert math.isinf(rep.tau)
         assert rep.p1 == 1.0 and math.isinf(rep.p2)
 
@@ -950,7 +939,15 @@ class TestInterpolationReport:
     def test_bad_epsilon_rejected_on_all_harmonic_degree(self, epsilon):
         K = build_complex({"vertices": [0, 1]})
         with pytest.raises(ValueError, match="epsilon"):
-            interpolation_report(K, laplacian_spectrum(K, 0), epsilon=epsilon)
+            interpolation_report(K, 0, epsilon=epsilon)
+
+    @pytest.mark.parametrize("routine", [
+        lambda K: interpolation_report(K, 2), lambda K: kernel_decay_fit(K, 2, 1.0),
+        lambda K: gaffney_constant(K, 2, 1.0)],
+        ids=["interpolation_report", "kernel_decay_fit", "gaffney_constant"])
+    def test_degree_past_the_complex_rejected(self, routine):
+        with pytest.raises(ValueError, match=r"^degree 2 out of range \[0, 1\]$"):
+            routine(lib.cycle_complex(12))
 
     def test_pipeline_work_counts(self, tmp_path, monkeypatch):
         # Every operator once: no SVD, since the Betti numbers are exact

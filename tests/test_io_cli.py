@@ -17,7 +17,13 @@ from click.testing import CliRunner
 import compare_reports
 import hodgeheat
 import hodgeheat.spectral
-from conftest import child_env, count_assemblies, count_calls, log10_uniform_weights
+from conftest import (
+    child_env,
+    count_assemblies,
+    count_calls,
+    log10_uniform_weights,
+    log_uniform_weights,
+)
 from hodgeheat import (
     Cochain,
     QuadratureResult,
@@ -255,8 +261,7 @@ class TestReportEncoding:
 
     def test_decomposition_result_gives_its_emitted_fields(self):
         K = lib.filled_triangle()
-        s = laplacian_spectrum(K, 1)
-        dec = decompose(K, s, lib.random_cochain(K, 1, 42), p_list=(1.5, 2.0, 3.0))
+        dec = decompose(K, lib.random_cochain(K, 1, 42), p_list=(1.5, 2.0, 3.0))
         doc = json.loads(report_to_json({"decomposition": dec}))["decomposition"]
         assert sorted(doc) == [
             "c_p", "coexact_part", "component_norms", "degree", "exact_part",
@@ -266,8 +271,7 @@ class TestReportEncoding:
 
     def test_uniqueness_report_leaves_out_perturbations_and_green_cochain(self):
         K = lib.cycle_complex(3)
-        s = laplacian_spectrum(K, 1)
-        uniq = verify_uniqueness(K, s, decompose(K, s, lib.random_cochain(K, 1, 42)))
+        uniq = verify_uniqueness(K, decompose(K, lib.random_cochain(K, 1, 42)))
         assert uniq.kernel_perturbations and isinstance(uniq.quadrature, QuadratureResult)
         doc = sanitize(uniq)
         assert sorted(doc) == ["component_diffs", "max_rel_diff", "passed",
@@ -397,6 +401,42 @@ class TestCli:
             assert result.stdout == uncached.stdout
             assert entry.stat().st_size == size
         assert [p.name for p in cache.iterdir()] == [entry.name]
+
+    @pytest.mark.parametrize("other", [lambda K: lib.flat_torus(4, 4),
+                                       lambda K: log_uniform_weights(K, 3)],
+                             ids=["other_complex", "other_weights"])
+    @pytest.mark.parametrize("command", ["spectrum", "report"])
+    def test_cache_entry_of_another_spectrum_is_recomputed(self, tmp_path, command, other):
+        # An entry under K's name that is not K's degree-1 spectrum is a miss,
+        # and is overwritten with K's.
+        K = lib.flat_torus(6, 6)
+        path = tmp_path / "torus.json"
+        path.write_text(json.dumps(complex_to_json_dict(K)))
+        cache = tmp_path / "cache"
+        cache.mkdir()
+        entry = cache / f"{hodgeheat.spectral.complex_content_hash(K, 1)}.npz"
+        hodgeheat.spectral.save_spectral_data(laplacian_spectrum(other(K), 1), str(entry))
+        runner = CliRunner()
+        uncached = runner.invoke(main, [command, str(path)])
+        result = runner.invoke(main, [command, str(path), "--cache-dir", str(cache)])
+        assert result.exit_code == uncached.exit_code == 0, result.output
+        assert result.stdout.replace(json.dumps(str(cache)), "null") == uncached.stdout
+        held = hodgeheat.spectral.load_spectral_data(str(entry))
+        assert held.dim == 108 and np.array_equal(held.weights, K.weights[1])
+
+    def test_warm_cache_report_builds_no_spectrum(self, tmp_path, monkeypatch):
+        # Every degree's entry hits and K holds it, so no stage runs an eigh
+        # or the lift's QR.
+        path = tmp_path / "torus.json"
+        path.write_text(json.dumps(complex_to_json_dict(lib.flat_torus(6, 6))))
+        args = ["report", str(path), "--degree", "1", "--cache-dir", str(tmp_path / "cache")]
+        runner = CliRunner()
+        cold = runner.invoke(main, args)
+        eighs = count_calls(monkeypatch, "eigh", np.linalg)
+        qrs = count_calls(monkeypatch, "qr", np.linalg)
+        warm = runner.invoke(main, args)
+        assert cold.exit_code == warm.exit_code == 0 and warm.stdout == cold.stdout
+        assert eighs == [] and qrs == []
 
     def test_report_cache_covers_every_degree(self, tmp_path):
         path = tmp_path / "torus.json"
