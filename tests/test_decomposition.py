@@ -8,6 +8,7 @@ import threading
 import numpy as np
 import pytest
 
+import hodgeheat
 from conftest import (
     CORPUS,
     CORPUS_IDS,
@@ -36,7 +37,12 @@ from hodgeheat import (
 from hodgeheat import library as lib
 from hodgeheat.complexes import _SparseOperator
 from hodgeheat.decomposition import _hodge_split, _route_b
-from hodgeheat.spectral import harmonic_part
+from hodgeheat.spectral import (
+    cached_laplacian_spectrum,
+    complex_content_hash,
+    harmonic_part,
+    save_spectral_data,
+)
 
 
 class TestGreenSpectral:
@@ -509,6 +515,63 @@ class TestRieszIdentities:
                     lower, upper = opnorm_bracket(T, p, K.weight_vector(ell), w_cod,
                                                   iters=48, seed=0)
                     assert 0.0 <= lower <= upper + 1e-8
+
+
+class TestSpectrumBelongsToComplex:
+    """Every routine that takes K reads the spectrum K holds.  A spectrum
+    that is not K's reaches K only as a cache entry under K's name; such an
+    entry is a miss, so every routine gives what it gives uncached."""
+
+    @staticmethod
+    def _calls(K):
+        def closed():  # exact plus harmonic, so harmonic_representative accepts it
+            exact = coboundary(K, 0) @ lib.random_cochain(K, 0, 5).values
+            return Cochain(1, exact + laplacian_spectrum(K, 1).kernel_basis()[:, 0])
+
+        omega = lib.random_cochain(K, 1, 5)
+        return {
+            "kernel_decay_fit": lambda: hodgeheat.kernel_decay_fit(K, 1, 1.0),
+            "interpolation_report": lambda: hodgeheat.interpolation_report(K, 1),
+            "gaffney_constant": lambda: hodgeheat.gaffney_constant(K, 1, 1.0),
+            "decompose": lambda: decompose(K, omega),
+            "harmonic_representative": lambda: harmonic_representative(K, closed()),
+            "verify_uniqueness": lambda: verify_uniqueness(K, decompose(K, omega)),
+        }
+
+    # (the spectrum written under K's degree-1 name, a builder of K)
+    CASES = {
+        "other_complex": (lambda: laplacian_spectrum(lib.flat_torus(4, 4), 1),
+                          lambda: lib.flat_torus(6, 6)),
+        "other_weights": (lambda: laplacian_spectrum(
+                              log_uniform_weights(lib.flat_torus(6, 6), 3), 1),
+                          lambda: lib.flat_torus(6, 6)),
+        "degree_past_complex": (lambda: laplacian_spectrum(lib.flat_torus(6, 6), 2),
+                                lambda: lib.cycle_complex(12)),
+    }
+    COCHAIN_ROUTINES = ("decompose", "harmonic_representative", "verify_uniqueness")
+
+    def _check(self, routine, spectrum_of, make, cache_dir):
+        K, uncached = make(), make()
+        save_spectral_data(spectrum_of(), str(cache_dir / f"{complex_content_hash(K, 1)}.npz"))
+        s = cached_laplacian_spectrum(K, 1, str(cache_dir))
+        assert s is laplacian_spectrum(K, 1)
+        assert np.array_equal(s.eigenvalues, laplacian_spectrum(uncached, 1).eigenvalues)
+        assert np.array_equal(s.weights, K.weights[1])
+        np.testing.assert_equal(dataclasses.asdict(self._calls(K)[routine]()),
+                                dataclasses.asdict(self._calls(uncached)[routine]()))
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    @pytest.mark.parametrize("routine", ["kernel_decay_fit", "interpolation_report",
+                                         "gaffney_constant", *COCHAIN_ROUTINES])
+    def test_spectrum_of_another_complex_rejected(self, routine, case, tmp_path):
+        self._check(routine, *self.CASES[case], tmp_path)
+
+    @pytest.mark.parametrize("routine", COCHAIN_ROUTINES)
+    def test_spectrum_of_another_degree_rejected(self, routine, tmp_path):
+        # K's own degree-2 spectrum under its degree-1 name, with a degree-1
+        # cochain (verify_uniqueness reads the one its decomposition keeps).
+        self._check(routine, lambda: laplacian_spectrum(lib.flat_torus(6, 6), 2),
+                    lambda: lib.flat_torus(6, 6), tmp_path)
 
 
 class TestCochainMatchesSpectrum:
