@@ -25,7 +25,6 @@ from .complexes import (
     lp_norm,
 )
 from .spectral import (
-    _ROW_BLOCK,
     _UNIT_ROUNDOFF,
     SpectralData,
     harmonic_part,
@@ -44,25 +43,14 @@ def opnorm_exact_extremes(T, p, w_dom=None, w_cod=None) -> float:
 
     p = 1 is the largest weighted column sum of W_cod T W_dom^-1; p = inf
     is the largest absolute row sum (weights drop out of sup norms).  The
-    two are exactly dual under the weighted adjoint.  A ``_Factored`` T is
-    read a block of its rows at a time, never whole.
+    two are exactly dual under the weighted adjoint, so a W-self-adjoint T
+    has one number at both.
     """
-    A = T if isinstance(T, _Factored) else np.asarray(T, dtype=float)
+    A = np.asarray(T, dtype=float)
     w_dom, w_cod = _weight_pair(A, w_dom, w_cod)
     if min(A.shape) == 0:
         return 0.0
     p = float(p)
-    if isinstance(A, _Factored) and (p == 1.0 or math.isinf(p)):
-        sums = np.zeros(A.shape[1] if p == 1.0 else A.shape[0])
-        for i0 in range(0, A.shape[0], _ROW_BLOCK):
-            rows = slice(i0, i0 + _ROW_BLOCK)
-            B = A.left[rows] @ A.right.T
-            np.abs(B, out=B)
-            if p == 1.0:
-                sums += w_cod[rows] @ B
-            else:
-                sums[rows] = B.sum(axis=1)
-        return float((sums / w_dom if p == 1.0 else sums).max())
     if p == 1.0:
         B = np.abs(A)
         B *= w_cod[:, None]
@@ -165,17 +153,17 @@ def opnorm_bracket(T, p, w_dom=None, w_cod=None, iters: int = 64,
 
 
 def _brackets(T, p_grid, w_dom, w_cod, iters: int, seed: int,
-              norm2: float | None = None) -> list[tuple[float, float]]:
+              ends: dict | None = None) -> list[tuple[float, float]]:
     """``opnorm_bracket`` of one operator at every p of the grid.
 
-    Each exact endpoint (1, 2, inf) is computed at most once.  A caller
-    that knows the 2-norm in closed form passes it as ``norm2``; otherwise
-    the SVD behind it runs only when some p needs it, on a dense T.  T may
-    be a ``_Factored`` operator, which no endpoint or iteration forms.
+    ``ends`` maps the exact endpoints (1, 2, inf) the caller holds to their
+    norms; any other is computed at most once, when some p needs it, on a
+    dense T.  With all three in ``ends``, T may be a ``_Factored`` operator,
+    which the power method runs through and nothing forms.
     """
     A = T if isinstance(T, _Factored) else np.asarray(T, dtype=float)
     w_dom, w_cod = _weight_pair(A, w_dom, w_cod)
-    exact = {} if norm2 is None else {2.0: norm2}
+    exact = dict(ends or {})
 
     def endpoint(q):
         if q not in exact:
@@ -229,15 +217,26 @@ class AlphaFit:
     norms: tuple
 
 
+def _one_norm(s: SpectralData, f: np.ndarray) -> float:
+    """max_j sum_i w_i |S_ij|, the 1->1 and inf->inf norm of S W for the S of
+    ``row_blocks(f)``: each upper row block adds its rows' share to the column
+    sums and, mirrored, its columns' share to its own diagonal block's columns."""
+    w = s.weights
+    col = np.zeros(s.dim)
+    for i0, i1, B in s.row_blocks(f):
+        np.abs(B, out=B)
+        col[i0:] += w[i0:i1] @ B
+        col[i0:i1] += B[:, i1 - i0:] @ w[i1:]
+    return float(col.max(initial=0.0))
+
+
 def measure_alpha(s: SpectralData, t_grid) -> AlphaFit:
     """Growth rate of the heat semigroup on the weighted l^1 space of s.
 
     Evaluates the exact 1->1 norm of P_t on the grid and fits log-norm
     against t.  P_t = S W with S = V diag(exp(-t lambda)) V^T, so the norm,
     the largest weighted column sum of |P_t| W^-1, is max(w @ |S|): the
-    weights of the columns cancel.  S is read in its upper row blocks,
-    each block adding its rows' share to the column sums and, mirrored,
-    its columns' share to its own diagonal block's columns.  The fit runs
+    weights of the columns cancel; ``_one_norm`` reads it.  The fit runs
     on the times scaled by a power of two into [1/2, 1), which keeps t^2
     finite for every finite time and, where t^2 was finite and normal
     before, gives the same slope to the bit.
@@ -246,18 +245,12 @@ def measure_alpha(s: SpectralData, t_grid) -> AlphaFit:
     if t.size < 3 or not np.all(np.isfinite(t) & (t > 0)) or np.any(np.diff(t) <= 0):
         raise ValueError(f"degenerate t_grid {tuple(map(float, t))}: "
                          "need >= 3 finite, positive, increasing times")
-    w = s.weights
     norms = []
     for ti in t:
         # Capping t * lambda at _EXP_ZERO keeps it finite and changes no
         # factor; below t = 1 the product cannot overflow.
         f = np.exp(-ti * np.minimum(s.eigenvalues, _EXP_ZERO / ti if ti > 1.0 else np.inf))
-        col = np.zeros(s.dim)
-        for i0, i1, B in s.row_blocks(f):
-            np.abs(B, out=B)
-            col[i0:] += w[i0:i1] @ B
-            col[i0:i1] += B[:, i1 - i0:] @ w[i1:]
-        norms.append(float(col.max(initial=0.0)))
+        norms.append(_one_norm(s, f))
     norms = np.asarray(norms)
     logs = np.log(np.maximum(norms, 1e-300))
     scale = math.frexp(t[-1])[1]
@@ -307,16 +300,16 @@ def decay_rate(alpha, tau, p):
 def projector_norm_profile(s: SpectralData, p_grid, seed: int = 0) -> list[dict]:
     """Brackets on the p->p norms of the harmonic projector of s.
 
-    H is a W-orthogonal projector, so its 2->2 norm is exactly 1 when the
-    kernel is nonzero and 0 otherwise; no SVD is needed for it.  H is
-    passed as its rank-k factor H = V_k (W V_k)^T, k the kernel dimension:
-    the exact 1 and inf endpoints read it a block of rows at a time, and
-    the power method runs through the two factors.
+    H = V_k V_k^T W, k the kernel dimension, is a W-orthogonal projector:
+    its 2->2 norm is 1 (0 on a trivial kernel), and, W-self-adjoint, its
+    1->1 and inf->inf norms are one number, read once by ``_one_norm`` in
+    k-wide row blocks.  The power method runs through H's factors.
     """
     ps = [float(p) for p in p_grid]
-    Vk = s.kernel_basis()
-    brackets = _brackets(_Factored(Vk, Vk * s.weights[:, None]), ps, s.weights, s.weights,
-                         iters=64, seed=seed, norm2=1.0 if s.kernel_dim else 0.0)
+    Vk, w = s.kernel_basis(), s.weights
+    end = _one_norm(s, np.ones(s.kernel_dim))
+    brackets = _brackets(_Factored(Vk, Vk * w[:, None]), ps, w, w, iters=64, seed=seed,
+                         ends={1.0: end, 2.0: 1.0 if s.kernel_dim else 0.0, math.inf: end})
     return [{"p": p, "lower": lo, "upper": hi} for p, (lo, hi) in zip(ps, brackets)]
 
 
@@ -409,10 +402,11 @@ def _distance_keys(labels, near, verts, i0: int, i1: int) -> np.ndarray:
     (nv + 1) times the component of i, so one reduction bins every
     component.  ``verts`` holds the vertex ranks of each simplex.
     """
-    key = near[verts[i0:i1, 0], i0:].astype(np.intp)
+    dtype = np.int32 if (near.shape[0] + 1) ** 2 < 2 ** 31 else np.intp  # keys < (nv + 1)^2
+    key = near[verts[i0:i1, 0], i0:].astype(dtype, copy=False)
     for a in range(1, verts.shape[1]):
         np.minimum(key, near[verts[i0:i1, a], i0:], out=key)
-    key += (near.shape[0] + 1) * labels[verts[i0:i1, 0], None].astype(np.intp)
+    key += (near.shape[0] + 1) * labels[verts[i0:i1, 0], None].astype(dtype, copy=False)
     return key
 
 

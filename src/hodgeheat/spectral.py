@@ -20,7 +20,6 @@ is W-self-adjoint with spectrum in [0, b], |T_k(Y)|_W <= 1, so the sum
 of the dropped |coefficients| bounds the truncation error in the W-norm.
 """
 
-import hashlib
 import json
 import math
 import os
@@ -49,6 +48,7 @@ RANK_TOL = 1e-10
 # buffer, and its product is still wide enough for BLAS to run it at full
 # GEMM speed, as fast as the whole-matrix SYRK it replaces.
 _ROW_BLOCK = 128
+_BELOW = np.tri(_ROW_BLOCK, k=-1, dtype=bool)  # where row_blocks mirrors a block
 
 
 @dataclass
@@ -89,18 +89,18 @@ class SpectralData:
     def row_blocks(self, f: np.ndarray):
         """The upper row blocks (i0, i1, B) of S = V diag(f) V^T, one at a time.
 
-        B = S[i0:i1, i0:], rows i0:i1 and columns i0:n, is one product
-        (V[i0:i1] * f) @ V[i0:]^T on the held eigencochains, in a buffer of
-        its own.  Its leading square block's upper triangle is copied onto
-        its lower one, so the S read through the blocks is exactly
-        symmetric.  The blocks cover the upper triangle of S once.
+        V is the first ``f.size`` eigencochains; the kernel's come first, so
+        a length-k f reads S = V_k V_k^T in k-wide products.  B = S[i0:i1, i0:]
+        is one product (V[i0:i1] * f) @ V[i0:]^T in a buffer of its own, its
+        leading square block mirrored from its upper triangle, so S is read
+        exactly symmetric.  The blocks cover its upper triangle once.
         """
-        V = self.eigencochains
+        V = self.eigencochains[:, : f.size]
         for i0 in range(0, self.dim, _ROW_BLOCK):
             i1 = min(i0 + _ROW_BLOCK, self.dim)
             B = (V[i0:i1] * f) @ V[i0:].T
-            lower = np.tril_indices(i1 - i0, -1)
-            B[lower] = B.T[lower]
+            D = B[:, : i1 - i0]
+            np.copyto(D, D.T, where=_BELOW[: i1 - i0, : i1 - i0])
             yield i0, i1, B
 
     def function_matrix(self, func) -> np.ndarray:
@@ -409,6 +409,7 @@ def harmonic_part(s: SpectralData, values: np.ndarray) -> np.ndarray:
 # Spectral cache keyed by a content hash of (complex, degree, weights, RANK_TOL).
 
 def complex_content_hash(K: SimplicialComplex, degree: int) -> str:
+    import hashlib  # imported here: it would otherwise load at every start-up
     doc = {
         "degree": int(degree),
         "tol": repr(RANK_TOL),  # once an argument; kept so cache file names stay
@@ -445,20 +446,24 @@ def cached_laplacian_spectrum(K: SimplicialComplex, ell: int, cache_dir: str) ->
 
     A hit is held in K as ``laplacian_spectrum`` holds what it builds, so
     later calls of either return it.  An entry that does not load, or that
-    is not a degree-ell spectrum on K's simplices in K's weights, is a
-    miss, and is overwritten with ``laplacian_spectrum(K, ell)``, the
-    spectrum K holds or builds.  An entry keeps the bits it was written
-    with, so entries of eigh's degree-1 spectra from before the lift still
-    hit.
+    is not a degree-ell spectrum on K's n simplices in K's weights (n finite
+    eigenvalues, n x n finite eigencochains, a kernel of 0 to n), is a miss,
+    and is overwritten with ``laplacian_spectrum(K, ell)``, the spectrum K
+    holds or builds.  An entry keeps the bits it was written with, so
+    entries of eigh's degree-1 spectra from before the lift still hit.
     """
     os.makedirs(cache_dir, exist_ok=True)
     path = os.path.join(cache_dir, complex_content_hash(K, ell) + ".npz")
+    n = K.n_simplices(ell)
     try:
         s = load_spectral_data(path)
-    except Exception:  # missing, empty or truncated: numpy raises many kinds
-        s = None
-    if (s is not None and s.degree == ell and s.dim == K.n_simplices(ell)
-            and np.array_equal(s.weights, K.weights[ell])):
+        hit = (s.degree == ell and np.shape(s.eigenvalues) == (n,)
+               and np.shape(s.eigencochains) == (n, n) and 0 <= s.kernel_dim <= n
+               and np.array_equal(s.weights, K.weights[ell])
+               and np.isfinite(s.eigenvalues).all() and np.isfinite(s.eigencochains).all())
+    except Exception:  # missing, empty, truncated or of other types: numpy raises many kinds
+        hit = False
+    if hit:
         return _hold(K, ell, s)
     s = laplacian_spectrum(K, ell)
     save_spectral_data(s, path)

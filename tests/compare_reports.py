@@ -10,8 +10,10 @@ to ``[]``, except that an entry with a "name" (a check) is keyed by it,
 as in ``checks[uniqueness_dual_route].value``.  Then lists every report
 whose top-level ``ok`` changed, every file of ``reports/`` or ``cli/``
 present on one side only, and every one whose bytes differ (for ``cli/``,
-a run's stdout, stderr or exit code).  Exits 1 when it lists anything,
-else 0, so it exits 0 exactly when ``diff -r`` over both is empty.
+a run's stdout, stderr or exit code).  Last, for each side, it prints how
+many ``interval.profile`` rows have ``lower > upper`` (ROADMAP D8).  Exits
+1 when it lists any difference, else 0, so it exits 0 exactly when
+``diff -r`` over both is empty.
 pytest does not collect this file.
 """
 
@@ -52,6 +54,16 @@ def _names(root, sub):
 def _bytes(root, sub, name):
     with open(os.path.join(root, sub, name), "rb") as fh:
         return fh.read()
+
+
+def crossings(root) -> int:
+    """The ``interval.profile`` rows with ``lower > upper`` over the reports of root."""
+    count = 0
+    for name in _names(root, "reports"):
+        with open(os.path.join(root, "reports", name), encoding="utf-8") as fh:
+            rows = (json.load(fh).get("interval") or {}).get("profile") or []
+        count += sum(row["lower"] > row["upper"] for row in rows)
+    return count
 
 
 def compare(old_dir, new_dir):
@@ -102,6 +114,7 @@ def main(old_dir, new_dir) -> int:
         print(f"on one side only: {name}")
     for name in byte_changes:
         print(f"bytes differ: {name}")
+    print(f"profile rows with lower > upper: {crossings(old_dir)} -> {crossings(new_dir)}")
     return int(bool(table or ok_changes or one_sided or byte_changes))
 
 

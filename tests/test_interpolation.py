@@ -53,6 +53,7 @@ from hodgeheat import library as lib
 from hodgeheat.cli import RunConfig, run_pipeline
 from hodgeheat.complexes import _SparseOperator, _vertex_ranks
 from hodgeheat.interpolation import (
+    _P_SAMPLES,
     _distance_keys,
     _Factored,
     _hop_distances,
@@ -112,19 +113,6 @@ class TestExactExtremes:
             lhs = opnorm_exact_extremes(A, 1, w_dom, w_cod)
             rhs = opnorm_exact_extremes(adj, math.inf, w_cod, w_dom)
             assert lhs == rhs
-
-    @pytest.mark.parametrize("shape", [(300, 200), (90, 40), (128, 257)])
-    def test_factored_operator_matches_its_dense_matrix(self, shape):
-        # A _Factored operator is read a block of rows at a time, with
-        # the weights applied to the column sums instead of the entries:
-        # equal to rounding, across several blocks and a short last one.
-        rng = np.random.default_rng(7)
-        left, right = rng.normal(size=(shape[0], 3)), rng.normal(size=(shape[1], 3))
-        w_cod, w_dom = rng.uniform(0.1, 10.0, shape[0]), rng.uniform(0.1, 10.0, shape[1])
-        for p in (1, math.inf):
-            dense = opnorm_exact_extremes(left @ right.T, p, w_dom, w_cod)
-            factored = opnorm_exact_extremes(_Factored(left, right), p, w_dom, w_cod)
-            assert factored == pytest.approx(dense, rel=1e-14, abs=0.0)
 
 
 class TestPowerMethod:
@@ -577,9 +565,23 @@ def _block_keys(K, ell):
     for i0 in range(0, n, _ROW_BLOCK):
         i1 = min(i0 + _ROW_BLOCK, n)
         rows = _distance_keys(labels, near, verts, i0, i1)
-        assert rows.dtype == np.intp
+        assert rows.dtype == np.int32
         key[i0:i1, i0:] = np.where(np.tri(i1 - i0, n - i0, -1, dtype=bool), -1, rows)
     return key
+
+
+@pytest.mark.parametrize("nv, dtype", [(46339, np.int32), (46340, np.intp)])
+def test_distance_keys_leave_int32_only_past_its_range(nv, dtype):
+    # The largest key, nv + (nv + 1) (nv - 1) at distance nv in the last
+    # component, is below (nv + 1)^2: int32 holds every key while that is
+    # below 2^31, and the keys are exact on both sides of the switch.
+    near = np.full((nv, 2), nv, dtype=np.int32)
+    near[-1, 0] = 1
+    labels = np.arange(nv, dtype=np.int32)
+    verts = np.array([[nv - 1], [0]])
+    key = _distance_keys(labels, near, verts, 0, 2)
+    assert key.dtype == dtype
+    assert key.tolist() == [[(nv + 1) * (nv - 1) + 1, (nv + 1) * (nv - 1) + nv], [nv, nv]]
 
 
 _BLOCK_KEY_CASES = _ORACLE_CASES + [("torus_20x20", lib.flat_torus(20, 20), 1)]
@@ -855,27 +857,26 @@ class TestBracketsShareEndpoints:
     def check_profile_against_dense_brackets(self, K, ell, s):
         # Oracle: one opnorm_bracket call per p on the dense projector, with
         # the closed-form 2-norm as the p = 2 row and interpolation endpoint.
-        # The profile reads H through its rank-k factor, a block of rows at
-        # a time, so its endpoints and lower bounds match the dense ones up
-        # to rounding only; its upper bounds are exactly the interpolation
-        # between the factored endpoints.
+        # The profile reads H's 1->1 and inf->inf norms as one number, off
+        # the k-wide row blocks of V_k V_k^T, so it matches both dense
+        # endpoints, and the lower bounds the dense ones, up to rounding
+        # only; its upper bounds are exactly the interpolation between that
+        # number and the 2-norm.
         H, w = harmonic_projector(s), s.weights
-        Vk = s.kernel_basis()
-        factored = _Factored(Vk, Vk * w[:, None])
         norm2 = 1.0 if s.kernel_dim else 0.0
         rows = projector_norm_profile(s, self.GRID)
         assert [row["p"] for row in rows] == list(self.GRID)
+        end = rows[0]["upper"]
+        for p in (1, math.inf):
+            assert end == pytest.approx(opnorm_exact_extremes(H, p, w, w), rel=1e-13, abs=0.0)
         for p, row in zip(self.GRID, rows):
             lo, hi = opnorm_bracket(H, p, w, w)
             if p == 2.0:
                 assert row == {"p": p, "lower": norm2, "upper": norm2}
                 continue
             if 1.0 < p < math.inf:
-                end = 1.0 if p < 2 else math.inf
-                m0 = opnorm_exact_extremes(factored, end, w, w)
-                assert m0 == pytest.approx(opnorm_exact_extremes(H, end, w, w), rel=1e-13)
                 theta = 2 - 2 / p if p < 2 else 1 - 2 / p
-                m0, m1 = (m0, norm2) if p < 2 else (norm2, m0)
+                m0, m1 = (end, norm2) if p < 2 else (norm2, end)
                 assert row["upper"] == (m0 ** (1 - theta) * m1 ** theta if m0 and m1 else 0.0)
                 assert row["upper"] == pytest.approx(hi, rel=1e-13, abs=0.0)
                 assert row["lower"] == pytest.approx(lo, rel=1e-12, abs=0.0)
@@ -883,9 +884,8 @@ class TestBracketsShareEndpoints:
                 # the dense lower bound, too, lands a few ulps above upper.
                 assert row["lower"] <= row["upper"] * (1.0 + 1e-12)
                 continue
-            exact = opnorm_exact_extremes(factored, p, w, w)
-            assert row == {"p": p, "lower": exact, "upper": exact}
-            assert exact == pytest.approx(lo, rel=1e-13, abs=0.0) and lo == hi
+            assert row == {"p": p, "lower": end, "upper": end}
+            assert end == pytest.approx(lo, rel=1e-13, abs=0.0) and lo == hi
 
     @pytest.mark.parametrize("name, K", NAMED, ids=NAMED_IDS)
     def test_profile_rows_equal_per_p_brackets(self, name, K):
@@ -898,6 +898,29 @@ class TestBracketsShareEndpoints:
         K = log_uniform_weights(K, seed)
         for ell in all_degrees(K):
             self.check_profile_against_dense_brackets(K, ell, laplacian_spectrum(K, ell))
+
+    def test_endpoint_is_read_once_in_kernel_wide_blocks(self, monkeypatch):
+        # One walk gives both the 1 and the inf endpoint: one row-block pass
+        # whose f has one entry per kernel direction.
+        s = laplacian_spectrum(lib.flat_torus(6, 6), 1)
+        walks = count_calls(monkeypatch, "_one_norm", hodgeheat.interpolation)
+        passes = count_calls(monkeypatch, "row_blocks", SpectralData)
+        projector_norm_profile(s, self.GRID)
+        assert len(walks) == 1 and [args[1].size for args in passes] == [s.kernel_dim]
+        assert np.array_equal(walks[0][1], np.ones(s.kernel_dim))
+
+    @pytest.mark.parametrize("seed", [None, 3, 4])
+    @pytest.mark.parametrize("name, K", NAMED, ids=NAMED_IDS)
+    def test_conjugate_rows_share_their_upper_bound(self, name, K, seed):
+        # H is W-self-adjoint, so p and p' have one bracket: the two upper
+        # bounds interpolate the one endpoint with exponents that agree up
+        # to the rounding of theta, a few ulps.
+        K = K if seed is None else log_uniform_weights(K, seed)
+        for ell in all_degrees(K):
+            rows = {r["p"]: r["upper"]
+                    for r in projector_norm_profile(laplacian_spectrum(K, ell), _P_SAMPLES)}
+            for p, q in ((4.0 / 3.0, 4.0), (1.5, 3.0)):
+                assert abs(rows[p] - rows[q]) <= 4 * np.spacing(max(rows[p], rows[q]))
 
     @pytest.mark.parametrize("name, K", NAMED, ids=NAMED_IDS)
     def test_projector_norm2_closed_form_matches_svd(self, name, K):
@@ -952,10 +975,10 @@ class TestInterpolationReport:
     def test_pipeline_work_counts(self, tmp_path, monkeypatch):
         # Every operator once: no SVD, since the Betti numbers are exact
         # ranks over F_p; one eigh each for degrees 0 and 2, and degree 1
-        # lifted from them with one QR for its kernel; one pass over the
-        # row blocks of each of alpha's five heat matrices and of the two
-        # kernel-decay matrices, and no whole matrix; one hop-distance pass
-        # for the whole report.
+        # lifted from them with one QR for its kernel; one n-wide pass over
+        # the row blocks of each of alpha's five heat matrices and of the
+        # two kernel-decay matrices, one b1-wide pass over the projector's,
+        # and no whole matrix; one hop-distance pass for the whole report.
         K = lib.flat_torus(6, 6)
         path = tmp_path / "torus.json"
         path.write_text(json.dumps(complex_to_json_dict(K)))
@@ -965,7 +988,7 @@ class TestInterpolationReport:
         matrices = count_calls(monkeypatch, "function_matrix", SpectralData)
         passes = count_calls(monkeypatch, "row_blocks", SpectralData)
         made = {}  # stage -> the row-block passes made inside it
-        for stage in ("measure_alpha", "kernel_decay_fit"):
+        for stage in ("measure_alpha", "kernel_decay_fit", "projector_norm_profile"):
             def tally(*args, _stage=stage, _run=getattr(hodgeheat.interpolation, stage), **kw):
                 start = len(passes)
                 out = _run(*args, **kw)
@@ -986,10 +1009,11 @@ class TestInterpolationReport:
         report, code = run_pipeline(RunConfig(input_path=str(path), p_list=()))
         assert code == 0 and report["ok"]
         assert (len(svds), len(qrs), len(eighs), len(matrices), len(hops)) == (0, 1, 2, 0, 1)
-        assert made == {"measure_alpha": 5, "kernel_decay_fit": 2} and len(passes) == 7
+        n, b1 = K.n_simplices(1), report["betti"][1]
+        assert made == {"measure_alpha": 5, "kernel_decay_fit": 2, "projector_norm_profile": 1}
+        assert sorted(args[1].size for args in passes) == [b1] + [n] * 7
         # The projector brackets iterate through the rank-b1 factor of H:
         # no n x n matrix reaches the power method.
-        n, b1 = K.n_simplices(1), report["betti"][1]
         assert powers and all(isinstance(args[0], _Factored) for args in powers)
         assert {(args[0].left.shape, args[0].right.shape) for args in powers} == {((n, b1),) * 2}
         # The full report builds route A once: verify_uniqueness compares

@@ -1,6 +1,7 @@
 """Parsers, report emission, schema validation, and the CLI surface."""
 
 import ctypes
+import dataclasses
 import functools
 import json
 import math
@@ -423,6 +424,30 @@ class TestCli:
         assert result.stdout.replace(json.dumps(str(cache)), "null") == uncached.stdout
         held = hodgeheat.spectral.load_spectral_data(str(entry))
         assert held.dim == 108 and np.array_equal(held.weights, K.weights[1])
+
+    @pytest.mark.parametrize("spoil", [
+        lambda s: dataclasses.replace(s, eigencochains=s.eigencochains[:, :3]),
+        lambda s: dataclasses.replace(s, eigenvalues=np.where(np.arange(s.dim) == 5, np.nan,
+                                                              s.eigenvalues))],
+        ids=["cut_eigencochains", "nan_eigenvalue"])
+    @pytest.mark.parametrize("command", ["spectrum", "report"])
+    def test_cache_entry_that_does_not_fit_is_recomputed(self, tmp_path, command, spoil):
+        # K's own degree-1 spectrum under K's name, but with eigencochains of
+        # shape (108, 3) or a NaN eigenvalue: a miss, overwritten with K's.
+        K = lib.flat_torus(6, 6)
+        path = tmp_path / "torus.json"
+        path.write_text(json.dumps(complex_to_json_dict(K)))
+        cache = tmp_path / "cache"
+        cache.mkdir()
+        entry = cache / f"{hodgeheat.spectral.complex_content_hash(K, 1)}.npz"
+        hodgeheat.spectral.save_spectral_data(spoil(laplacian_spectrum(K, 1)), str(entry))
+        runner = CliRunner()
+        uncached = runner.invoke(main, [command, str(path)])
+        result = runner.invoke(main, [command, str(path), "--cache-dir", str(cache)])
+        assert result.exit_code == uncached.exit_code == 0, result.output
+        assert result.stdout.replace(json.dumps(str(cache)), "null") == uncached.stdout
+        held = hodgeheat.spectral.load_spectral_data(str(entry))
+        assert held.eigencochains.shape == (108, 108) and np.isfinite(held.eigenvalues).all()
 
     def test_warm_cache_report_builds_no_spectrum(self, tmp_path, monkeypatch):
         # Every degree's entry hits and K holds it, so no stage runs an eigh
@@ -952,7 +977,22 @@ class TestCompareReports:
     def test_equal_trees_exit_0(self, tmp_path, capsys):
         old, new = _corpus_tree(tmp_path / "old"), _corpus_tree(tmp_path / "new")
         assert compare_reports.main(old, new) == 0
-        assert capsys.readouterr().out == "path  reports  largest relative move\n"
+        assert capsys.readouterr().out == ("path  reports  largest relative move\n"
+                                           "profile rows with lower > upper: 0 -> 0\n")
+
+    def test_crossing_rows_are_counted_on_each_side(self, tmp_path, capsys):
+        # ROADMAP D8's count: a profile row whose lower bound passes its
+        # upper one, by an ulp here, is counted; the exit code reads only
+        # the differences.
+        rows = [{"p": 1.5, "lower": 1.0, "upper": 1.0 - 2.0 ** -53},
+                {"p": 3.0, "lower": 1.0, "upper": 1.0}]
+        old, new = _corpus_tree(tmp_path / "old"), _corpus_tree(tmp_path / "new")
+        for root in (old, new):
+            Path(root, "reports", "c3-0.json").write_text(
+                json.dumps(dict(_REPORT, interval={"profile": rows})))
+        assert compare_reports.main(old, new) == 0
+        assert capsys.readouterr().out.endswith("profile rows with lower > upper: 1 -> 1\n")
+        assert compare_reports.crossings(old) == 1
 
     @pytest.mark.parametrize("change", _TREE_CHANGES)
     def test_any_difference_exits_1(self, tmp_path, capsys, change):

@@ -803,14 +803,8 @@ class TestFunctionMatrix:
         with pytest.raises(ValueError, match=">= 0 on the spectrum"):
             s.function_matrix(func)
 
-    @pytest.mark.parametrize("nx", [6, 12])
-    def test_row_blocks_tile_one_exactly_symmetric_core(self, nx):
-        # The blocks cover the upper triangle once, each diagonal block is
-        # exactly symmetric, and function_matrix is that core times W, bit
-        # for bit.  The 12x12 torus spans four blocks, the last one short.
-        K = log_uniform_weights(lib.flat_torus(nx, nx), 5)
-        s = laplacian_spectrum(K, 1)
-        f = np.exp(-0.7 * s.eigenvalues)
+    @staticmethod
+    def _tiled(s, f):
         S, starts = np.full((s.dim, s.dim), np.nan), []
         for i0, i1, B in s.row_blocks(f):
             assert B.shape == (i1 - i0, s.dim - i0) and i1 - i0 <= _ROW_BLOCK
@@ -820,10 +814,25 @@ class TestFunctionMatrix:
             starts.append(i0)
         assert starts == list(range(0, s.dim, _ROW_BLOCK)) and not np.isnan(S).any()
         assert np.array_equal(S, S.T)
+        return S
+
+    @pytest.mark.parametrize("nx", [6, 12])
+    def test_row_blocks_tile_one_exactly_symmetric_core(self, nx):
+        # The blocks cover the upper triangle once, each diagonal block is
+        # exactly symmetric, and function_matrix is that core times W, bit
+        # for bit.  The 12x12 torus spans four blocks, the last one short.
+        K = log_uniform_weights(lib.flat_torus(nx, nx), 5)
+        s = laplacian_spectrum(K, 1)
+        S = self._tiled(s, np.exp(-0.7 * s.eigenvalues))
         assert np.array_equal(s.function_matrix(lambda lam: np.exp(-0.7 * lam)),
                               S * s.weights[None, :])
         reference = general_product(s, lambda lam: np.exp(-0.7 * lam))
         assert np.max(np.abs(S * s.weights - reference)) <= 1e-13 * np.max(np.abs(reference))
+        # A length-k f reads the first k eigencochains only, the kernel's:
+        # S = V_k V_k^T, as exactly symmetric, in k-wide products.
+        Vk = s.kernel_basis()
+        S = self._tiled(s, np.ones(s.kernel_dim))
+        assert s.kernel_dim == 2 and np.max(np.abs(S - Vk @ Vk.T)) <= 1e-14 * np.max(np.abs(S))
 
     def test_function_zero_on_the_spectrum_gives_zero(self):
         s = laplacian_spectrum(lib.cycle_complex(3), 1)
