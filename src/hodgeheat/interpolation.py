@@ -402,11 +402,10 @@ def _distance_keys(labels, near, verts, i0: int, i1: int) -> np.ndarray:
     (nv + 1) times the component of i, so one reduction bins every
     component.  ``verts`` holds the vertex ranks of each simplex.
     """
-    dtype = np.int32 if (near.shape[0] + 1) ** 2 < 2 ** 31 else np.intp  # keys < (nv + 1)^2
-    key = near[verts[i0:i1, 0], i0:].astype(dtype, copy=False)
+    key = near[verts[i0:i1, 0], i0:].astype(np.intp)
     for a in range(1, verts.shape[1]):
         np.minimum(key, near[verts[i0:i1, a], i0:], out=key)
-    key += (near.shape[0] + 1) * labels[verts[i0:i1, 0], None].astype(dtype, copy=False)
+    key += (near.shape[0] + 1) * labels[verts[i0:i1, 0], None].astype(np.intp)
     return key
 
 

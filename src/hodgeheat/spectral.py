@@ -447,20 +447,21 @@ def cached_laplacian_spectrum(K: SimplicialComplex, ell: int, cache_dir: str) ->
     A hit is held in K as ``laplacian_spectrum`` holds what it builds, so
     later calls of either return it.  An entry that does not load, or that
     is not a degree-ell spectrum on K's n simplices in K's weights (n finite
-    eigenvalues, n x n finite eigencochains, a kernel of 0 to n), is a miss,
-    and is overwritten with ``laplacian_spectrum(K, ell)``, the spectrum K
-    holds or builds.  An entry keeps the bits it was written with, so
-    entries of eigh's degree-1 spectra from before the lift still hit.
+    eigenvalues, the first k = kernel_dim zero, the gap eigenvalue k or +inf
+    at k = n, n x n finite eigencochains, an int k in 0..n), is a miss,
+    overwritten with K's ``laplacian_spectrum``.  An entry keeps the bits it
+    was written with: eigh's degree-1 entries from before the lift still hit.
     """
     os.makedirs(cache_dir, exist_ok=True)
     path = os.path.join(cache_dir, complex_content_hash(K, ell) + ".npz")
     n = K.n_simplices(ell)
     try:
         s = load_spectral_data(path)
-        hit = (s.degree == ell and np.shape(s.eigenvalues) == (n,)
-               and np.shape(s.eigencochains) == (n, n) and 0 <= s.kernel_dim <= n
-               and np.array_equal(s.weights, K.weights[ell])
-               and np.isfinite(s.eigenvalues).all() and np.isfinite(s.eigencochains).all())
+        k, lam = s.kernel_dim, s.eigenvalues
+        hit = (s.degree == ell and np.shape(lam) == (n,) and np.shape(s.eigencochains) == (n, n)
+               and type(k) is int and 0 <= k <= n and np.array_equal(s.weights, K.weights[ell])
+               and np.isfinite(lam).all() and np.isfinite(s.eigencochains).all()
+               and not lam[:k].any() and s.gap == (lam[k] if k < n else math.inf))
     except Exception:  # missing, empty, truncated or of other types: numpy raises many kinds
         hit = False
     if hit:

@@ -565,23 +565,9 @@ def _block_keys(K, ell):
     for i0 in range(0, n, _ROW_BLOCK):
         i1 = min(i0 + _ROW_BLOCK, n)
         rows = _distance_keys(labels, near, verts, i0, i1)
-        assert rows.dtype == np.int32
+        assert rows.dtype == np.intp
         key[i0:i1, i0:] = np.where(np.tri(i1 - i0, n - i0, -1, dtype=bool), -1, rows)
     return key
-
-
-@pytest.mark.parametrize("nv, dtype", [(46339, np.int32), (46340, np.intp)])
-def test_distance_keys_leave_int32_only_past_its_range(nv, dtype):
-    # The largest key, nv + (nv + 1) (nv - 1) at distance nv in the last
-    # component, is below (nv + 1)^2: int32 holds every key while that is
-    # below 2^31, and the keys are exact on both sides of the switch.
-    near = np.full((nv, 2), nv, dtype=np.int32)
-    near[-1, 0] = 1
-    labels = np.arange(nv, dtype=np.int32)
-    verts = np.array([[nv - 1], [0]])
-    key = _distance_keys(labels, near, verts, 0, 2)
-    assert key.dtype == dtype
-    assert key.tolist() == [[(nv + 1) * (nv - 1) + 1, (nv + 1) * (nv - 1) + nv], [nv, nv]]
 
 
 _BLOCK_KEY_CASES = _ORACLE_CASES + [("torus_20x20", lib.flat_torus(20, 20), 1)]
@@ -899,16 +885,6 @@ class TestBracketsShareEndpoints:
         for ell in all_degrees(K):
             self.check_profile_against_dense_brackets(K, ell, laplacian_spectrum(K, ell))
 
-    def test_endpoint_is_read_once_in_kernel_wide_blocks(self, monkeypatch):
-        # One walk gives both the 1 and the inf endpoint: one row-block pass
-        # whose f has one entry per kernel direction.
-        s = laplacian_spectrum(lib.flat_torus(6, 6), 1)
-        walks = count_calls(monkeypatch, "_one_norm", hodgeheat.interpolation)
-        passes = count_calls(monkeypatch, "row_blocks", SpectralData)
-        projector_norm_profile(s, self.GRID)
-        assert len(walks) == 1 and [args[1].size for args in passes] == [s.kernel_dim]
-        assert np.array_equal(walks[0][1], np.ones(s.kernel_dim))
-
     @pytest.mark.parametrize("seed", [None, 3, 4])
     @pytest.mark.parametrize("name, K", NAMED, ids=NAMED_IDS)
     def test_conjugate_rows_share_their_upper_bound(self, name, K, seed):
@@ -978,7 +954,8 @@ class TestInterpolationReport:
         # lifted from them with one QR for its kernel; one n-wide pass over
         # the row blocks of each of alpha's five heat matrices and of the
         # two kernel-decay matrices, one b1-wide pass over the projector's,
-        # and no whole matrix; one hop-distance pass for the whole report.
+        # which gives its 1 and inf endpoints in one walk, and no whole
+        # matrix; one hop-distance pass for the whole report.
         K = lib.flat_torus(6, 6)
         path = tmp_path / "torus.json"
         path.write_text(json.dumps(complex_to_json_dict(K)))
@@ -987,6 +964,7 @@ class TestInterpolationReport:
         eighs = count_calls(monkeypatch, "eigh", np.linalg)
         matrices = count_calls(monkeypatch, "function_matrix", SpectralData)
         passes = count_calls(monkeypatch, "row_blocks", SpectralData)
+        walks = count_calls(monkeypatch, "_one_norm", hodgeheat.interpolation)
         made = {}  # stage -> the row-block passes made inside it
         for stage in ("measure_alpha", "kernel_decay_fit", "projector_norm_profile"):
             def tally(*args, _stage=stage, _run=getattr(hodgeheat.interpolation, stage), **kw):
@@ -1012,6 +990,8 @@ class TestInterpolationReport:
         n, b1 = K.n_simplices(1), report["betti"][1]
         assert made == {"measure_alpha": 5, "kernel_decay_fit": 2, "projector_norm_profile": 1}
         assert sorted(args[1].size for args in passes) == [b1] + [n] * 7
+        assert sorted(args[1].size for args in walks) == [b1] + [n] * 5
+        assert sum(np.array_equal(args[1], np.ones(b1)) for args in walks) == 1
         # The projector brackets iterate through the rank-b1 factor of H:
         # no n x n matrix reaches the power method.
         assert powers and all(isinstance(args[0], _Factored) for args in powers)

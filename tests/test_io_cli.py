@@ -428,12 +428,19 @@ class TestCli:
     @pytest.mark.parametrize("spoil", [
         lambda s: dataclasses.replace(s, eigencochains=s.eigencochains[:, :3]),
         lambda s: dataclasses.replace(s, eigenvalues=np.where(np.arange(s.dim) == 5, np.nan,
-                                                              s.eigenvalues))],
-        ids=["cut_eigencochains", "nan_eigenvalue"])
+                                                              s.eigenvalues)),
+        lambda s: dataclasses.replace(s, gap=math.nan),
+        lambda s: dataclasses.replace(s, gap=2.0 * s.gap),
+        lambda s: dataclasses.replace(s, kernel_dim=float(s.kernel_dim)),
+        lambda s: dataclasses.replace(s, kernel_dim=s.kernel_dim + 1)],
+        ids=["cut_eigencochains", "nan_eigenvalue", "nan_gap", "gap_off_the_spectrum",
+             "float_kernel_dim", "kernel_past_the_zeros"])
     @pytest.mark.parametrize("command", ["spectrum", "report"])
     def test_cache_entry_that_does_not_fit_is_recomputed(self, tmp_path, command, spoil):
         # K's own degree-1 spectrum under K's name, but with eigencochains of
-        # shape (108, 3) or a NaN eigenvalue: a miss, overwritten with K's.
+        # shape (108, 3), a NaN eigenvalue or gap, a gap or a kernel_dim that
+        # disagrees with the eigenvalues, or a float kernel_dim: a miss,
+        # overwritten with K's.
         K = lib.flat_torus(6, 6)
         path = tmp_path / "torus.json"
         path.write_text(json.dumps(complex_to_json_dict(K)))
@@ -448,6 +455,7 @@ class TestCli:
         assert result.stdout.replace(json.dumps(str(cache)), "null") == uncached.stdout
         held = hodgeheat.spectral.load_spectral_data(str(entry))
         assert held.eigencochains.shape == (108, 108) and np.isfinite(held.eigenvalues).all()
+        assert held.kernel_dim == 2 and held.gap == held.eigenvalues[2] > 0
 
     def test_warm_cache_report_builds_no_spectrum(self, tmp_path, monkeypatch):
         # Every degree's entry hits and K holds it, so no stage runs an eigh
