@@ -44,6 +44,8 @@ class RunConfig:
                 raise ValueError(f"p = {p} outside [1, inf]")
         if not 0 < self.error_target <= 1e-2:
             raise ValueError("error_target must lie in (0, 1e-2]")
+        if self.seed < 0:
+            raise ValueError(f"seed must be a non-negative integer, got {self.seed}")
 
 
 def _spectrum_for(K, ell, cache_dir):

@@ -41,9 +41,10 @@ class SimplicialComplex:
     Immutable: tuples of simplices and of read-only weight copies, and
     read-only face tables.  So it holds what is derived from it, built on
     first use: transposed incidences (``_codifferential_apply``), Laplacians
-    (``hodge_laplacian``) and spectra, built by ``laplacian_spectrum`` or
-    loaded by ``cached_laplacian_spectrum``.  Every routine that takes a
-    complex reads the spectra it needs from there.
+    (``hodge_laplacian``), spectra, built by ``laplacian_spectrum`` or
+    loaded by ``cached_laplacian_spectrum``, and hop distances
+    (``interpolation._simplex_distances``).  Every routine that takes a
+    complex reads the spectra and distances it needs from there.
     """
 
     def __init__(self, simplices, weights):
@@ -91,6 +92,7 @@ class SimplicialComplex:
         self._transposed = {}  # filled by _codifferential_apply
         self._laplacians = {}  # filled by hodge_laplacian
         self._spectra = {}  # filled by spectral.laplacian_spectrum
+        self._distances = {}  # filled by interpolation._simplex_distances
 
     @property
     def max_degree(self) -> int:
@@ -380,7 +382,7 @@ class _SparseOperator:
         at = np.minimum(np.searchsorted(keys, mirror), keys.size - 1)
         return np.where(keys[at] == mirror, at, -1)
 
-    def symmetrized_average(self, sqrt_w: np.ndarray, degree: int) -> np.ndarray:
+    def symmetrized_average(self, sqrt_w: np.ndarray) -> np.ndarray:
         """(S_ij + S_ji) / 2 at each nonzero (i, j), S = W^(1/2) A W^(-1/2).
 
         A ValueError unless these are finite (S and each sum S_ij + S_ji)
@@ -396,7 +398,7 @@ class _SparseOperator:
             mirror = np.where(has_mirror, S[self.transpose], 0.0)  # S_ji, 0 where A_ji is
             average = S + mirror  # not finite when S is not
         if not np.isfinite(average).all():
-            raise ValueError(f"degree {degree}: the weights overflow the W^(1/2)-"
+            raise ValueError(f"degree {self.degree}: the weights overflow the W^(1/2)-"
                              "symmetrized operator (it has a non-finite entry)")
         # Every entry is divided by the largest |S_ij| before it is squared, so
         # |S - S^T| <= 1e-8 |S| is tested at any scale of S.
@@ -410,7 +412,7 @@ class _SparseOperator:
         average /= 2.0
         return average
 
-    def symmetrized_lower(self, sqrt_w: np.ndarray, degree: int) -> np.ndarray:
+    def symmetrized_lower(self, sqrt_w: np.ndarray) -> np.ndarray:
         """The lower triangle of (S + S^T) / 2, S = W^(1/2) A W^(-1/2); zeros
         above the diagonal.
 
@@ -419,7 +421,7 @@ class _SparseOperator:
         temporaries are freed on return, before ``eigh`` allocates.
         """
         rows, cols = self.rows, self.cols
-        average = self.symmetrized_average(sqrt_w, degree)
+        average = self.symmetrized_average(sqrt_w)
         # Each position on or below the diagonal once: from its own nonzero,
         # or from the transposed one when its own entry is zero.
         pick = (rows >= cols) | (self.transpose < 0)

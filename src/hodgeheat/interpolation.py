@@ -147,46 +147,26 @@ def opnorm_bracket(T, p, w_dom=None, w_cod=None, iters: int = 64,
 
     Exact at p in {1, 2, inf}; otherwise the power method supplies the
     lower bound and interpolation from the exact endpoints {1, 2} or
-    {2, inf} the upper bound.
+    {2, inf} the upper bound.  Only the endpoints p needs are computed.
     """
-    return _brackets(T, (p,), w_dom, w_cod, iters, seed)[0]
-
-
-def _brackets(T, p_grid, w_dom, w_cod, iters: int, seed: int,
-              ends: dict | None = None) -> list[tuple[float, float]]:
-    """``opnorm_bracket`` of one operator at every p of the grid.
-
-    ``ends`` maps the exact endpoints (1, 2, inf) the caller holds to their
-    norms; any other is computed at most once, when some p needs it, on a
-    dense T.  With all three in ``ends``, T may be a ``_Factored`` operator,
-    which the power method runs through and nothing forms.
-    """
-    A = T if isinstance(T, _Factored) else np.asarray(T, dtype=float)
+    A = np.asarray(T, dtype=float)
     w_dom, w_cod = _weight_pair(A, w_dom, w_cod)
-    exact = dict(ends or {})
+    p = float(p)
+    if p == 2.0:
+        return (_opnorm2(A, w_dom, w_cod),) * 2
+    if p == 1.0 or math.isinf(p):
+        return (opnorm_exact_extremes(A, p, w_dom, w_cod),) * 2
+    lower = opnorm_power_method(A, p, w_dom, w_cod, iters=iters, seed=seed)
+    end = opnorm_exact_extremes(A, 1.0 if p < 2.0 else math.inf, w_dom, w_cod)
+    return lower, _riesz_thorin(p, end, _opnorm2(A, w_dom, w_cod))
 
-    def endpoint(q):
-        if q not in exact:
-            exact[q] = (_opnorm2(A, w_dom, w_cod) if q == 2.0
-                        else opnorm_exact_extremes(A, q, w_dom, w_cod))
-        return exact[q]
 
-    out = []
-    for p in map(float, p_grid):
-        if p in (1.0, 2.0) or math.isinf(p):
-            out.append((endpoint(p), endpoint(p)))
-            continue
-        lower = opnorm_power_method(A, p, w_dom, w_cod, iters=iters, seed=seed)
-        # Riesz-Thorin between the two exact endpoints around p.
-        if p < 2.0:
-            m0, m1 = endpoint(1.0), endpoint(2.0)
-            theta = 2.0 - 2.0 / p  # solves 1/p = (1-theta)/1 + theta/2
-        else:
-            m0, m1 = endpoint(2.0), endpoint(math.inf)
-            theta = 1.0 - 2.0 / p  # solves 1/p = (1-theta)/2
-        upper = 0.0 if m0 == 0.0 or m1 == 0.0 else m0 ** (1 - theta) * m1 ** theta
-        out.append((lower, upper))
-    return out
+def _riesz_thorin(p: float, end: float, norm2: float) -> float:
+    """Upper bound on a p->p norm, 1 < p < inf, p != 2, interpolated between
+    its 2->2 norm and ``end``, its exact 1->1 norm below 2, inf->inf above."""
+    # theta solves 1/p = (1-theta)/1 + theta/2 below 2, 1/p = (1-theta)/2 above.
+    m0, m1, theta = (end, norm2, 2.0 - 2.0 / p) if p < 2.0 else (norm2, end, 1.0 - 2.0 / p)
+    return 0.0 if m0 == 0.0 or m1 == 0.0 else m0 ** (1 - theta) * m1 ** theta
 
 
 def _opnorm2(A: np.ndarray, w_dom: np.ndarray, w_cod: np.ndarray) -> float:
@@ -305,12 +285,17 @@ def projector_norm_profile(s: SpectralData, p_grid, seed: int = 0) -> list[dict]
     1->1 and inf->inf norms are one number, read once by ``_one_norm`` in
     k-wide row blocks.  The power method runs through H's factors.
     """
-    ps = [float(p) for p in p_grid]
     Vk, w = s.kernel_basis(), s.weights
-    end = _one_norm(s, np.ones(s.kernel_dim))
-    brackets = _brackets(_Factored(Vk, Vk * w[:, None]), ps, w, w, iters=64, seed=seed,
-                         ends={1.0: end, 2.0: 1.0 if s.kernel_dim else 0.0, math.inf: end})
-    return [{"p": p, "lower": lo, "upper": hi} for p, (lo, hi) in zip(ps, brackets)]
+    H = _Factored(Vk, Vk * w[:, None])
+    end, norm2 = _one_norm(s, np.ones(s.kernel_dim)), 1.0 if s.kernel_dim else 0.0
+    rows = []
+    for p in map(float, p_grid):
+        if p in (1.0, 2.0) or math.isinf(p):
+            lower = upper = norm2 if p == 2.0 else end
+        else:
+            lower, upper = opnorm_power_method(H, p, w, w, seed=seed), _riesz_thorin(p, end, norm2)
+        rows.append({"p": p, "lower": lower, "upper": upper})
+    return rows
 
 
 _BFS_PAIRS = 1 << 18  # (source, edge end) pairs one step of _hop_distances expands
@@ -378,20 +363,28 @@ class KernelDecayFit:
 
 
 def _simplex_distances(K: SimplicialComplex, ell: int):
-    """(labels, hops, near) shared by the kernel-decay and volume fits.
+    """(labels, hops, near) of K at degree ell, read by the kernel-decay and
+    volume fits.
 
     ``labels`` and ``hops`` are the vertex components and hop distances of
     ``_hop_distances``.  ``near[v, j]`` is the hop distance from vertex v
     to ell-simplex j, the smallest over j's vertices (the vertex count nv
     across components); ``_distance_keys`` reads the pairs of simplices
-    off it a block of rows at a time.
+    off it a block of rows at a time.  K holds them, read-only, as it holds
+    its spectra: the hop search runs once per complex, held at degree 0,
+    whose ``near`` is ``hops``, and ``near`` is built once per degree.
     """
-    labels, hops = _hop_distances(K)
-    verts = _vertex_ranks(K, ell)
-    near = hops[:, verts[:, 0]]
-    for b in range(1, ell + 1):
-        np.minimum(near, hops[:, verts[:, b]], out=near)
-    return labels, hops, near
+    held = K._distances
+    if ell not in held:
+        labels, hops = _simplex_distances(K, 0)[:2] if ell else _hop_distances(K)
+        verts = _vertex_ranks(K, ell)
+        near = hops[:, verts[:, 0]] if ell else hops
+        for b in range(1, ell + 1):
+            np.minimum(near, hops[:, verts[:, b]], out=near)
+        for a in (labels, hops, near):
+            a.flags.writeable = False
+        held.setdefault(ell, (labels, hops, near))
+    return held[ell]
 
 
 def _distance_keys(labels, near, verts, i0: int, i1: int) -> np.ndarray:
@@ -409,19 +402,17 @@ def _distance_keys(labels, near, verts, i0: int, i1: int) -> np.ndarray:
     return key
 
 
-def kernel_decay_fit(K: SimplicialComplex, ell: int, t0: float, *,
-                     distances=None) -> KernelDecayFit:
+def kernel_decay_fit(K: SimplicialComplex, ell: int, t0: float) -> KernelDecayFit:
     """Fit exp(-2 rho / t0 * distance) to the entries of Laplacian P_(t0/4).
 
-    Reads K's spectrum at the degree ell of the fit.  Distance between two
-    ell-simplices is the smallest 1-skeleton hop distance between their
-    vertex sets.  Disconnected complexes are fitted per component (entries
-    across components vanish identically); the reported rho is the most
-    conservative component value.  A bin whose
+    Reads K's spectrum and simplex distances at the degree ell of the fit.
+    Distance between two ell-simplices is the smallest 1-skeleton hop
+    distance between their vertex sets.  Disconnected complexes are fitted
+    per component (entries across components vanish identically); the
+    reported rho is the most conservative component value.  A bin whose
     largest entry is at or below n * u * max|entry| (n simplices, u the
     unit roundoff), the rounding floor of the matrix's dot products, is
-    not fitted.  ``distances`` is ``_simplex_distances(K, ell)``, computed
-    here when omitted.
+    not fitted.
 
     The matrix is S W with S = V diag(f) V^T symmetric, read in the upper
     row blocks of S.  An entry S_ij stands for the pair max(|S_ij| w_j,
@@ -432,7 +423,7 @@ def kernel_decay_fit(K: SimplicialComplex, ell: int, t0: float, *,
     if t0 <= 0:
         raise ValueError("t0 must be positive")
     s = laplacian_spectrum(K, ell)
-    labels, hops, near = distances if distances is not None else _simplex_distances(K, ell)
+    labels, hops, near = _simplex_distances(K, ell)
     verts = _vertex_ranks(K, ell)
     nv, w = hops.shape[0], s.weights
     table = np.full((labels.max() + 1, nv + 1), -1.0)  # -1: the distance does not occur
@@ -480,12 +471,11 @@ class VolumeGrowthFit:
     max_radius: int
 
 
-def volume_growth_fit(K: SimplicialComplex, *, distances=None) -> VolumeGrowthFit:
+def volume_growth_fit(K: SimplicialComplex) -> VolumeGrowthFit:
     """Exponential envelope of vertex-ball volumes in the 1-skeleton.
 
     Ball volume is the sum of vertex weights within 1-skeleton hop
-    distance r, the hop distances coming from one shortest-path pass (or
-    from ``distances``, a ``_simplex_distances`` result of K).  The
+    distance r, the hop distances K holds (see ``_simplex_distances``).  The
     constant c is pinned to the largest r = 0 ball, and gamma_vol is the
     smallest rate whose envelope dominates every center and every radius
     up to the center's eccentricity in its own component.  One
@@ -493,7 +483,7 @@ def volume_growth_fit(K: SimplicialComplex, *, distances=None) -> VolumeGrowthFi
     exact distance; a cumulative sum along the distance axis gives every
     ball volume at once.
     """
-    hops = distances[1] if distances is not None else _hop_distances(K)[1]
+    hops = _simplex_distances(K, 0)[1]
     w0 = K.weight_vector(0)
     c = float(np.max(w0))
     nv = hops.shape[0]
@@ -650,13 +640,12 @@ def interpolation_report(K: SimplicialComplex, ell: int, epsilon: float | None =
     for row, (_, g) in zip(profile, gammas):
         row["gamma"] = g
 
-    distances = _simplex_distances(K, ell)
-    vol = volume_growth_fit(K, distances=distances)
-    provisional = kernel_decay_fit(K, ell, 1.0, distances=distances)
+    vol = volume_growth_fit(K)
+    provisional = kernel_decay_fit(K, ell, 1.0)
     rho = t0 = condition = None
     if not provisional.degenerate and provisional.rho > 0:
         t0_sel = select_t0(provisional.rho, vol.gamma_vol)
-        refit = kernel_decay_fit(K, ell, t0_sel, distances=distances)
+        refit = kernel_decay_fit(K, ell, t0_sel)
         if not refit.degenerate and refit.rho > 0:
             rho = refit.rho
             t0 = select_t0(rho, vol.gamma_vol)

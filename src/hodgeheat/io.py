@@ -180,9 +180,11 @@ def parse_off(text: str) -> ParsedInput:
         raise ValueError("OFF file ends after the header")
     lineno, counts = lines[1]
     try:
-        nv, nf, _ = (int(tok) for tok in counts.split()[:3])
+        nv, nf, ne = (int(tok) for tok in counts.split()[:3])
     except ValueError:
         raise ValueError(f"line {lineno}: expected 'nv nf ne' counts") from None
+    if min(nv, nf, ne) < 0:
+        raise ValueError(f"line {lineno}: counts must be non-negative, got {nv} {nf} {ne}")
     if len(lines) < 2 + nv + nf:
         raise ValueError(f"OFF file truncated: expected {nv} vertices and {nf} faces")
 

@@ -154,7 +154,7 @@ def eigendecompose(delta, weights=None, degree: int | None = None) -> SpectralDa
     if not np.all(np.isfinite(w) & (w > 0)):
         raise ValueError("weights must be positive and finite")
     sqrt_w = np.sqrt(w)
-    evals, V = np.linalg.eigh(_SparseOperator.of(delta, degree).symmetrized_lower(sqrt_w, degree))
+    evals, V = np.linalg.eigh(_SparseOperator.of(delta, degree).symmetrized_lower(sqrt_w))
     if not np.isfinite(evals).all():
         raise ValueError(f"degree {degree}: the weights overflow the spectrum of the "
                          "W^(1/2)-symmetrized operator (it has a non-finite eigenvalue)")
@@ -207,7 +207,7 @@ def laplacian_spectrum(K: SimplicialComplex, ell: int) -> SpectralData:
         L, w = hodge_laplacian(K, ell), K.weight_vector(ell)
         sources, s = lifted_from(K, ell), None
         if sources:
-            L.symmetrized_average(np.sqrt(w), ell)
+            L.symmetrized_average(np.sqrt(w))
             s = _lift(K, *(laplacian_spectrum(K, d) for d in sources))
         _hold(K, ell, eigendecompose(L, w) if s is None else s)
     return K._spectra[ell]

@@ -267,14 +267,15 @@ class TestFootprint:
         self.check(spectrum, measure_alpha, spectrum, (0.25, 0.5, 1.0, 2.0, 4.0))
 
     def test_kernel_decay_fit(self, spectrum):
-        distances = _simplex_distances(self.K, 1)
-        self.check(spectrum, kernel_decay_fit, self.K, 1, 1.0, distances=distances)
+        _simplex_distances(self.K, 1)  # K holds them, as after a report's first fit
+        self.check(spectrum, kernel_decay_fit, self.K, 1, 1.0)
 
     def test_projector_norm_profile(self, spectrum):
         self.check(spectrum, projector_norm_profile, spectrum, (1.25, 4.0 / 3.0, 1.5, 2.0, 3.0))
 
     def test_simplex_distances(self, spectrum):
-        self.check(spectrum, _simplex_distances, self.K, 1)
+        # A fresh complex, whose hop search and table are built here.
+        self.check(spectrum, _simplex_distances, lib.flat_torus(20, 20), 1)
 
 
 class TestSemigroupInterpolationBound:
@@ -631,6 +632,19 @@ class TestKernelDecayFit:
         with pytest.raises(ValueError):
             kernel_decay_fit(lib.interval(), 0, t0=0.0)
 
+    def test_distances_are_held_by_the_complex(self):
+        # One hop search per complex and one table per degree (degree 0's
+        # is the hop table), held read-only; no caller hands them in.
+        K = lib.flat_torus(6, 6)
+        vertex, edge = _simplex_distances(K, 0), _simplex_distances(K, 1)
+        assert _simplex_distances(K, 1) is edge and edge[1] is vertex[1]
+        assert vertex[2] is vertex[1] and edge[2].shape == (K.vertex_count, K.n_simplices(1))
+        assert not any(a.flags.writeable for a in (*vertex, *edge))
+        with pytest.raises(TypeError):
+            kernel_decay_fit(K, 1, 1.0, distances=edge)
+        with pytest.raises(TypeError):
+            volume_growth_fit(K, distances=edge)
+
     @pytest.mark.parametrize("name,K,ell", _ROUNDING_CASES,
                              ids=[f"{name}-{ell}" for name, _, ell in _ROUNDING_CASES])
     def test_rho_does_not_depend_on_product_rounding(self, name, K, ell, monkeypatch):
@@ -955,7 +969,8 @@ class TestInterpolationReport:
         # the row blocks of each of alpha's five heat matrices and of the
         # two kernel-decay matrices, one b1-wide pass over the projector's,
         # which gives its 1 and inf endpoints in one walk, and no whole
-        # matrix; one hop-distance pass for the whole report.
+        # matrix; one hop search for the whole report, and one distance
+        # table per degree, read by every fit at that degree.
         K = lib.flat_torus(6, 6)
         path = tmp_path / "torus.json"
         path.write_text(json.dumps(complex_to_json_dict(K)))
@@ -974,6 +989,12 @@ class TestInterpolationReport:
                 return out
             monkeypatch.setattr(hodgeheat.interpolation, stage, tally)
         hops = count_calls(monkeypatch, "_hop_distances", hodgeheat.interpolation)
+        tables = []  # (degree, the distances K holds there), one per read
+
+        def read(K, ell, _read=hodgeheat.interpolation._simplex_distances):
+            tables.append((ell, _read(K, ell)))
+            return tables[-1][1]
+        monkeypatch.setattr(hodgeheat.interpolation, "_simplex_distances", read)
         powers = count_calls(monkeypatch, "opnorm_power_method", hodgeheat.interpolation)
         # Operators come from the face tables: no dense matrix is scanned
         # for its nonzeros, and route B builds its row slots once and runs
@@ -987,6 +1008,11 @@ class TestInterpolationReport:
         report, code = run_pipeline(RunConfig(input_path=str(path), p_list=()))
         assert code == 0 and report["ok"]
         assert (len(svds), len(qrs), len(eighs), len(matrices), len(hops)) == (0, 1, 2, 0, 1)
+        # The volume fit reads degree 0, whose table is the hop table; both
+        # kernel-decay fits read the one degree-1 table built on those hops.
+        held = {}
+        assert all(held.setdefault(ell, table) is table for ell, table in tables)
+        assert sorted(held) == [0, 1] and held[1][1] is held[0][1] is held[0][2]
         n, b1 = K.n_simplices(1), report["betti"][1]
         assert made == {"measure_alpha": 5, "kernel_decay_fit": 2, "projector_norm_profile": 1}
         assert sorted(args[1].size for args in passes) == [b1] + [n] * 7

@@ -116,6 +116,23 @@ class TestOff:
         with pytest.raises(ValueError, match="OFF"):
             parse_off("3 1 0\n0 0 0\n")
 
+    @pytest.mark.parametrize("text, counts", [
+        ("OFF\n3 -1 0\n0 0 0\n1 0 0\n0 1 0\n", "3 -1 0"),
+        ("OFF\n-1 1 0\n3 0 1 2\n", "-1 1 0"),
+        ("OFF\n3 1 -1\n0 0 0\n1 0 0\n0 1 0\n3 0 1 2\n", "3 1 -1"),
+    ], ids=["faces", "vertices", "edges"])
+    def test_negative_counts_rejected(self, tmp_path, text, counts):
+        # A negative face count built an empty degree 2; a negative vertex
+        # count read the counts line as a face.
+        message = f"line 2: counts must be non-negative, got {counts}"
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            parse_off(text)
+        path = tmp_path / "negative.off"
+        path.write_text(text)
+        result = CliRunner().invoke(main, ["build", str(path)])
+        assert result.exit_code == 2, result.output
+        assert result.stderr == f"input error: {message}\n"
+
 
 class TestJson:
     def test_roundtrip_normalized_form(self):
@@ -517,6 +534,15 @@ class TestCli:
         assert isinstance(result.exception, SystemExit)
         assert "input error: error_target" in result.output
         assert "Traceback" not in result.output
+
+    @pytest.mark.parametrize("command", ["report", "interp", "decompose", "verify"])
+    def test_negative_seed_is_input_error(self, tmp_path, command, monkeypatch):
+        # Rejected with the config, before any spectrum is built.
+        eighs = count_calls(monkeypatch, "eigh", np.linalg)
+        result = CliRunner().invoke(main, [command, _c3_json(tmp_path), "--seed", "-1"])
+        assert result.exit_code == 2, result.output
+        assert result.stderr == "input error: seed must be a non-negative integer, got -1\n"
+        assert eighs == []
 
     @pytest.mark.parametrize("degree", ["-1", "2"])
     def test_verify_degree_out_of_range_exits_2(self, tmp_path, degree):

@@ -129,7 +129,7 @@ def test_symmetrized_lower_equals_dense_average(name, K, ell):
     sqrt_w = np.sqrt(K.weight_vector(ell))
     L = hodge_laplacian(K, ell)
     S = entries(L) * sqrt_w[:, None] / sqrt_w[None, :]
-    lower = L.symmetrized_lower(sqrt_w, ell)
+    lower = L.symmetrized_lower(sqrt_w)
     assert lower.tobytes() == np.tril((S + S.T) / 2.0).tobytes()
 
 
@@ -336,9 +336,9 @@ class TestScaleInvariantChecks:
         L = hodge_laplacian(K, 1)
         sqrt_w = np.sqrt(K.weight_vector(1))
         flipped = np.where(L.rows < L.cols, -L.vals, L.vals)
-        self._with_vals(L, L.vals * scale).symmetrized_average(sqrt_w, 1)
+        self._with_vals(L, L.vals * scale).symmetrized_average(sqrt_w)
         with pytest.raises(ValueError, match="not self-adjoint"):
-            self._with_vals(L, flipped * scale).symmetrized_average(sqrt_w, 1)
+            self._with_vals(L, flipped * scale).symmetrized_average(sqrt_w)
 
     def test_extreme_weights_overflow_the_symmetrized_operator(self):
         # A weight ratio of 1e600 across the hollow triangle: the assembly
@@ -348,7 +348,7 @@ class TestScaleInvariantChecks:
                            "weights": {"1": [1e-300, 1e300, 1.0]}})
         L = hodge_laplacian(K, 1)
         with pytest.raises(ValueError, match=r"degree 1: the weights overflow the W\^\(1/2\)-"):
-            L.symmetrized_average(np.sqrt(K.weight_vector(1)), 1)
+            L.symmetrized_average(np.sqrt(K.weight_vector(1)))
 
     def test_non_finite_spectrum_is_rejected(self):
         # Every entry and every (S_ij + S_ji) / 2 is finite, but the largest
