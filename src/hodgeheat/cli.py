@@ -18,7 +18,12 @@ import click
 from . import __version__
 from .complexes import betti_numbers
 from .decomposition import decompose, verify_uniqueness
-from .interpolation import dimension_consistency, interpolation_report
+from .interpolation import (
+    _DEFAULT_T_GRID,
+    admissible_exponents,
+    dimension_consistency,
+    interpolation_report,
+)
 from .io import complex_to_json_dict, emit_report, parse_input, render_report
 from .library import random_cochain
 from .spectral import cached_laplacian_spectrum, laplacian_spectrum
@@ -34,7 +39,7 @@ class RunConfig:
     p_list: tuple = (1.5, 2.0, 3.0)
     epsilon: float | None = None
     error_target: float = 1e-8
-    t_grid: tuple = (0.25, 0.5, 1.0, 2.0, 4.0)
+    t_grid: tuple = _DEFAULT_T_GRID
     seed: int = 42
     cache_dir: str | None = None
 
@@ -128,7 +133,7 @@ def _uniqueness_stage(K, dec, error_target):
     ]
 
 
-def _dimension_stage(K, s, cache_dir, p_list):
+def _dimension_stage(K, s, cache_dir):
     """Dimension rows of every degree; checks (kernel_dim_equals_betti, dimension_consistency).
 
     s is the report degree's spectrum, which K holds.  The other degrees
@@ -138,7 +143,7 @@ def _dimension_stage(K, s, cache_dir, p_list):
     for d in range(K.max_degree + 1):
         if d != s.degree:
             _spectrum_for(K, d, cache_dir)
-    rows = dimension_consistency(K, p_list=p_list)
+    rows = dimension_consistency(K)
     betti = rows[s.degree]["betti"]
     return rows, [
         {"name": "kernel_dim_equals_betti", "passed": s.kernel_dim == betti,
@@ -166,14 +171,14 @@ def run_pipeline(config: RunConfig):
                        "value": interval.levelset_condition, "threshold": 1.0})
 
     omega = _cochain_for(parsed, ell, config.seed)
-    admissible = [p for p in config.p_list if interval.p1 < p < interval.p2 or p == 2.0]
+    admissible = admissible_exponents(config.p_list, interval.p1, interval.p2)
     dec = uniq = None
     if config.p_list:
         dec, dec_checks = _decomposition_stage(decompose(K, omega, p_list=admissible))
         uniq, uniq_checks = _uniqueness_stage(K, dec, config.error_target)
         checks += dec_checks + uniq_checks
 
-    dim_rows, (kernel_check, dim_check) = _dimension_stage(K, s, config.cache_dir, admissible)
+    dim_rows, (kernel_check, dim_check) = _dimension_stage(K, s, config.cache_dir)
     checks = [kernel_check, *checks, dim_check]
     ok = all(c["passed"] for c in checks)
     report = {
@@ -237,7 +242,7 @@ def _verify_payload(config):
     K = parsed.complex
     dec = decompose(K, _cochain_for(parsed, config.degree, config.seed))
     section, uniq_checks = _uniqueness_stage(K, dec, config.error_target)
-    rows, (kernel_check, dim_check) = _dimension_stage(K, s, config.cache_dir, ())
+    rows, (kernel_check, dim_check) = _dimension_stage(K, s, config.cache_dir)
     return {"uniqueness": section, "dimension_consistency": rows,
             "checks": [kernel_check, *uniq_checks, dim_check]}, parsed.warnings
 
@@ -255,7 +260,10 @@ def _run(payload_of, output_path=None, output_format="json", t_grid=None, **fiel
     """
     try:
         if t_grid is not None:
-            fields["t_grid"] = tuple(float(tok) for tok in t_grid.split(","))
+            try:
+                fields["t_grid"] = tuple(float(tok) for tok in t_grid.split(","))
+            except ValueError:
+                raise ValueError(f"--t-grid must be comma-separated numbers, got {t_grid!r}")
         payload, warnings = payload_of(RunConfig(**fields))
         for warning in warnings:
             click.echo(f"warning: {warning}", err=True)
@@ -274,16 +282,17 @@ def _run(payload_of, output_path=None, output_format="json", t_grid=None, **fiel
 
 
 _OPTIONS = {
-    "degree": click.option("--degree", type=int, default=1, show_default=True),
-    "p": click.option("--p", "p_list", type=float, multiple=True, default=(1.5, 2.0, 3.0),
+    "degree": click.option("--degree", type=int, default=RunConfig.degree, show_default=True),
+    "p": click.option("--p", "p_list", type=float, multiple=True, default=RunConfig.p_list,
                       show_default=True, help="Norm exponents for the component table."),
     "epsilon": click.option("--epsilon", type=float, default=None,
                             help="Interval margin (default: tau/20)."),
-    "error_target": click.option("--error-target", type=float, default=1e-8,
+    "error_target": click.option("--error-target", type=float, default=RunConfig.error_target,
                                  show_default=True),
-    "t_grid": click.option("--t-grid", default="0.25,0.5,1,2,4", show_default=True,
+    "t_grid": click.option("--t-grid", default=",".join(f"{t:g}" for t in RunConfig.t_grid),
+                           show_default=True,
                            help="Comma-separated times for the growth-rate fit."),
-    "seed": click.option("--seed", type=int, default=42, show_default=True),
+    "seed": click.option("--seed", type=int, default=RunConfig.seed, show_default=True),
     "cache_dir": click.option("--cache-dir", type=click.Path(), default=None),
     "format": click.option("--format", "input_format",
                            type=click.Choice(["json", "off", "edgelist"]), default=None,

@@ -546,24 +546,18 @@ def gaffney_constant(K: SimplicialComplex, ell: int, gamma_shift: float,
     return GaffneyReport(max_ratio, bound, float(p), gamma_shift, n_samples)
 
 
-def dimension_consistency(K: SimplicialComplex, p_list=()) -> list[dict]:
+def dimension_consistency(K: SimplicialComplex) -> list[dict]:
     """Spectral kernel dimension vs. exact Betti number, per degree.
 
-    Reads K's spectrum at every degree.  Also checks that every kernel
-    basis cochain has a finite norm in each requested p and that the
-    harmonic projection returns it unchanged.
+    Reads K's spectrum at every degree, and checks that the harmonic
+    projection returns every kernel basis cochain unchanged.
     """
     betti = betti_numbers(K)
     rows = []
     for ell in range(K.max_degree + 1):
         s = laplacian_spectrum(K, ell)
-        kernel = s.kernel_basis()
-        finite = True
         projector_residual = 0.0
-        for i in range(s.kernel_dim):
-            v = kernel[:, i]
-            for p in p_list:
-                finite = finite and math.isfinite(lp_norm(K, Cochain(ell, v), p))
+        for v in s.kernel_basis().T:
             defect = s.norm2(harmonic_part(s, v) - v) / max(s.norm2(v), 1e-300)
             projector_residual = max(projector_residual, defect)
         equal = s.kernel_dim == betti[ell]
@@ -572,9 +566,8 @@ def dimension_consistency(K: SimplicialComplex, p_list=()) -> list[dict]:
             "spectral_dim": s.kernel_dim,
             "betti": betti[ell],
             "equal": equal,
-            "pnorms_finite": finite,
             "projector_residual": projector_residual,
-            "ok": equal and finite and projector_residual <= 1e-8,
+            "ok": equal and projector_residual <= 1e-8,
         })
     return rows
 
@@ -605,52 +598,49 @@ _DEFAULT_T_GRID = (0.25, 0.5, 1.0, 2.0, 4.0)
 _P_SAMPLES = (1.25, 4.0 / 3.0, 1.5, 2.0, 3.0, 4.0)
 
 
+def admissible_exponents(p_values, p1: float, p2: float) -> list:
+    """The p of p_values, in their order, that lie in (p1, p2) or equal 2."""
+    return [p for p in p_values if p1 < p < p2 or p == 2.0]
+
+
 def interpolation_report(K: SimplicialComplex, ell: int, epsilon: float | None = None,
                          t_grid=_DEFAULT_T_GRID, seed: int = 0) -> InterpolationReport:
     """Measure (alpha, tau, rho, gamma_vol) and derive the exponent calculus.
 
     Reads K's spectrum at the degree ell of the report.  epsilon defaults to
     tau/20; it must be finite and lie in [0, tau).  When the whole degree
-    is harmonic (gap +inf) the interval degenerates to (1, inf) and
-    gamma(p) to +inf.
+    is harmonic (gap +inf) the interval degenerates to (1, inf), epsilon
+    defaults to 0 and gamma(p) is +inf.  rho is refitted at the t0 that the
+    fit at t0 = 1 selects, unless the refit gives no positive rate.
     """
     s = laplacian_spectrum(K, ell)
-    if epsilon is not None and not (0 <= epsilon < s.gap and math.isfinite(epsilon)):
+    tau = s.gap
+    if epsilon is not None and not (0 <= epsilon < tau and math.isfinite(epsilon)):
         raise ValueError(f"epsilon = {epsilon} must be finite and lie in [0, tau) "
-                         f"for tau = {s.gap}, the spectral gap")
+                         f"for tau = {tau}, the spectral gap")
     fit = measure_alpha(s, t_grid)
 
-    if math.isinf(s.gap):
-        tau = math.inf
+    if math.isinf(tau):
         eps = 0.0 if epsilon is None else float(epsilon)
-        q0 = q_eps = p1 = 1.0
-        p2 = math.inf
-        gammas = [(float(p), math.inf) for p in _P_SAMPLES]
-        ps = [p for p, _ in gammas]
+        q0, p1, p2 = 1.0, 1.0, math.inf
     else:
-        tau = s.gap
         eps = tau / 20.0 if epsilon is None else float(epsilon)
         q0, _ = admissible_interval(fit.alpha, tau, 0.0)
         p1, p2 = admissible_interval(fit.alpha, tau, eps)
-        q_eps = p1
-        ps = sorted({float(p) for p in _P_SAMPLES if p1 < p < p2} | {2.0})
-        gammas = [(p, float(decay_rate(fit.alpha, tau, p))) for p in ps]
 
-    profile = projector_norm_profile(s, ps, seed=seed)
-    for row, (_, g) in zip(profile, gammas):
-        row["gamma"] = g
+    profile = projector_norm_profile(s, admissible_exponents(_P_SAMPLES, p1, p2), seed=seed)
+    for row in profile:
+        # alpha is 0 where tau is +inf, so gamma(p) reads +inf there.
+        row["gamma"] = float(decay_rate(fit.alpha, tau, row["p"]))
+    gammas = [(row["p"], row["gamma"]) for row in profile]
 
     vol = volume_growth_fit(K)
-    provisional = kernel_decay_fit(K, ell, 1.0)
     rho = t0 = condition = None
-    if not provisional.degenerate and provisional.rho > 0:
-        t0_sel = select_t0(provisional.rho, vol.gamma_vol)
-        refit = kernel_decay_fit(K, ell, t0_sel)
-        if not refit.degenerate and refit.rho > 0:
-            rho = refit.rho
-            t0 = select_t0(rho, vol.gamma_vol)
-        else:
-            rho, t0 = provisional.rho, t0_sel
+    provisional = kernel_decay_fit(K, ell, 1.0).rho
+    if provisional is not None and provisional > 0:
+        refit = kernel_decay_fit(K, ell, select_t0(provisional, vol.gamma_vol)).rho
+        rho = refit if refit is not None and refit > 0 else provisional
+        t0 = select_t0(rho, vol.gamma_vol)
         condition = (vol.gamma_vol / (2.0 * rho)) * t0
 
     return InterpolationReport(
@@ -661,7 +651,7 @@ def interpolation_report(K: SimplicialComplex, ell: int, epsilon: float | None =
         tau=tau,
         epsilon=eps,
         q0=float(q0),
-        q_eps=float(q_eps),
+        q_eps=float(p1),
         p1=float(p1),
         p2=float(p2),
         gamma_of_p=gammas,

@@ -59,6 +59,7 @@ from hodgeheat.interpolation import (
     _hop_distances,
     _opnorm2,
     _simplex_distances,
+    admissible_exponents,
 )
 from hodgeheat.io import complex_to_json_dict
 from hodgeheat.spectral import _ROW_BLOCK, SpectralData
@@ -812,7 +813,7 @@ class TestDimensionConsistency:
                                    lib.filled_triangle()],
                              ids=["C3", "tetra", "filled"])
     def test_all_rows_ok(self, K):
-        rows = dimension_consistency(K, p_list=(1.0, 2.0, math.inf))
+        rows = dimension_consistency(K)
         assert all(r["ok"] for r in rows)
         assert all(r["spectral_dim"] == r["betti"] for r in rows)
 
@@ -828,7 +829,7 @@ class TestDimensionConsistency:
             laplacian_spectrum(K, ell)
         monkeypatch.setattr(np.linalg, "eigh", _forbidden)
         monkeypatch.setattr(hodgeheat.decomposition, "decompose", _forbidden)
-        assert all(r["ok"] for r in dimension_consistency(K, p_list=(1.5, 3.0)))
+        assert all(r["ok"] for r in dimension_consistency(K))
 
 
 def _forbidden(*args, **kwargs):
@@ -947,6 +948,26 @@ class TestInterpolationReport:
         rep = interpolation_report(K, 0)
         assert math.isinf(rep.tau)
         assert rep.p1 == 1.0 and math.isinf(rep.p2)
+
+    def test_all_harmonic_degree_samples_every_p_at_infinite_decay(self):
+        # The interval (1, inf) admits every sampled p, and gamma(p) is +inf
+        # at each, in the gamma list and in the profile rows alike.
+        rep = interpolation_report(build_complex({"vertices": [0, 1]}), 0)
+        assert rep.alpha == 0.0 and rep.q0 == rep.q_eps == 1.0 and rep.epsilon == 0.0
+        assert [p for p, _ in rep.gamma_of_p] == [row["p"] for row in rep.profile] == list(
+            _P_SAMPLES)
+        assert all(g == math.inf for _, g in rep.gamma_of_p)
+        assert all(row["gamma"] == math.inf for row in rep.profile)
+
+    @pytest.mark.parametrize("p1, p2, want", [
+        (1.05, 21.0, [1.5, 2.0, 3.0]),
+        (1.0, math.inf, [1.01, 1.5, 2.0, 3.0, 50.0]),
+        (2.0, 2.0, [2.0]),  # 2 is admitted even where rounding closes the interval
+        (1.5, 3.0, [2.0]),  # the ends themselves are not
+    ])
+    def test_admissible_exponents(self, p1, p2, want):
+        given = (1.01, 1.5, 2.0, 3.0, 50.0, 1.0, math.inf)
+        assert admissible_exponents(given, p1, p2) == want
 
     @pytest.mark.parametrize("epsilon", [math.nan, -5.0, math.inf])
     def test_bad_epsilon_rejected_on_all_harmonic_degree(self, epsilon):

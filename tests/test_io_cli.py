@@ -36,6 +36,7 @@ from hodgeheat import (
 )
 from hodgeheat import library as lib
 from hodgeheat.cli import RunConfig, main, run_pipeline
+from hodgeheat.interpolation import admissible_exponents
 from hodgeheat.io import (
     complex_to_json_dict,
     emit_report,
@@ -612,6 +613,43 @@ class TestCli:
         result = CliRunner().invoke(main, ["report", _c3_json(tmp_path), "--t-grid", "abc"])
         assert result.exit_code == 2, result.output
         assert "input error" in result.output
+
+    @pytest.mark.parametrize("command", ["interp", "report"])
+    @pytest.mark.parametrize("grid", ["0.5,x,2", ""])
+    def test_t_grid_that_is_not_numbers_names_the_option(self, tmp_path, command, grid):
+        result = CliRunner().invoke(main, [command, _c3_json(tmp_path), "--t-grid", grid])
+        assert result.exit_code == 2, result.output
+        assert result.stderr == ("input error: --t-grid must be comma-separated numbers, "
+                                 f"got {grid!r}\n")
+        assert result.stdout == ""
+
+    @pytest.mark.parametrize("command, payload", [
+        ("build", "_build_payload"), ("spectrum", "_spectrum_payload"),
+        ("decompose", "_decompose_payload"), ("interp", "_interp_payload"),
+        ("verify", "_verify_payload"), ("report", "_report_payload")])
+    def test_no_options_give_the_default_config(self, tmp_path, monkeypatch, command,
+                                                payload):
+        # Every option's default is RunConfig's own.
+        configs = []
+        monkeypatch.setattr(hodgeheat.cli, payload,
+                            lambda config: (configs.append(config) or {}, []))
+        path = _c3_json(tmp_path)
+        result = CliRunner().invoke(main, [command, path])
+        assert result.exit_code == 0, result.output
+        assert configs == [RunConfig(input_path=path)]
+
+    def test_component_table_keeps_the_admissible_p(self, tmp_path):
+        path = tmp_path / "torus.json"
+        path.write_text(json.dumps(complex_to_json_dict(lib.flat_torus(6, 6))))
+        result = CliRunner().invoke(main, ["report", str(path), "--p", "1.01", "--p", "2",
+                                           "--p", "50"])
+        assert result.exit_code == 0, result.output
+        report = json.loads(result.stdout)
+        p1, p2 = report["interval"]["p1"], report["interval"]["p2"]
+        kept = admissible_exponents((1.01, 2.0, 50.0), p1, p2)
+        assert kept == [2.0]  # 1.01 < p1 and 50 > p2 on this torus
+        for table in ("component_norms", "c_p"):
+            assert list(report["decomposition"][table]) == [str(p) for p in kept]
 
     def test_missing_file_exits_2(self):
         runner = CliRunner()
