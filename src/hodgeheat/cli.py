@@ -104,53 +104,105 @@ def _spectrum_section(s):
     }
 
 
-def _interval_section(K, config):
-    return interpolation_report(K, config.degree, epsilon=config.epsilon,
-                                t_grid=config.t_grid, seed=config.seed)
+def _check(name, passed, value=None, threshold=None):
+    return {"name": name, "passed": passed, "value": value, "threshold": threshold}
 
 
 # Each stage below returns its report section (a result or rows) and its checks.
 
-def _decomposition_stage(dec):
+def _interval_stage(K, config):
+    interval = interpolation_report(K, config.degree, epsilon=config.epsilon,
+                                    t_grid=config.t_grid, seed=config.seed)
+    level = interval.levelset_condition
+    return interval, ([] if level is None else
+                      [_check("levelset_condition_below_one", level < 1.0, level, 1.0)])
+
+
+def _decomposition_stage(K, omega, p_list):
+    dec = decompose(K, omega, p_list)
     orthogonality = max(dec.orthogonality.values())
     return dec, [
-        {"name": "decomposition_residual", "passed": dec.residual <= 1e-8,
-         "value": dec.residual, "threshold": 1e-8},
-        {"name": "harmonic_component_defect", "passed": dec.harmonic_defect <= 1e-8,
-         "value": dec.harmonic_defect, "threshold": 1e-8},
-        {"name": "component_orthogonality", "passed": orthogonality <= 1e-8,
-         "value": orthogonality, "threshold": 1e-8},
+        _check("decomposition_residual", dec.residual <= 1e-8, dec.residual, 1e-8),
+        _check("harmonic_component_defect", dec.harmonic_defect <= 1e-8,
+               dec.harmonic_defect, 1e-8),
+        _check("component_orthogonality", orthogonality <= 1e-8, orthogonality, 1e-8),
     ]
 
 
 def _uniqueness_stage(K, dec, error_target):
     uniq = verify_uniqueness(K, dec, error_target=error_target)
     return uniq, [
-        {"name": "uniqueness_dual_route", "passed": uniq.passed,
-         "value": uniq.max_rel_diff, "threshold": uniq.tol},
-        {"name": "uniqueness_kernel_perturbation", "passed": uniq.perturbation_detected,
-         "value": None, "threshold": None},
+        _check("uniqueness_dual_route", uniq.passed, uniq.max_rel_diff, uniq.tol),
+        _check("uniqueness_kernel_perturbation", uniq.perturbation_detected),
     ]
 
 
-def _dimension_stage(K, s, cache_dir):
-    """Dimension rows of every degree; checks (kernel_dim_equals_betti, dimension_consistency).
+def _dimension_stage(K, ell, betti, cache_dir):
+    """Dimension rows of every degree; checks (dimension_consistency,).
 
-    s is the report degree's spectrum, which K holds.  The other degrees
-    are loaded or built only now, after the degree-ell work has released
-    its temporaries, and K holds them for ``dimension_consistency``.
+    K holds degree ell's spectrum.  The other degrees are loaded or built
+    only now, after the degree-ell work has released its temporaries, and
+    K holds them for ``dimension_consistency``.
     """
     for d in range(K.max_degree + 1):
-        if d != s.degree:
+        if d != ell:
             _spectrum_for(K, d, cache_dir)
-    rows = dimension_consistency(K)
-    betti = rows[s.degree]["betti"]
-    return rows, [
-        {"name": "kernel_dim_equals_betti", "passed": s.kernel_dim == betti,
-         "value": s.kernel_dim, "threshold": betti},
-        {"name": "dimension_consistency", "passed": all(r["ok"] for r in rows),
-         "value": None, "threshold": None},
-    ]
+    rows = dimension_consistency(K, betti)
+    return rows, [_check("dimension_consistency", all(r["ok"] for r in rows))]
+
+
+_SECTIONS = ("spectrum", "interval", "decomposition", "uniqueness", "dimension_consistency")
+
+
+def _report(config: RunConfig, sections):
+    """The report of the stages that ``sections`` need, run in the report's order.
+
+    Every stage reads the spectrum, and uniqueness reads the
+    decomposition.  A section whose stage did not run is None, and
+    ``checks`` holds the checks of the stages that ran, in that order.
+    The decomposition keeps the admissible p where the interval ran and
+    every p otherwise; with no p it does not run, nor does uniqueness.
+    """
+    parsed, s = _front_end(config)
+    K, ell = parsed.complex, config.degree
+    ran = set(sections) | ({"decomposition"} if "uniqueness" in sections else set())
+    betti = betti_numbers(K)  # the F_p oracle, once per run
+    checks = [_check("kernel_dim_equals_betti", s.kernel_dim == betti[ell], s.kernel_dim,
+                     betti[ell])]
+    results = dict.fromkeys(_SECTIONS) | {"spectrum": _spectrum_section(s)}
+
+    def stage(name, run, *args):
+        results[name], stage_checks = run(*args)
+        checks.extend(stage_checks)
+
+    if "interval" in ran:
+        stage("interval", _interval_stage, K, config)
+    if "decomposition" in ran:
+        omega = _cochain_for(parsed, ell, config.seed)  # warns even where no p runs it
+        if config.p_list:
+            interval = results["interval"]
+            p_list = (config.p_list if interval is None
+                      else admissible_exponents(config.p_list, interval.p1, interval.p2))
+            stage("decomposition", _decomposition_stage, K, omega, p_list)
+            if "uniqueness" in ran:
+                stage("uniqueness", _uniqueness_stage, K, results["decomposition"],
+                      config.error_target)
+    if "dimension_consistency" in ran:
+        stage("dimension_consistency", _dimension_stage, K, ell, betti, config.cache_dir)
+    return {
+        "tool": {"name": "hodgeheat", "version": __version__},
+        "config": config,
+        "complex": {
+            "counts": [len(level) for level in K.simplices],
+            "total_weights": [K.total_weight(d) for d in range(K.max_degree + 1)],
+            "vertex_count": K.vertex_count,
+            "warnings": list(parsed.warnings),
+        },
+        "betti": betti,
+        "degree": ell,
+        **results,
+        "checks": checks,
+    }
 
 
 def run_pipeline(config: RunConfig):
@@ -160,46 +212,8 @@ def run_pipeline(config: RunConfig):
     RunConfig and the result objects themselves; ``io.sanitize`` encodes
     them.
     """
-    parsed, s = _front_end(config)
-    K, ell = parsed.complex, config.degree
-    interval = _interval_section(K, config)
-
-    checks = []
-    if interval.levelset_condition is not None:
-        checks.append({"name": "levelset_condition_below_one",
-                       "passed": interval.levelset_condition < 1.0,
-                       "value": interval.levelset_condition, "threshold": 1.0})
-
-    omega = _cochain_for(parsed, ell, config.seed)
-    admissible = admissible_exponents(config.p_list, interval.p1, interval.p2)
-    dec = uniq = None
-    if config.p_list:
-        dec, dec_checks = _decomposition_stage(decompose(K, omega, p_list=admissible))
-        uniq, uniq_checks = _uniqueness_stage(K, dec, config.error_target)
-        checks += dec_checks + uniq_checks
-
-    dim_rows, (kernel_check, dim_check) = _dimension_stage(K, s, config.cache_dir)
-    checks = [kernel_check, *checks, dim_check]
-    ok = all(c["passed"] for c in checks)
-    report = {
-        "tool": {"name": "hodgeheat", "version": __version__},
-        "config": config,
-        "complex": {
-            "counts": [len(level) for level in K.simplices],
-            "total_weights": [K.total_weight(d) for d in range(K.max_degree + 1)],
-            "vertex_count": K.vertex_count,
-            "warnings": list(parsed.warnings),
-        },
-        "betti": [row["betti"] for row in dim_rows],
-        "degree": ell,
-        "spectrum": _spectrum_section(s),
-        "interval": interval,
-        "decomposition": dec,
-        "uniqueness": uniq,
-        "dimension_consistency": dim_rows,
-        "checks": checks,
-        "ok": ok,
-    }
+    report = _report(config, _SECTIONS)
+    report["ok"] = ok = all(c["passed"] for c in report["checks"])
     return report, (0 if ok else 1)
 
 
@@ -218,37 +232,14 @@ def _build_payload(config):
     }, []
 
 
-def _spectrum_payload(config):
-    parsed, s = _front_end(config)
-    return {"spectrum": _spectrum_section(s)}, parsed.warnings
-
-
-def _decompose_payload(config):
-    parsed, _ = _front_end(config)
-    omega = _cochain_for(parsed, config.degree, config.seed)
-    dec = decompose(parsed.complex, omega, config.p_list)
-    section, checks = _decomposition_stage(dec)
-    return {"decomposition": section, "checks": checks}, parsed.warnings
-
-
-def _interp_payload(config):
-    parsed, _ = _front_end(config)
-    interval = _interval_section(parsed.complex, config)
-    return {"interval": interval}, parsed.warnings
-
-
-def _verify_payload(config):
-    parsed, s = _front_end(config)
-    K = parsed.complex
-    dec = decompose(K, _cochain_for(parsed, config.degree, config.seed))
-    section, uniq_checks = _uniqueness_stage(K, dec, config.error_target)
-    rows, (kernel_check, dim_check) = _dimension_stage(K, s, config.cache_dir)
-    return {"uniqueness": section, "dimension_consistency": rows,
-            "checks": [kernel_check, *uniq_checks, dim_check]}, parsed.warnings
-
-
-def _report_payload(config):
-    return run_pipeline(config)[0], []
+def _slice(*sections):
+    """What a subcommand that prints the report's ``sections`` prints:
+    those sections and the checks of the stages they needed."""
+    def payload_of(config):
+        report = _report(config, sections)
+        return ({name: report[name] for name in (*sections, "checks")},
+                report["complex"]["warnings"])
+    return payload_of
 
 
 def _run(payload_of, output_path=None, output_format="json", t_grid=None, **fields):
@@ -330,35 +321,35 @@ def build(**options):
 @_options("degree", "cache_dir", *_OUTPUT)
 def spectrum(**options):
     """Eigenvalues, kernel dimension, and spectral gap of one Laplacian."""
-    _run(_spectrum_payload, **options)
+    _run(_slice("spectrum"), **options)
 
 
 @main.command("decompose")
 @_options("degree", "p", "seed", *_OUTPUT)
 def decompose_cmd(**options):
     """Split a cochain (from the file, or seeded) into its three parts."""
-    _run(_decompose_payload, **options)
+    _run(_slice("decomposition"), **options)
 
 
 @main.command()
 @_options("degree", "epsilon", "t_grid", "seed", *_OUTPUT)
 def interp(**options):
     """Measured rates and the admissible exponent interval for one degree."""
-    _run(_interp_payload, **options)
+    _run(_slice("interval"), **options)
 
 
 @main.command()
 @_options("degree", "error_target", "seed", "format")
 def verify(**options):
     """Dual-route uniqueness and dimension-consistency checks; exit 1 on failure."""
-    _run(_verify_payload, **options)
+    _run(_slice("uniqueness", "dimension_consistency"), **options)
 
 
 @main.command()
 @_options("degree", "p", "epsilon", "error_target", "t_grid", "seed", "cache_dir", *_OUTPUT)
 def report(**options):
     """Aggregate report: spectrum, interval, decomposition, and all checks."""
-    _run(_report_payload, **options)
+    _run(lambda config: (run_pipeline(config)[0], []), **options)
 
 
 if __name__ == "__main__":

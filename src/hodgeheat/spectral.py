@@ -444,16 +444,22 @@ def load_spectral_data(path: str) -> SpectralData:
 def cached_laplacian_spectrum(K: SimplicialComplex, ell: int, cache_dir: str) -> SpectralData:
     """laplacian_spectrum with a content-addressed on-disk cache.
 
-    A hit is held in K as ``laplacian_spectrum`` holds what it builds, so
-    later calls of either return it.  An entry that does not load, or that
-    is not a degree-ell spectrum on K's n simplices in K's weights (n finite
-    eigenvalues, the first k = kernel_dim zero, the gap eigenvalue k or +inf
-    at k = n, n x n finite eigencochains, an int k in 0..n), is a miss,
-    overwritten with K's ``laplacian_spectrum``.  An entry keeps the bits it
-    was written with: eigh's degree-1 entries from before the lift still hit.
+    A degree that K holds already is returned as held: its entry is not
+    read, and is written only where there is none.  A hit is held in K as
+    ``laplacian_spectrum`` holds what it builds, so later calls of either
+    return it.  An entry that does not load, or that is not a degree-ell
+    spectrum on K's n simplices in K's weights (n finite eigenvalues, the
+    first k = kernel_dim zero, the gap eigenvalue k or +inf at k = n, n x n
+    finite eigencochains, an int k in 0..n), is a miss, overwritten with
+    K's ``laplacian_spectrum``.  An entry keeps the bits it was written
+    with: eigh's degree-1 entries from before the lift still hit.
     """
     os.makedirs(cache_dir, exist_ok=True)
     path = os.path.join(cache_dir, complex_content_hash(K, ell) + ".npz")
+    if ell in K._spectra:
+        if not os.path.exists(path):
+            save_spectral_data(K._spectra[ell], path)
+        return K._spectra[ell]
     n = K.n_simplices(ell)
     try:
         s = load_spectral_data(path)

@@ -32,6 +32,7 @@ from conftest import (
 from hodgeheat import (
     SimplicialComplex,
     admissible_interval,
+    betti_numbers,
     build_complex,
     decay_rate,
     dimension_consistency,
@@ -813,13 +814,13 @@ class TestDimensionConsistency:
                                    lib.filled_triangle()],
                              ids=["C3", "tetra", "filled"])
     def test_all_rows_ok(self, K):
-        rows = dimension_consistency(K)
+        rows = dimension_consistency(K, betti_numbers(K))
         assert all(r["ok"] for r in rows)
         assert all(r["spectral_dim"] == r["betti"] for r in rows)
 
     def test_c3_degree1_counts(self):
         K = lib.cycle_complex(3)
-        rows = dimension_consistency(K)
+        rows = dimension_consistency(K, betti_numbers(K))
         assert rows[1]["spectral_dim"] == 1 and rows[1]["betti"] == 1
 
     def test_computes_no_spectrum_and_no_decomposition(self, monkeypatch):
@@ -829,7 +830,7 @@ class TestDimensionConsistency:
             laplacian_spectrum(K, ell)
         monkeypatch.setattr(np.linalg, "eigh", _forbidden)
         monkeypatch.setattr(hodgeheat.decomposition, "decompose", _forbidden)
-        assert all(r["ok"] for r in dimension_consistency(K))
+        assert all(r["ok"] for r in dimension_consistency(K, betti_numbers(K)))
 
 
 def _forbidden(*args, **kwargs):

@@ -246,8 +246,7 @@ class TestPipelineAndReports:
         path.write_text(json.dumps(complex_to_json_dict(lib.flat_torus(6, 6))))
         eigh_calls = count_calls(monkeypatch, "eigh", np.linalg)
         qr_calls = count_calls(monkeypatch, "qr", np.linalg)
-        betti_calls = count_calls(monkeypatch, "betti_numbers",
-                                  hodgeheat.cli, hodgeheat.interpolation)
+        betti_calls = count_calls(monkeypatch, "betti_numbers", hodgeheat.cli)
         assemblies = count_assemblies(monkeypatch)
         report, code = run_pipeline(RunConfig(input_path=str(path), degree=1))
         assert code == 0 and report["betti"] == [1, 2, 1]
@@ -259,6 +258,20 @@ class TestPipelineAndReports:
         # transposed incidence: d_0^T for delta_1, d_1^T for delta_2.
         assert (len(eigh_calls), len(qr_calls), len(betti_calls)) == (2, 1, 1)
         assert sorted(assemblies) == [0, 0, 1, 1, 2]
+
+    @pytest.mark.parametrize("degree, p_list", [(0, (2.0,)), (1, ()), (2, (1.5, 3.0))])
+    def test_betti_oracle_runs_once_per_run(self, tmp_path, monkeypatch, degree, p_list):
+        # The spectrum stage counts the Betti numbers and hands them to the
+        # dimension stage.
+        path = tmp_path / "torus.json"
+        path.write_text(json.dumps(complex_to_json_dict(lib.flat_torus(6, 6))))
+        calls = count_calls(monkeypatch, "betti_numbers", *(
+            module for name, module in sys.modules.items()
+            if name.partition(".")[0] == "hodgeheat" and hasattr(module, "betti_numbers")))
+        for run in range(1, 3):
+            report, code = run_pipeline(RunConfig(input_path=str(path), degree=degree,
+                                                  p_list=p_list))
+            assert code == 0 and report["betti"] == [1, 2, 1] and len(calls) == run
 
     def test_sanitize_handles_infinities(self):
         assert sanitize({"x": math.inf, "y": [-math.inf, np.float64(2.0)]}) == \
@@ -504,6 +517,31 @@ class TestCli:
         assert uncached.exit_code == 0
         assert first.stdout.replace(json.dumps(str(cache)), "null") == uncached.stdout
 
+    def test_held_degree_is_not_read_from_the_cache(self, tmp_path, monkeypatch):
+        # With no degree-1 entry, degree 1 is lifted from the spectra of
+        # degrees 0 and 2, which the complex then holds: their entries are
+        # neither loaded nor rewritten, and degree 1's is written.
+        K = lib.flat_torus(6, 6)
+        path = tmp_path / "torus.json"
+        path.write_text(json.dumps(complex_to_json_dict(K)))
+        cache = tmp_path / "cache"
+        runner = CliRunner()
+        for ell in ("0", "2"):
+            args = ["spectrum", str(path), "--degree", ell, "--cache-dir", str(cache)]
+            assert runner.invoke(main, args).exit_code == 0
+        entry = {ell: cache / f"{hodgeheat.spectral.complex_content_hash(K, ell)}.npz"
+                 for ell in range(3)}
+        before = {ell: (entry[ell].read_bytes(), entry[ell].stat().st_mtime_ns)
+                  for ell in (0, 2)}
+        loads = count_calls(monkeypatch, "load_spectral_data", hodgeheat.spectral)
+        result = runner.invoke(main, ["report", str(path), "--degree", "1", "--cache-dir",
+                                      str(cache)])
+        assert result.exit_code == 0, result.output
+        assert loads == [(str(entry[1]),)]
+        assert {ell: (entry[ell].read_bytes(), entry[ell].stat().st_mtime_ns)
+                for ell in (0, 2)} == before
+        assert sorted(cache.iterdir()) == sorted(entry.values())
+
     def test_vertex_ids_past_int64(self, tmp_path):
         # Vertex ids are labels only: ids past int64, and past the double
         # range, give the output of the order-preserving relabelling, apart
@@ -560,7 +598,8 @@ class TestCli:
         payload = json.loads(result.output)
         assert payload["decomposition"]["residual"] <= 1e-8
         assert [c["name"] for c in payload["checks"] if c["passed"]] == [
-            "decomposition_residual", "harmonic_component_defect", "component_orthogonality"]
+            "kernel_dim_equals_betti", "decomposition_residual", "harmonic_component_defect",
+            "component_orthogonality"]
 
     def test_interp_csv(self, tmp_path):
         runner = CliRunner()
@@ -623,16 +662,19 @@ class TestCli:
                                  f"got {grid!r}\n")
         assert result.stdout == ""
 
-    @pytest.mark.parametrize("command, payload", [
-        ("build", "_build_payload"), ("spectrum", "_spectrum_payload"),
-        ("decompose", "_decompose_payload"), ("interp", "_interp_payload"),
-        ("verify", "_verify_payload"), ("report", "_report_payload")])
-    def test_no_options_give_the_default_config(self, tmp_path, monkeypatch, command,
-                                                payload):
-        # Every option's default is RunConfig's own.
+    @pytest.mark.parametrize("command", [
+        "build", "spectrum", "decompose", "interp", "verify", "report"])
+    def test_no_options_give_the_default_config(self, tmp_path, monkeypatch, command):
+        # Every option's default is RunConfig's own.  build parses its input
+        # through _build_payload, every other subcommand through _front_end.
         configs = []
-        monkeypatch.setattr(hodgeheat.cli, payload,
-                            lambda config: (configs.append(config) or {}, []))
+        if command == "build":
+            monkeypatch.setattr(hodgeheat.cli, "_build_payload",
+                                lambda config: (configs.append(config) or {}, []))
+        else:
+            front_end = hodgeheat.cli._front_end
+            monkeypatch.setattr(hodgeheat.cli, "_front_end",
+                                lambda config: configs.append(config) or front_end(config))
         path = _c3_json(tmp_path)
         result = CliRunner().invoke(main, [command, path])
         assert result.exit_code == 0, result.output
@@ -754,7 +796,7 @@ class TestCli:
             "(it has a non-finite entry)"]
 
     @pytest.mark.parametrize("command, code, failed", [
-        ("spectrum", 0, None),
+        ("spectrum", 1, "kernel_dim_equals_betti"),
         ("report", 1, "kernel_dim_equals_betti, harmonic_component_defect, "
                       "uniqueness_dual_route, dimension_consistency"),
     ])
@@ -769,8 +811,8 @@ class TestCli:
         self._run_to_named_checks([command, str(path), "--degree", "1"], code, failed)
 
     @pytest.mark.parametrize("degree, code, failed", [
-        (0, 0, None),
-        (1, 1, "decomposition_residual, harmonic_component_defect"),
+        (0, 1, "kernel_dim_equals_betti"),
+        (1, 1, "kernel_dim_equals_betti, decomposition_residual, harmonic_component_defect"),
         (2, 1, "harmonic_component_defect"),
     ])
     def test_extreme_weights_decompose_to_named_checks(self, tmp_path, degree, code, failed):
@@ -971,7 +1013,7 @@ class TestSubcommandsAreReportSlices:
         slices = [run("spectrum"), run("decompose", "--p", "2", "--seed", "7"),
                   run("interp", "--seed", "7"), run("verify", "--seed", "7")]
         assert [sorted(payload) for payload in slices] == [
-            ["spectrum"], ["checks", "decomposition"], ["interval"],
+            ["checks", "spectrum"], ["checks", "decomposition"], ["checks", "interval"],
             ["checks", "dimension_consistency", "uniqueness"]]
         for payload in slices:
             for key, section in payload.items():
@@ -980,8 +1022,41 @@ class TestSubcommandsAreReportSlices:
                 else:
                     assert section == report[key], key
         assert [c["name"] for c in slices[3]["checks"]] == [
-            "kernel_dim_equals_betti", "uniqueness_dual_route",
+            "kernel_dim_equals_betti", "decomposition_residual", "harmonic_component_defect",
+            "component_orthogonality", "uniqueness_dual_route",
             "uniqueness_kernel_perturbation", "dimension_consistency"]
+
+    @pytest.mark.parametrize("K", [lib.cycle_complex(3), lib.filled_triangle(),
+                                   lib.flat_torus(6, 6)], ids=["C3", "filled", "torus"])
+    @pytest.mark.parametrize("degree", ["0", "1"])
+    def test_checks_are_the_report_checks_of_the_stages_run(self, tmp_path, K, degree):
+        # Each subcommand runs the spectrum stage and the stages of the
+        # sections it prints (verify's uniqueness runs the decomposition):
+        # its checks are the report's checks of those stages, in order.
+        path = tmp_path / "complex.json"
+        path.write_text(json.dumps(complex_to_json_dict(K)))
+
+        def checks(command):
+            result = CliRunner().invoke(main, [command, str(path), "--degree", degree])
+            assert result.exit_code == 0, result.output
+            return json.loads(result.stdout)["checks"]
+
+        stage_of = {"kernel_dim_equals_betti": "spectrum",
+                    "levelset_condition_below_one": "interval",
+                    "decomposition_residual": "decomposition",
+                    "harmonic_component_defect": "decomposition",
+                    "component_orthogonality": "decomposition",
+                    "uniqueness_dual_route": "uniqueness",
+                    "uniqueness_kernel_perturbation": "uniqueness",
+                    "dimension_consistency": "dimension"}
+        report = checks("report")
+        assert {c["name"] for c in report} <= set(stage_of)
+        for command, stages in [("spectrum", {"spectrum"}),
+                                ("interp", {"spectrum", "interval"}),
+                                ("decompose", {"spectrum", "decomposition"}),
+                                ("verify", {"spectrum", "decomposition", "uniqueness",
+                                            "dimension"})]:
+            assert checks(command) == [c for c in report if stage_of[c["name"]] in stages]
 
     @pytest.mark.parametrize("command, table", [
         ("spectrum", "spectrum"), ("decompose", "norms"), ("interp", "gamma")])
@@ -993,7 +1068,7 @@ class TestSubcommandsAreReportSlices:
     @pytest.mark.parametrize("command, stage, check", [
         ("decompose", "_decomposition_stage", "decomposition_residual"),
         ("verify", "_uniqueness_stage", "uniqueness_dual_route"),
-        ("report", "_dimension_stage", "kernel_dim_equals_betti"),
+        ("report", "_dimension_stage", "dimension_consistency"),
     ])
     def test_failed_check_exits_1_after_the_payload(self, complex_path, monkeypatch,
                                                      command, stage, check):
@@ -1038,6 +1113,14 @@ _TREE_CHANGES = {
                      "on one side only: cli/c3-report-json.exit"),
     "cli_bytes": (lambda root: (root / "cli" / "c3-report-json.exit").write_text("1\n"),
                   "bytes differ: cli/c3-report-json.exit"),
+    "cli_gained_check": (lambda root: (root / "cli" / "c3-report-json.stdout").write_text(
+        json.dumps(dict(_REPORT, checks=[{"name": "kernel_dim_equals_betti", "value": 1},
+                                         *_REPORT["checks"]]))),
+        "checks[kernel_dim_equals_betti]        1  -"),
+    "cli_fields": (lambda root: (root / "cli" / "c3-report-json.stdout").write_text(
+        json.dumps(dict(_REPORT, ok=False))), "fields differ: cli/c3-report-json.stdout"),
+    "cli_not_json": (lambda root: (root / "cli" / "c3-report-json.stdout").write_text("# csv"),
+                     "bytes differ: cli/c3-report-json.stdout"),
     "report_bytes": (lambda root: (root / "reports" / "c3-1.json").write_text(
         json.dumps(_REPORT, indent=1)), "bytes differ: reports/c3-1.json"),
 }
