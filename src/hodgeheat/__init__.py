@@ -68,7 +68,6 @@ from .interpolation import (
     opnorm_exact_extremes,
     opnorm_power_method,
     projector_norm_profile,
-    select_t0,
     volume_growth_fit,
 )
 from .spectral import (

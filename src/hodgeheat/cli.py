@@ -26,7 +26,7 @@ from .interpolation import (
 )
 from .io import complex_to_json_dict, emit_report, parse_input, render_report
 from .library import random_cochain
-from .spectral import cached_laplacian_spectrum, laplacian_spectrum
+from .spectral import laplacian_spectrum
 
 
 @dataclass
@@ -53,13 +53,6 @@ class RunConfig:
             raise ValueError(f"seed must be a non-negative integer, got {self.seed}")
 
 
-def _spectrum_for(K, ell, cache_dir):
-    """Degree ell's spectrum, through the cache if there is one."""
-    if cache_dir:
-        return cached_laplacian_spectrum(K, ell, cache_dir)
-    return laplacian_spectrum(K, ell)
-
-
 def _front_end(config: RunConfig):
     """Validate, parse, check the degree, and build its spectrum: (parsed, s).
 
@@ -72,7 +65,7 @@ def _front_end(config: RunConfig):
     K, ell = parsed.complex, config.degree
     if not 0 <= ell <= K.max_degree:
         raise ValueError(f"degree {ell} out of range [0, {K.max_degree}]")
-    return parsed, _spectrum_for(K, ell, config.cache_dir)
+    return parsed, laplacian_spectrum(K, ell, config.cache_dir)
 
 
 def _cochain_for(parsed, degree, seed):
@@ -111,11 +104,8 @@ def _check(name, passed, value=None, threshold=None):
 # Each stage below returns its report section (a result or rows) and its checks.
 
 def _interval_stage(K, config):
-    interval = interpolation_report(K, config.degree, epsilon=config.epsilon,
-                                    t_grid=config.t_grid, seed=config.seed)
-    level = interval.levelset_condition
-    return interval, ([] if level is None else
-                      [_check("levelset_condition_below_one", level < 1.0, level, 1.0)])
+    return interpolation_report(K, config.degree, epsilon=config.epsilon,
+                                t_grid=config.t_grid, seed=config.seed), []
 
 
 def _decomposition_stage(K, omega, p_list):
@@ -146,7 +136,7 @@ def _dimension_stage(K, ell, betti, cache_dir):
     """
     for d in range(K.max_degree + 1):
         if d != ell:
-            _spectrum_for(K, d, cache_dir)
+            laplacian_spectrum(K, d, cache_dir)
     rows = dimension_consistency(K, betti)
     return rows, [_check("dimension_consistency", all(r["ok"] for r in rows))]
 

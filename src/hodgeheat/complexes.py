@@ -41,8 +41,8 @@ class SimplicialComplex:
     Immutable: tuples of simplices and of read-only weight copies, and
     read-only face tables.  So it holds what is derived from it, built on
     first use: transposed incidences (``_codifferential_apply``), Laplacians
-    (``hodge_laplacian``), spectra, built by ``laplacian_spectrum`` or
-    loaded by ``cached_laplacian_spectrum``, and hop distances
+    (``hodge_laplacian``), spectra, built or loaded from a cache by
+    ``laplacian_spectrum``, and hop distances
     (``interpolation._simplex_distances``).  Every routine that takes a
     complex reads the spectra and distances it needs from there.
     """

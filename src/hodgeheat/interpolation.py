@@ -497,15 +497,6 @@ def volume_growth_fit(K: SimplicialComplex) -> VolumeGrowthFit:
     return VolumeGrowthFit(gamma, c, int(radius.max()))
 
 
-def select_t0(rho: float, gamma_vol: float) -> float:
-    """Pick t0 with (gamma_vol / 2 rho) * t0 = 1/2 < 1 (or 1 when flat)."""
-    if rho <= 0:
-        raise ValueError("rho must be positive")
-    if gamma_vol < 0:
-        raise ValueError("gamma_vol must be nonnegative")
-    return rho / gamma_vol if gamma_vol > 0 else 1.0
-
-
 @dataclass
 class GaffneyReport:
     max_ratio: float
@@ -584,15 +575,12 @@ class InterpolationReport:
     tau: float
     epsilon: float
     q0: float
-    q_eps: float
     p1: float
     p2: float
     gamma_of_p: list
     profile: list  # rows (p, projector lower, projector upper, gamma)
     rho: float | None
     gamma_vol: float
-    t0: float | None
-    levelset_condition: float | None
 
 
 _DEFAULT_T_GRID = (0.25, 0.5, 1.0, 2.0, 4.0)
@@ -611,8 +599,8 @@ def interpolation_report(K: SimplicialComplex, ell: int, epsilon: float | None =
     Reads K's spectrum at the degree ell of the report.  epsilon defaults to
     tau/20; it must be finite and lie in [0, tau).  When the whole degree
     is harmonic (gap +inf) the interval degenerates to (1, inf), epsilon
-    defaults to 0 and gamma(p) is +inf.  rho is refitted at the t0 that the
-    fit at t0 = 1 selects, unless the refit gives no positive rate.
+    defaults to 0 and gamma(p) is +inf.  rho is the kernel-decay rate at
+    t0 = 1 where it is positive, else None; no other number reads it.
     """
     s = laplacian_spectrum(K, ell)
     tau = s.gap
@@ -636,13 +624,7 @@ def interpolation_report(K: SimplicialComplex, ell: int, epsilon: float | None =
     gammas = [(row["p"], row["gamma"]) for row in profile]
 
     vol = volume_growth_fit(K)
-    rho = t0 = condition = None
-    provisional = kernel_decay_fit(K, ell, 1.0).rho
-    if provisional is not None and provisional > 0:
-        refit = kernel_decay_fit(K, ell, select_t0(provisional, vol.gamma_vol)).rho
-        rho = refit if refit is not None and refit > 0 else provisional
-        t0 = select_t0(rho, vol.gamma_vol)
-        condition = (vol.gamma_vol / (2.0 * rho)) * t0
+    rho = kernel_decay_fit(K, ell, 1.0).rho
 
     return InterpolationReport(
         degree=ell,
@@ -652,13 +634,10 @@ def interpolation_report(K: SimplicialComplex, ell: int, epsilon: float | None =
         tau=tau,
         epsilon=eps,
         q0=float(q0),
-        q_eps=float(p1),
         p1=float(p1),
         p2=float(p2),
         gamma_of_p=gammas,
         profile=profile,
-        rho=rho,
+        rho=rho if rho is not None and rho > 0 else None,
         gamma_vol=vol.gamma_vol,
-        t0=t0,
-        levelset_condition=condition,
     )

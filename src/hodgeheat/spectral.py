@@ -191,7 +191,8 @@ def lifted_from(K: SimplicialComplex, ell: int) -> tuple[int, ...]:
     return tuple(range(0, K.max_degree + 1, 2)) if ell == 1 and K.max_degree <= 2 else ()
 
 
-def laplacian_spectrum(K: SimplicialComplex, ell: int) -> SpectralData:
+def laplacian_spectrum(K: SimplicialComplex, ell: int,
+                       cache_dir: str | None = None) -> SpectralData:
     """The spectrum of the degree-ell Hodge Laplacian of K in K's weights.
 
     Built once per degree and held by K, its arrays read-only.  Degree 1
@@ -202,15 +203,35 @@ def laplacian_spectrum(K: SimplicialComplex, ell: int) -> SpectralData:
     and at every other degree, the spectrum is ``eigendecompose`` of the
     Laplacian, which is its nonzeros (see ``hodge_laplacian``), so only
     the buffer ``np.linalg.eigh`` reads is n x n.
+
+    With a ``cache_dir``, each spectrum goes through a content-addressed
+    entry there.  A degree that K holds is returned without reading its
+    entry, which is written only where there is none.  A hit (see
+    ``_cache_hit``) is held as built spectra are.  A miss builds the
+    spectrum, the lift's sources through the same cache, and writes the
+    entry over whatever was there.  An entry keeps the bits it was written
+    with: eigh's degree-1 entries from before the lift still hit.
     """
-    if ell not in K._spectra:
-        L, w = hodge_laplacian(K, ell), K.weight_vector(ell)
-        sources, s = lifted_from(K, ell), None
-        if sources:
-            L.symmetrized_average(np.sqrt(w))
-            s = _lift(K, *(laplacian_spectrum(K, d) for d in sources))
-        _hold(K, ell, eigendecompose(L, w) if s is None else s)
-    return K._spectra[ell]
+    path = None
+    if cache_dir:
+        os.makedirs(cache_dir, exist_ok=True)
+        path = os.path.join(cache_dir, complex_content_hash(K, ell) + ".npz")
+    if ell in K._spectra:
+        if path and not os.path.exists(path):
+            save_spectral_data(K._spectra[ell], path)
+        return K._spectra[ell]
+    s = _cache_hit(K, ell, path) if path else None
+    if s is not None:
+        return _hold(K, ell, s)
+    L, w = hodge_laplacian(K, ell), K.weight_vector(ell)
+    sources = lifted_from(K, ell)
+    if sources:
+        L.symmetrized_average(np.sqrt(w))
+        s = _lift(K, *(laplacian_spectrum(K, d, cache_dir) for d in sources))
+    s = _hold(K, ell, eigendecompose(L, w) if s is None else s)
+    if path:
+        save_spectral_data(s, path)
+    return s
 
 
 def _hold(K: SimplicialComplex, ell: int, s: SpectralData) -> SpectralData:
@@ -441,25 +462,11 @@ def load_spectral_data(path: str) -> SpectralData:
     return SpectralData(**{k: v if v.ndim else v.item() for k, v in values.items()})
 
 
-def cached_laplacian_spectrum(K: SimplicialComplex, ell: int, cache_dir: str) -> SpectralData:
-    """laplacian_spectrum with a content-addressed on-disk cache.
-
-    A degree that K holds already is returned as held: its entry is not
-    read, and is written only where there is none.  A hit is held in K as
-    ``laplacian_spectrum`` holds what it builds, so later calls of either
-    return it.  An entry that does not load, or that is not a degree-ell
-    spectrum on K's n simplices in K's weights (n finite eigenvalues, the
-    first k = kernel_dim zero, the gap eigenvalue k or +inf at k = n, n x n
-    finite eigencochains, an int k in 0..n), is a miss, overwritten with
-    K's ``laplacian_spectrum``.  An entry keeps the bits it was written
-    with: eigh's degree-1 entries from before the lift still hit.
-    """
-    os.makedirs(cache_dir, exist_ok=True)
-    path = os.path.join(cache_dir, complex_content_hash(K, ell) + ".npz")
-    if ell in K._spectra:
-        if not os.path.exists(path):
-            save_spectral_data(K._spectra[ell], path)
-        return K._spectra[ell]
+def _cache_hit(K: SimplicialComplex, ell: int, path: str) -> SpectralData | None:
+    """The entry at path, where it loads as a degree-ell spectrum on K's n
+    simplices in K's weights (n finite eigenvalues, the first k =
+    kernel_dim zero, the gap eigenvalue k or +inf at k = n, n x n finite
+    eigencochains, an int k in 0..n); None otherwise."""
     n = K.n_simplices(ell)
     try:
         s = load_spectral_data(path)
@@ -469,9 +476,5 @@ def cached_laplacian_spectrum(K: SimplicialComplex, ell: int, cache_dir: str) ->
                and np.isfinite(lam).all() and np.isfinite(s.eigencochains).all()
                and not lam[:k].any() and s.gap == (lam[k] if k < n else math.inf))
     except Exception:  # missing, empty, truncated or of other types: numpy raises many kinds
-        hit = False
-    if hit:
-        return _hold(K, ell, s)
-    s = laplacian_spectrum(K, ell)
-    save_spectral_data(s, path)
-    return s
+        return None
+    return s if hit else None

@@ -38,7 +38,6 @@ from hodgeheat import library as lib
 from hodgeheat.complexes import _SparseOperator
 from hodgeheat.decomposition import _hodge_split, _route_b
 from hodgeheat.spectral import (
-    cached_laplacian_spectrum,
     complex_content_hash,
     harmonic_part,
     save_spectral_data,
@@ -553,7 +552,7 @@ class TestSpectrumBelongsToComplex:
     def _check(self, routine, spectrum_of, make, cache_dir):
         K, uncached = make(), make()
         save_spectral_data(spectrum_of(), str(cache_dir / f"{complex_content_hash(K, 1)}.npz"))
-        s = cached_laplacian_spectrum(K, 1, str(cache_dir))
+        s = laplacian_spectrum(K, 1, str(cache_dir))
         assert s is laplacian_spectrum(K, 1)
         assert np.array_equal(s.eigenvalues, laplacian_spectrum(uncached, 1).eigenvalues)
         assert np.array_equal(s.weights, K.weights[1])

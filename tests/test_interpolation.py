@@ -47,7 +47,6 @@ from hodgeheat import (
     opnorm_exact_extremes,
     opnorm_power_method,
     projector_norm_profile,
-    select_t0,
     volume_growth_fit,
 )
 from hodgeheat import library as lib
@@ -359,7 +358,7 @@ class TestAdmissibleInterval:
             assert 1 / p1 + 1 / p2 == 1
             assert 1 <= p1 < 2 < p2
 
-    def test_q_eps_increasing_in_epsilon(self):
+    def test_p1_increasing_in_epsilon(self):
         values = [admissible_interval(1.0, 2.0, e)[0] for e in (0.0, 0.5, 1.0, 1.9)]
         assert values == sorted(values)
         assert len(set(values)) == len(values)
@@ -652,13 +651,15 @@ class TestKernelDecayFit:
     def test_rho_does_not_depend_on_product_rounding(self, name, K, ell, monkeypatch):
         # The same matrix from the general product V diag(f) V^T, its
         # upper row blocks cut from the whole product and not mirrored,
-        # must give the same rho, at the provisional t0 = 1 and at the refit
-        # t0.  The absolute 1e-12 covers a true rho of 0 (the interval's two
-        # bins are equal), which rounding leaves at about +-1e-17.
+        # must give the same rho, at t0 = 1 and at a second t0, rho /
+        # gamma_vol.  The absolute 1e-12 covers a true rho of 0 (the
+        # interval's two bins are equal), which rounding leaves at about
+        # +-1e-17.
         first = kernel_decay_fit(K, ell, 1.0)
         t0s = [1.0]
-        if not first.degenerate and first.rho > 0:
-            t0s.append(select_t0(first.rho, volume_growth_fit(K).gamma_vol))
+        gamma_vol = volume_growth_fit(K).gamma_vol
+        if not first.degenerate and first.rho > 0 and gamma_vol > 0:
+            t0s.append(first.rho / gamma_vol)
         rhos = [kernel_decay_fit(K, ell, t0).rho for t0 in t0s]
         patched = []
 
@@ -764,23 +765,6 @@ class TestVolumeGrowth:
                 for r in range(0, max(reach.values()) + 1):
                     vol = sum(w0[v] for v, d in reach.items() if d <= r)
                     assert vol <= fit.c * math.exp(fit.gamma_vol * r) * (1 + 1e-12)
-
-
-class TestSelectT0:
-    def test_formula_cases(self):
-        assert select_t0(1.0, 1.0) == 1.0
-        assert select_t0(1.0, 0.0) == 1.0
-        assert select_t0(2.0, 1.0) == 2.0
-
-    def test_condition_always_half(self):
-        for rho, gamma in ((1.0, 1.0), (2.0, 1.0), (0.3, 2.5)):
-            t0 = select_t0(rho, gamma)
-            if gamma > 0:
-                assert (gamma / (2 * rho)) * t0 == pytest.approx(0.5, abs=1e-15)
-
-    def test_invalid_rho(self):
-        with pytest.raises(ValueError):
-            select_t0(0.0, 1.0)
 
 
 class TestGaffney:
@@ -937,12 +921,15 @@ class TestInterpolationReport:
         assert dict(rep.gamma_of_p)[2.0] == rep.tau
         assert all(g > 0 for _, g in rep.gamma_of_p)
 
-    def test_levelset_condition_when_measurable(self):
+    def test_rho_is_the_positive_fit_at_unit_time(self):
         K = lib.path_complex(8)
-        rep = interpolation_report(K, 0)
-        assert rep.rho is not None and rep.rho > 0
-        assert rep.levelset_condition == pytest.approx(0.5, abs=1e-12)
-        assert rep.levelset_condition < 1.0
+        rho = interpolation_report(K, 0).rho
+        assert rho is not None and rho > 0
+        assert rho == kernel_decay_fit(K, 0, 1.0).rho
+        # A negative fitted rate is no rate.
+        K = log_uniform_weights(lib.cycle_complex(3), 3)
+        assert kernel_decay_fit(K, 0, 1.0).rho < 0
+        assert interpolation_report(K, 0).rho is None
 
     def test_all_harmonic_degree_degenerates_gracefully(self):
         K = build_complex({"vertices": [0, 1]})
@@ -954,7 +941,7 @@ class TestInterpolationReport:
         # The interval (1, inf) admits every sampled p, and gamma(p) is +inf
         # at each, in the gamma list and in the profile rows alike.
         rep = interpolation_report(build_complex({"vertices": [0, 1]}), 0)
-        assert rep.alpha == 0.0 and rep.q0 == rep.q_eps == 1.0 and rep.epsilon == 0.0
+        assert rep.alpha == 0.0 and rep.q0 == 1.0 and rep.epsilon == 0.0
         assert [p for p, _ in rep.gamma_of_p] == [row["p"] for row in rep.profile] == list(
             _P_SAMPLES)
         assert all(g == math.inf for _, g in rep.gamma_of_p)
@@ -989,7 +976,7 @@ class TestInterpolationReport:
         # ranks over F_p; one eigh each for degrees 0 and 2, and degree 1
         # lifted from them with one QR for its kernel; one n-wide pass over
         # the row blocks of each of alpha's five heat matrices and of the
-        # two kernel-decay matrices, one b1-wide pass over the projector's,
+        # kernel-decay matrix, one b1-wide pass over the projector's,
         # which gives its 1 and inf endpoints in one walk, and no whole
         # matrix; one hop search for the whole report, and one distance
         # table per degree, read by every fit at that degree.
@@ -1030,14 +1017,14 @@ class TestInterpolationReport:
         report, code = run_pipeline(RunConfig(input_path=str(path), p_list=()))
         assert code == 0 and report["ok"]
         assert (len(svds), len(qrs), len(eighs), len(matrices), len(hops)) == (0, 1, 2, 0, 1)
-        # The volume fit reads degree 0, whose table is the hop table; both
-        # kernel-decay fits read the one degree-1 table built on those hops.
+        # The volume fit reads degree 0, whose table is the hop table; the
+        # kernel-decay fit reads the degree-1 table built on those hops.
         held = {}
         assert all(held.setdefault(ell, table) is table for ell, table in tables)
         assert sorted(held) == [0, 1] and held[1][1] is held[0][1] is held[0][2]
         n, b1 = K.n_simplices(1), report["betti"][1]
-        assert made == {"measure_alpha": 5, "kernel_decay_fit": 2, "projector_norm_profile": 1}
-        assert sorted(args[1].size for args in passes) == [b1] + [n] * 7
+        assert made == {"measure_alpha": 5, "kernel_decay_fit": 1, "projector_norm_profile": 1}
+        assert sorted(args[1].size for args in passes) == [b1] + [n] * 6
         assert sorted(args[1].size for args in walks) == [b1] + [n] * 5
         assert sum(np.array_equal(args[1], np.ones(b1)) for args in walks) == 1
         # The projector brackets iterate through the rank-b1 factor of H:

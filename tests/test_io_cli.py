@@ -193,6 +193,36 @@ class TestPipelineAndReports:
         assert code == 0
         jsonschema.validate(sanitize(report), report_schema())
 
+    def test_schema_lists_exactly_the_emitted_keys(self, tmp_path):
+        # Each object section of a full report emits exactly the keys that
+        # its schema entry lists: a field dropped from a result but left in
+        # the schema shows here, and so does the reverse.
+        path = tmp_path / "torus.json"
+        path.write_text(json.dumps(complex_to_json_dict(lib.flat_torus(6, 6))))
+        report, code = run_pipeline(RunConfig(input_path=str(path)))
+        assert code == 0
+        report, schema = sanitize(report), report_schema()
+
+        def listed(entry):
+            if "$ref" in entry:
+                entry = schema["definitions"][entry["$ref"].rsplit("/", 1)[1]]
+            (entry,) = [e for e in entry.get("anyOf", [entry]) if e.get("type") == "object"]
+            return entry
+
+        top = schema["properties"]
+        sections = {name: (listed(top[name]), [report[name]])
+                    for name in ("tool", "complex", "spectrum", "interval", "decomposition",
+                                 "uniqueness")}
+        sections["interval.profile[]"] = (
+            listed(top["interval"]["properties"]["profile"]["items"]),
+            report["interval"]["profile"])
+        for name in ("dimension_consistency", "checks"):
+            sections[f"{name}[]"] = listed(top[name]["items"]), report[name]
+        for name, (entry, emitted) in sections.items():
+            assert emitted, name
+            for keys in emitted:
+                assert sorted(keys) == sorted(entry["properties"]), name
+
     def test_pipeline_deterministic_json(self, tmp_path):
         config = RunConfig(input_path=_c3_json(tmp_path), degree=1)
         a, _ = run_pipeline(config)
@@ -417,14 +447,19 @@ class TestCli:
 
     def test_broken_cache_entry_is_recomputed(self, tmp_path):
         # An entry left broken by a killed writer is a miss, not a crash.
+        # Degree 1 is lifted, so the entries of degrees 0 and 2 are
+        # written beside its own.
+        K = lib.flat_torus(4, 4)
         path = tmp_path / "torus.json"
-        path.write_text(json.dumps(complex_to_json_dict(lib.flat_torus(4, 4))))
+        path.write_text(json.dumps(complex_to_json_dict(K)))
         cache = tmp_path / "cache"
         runner = CliRunner()
         uncached = runner.invoke(main, ["spectrum", str(path)])
         args = ["spectrum", str(path), "--cache-dir", str(cache)]
         assert runner.invoke(main, args).stdout == uncached.stdout
-        (entry,) = cache.glob("*.npz")
+        names = sorted(p.name for p in cache.iterdir())
+        entry = cache / f"{hodgeheat.spectral.complex_content_hash(K, 1)}.npz"
+        assert len(names) == 3 and entry.name in names
         size = entry.stat().st_size
         for broken in (entry.read_bytes()[: size // 3], b""):
             entry.write_bytes(broken)
@@ -432,7 +467,7 @@ class TestCli:
             assert result.exit_code == 0, result.output
             assert result.stdout == uncached.stdout
             assert entry.stat().st_size == size
-        assert [p.name for p in cache.iterdir()] == [entry.name]
+        assert sorted(p.name for p in cache.iterdir()) == names
 
     @pytest.mark.parametrize("other", [lambda K: lib.flat_torus(4, 4),
                                        lambda K: log_uniform_weights(K, 3)],
@@ -519,8 +554,9 @@ class TestCli:
 
     def test_held_degree_is_not_read_from_the_cache(self, tmp_path, monkeypatch):
         # With no degree-1 entry, degree 1 is lifted from the spectra of
-        # degrees 0 and 2, which the complex then holds: their entries are
-        # neither loaded nor rewritten, and degree 1's is written.
+        # degrees 0 and 2, loaded from their entries: no eigh runs.  The
+        # complex then holds them, so the dimension stage reads neither
+        # entry again, neither is rewritten, and degree 1's is written.
         K = lib.flat_torus(6, 6)
         path = tmp_path / "torus.json"
         path.write_text(json.dumps(complex_to_json_dict(K)))
@@ -534,13 +570,42 @@ class TestCli:
         before = {ell: (entry[ell].read_bytes(), entry[ell].stat().st_mtime_ns)
                   for ell in (0, 2)}
         loads = count_calls(monkeypatch, "load_spectral_data", hodgeheat.spectral)
+        eighs = count_calls(monkeypatch, "eigh", np.linalg)
         result = runner.invoke(main, ["report", str(path), "--degree", "1", "--cache-dir",
                                       str(cache)])
         assert result.exit_code == 0, result.output
-        assert loads == [(str(entry[1]),)]
+        assert loads == [(str(entry[ell]),) for ell in (1, 0, 2)]
+        assert eighs == []
         assert {ell: (entry[ell].read_bytes(), entry[ell].stat().st_mtime_ns)
                 for ell in (0, 2)} == before
         assert sorted(cache.iterdir()) == sorted(entry.values())
+
+    def test_lift_sources_go_through_the_cache(self, tmp_path, monkeypatch):
+        # A lifted degree's miss reads its sources' entries and writes
+        # those that miss: a broken degree-0 entry is rebuilt by the one
+        # eigh of degree 0's 36 vertices, and the degree-2 entry hits.
+        K = lib.flat_torus(6, 6)
+        path = tmp_path / "torus.json"
+        path.write_text(json.dumps(complex_to_json_dict(K)))
+        cache = tmp_path / "cache"
+        args = ["spectrum", str(path), "--degree", "1", "--cache-dir", str(cache)]
+        runner = CliRunner()
+        first = runner.invoke(main, args)
+        assert first.exit_code == 0, first.output
+        entry = {ell: cache / f"{hodgeheat.spectral.complex_content_hash(K, ell)}.npz"
+                 for ell in range(3)}
+        assert sorted(cache.iterdir()) == sorted(entry.values())
+        entry[0].write_bytes(b"")
+        entry[1].unlink()
+        eighs = count_calls(monkeypatch, "eigh", np.linalg)
+        again = runner.invoke(main, args)
+        assert again.exit_code == 0 and again.stdout == first.stdout
+        assert [call[0].shape for call in eighs] == [(36, 36)]
+        for ell in range(3):
+            held = hodgeheat.spectral.load_spectral_data(str(entry[ell]))
+            built = laplacian_spectrum(lib.flat_torus(6, 6), ell)
+            assert np.array_equal(held.eigenvalues, built.eigenvalues)
+            assert np.array_equal(held.eigencochains, built.eigencochains)
 
     def test_vertex_ids_past_int64(self, tmp_path):
         # Vertex ids are labels only: ids past int64, and past the double
@@ -1042,7 +1107,6 @@ class TestSubcommandsAreReportSlices:
             return json.loads(result.stdout)["checks"]
 
         stage_of = {"kernel_dim_equals_betti": "spectrum",
-                    "levelset_condition_below_one": "interval",
                     "decomposition_residual": "decomposition",
                     "harmonic_component_defect": "decomposition",
                     "component_orthogonality": "decomposition",
@@ -1301,3 +1365,13 @@ def test_package_import_leaves_scipy_special_unloaded(tmp_path):
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines()[-1] == "False"
     assert json.loads(out.read_text())["uniqueness"]["passed"]
+
+
+def test_readme_api_sketch_runs():
+    # The one python block under the README's "Python API sketch" runs as
+    # written, so a sketch that names a removed routine fails here.
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    section = readme.split("## Python API sketch", 1)[1].split("\n## ", 1)[0]
+    (block,) = [b.split("\n", 1)[1] for b in section.split("```")[1::2]
+                if b.startswith("python\n")]
+    exec(compile(block, "README.md", "exec"), {})

@@ -48,7 +48,6 @@ from hodgeheat.spectral import (
     _heat_series,
     _lift,
     _scaled_bessel_i,
-    cached_laplacian_spectrum,
     complex_content_hash,
     lifted_from,
     load_spectral_data,
@@ -888,21 +887,21 @@ class TestSpectralCache:
 
     def test_cached_spectrum_hits_disk_once(self, tmp_path):
         K = lib.cycle_complex(3)
-        s1 = cached_laplacian_spectrum(K, 0, str(tmp_path))
+        s1 = laplacian_spectrum(K, 0, str(tmp_path))
         files = list(tmp_path.glob("*.npz"))
         assert len(files) == 1
-        s2 = cached_laplacian_spectrum(K, 0, str(tmp_path))
+        s2 = laplacian_spectrum(K, 0, str(tmp_path))
         assert np.array_equal(s1.eigenvalues, s2.eigenvalues)
         assert files[0].name.startswith(complex_content_hash(K, 0))
 
     def test_hit_is_held_by_the_complex(self, tmp_path, monkeypatch):
         # Later stages read the loaded spectrum: K holds it, read-only, and
         # builds none of its own.
-        cached_laplacian_spectrum(lib.flat_torus(6, 6), 1, str(tmp_path))
+        laplacian_spectrum(lib.flat_torus(6, 6), 1, str(tmp_path))
         K = lib.flat_torus(6, 6)
         eighs = count_calls(monkeypatch, "eigh", np.linalg)
         qrs = count_calls(monkeypatch, "qr", np.linalg)
-        s = cached_laplacian_spectrum(K, 1, str(tmp_path))
+        s = laplacian_spectrum(K, 1, str(tmp_path))
         assert laplacian_spectrum(K, 1) is s
         assert eighs == [] and qrs == []
         assert not any(a.flags.writeable for a in (s.eigenvalues, s.eigencochains, s.weights))
