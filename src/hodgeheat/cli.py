@@ -63,8 +63,7 @@ def _front_end(config: RunConfig):
     config.validate()
     parsed = parse_input(config.input_path, config.input_format)
     K, ell = parsed.complex, config.degree
-    if not 0 <= ell <= K.max_degree:
-        raise ValueError(f"degree {ell} out of range [0, {K.max_degree}]")
+    K._check_degree(ell)
     return parsed, laplacian_spectrum(K, ell, config.cache_dir)
 
 
@@ -82,19 +81,6 @@ def _cochain_for(parsed, degree, seed):
             f"input cochain has degree {cochain.degree}, not {degree}; "
             f"decomposing a random degree-{degree} cochain (seed {seed}) instead")
     return random_cochain(parsed.complex, degree, seed)
-
-
-def _spectrum_section(s):
-    # In finite dimension 0 is either absent from the spectrum or isolated;
-    # the gap says how far.
-    return {
-        "degree": s.degree,
-        "eigenvalues": list(s.eigenvalues),
-        "kernel_dim": s.kernel_dim,
-        "gap": s.gap,
-        "zero_in_spectrum": s.kernel_dim > 0,
-        "isolated": True,
-    }
 
 
 def _check(name, passed, value=None, threshold=None):
@@ -159,7 +145,7 @@ def _report(config: RunConfig, sections):
     betti = betti_numbers(K)  # the F_p oracle, once per run
     checks = [_check("kernel_dim_equals_betti", s.kernel_dim == betti[ell], s.kernel_dim,
                      betti[ell])]
-    results = dict.fromkeys(_SECTIONS) | {"spectrum": _spectrum_section(s)}
+    results = dict.fromkeys(_SECTIONS) | {"spectrum": s}
 
     def stage(name, run, *args):
         results[name], stage_checks = run(*args)
@@ -198,9 +184,9 @@ def _report(config: RunConfig, sections):
 def run_pipeline(config: RunConfig):
     """Full pipeline; returns (report dict, exit code 0/1).
 
-    The config, interval, decomposition and uniqueness sections hold the
-    RunConfig and the result objects themselves; ``io.sanitize`` encodes
-    them.
+    The config, spectrum, interval, decomposition and uniqueness sections
+    hold the RunConfig and the result objects themselves (the spectrum is
+    the ``SpectralData`` that K holds); ``io.sanitize`` encodes them.
     """
     report = _report(config, _SECTIONS)
     report["ok"] = ok = all(c["passed"] for c in report["checks"])

@@ -179,11 +179,14 @@ def decompose(K: SimplicialComplex, omega: Cochain, p_list=()) -> DecompositionR
     Reads K's spectrum at the degree of omega.  omega3 = H omega; the
     potentials come from the Green operator applied to the non-harmonic
     part: omega1 = delta G (1-H) omega and omega2 = d G (1-H) omega, so
-    d omega1 + delta omega2 + omega3 reconstructs omega.  The split runs
-    on omega scaled by a power of two, its largest |entry| in [0.5, 1),
-    which leaves every bit of the parts as it is: ``residual`` and
-    ``harmonic_defect`` are formed there, so they do not depend on the
-    scale, and the parts and potentials are scaled back.
+    d omega1 + delta omega2 + omega3 reconstructs omega.
+    ``harmonic_defect`` is |L omega3|_W / |omega3|_W through the Laplacian
+    L that K holds, not the eigenbasis, so a kernel column outside the
+    kernel of L shows in it.  The split runs on omega scaled by a power of
+    two, its largest |entry| in [0.5, 1), which leaves every bit of the
+    parts as it is: ``residual`` and ``harmonic_defect`` are formed there,
+    so they do not depend on the scale, and the parts and potentials are
+    scaled back.
     """
     K.check_cochain(omega)
     ell = omega.degree
@@ -193,12 +196,7 @@ def decompose(K: SimplicialComplex, omega: Cochain, p_list=()) -> DecompositionR
     g = s.apply_function(_inv_on_support, unit - h)
     o1, exact, o2, coexact = _hodge_split(K, ell, g)
     residual = s.norm2(unit - exact - coexact - h) / (s.norm2(unit) or 1.0)
-
-    h_norm = s.norm2(h)
-    if h_norm == 0.0:
-        harmonic_defect = 0.0
-    else:
-        harmonic_defect = s.norm2(s.apply_function(lambda lam: lam, h)) / h_norm
+    harmonic_defect = s.norm2(hodge_laplacian(K, ell) @ h) / (s.norm2(h) or 1.0)
 
     ortho = {}
     # Each part scaled by its own power of two: neither <a, b> nor |a| |b|

@@ -23,7 +23,7 @@ of the dropped |coefficients| bounds the truncation error in the W-norm.
 import json
 import math
 import os
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields
 from functools import partial
 
 import numpy as np
@@ -58,13 +58,14 @@ class SpectralData:
     Eigenvalues are ascending; the ``kernel_dim`` smallest are snapped to
     exactly 0 (they fall below RANK_TOL relative to the largest eigenvalue).
     ``gap`` is the smallest nonzero eigenvalue, or +inf when the whole
-    spectrum is {0}.
+    spectrum is {0}.  It is the report's spectrum section: ``io.sanitize``
+    emits every field but the eigencochains and the weights.
     """
 
     degree: int
     eigenvalues: np.ndarray
-    eigencochains: np.ndarray  # columns, W-orthonormal
-    weights: np.ndarray
+    eigencochains: np.ndarray = field(repr=False)  # columns, W-orthonormal
+    weights: np.ndarray = field(repr=False)
     kernel_dim: int
     gap: float
 

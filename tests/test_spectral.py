@@ -35,7 +35,6 @@ from hodgeheat import (
     laplacian_spectrum,
 )
 from hodgeheat import library as lib
-from hodgeheat.cli import _spectrum_section
 from hodgeheat.complexes import _SparseOperator
 from hodgeheat.decomposition import _green_after_heat
 from hodgeheat.spectral import (
@@ -393,23 +392,22 @@ class TestDenseInput:
 
 
 class TestClassifyZero:
-    """The spectrum section's zero_in_spectrum, isolated and gap keys."""
+    """Whether 0 is in the spectrum (a kernel), and the gap that isolates it."""
 
     def test_c3_degree1(self):
-        rep = _spectrum_section(laplacian_spectrum(lib.cycle_complex(3), 1))
-        assert rep["zero_in_spectrum"] and rep["isolated"]
-        assert rep["gap"] == pytest.approx(3.0, abs=1e-12)
+        s = laplacian_spectrum(lib.cycle_complex(3), 1)
+        assert s.kernel_dim > 0
+        assert s.gap == pytest.approx(3.0, abs=1e-12)
 
     def test_filled_triangle_degree1(self):
-        rep = _spectrum_section(laplacian_spectrum(lib.filled_triangle(), 1))
-        assert not rep["zero_in_spectrum"] and rep["isolated"]
-        assert rep["gap"] == pytest.approx(3.0, abs=1e-12)
+        s = laplacian_spectrum(lib.filled_triangle(), 1)
+        assert not s.kernel_dim > 0
+        assert s.gap == pytest.approx(3.0, abs=1e-12)
 
     def test_single_vertex(self):
-        K = build_complex({"vertices": [0]})
-        rep = _spectrum_section(laplacian_spectrum(K, 0))
-        assert rep["zero_in_spectrum"] and rep["isolated"]
-        assert math.isinf(rep["gap"])
+        s = laplacian_spectrum(build_complex({"vertices": [0]}), 0)
+        assert s.kernel_dim > 0
+        assert math.isinf(s.gap)
 
 
 def _heat(s, t, values):
